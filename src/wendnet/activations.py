@@ -1,5 +1,6 @@
 """Wendland radial basis activations, the enhanced Wendland activation, and
-the baseline activation registry with exact analytic derivatives.
+the registry of every activation kind, baselines included, with exact
+analytic derivatives.
 
 The classical Wendland forms are the three closed-form members
 
@@ -23,7 +24,8 @@ consistently across all kinds.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
+from typing import Callable
 
 import numpy as np
 from scipy.special import erf
@@ -146,16 +148,8 @@ class EnhancedWendlandParams:
             raise ConfigError(f"mode must be {MODE_ELEMENTWISE!r} or {MODE_CHANNEL!r}")
 
     def trainable_names(self) -> tuple[str, ...]:
-        names = []
-        if self.train_alpha:
-            names.append("alpha")
-        if self.train_lam:
-            names.append("lam")
-        if self.train_beta:
-            names.append("beta")
-        if self.train_eps:
-            names.append("eps")
-        return tuple(names)
+        return tuple(name for name in ("alpha", "lam", "beta", "eps")
+                     if getattr(self, f"train_{name}"))
 
 
 def _inside_support(r, p: EnhancedWendlandParams):
@@ -258,10 +252,12 @@ def enhanced_backward(x, upstream, p: EnhancedWendlandParams):
 
 
 # ---------------------------------------------------------------------------
-# Baseline activation registry.
+# Elementwise value/derivative pairs and coefficient partials.  Each value
+# function maps (x, coefficients, training, rng) to (y, dy/dx); each partials
+# function maps (x, coefficients) to {coefficient: dy/dcoefficient}.
 # ---------------------------------------------------------------------------
 
-def _sigmoid(x):
+def _logistic(x):
     out = np.empty_like(x)
     pos = x >= 0
     out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
@@ -274,136 +270,127 @@ _SQRT2 = np.sqrt(2.0)
 _INV_SQRT_2PI = 1.0 / np.sqrt(2.0 * np.pi)
 
 
-# kind -> (defaults, trainable parameter names)
-_BASELINES: dict[str, tuple[dict[str, float], tuple[str, ...]]] = {
-    "relu": ({}, ()),
-    "relu6": ({}, ()),
-    "lrelu": ({"slope": 0.01}, ()),
-    "prelu": ({"slope": 0.25}, ("slope",)),
-    "rrelu": ({"lo": 0.125, "hi": 1.0 / 3.0}, ()),
-    "elu": ({"alpha": 1.0}, ()),
-    "celu": ({"alpha": 1.0}, ()),
-    "swish": ({}, ()),
-    "srelu": ({"tl": -1.0, "al": 0.1, "tr": 1.0, "ar": 0.1}, ()),
-    "sinlu": ({"a": 1.0, "b": 1.0}, ("a", "b")),
-    "frelu": ({"alpha": 1.0}, ("alpha",)),
-    "sigmoid": ({}, ()),
-    "tanh": ({}, ()),
-    "gelu": ({}, ()),
-}
-
-_WENDLAND_KINDS = ("wc0", "wc2", "wc4")
-KIND_EWEND = "ewend"
-
-BASELINE_KINDS = tuple(_BASELINES)
-ALL_KINDS = _WENDLAND_KINDS + (KIND_EWEND,) + BASELINE_KINDS
-
-
-def baseline_eval(kind: str, params: dict, x, training: bool = False,
-                  rng: np.random.Generator | None = None):
-    """Value and derivative of a baseline (or classical Wendland) activation.
-
-    Returns (y, dy/dx) evaluated elementwise.  RReLU samples one slope per
-    element from `rng` in training mode and uses the mean slope otherwise;
-    the returned derivative always matches the returned value.
-    """
-    x = tensor(x)
-    if kind == "relu":
-        return np.maximum(0.0, x), np.where(x >= 0, 1.0, 0.0)
-    if kind == "relu6":
-        return np.clip(x, 0.0, 6.0), np.where((x >= 0) & (x < 6.0), 1.0, 0.0)
-    if kind in ("lrelu", "prelu"):
-        s = params["slope"]
-        return np.where(x >= 0, x, s * x), np.where(x >= 0, 1.0, s)
-    if kind == "rrelu":
-        lo, hi = params["lo"], params["hi"]
-        if training:
-            if rng is None:
-                raise ConfigError("rrelu in training mode requires an rng")
-            s = rng.uniform(lo, hi, size=x.shape)
-        else:
-            s = 0.5 * (lo + hi)
-        return np.where(x >= 0, x, s * x), np.where(x >= 0, 1.0, s)
-    if kind == "elu":
-        a = params["alpha"]
-        ex = np.exp(np.minimum(x, 0.0))
-        return np.where(x >= 0, x, a * (ex - 1.0)), np.where(x >= 0, 1.0, a * ex)
-    if kind == "celu":
-        a = params["alpha"]
-        ex = np.exp(np.minimum(x, 0.0) / a)
-        return np.where(x >= 0, x, a * (ex - 1.0)), np.where(x >= 0, 1.0, ex)
-    if kind == "swish":
-        s = _sigmoid(x)
-        return x * s, s * (1.0 + x * (1.0 - s))
-    if kind == "srelu":
-        tl, al, tr, ar = params["tl"], params["al"], params["tr"], params["ar"]
-        y = np.where(x < tl, tl + al * (x - tl),
-                     np.where(x < tr, x, tr + ar * (x - tr)))
-        dy = np.where(x < tl, al, np.where(x < tr, 1.0, ar))
-        return y, dy
-    if kind == "sinlu":
-        a, b = params["a"], params["b"]
-        s = _sigmoid(x)
-        u = x + a * np.sin(b * x)
-        du = 1.0 + a * b * np.cos(b * x)
-        return u * s, du * s + u * s * (1.0 - s)
-    if kind == "frelu":
-        a = params["alpha"]
-        s = _sigmoid(a * x)
-        return x * s, s + x * a * s * (1.0 - s)
-    if kind == "sigmoid":
-        s = _sigmoid(x)
-        return s, s * (1.0 - s)
-    if kind == "tanh":
-        t = np.tanh(x)
-        return t, 1.0 - t * t
-    if kind == "gelu":
-        phi_cdf = 0.5 * (1.0 + erf(x / _SQRT2))
-        pdf = _INV_SQRT_2PI * np.exp(-0.5 * x * x)
-        return x * phi_cdf, phi_cdf + x * pdf
-    if kind in ("wc0", "wc2", "wc4"):
-        phi, dphi = {"wc0": (wendland_c0, wendland_c0_dr),
-                     "wc2": (wendland_c2, wendland_c2_dr),
-                     "wc4": (wendland_c4, wendland_c4_dr)}[kind]
+def _radial(phi, dphi):
+    """Value function of a classical Wendland form applied to r = |x|."""
+    def value(x, c, training, rng):
         r = np.abs(x)
         # right derivative at x=0: sign taken as +1 there
         return phi(r), np.where(x >= 0, 1.0, -1.0) * dphi(r)
-    raise ConfigError(f"unknown activation kind {kind!r}")
+    return value
 
 
-def baseline_param_grads(kind: str, params: dict, x) -> dict[str, np.ndarray]:
-    """Elementwise partials of the activation output wrt its trainable
-    coefficients.  Kinds without trainable coefficients return {}."""
-    x = tensor(x)
-    if kind == "prelu":
-        return {"slope": np.where(x >= 0, 0.0, x)}
-    if kind == "sinlu":
-        a, b = params["a"], params["b"]
-        s = _sigmoid(x)
-        return {"a": np.sin(b * x) * s, "b": a * x * np.cos(b * x) * s}
-    if kind == "frelu":
-        a = params["alpha"]
-        s = _sigmoid(a * x)
-        return {"alpha": x * x * s * (1.0 - s)}
-    return {}
+def _relu(x, c, training, rng):
+    return np.maximum(0.0, x), np.where(x >= 0, 1.0, 0.0)
+
+
+def _relu6(x, c, training, rng):
+    return np.clip(x, 0.0, 6.0), np.where((x >= 0) & (x < 6.0), 1.0, 0.0)
+
+
+def _leaky(x, c, training, rng):
+    s = c["slope"]
+    return np.where(x >= 0, x, s * x), np.where(x >= 0, 1.0, s)
+
+
+def _rrelu(x, c, training, rng):
+    lo, hi = c["lo"], c["hi"]
+    if training:
+        if rng is None:
+            raise ConfigError("rrelu in training mode requires an rng")
+        s = rng.uniform(lo, hi, size=x.shape)
+    else:
+        s = 0.5 * (lo + hi)
+    return np.where(x >= 0, x, s * x), np.where(x >= 0, 1.0, s)
+
+
+def _elu(x, c, training, rng):
+    a = c["alpha"]
+    ex = np.exp(np.minimum(x, 0.0))
+    return np.where(x >= 0, x, a * (ex - 1.0)), np.where(x >= 0, 1.0, a * ex)
+
+
+def _celu(x, c, training, rng):
+    a = c["alpha"]
+    ex = np.exp(np.minimum(x, 0.0) / a)
+    return np.where(x >= 0, x, a * (ex - 1.0)), np.where(x >= 0, 1.0, ex)
+
+
+def _swish(x, c, training, rng):
+    s = _logistic(x)
+    return x * s, s * (1.0 + x * (1.0 - s))
+
+
+def _srelu(x, c, training, rng):
+    tl, al, tr, ar = c["tl"], c["al"], c["tr"], c["ar"]
+    y = np.where(x < tl, tl + al * (x - tl),
+                 np.where(x < tr, x, tr + ar * (x - tr)))
+    dy = np.where(x < tl, al, np.where(x < tr, 1.0, ar))
+    return y, dy
+
+
+def _sinlu(x, c, training, rng):
+    a, b = c["a"], c["b"]
+    s = _logistic(x)
+    u = x + a * np.sin(b * x)
+    du = 1.0 + a * b * np.cos(b * x)
+    return u * s, du * s + u * s * (1.0 - s)
+
+
+def _frelu(x, c, training, rng):
+    a = c["alpha"]
+    s = _logistic(a * x)
+    return x * s, s + x * a * s * (1.0 - s)
+
+
+def _sigmoid(x, c, training, rng):
+    s = _logistic(x)
+    return s, s * (1.0 - s)
+
+
+def _tanh(x, c, training, rng):
+    t = np.tanh(x)
+    return t, 1.0 - t * t
+
+
+def _gelu(x, c, training, rng):
+    phi_cdf = 0.5 * (1.0 + erf(x / _SQRT2))
+    pdf = _INV_SQRT_2PI * np.exp(-0.5 * x * x)
+    return x * phi_cdf, phi_cdf + x * pdf
+
+
+def _prelu_partials(x, c):
+    return {"slope": np.where(x >= 0, 0.0, x)}
+
+
+def _sinlu_partials(x, c):
+    a, b = c["a"], c["b"]
+    s = _logistic(x)
+    return {"a": np.sin(b * x) * s, "b": a * x * np.cos(b * x) * s}
+
+
+def _frelu_partials(x, c):
+    a = c["alpha"]
+    s = _logistic(a * x)
+    return {"alpha": x * x * s * (1.0 - s)}
+
+
+def _check_rrelu(c):
+    if not 0 <= c["lo"] <= c["hi"]:
+        raise ConfigError("rrelu: slope range must satisfy 0 <= lo <= hi")
+
+
+def _at_zero(c):
+    return (0.0,)
 
 
 # ---------------------------------------------------------------------------
-# ActivationSpec: tagged descriptor + canonical text encoding.
+# Activation registry: one record per kind.
 #
-# Grammar:   spec  := kind | kind "(" pair ("," pair)* ")"
-#            pair  := key "=" value
+# Text grammar:  spec  := kind | kind "(" pair ("," pair)* ")"
+#                pair  := key "=" value
 # Values are numbers except ewend's mode (elem|channel) and train, a
 # "|"-separated subset of alpha|lambda|beta|eps.
 # ---------------------------------------------------------------------------
-
-_SPEC_RE = re.compile(r"^\s*([A-Za-z][A-Za-z0-9]*)\s*(?:\((.*)\))?\s*$")
-
-# text keys use "lambda"/"eps"; the dataclass field for lambda is `lam`
-_EWEND_KEYS = ("alpha", "k", "lambda", "beta", "eps", "mode", "train")
-_TRAIN_TOKENS = {"alpha": "train_alpha", "lambda": "train_lam",
-                 "beta": "train_beta", "eps": "train_eps"}
-
 
 @dataclass(frozen=True)
 class ActivationSpec:
@@ -414,14 +401,7 @@ class ActivationSpec:
 
     def param_count(self) -> int:
         """Number of trainable coefficients this activation carries."""
-        if self.kind == KIND_EWEND:
-            return len(self.params["ewend"].trainable_names())
-        if self.kind in _BASELINES:
-            return len(_BASELINES[self.kind][1])
-        return 0
-
-    def display_name(self) -> str:
-        return self.kind
+        return len(KINDS[self.kind].initial(self.params))
 
 
 def _parse_number(kind: str, key: str, raw: str) -> float:
@@ -431,23 +411,84 @@ def _parse_number(kind: str, key: str, raw: str) -> float:
         raise ConfigError(f"{kind}: parameter {key}={raw!r} is not a number") from None
 
 
-def parse_activation(text: str) -> ActivationSpec:
-    """Parse the canonical text encoding, e.g.
-    `ewend(alpha=1.0,k=4,lambda=0.1,beta=1.0,eps=0.01,mode=elem)` or `relu`."""
-    m = _SPEC_RE.match(text)
-    if not m:
-        raise ConfigError(f"cannot parse activation spec {text!r}")
-    kind = m.group(1).lower()
-    body = m.group(2)
-    pairs: dict[str, str] = {}
-    if body is not None and body.strip():
-        for chunk in body.split(","):
-            if "=" not in chunk:
-                raise ConfigError(f"{kind}: expected key=value, got {chunk.strip()!r}")
-            key, _, val = chunk.partition("=")
-            pairs[key.strip().lower()] = val.strip()
+@dataclass(frozen=True)
+class Kind:
+    """Everything wendnet knows about one activation kind; adding a kind
+    means adding one record to `KINDS`.  This base covers the elementwise
+    kinds, whose coefficients are a dict of floats keyed by their text names."""
 
-    if kind == KIND_EWEND:
+    name: str
+    value: Callable | None              # (x, c, training, rng) -> (y, dy/dx)
+    defaults: dict = field(default_factory=dict)
+    trainable: tuple[str, ...] = ()
+    partials: Callable | None = None    # (x, c) -> {trainable coeff: dy/dcoeff}
+    kinks: Callable = lambda c: ()      # c -> the x where dy/dx jumps
+    log_coeffs: tuple[str, ...] = ()    # strictly positive, trained as their log
+    check: Callable | None = None       # raises ConfigError on invalid coefficients
+    summary: str = ""                   # list-activations text; derived when empty
+    wendland: bool = False
+
+    def describe(self) -> str:
+        if self.summary:
+            return self.summary
+        text = " ".join(f"{k}={v:g}" for k, v in self.defaults.items()) or "no parameters"
+        if self.trainable:
+            text += f"  (trainable: {', '.join(self.trainable)})"
+        return text
+
+    def parse(self, pairs: dict[str, str]) -> dict:
+        """Coefficients from the text's key=value pairs, defaults filled in."""
+        params = dict(self.defaults)
+        for key, raw in pairs.items():
+            if key not in self.defaults:
+                raise ConfigError(f"{self.name}: unknown parameter {key!r}")
+            params[key] = _parse_number(self.name, key, raw)
+        if self.check is not None:
+            self.check(params)
+        return params
+
+    def format(self, params) -> str:
+        if not params:
+            return self.name
+        body = ",".join(f"{k}={params[k]:g}" for k in self.defaults)
+        return f"{self.name}({body})"
+
+    def initial(self, params) -> dict[str, float]:
+        """Natural-space values of the trainable coefficients in `params`."""
+        return {name: params[name] for name in self.trainable}
+
+    def bind(self, params, values: dict[str, float]):
+        """`params` with the trainable coefficients set to `values`."""
+        return {**params, **values}
+
+    def report(self, c) -> dict[str, float]:
+        """Coefficient values for the metrics output."""
+        return dict(c)
+
+    def forward(self, c, x, training, rng):
+        """(y, what `backward` needs besides c and x): here dy/dx."""
+        return baseline_eval(self.name, c, x, training, rng)
+
+    def backward(self, c, x, dy, upstream):
+        """(input gradient, gradients of the trainable coefficients)."""
+        if self.partials is None:
+            return upstream * dy, {}
+        partials = baseline_param_grads(self.name, c, x)
+        return upstream * dy, {name: float(np.sum(upstream * d)) for name, d in partials.items()}
+
+
+# ewend text keys use "lambda"; the dataclass field for lambda is `lam`
+_EWEND_KEYS = ("alpha", "k", "lambda", "beta", "eps", "mode", "train")
+_TRAIN_TOKENS = {"alpha": "train_alpha", "lambda": "train_lam",
+                 "beta": "train_beta", "eps": "train_eps"}
+
+
+class _Enhanced(Kind):
+    """The `ewend` record: its coefficients are one EnhancedWendlandParams,
+    held in the spec as params["ewend"]; the train mask picks the trainable
+    ones."""
+
+    def parse(self, pairs: dict[str, str]) -> dict:
         kwargs: dict = {}
         for key, raw in pairs.items():
             if key not in _EWEND_KEYS:
@@ -463,65 +504,128 @@ def parse_activation(text: str) -> ActivationSpec:
                         raise ConfigError(f"ewend: unknown train token {t!r}")
                     kwargs[_TRAIN_TOKENS[t]] = True
             elif key == "k":
-                val = _parse_number(kind, key, raw)
+                val = _parse_number(self.name, key, raw)
                 if val != int(val):
                     raise ConfigError(f"ewend: k must be an integer, got {raw!r}")
                 kwargs["k"] = int(val)
             else:
-                kwargs["lam" if key == "lambda" else key] = _parse_number(kind, key, raw)
-        return ActivationSpec(KIND_EWEND, {"ewend": EnhancedWendlandParams(**kwargs)})
+                kwargs["lam" if key == "lambda" else key] = _parse_number(self.name, key, raw)
+        return {"ewend": EnhancedWendlandParams(**kwargs)}
 
-    if kind in _WENDLAND_KINDS:
-        if pairs:
-            raise ConfigError(f"{kind} takes no parameters")
-        return ActivationSpec(kind, {})
-
-    if kind in _BASELINES:
-        defaults, _ = _BASELINES[kind]
-        params = dict(defaults)
-        for key, raw in pairs.items():
-            if key not in defaults:
-                raise ConfigError(f"{kind}: unknown parameter {key!r}")
-            params[key] = _parse_number(kind, key, raw)
-        if kind == "rrelu" and not 0 <= params["lo"] <= params["hi"]:
-            raise ConfigError("rrelu: slope range must satisfy 0 <= lo <= hi")
-        return ActivationSpec(kind, params)
-
-    raise ConfigError(f"unknown activation kind {kind!r}")
-
-
-def format_activation(spec: ActivationSpec) -> str:
-    """Canonical text encoding; parse(format(s)) round-trips."""
-    if spec.kind == KIND_EWEND:
-        p: EnhancedWendlandParams = spec.params["ewend"]
+    def format(self, params) -> str:
+        p: EnhancedWendlandParams = params["ewend"]
         train = "|".join(t for t, f in _TRAIN_TOKENS.items() if getattr(p, f))
         parts = [f"alpha={p.alpha:g}", f"k={p.k}", f"lambda={p.lam:g}",
                  f"beta={p.beta:g}", f"eps={p.eps:g}", f"mode={p.mode}"]
         if train != "alpha":
             parts.append(f"train={train}")
         return f"ewend({','.join(parts)})"
-    if spec.kind in _WENDLAND_KINDS or not spec.params:
-        return spec.kind
-    defaults, _ = _BASELINES[spec.kind]
-    body = ",".join(f"{k}={spec.params[k]:g}" for k in defaults)
-    return f"{spec.kind}({body})"
+
+    def initial(self, params) -> dict[str, float]:
+        p = params["ewend"]
+        return {name: getattr(p, name) for name in p.trainable_names()}
+
+    def bind(self, params, values: dict[str, float]):
+        return replace(params["ewend"], **values)
+
+    def report(self, p) -> dict[str, float]:
+        return {"alpha": p.alpha, "lambda": p.lam, "beta": p.beta, "eps": p.eps}
+
+    def forward(self, p, x, training, rng):
+        return enhanced_forward(x, p), None
+
+    def backward(self, p, x, _, upstream):
+        return enhanced_backward(x, upstream, p)
+
+
+def _ewend_kinks(p):
+    # for k < 2 the derivative of the Wendland term jumps at the support edge
+    return (-1.0 / p.alpha, 1.0 / p.alpha) if p.k < 2 else ()
+
+
+KINDS: dict[str, Kind] = {rec.name: rec for rec in (
+    Kind("wc0", _radial(wendland_c0, wendland_c0_dr), kinks=lambda c: (-1.0, 0.0, 1.0),
+         summary="classical Wendland C0, no parameters", wendland=True),
+    Kind("wc2", _radial(wendland_c2, wendland_c2_dr),
+         summary="classical Wendland C2, no parameters", wendland=True),
+    Kind("wc4", _radial(wendland_c4, wendland_c4_dr),
+         summary="classical Wendland C4, no parameters", wendland=True),
+    _Enhanced("ewend", None, kinks=_ewend_kinks, log_coeffs=("alpha", "beta"),
+              summary="alpha=1 k=4 lambda=0.1 beta=1 eps=0.01 mode=elem|channel "
+                      "train=alpha[|lambda|beta|eps]  (trainable: per train mask)",
+              wendland=True),
+    Kind("relu", _relu, kinks=_at_zero),
+    Kind("relu6", _relu6, kinks=lambda c: (0.0, 6.0)),
+    Kind("lrelu", _leaky, {"slope": 0.01}, kinks=_at_zero),
+    Kind("prelu", _leaky, {"slope": 0.25}, ("slope",), _prelu_partials, kinks=_at_zero),
+    Kind("rrelu", _rrelu, {"lo": 0.125, "hi": 1.0 / 3.0}, kinks=_at_zero, check=_check_rrelu),
+    Kind("elu", _elu, {"alpha": 1.0}, kinks=_at_zero),
+    Kind("celu", _celu, {"alpha": 1.0}, kinks=_at_zero),
+    Kind("swish", _swish),
+    Kind("srelu", _srelu, {"tl": -1.0, "al": 0.1, "tr": 1.0, "ar": 0.1},
+         kinks=lambda c: (c["tl"], c["tr"])),
+    Kind("sinlu", _sinlu, {"a": 1.0, "b": 1.0}, ("a", "b"), _sinlu_partials),
+    Kind("frelu", _frelu, {"alpha": 1.0}, ("alpha",), _frelu_partials),
+    Kind("sigmoid", _sigmoid),
+    Kind("tanh", _tanh),
+    Kind("gelu", _gelu),
+)}
+
+ALL_KINDS = tuple(KINDS)
+BASELINE_KINDS = tuple(name for name, rec in KINDS.items() if not rec.wendland)
+
+
+def baseline_eval(kind: str, params: dict, x, training: bool = False,
+                  rng: np.random.Generator | None = None):
+    """Value and derivative of a baseline (or classical Wendland) activation.
+
+    Returns (y, dy/dx) evaluated elementwise.  RReLU samples one slope per
+    element from `rng` in training mode and uses the mean slope otherwise;
+    the returned derivative always matches the returned value.
+    """
+    rec = KINDS.get(kind)
+    if rec is None or rec.value is None:
+        raise ConfigError(f"unknown elementwise activation kind {kind!r}")
+    return rec.value(tensor(x), params, training, rng)
+
+
+def baseline_param_grads(kind: str, params: dict, x) -> dict[str, np.ndarray]:
+    """Elementwise partials of the activation output wrt its trainable
+    coefficients.  Kinds without trainable coefficients return {}."""
+    rec = KINDS.get(kind)
+    if rec is None or rec.value is None:
+        raise ConfigError(f"unknown elementwise activation kind {kind!r}")
+    return rec.partials(tensor(x), params) if rec.partials is not None else {}
+
+
+_SPEC_RE = re.compile(r"^\s*([A-Za-z][A-Za-z0-9]*)\s*(?:\((.*)\))?\s*$")
+
+
+def parse_activation(text: str) -> ActivationSpec:
+    """Parse the canonical text encoding, e.g.
+    `ewend(alpha=1.0,k=4,lambda=0.1,beta=1.0,eps=0.01,mode=elem)` or `relu`."""
+    m = _SPEC_RE.match(text)
+    if not m:
+        raise ConfigError(f"cannot parse activation spec {text!r}")
+    kind = m.group(1).lower()
+    if kind not in KINDS:
+        raise ConfigError(f"unknown activation kind {kind!r}")
+    body = m.group(2)
+    pairs: dict[str, str] = {}
+    if body is not None and body.strip():
+        for chunk in body.split(","):
+            if "=" not in chunk:
+                raise ConfigError(f"{kind}: expected key=value, got {chunk.strip()!r}")
+            key, _, val = chunk.partition("=")
+            pairs[key.strip().lower()] = val.strip()
+    return ActivationSpec(kind, KINDS[kind].parse(pairs))
+
+
+def format_activation(spec: ActivationSpec) -> str:
+    """Canonical text encoding; parse(format(s)) round-trips."""
+    return KINDS[spec.kind].format(spec.params)
 
 
 def activation_schema() -> list[tuple[str, str]]:
     """(kind, parameter summary) for every supported activation."""
-    rows = [
-        ("wc0", "classical Wendland C0, no parameters"),
-        ("wc2", "classical Wendland C2, no parameters"),
-        ("wc4", "classical Wendland C4, no parameters"),
-        ("ewend", "alpha=1 k=4 lambda=0.1 beta=1 eps=0.01 mode=elem|channel "
-                  "train=alpha[|lambda|beta|eps]  (trainable: per train mask)"),
-    ]
-    for kind, (defaults, trainable) in _BASELINES.items():
-        if defaults:
-            summary = " ".join(f"{k}={v:g}" for k, v in defaults.items())
-        else:
-            summary = "no parameters"
-        if trainable:
-            summary += f"  (trainable: {', '.join(trainable)})"
-        rows.append((kind, summary))
-    return rows
+    return [(name, rec.describe()) for name, rec in KINDS.items()]

@@ -185,6 +185,39 @@ def _train_one(cfg: ExperimentConfig, spec: ActivationSpec, rep: int,
     return net, records
 
 
+def _run_jobs(cfg: ExperimentConfig, ds: Dataset, loss_kind: str,
+              classification: bool, keep) -> list[tuple[str, list]]:
+    """Train every (activation, repetition) job of `cfg` on `ds` and write
+    metrics.csv.  Returns, per activation, its text encoding and
+    `keep(rep, net, records)` of each repetition."""
+    results: list[tuple[str, list]] = []
+    mf, mwriter = _open_csv(Path(cfg.output_dir) / "metrics.csv", cfg, METRIC_COLUMNS)
+    with mf:
+        for spec in cfg.specs():
+            act_text = format_activation(spec)
+            kept = []
+            for rep in range(cfg.repetitions):
+                net, records = _train_one(cfg, spec, rep, ds, loss_kind, classification)
+                for row in _metric_rows(cfg, act_text, rep, records):
+                    mwriter.writerow(row)
+                kept.append(keep(rep, net, records))
+            results.append((act_text, kept))
+    return results
+
+
+def _completed(runs: list[list[EpochRecord]]) -> list[EpochRecord]:
+    """Final records of the repetitions that ended with status ok."""
+    return [records[-1] for records in runs if records and records[-1].status == "ok"]
+
+
+def _mean_std(vals):
+    if not vals:
+        return None, None
+    m = float(np.mean(vals))
+    s = float(np.std(vals, ddof=1)) if len(vals) > 1 else 0.0
+    return m, s
+
+
 # ---------------------------------------------------------------------------
 # Experiment runners.
 # ---------------------------------------------------------------------------
@@ -200,25 +233,16 @@ def run_sine(cfg: ExperimentConfig) -> list[Path]:
                      float(dp.get("noise_sd", 0.05)),
                      substream(cfg.seed, "data"))
     ds.split(float(dp.get("test_fraction", 0.3)), substream(cfg.seed, "split"))
-
-    out = Path(cfg.output_dir)
-    mf, mwriter = _open_csv(out / "metrics.csv", cfg, METRIC_COLUMNS)
     grid = np.linspace(lo, hi, int(dp.get("grid_points", 201)))[:, None]
-    pred_cols: list[tuple[str, np.ndarray]] = []
-    try:
-        for spec in cfg.specs():
-            act_text = format_activation(spec)
-            for rep in range(cfg.repetitions):
-                net, records = _train_one(cfg, spec, rep, ds, "mse", False)
-                for row in _metric_rows(cfg, act_text, rep, records):
-                    mwriter.writerow(row)
-                if rep == 0:
-                    ok = not records or records[-1].status == "ok"
-                    pred = net.forward(grid) if ok else np.full_like(grid, np.nan)
-                    pred_cols.append((act_text, pred[:, 0]))
-    finally:
-        mf.close()
 
+    def predict(rep, net, records):
+        if rep != 0:
+            return None
+        ok = not records or records[-1].status == "ok"
+        return (net.forward(grid) if ok else np.full_like(grid, np.nan))[:, 0]
+
+    pred_cols = [(text, kept[0]) for text, kept in _run_jobs(cfg, ds, "mse", False, predict)]
+    out = Path(cfg.output_dir)
     pf, pwriter = _open_csv(out / "predictions.csv", cfg,
                             ["x", "sin_x"] + [f"pred_{name}" for name, _ in pred_cols])
     with pf:
@@ -246,44 +270,23 @@ def run_toy_classification(cfg: ExperimentConfig) -> list[Path]:
     standard deviation over repetitions)."""
     _require(cfg.experiment in ("moons", "circles"),
              "config is not a toy classification experiment")
-    ds = _toy_dataset(cfg)
+    results = _run_jobs(cfg, _toy_dataset(cfg), "xent", True,
+                        lambda rep, net, records: records)
     out = Path(cfg.output_dir)
-    mf, mwriter = _open_csv(out / "metrics.csv", cfg, METRIC_COLUMNS)
-    summary: list[list] = []
-    try:
-        for spec in cfg.specs():
-            act_text = format_activation(spec)
-            finals_acc, finals_loss, secs = [], [], []
-            for rep in range(cfg.repetitions):
-                _, records = _train_one(cfg, spec, rep, ds, "xent", True)
-                for row in _metric_rows(cfg, act_text, rep, records):
-                    mwriter.writerow(row)
-                if records and records[-1].status == "ok":
-                    finals_acc.append(records[-1].test_accuracy)
-                    finals_loss.append(records[-1].test_loss)
-                secs.extend(r.seconds for r in records)
-            def mean_std(vals):
-                if not vals:
-                    return None, None
-                m = float(np.mean(vals))
-                s = float(np.std(vals, ddof=1)) if len(vals) > 1 else 0.0
-                return m, s
-            am, asd = mean_std(finals_acc)
-            lm, lsd = mean_std(finals_loss)
-            summary.append([act_text, len(finals_acc), _fmt(am), _fmt(asd),
-                            _fmt(lm), _fmt(lsd),
-                            _fmt(float(np.mean(secs)) if secs else None)])
-    finally:
-        mf.close()
-
     sf, swriter = _open_csv(out / "summary.csv", cfg,
                             ["activation", "completed_repetitions",
                              "test_accuracy_mean", "test_accuracy_std",
                              "test_loss_mean", "test_loss_std",
                              "mean_epoch_seconds"])
     with sf:
-        for row in summary:
-            swriter.writerow(row)
+        for act_text, runs in results:
+            finals = _completed(runs)
+            secs = [r.seconds for records in runs for r in records]
+            am, asd = _mean_std([r.test_accuracy for r in finals])
+            lm, lsd = _mean_std([r.test_loss for r in finals])
+            swriter.writerow([act_text, len(finals), _fmt(am), _fmt(asd),
+                              _fmt(lm), _fmt(lsd),
+                              _fmt(float(np.mean(secs)) if secs else None)])
     return [out / "metrics.csv", out / "summary.csv"]
 
 
@@ -316,33 +319,23 @@ def run_mnist_like(cfg: ExperimentConfig) -> list[Path]:
                           rng=substream(cfg.seed, "subsample", "train"))
     sub_test = subsample(test_full, n_test, 0, stratified=True,
                          rng=substream(cfg.seed, "subsample", "test"))
+    # index by the row counts subsample returned, so that train and test
+    # rows can never overlap
+    n_sub_train, n_sub_test = len(sub_train.train_idx), len(sub_test.train_idx)
     ds = Dataset(
         features=np.vstack([sub_train.features[sub_train.train_idx],
                             sub_test.features[sub_test.train_idx]]),
         labels=np.concatenate([sub_train.labels[sub_train.train_idx],
                                sub_test.labels[sub_test.train_idx]]),
-        train_idx=np.arange(n_train),
-        test_idx=np.arange(n_train, n_train + n_test),
+        train_idx=np.arange(n_sub_train),
+        test_idx=np.arange(n_sub_train, n_sub_train + n_sub_test),
         note=f"{cfg.experiment} subset {n_train}/{n_test}")
 
+    results = _run_jobs(cfg, ds, "xent", True, lambda rep, net, records: records)
+    finals = [(act_text, [r.test_accuracy for r in _completed(runs)])
+              for act_text, runs in results]
+    by_text = {text: float(np.mean(accs)) if accs else None for text, accs in finals}
     out = Path(cfg.output_dir)
-    mf, mwriter = _open_csv(out / "metrics.csv", cfg, METRIC_COLUMNS)
-    finals: list[tuple[str, float | None]] = []
-    try:
-        for spec in cfg.specs():
-            act_text = format_activation(spec)
-            accs = []
-            for rep in range(cfg.repetitions):
-                _, records = _train_one(cfg, spec, rep, ds, "xent", True)
-                for row in _metric_rows(cfg, act_text, rep, records):
-                    mwriter.writerow(row)
-                if records and records[-1].status == "ok":
-                    accs.append(records[-1].test_accuracy)
-            finals.append((act_text, float(np.mean(accs)) if accs else None))
-    finally:
-        mf.close()
-
-    by_text = dict(finals)
     tf, twriter = _open_csv(out / "accuracy_table.csv", cfg,
                             ["activation", "test_accuracy"])
     with tf:

@@ -7,7 +7,7 @@ points lie exactly on the stated manifolds.
 
 from __future__ import annotations
 
-import hashlib
+import math
 import struct
 from dataclasses import dataclass
 
@@ -75,6 +75,17 @@ def sample_sine(n: int, x_range=(-np.pi, np.pi), noise_sd: float = 0.0,
                    note=f"sine n={n} range=[{lo:g},{hi:g}] noise={noise_sd:g}")
 
 
+def _two_classes(x0, x1, noise_sd: float, rng, note: str) -> Dataset:
+    """Class-0 points `x0` stacked over class-1 points `x1`, plus Gaussian
+    noise of scale noise_sd on every coordinate."""
+    x = np.vstack([x0, x1])
+    labels = np.concatenate([np.zeros(len(x0), dtype=np.int64),
+                             np.ones(len(x1), dtype=np.int64)])
+    if noise_sd > 0:
+        x = x + rng.normal(0.0, noise_sd, size=x.shape)
+    return Dataset(features=tensor(x), labels=labels, note=note)
+
+
 def make_moons(n: int, noise_sd: float = 0.0,
                rng: np.random.Generator | None = None) -> Dataset:
     """Two interleaved half-circle arcs.
@@ -92,12 +103,7 @@ def make_moons(n: int, noise_sd: float = 0.0,
     t1 = rng.uniform(0.0, np.pi, size=n1)
     upper = np.column_stack([np.cos(t0), np.sin(t0)])
     lower = np.column_stack([1.0 - np.cos(t1), 0.5 - np.sin(t1)])
-    x = np.vstack([upper, lower])
-    labels = np.concatenate([np.zeros(n0, dtype=np.int64), np.ones(n1, dtype=np.int64)])
-    if noise_sd > 0:
-        x = x + rng.normal(0.0, noise_sd, size=x.shape)
-    return Dataset(features=tensor(x), labels=labels,
-                   note=f"moons n={n} noise={noise_sd:g}")
+    return _two_classes(upper, lower, noise_sd, rng, f"moons n={n} noise={noise_sd:g}")
 
 
 def make_circles(n: int, noise_sd: float = 0.0, factor: float = 0.5,
@@ -116,12 +122,8 @@ def make_circles(n: int, noise_sd: float = 0.0, factor: float = 0.5,
     a1 = rng.uniform(0.0, 2.0 * np.pi, size=n1)
     outer = np.column_stack([np.cos(a0), np.sin(a0)])
     inner = factor * np.column_stack([np.cos(a1), np.sin(a1)])
-    x = np.vstack([outer, inner])
-    labels = np.concatenate([np.zeros(n0, dtype=np.int64), np.ones(n1, dtype=np.int64)])
-    if noise_sd > 0:
-        x = x + rng.normal(0.0, noise_sd, size=x.shape)
-    return Dataset(features=tensor(x), labels=labels,
-                   note=f"circles n={n} noise={noise_sd:g} factor={factor:g}")
+    return _two_classes(outer, inner, noise_sd, rng,
+                        f"circles n={n} noise={noise_sd:g} factor={factor:g}")
 
 
 # ---------------------------------------------------------------------------
@@ -139,37 +141,31 @@ def _read_u32(buf: bytes, offset: int, path: str) -> int:
     return struct.unpack_from(">I", buf, offset)[0]
 
 
-def _load_idx_images(path) -> np.ndarray:
+def _read_idx(path, magic: int, dims: int) -> tuple[bytes, list[int]]:
+    """Bytes and dimension sizes (item count first) of an IDX file whose
+    magic and size check out; its data start at byte 4 + 4 * dims."""
     with open(path, "rb") as f:
         buf = f.read()
-    magic = _read_u32(buf, 0, str(path))
-    if magic != IDX_IMAGE_MAGIC:
+    found = _read_u32(buf, 0, str(path))
+    if found != magic:
         raise IdxParseError(
-            f"{path}: bad magic 0x{magic:08x} at byte 0, expected 0x{IDX_IMAGE_MAGIC:08x}")
-    count = _read_u32(buf, 4, str(path))
-    rows = _read_u32(buf, 8, str(path))
-    cols = _read_u32(buf, 12, str(path))
-    expected = 16 + count * rows * cols
+            f"{path}: bad magic 0x{found:08x} at byte 0, expected 0x{magic:08x}")
+    shape = [_read_u32(buf, 4 + 4 * i, str(path)) for i in range(dims)]
+    expected = 4 + 4 * dims + math.prod(shape)
     if len(buf) != expected:
         raise IdxParseError(
             f"{path}: size {len(buf)} bytes, expected {expected} "
             f"(truncated after byte {min(len(buf), expected)})")
-    pixels = np.frombuffer(buf, dtype=np.uint8, offset=16)
-    return pixels.reshape(count, rows * cols)
+    return buf, shape
+
+
+def _load_idx_images(path) -> np.ndarray:
+    buf, (count, rows, cols) = _read_idx(path, IDX_IMAGE_MAGIC, 3)
+    return np.frombuffer(buf, dtype=np.uint8, offset=16).reshape(count, rows * cols)
 
 
 def _load_idx_labels(path) -> np.ndarray:
-    with open(path, "rb") as f:
-        buf = f.read()
-    magic = _read_u32(buf, 0, str(path))
-    if magic != IDX_LABEL_MAGIC:
-        raise IdxParseError(
-            f"{path}: bad magic 0x{magic:08x} at byte 0, expected 0x{IDX_LABEL_MAGIC:08x}")
-    count = _read_u32(buf, 4, str(path))
-    if len(buf) != 8 + count:
-        raise IdxParseError(
-            f"{path}: size {len(buf)} bytes, expected {8 + count} "
-            f"(truncated after byte {min(len(buf), 8 + count)})")
+    buf, _ = _read_idx(path, IDX_LABEL_MAGIC, 1)
     return np.frombuffer(buf, dtype=np.uint8, offset=8).astype(np.int64)
 
 
@@ -182,11 +178,7 @@ def load_idx(images_path, labels_path) -> Dataset:
         raise IdxParseError(
             f"item count mismatch: {images.shape[0]} images vs {labels.shape[0]} labels")
     features = images.astype(np.float64) / 255.0
-    digest = hashlib.sha256()
-    with open(images_path, "rb") as f:
-        digest.update(f.read())
-    return Dataset(features=tensor(features), labels=labels,
-                   note=f"idx sha256={digest.hexdigest()[:16]}")
+    return Dataset(features=tensor(features), labels=labels, note=f"idx {images_path}")
 
 
 def write_idx_images(path, images: np.ndarray):
@@ -210,12 +202,23 @@ def write_idx_labels(path, labels: np.ndarray):
         f.write(arr.tobytes())
 
 
+def _proportional(counts: np.ndarray, n: int) -> np.ndarray:
+    """Split n rows over classes in proportion to `counts`; remainders go to
+    the largest fractional shares, ties to the lower class."""
+    total = int(counts.sum())
+    quotas, remainders = np.divmod(n * counts, total)
+    order = np.argsort(-remainders, kind="stable")
+    quotas[order[:n - int(quotas.sum())]] += 1
+    return quotas
+
+
 def subsample(ds: Dataset, n_train: int, n_test: int, stratified: bool = False,
               rng: np.random.Generator | None = None) -> Dataset:
     """Seeded subset of `ds` with a recorded train/test split.
 
     With stratified=True the per-class proportions of `ds` are preserved in
-    both partitions (requires class labels).
+    both partitions (requires class labels); each partition's class counts
+    are rounded by largest remainder, so the totals are exact.
     """
     if rng is None:
         raise DataConfigError("a seeded rng is required")
@@ -225,33 +228,34 @@ def subsample(ds: Dataset, n_train: int, n_test: int, stratified: bool = False,
     if stratified:
         if ds.labels is None:
             raise DataConfigError("stratified subsample requires class labels")
+        classes, counts = np.unique(ds.labels, return_counts=True)
+        take_train = _proportional(counts, n_train)
+        take_test = _proportional(counts, n_test)
+        short = take_train + take_test > counts
+        if np.any(short):
+            cls = classes[short][0]
+            raise DataConfigError(
+                f"class {cls} has {counts[short][0]} rows, too few for a "
+                f"proportional {n_train}/{n_test} train/test split")
         train_parts, test_parts = [], []
-        classes = np.unique(ds.labels)
-        remaining_train, remaining_test = n_train, n_test
-        for i, cls in enumerate(classes):
+        for cls, n_tr, n_te in zip(classes, take_train, take_test):
             cls_idx = np.flatnonzero(ds.labels == cls)
             cls_idx = cls_idx[rng.permutation(len(cls_idx))]
-            left = len(classes) - i
-            take_train = remaining_train // left
-            take_test = remaining_test // left
-            train_parts.append(cls_idx[:take_train])
-            test_parts.append(cls_idx[take_train:take_train + take_test])
-            remaining_train -= take_train
-            remaining_test -= take_test
+            train_parts.append(cls_idx[:n_tr])
+            test_parts.append(cls_idx[n_tr:n_tr + n_te])
         train_idx = np.sort(np.concatenate(train_parts))
         test_idx = np.sort(np.concatenate(test_parts))
     else:
         order = rng.permutation(ds.n)
         train_idx = np.sort(order[:n_train])
         test_idx = np.sort(order[n_train:n_train + n_test])
+    # the subset holds the train rows first, then the test rows
     keep = np.concatenate([train_idx, test_idx])
-    remap = {old: new for new, old in enumerate(keep)}
-    out = Dataset(
+    return Dataset(
         features=ds.features[keep].copy(),
         targets=ds.targets[keep].copy() if ds.targets is not None else None,
         labels=ds.labels[keep].copy() if ds.labels is not None else None,
-        train_idx=np.array([remap[i] for i in train_idx], dtype=np.int64),
-        test_idx=np.array([remap[i] for i in test_idx], dtype=np.int64),
+        train_idx=np.arange(len(train_idx)),
+        test_idx=np.arange(len(train_idx), len(keep)),
         note=ds.note + f" | subsample train={n_train} test={n_test} stratified={stratified}",
     )
-    return out

@@ -10,12 +10,12 @@ unconstrained log space, so no optimizer step can push them out of range.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import activations as act
-from .tensor import ShapeError, relative_error, tensor
+from .tensor import ShapeError, central_step, finite_diff_check, substream, tensor
 
 
 class NumericalError(RuntimeError):
@@ -63,86 +63,60 @@ class Dense:
         return upstream @ self.w.value.T
 
 
-# natural <-> unconstrained maps for positivity-constrained coefficients
-_EWEND_LOG_COEFFS = ("alpha", "beta")
-
-
 class ActivationLayer:
     """Applies one ActivationSpec; owns an independent copy of any trainable
-    coefficients for this layer."""
+    coefficients for this layer.  The kind's log-stored coefficients are
+    trained as their logarithm."""
 
     def __init__(self, spec: act.ActivationSpec, name: str = "act"):
         self.spec = spec
         self.name = name
+        self._kind = act.KINDS[spec.kind]
+        self._log = self._kind.log_coeffs
         self._params: dict[str, Param] = {}
-        if spec.kind == act.KIND_EWEND:
-            self._ewend_fixed: act.EnhancedWendlandParams = spec.params["ewend"]
-            for coeff in self._ewend_fixed.trainable_names():
-                value = getattr(self._ewend_fixed, coeff)
-                if coeff in _EWEND_LOG_COEFFS:
-                    value = act.to_unconstrained(value)
-                self._params[coeff] = Param(f"{name}.{coeff}", np.asarray(value))
-        else:
-            self._coeffs = dict(spec.params)
-            trainable = act._BASELINES.get(spec.kind, ({}, ()))[1]
-            for coeff in trainable:
-                self._params[coeff] = Param(f"{name}.{coeff}", np.asarray(self._coeffs[coeff]))
+        for coeff, value in self._kind.initial(spec.params).items():
+            if coeff in self._log:
+                value = act.to_unconstrained(value)
+            self._params[coeff] = Param(f"{name}.{coeff}", np.asarray(value))
+        self._fixed = self._kind.bind(spec.params, {})  # used when nothing is trainable
         self._cache = None
 
     def params(self) -> list[Param]:
         return list(self._params.values())
 
-    def current_coefficients(self) -> dict[str, float]:
-        """Coefficient values in natural space, for metrics reporting."""
-        if self.spec.kind == act.KIND_EWEND:
-            p = self._ewend_params()
-            return {"alpha": p.alpha, "lambda": p.lam, "beta": p.beta, "eps": p.eps}
-        out = dict(self._coeffs) if self.spec.kind in act._BASELINES else {}
-        for coeff, param in self._params.items():
-            out[coeff] = float(param.value)
-        return out
-
-    def _ewend_params(self) -> act.EnhancedWendlandParams:
-        p = self._ewend_fixed
-        updates = {}
+    def _coefficients(self):
+        """(natural values of the trainable coefficients, full coefficient set)."""
+        values = {}
         for coeff, param in self._params.items():
             v = float(param.value)
-            if coeff in _EWEND_LOG_COEFFS:
-                v = act.from_unconstrained(v)
-            updates[coeff] = v
-        return replace(p, **updates) if updates else p
+            values[coeff] = act.from_unconstrained(v) if coeff in self._log else v
+        return values, self._kind.bind(self.spec.params, values)
+
+    def current_coefficients(self) -> dict[str, float]:
+        """Coefficient values in natural space, for metrics reporting."""
+        return self._kind.report(self._coefficients()[1])
+
+    def kinks(self) -> tuple[float, ...]:
+        """Inputs at which the activation's first derivative jumps."""
+        return self._kind.kinks(self._coefficients()[1])
 
     def forward(self, x: np.ndarray, training: bool, rng) -> np.ndarray:
-        if self.spec.kind == act.KIND_EWEND:
-            p = self._ewend_params()
-            y = act.enhanced_forward(x, p)
-            self._cache = ("ewend", x, p)
-            return y
-        coeffs = dict(self._coeffs)
-        for name, param in self._params.items():
-            coeffs[name] = float(param.value)
-        y, dy = act.baseline_eval(self.spec.kind, coeffs, x, training=training, rng=rng)
-        self._cache = ("base", x, coeffs, dy)
+        values, c = self._coefficients() if self._params else (None, self._fixed)
+        y, aux = self._kind.forward(c, x, training, rng)
+        self._cache = (values, c, x, aux)
         return y
 
     def backward(self, upstream: np.ndarray) -> np.ndarray:
         if self._cache is None:
             raise RuntimeError("backward called before forward")
-        if self._cache[0] == "ewend":
-            _, x, p = self._cache
-            dx, grads = act.enhanced_backward(x, upstream, p)
-            for coeff, param in self._params.items():
-                g = grads[coeff]
-                if coeff in _EWEND_LOG_COEFFS:
-                    g *= getattr(p, coeff)  # chain through value = exp(raw)
-                param.grad += g
-            return dx
-        _, x, coeffs, dy = self._cache
-        if self._params:
-            pgrads = act.baseline_param_grads(self.spec.kind, coeffs, x)
-            for coeff, param in self._params.items():
-                param.grad += float(np.sum(upstream * pgrads[coeff]))
-        return upstream * dy
+        values, c, x, aux = self._cache
+        dx, grads = self._kind.backward(c, x, aux, upstream)
+        for coeff, param in self._params.items():
+            g = grads[coeff]
+            if coeff in self._log:
+                g *= values[coeff]  # chain through value = exp(raw)
+            param.grad += g
+        return dx
 
 
 class Network:
@@ -388,47 +362,32 @@ def train(net: Network, x_train, y_train, loss_kind: str, optimizer,
 # Whole-network gradient checking.
 # ---------------------------------------------------------------------------
 
-def _activation_kink_gap(layer: ActivationLayer, x: np.ndarray) -> float:
-    """Distance from the layer's pre-activations to the nearest point where
-    the activation's first derivative jumps; inf for smooth kinds."""
-    kind = layer.spec.kind
-    ax = np.abs(x)
-    if kind in ("relu", "lrelu", "prelu", "rrelu", "elu", "celu"):
-        return float(ax.min())
-    if kind == "relu6":
-        return float(min(ax.min(), np.abs(x - 6.0).min()))
-    if kind == "srelu":
-        c = layer.current_coefficients()
-        return float(min(np.abs(x - c["tl"]).min(), np.abs(x - c["tr"]).min()))
-    if kind == "wc0":
-        return float(min(ax.min(), np.abs(ax - 1.0).min()))
-    if kind == act.KIND_EWEND:
-        p = layer._ewend_params()
-        if p.k < 2:
-            return float(np.abs(ax - 1.0 / p.alpha).min())
-        return float("inf")
-    return float("inf")
-
-
 def min_kink_gap(net: Network, x: np.ndarray) -> float:
     """Run a forward pass and report the smallest pre-activation kink gap."""
     out = tensor(x)
     gap = float("inf")
     for layer in net.layers:
         if isinstance(layer, ActivationLayer):
-            gap = min(gap, _activation_kink_gap(layer, out))
+            for kink in layer.kinks():
+                gap = min(gap, float(np.abs(out - kink).min()))
         out = layer.forward(out, training=False, rng=None)
     return gap
 
 
+# A base point (theta, x) needs every pre-activation this many probe steps
+# from a kink: a +-step probe of finite_diff_check moves a pre-activation by
+# at most the step times the norm of its gradient wrt (theta, x), and on the
+# checker's small networks that norm stays below about 6.
+_KINK_MARGIN = 100.0
+
+
 def gradient_check_network(net: Network, x: np.ndarray,
-                           rng: np.random.Generator, probes: int = 100,
-                           kink_exclusion: float = 1e-8) -> float:
+                           rng: np.random.Generator, probes: int = 100) -> float:
     """Check d(sum(c * net(theta, x))) / d(theta, x) against central finite
     differences along random directions; returns the max relative error.
 
-    Probes whose base point has a pre-activation within `kink_exclusion` of a
-    derivative jump are redrawn.
+    The base point must keep every pre-activation clear of derivative jumps
+    by more than the finite-difference probes reach.
     """
     x = tensor(x)
     c = rng.standard_normal(net.forward(x).shape)
@@ -442,8 +401,8 @@ def gradient_check_network(net: Network, x: np.ndarray,
         return float(np.sum(c * out))
 
     base = np.concatenate([theta0, x.ravel()])
-    if min_kink_gap(net, x) < kink_exclusion:
-        raise RuntimeError("base point within kink exclusion zone; reseed")
+    if min_kink_gap(net, x) < _KINK_MARGIN * central_step(base):
+        raise RuntimeError("base point too close to an activation kink; reseed")
 
     # analytic gradient at the base point
     net.set_param_vector(theta0)
@@ -452,31 +411,23 @@ def gradient_check_network(net: Network, x: np.ndarray,
     dx = net.backward(c)
     analytic = np.concatenate([net.get_grad_vector(), dx.ravel()])
 
-    step = 1e-6 * max(1.0, float(np.max(np.abs(base))))
-    worst = 0.0
-    for _ in range(probes):
-        v = rng.standard_normal(base.shape)
-        v /= np.sqrt(np.sum(v * v))
-        numeric = (f(base + step * v) - f(base - step * v)) / (2.0 * step)
-        worst = max(worst, relative_error(float(analytic @ v), numeric))
+    worst = finite_diff_check(f, base, lambda v: analytic @ v, probes=probes, rng=rng)
     net.set_param_vector(theta0)
     return worst
 
 
 def run_gradient_check(spec: act.ActivationSpec, widths=(2, 8, 8, 2),
-                       seed: int = 0, probes: int = 100, batch: int = 4,
-                       kink_exclusion: float = 1e-8) -> float:
+                       seed: int = 0, probes: int = 100, batch: int = 4) -> float:
     """Build a seeded MLP for `spec`, draw an input batch clear of activation
     kinks, and return the max relative gradient error over `probes`."""
-    from .tensor import substream
-
     rng = substream(seed, "grad-check", act.format_activation(spec))
     net = build_mlp(list(widths), spec, rng)
+    theta = net.get_param_vector()
     for _ in range(100):
         x = rng.standard_normal((batch, widths[0]))
-        if min_kink_gap(net, x) >= kink_exclusion:
+        step = central_step(np.concatenate([theta, x.ravel()]))
+        if min_kink_gap(net, x) >= _KINK_MARGIN * step:
             break
     else:
-        raise RuntimeError("could not find a base point outside the kink exclusion zone")
-    return gradient_check_network(net, x, rng, probes=probes,
-                                  kink_exclusion=kink_exclusion)
+        raise RuntimeError("could not find a base point clear of activation kinks")
+    return gradient_check_network(net, x, rng, probes=probes)

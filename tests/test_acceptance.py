@@ -72,7 +72,7 @@ def test_criterion_1_gradient_fidelity():
     for kind in ALL_KINDS:
         worst[kind] = run_gradient_check(parse_activation(kind),
                                          widths=(2, 8, 8, 2), seed=0,
-                                         probes=1000, kink_exclusion=1e-8)
+                                         probes=1000)
     elapsed = time.monotonic() - t0
     bad = {k: e for k, e in worst.items() if e >= 1e-6}
     _report("criterion 1: gradient fidelity, all kinds, 2-8-8-2, 1000 probes",

@@ -147,6 +147,9 @@ def test_trainable_param_grads_match_finite_differences():
             assert relative_error(grads[name], (yp - ym) / (2 * h)) < 1e-6, (kind, name)
 
 
+_TRAINABLE_BY_DEFAULT = {"prelu": 1, "sinlu": 2, "frelu": 1, "ewend": 1}
+
+
 def test_param_counts():
     assert parse_activation("relu").param_count() == 0
     assert parse_activation("prelu").param_count() == 1
@@ -155,6 +158,8 @@ def test_param_counts():
     assert parse_activation("ewend").param_count() == 1  # alpha only by default
     assert parse_activation("ewend(train=alpha|lambda|beta|eps)").param_count() == 4
     assert parse_activation("wc2").param_count() == 0
+    for kind in ALL_KINDS:
+        assert parse_activation(kind).param_count() == _TRAINABLE_BY_DEFAULT.get(kind, 0), kind
 
 
 def test_parse_format_round_trip():
@@ -164,7 +169,14 @@ def test_parse_format_round_trip():
         "ewend(alpha=2,k=3,lambda=0.2,beta=0.5,eps=0.02,mode=channel)",
         "ewend(alpha=1,k=4,lambda=0.1,beta=1,eps=0.01,mode=elem,train=alpha|beta)",
         "sinlu(a=2,b=0.5)",
-    ]
+        "prelu(slope=0.3)",
+        "rrelu(lo=0.1,hi=0.2)",
+        "elu(alpha=0.5)",
+        "celu(alpha=2)",
+        "srelu(tl=-2,al=0.2,tr=2,ar=0.3)",
+        "frelu(alpha=0.5)",
+        "ewend(train=)",
+    ] + list(ALL_KINDS)
     for text in texts:
         spec = parse_activation(text)
         again = parse_activation(format_activation(spec))

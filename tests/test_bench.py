@@ -155,16 +155,34 @@ def test_table_order():
 
 # --- CLI --------------------------------------------------------------------
 
+LIST_ACTIVATIONS = """\
+wc0        classical Wendland C0, no parameters
+wc2        classical Wendland C2, no parameters
+wc4        classical Wendland C4, no parameters
+ewend      alpha=1 k=4 lambda=0.1 beta=1 eps=0.01 mode=elem|channel train=alpha[|lambda|beta|eps]  (trainable: per train mask)
+relu       no parameters
+relu6      no parameters
+lrelu      slope=0.01
+prelu      slope=0.25  (trainable: slope)
+rrelu      lo=0.125 hi=0.333333
+elu        alpha=1
+celu       alpha=1
+swish      no parameters
+srelu      tl=-1 al=0.1 tr=1 ar=0.1
+sinlu      a=1 b=1  (trainable: a, b)
+frelu      alpha=1  (trainable: alpha)
+sigmoid    no parameters
+tanh       no parameters
+gelu       no parameters
+"""
+
+
 def test_cli_list_activations():
     out = io.StringIO()
     with redirect_stdout(out):
         code = main(["list-activations"])
     assert code == 0
-    text = out.getvalue()
-    assert "ewend" in text
-    for kind in ("relu", "relu6", "lrelu", "prelu", "rrelu", "elu", "celu",
-                 "swish", "srelu", "sinlu", "frelu", "sigmoid", "tanh", "gelu"):
-        assert kind in text
+    assert out.getvalue() == LIST_ACTIVATIONS
 
 
 def test_cli_emit_and_run(tmp_path):
@@ -256,6 +274,17 @@ def test_mnist_like_pipeline_on_synthetic_idx(tmp_path):
     assert table[2][0].startswith("ewend")
     accs = [float(r[1]) for r in table[1:]]
     assert all(a > 0.9 for a in accs)  # trivially separable patterns
+
+
+def test_cli_grad_check_non_finite_error_fails(monkeypatch):
+    # an inf error (what the checker returns for NaN) reports FAIL, exit 3
+    import wendnet.cli
+    monkeypatch.setattr(wendnet.cli, "run_gradient_check",
+                        lambda spec, **kwargs: float("inf"))
+    out = io.StringIO()
+    with redirect_stdout(out):
+        assert main(["grad-check", "--probes", "2"]) == 3
+    assert out.getvalue().splitlines()[0].split()[-2:] == ["inf", "FAIL"]
 
 
 def test_cli_grad_check_small():

@@ -175,3 +175,22 @@ def test_subsample_insufficient_rows():
     ds = _toy_labeled(n=100)
     with pytest.raises(DataConfigError):
         subsample(ds, 90, 20, rng=make_rng(11))
+
+
+def test_subsample_stratified_keeps_proportions_and_counts():
+    from wendnet.datasets import Dataset
+    labels = np.array([0] * 100 + [1] * 5)
+    ds = Dataset(features=make_rng(12).standard_normal((105, 2)), labels=labels)
+    sub = subsample(ds, 40, 20, stratified=True, rng=make_rng(13))
+    # 40 * 100/105 = 38.1 and 40 * 5/105 = 1.9: the spare row goes to class 1
+    assert np.bincount(sub.labels[sub.train_idx]).tolist() == [38, 2]
+    assert np.bincount(sub.labels[sub.test_idx]).tolist() == [19, 1]
+    assert len(np.intersect1d(sub.train_idx, sub.test_idx)) == 0
+
+
+def test_subsample_stratified_class_too_small():
+    from wendnet.datasets import Dataset
+    ds = Dataset(features=np.zeros((10, 2)), labels=np.array([0] * 9 + [1]))
+    # 5/5 rounds to five class-0 rows in each partition, but class 0 has 9
+    with pytest.raises(DataConfigError, match="class 0"):
+        subsample(ds, 5, 5, stratified=True, rng=make_rng(14))
