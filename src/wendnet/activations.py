@@ -23,8 +23,9 @@ consistently across all kinds.
 
 from __future__ import annotations
 
+import copy
 import re
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
@@ -526,7 +527,11 @@ class _Enhanced(Kind):
         return {name: getattr(p, name) for name in p.trainable_names()}
 
     def bind(self, params, values: dict[str, float]):
-        return replace(params["ewend"], **values)
+        # no range check here: the checks guard config text, and g(r) and its
+        # partials hold for any real lambda and eps an optimizer reaches
+        p = copy.copy(params["ewend"])
+        vars(p).update(values)
+        return p
 
     def report(self, p) -> dict[str, float]:
         return {"alpha": p.alpha, "lambda": p.lam, "beta": p.beta, "eps": p.eps}

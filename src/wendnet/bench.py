@@ -170,7 +170,7 @@ def _train_one(cfg: ExperimentConfig, spec: ActivationSpec, rep: int,
     net = build_mlp(cfg.architecture, spec, net_rng)
     opt_kind = cfg.optimizer.get("kind", "adam")
     optimizer = make_optimizer(
-        net.params(), kind=opt_kind,
+        net, kind=opt_kind,
         lr=float(cfg.optimizer.get("lr", 1e-3)),
         momentum=float(cfg.optimizer.get("momentum", 0.0)),
         beta1=float(cfg.optimizer.get("beta1", 0.9)),

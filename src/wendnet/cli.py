@@ -6,7 +6,7 @@ Subcommands:
   list-activations              print every activation kind and its schema
   emit-default-config <exp>     write a documented starter config
 
-Exit codes: 0 success, 1 usage error, 2 configuration error,
+Exit codes: 0 success, 1 usage error, 2 configuration or file error,
 3 numerical failure.
 """
 
@@ -61,8 +61,8 @@ def _build_parser() -> _Parser:
 def _cmd_run(args) -> int:
     try:
         cfg = load_config(args.config)
-    except FileNotFoundError:
-        print(f"error: config file not found: {args.config}", file=sys.stderr)
+    except OSError as exc:
+        print(f"error: cannot read config file: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
@@ -71,6 +71,9 @@ def _cmd_run(args) -> int:
         paths = run_experiment(cfg)
     except (ConfigError, DataConfigError, IdxParseError) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
+    except OSError as exc:
+        print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except NumericalError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
@@ -103,8 +106,12 @@ def _cmd_emit_default_config(args) -> int:
     if args.output == "-":
         sys.stdout.write(text)
     else:
-        with open(args.output, "w", encoding="utf-8") as f:
-            f.write(text)
+        try:
+            with open(args.output, "w", encoding="utf-8") as f:
+                f.write(text)
+        except OSError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return EXIT_CONFIG
         print(f"wrote {args.output}")
     return EXIT_OK
 

@@ -23,15 +23,12 @@ class NumericalError(RuntimeError):
 
 
 class Param:
-    """One trainable array with its gradient accumulator."""
+    """One trainable array with its gradient; a Network rebinds both to views."""
 
     def __init__(self, name: str, value: np.ndarray):
         self.name = name
         self.value = np.asarray(value, dtype=np.float64)
         self.grad = np.zeros_like(self.value)
-
-    def zero_grad(self):
-        self.grad.fill(0.0)
 
 
 class Dense:
@@ -120,20 +117,30 @@ class ActivationLayer:
 
 
 class Network:
-    """Ordered layer list with a flat parameter store."""
+    """Ordered layer list.  Every layer's Param values and gradients are
+    views, in layer order, into the flat float64 vectors theta and grad."""
 
     def __init__(self, layers: list):
         self.layers = list(layers)
-
-    def params(self) -> list[Param]:
-        out = []
-        for layer in self.layers:
-            out.extend(layer.params())
-        return out
+        self._params = [p for layer in self.layers for p in layer.params()]
+        self._offsets = np.cumsum([0] + [p.value.size for p in self._params])
+        self.theta = np.zeros(self._offsets[-1])
+        self.grad = np.zeros_like(self.theta)
+        for p, start, end in zip(self._params, self._offsets, self._offsets[1:]):
+            self.theta[start:end] = p.value.ravel()
+            p.value = self.theta[start:end].reshape(p.value.shape)
+            p.grad = self.grad[start:end].reshape(p.value.shape)
 
     def zero_grad(self):
-        for p in self.params():
-            p.zero_grad()
+        self.grad.fill(0.0)
+
+    def check_finite_grad(self):
+        """Raise NumericalError naming the first parameter with a non-finite gradient."""
+        finite = np.isfinite(self.grad)
+        if not finite.all():
+            first = int(np.argmin(finite))
+            p = self._params[np.searchsorted(self._offsets, first, side="right") - 1]
+            raise NumericalError(f"non-finite gradient for parameter {p.name}")
 
     def forward(self, x: np.ndarray, training: bool = False,
                 rng: np.random.Generator | None = None) -> np.ndarray:
@@ -156,25 +163,15 @@ class Network:
                     out[f"{layer.name}.{coeff}"] = float(v)
         return out
 
-    # flat parameter-vector view, used by the gradient checker
+    # flat parameter-vector copies, used by the gradient checker
     def get_param_vector(self) -> np.ndarray:
-        ps = self.params()
-        if not ps:
-            return np.zeros(0)
-        return np.concatenate([p.value.ravel() for p in ps])
+        return self.theta.copy()
 
     def set_param_vector(self, vec: np.ndarray):
-        i = 0
-        for p in self.params():
-            n = p.value.size
-            p.value[...] = np.asarray(vec[i:i + n]).reshape(p.value.shape)
-            i += n
+        self.theta[...] = vec
 
     def get_grad_vector(self) -> np.ndarray:
-        ps = self.params()
-        if not ps:
-            return np.zeros(0)
-        return np.concatenate([p.grad.ravel() for p in ps])
+        return self.grad.copy()
 
 
 def build_mlp(widths: list[int], spec: act.ActivationSpec,
@@ -234,61 +231,59 @@ def eval_loss(kind: str, pred: np.ndarray, target: np.ndarray):
 # Optimizers.
 # ---------------------------------------------------------------------------
 
-def _check_finite_grads(params: list[Param]):
-    for p in params:
-        if not np.all(np.isfinite(p.grad)):
-            raise NumericalError(f"non-finite gradient for parameter {p.name}")
-
-
 class SGD:
-    def __init__(self, params: list[Param], lr: float, momentum: float = 0.0):
-        self.params = params
+    def __init__(self, net: Network, lr: float, momentum: float = 0.0):
+        self.net = net
         self.lr = lr
         self.momentum = momentum
-        self._velocity = [np.zeros_like(p.value) for p in params]
-        self.step_count = 0
+        self._velocity = np.zeros_like(net.theta)
 
     def step(self):
-        _check_finite_grads(self.params)
-        self.step_count += 1
-        for p, v in zip(self.params, self._velocity):
-            v *= self.momentum
-            v += p.grad
-            p.value -= self.lr * v
+        self.net.check_finite_grad()
+        v = self._velocity
+        v *= self.momentum
+        v += self.net.grad
+        self.net.theta -= self.lr * v
 
 
 class Adam:
-    def __init__(self, params: list[Param], lr: float = 1e-3,
+    """Adam (Kingma & Ba, arXiv:1412.6980), in place through two scratch vectors."""
+
+    def __init__(self, net: Network, lr: float = 1e-3,
                  beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8):
-        self.params = params
+        self.net = net
         self.lr = lr
         self.beta1 = beta1
         self.beta2 = beta2
         self.eps = eps
-        self._m = [np.zeros_like(p.value) for p in params]
-        self._v = [np.zeros_like(p.value) for p in params]
+        self._m, self._v, self._a, self._b = (np.zeros_like(net.theta) for _ in range(4))
         self.step_count = 0
 
     def step(self):
-        _check_finite_grads(self.params)
+        self.net.check_finite_grad()
         self.step_count += 1
         t = self.step_count
-        for p, m, v in zip(self.params, self._m, self._v):
-            m *= self.beta1
-            m += (1.0 - self.beta1) * p.grad
-            v *= self.beta2
-            v += (1.0 - self.beta2) * p.grad * p.grad
-            m_hat = m / (1.0 - self.beta1 ** t)
-            v_hat = v / (1.0 - self.beta2 ** t)
-            p.value -= self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
+        g, m, v, a, b = self.net.grad, self._m, self._v, self._a, self._b
+        # the operation order of lr * m_hat / (sqrt(v_hat) + eps), so no bit moves
+        m *= self.beta1
+        m += np.multiply(1.0 - self.beta1, g, out=a)
+        v *= self.beta2
+        np.multiply(1.0 - self.beta2, g, out=a)
+        v += np.multiply(a, g, out=a)
+        np.divide(m, 1.0 - self.beta1 ** t, out=a)
+        a *= self.lr
+        np.divide(v, 1.0 - self.beta2 ** t, out=b)
+        np.sqrt(b, out=b)
+        b += self.eps
+        self.net.theta -= np.divide(a, b, out=a)
 
 
-def make_optimizer(params: list[Param], kind: str = "adam", lr: float = 1e-3,
+def make_optimizer(net: Network, kind: str = "adam", lr: float = 1e-3,
                    momentum: float = 0.0, beta1: float = 0.9, beta2: float = 0.999):
     if kind == "sgd":
-        return SGD(params, lr=lr, momentum=momentum)
+        return SGD(net, lr=lr, momentum=momentum)
     if kind == "adam":
-        return Adam(params, lr=lr, beta1=beta1, beta2=beta2)
+        return Adam(net, lr=lr, beta1=beta1, beta2=beta2)
     raise ValueError(f"unknown optimizer kind {kind!r}")
 
 
@@ -312,8 +307,9 @@ def train(net: Network, x_train, y_train, loss_kind: str, optimizer,
           x_test=None, y_test=None, classification: bool = False) -> list[EpochRecord]:
     """Mini-batch training with a seeded per-epoch shuffle.
 
-    Returns one record per epoch.  On a non-finite loss the loop stops and the
-    final record carries status="diverged" with the offending epoch number.
+    Returns one record per epoch.  On a non-finite loss or gradient the loop
+    stops and the final record carries status="diverged" with the offending
+    epoch number.
     """
     x_train = tensor(x_train)
     n = x_train.shape[0]
@@ -338,7 +334,11 @@ def train(net: Network, x_train, y_train, loss_kind: str, optimizer,
                 break
             net.zero_grad()
             net.backward(grad)
-            optimizer.step()
+            try:
+                optimizer.step()
+            except NumericalError:  # a non-finite gradient; nothing was updated
+                diverged = True
+                break
             total += value * len(idx)
         if diverged:
             records.append(EpochRecord(epoch=epoch, train_loss=float("nan"),
@@ -405,7 +405,6 @@ def gradient_check_network(net: Network, x: np.ndarray,
         raise RuntimeError("base point too close to an activation kink; reseed")
 
     # analytic gradient at the base point
-    net.set_param_vector(theta0)
     net.zero_grad()
     net.forward(x, training=False)
     dx = net.backward(c)

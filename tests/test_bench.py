@@ -293,3 +293,76 @@ def test_cli_grad_check_small():
         code = main(["grad-check", "--probes", "25"])
     assert code == 0
     assert "FAIL" not in out.getvalue()
+
+
+def test_non_finite_gradient_diverges_only_its_own_job(tmp_path, monkeypatch):
+    # tanh's slope turns NaN while its value and the loss stay finite: the
+    # optimizer refuses the step, that job ends diverged and relu still runs
+    import dataclasses
+    from wendnet import activations
+
+    tanh = activations.KINDS["tanh"]
+
+    def nan_slope(x, c, training, rng):
+        y, dy = tanh.value(x, c, training, rng)
+        return y, np.full_like(dy, np.nan)
+
+    monkeypatch.setitem(activations.KINDS, "tanh",
+                        dataclasses.replace(tanh, value=nan_slope))
+    cfg = _small_sine_cfg(tmp_path, activations=["tanh", "relu"])
+    _, rows = _read_csv(run_sine(cfg)[0])
+    tanh_rows = [r for r in rows[1:] if r[1] == "tanh"]
+    relu_rows = [r for r in rows[1:] if r[1] == "relu"]
+    assert [r[9] for r in tanh_rows] == ["diverged"]
+    assert [r[9] for r in relu_rows] == ["ok"] * cfg.epochs
+
+
+def test_cli_trainable_lambda_and_eps_may_leave_their_config_range(tmp_path):
+    # Adam takes eps below 0 within three epochs; the trained value must not
+    # be re-checked against the config range, and the next activation runs
+    raw = yaml.safe_load(default_config_text("moons"))
+    raw.update(seed=7, epochs=3, architecture=[2, 16, 16, 2],
+               optimizer={"kind": "adam", "lr": 0.005},
+               activations=["ewend(train=alpha|lambda|beta|eps)", "relu"],
+               output_dir=str(tmp_path / "out"))
+    raw["dataset"]["n"] = 200
+    path = tmp_path / "moons.yaml"
+    path.write_text(yaml.safe_dump(raw))
+    with redirect_stdout(io.StringIO()):
+        assert main(["run", str(path)]) == 0
+    _, rows = _read_csv(tmp_path / "out" / "metrics.csv")
+    ewend = [r for r in rows[1:] if r[1].startswith("ewend")]
+    assert {r[1] for r in rows[1:]} == {ewend[0][1], "relu"}
+    assert {r[9] for r in rows[1:]} == {"ok"}
+    assert min(float(kv.split("=")[1]) for r in ewend for kv in r[8].split("|")
+               if kv.split("=")[0].endswith(".eps")) < 0.0
+
+
+def test_cli_run_config_is_a_directory(tmp_path):
+    err = io.StringIO()
+    with redirect_stderr(err):
+        assert main(["run", str(tmp_path)]) == 2
+    assert len(err.getvalue().splitlines()) == 1
+
+
+def test_cli_run_output_dir_under_a_file(tmp_path):
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    raw = yaml.safe_load(default_config_text("sine"))
+    raw.update(epochs=1, activations=["tanh"], output_dir=str(blocker / "out"))
+    raw["dataset"]["n"] = 20
+    path = tmp_path / "sine.yaml"
+    path.write_text(yaml.safe_dump(raw))
+    err = io.StringIO()
+    with redirect_stderr(err):
+        assert main(["run", str(path)]) == 2
+    assert len(err.getvalue().splitlines()) == 1
+
+
+def test_cli_emit_default_config_under_a_file(tmp_path):
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    err = io.StringIO()
+    with redirect_stderr(err), redirect_stdout(io.StringIO()):
+        assert main(["emit-default-config", "moons", "-o", str(blocker / "x.yaml")]) == 2
+    assert len(err.getvalue().splitlines()) == 1

@@ -55,8 +55,7 @@ def test_zero_upstream_gives_zero_gradients():
     net.zero_grad()
     net.forward(rng.standard_normal((3, 2)))
     net.backward(np.zeros((3, 2)))
-    for p in net.params():
-        assert np.all(p.grad == 0.0)
+    assert np.all(net.grad == 0.0)
 
 
 def test_whole_network_gradient_ewend():
@@ -155,34 +154,125 @@ def test_cross_entropy_label_out_of_range():
         softmax_cross_entropy(np.zeros((2, 3)), np.array([0, 3]))
 
 
+class _OneParam:
+    """A layer holding a single parameter, so that a Network packs it."""
+
+    def __init__(self, name, value):
+        self.p = Param(name, np.array([value]))
+
+    def params(self):
+        return [self.p]
+
+
+def _one_param_net(name, value):
+    net = Network([_OneParam(name, value)])
+    return net, net.layers[0].p
+
+
 def test_sgd_step():
-    p = Param("p", np.array([0.0]))
+    net, p = _one_param_net("p", 0.0)
     p.grad[...] = 1.0
-    SGD([p], lr=0.1).step()
+    SGD(net, lr=0.1).step()
     assert p.value[0] == pytest.approx(-0.1)
 
 
 def test_sgd_zero_gradient_no_change():
-    p = Param("p", np.array([1.5]))
-    SGD([p], lr=0.1, momentum=0.0).step()
+    net, p = _one_param_net("p", 1.5)
+    SGD(net, lr=0.1, momentum=0.0).step()
     assert p.value[0] == 1.5
 
 
 def test_adam_first_step_magnitude():
     # bias-corrected first step moves by ~lr regardless of gradient size
     for g in (1e-4, 1.0, 1e4):
-        p = Param("p", np.array([0.0]))
+        net, p = _one_param_net("p", 0.0)
         p.grad[...] = g
-        Adam([p], lr=1e-3).step()
+        Adam(net, lr=1e-3).step()
         assert abs(p.value[0]) == pytest.approx(1e-3, rel=1e-3)
         assert p.value[0] < 0
 
 
 def test_optimizer_rejects_non_finite_gradient():
-    p = Param("bad_param", np.array([0.0]))
+    net, p = _one_param_net("bad_param", 0.0)
     p.grad[...] = np.nan
     with pytest.raises(NumericalError, match="bad_param"):
-        Adam([p]).step()
+        Adam(net).step()
+
+
+def test_non_finite_gradient_names_its_parameter():
+    net = build_mlp([2, 3, 2], parse_activation("prelu"), make_rng(24))
+    net.layers[1]._params["slope"].grad[...] = np.inf
+    net.layers[2].b.grad[1] = np.nan
+    with pytest.raises(NumericalError, match=r"parameter act0\.slope$"):
+        net.check_finite_grad()
+
+
+class _TextbookSGD:
+    """Per-parameter SGD with momentum: the reference for the flat SGD."""
+
+    def __init__(self, params, lr, momentum):
+        self.params, self.lr, self.momentum = params, lr, momentum
+        self.velocity = [np.zeros_like(p.value) for p in params]
+
+    def step(self):
+        for p, v in zip(self.params, self.velocity):
+            v[...] = self.momentum * v + p.grad
+            p.value -= self.lr * v
+
+
+class _TextbookAdam:
+    """Per-parameter Adam as written by Kingma & Ba: the reference for the
+    flat Adam."""
+
+    def __init__(self, params, lr, beta1=0.9, beta2=0.999, eps=1e-8):
+        self.params, self.lr, self.beta1, self.beta2, self.eps = params, lr, beta1, beta2, eps
+        self.m = [np.zeros_like(p.value) for p in params]
+        self.v = [np.zeros_like(p.value) for p in params]
+        self.t = 0
+
+    def step(self):
+        self.t += 1
+        for p, m, v in zip(self.params, self.m, self.v):
+            m[...] = self.beta1 * m + (1.0 - self.beta1) * p.grad
+            v[...] = self.beta2 * v + (1.0 - self.beta2) * p.grad * p.grad
+            m_hat = m / (1.0 - self.beta1 ** self.t)
+            v_hat = v / (1.0 - self.beta2 ** self.t)
+            p.value -= self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
+
+
+def _reference_net():
+    rng = make_rng(25)
+    return Network([
+        Dense(2, 8, rng, name="dense0"),
+        ActivationLayer(parse_activation("ewend(train=alpha|beta)"), name="act0"),
+        Dense(8, 8, rng, name="dense1"),
+        ActivationLayer(parse_activation("prelu"), name="act1"),
+        Dense(8, 2, rng, name="dense2"),
+    ])
+
+
+@pytest.mark.parametrize("flat, textbook", [
+    (lambda net: SGD(net, lr=0.05, momentum=0.9),
+     lambda params: _TextbookSGD(params, lr=0.05, momentum=0.9)),
+    (lambda net: Adam(net, lr=0.01),
+     lambda params: _TextbookAdam(params, lr=0.01)),
+], ids=["sgd-momentum", "adam"])
+def test_flat_optimizers_match_textbook_bit_for_bit(flat, textbook):
+    data = make_rng(26)
+    x = data.standard_normal((64, 2))
+    labels = (x[:, 0] * x[:, 1] > 0).astype(np.int64)
+    net_a, net_b = _reference_net(), _reference_net()
+    opt_a = flat(net_a)
+    opt_b = textbook([p for layer in net_b.layers for p in layer.params()])
+    for step in range(20):
+        idx = data.choice(64, size=16, replace=False)
+        for net, opt in ((net_a, opt_a), (net_b, opt_b)):
+            _, grad = softmax_cross_entropy(net.forward(x[idx], training=True), labels[idx])
+            net.zero_grad()
+            net.backward(grad)
+            opt.step()
+        np.testing.assert_array_equal(net_a.theta, net_b.theta, err_msg=f"step {step}")
+    assert not np.array_equal(net_a.theta, _reference_net().theta)  # it did train
 
 
 def test_train_zero_epochs():
@@ -190,7 +280,7 @@ def test_train_zero_epochs():
     net = build_mlp([1, 4, 1], parse_activation("tanh"), rng)
     before = net.get_param_vector().copy()
     records = train(net, np.zeros((4, 1)), np.zeros((4, 1)), "mse",
-                    SGD(net.params(), lr=0.1), epochs=0, batch_size=2,
+                    SGD(net, lr=0.1), epochs=0, batch_size=2,
                     rng=make_rng(8))
     assert records == []
     np.testing.assert_array_equal(net.get_param_vector(), before)
@@ -202,7 +292,7 @@ def test_train_linear_regression_converges():
     net = Network([dense])
     x = np.linspace(-1, 1, 32)[:, None]
     y = 2.0 * x
-    opt = SGD(net.params(), lr=0.1)
+    opt = SGD(net, lr=0.1)
     train(net, x, y, "mse", opt, epochs=300, batch_size=8, rng=make_rng(10))
     assert abs(dense.w.value[0, 0] - 2.0) < 1e-3
     assert abs(dense.b.value[0]) < 1e-3
@@ -212,7 +302,7 @@ def test_train_determinism():
     def one_run():
         rng = make_rng(11)
         net = build_mlp([2, 8, 2], parse_activation("ewend"), rng)
-        opt = Adam(net.params(), lr=1e-2)
+        opt = Adam(net, lr=1e-2)
         x = make_rng(12).standard_normal((40, 2))
         labels = (x[:, 0] > 0).astype(np.int64)
         recs = train(net, x, labels, "xent", opt, epochs=5, batch_size=8,
@@ -225,7 +315,7 @@ def test_train_determinism():
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_train_divergence_reported():
     net = build_mlp([1, 4, 1], parse_activation("relu"), make_rng(14))
-    opt = SGD(net.params(), lr=1e12)  # guaranteed blow-up
+    opt = SGD(net, lr=1e12)  # guaranteed blow-up
     x = np.linspace(-1, 1, 16)[:, None]
     records = train(net, x, 100 * x, "mse", opt, epochs=20, batch_size=4,
                     rng=make_rng(15))
@@ -239,7 +329,7 @@ def test_nontrainable_coefficients_bit_identical_after_training():
     layer = [l for l in net.layers if isinstance(l, ActivationLayer)][0]
     before = layer.current_coefficients()
     x = np.linspace(-2, 2, 64)[:, None]
-    train(net, x, np.sin(x), "mse", Adam(net.params(), lr=1e-2),
+    train(net, x, np.sin(x), "mse", Adam(net, lr=1e-2),
           epochs=20, batch_size=16, rng=make_rng(17))
     after = layer.current_coefficients()
     assert after["lambda"] == before["lambda"]
@@ -253,7 +343,7 @@ def test_positive_coefficients_survive_optimization():
     net = build_mlp([1, 8, 1], spec, make_rng(18))
     layer = [l for l in net.layers if isinstance(l, ActivationLayer)][0]
     x = np.linspace(-3, 3, 64)[:, None]
-    train(net, x, 5 * np.sin(3 * x), "mse", Adam(net.params(), lr=0.5),
+    train(net, x, 5 * np.sin(3 * x), "mse", Adam(net, lr=0.5),
           epochs=50, batch_size=16, rng=make_rng(19))
     coeffs = layer.current_coefficients()
     assert coeffs["alpha"] > 0.0
