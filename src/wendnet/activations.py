@@ -26,7 +26,7 @@ from __future__ import annotations
 import copy
 import re
 from dataclasses import dataclass, field
-from typing import Callable
+from typing import Callable, NamedTuple
 
 import numpy as np
 from scipy.special import erf
@@ -111,6 +111,9 @@ def from_unconstrained(raw: float) -> float:
     return float(np.exp(raw))
 
 
+_COEFFS = ("alpha", "lam", "beta", "eps")  # the enhanced profile's coefficients
+
+
 @dataclass
 class EnhancedWendlandParams:
     """Coefficients of the enhanced Wendland activation.
@@ -149,70 +152,106 @@ class EnhancedWendlandParams:
             raise ConfigError(f"mode must be {MODE_ELEMENTWISE!r} or {MODE_CHANNEL!r}")
 
     def trainable_names(self) -> tuple[str, ...]:
-        return tuple(name for name in ("alpha", "lam", "beta", "eps")
-                     if getattr(self, f"train_{name}"))
+        return tuple(name for name in _COEFFS if getattr(self, f"train_{name}"))
 
 
-def _inside_support(r, p: EnhancedWendlandParams):
+class _Profile(NamedTuple):
+    """g(r) and the terms its derivatives reuse, each computed once."""
+
+    r: np.ndarray
+    inside: np.ndarray  # r < 1/alpha, the support of the Wendland term
+    pos: np.ndarray     # (1 - alpha r)_+, zero outside the support
+    pk: np.ndarray      # pos**k
+    kar1: np.ndarray    # k alpha r + 1
+    tail: np.ndarray    # exp(-beta r)
+    g: np.ndarray
+
+
+def _profile(r: np.ndarray, p: EnhancedWendlandParams) -> _Profile:
+    """The enhanced profile at r >= 0; the one implementation of g."""
+    ar = p.alpha * r
     # the cutoff is applied against the representable boundary 1/alpha so the
     # Wendland component is exactly zero for every r >= 1/alpha
-    return r < 1.0 / p.alpha
+    inside = r < 1.0 / p.alpha
+    pos = np.where(inside, np.maximum(0.0, 1.0 - ar), 0.0)
+    pk = pos ** p.k
+    kar1 = p.k * ar + 1.0
+    tail = np.exp(-p.beta * r)
+    g = np.where(inside, pk * kar1, 0.0) + p.lam * r + p.eps * tail
+    return _Profile(r, inside, pos, pk, kar1, tail, g)
+
+
+# partials of g wrt each coefficient, from the profile and pos**(k-1)
+_PARTIALS: dict[str, Callable] = {
+    "alpha": lambda p, t, pk1: np.where(
+        t.inside, -p.k * t.r * pk1 * t.kar1 + p.k * t.r * t.pk, 0.0),
+    "lam": lambda p, t, pk1: t.r.copy(),
+    "beta": lambda p, t, pk1: -p.eps * t.r * t.tail,
+    "eps": lambda p, t, pk1: t.tail,
+}
+
+
+def _profile_derivatives(p: EnhancedWendlandParams, t: _Profile, names):
+    """(dg/dr, {name: dg/dname for name in names}) from one pos**(k-1); the one
+    implementation of g' and the coefficient partials."""
+    pk1 = t.pos ** (p.k - 1)
+    wend = np.where(t.inside, -p.k * (p.k + 1.0) * p.alpha ** 2 * t.r * pk1, 0.0)
+    dg = wend + p.lam - p.eps * p.beta * t.tail
+    return dg, {name: _PARTIALS[name](p, t, pk1) for name in names}
+
+
+def _enhanced_profile(x: np.ndarray, p: EnhancedWendlandParams) -> _Profile:
+    """The profile at r = |x| per element, or at the slice norm in channel mode."""
+    if p.mode == MODE_ELEMENTWISE:
+        return _profile(np.abs(x), p)
+    return _profile(np.sqrt(np.sum(x * x, axis=p.axis, keepdims=True)), p)
+
+
+def _enhanced_grads(x, upstream, p: EnhancedWendlandParams, t: _Profile):
+    """(input gradient, coefficient gradients) of sum(upstream * x g(r)),
+    given the profile `t` of x.  Only the trainable coefficients' partials
+    are computed; the masked ones receive exactly 0.0."""
+    dg, partials = _profile_derivatives(p, t, p.trainable_names())
+    if p.mode == MODE_ELEMENTWISE:
+        dx = upstream * (t.g + t.r * dg)
+        weight = upstream * x
+    else:
+        weight = np.sum(upstream * x, axis=p.axis, keepdims=True)
+        # cross term x_i x_j g'(r)/r; at r ~ 0 the term vanishes in the limit
+        safe = t.r >= _R_GUARD
+        ratio = np.where(safe, dg / np.where(safe, t.r, 1.0), 0.0)
+        dx = upstream * t.g + x * (weight * ratio)
+    grads = dict.fromkeys(_COEFFS, 0.0)
+    for name, d in partials.items():
+        grads[name] = float(np.sum(weight * d))
+    return dx, grads
 
 
 def enhanced_radial(r, p: EnhancedWendlandParams):
     """g(r) = (1-ar)_+^k (kar+1) + lam*r + eps*exp(-beta*r), for r >= 0."""
-    r = _check_radius(r)
-    ar = p.alpha * r
-    wend = np.where(_inside_support(r, p),
-                    np.maximum(0.0, 1.0 - ar) ** p.k * (p.k * ar + 1.0), 0.0)
-    return wend + p.lam * r + p.eps * np.exp(-p.beta * r)
+    return _profile(_check_radius(r), p).g
 
 
 def enhanced_radial_dr(r, p: EnhancedWendlandParams):
     """dg/dr; the Wendland term contributes -k(k+1)a^2 r (1-ar)_+^(k-1)."""
-    r = _check_radius(r)
-    ar = p.alpha * r
-    inside = _inside_support(r, p)
-    pos = np.where(inside, np.maximum(0.0, 1.0 - ar), 0.0)
-    wend = np.where(inside,
-                    -p.k * (p.k + 1.0) * p.alpha ** 2 * r * pos ** (p.k - 1),
-                    0.0)
-    return wend + p.lam - p.eps * p.beta * np.exp(-p.beta * r)
+    return _profile_derivatives(p, _profile(_check_radius(r), p), ())[0]
 
 
 def enhanced_radial_dparams(r, p: EnhancedWendlandParams) -> dict[str, np.ndarray]:
     """Partials of g(r) with respect to (alpha, lam, beta, eps)."""
-    r = _check_radius(r)
-    ar = p.alpha * r
-    inside = _inside_support(r, p)
-    pos = np.where(inside, np.maximum(0.0, 1.0 - ar), 0.0)
-    d_alpha = np.where(
-        inside,
-        -p.k * r * pos ** (p.k - 1) * (p.k * ar + 1.0) + p.k * r * pos ** p.k,
-        0.0,
-    )
-    tail = np.exp(-p.beta * r)
-    return {
-        "alpha": d_alpha,
-        "lam": r.copy() if isinstance(r, np.ndarray) else np.asarray(r, dtype=np.float64),
-        "beta": -p.eps * r * tail,
-        "eps": tail,
-    }
+    return _profile_derivatives(p, _profile(_check_radius(r), p), _COEFFS)[1]
 
 
-def _channel_radius(x: np.ndarray, p: EnhancedWendlandParams) -> np.ndarray:
-    if not -x.ndim <= p.axis < x.ndim:
+def _check_axis(x: np.ndarray, p: EnhancedWendlandParams):
+    if p.mode == MODE_CHANNEL and not -x.ndim <= p.axis < x.ndim:
         raise ConfigError(f"channel axis {p.axis} invalid for input shape {x.shape}")
-    return np.sqrt(np.sum(x * x, axis=p.axis, keepdims=True))
 
 
 def enhanced_forward(x, p: EnhancedWendlandParams) -> np.ndarray:
     """y = x * g(r); r = |x| per element, or the slice norm in channel mode."""
     x = tensor(x)
-    if p.mode == MODE_ELEMENTWISE:
-        return x * enhanced_radial(np.abs(x), p)
-    r = _channel_radius(x, p)
-    return x * enhanced_radial(r, p)
+    _check_axis(x, p)
+    return x * _enhanced_profile(x, p).g
 
 
 def enhanced_backward(x, upstream, p: EnhancedWendlandParams):
@@ -225,31 +264,8 @@ def enhanced_backward(x, upstream, p: EnhancedWendlandParams):
     upstream = tensor(upstream)
     if upstream.shape != x.shape:
         raise ShapeError(f"upstream shape {upstream.shape} != input shape {x.shape}")
-
-    if p.mode == MODE_ELEMENTWISE:
-        r = np.abs(x)
-        g = enhanced_radial(r, p)
-        dg = enhanced_radial_dr(r, p)
-        dx = upstream * (g + r * dg)
-        dtheta = enhanced_radial_dparams(r, p)
-        ux = upstream * x
-        grads = {name: float(np.sum(ux * d)) for name, d in dtheta.items()}
-    else:
-        r = _channel_radius(x, p)
-        g = enhanced_radial(r, p)
-        dg = enhanced_radial_dr(r, p)
-        ux_sum = np.sum(upstream * x, axis=p.axis, keepdims=True)
-        # cross term x_i x_j g'(r)/r; at r ~ 0 the term vanishes in the limit
-        safe = r >= _R_GUARD
-        ratio = np.where(safe, dg / np.where(safe, r, 1.0), 0.0)
-        dx = upstream * g + x * (ux_sum * ratio)
-        dtheta = enhanced_radial_dparams(r, p)
-        grads = {name: float(np.sum(ux_sum * d)) for name, d in dtheta.items()}
-
-    mask = {"alpha": p.train_alpha, "lam": p.train_lam,
-            "beta": p.train_beta, "eps": p.train_eps}
-    grads = {name: (grads[name] if mask[name] else 0.0) for name in grads}
-    return dx, grads
+    _check_axis(x, p)
+    return _enhanced_grads(x, upstream, p, _enhanced_profile(x, p))
 
 
 # ---------------------------------------------------------------------------
@@ -537,10 +553,12 @@ class _Enhanced(Kind):
         return {"alpha": p.alpha, "lambda": p.lam, "beta": p.beta, "eps": p.eps}
 
     def forward(self, p, x, training, rng):
-        return enhanced_forward(x, p), None
+        # the profile is what backward needs; the layer caches it as aux
+        t = _enhanced_profile(x, p)
+        return x * t.g, t
 
-    def backward(self, p, x, _, upstream):
-        return enhanced_backward(x, upstream, p)
+    def backward(self, p, x, t, upstream):
+        return _enhanced_grads(x, upstream, p, t)
 
 
 def _ewend_kinks(p):

@@ -66,6 +66,28 @@ def _require(cond: bool, msg: str):
         raise ConfigError(msg)
 
 
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _integer(raw: dict, key: str, default: int, least: int) -> int:
+    value = raw.get(key, default)
+    _require(_is_int(value) and value >= least,
+             f"{key} must be an integer >= {least}, got {value!r}")
+    return value
+
+
+def _check_optimizer(opt: dict):
+    _require(opt.get("kind", "adam") in ("adam", "sgd"), "optimizer.kind must be adam or sgd")
+    for key in ("lr", "momentum", "beta1", "beta2"):
+        value = opt.get(key, 0.0)  # an absent key takes its finite default
+        try:  # YAML reads exponent forms such as 1e-3 as strings
+            ok = not isinstance(value, bool) and bool(np.isfinite(float(value)))
+        except (TypeError, ValueError):
+            ok = False
+        _require(ok, f"optimizer.{key} must be a finite number, got {value!r}")
+
+
 def config_from_dict(raw: dict) -> ExperimentConfig:
     _require(isinstance(raw, dict), "config root must be a mapping")
     unknown = set(raw) - {"schema_version", "experiment", "seed", "activations",
@@ -85,26 +107,23 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
             raise ConfigError(f"activations[{i}] = {text!r}: {exc}") from None
     arch = raw.get("architecture")
     _require(isinstance(arch, list) and len(arch) >= 2
-             and all(isinstance(w, int) and w >= 1 for w in arch),
+             and all(_is_int(w) and w >= 1 for w in arch),
              "architecture must be a list of >= 2 positive layer widths")
-    cfg = ExperimentConfig(
+    optimizer = raw.get("optimizer") or {"kind": "adam", "lr": 1e-3}
+    _require(isinstance(optimizer, dict), "optimizer must be a mapping")
+    _check_optimizer(optimizer)
+    return ExperimentConfig(
         experiment=experiment,
-        seed=int(raw.get("seed", 0)),
+        seed=_integer(raw, "seed", 0, 0),
         activations=[str(a) for a in acts],
         architecture=list(arch),
-        epochs=int(raw.get("epochs", 100)),
-        batch_size=int(raw.get("batch_size", 32)),
-        repetitions=int(raw.get("repetitions", 1)),
-        optimizer=dict(raw.get("optimizer") or {"kind": "adam", "lr": 1e-3}),
+        epochs=_integer(raw, "epochs", 100, 0),
+        batch_size=_integer(raw, "batch_size", 32, 1),
+        repetitions=_integer(raw, "repetitions", 1, 1),
+        optimizer=dict(optimizer),
         output_dir=str(raw.get("output_dir", "out")),
         dataset=dict(raw.get("dataset") or {}),
     )
-    _require(cfg.epochs >= 0, "epochs must be >= 0")
-    _require(cfg.batch_size >= 1, "batch_size must be >= 1")
-    _require(cfg.repetitions >= 1, "repetitions must be >= 1")
-    _require(cfg.optimizer.get("kind", "adam") in ("adam", "sgd"),
-             "optimizer.kind must be adam or sgd")
-    return cfg
 
 
 def load_config(path) -> ExperimentConfig:

@@ -47,9 +47,15 @@ class Dataset:
         return self.features.shape[0]
 
     def split(self, test_fraction: float, rng: np.random.Generator) -> "Dataset":
-        """Attach a seeded disjoint train/test split covering all rows."""
-        order = rng.permutation(self.n)
+        """Attach a seeded disjoint train/test split covering all rows; at
+        least one row must be left to train on."""
+        if not 0 <= test_fraction < 1:
+            raise DataConfigError(f"test_fraction must be in [0, 1), got {test_fraction}")
         n_test = int(round(self.n * test_fraction))
+        if n_test >= self.n:
+            raise DataConfigError(f"test_fraction {test_fraction} leaves no training rows"
+                                  f" out of {self.n}")
+        order = rng.permutation(self.n)
         self.test_idx = np.sort(order[:n_test])
         self.train_idx = np.sort(order[n_test:])
         return self

@@ -59,11 +59,31 @@ def test_config_rejections():
         {"architecture": [4]},
         {"optimizer": {"kind": "lbfgs"}},
         {"surprise_key": 1},
+        {"epochs": "abc"},
+        {"epochs": 2.5},
+        {"seed": -1},
+        {"seed": True},
+        {"batch_size": "32"},
+        {"repetitions": None},
+        {"architecture": [1, True, 1]},
+        {"optimizer": "adam"},
+        {"optimizer": {"kind": "adam", "lr": "fast"}},
+        {"optimizer": {"kind": "adam", "lr": True}},
+        {"optimizer": {"kind": "sgd", "lr": 0.1, "momentum": float("nan")}},
+        {"optimizer": {"kind": "adam", "beta1": None}},
+        {"optimizer": {"kind": "adam", "beta2": [0.999]}},
     ):
         raw = dict(base)
         raw.update(mutate)
         with pytest.raises(ConfigError):
             config_from_dict(raw)
+
+
+def test_config_accepts_exponent_learning_rate():
+    # YAML 1.1 reads 1e-3 (no dot) as a string; it has always meant 0.001
+    raw = yaml.safe_load(default_config_text("sine").replace("lr: 0.005", "lr: 1e-3"))
+    assert raw["optimizer"]["lr"] == "1e-3"
+    assert config_from_dict(raw).optimizer["lr"] == "1e-3"
 
 
 def test_unknown_activation_error_names_token_and_line(tmp_path):
@@ -223,6 +243,27 @@ def test_cli_usage_error():
     with pytest.raises(SystemExit) as exc, redirect_stderr(io.StringIO()):
         main(["frobnicate"])
     assert exc.value.code == 1
+
+
+@pytest.mark.parametrize("override", [
+    {"epochs": "abc"},
+    {"seed": -1},
+    {"optimizer": {"kind": "adam", "lr": "fast"}},
+    {"architecture": [1, True, 1]},
+    {"dataset": {"n": 20, "test_fraction": 1.0}},
+    {"dataset": {"n": 20, "test_fraction": 1.5}},
+], ids=["epochs", "seed", "lr", "architecture", "test_fraction-1", "test_fraction-1.5"])
+def test_cli_run_bad_config_value_exits_2(tmp_path, override):
+    raw = yaml.safe_load(default_config_text("sine"))
+    raw.update(epochs=1, activations=["tanh"], output_dir=str(tmp_path / "out"))
+    raw["dataset"]["n"] = 20
+    raw.update(override)
+    path = tmp_path / "sine.yaml"
+    path.write_text(yaml.safe_dump(raw))
+    err = io.StringIO()
+    with redirect_stderr(err), redirect_stdout(io.StringIO()):
+        assert main(["run", str(path)]) == 2
+    assert len(err.getvalue().splitlines()) == 1
 
 
 def test_cli_mnist_missing_files(tmp_path):

@@ -36,6 +36,14 @@ def test_sine_invalid_range():
         sample_sine(10, (-1, 1), -0.1, make_rng(0))
 
 
+@pytest.mark.parametrize("fraction", [1.0, 1.5, 0.99, -0.1, float("nan")])
+def test_split_must_leave_training_rows(fraction):
+    # 0.99 of 20 rows rounds to 20 test rows
+    ds = sample_sine(20, (-1, 1), 0.0, make_rng(0))
+    with pytest.raises(DataConfigError):
+        ds.split(fraction, make_rng(1))
+
+
 def test_moons_arc_endpoints():
     # noiseless points lie exactly on the two parameterized arcs
     ds = make_moons(1000, 0.0, make_rng(1))

@@ -1,6 +1,7 @@
 """Enhanced Wendland activation: radial profile, derivatives, forward and
 backward passes, compact support, and coefficient masking."""
 
+import itertools
 import math
 
 import numpy as np
@@ -9,7 +10,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from wendnet.activations import (
+    KINDS,
+    ActivationSpec,
     ConfigError,
+    DomainError,
     EnhancedWendlandParams,
     enhanced_backward,
     enhanced_forward,
@@ -19,6 +23,7 @@ from wendnet.activations import (
     from_unconstrained,
     to_unconstrained,
 )
+from wendnet.network import ActivationLayer
 from wendnet.tensor import relative_error
 
 DEFAULTS = EnhancedWendlandParams()
@@ -75,6 +80,14 @@ def test_radial_dr_matches_finite_differences():
         h = 1e-6 * max(1.0, r)
         numeric = (enhanced_radial(r + h, p) - enhanced_radial(r - h, p)) / (2 * h)
         assert relative_error(enhanced_radial_dr(r, p), numeric) < 1e-7
+
+
+@pytest.mark.parametrize("fn", [enhanced_radial, enhanced_radial_dr, enhanced_radial_dparams])
+def test_radial_forms_reject_negative_radius(fn):
+    with pytest.raises(DomainError):
+        fn(-1.0, DEFAULTS)
+    with pytest.raises(DomainError):
+        fn(np.array([0.5, -5e-324]), DEFAULTS)
 
 
 def test_radial_dparams_trivial():
@@ -273,3 +286,111 @@ def test_positivity_reparameterization_round_trip():
 def test_invalid_params_rejected(kwargs):
     with pytest.raises(ConfigError):
         EnhancedWendlandParams(**kwargs)
+
+
+# --- the layer kernel against the separate closed forms -----------------------
+#
+# A test-local textbook reference: g, g' and the coefficient partials, each
+# evaluated on its own and recomputing every term it uses.  The layer's
+# one-pass kernel shares their intermediate terms but keeps every
+# expression's operation order, so its results must be bit-equal.
+
+def _textbook_g(r, p):
+    ar = p.alpha * r
+    wend = np.where(r < 1.0 / p.alpha,
+                    np.maximum(0.0, 1.0 - ar) ** p.k * (p.k * ar + 1.0), 0.0)
+    return wend + p.lam * r + p.eps * np.exp(-p.beta * r)
+
+
+def _textbook_dg(r, p):
+    ar = p.alpha * r
+    inside = r < 1.0 / p.alpha
+    pos = np.where(inside, np.maximum(0.0, 1.0 - ar), 0.0)
+    wend = np.where(inside, -p.k * (p.k + 1.0) * p.alpha ** 2 * r * pos ** (p.k - 1), 0.0)
+    return wend + p.lam - p.eps * p.beta * np.exp(-p.beta * r)
+
+
+def _textbook_dparams(r, p):
+    ar = p.alpha * r
+    inside = r < 1.0 / p.alpha
+    pos = np.where(inside, np.maximum(0.0, 1.0 - ar), 0.0)
+    tail = np.exp(-p.beta * r)
+    return {
+        "alpha": np.where(inside, -p.k * r * pos ** (p.k - 1) * (p.k * ar + 1.0)
+                          + p.k * r * pos ** p.k, 0.0),
+        "lam": r,
+        "beta": -p.eps * r * tail,
+        "eps": tail,
+    }
+
+
+def _textbook_layer(x, up, p):
+    """(y, dx, all four coefficient gradients) of sum(up * x g(r))."""
+    if p.mode == "elem":
+        r = np.abs(x)
+        g, dg = _textbook_g(r, p), _textbook_dg(r, p)
+        dx = up * (g + r * dg)
+        weight = up * x
+    else:
+        r = np.sqrt(np.sum(x * x, axis=-1, keepdims=True))
+        g, dg = _textbook_g(r, p), _textbook_dg(r, p)
+        weight = np.sum(up * x, axis=-1, keepdims=True)
+        safe = r >= 1e-12
+        ratio = np.where(safe, dg / np.where(safe, r, 1.0), 0.0)
+        dx = up * g + x * (weight * ratio)
+    grads = {name: float(np.sum(weight * d)) for name, d in _textbook_dparams(r, p).items()}
+    return x * g, dx, grads
+
+
+def _straddling_input(rng, edge, mode):
+    """Inputs whose radius falls on, just inside and just outside 1/alpha."""
+    near = edge * np.array([1 - 2e-16, 1 - 1e-16, 1.0, 1 + 1e-16, 1 + 2e-16, 1 - 1e-9, 1 + 1e-9])
+    near = np.concatenate([near, [np.nextafter(edge, 0.0), np.nextafter(edge, np.inf)]])
+    if mode == "elem":
+        x = np.concatenate([near, -near, [0.0, -0.0],
+                            rng.uniform(-2.0 * edge, 2.0 * edge, 20)])
+        return x.reshape(5, 8)
+    rows = rng.standard_normal((len(near) + 6, 5))
+    rows /= np.linalg.norm(rows, axis=1, keepdims=True)
+    radii = np.concatenate([near, [0.0, 1e-13], rng.uniform(0.0, 2.0 * edge, 4)])
+    return rows * radii[:, None]
+
+
+_TRAIN_FLAGS = ("train_alpha", "train_lam", "train_beta", "train_eps")
+_REPORT_KEYS = {"alpha": "alpha", "lam": "lambda", "beta": "beta", "eps": "eps"}
+
+
+@pytest.mark.parametrize("mode", ["elem", "channel"])
+@pytest.mark.parametrize("k", range(1, 9))
+def test_layer_matches_textbook_closed_forms_bit_for_bit(k, mode):
+    rng = np.random.default_rng(500 + k)
+    for mask in itertools.product((False, True), repeat=4):
+        flags = dict(zip(_TRAIN_FLAGS, mask))
+        spec_p = EnhancedWendlandParams(alpha=rng.uniform(0.3, 3.0), k=k, lam=0.07,
+                                        beta=rng.uniform(0.3, 3.0), eps=0.02,
+                                        mode=mode, **flags)
+        layer = ActivationLayer(ActivationSpec("ewend", {"ewend": spec_p}))
+        # the layer's natural-space values: log-stored ones may move by an ulp
+        c = layer.current_coefficients()
+        p = EnhancedWendlandParams(alpha=c["alpha"], k=k, lam=c["lambda"], beta=c["beta"],
+                                   eps=c["eps"], mode=mode, **flags)
+        x = _straddling_input(rng, 1.0 / p.alpha, mode)
+        up = rng.standard_normal(x.shape)
+        y_ref, dx_ref, grads_ref = _textbook_layer(x, up, p)
+
+        np.testing.assert_array_equal(layer.forward(x, training=True, rng=None), y_ref)
+        np.testing.assert_array_equal(layer.backward(up), dx_ref)
+        trained = {param.name.split(".")[-1]: float(param.grad) for param in layer.params()}
+        assert set(trained) == set(p.trainable_names())
+        for coeff, grad in trained.items():
+            value = c[_REPORT_KEYS[coeff]]
+            expected = grads_ref[coeff]
+            if coeff in KINDS["ewend"].log_coeffs:
+                expected *= value
+            assert grad == expected, (mask, coeff)
+
+        y, (dx, grads) = enhanced_forward(x, p), enhanced_backward(x, up, p)
+        np.testing.assert_array_equal(y, y_ref)
+        np.testing.assert_array_equal(dx, dx_ref)
+        assert grads == {name: grads_ref[name] if name in p.trainable_names() else 0.0
+                         for name in _REPORT_KEYS}, mask
