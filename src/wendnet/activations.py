@@ -135,7 +135,6 @@ class EnhancedWendlandParams:
     train_beta: bool = False
     train_eps: bool = False
     mode: str = MODE_ELEMENTWISE
-    axis: int = -1
 
     def __post_init__(self):
         if self.alpha <= 0:
@@ -201,10 +200,11 @@ def _profile_derivatives(p: EnhancedWendlandParams, t: _Profile, names):
 
 
 def _enhanced_profile(x: np.ndarray, p: EnhancedWendlandParams) -> _Profile:
-    """The profile at r = |x| per element, or at the slice norm in channel mode."""
+    """The profile at r = |x| per element, or in channel mode at the norm over
+    the last axis."""
     if p.mode == MODE_ELEMENTWISE:
         return _profile(np.abs(x), p)
-    return _profile(np.sqrt(np.sum(x * x, axis=p.axis, keepdims=True)), p)
+    return _profile(np.sqrt(np.sum(x * x, axis=-1, keepdims=True)), p)
 
 
 def _enhanced_grads(x, upstream, p: EnhancedWendlandParams, t: _Profile):
@@ -216,7 +216,7 @@ def _enhanced_grads(x, upstream, p: EnhancedWendlandParams, t: _Profile):
         dx = upstream * (t.g + t.r * dg)
         weight = upstream * x
     else:
-        weight = np.sum(upstream * x, axis=p.axis, keepdims=True)
+        weight = np.sum(upstream * x, axis=-1, keepdims=True)
         # cross term x_i x_j g'(r)/r; at r ~ 0 the term vanishes in the limit
         safe = t.r >= _R_GUARD
         ratio = np.where(safe, dg / np.where(safe, t.r, 1.0), 0.0)
@@ -242,15 +242,9 @@ def enhanced_radial_dparams(r, p: EnhancedWendlandParams) -> dict[str, np.ndarra
     return _profile_derivatives(p, _profile(_check_radius(r), p), _COEFFS)[1]
 
 
-def _check_axis(x: np.ndarray, p: EnhancedWendlandParams):
-    if p.mode == MODE_CHANNEL and not -x.ndim <= p.axis < x.ndim:
-        raise ConfigError(f"channel axis {p.axis} invalid for input shape {x.shape}")
-
-
 def enhanced_forward(x, p: EnhancedWendlandParams) -> np.ndarray:
-    """y = x * g(r); r = |x| per element, or the slice norm in channel mode."""
+    """y = x * g(r); r = |x| per element, or the last-axis norm in channel mode."""
     x = tensor(x)
-    _check_axis(x, p)
     return x * _enhanced_profile(x, p).g
 
 
@@ -264,7 +258,6 @@ def enhanced_backward(x, upstream, p: EnhancedWendlandParams):
     upstream = tensor(upstream)
     if upstream.shape != x.shape:
         raise ShapeError(f"upstream shape {upstream.shape} != input shape {x.shape}")
-    _check_axis(x, p)
     return _enhanced_grads(x, upstream, p, _enhanced_profile(x, p))
 
 

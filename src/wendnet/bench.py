@@ -13,6 +13,7 @@ from __future__ import annotations
 import csv
 import hashlib
 import json
+import math
 import re
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -22,7 +23,7 @@ import yaml
 
 from . import __version__
 from .activations import ActivationSpec, ConfigError, format_activation, parse_activation
-from .datasets import Dataset, load_idx, make_circles, make_moons, sample_sine, subsample
+from .datasets import load_idx, make_circles, make_moons, sample_sine, split, subsample
 from .network import EpochRecord, build_mlp, make_optimizer, train
 from .tensor import substream
 
@@ -70,22 +71,26 @@ def _is_int(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
-def _integer(raw: dict, key: str, default: int, least: int) -> int:
-    value = raw.get(key, default)
-    _require(_is_int(value) and value >= least,
-             f"{key} must be an integer >= {least}, got {value!r}")
-    return value
+def _scalar(section: dict, key: str, default, least: int = 0, where: str = ""):
+    """section[key], or `default` when absent: a non-bool integer >= least
+    when the default is an int, else a finite number as a float."""
+    value = section.get(key, default)
+    if isinstance(default, int):
+        _require(_is_int(value) and value >= least,
+                 f"{where}{key} must be an integer >= {least}, got {value!r}")
+        return value
+    try:  # YAML reads exponent forms such as 1e-3 as strings
+        number = math.nan if isinstance(value, bool) else float(value)
+    except (TypeError, ValueError):
+        number = math.nan
+    _require(math.isfinite(number), f"{where}{key} must be a finite number, got {value!r}")
+    return number
 
 
 def _check_optimizer(opt: dict):
     _require(opt.get("kind", "adam") in ("adam", "sgd"), "optimizer.kind must be adam or sgd")
     for key in ("lr", "momentum", "beta1", "beta2"):
-        value = opt.get(key, 0.0)  # an absent key takes its finite default
-        try:  # YAML reads exponent forms such as 1e-3 as strings
-            ok = not isinstance(value, bool) and bool(np.isfinite(float(value)))
-        except (TypeError, ValueError):
-            ok = False
-        _require(ok, f"optimizer.{key} must be a finite number, got {value!r}")
+        _scalar(opt, key, 0.0, where="optimizer.")  # an absent key takes its finite default
 
 
 def config_from_dict(raw: dict) -> ExperimentConfig:
@@ -112,17 +117,19 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
     optimizer = raw.get("optimizer") or {"kind": "adam", "lr": 1e-3}
     _require(isinstance(optimizer, dict), "optimizer must be a mapping")
     _check_optimizer(optimizer)
+    dataset = raw.get("dataset") or {}
+    _require(isinstance(dataset, dict), "dataset must be a mapping")
     return ExperimentConfig(
         experiment=experiment,
-        seed=_integer(raw, "seed", 0, 0),
+        seed=_scalar(raw, "seed", 0),
         activations=[str(a) for a in acts],
         architecture=list(arch),
-        epochs=_integer(raw, "epochs", 100, 0),
-        batch_size=_integer(raw, "batch_size", 32, 1),
-        repetitions=_integer(raw, "repetitions", 1, 1),
+        epochs=_scalar(raw, "epochs", 100),
+        batch_size=_scalar(raw, "batch_size", 32, 1),
+        repetitions=_scalar(raw, "repetitions", 1, 1),
         optimizer=dict(optimizer),
         output_dir=str(raw.get("output_dir", "out")),
-        dataset=dict(raw.get("dataset") or {}),
+        dataset=dict(dataset),
     )
 
 
@@ -182,8 +189,9 @@ def _metric_rows(cfg: ExperimentConfig, act_text: str, rep: int,
 
 
 def _train_one(cfg: ExperimentConfig, spec: ActivationSpec, rep: int,
-               ds: Dataset, loss_kind: str, classification: bool):
-    """Train one (activation, repetition) job on the dataset's split."""
+               data: tuple, loss_kind: str, classification: bool):
+    """Train one (activation, repetition) job on `data`, the study's
+    (x_train, y_train, x_test, y_test)."""
     act_text = format_activation(spec)
     net_rng = substream(cfg.seed, "net", act_text, rep)
     net = build_mlp(cfg.architecture, spec, net_rng)
@@ -195,18 +203,17 @@ def _train_one(cfg: ExperimentConfig, spec: ActivationSpec, rep: int,
         beta1=float(cfg.optimizer.get("beta1", 0.9)),
         beta2=float(cfg.optimizer.get("beta2", 0.999)))
     train_rng = substream(cfg.seed, "train", act_text, rep)
-    y = ds.labels if classification else ds.targets
+    x_train, y_train, x_test, y_test = data
     records = train(
-        net, ds.features[ds.train_idx], y[ds.train_idx], loss_kind, optimizer,
+        net, x_train, y_train, loss_kind, optimizer,
         epochs=cfg.epochs, batch_size=cfg.batch_size, rng=train_rng,
-        x_test=ds.features[ds.test_idx], y_test=y[ds.test_idx],
-        classification=classification)
+        x_test=x_test, y_test=y_test, classification=classification)
     return net, records
 
 
-def _run_jobs(cfg: ExperimentConfig, ds: Dataset, loss_kind: str,
+def _run_jobs(cfg: ExperimentConfig, data: tuple, loss_kind: str,
               classification: bool, keep) -> list[tuple[str, list]]:
-    """Train every (activation, repetition) job of `cfg` on `ds` and write
+    """Train every (activation, repetition) job of `cfg` on `data` and write
     metrics.csv.  Returns, per activation, its text encoding and
     `keep(rep, net, records)` of each repetition."""
     results: list[tuple[str, list]] = []
@@ -216,7 +223,7 @@ def _run_jobs(cfg: ExperimentConfig, ds: Dataset, loss_kind: str,
             act_text = format_activation(spec)
             kept = []
             for rep in range(cfg.repetitions):
-                net, records = _train_one(cfg, spec, rep, ds, loss_kind, classification)
+                net, records = _train_one(cfg, spec, rep, data, loss_kind, classification)
                 for row in _metric_rows(cfg, act_text, rep, records):
                     mwriter.writerow(row)
                 kept.append(keep(rep, net, records))
@@ -241,18 +248,26 @@ def _mean_std(vals):
 # Experiment runners.
 # ---------------------------------------------------------------------------
 
+def _dataset_value(dp: dict, key: str, default, least: int = 0):
+    return _scalar(dp, key, default, least, where="dataset.")
+
+
+def _split(cfg: ExperimentConfig, x: np.ndarray, y: np.ndarray) -> tuple:
+    return split(x, y, _dataset_value(cfg.dataset, "test_fraction", 0.3),
+                 substream(cfg.seed, "split"))
+
+
 def run_sine(cfg: ExperimentConfig) -> list[Path]:
     """Sine regression study: per-epoch metrics plus a dense prediction grid
     (x, sin x, one column per activation) for external plotting."""
     _require(cfg.experiment == "sine", "config is not a sine experiment")
     dp = cfg.dataset
-    lo = float(dp.get("x_lo", -np.pi))
-    hi = float(dp.get("x_hi", np.pi))
-    ds = sample_sine(int(dp.get("n", 256)), (lo, hi),
-                     float(dp.get("noise_sd", 0.05)),
-                     substream(cfg.seed, "data"))
-    ds.split(float(dp.get("test_fraction", 0.3)), substream(cfg.seed, "split"))
-    grid = np.linspace(lo, hi, int(dp.get("grid_points", 201)))[:, None]
+    lo = _dataset_value(dp, "x_lo", -np.pi)
+    hi = _dataset_value(dp, "x_hi", np.pi)
+    grid = np.linspace(lo, hi, _dataset_value(dp, "grid_points", 201, 1))[:, None]
+    x, y = sample_sine(_dataset_value(dp, "n", 256, 1), (lo, hi),
+                       _dataset_value(dp, "noise_sd", 0.05), substream(cfg.seed, "data"))
+    data = _split(cfg, x, y)
 
     def predict(rep, net, records):
         if rep != 0:
@@ -260,7 +275,7 @@ def run_sine(cfg: ExperimentConfig) -> list[Path]:
         ok = not records or records[-1].status == "ok"
         return (net.forward(grid) if ok else np.full_like(grid, np.nan))[:, 0]
 
-    pred_cols = [(text, kept[0]) for text, kept in _run_jobs(cfg, ds, "mse", False, predict)]
+    pred_cols = [(text, kept[0]) for text, kept in _run_jobs(cfg, data, "mse", False, predict)]
     out = Path(cfg.output_dir)
     pf, pwriter = _open_csv(out / "predictions.csv", cfg,
                             ["x", "sin_x"] + [f"pred_{name}" for name, _ in pred_cols])
@@ -272,16 +287,16 @@ def run_sine(cfg: ExperimentConfig) -> list[Path]:
     return [out / "metrics.csv", out / "predictions.csv"]
 
 
-def _toy_dataset(cfg: ExperimentConfig) -> Dataset:
+def _toy_dataset(cfg: ExperimentConfig) -> tuple:
     dp = cfg.dataset
     rng = substream(cfg.seed, "data")
-    n = int(dp.get("n", 1000))
+    n = _dataset_value(dp, "n", 1000, 1)
     if cfg.experiment == "moons":
-        ds = make_moons(n, float(dp.get("noise_sd", 0.2)), rng)
+        x, y = make_moons(n, _dataset_value(dp, "noise_sd", 0.2), rng)
     else:
-        ds = make_circles(n, float(dp.get("noise_sd", 0.1)),
-                          float(dp.get("factor", 0.5)), rng)
-    return ds.split(float(dp.get("test_fraction", 0.3)), substream(cfg.seed, "split"))
+        x, y = make_circles(n, _dataset_value(dp, "noise_sd", 0.1),
+                            _dataset_value(dp, "factor", 0.5), rng)
+    return _split(cfg, x, y)
 
 
 def run_toy_classification(cfg: ExperimentConfig) -> list[Path]:
@@ -328,29 +343,17 @@ def run_mnist_like(cfg: ExperimentConfig) -> list[Path]:
     dp = cfg.dataset
     for key in ("train_images", "train_labels", "test_images", "test_labels"):
         _require(key in dp, f"dataset.{key} path is required")
-        _require(Path(dp[key]).is_file(), f"dataset.{key}: no such file {dp[key]!r}")
+        _require(isinstance(dp[key], str) and Path(dp[key]).is_file(),
+                 f"dataset.{key}: no such file {dp[key]!r}")
 
-    train_full = load_idx(dp["train_images"], dp["train_labels"])
-    test_full = load_idx(dp["test_images"], dp["test_labels"])
-    n_train = int(dp.get("n_train", 10000))
-    n_test = int(dp.get("n_test", 2000))
-    sub_train = subsample(train_full, n_train, 0, stratified=True,
-                          rng=substream(cfg.seed, "subsample", "train"))
-    sub_test = subsample(test_full, n_test, 0, stratified=True,
-                         rng=substream(cfg.seed, "subsample", "test"))
-    # index by the row counts subsample returned, so that train and test
-    # rows can never overlap
-    n_sub_train, n_sub_test = len(sub_train.train_idx), len(sub_test.train_idx)
-    ds = Dataset(
-        features=np.vstack([sub_train.features[sub_train.train_idx],
-                            sub_test.features[sub_test.train_idx]]),
-        labels=np.concatenate([sub_train.labels[sub_train.train_idx],
-                               sub_test.labels[sub_test.train_idx]]),
-        train_idx=np.arange(n_sub_train),
-        test_idx=np.arange(n_sub_train, n_sub_train + n_sub_test),
-        note=f"{cfg.experiment} subset {n_train}/{n_test}")
+    data = []
+    for part, default in (("train", 10000), ("test", 2000)):
+        n = _dataset_value(dp, f"n_{part}", default, 1)
+        images, labels = load_idx(dp[f"{part}_images"], dp[f"{part}_labels"])
+        images, labels = subsample(images, labels, n, substream(cfg.seed, "subsample", part))
+        data += [images.astype(np.float64) / 255.0, labels]
 
-    results = _run_jobs(cfg, ds, "xent", True, lambda rep, net, records: records)
+    results = _run_jobs(cfg, tuple(data), "xent", True, lambda rep, net, records: records)
     finals = [(act_text, [r.test_accuracy for r in _completed(runs)])
               for act_text, runs in results]
     by_text = {text: float(np.mean(accs)) if accs else None for text, accs in finals}

@@ -1,19 +1,18 @@
-"""Synthetic toy datasets (sine wave, two moons, concentric circles) and a
-bit-exact loader for the MNIST/Fashion-MNIST IDX binary format.
+"""Synthetic toy datasets (sine wave, two moons, concentric circles), a
+bit-exact loader for the MNIST/Fashion-MNIST IDX binary format, and the
+seeded train/test split and stratified subsample.
 
-All generators are seeded and exactly reproducible; with noise_sd=0 the
-points lie exactly on the stated manifolds.
+Everything returns plain arrays: features first, then targets or class
+labels.  All generators are seeded and exactly reproducible; with
+noise_sd=0 the points lie exactly on the stated manifolds.
 """
 
 from __future__ import annotations
 
 import math
 import struct
-from dataclasses import dataclass
 
 import numpy as np
-
-from .tensor import tensor
 
 
 class DataConfigError(ValueError):
@@ -24,46 +23,26 @@ class IdxParseError(ValueError):
     """An IDX file failed to parse; the message carries the byte offset."""
 
 
-@dataclass
-class Dataset:
-    """Feature matrix plus either regression targets or class indices."""
-
-    features: np.ndarray            # (n, d) float64
-    targets: np.ndarray | None = None   # (n, c) float64 regression targets
-    labels: np.ndarray | None = None    # (n,) int class indices
-    train_idx: np.ndarray | None = None
-    test_idx: np.ndarray | None = None
-    note: str = ""
-
-    def __post_init__(self):
-        n = self.features.shape[0]
-        if self.targets is not None and self.targets.shape[0] != n:
-            raise DataConfigError("target row count does not match features")
-        if self.labels is not None and self.labels.shape[0] != n:
-            raise DataConfigError("label count does not match features")
-
-    @property
-    def n(self) -> int:
-        return self.features.shape[0]
-
-    def split(self, test_fraction: float, rng: np.random.Generator) -> "Dataset":
-        """Attach a seeded disjoint train/test split covering all rows; at
-        least one row must be left to train on."""
-        if not 0 <= test_fraction < 1:
-            raise DataConfigError(f"test_fraction must be in [0, 1), got {test_fraction}")
-        n_test = int(round(self.n * test_fraction))
-        if n_test >= self.n:
-            raise DataConfigError(f"test_fraction {test_fraction} leaves no training rows"
-                                  f" out of {self.n}")
-        order = rng.permutation(self.n)
-        self.test_idx = np.sort(order[:n_test])
-        self.train_idx = np.sort(order[n_test:])
-        return self
+def split(x: np.ndarray, y: np.ndarray, test_fraction: float,
+          rng: np.random.Generator):
+    """Seeded disjoint train/test split of the rows of (x, y), each side in
+    row order: (x_train, y_train, x_test, y_test).  Both sides must keep at
+    least one row."""
+    n = len(x)
+    if not 0 < test_fraction < 1:
+        raise DataConfigError(f"test_fraction must be in (0, 1), got {test_fraction}")
+    n_test = int(round(n * test_fraction))
+    if not 0 < n_test < n:
+        raise DataConfigError(f"test_fraction {test_fraction} of {n} rows leaves "
+                              f"{n - n_test} training and {n_test} test rows")
+    order = rng.permutation(n)
+    test_idx = np.sort(order[:n_test])
+    train_idx = np.sort(order[n_test:])
+    return x[train_idx], y[train_idx], x[test_idx], y[test_idx]
 
 
-def sample_sine(n: int, x_range=(-np.pi, np.pi), noise_sd: float = 0.0,
-                rng: np.random.Generator | None = None) -> Dataset:
-    """x uniform on [lo, hi], y = sin(x) + Gaussian(0, noise_sd)."""
+def sample_sine(n: int, x_range, noise_sd: float, rng: np.random.Generator):
+    """(x, y): x uniform on [lo, hi], y = sin(x) + Gaussian(0, noise_sd)."""
     lo, hi = x_range
     if n < 1:
         raise DataConfigError("n must be >= 1")
@@ -71,65 +50,56 @@ def sample_sine(n: int, x_range=(-np.pi, np.pi), noise_sd: float = 0.0,
         raise DataConfigError(f"invalid x range [{lo}, {hi}]")
     if noise_sd < 0:
         raise DataConfigError("noise_sd must be >= 0")
-    if rng is None:
-        raise DataConfigError("a seeded rng is required")
     x = rng.uniform(lo, hi, size=(n, 1))
     y = np.sin(x)
     if noise_sd > 0:
         y = y + rng.normal(0.0, noise_sd, size=y.shape)
-    return Dataset(features=tensor(x), targets=tensor(y),
-                   note=f"sine n={n} range=[{lo:g},{hi:g}] noise={noise_sd:g}")
+    return x, y
 
 
-def _two_classes(x0, x1, noise_sd: float, rng, note: str) -> Dataset:
-    """Class-0 points `x0` stacked over class-1 points `x1`, plus Gaussian
-    noise of scale noise_sd on every coordinate."""
+def _two_classes(x0, x1, noise_sd: float, rng):
+    """(x, labels): class-0 points `x0` stacked over class-1 points `x1`,
+    plus Gaussian noise of scale noise_sd on every coordinate."""
     x = np.vstack([x0, x1])
     labels = np.concatenate([np.zeros(len(x0), dtype=np.int64),
                              np.ones(len(x1), dtype=np.int64)])
     if noise_sd > 0:
         x = x + rng.normal(0.0, noise_sd, size=x.shape)
-    return Dataset(features=tensor(x), labels=labels, note=note)
+    return x, labels
 
 
-def make_moons(n: int, noise_sd: float = 0.0,
-               rng: np.random.Generator | None = None) -> Dataset:
-    """Two interleaved half-circle arcs.
+def make_moons(n: int, noise_sd: float, rng: np.random.Generator):
+    """Two interleaved half-circle arcs, as (x, labels).
 
     Class 0: (cos t, sin t), class 1: (1 - cos t, 0.5 - sin t), t uniform on
     [0, pi]; Gaussian noise of scale noise_sd on both coordinates.
     """
     if n < 2:
         raise DataConfigError("n must be >= 2")
-    if rng is None:
-        raise DataConfigError("a seeded rng is required")
     n0 = (n + 1) // 2
     n1 = n - n0
     t0 = rng.uniform(0.0, np.pi, size=n0)
     t1 = rng.uniform(0.0, np.pi, size=n1)
     upper = np.column_stack([np.cos(t0), np.sin(t0)])
     lower = np.column_stack([1.0 - np.cos(t1), 0.5 - np.sin(t1)])
-    return _two_classes(upper, lower, noise_sd, rng, f"moons n={n} noise={noise_sd:g}")
+    return _two_classes(upper, lower, noise_sd, rng)
 
 
-def make_circles(n: int, noise_sd: float = 0.0, factor: float = 0.5,
-                 rng: np.random.Generator | None = None) -> Dataset:
+def make_circles(n: int, noise_sd: float, factor: float, rng: np.random.Generator):
     """Outer unit circle (class 0) and inner circle of radius `factor`
-    (class 1), angles uniform, Gaussian noise on both coordinates."""
+    (class 1), as (x, labels); angles uniform, Gaussian noise on both
+    coordinates."""
     if n < 2:
         raise DataConfigError("n must be >= 2")
     if not 0.0 < factor < 1.0:
         raise DataConfigError(f"factor must be in (0, 1), got {factor}")
-    if rng is None:
-        raise DataConfigError("a seeded rng is required")
     n0 = (n + 1) // 2
     n1 = n - n0
     a0 = rng.uniform(0.0, 2.0 * np.pi, size=n0)
     a1 = rng.uniform(0.0, 2.0 * np.pi, size=n1)
     outer = np.column_stack([np.cos(a0), np.sin(a0)])
     inner = factor * np.column_stack([np.cos(a1), np.sin(a1)])
-    return _two_classes(outer, inner, noise_sd, rng,
-                        f"circles n={n} noise={noise_sd:g} factor={factor:g}")
+    return _two_classes(outer, inner, noise_sd, rng)
 
 
 # ---------------------------------------------------------------------------
@@ -165,26 +135,16 @@ def _read_idx(path, magic: int, dims: int) -> tuple[bytes, list[int]]:
     return buf, shape
 
 
-def _load_idx_images(path) -> np.ndarray:
-    buf, (count, rows, cols) = _read_idx(path, IDX_IMAGE_MAGIC, 3)
-    return np.frombuffer(buf, dtype=np.uint8, offset=16).reshape(count, rows * cols)
-
-
-def _load_idx_labels(path) -> np.ndarray:
-    buf, _ = _read_idx(path, IDX_LABEL_MAGIC, 1)
-    return np.frombuffer(buf, dtype=np.uint8, offset=8).astype(np.int64)
-
-
-def load_idx(images_path, labels_path) -> Dataset:
-    """Load an IDX image/label pair; pixels scaled to [0, 1], images
-    flattened row-major."""
-    images = _load_idx_images(images_path)
-    labels = _load_idx_labels(labels_path)
-    if images.shape[0] != labels.shape[0]:
-        raise IdxParseError(
-            f"item count mismatch: {images.shape[0]} images vs {labels.shape[0]} labels")
-    features = images.astype(np.float64) / 255.0
-    return Dataset(features=tensor(features), labels=labels, note=f"idx {images_path}")
+def load_idx(images_path, labels_path) -> tuple[np.ndarray, np.ndarray]:
+    """An IDX image/label pair as stored: (uint8 pixels, one row-major
+    flattened image per row; int64 labels)."""
+    buf, (count, rows, cols) = _read_idx(images_path, IDX_IMAGE_MAGIC, 3)
+    images = np.frombuffer(buf, dtype=np.uint8, offset=16).reshape(count, rows * cols)
+    buf, _ = _read_idx(labels_path, IDX_LABEL_MAGIC, 1)
+    labels = np.frombuffer(buf, dtype=np.uint8, offset=8).astype(np.int64)
+    if count != len(labels):
+        raise IdxParseError(f"item count mismatch: {count} images vs {len(labels)} labels")
+    return images, labels
 
 
 def write_idx_images(path, images: np.ndarray):
@@ -218,50 +178,21 @@ def _proportional(counts: np.ndarray, n: int) -> np.ndarray:
     return quotas
 
 
-def subsample(ds: Dataset, n_train: int, n_test: int, stratified: bool = False,
-              rng: np.random.Generator | None = None) -> Dataset:
-    """Seeded subset of `ds` with a recorded train/test split.
+def subsample(x: np.ndarray, labels: np.ndarray, n: int, rng: np.random.Generator):
+    """Seeded `n` rows of (x, labels) in class proportion, in row order.
 
-    With stratified=True the per-class proportions of `ds` are preserved in
-    both partitions (requires class labels); each partition's class counts
-    are rounded by largest remainder, so the totals are exact.
+    Each class gives its largest-remainder share of `n`, drawn by one
+    permutation of its rows, so the total is exact.
     """
-    if rng is None:
-        raise DataConfigError("a seeded rng is required")
-    if n_train + n_test > ds.n:
-        raise DataConfigError(
-            f"requested {n_train}+{n_test} rows but dataset has {ds.n}")
-    if stratified:
-        if ds.labels is None:
-            raise DataConfigError("stratified subsample requires class labels")
-        classes, counts = np.unique(ds.labels, return_counts=True)
-        take_train = _proportional(counts, n_train)
-        take_test = _proportional(counts, n_test)
-        short = take_train + take_test > counts
-        if np.any(short):
-            cls = classes[short][0]
-            raise DataConfigError(
-                f"class {cls} has {counts[short][0]} rows, too few for a "
-                f"proportional {n_train}/{n_test} train/test split")
-        train_parts, test_parts = [], []
-        for cls, n_tr, n_te in zip(classes, take_train, take_test):
-            cls_idx = np.flatnonzero(ds.labels == cls)
-            cls_idx = cls_idx[rng.permutation(len(cls_idx))]
-            train_parts.append(cls_idx[:n_tr])
-            test_parts.append(cls_idx[n_tr:n_tr + n_te])
-        train_idx = np.sort(np.concatenate(train_parts))
-        test_idx = np.sort(np.concatenate(test_parts))
-    else:
-        order = rng.permutation(ds.n)
-        train_idx = np.sort(order[:n_train])
-        test_idx = np.sort(order[n_train:n_train + n_test])
-    # the subset holds the train rows first, then the test rows
-    keep = np.concatenate([train_idx, test_idx])
-    return Dataset(
-        features=ds.features[keep].copy(),
-        targets=ds.targets[keep].copy() if ds.targets is not None else None,
-        labels=ds.labels[keep].copy() if ds.labels is not None else None,
-        train_idx=np.arange(len(train_idx)),
-        test_idx=np.arange(len(train_idx), len(keep)),
-        note=ds.note + f" | subsample train={n_train} test={n_test} stratified={stratified}",
-    )
+    if n > len(labels):
+        raise DataConfigError(f"requested {n} rows but the data have {len(labels)}")
+    classes, counts = np.unique(labels, return_counts=True)
+    # no quota exceeds its class: with n <= N rows, a class of c rows gets
+    # floor(n c / N), plus one only where n c / N has a fractional part, so
+    # at most ceil(n c / N) <= c
+    parts = []
+    for cls, take in zip(classes, _proportional(counts, n)):
+        cls_idx = np.flatnonzero(labels == cls)
+        parts.append(cls_idx[rng.permutation(len(cls_idx))][:take])
+    keep = np.sort(np.concatenate(parts))
+    return x[keep], labels[keep]

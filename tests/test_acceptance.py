@@ -161,9 +161,9 @@ def test_criterion_5_toy_classification(tmp_path):
     moons_ok = all(acc >= 0.95 for acc in summary.values())
 
     # noiseless circles are separable by radius; verify by brute force first
-    ds = make_circles(1000, 0.0, 0.5, make_rng(99))
-    radii = np.hypot(ds.features[:, 0], ds.features[:, 1])
-    assert radii[ds.labels == 0].min() > radii[ds.labels == 1].max()
+    x, labels = make_circles(1000, 0.0, 0.5, make_rng(99))
+    radii = np.hypot(x[:, 0], x[:, 1])
+    assert radii[labels == 0].min() > radii[labels == 1].max()
 
     raw = yaml.safe_load(default_config_text("circles"))
     raw["dataset"]["noise_sd"] = 0.0
@@ -249,8 +249,8 @@ def test_criterion_8_official_mnist_parses():
     paths = _mnist_paths()
     assert paths["train_images"].stat().st_size == 47040016
     assert paths["train_labels"].stat().st_size == 60008
-    train = load_idx(paths["train_images"], paths["train_labels"])
-    test = load_idx(paths["test_images"], paths["test_labels"])
-    ok = (train.n == 60000 and test.n == 10000
-          and train.features.shape[1] == 784 and test.features.shape[1] == 784)
+    train_images, train_labels = load_idx(paths["train_images"], paths["train_labels"])
+    test_images, test_labels = load_idx(paths["test_images"], paths["test_labels"])
+    ok = (train_images.shape == (60000, 784) and len(train_labels) == 60000
+          and test_images.shape == (10000, 784) and len(test_labels) == 10000)
     _report("criterion 8b: official MNIST parses to 60000/10000 x 784", ok)

@@ -18,6 +18,7 @@ from wendnet.bench import (
     _table_ordered,
 )
 from wendnet.cli import main
+from wendnet.datasets import write_idx_images, write_idx_labels
 
 
 def _read_csv(path):
@@ -72,6 +73,7 @@ def test_config_rejections():
         {"optimizer": {"kind": "sgd", "lr": 0.1, "momentum": float("nan")}},
         {"optimizer": {"kind": "adam", "beta1": None}},
         {"optimizer": {"kind": "adam", "beta2": [0.999]}},
+        {"dataset": [1]},
     ):
         raw = dict(base)
         raw.update(mutate)
@@ -245,20 +247,52 @@ def test_cli_usage_error():
     assert exc.value.code == 1
 
 
-@pytest.mark.parametrize("override", [
-    {"epochs": "abc"},
-    {"seed": -1},
-    {"optimizer": {"kind": "adam", "lr": "fast"}},
-    {"architecture": [1, True, 1]},
-    {"dataset": {"n": 20, "test_fraction": 1.0}},
-    {"dataset": {"n": 20, "test_fraction": 1.5}},
-], ids=["epochs", "seed", "lr", "architecture", "test_fraction-1", "test_fraction-1.5"])
-def test_cli_run_bad_config_value_exits_2(tmp_path, override):
-    raw = yaml.safe_load(default_config_text("sine"))
+@pytest.mark.parametrize("experiment, override", [
+    ("sine", {"epochs": "abc"}),
+    ("sine", {"seed": -1}),
+    ("sine", {"optimizer": {"kind": "adam", "lr": "fast"}}),
+    ("sine", {"architecture": [1, True, 1]}),
+    ("sine", {"dataset": {"test_fraction": 1.0}}),
+    ("sine", {"dataset": {"test_fraction": 1.5}}),
+    ("sine", {"dataset": {"test_fraction": 0}}),
+    ("sine", {"dataset": {"test_fraction": "abc"}}),
+    ("sine", {"dataset": {"n": "abc"}}),
+    ("sine", {"dataset": {"n": 1.5}}),
+    ("sine", {"dataset": {"n": True}}),
+    ("sine", {"dataset": {"noise_sd": [1]}}),
+    ("sine", {"dataset": {"grid_points": "abc"}}),
+    ("sine", {"dataset": [1]}),
+    ("moons", {"dataset": {"test_fraction": 0}}),
+    ("circles", {"dataset": {"factor": "x"}}),
+    ("mnist", {"dataset": {"n_train": "abc"}}),
+    ("mnist", {"dataset": {"n_train": 2.5}}),
+    ("mnist", {"dataset": {"n_test": 0}}),
+    ("mnist", {"dataset": {"train_images": 5}}),
+], ids=["epochs", "seed", "lr", "architecture", "test_fraction-1", "test_fraction-1.5",
+        "test_fraction-0", "test_fraction-abc", "n-abc", "n-1.5", "n-true",
+        "noise_sd-list", "grid_points-abc", "dataset-list", "moons-test_fraction-0",
+        "circles-factor", "mnist-n_train-abc", "mnist-n_train-2.5", "mnist-n_test-0",
+        "mnist-path-int"])
+def test_cli_run_bad_config_value_exits_2(tmp_path, experiment, override):
+    raw = yaml.safe_load(default_config_text(experiment))
     raw.update(epochs=1, activations=["tanh"], output_dir=str(tmp_path / "out"))
-    raw["dataset"]["n"] = 20
-    raw.update(override)
-    path = tmp_path / "sine.yaml"
+    if experiment == "mnist":
+        labels = np.tile(np.arange(10), 6).astype(np.uint8)
+        for part in ("train", "test"):
+            write_idx_images(tmp_path / f"{part}-images",
+                             np.zeros((len(labels), 28, 28), dtype=np.uint8))
+            write_idx_labels(tmp_path / f"{part}-labels", labels)
+            raw["dataset"][f"{part}_images"] = str(tmp_path / f"{part}-images")
+            raw["dataset"][f"{part}_labels"] = str(tmp_path / f"{part}-labels")
+        raw["dataset"].update(n_train=40, n_test=20)
+    else:
+        raw["dataset"]["n"] = 20
+    for key, value in override.items():
+        if isinstance(value, dict) and key == "dataset":
+            raw["dataset"].update(value)
+        else:
+            raw[key] = value
+    path = tmp_path / "config.yaml"
     path.write_text(yaml.safe_dump(raw))
     err = io.StringIO()
     with redirect_stderr(err), redirect_stdout(io.StringIO()):
@@ -281,7 +315,6 @@ def test_mnist_like_pipeline_on_synthetic_idx(tmp_path):
     # class-dependent pixel patterns, easily separable: exercises the whole
     # IDX -> stratified subsample -> MLP -> accuracy table pipeline
     from wendnet.bench import run_mnist_like
-    from wendnet.datasets import write_idx_images, write_idx_labels
     from wendnet.tensor import make_rng
 
     rng = make_rng(0)

@@ -1,4 +1,5 @@
-"""Dataset generators and the IDX loader."""
+"""Dataset generators, the IDX loader, the train/test split and the
+stratified subsample."""
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from wendnet.datasets import (
     make_circles,
     make_moons,
     sample_sine,
+    split,
     subsample,
     write_idx_images,
     write_idx_labels,
@@ -18,15 +20,15 @@ from wendnet.tensor import make_rng
 
 
 def test_sine_noiseless_on_curve():
-    ds = sample_sine(500, (-np.pi, np.pi), 0.0, make_rng(0))
-    np.testing.assert_allclose(ds.targets[:, 0], np.sin(ds.features[:, 0]), atol=0)
+    x, y = sample_sine(500, (-np.pi, np.pi), 0.0, make_rng(0))
+    np.testing.assert_allclose(y[:, 0], np.sin(x[:, 0]), atol=0)
 
 
 def test_sine_deterministic():
-    a = sample_sine(1000, (-1, 1), 0.1, make_rng(42))
-    b = sample_sine(1000, (-1, 1), 0.1, make_rng(42))
-    np.testing.assert_array_equal(a.features, b.features)
-    np.testing.assert_array_equal(a.targets, b.targets)
+    xa, ya = sample_sine(1000, (-1, 1), 0.1, make_rng(42))
+    xb, yb = sample_sine(1000, (-1, 1), 0.1, make_rng(42))
+    np.testing.assert_array_equal(xa, xb)
+    np.testing.assert_array_equal(ya, yb)
 
 
 def test_sine_invalid_range():
@@ -36,20 +38,20 @@ def test_sine_invalid_range():
         sample_sine(10, (-1, 1), -0.1, make_rng(0))
 
 
-@pytest.mark.parametrize("fraction", [1.0, 1.5, 0.99, -0.1, float("nan")])
+@pytest.mark.parametrize("fraction", [1.0, 1.5, 0.99, -0.1, float("nan"), 0.0, 0.01])
 def test_split_must_leave_training_rows(fraction):
-    # 0.99 of 20 rows rounds to 20 test rows
-    ds = sample_sine(20, (-1, 1), 0.0, make_rng(0))
+    # of 20 rows, 0.99 rounds to 20 test rows and 0.01 to none; both sides
+    # need at least one
+    x, y = sample_sine(20, (-1, 1), 0.0, make_rng(0))
     with pytest.raises(DataConfigError):
-        ds.split(fraction, make_rng(1))
+        split(x, y, fraction, make_rng(1))
 
 
 def test_moons_arc_endpoints():
     # noiseless points lie exactly on the two parameterized arcs
-    ds = make_moons(1000, 0.0, make_rng(1))
-    x = ds.features
-    upper = x[ds.labels == 0]
-    lower = x[ds.labels == 1]
+    x, labels = make_moons(1000, 0.0, make_rng(1))
+    upper = x[labels == 0]
+    lower = x[labels == 1]
     # upper arc: unit circle, y >= 0
     np.testing.assert_allclose(np.hypot(upper[:, 0], upper[:, 1]), 1.0, atol=1e-12)
     assert np.all(upper[:, 1] >= -1e-12)
@@ -64,33 +66,33 @@ def test_moons_arc_endpoints():
 
 def test_moons_class_balance():
     for n in (10, 11, 999):
-        ds = make_moons(n, 0.1, make_rng(2))
-        counts = np.bincount(ds.labels)
+        _, labels = make_moons(n, 0.1, make_rng(2))
+        counts = np.bincount(labels)
         assert abs(int(counts[0]) - int(counts[1])) <= 1
 
 
 def test_circles_noiseless_radii():
-    ds = make_circles(800, 0.0, factor=0.5, rng=make_rng(3))
-    radii = np.hypot(ds.features[:, 0], ds.features[:, 1])
-    np.testing.assert_allclose(radii[ds.labels == 0], 1.0, atol=1e-12)
-    np.testing.assert_allclose(radii[ds.labels == 1], 0.5, atol=1e-12)
+    x, labels = make_circles(800, 0.0, 0.5, make_rng(3))
+    radii = np.hypot(x[:, 0], x[:, 1])
+    np.testing.assert_allclose(radii[labels == 0], 1.0, atol=1e-12)
+    np.testing.assert_allclose(radii[labels == 1], 0.5, atol=1e-12)
     # separable in the radius feature with margin 0.5
-    assert radii[ds.labels == 0].min() - radii[ds.labels == 1].max() == pytest.approx(0.5, abs=1e-12)
+    assert radii[labels == 0].min() - radii[labels == 1].max() == pytest.approx(0.5, abs=1e-12)
 
 
 def test_circles_invalid_factor():
     for factor in (0.0, 1.0, -0.5, 2.0):
         with pytest.raises(DataConfigError):
-            make_circles(10, 0.0, factor=factor, rng=make_rng(0))
+            make_circles(10, 0.0, factor, make_rng(0))
 
 
 def test_generators_deterministic():
     for gen in (lambda r: make_moons(200, 0.2, r),
                 lambda r: make_circles(200, 0.1, 0.5, r)):
-        a = gen(make_rng(5))
-        b = gen(make_rng(5))
-        np.testing.assert_array_equal(a.features, b.features)
-        np.testing.assert_array_equal(a.labels, b.labels)
+        xa, la = gen(make_rng(5))
+        xb, lb = gen(make_rng(5))
+        np.testing.assert_array_equal(xa, xb)
+        np.testing.assert_array_equal(la, lb)
 
 
 # --- IDX format -------------------------------------------------------------
@@ -103,18 +105,18 @@ def test_idx_round_trip(tmp_path):
     lp = tmp_path / "lbls"
     write_idx_images(ip, images)
     write_idx_labels(lp, labels)
-    ds = load_idx(ip, lp)
-    np.testing.assert_array_equal(ds.features,
-                                  images.reshape(7, 25).astype(np.float64) / 255.0)
-    np.testing.assert_array_equal(ds.labels, labels.astype(np.int64))
+    pixels, loaded = load_idx(ip, lp)
+    assert pixels.dtype == np.uint8 and loaded.dtype == np.int64
+    np.testing.assert_array_equal(pixels, images.reshape(7, 25))
+    np.testing.assert_array_equal(loaded, labels.astype(np.int64))
 
 
 def test_idx_all_zero_images(tmp_path):
     write_idx_images(tmp_path / "imgs", np.zeros((2, 4, 4), dtype=np.uint8))
     write_idx_labels(tmp_path / "lbls", np.zeros(2, dtype=np.uint8))
-    ds = load_idx(tmp_path / "imgs", tmp_path / "lbls")
-    assert ds.features.shape == (2, 16)
-    assert np.all(ds.features == 0.0)
+    pixels, _ = load_idx(tmp_path / "imgs", tmp_path / "lbls")
+    assert pixels.shape == (2, 16)
+    assert np.all(pixels == 0)
 
 
 def test_idx_bad_magic(tmp_path):
@@ -148,57 +150,125 @@ def test_idx_count_mismatch(tmp_path):
 # --- subsampling ------------------------------------------------------------
 
 def _toy_labeled(n=100, classes=10):
-    rng = make_rng(7)
-    from wendnet.datasets import Dataset
     labels = np.tile(np.arange(classes), n // classes)
-    return Dataset(features=rng.standard_normal((n, 3)), labels=labels)
+    return make_rng(7).standard_normal((n, 3)), labels
 
 
 def test_subsample_full_permutation():
-    ds = _toy_labeled()
-    sub = subsample(ds, 100, 0, rng=make_rng(8))
-    assert sub.features.shape == ds.features.shape
-    assert sorted(map(tuple, sub.features)) == sorted(map(tuple, ds.features))
+    x, labels = _toy_labeled()
+    sub, sub_labels = subsample(x, labels, 100, make_rng(8))
+    # every row, in row order
+    np.testing.assert_array_equal(sub, x)
+    np.testing.assert_array_equal(sub_labels, labels)
 
 
 def test_subsample_stratified_balanced():
-    ds = _toy_labeled(n=1000, classes=10)
-    sub = subsample(ds, 100, 50, stratified=True, rng=make_rng(9))
-    train_labels = sub.labels[sub.train_idx]
-    assert np.all(np.bincount(train_labels, minlength=10) == 10)
-    test_labels = sub.labels[sub.test_idx]
-    assert np.all(np.bincount(test_labels, minlength=10) == 5)
-    assert len(np.intersect1d(sub.train_idx, sub.test_idx)) == 0
+    x, labels = _toy_labeled(n=1000, classes=10)
+    _, sub_labels = subsample(x, labels, 100, make_rng(9))
+    assert np.all(np.bincount(sub_labels, minlength=10) == 10)
 
 
 def test_subsample_deterministic():
-    ds = _toy_labeled(n=200)
-    a = subsample(ds, 50, 20, stratified=True, rng=make_rng(10))
-    b = subsample(ds, 50, 20, stratified=True, rng=make_rng(10))
-    np.testing.assert_array_equal(a.features, b.features)
-    np.testing.assert_array_equal(a.train_idx, b.train_idx)
+    x, labels = _toy_labeled(n=200)
+    a, la = subsample(x, labels, 50, make_rng(10))
+    b, lb = subsample(x, labels, 50, make_rng(10))
+    np.testing.assert_array_equal(a, b)
+    np.testing.assert_array_equal(la, lb)
 
 
 def test_subsample_insufficient_rows():
-    ds = _toy_labeled(n=100)
+    x, labels = _toy_labeled(n=100)
     with pytest.raises(DataConfigError):
-        subsample(ds, 90, 20, rng=make_rng(11))
+        subsample(x, labels, 110, make_rng(11))
 
 
 def test_subsample_stratified_keeps_proportions_and_counts():
-    from wendnet.datasets import Dataset
     labels = np.array([0] * 100 + [1] * 5)
-    ds = Dataset(features=make_rng(12).standard_normal((105, 2)), labels=labels)
-    sub = subsample(ds, 40, 20, stratified=True, rng=make_rng(13))
+    x = make_rng(12).standard_normal((105, 2))
+    _, sub_labels = subsample(x, labels, 40, make_rng(13))
     # 40 * 100/105 = 38.1 and 40 * 5/105 = 1.9: the spare row goes to class 1
-    assert np.bincount(sub.labels[sub.train_idx]).tolist() == [38, 2]
-    assert np.bincount(sub.labels[sub.test_idx]).tolist() == [19, 1]
-    assert len(np.intersect1d(sub.train_idx, sub.test_idx)) == 0
+    assert np.bincount(sub_labels).tolist() == [38, 2]
 
 
-def test_subsample_stratified_class_too_small():
-    from wendnet.datasets import Dataset
-    ds = Dataset(features=np.zeros((10, 2)), labels=np.array([0] * 9 + [1]))
-    # 5/5 rounds to five class-0 rows in each partition, but class 0 has 9
-    with pytest.raises(DataConfigError, match="class 0"):
-        subsample(ds, 5, 5, stratified=True, rng=make_rng(14))
+def test_subsample_quota_never_exceeds_its_class():
+    # a class of one row among many, and every n up to all rows
+    labels = np.array([0] * 9 + [1] + [2] * 3)
+    x = np.arange(len(labels), dtype=np.float64)[:, None]
+    for n in range(1, len(labels) + 1):
+        sub, sub_labels = subsample(x, labels, n, make_rng(n))
+        assert len(sub) == n
+        assert len(np.unique(sub)) == n  # no row drawn twice
+        assert np.all(np.bincount(sub_labels, minlength=3) <= np.bincount(labels))
+
+
+# --- the rows match the earlier Dataset-based split and subsample ------------
+
+def _reference_split_idx(n, test_fraction, rng):
+    """(train_idx, test_idx) as the earlier `Dataset.split` attached them."""
+    n_test = int(round(n * test_fraction))
+    order = rng.permutation(n)
+    return np.sort(order[n_test:]), np.sort(order[:n_test])
+
+
+def _reference_proportional(counts, n):
+    total = int(counts.sum())
+    quotas, remainders = np.divmod(n * counts, total)
+    order = np.argsort(-remainders, kind="stable")
+    quotas[order[:n - int(quotas.sum())]] += 1
+    return quotas
+
+
+def _reference_subsample_idx(labels, n_train, n_test, rng):
+    """(train_idx, test_idx) of the earlier two-partition stratified
+    `subsample`, as indices into the full data."""
+    classes, counts = np.unique(labels, return_counts=True)
+    take_train = _reference_proportional(counts, n_train)
+    take_test = _reference_proportional(counts, n_test)
+    assert np.all(take_train + take_test <= counts)
+    train_parts, test_parts = [], []
+    for cls, n_tr, n_te in zip(classes, take_train, take_test):
+        cls_idx = np.flatnonzero(labels == cls)
+        cls_idx = cls_idx[rng.permutation(len(cls_idx))]
+        train_parts.append(cls_idx[:n_tr])
+        test_parts.append(cls_idx[n_tr:n_tr + n_te])
+    return np.sort(np.concatenate(train_parts)), np.sort(np.concatenate(test_parts))
+
+
+@pytest.mark.parametrize("n, fraction", [(20, 0.3), (256, 0.3), (1000, 0.3),
+                                         (7, 0.5), (101, 0.01), (50, 0.98)])
+def test_split_picks_the_reference_rows(n, fraction):
+    x = make_rng(20).standard_normal((n, 2))
+    y = np.arange(n)
+    train_idx, test_idx = _reference_split_idx(n, fraction, make_rng(21))
+    x_train, y_train, x_test, y_test = split(x, y, fraction, make_rng(21))
+    np.testing.assert_array_equal(y_train, train_idx)
+    np.testing.assert_array_equal(y_test, test_idx)
+    np.testing.assert_array_equal(x_train, x[train_idx])
+    np.testing.assert_array_equal(x_test, x[test_idx])
+
+
+# a tenth of the per-class row counts of the official MNIST training file,
+# 5996 rows in all
+MNIST_TENTH = [592, 674, 595, 613, 584, 542, 591, 626, 585, 594]
+
+
+@pytest.mark.parametrize("counts, n", [
+    ([10] * 10, 40),
+    ([100, 5], 40),
+    (MNIST_TENTH, 1),
+    (MNIST_TENTH, 333),
+    (MNIST_TENTH, 1000),
+    (MNIST_TENTH, 5995),
+    (MNIST_TENTH, 5996),
+])
+def test_subsample_picks_the_reference_rows(counts, n):
+    # the studies drew with no test partition; with one, the train rows of
+    # the earlier subsample are the same
+    labels = np.repeat(np.arange(len(counts)), counts)
+    labels = labels[make_rng(22).permutation(len(labels))]
+    x = np.arange(len(labels), dtype=np.float64)[:, None] * 0.5
+    sub, sub_labels = subsample(x, labels, n, make_rng(23))
+    for n_test in (0, (len(labels) - n) // 2):
+        train_idx, _ = _reference_subsample_idx(labels, n, n_test, make_rng(23))
+        np.testing.assert_array_equal(sub, x[train_idx])
+        np.testing.assert_array_equal(sub_labels, labels[train_idx])

@@ -169,16 +169,10 @@ def test_forward_odd_symmetry(x):
 
 
 def test_forward_channel_norm_uses_slice_norm():
-    p = EnhancedWendlandParams(mode="channel", axis=-1)
+    p = EnhancedWendlandParams(mode="channel")
     x = np.array([[3.0, 4.0]])
     g = enhanced_radial(5.0, p)
     np.testing.assert_allclose(enhanced_forward(x, p), x * g, rtol=0, atol=1e-15)
-
-
-def test_forward_bad_axis():
-    p = EnhancedWendlandParams(mode="channel", axis=5)
-    with pytest.raises(ConfigError):
-        enhanced_forward(np.zeros((2, 2)), p)
 
 
 def test_forward_finite_for_large_inputs():
@@ -217,7 +211,7 @@ def test_backward_elementwise_matches_finite_differences():
 
 def test_backward_channel_jacobian_matches_finite_differences():
     rng = np.random.default_rng(29)
-    p = EnhancedWendlandParams(mode="channel", axis=-1)
+    p = EnhancedWendlandParams(mode="channel")
     for _ in range(20):
         x = rng.standard_normal((3, 4))
         up = rng.standard_normal((3, 4))
@@ -229,7 +223,7 @@ def test_backward_channel_jacobian_matches_finite_differences():
 
 
 def test_backward_channel_r_zero_guard():
-    p = EnhancedWendlandParams(mode="channel", axis=-1)
+    p = EnhancedWendlandParams(mode="channel")
     x = np.zeros((2, 3))
     up = np.ones((2, 3))
     dx, _ = enhanced_backward(x, up, p)
