@@ -14,7 +14,8 @@ and the enhanced Wendland radial profile is
 
 applied multiplicatively: y = x * g(r), where r is either |x| per element or
 the L2 norm of a feature slice.  Compact support of the Wendland component is
-exact: it is identically zero for r >= 1/a.
+exact: it is identically zero for r >= 1/a.  The strictly positive a and beta
+train as their logarithm, so no optimizer step can push them out of range.
 
 Derivative convention at non-differentiable points (ReLU family at 0,
 classical Wendland at the support boundary): the right derivative is used,
@@ -97,18 +98,6 @@ MODE_ELEMENTWISE = "elem"
 MODE_CHANNEL = "channel"
 
 _R_GUARD = 1e-12  # below this, a channel slice is treated as exactly radial-zero
-
-
-def to_unconstrained(value: float) -> float:
-    """Map a strictly positive coefficient to its unconstrained storage."""
-    if value <= 0:
-        raise ConfigError(f"positive coefficient required, got {value}")
-    return float(np.log(value))
-
-
-def from_unconstrained(raw: float) -> float:
-    """Inverse of :func:`to_unconstrained`; always strictly positive."""
-    return float(np.exp(raw))
 
 
 _COEFFS = ("alpha", "lam", "beta", "eps")  # the enhanced profile's coefficients
@@ -208,9 +197,8 @@ def _enhanced_profile(x: np.ndarray, p: EnhancedWendlandParams) -> _Profile:
 
 
 def _enhanced_grads(x, upstream, p: EnhancedWendlandParams, t: _Profile):
-    """(input gradient, coefficient gradients) of sum(upstream * x g(r)),
-    given the profile `t` of x.  Only the trainable coefficients' partials
-    are computed; the masked ones receive exactly 0.0."""
+    """(input gradient, gradients of the trainable coefficients) of
+    sum(upstream * x g(r)), given the profile `t` of x."""
     dg, partials = _profile_derivatives(p, t, p.trainable_names())
     if p.mode == MODE_ELEMENTWISE:
         dx = upstream * (t.g + t.r * dg)
@@ -221,10 +209,7 @@ def _enhanced_grads(x, upstream, p: EnhancedWendlandParams, t: _Profile):
         safe = t.r >= _R_GUARD
         ratio = np.where(safe, dg / np.where(safe, t.r, 1.0), 0.0)
         dx = upstream * t.g + x * (weight * ratio)
-    grads = dict.fromkeys(_COEFFS, 0.0)
-    for name, d in partials.items():
-        grads[name] = float(np.sum(weight * d))
-    return dx, grads
+    return dx, {name: float(np.sum(weight * d)) for name, d in partials.items()}
 
 
 def enhanced_radial(r, p: EnhancedWendlandParams):
@@ -258,7 +243,8 @@ def enhanced_backward(x, upstream, p: EnhancedWendlandParams):
     upstream = tensor(upstream)
     if upstream.shape != x.shape:
         raise ShapeError(f"upstream shape {upstream.shape} != input shape {x.shape}")
-    return _enhanced_grads(x, upstream, p, _enhanced_profile(x, p))
+    dx, trained = _enhanced_grads(x, upstream, p, _enhanced_profile(x, p))
+    return dx, {**dict.fromkeys(_COEFFS, 0.0), **trained}
 
 
 # ---------------------------------------------------------------------------
@@ -433,7 +419,6 @@ class Kind:
     trainable: tuple[str, ...] = ()
     partials: Callable | None = None    # (x, c) -> {trainable coeff: dy/dcoeff}
     kinks: Callable = lambda c: ()      # c -> the x where dy/dx jumps
-    log_coeffs: tuple[str, ...] = ()    # strictly positive, trained as their log
     check: Callable | None = None       # raises ConfigError on invalid coefficients
     summary: str = ""                   # list-activations text; derived when empty
     wendland: bool = False
@@ -464,27 +449,31 @@ class Kind:
         return f"{self.name}({body})"
 
     def initial(self, params) -> dict[str, float]:
-        """Natural-space values of the trainable coefficients in `params`."""
+        """The stored values of the trainable coefficients in `params`: what a
+        layer trains, and what `backward`'s gradients are taken against."""
         return {name: params[name] for name in self.trainable}
 
-    def bind(self, params, values: dict[str, float]):
-        """`params` with the trainable coefficients set to `values`."""
-        return {**params, **values}
+    def bind(self, params, stored: dict[str, float]):
+        """The full coefficient set: `params` with the trainable coefficients
+        taken from their stored values."""
+        return {**params, **stored}
 
     def report(self, c) -> dict[str, float]:
         """Coefficient values for the metrics output."""
         return dict(c)
 
     def forward(self, c, x, training, rng):
-        """(y, what `backward` needs besides c and x): here dy/dx."""
-        return baseline_eval(self.name, c, x, training, rng)
+        """(y, what `backward` needs besides c and x): here dy/dx.  RReLU
+        samples one slope per element from `rng` in training mode."""
+        return self.value(x, c, training, rng)
 
     def backward(self, c, x, dy, upstream):
-        """(input gradient, gradients of the trainable coefficients)."""
+        """(input gradient, gradients of the trainable coefficients' stored
+        values)."""
         if self.partials is None:
             return upstream * dy, {}
-        partials = baseline_param_grads(self.name, c, x)
-        return upstream * dy, {name: float(np.sum(upstream * d)) for name, d in partials.items()}
+        return upstream * dy, {name: float(np.sum(upstream * d))
+                               for name, d in self.partials(x, c).items()}
 
 
 # ewend text keys use "lambda"; the dataclass field for lambda is `lam`
@@ -496,7 +485,9 @@ _TRAIN_TOKENS = {"alpha": "train_alpha", "lambda": "train_lam",
 class _Enhanced(Kind):
     """The `ewend` record: its coefficients are one EnhancedWendlandParams,
     held in the spec as params["ewend"]; the train mask picks the trainable
-    ones."""
+    ones.  The strictly positive alpha and beta are stored as their log."""
+
+    _LOG = ("alpha", "beta")
 
     def parse(self, pairs: dict[str, str]) -> dict:
         kwargs: dict = {}
@@ -533,13 +524,15 @@ class _Enhanced(Kind):
 
     def initial(self, params) -> dict[str, float]:
         p = params["ewend"]
-        return {name: getattr(p, name) for name in p.trainable_names()}
+        return {name: float(np.log(getattr(p, name))) if name in self._LOG
+                else getattr(p, name) for name in p.trainable_names()}
 
-    def bind(self, params, values: dict[str, float]):
+    def bind(self, params, stored: dict[str, float]):
         # no range check here: the checks guard config text, and g(r) and its
         # partials hold for any real lambda and eps an optimizer reaches
         p = copy.copy(params["ewend"])
-        vars(p).update(values)
+        vars(p).update({name: float(np.exp(v)) if name in self._LOG else v
+                        for name, v in stored.items()})
         return p
 
     def report(self, p) -> dict[str, float]:
@@ -551,7 +544,11 @@ class _Enhanced(Kind):
         return x * t.g, t
 
     def backward(self, p, x, t, upstream):
-        return _enhanced_grads(x, upstream, p, t)
+        dx, grads = _enhanced_grads(x, upstream, p, t)
+        for name in self._LOG:
+            if name in grads:
+                grads[name] *= getattr(p, name)  # chain through value = exp(stored)
+        return dx, grads
 
 
 def _ewend_kinks(p):
@@ -566,7 +563,7 @@ KINDS: dict[str, Kind] = {rec.name: rec for rec in (
          summary="classical Wendland C2, no parameters", wendland=True),
     Kind("wc4", _radial(wendland_c4, wendland_c4_dr),
          summary="classical Wendland C4, no parameters", wendland=True),
-    _Enhanced("ewend", None, kinks=_ewend_kinks, log_coeffs=("alpha", "beta"),
+    _Enhanced("ewend", None, kinks=_ewend_kinks,
               summary="alpha=1 k=4 lambda=0.1 beta=1 eps=0.01 mode=elem|channel "
                       "train=alpha[|lambda|beta|eps]  (trainable: per train mask)",
               wendland=True),
@@ -589,29 +586,6 @@ KINDS: dict[str, Kind] = {rec.name: rec for rec in (
 
 ALL_KINDS = tuple(KINDS)
 BASELINE_KINDS = tuple(name for name, rec in KINDS.items() if not rec.wendland)
-
-
-def baseline_eval(kind: str, params: dict, x, training: bool = False,
-                  rng: np.random.Generator | None = None):
-    """Value and derivative of a baseline (or classical Wendland) activation.
-
-    Returns (y, dy/dx) evaluated elementwise.  RReLU samples one slope per
-    element from `rng` in training mode and uses the mean slope otherwise;
-    the returned derivative always matches the returned value.
-    """
-    rec = KINDS.get(kind)
-    if rec is None or rec.value is None:
-        raise ConfigError(f"unknown elementwise activation kind {kind!r}")
-    return rec.value(tensor(x), params, training, rng)
-
-
-def baseline_param_grads(kind: str, params: dict, x) -> dict[str, np.ndarray]:
-    """Elementwise partials of the activation output wrt its trainable
-    coefficients.  Kinds without trainable coefficients return {}."""
-    rec = KINDS.get(kind)
-    if rec is None or rec.value is None:
-        raise ConfigError(f"unknown elementwise activation kind {kind!r}")
-    return rec.partials(tensor(x), params) if rec.partials is not None else {}
 
 
 _SPEC_RE = re.compile(r"^\s*([A-Za-z][A-Za-z0-9]*)\s*(?:\((.*)\))?\s*$")

@@ -29,6 +29,19 @@ from .tensor import substream
 
 EXPERIMENTS = ("sine", "moons", "circles", "mnist", "fashion")
 
+_CONFIG_KEYS = ("schema_version", "experiment", "seed", "activations", "architecture",
+                "epochs", "batch_size", "repetitions", "optimizer", "output_dir", "dataset")
+_OPTIMIZER_NUMBERS = ("lr", "momentum", "beta1", "beta2")
+_IDX_KEYS = ("train_images", "train_labels", "test_images", "test_labels", "n_train", "n_test")
+# the `dataset` keys each experiment reads
+_DATASET_KEYS = {
+    "sine": ("n", "x_lo", "x_hi", "noise_sd", "test_fraction", "grid_points"),
+    "moons": ("n", "noise_sd", "test_fraction"),
+    "circles": ("n", "noise_sd", "factor", "test_fraction"),
+    "mnist": _IDX_KEYS,
+    "fashion": _IDX_KEYS,
+}
+
 # Table-1 row order from the activation comparison study; activations not in
 # this list keep their config order after these.
 TABLE_ORDER = ("relu", "relu6", "lrelu", "rrelu", "elu", "celu", "swish",
@@ -67,6 +80,11 @@ def _require(cond: bool, msg: str):
         raise ConfigError(msg)
 
 
+def _check_keys(section: dict, allowed, where: str):
+    unknown = set(section) - set(allowed)
+    _require(not unknown, f"unknown {where} keys: {sorted(str(k) for k in unknown)}")
+
+
 def _is_int(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
@@ -88,17 +106,15 @@ def _scalar(section: dict, key: str, default, least: int = 0, where: str = ""):
 
 
 def _check_optimizer(opt: dict):
+    _check_keys(opt, ("kind",) + _OPTIMIZER_NUMBERS, "optimizer")
     _require(opt.get("kind", "adam") in ("adam", "sgd"), "optimizer.kind must be adam or sgd")
-    for key in ("lr", "momentum", "beta1", "beta2"):
+    for key in _OPTIMIZER_NUMBERS:
         _scalar(opt, key, 0.0, where="optimizer.")  # an absent key takes its finite default
 
 
 def config_from_dict(raw: dict) -> ExperimentConfig:
     _require(isinstance(raw, dict), "config root must be a mapping")
-    unknown = set(raw) - {"schema_version", "experiment", "seed", "activations",
-                          "architecture", "epochs", "batch_size", "repetitions",
-                          "optimizer", "output_dir", "dataset"}
-    _require(not unknown, f"unknown config keys: {sorted(unknown)}")
+    _check_keys(raw, _CONFIG_KEYS, "config")
     _require(raw.get("schema_version", 1) == 1, "unsupported schema_version")
     experiment = raw.get("experiment")
     _require(experiment in EXPERIMENTS,
@@ -119,6 +135,7 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
     _check_optimizer(optimizer)
     dataset = raw.get("dataset") or {}
     _require(isinstance(dataset, dict), "dataset must be a mapping")
+    _check_keys(dataset, _DATASET_KEYS[experiment], "dataset")
     return ExperimentConfig(
         experiment=experiment,
         seed=_scalar(raw, "seed", 0),

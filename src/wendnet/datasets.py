@@ -60,6 +60,8 @@ def sample_sine(n: int, x_range, noise_sd: float, rng: np.random.Generator):
 def _two_classes(x0, x1, noise_sd: float, rng):
     """(x, labels): class-0 points `x0` stacked over class-1 points `x1`,
     plus Gaussian noise of scale noise_sd on every coordinate."""
+    if noise_sd < 0:
+        raise DataConfigError("noise_sd must be >= 0")
     x = np.vstack([x0, x1])
     labels = np.concatenate([np.zeros(len(x0), dtype=np.int64),
                              np.ones(len(x1), dtype=np.int64)])

@@ -2,9 +2,8 @@
 optimizers and a deterministic training loop.
 
 Trainable activation coefficients live alongside the dense weights in the
-same parameter store and are updated by the same optimizer step.  Strictly
-positive coefficients (the enhanced Wendland alpha and beta) are stored in
-unconstrained log space, so no optimizer step can push them out of range.
+same parameter store and are updated by the same optimizer step; how each
+coefficient is stored is up to its activation kind.
 """
 
 from __future__ import annotations
@@ -62,57 +61,45 @@ class Dense:
 
 class ActivationLayer:
     """Applies one ActivationSpec; owns an independent copy of any trainable
-    coefficients for this layer.  The kind's log-stored coefficients are
-    trained as their logarithm."""
+    coefficients for this layer, held as its kind stores them."""
 
     def __init__(self, spec: act.ActivationSpec, name: str = "act"):
         self.spec = spec
         self.name = name
         self._kind = act.KINDS[spec.kind]
-        self._log = self._kind.log_coeffs
-        self._params: dict[str, Param] = {}
-        for coeff, value in self._kind.initial(spec.params).items():
-            if coeff in self._log:
-                value = act.to_unconstrained(value)
-            self._params[coeff] = Param(f"{name}.{coeff}", np.asarray(value))
-        self._fixed = self._kind.bind(spec.params, {})  # used when nothing is trainable
+        self._params = {coeff: Param(f"{name}.{coeff}", np.asarray(stored))
+                        for coeff, stored in self._kind.initial(spec.params).items()}
         self._cache = None
 
     def params(self) -> list[Param]:
         return list(self._params.values())
 
     def _coefficients(self):
-        """(natural values of the trainable coefficients, full coefficient set)."""
-        values = {}
-        for coeff, param in self._params.items():
-            v = float(param.value)
-            values[coeff] = act.from_unconstrained(v) if coeff in self._log else v
-        return values, self._kind.bind(self.spec.params, values)
+        """The full coefficient set at the current stored values."""
+        return self._kind.bind(self.spec.params, {coeff: float(param.value)
+                                                  for coeff, param in self._params.items()})
 
     def current_coefficients(self) -> dict[str, float]:
         """Coefficient values in natural space, for metrics reporting."""
-        return self._kind.report(self._coefficients()[1])
+        return self._kind.report(self._coefficients())
 
     def kinks(self) -> tuple[float, ...]:
         """Inputs at which the activation's first derivative jumps."""
-        return self._kind.kinks(self._coefficients()[1])
+        return self._kind.kinks(self._coefficients())
 
     def forward(self, x: np.ndarray, training: bool, rng) -> np.ndarray:
-        values, c = self._coefficients() if self._params else (None, self._fixed)
+        c = self._coefficients()
         y, aux = self._kind.forward(c, x, training, rng)
-        self._cache = (values, c, x, aux)
+        self._cache = (c, x, aux)
         return y
 
     def backward(self, upstream: np.ndarray) -> np.ndarray:
         if self._cache is None:
             raise RuntimeError("backward called before forward")
-        values, c, x, aux = self._cache
+        c, x, aux = self._cache
         dx, grads = self._kind.backward(c, x, aux, upstream)
         for coeff, param in self._params.items():
-            g = grads[coeff]
-            if coeff in self._log:
-                g *= values[coeff]  # chain through value = exp(raw)
-            param.grad += g
+            param.grad += grads[coeff]
         return dx
 
 

@@ -1,19 +1,23 @@
-"""Baseline activation registry: values, derivatives, parameter schema, and
-the canonical text encoding."""
+"""The activation registry: values and derivatives through each kind's
+record, parameter schema, the canonical text encoding, and properties that
+hold for every kind."""
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from wendnet.activations import (
     ALL_KINDS,
     BASELINE_KINDS,
+    KINDS,
     ConfigError,
-    baseline_eval,
-    baseline_param_grads,
     format_activation,
     parse_activation,
 )
-from wendnet.tensor import make_rng, relative_error
+from wendnet.network import ActivationLayer
+from wendnet.tensor import finite_diff_check, make_rng, relative_error
 
 
 def _defaults(kind):
@@ -21,31 +25,50 @@ def _defaults(kind):
     return spec.params
 
 
+def _forward(kind, c, x, training=False, rng=None):
+    """(y, aux) of `kind` at coefficients `c`; aux is dy/dx for every kind
+    but ewend."""
+    return KINDS[kind].forward(c, np.asarray(x, dtype=np.float64), training, rng)
+
+
+def _coefficients(text):
+    """The record of the activation `text` and its full coefficient set."""
+    spec = parse_activation(text)
+    rec = KINDS[spec.kind]
+    return rec, rec.bind(spec.params, {})
+
+
+def _derivative(rec, c, x):
+    """dy/dx of an elementwise activation, through the record's backward."""
+    _, aux = rec.forward(c, x, False, None)
+    return rec.backward(c, x, aux, np.ones_like(x))[0]
+
+
 def test_relu_values():
-    y, dy = baseline_eval("relu", {}, np.array([-3.0, 0.0, 2.0]))
+    y, dy = _forward("relu", {}, [-3.0, 0.0, 2.0])
     np.testing.assert_array_equal(y, [0.0, 0.0, 2.0])
     np.testing.assert_array_equal(dy, [0.0, 1.0, 1.0])  # right derivative at 0
 
 
 def test_elu_continuous_at_origin():
-    y, dy = baseline_eval("elu", {"alpha": 1.0}, np.array([0.0]))
+    y, dy = _forward("elu", {"alpha": 1.0}, [0.0])
     assert y[0] == 0.0
     assert dy[0] == 1.0
     h = 1e-9
-    yl, _ = baseline_eval("elu", {"alpha": 1.0}, np.array([-h]))
-    yr, _ = baseline_eval("elu", {"alpha": 1.0}, np.array([h]))
+    yl, _ = _forward("elu", {"alpha": 1.0}, [-h])
+    yr, _ = _forward("elu", {"alpha": 1.0}, [h])
     assert abs(yl[0] / -h - 1.0) < 1e-6 and abs(yr[0] / h - 1.0) < 1e-6
 
 
 def test_sinlu_zero_at_origin():
     for a, b in [(1.0, 1.0), (0.3, 2.0), (5.0, 0.1)]:
-        y, _ = baseline_eval("sinlu", {"a": a, "b": b}, np.array([0.0]))
+        y, _ = _forward("sinlu", {"a": a, "b": b}, [0.0])
         assert y[0] == 0.0
 
 
 def test_frelu_matches_formula():
     x = np.array([-1.0, 0.5, 2.0])
-    y, _ = baseline_eval("frelu", {"alpha": 2.0}, x)
+    y, _ = _forward("frelu", {"alpha": 2.0}, x)
     sig = 1.0 / (1.0 + np.exp(-2.0 * x))
     np.testing.assert_allclose(y, x * sig, atol=1e-15)
 
@@ -53,20 +76,20 @@ def test_frelu_matches_formula():
 def test_gelu_values():
     # f(x) = x * Phi(x) with the exact normal CDF
     x = np.array([-1.0, 0.0, 1.0])
-    y, _ = baseline_eval("gelu", {}, x)
+    y, _ = _forward("gelu", {}, x)
     from scipy.stats import norm
     np.testing.assert_allclose(y, x * norm.cdf(x), atol=1e-12)
 
 
 def test_relu6_saturates():
-    y, dy = baseline_eval("relu6", {}, np.array([-1.0, 3.0, 7.0]))
+    y, dy = _forward("relu6", {}, [-1.0, 3.0, 7.0])
     np.testing.assert_array_equal(y, [0.0, 3.0, 6.0])
     np.testing.assert_array_equal(dy, [0.0, 1.0, 0.0])
 
 
 def test_srelu_piecewise():
     p = _defaults("srelu")
-    y, dy = baseline_eval("srelu", p, np.array([-2.0, 0.0, 2.0]))
+    y, dy = _forward("srelu", p, [-2.0, 0.0, 2.0])
     assert y[0] == pytest.approx(p["tl"] + p["al"] * (-2.0 - p["tl"]))
     assert y[1] == 0.0
     assert y[2] == pytest.approx(p["tr"] + p["ar"] * (2.0 - p["tr"]))
@@ -76,13 +99,13 @@ def test_srelu_piecewise():
 def test_rrelu_training_vs_eval():
     x = np.full(1000, -1.0)
     p = _defaults("rrelu")
-    y_eval, dy_eval = baseline_eval("rrelu", p, x, training=False)
+    y_eval, dy_eval = _forward("rrelu", p, x, training=False)
     mean_slope = 0.5 * (p["lo"] + p["hi"])
     np.testing.assert_allclose(y_eval, -mean_slope, atol=1e-15)
     np.testing.assert_allclose(dy_eval, mean_slope, atol=1e-15)
 
     rng = make_rng(8)
-    y_tr, dy_tr = baseline_eval("rrelu", p, x, training=True, rng=rng)
+    y_tr, dy_tr = _forward("rrelu", p, x, training=True, rng=rng)
     slopes = -y_tr
     assert np.all((slopes >= p["lo"]) & (slopes <= p["hi"]))
     assert slopes.std() > 0.01
@@ -91,12 +114,12 @@ def test_rrelu_training_vs_eval():
 
 def test_rrelu_training_requires_rng():
     with pytest.raises(ConfigError):
-        baseline_eval("rrelu", _defaults("rrelu"), np.zeros(2), training=True)
+        _forward("rrelu", _defaults("rrelu"), np.zeros(2), training=True)
 
 
 def test_unknown_kind_rejected():
     with pytest.raises(ConfigError):
-        baseline_eval("mystery", {}, np.zeros(1))
+        parse_activation("mystery")
     with pytest.raises(ConfigError):
         parse_activation("mystery(1)")
 
@@ -104,47 +127,43 @@ def test_unknown_kind_rejected():
 @pytest.mark.parametrize("kind", ALL_KINDS)
 def test_finite_everywhere(kind):
     x = np.array([-1e6, -100.0, -1.0, 0.0, 1.0, 100.0, 1e6])
-    params = _defaults(kind)
-    if kind == "ewend":
-        return  # covered by the enhanced-forward tests
-    y, dy = baseline_eval(kind, params, x)
-    assert np.all(np.isfinite(y)) and np.all(np.isfinite(dy))
+    rec, c = _coefficients(kind)
+    y, aux = rec.forward(c, x, False, None)
+    dx, grads = rec.backward(c, x, aux, np.ones_like(x))
+    assert np.all(np.isfinite(y)) and np.all(np.isfinite(dx))
+    assert all(np.isfinite(g) for g in grads.values())
 
 
-_KINKS = {
-    "relu": (0.0,), "relu6": (0.0, 6.0), "lrelu": (0.0,), "prelu": (0.0,),
-    "rrelu": (0.0,), "elu": (0.0,), "celu": (0.0,),
-    "srelu": (-1.0, 1.0), "wc0": (-1.0, 0.0, 1.0),
-}
-
-
-@pytest.mark.parametrize("kind", [k for k in ALL_KINDS if k != "ewend"])
+@pytest.mark.parametrize("kind", ALL_KINDS)
 def test_derivative_matches_finite_differences(kind):
     rng = make_rng(9)
-    params = _defaults(kind)
+    rec, c = _coefficients(kind)
     x = rng.uniform(-3.0, 3.0, size=1000)
-    for kink in _KINKS.get(kind, ()):
+    for kink in rec.kinks(c):
         x = x[np.abs(x - kink) > 1e-4]
     h = 1e-6
-    yp, _ = baseline_eval(kind, params, x + h)
-    ym, _ = baseline_eval(kind, params, x - h)
-    _, dy = baseline_eval(kind, params, x)
-    assert relative_error(dy, (yp - ym) / (2 * h)) < 1e-6
+    yp, _ = rec.forward(c, x + h, False, None)
+    ym, _ = rec.forward(c, x - h, False, None)
+    assert relative_error(_derivative(rec, c, x), (yp - ym) / (2 * h)) < 1e-6
 
 
 def test_trainable_param_grads_match_finite_differences():
     rng = make_rng(10)
     x = rng.uniform(-3.0, 3.0, size=200)
+    up = rng.standard_normal(200)
     for kind in ("prelu", "sinlu", "frelu"):
         params = dict(_defaults(kind))
-        grads = baseline_param_grads(kind, params, x)
+        y, dy = _forward(kind, params, x)
+        _, grads = KINDS[kind].backward(params, x, dy, up)
+        assert set(grads) == set(KINDS[kind].trainable)
         for name in grads:
             h = 1e-6
             hi = dict(params); hi[name] += h
             lo = dict(params); lo[name] -= h
-            yp, _ = baseline_eval(kind, hi, x)
-            ym, _ = baseline_eval(kind, lo, x)
-            assert relative_error(grads[name], (yp - ym) / (2 * h)) < 1e-6, (kind, name)
+            yp, _ = _forward(kind, hi, x)
+            ym, _ = _forward(kind, lo, x)
+            numeric = float(np.sum(up * (yp - ym))) / (2 * h)
+            assert relative_error(grads[name], numeric) < 1e-6, (kind, name)
 
 
 _TRAINABLE_BY_DEFAULT = {"prelu": 1, "sinlu": 2, "frelu": 1, "ewend": 1}
@@ -197,3 +216,103 @@ def test_parse_errors_name_the_problem():
 def test_every_kind_is_listed():
     assert len(BASELINE_KINDS) == 14
     assert set(ALL_KINDS) == set(BASELINE_KINDS) | {"wc0", "wc2", "wc4", "ewend"}
+
+
+# --- properties of every kind, through its record ---------------------------
+
+@st.composite
+def _spec_texts(draw, kind):
+    """Text of `kind` with random valid coefficients, each written as %g
+    gives it, so that formatting the parsed spec reproduces it exactly."""
+    def number(lo, hi):
+        return f"{draw(st.floats(lo, hi)):g}"
+
+    if kind == "ewend":
+        train = draw(st.lists(st.sampled_from(("alpha", "lambda", "beta", "eps")), unique=True))
+        pairs = {"alpha": number(0.25, 4.0), "k": str(draw(st.integers(1, 8))),
+                 "lambda": number(0.0, 0.5), "beta": number(0.25, 4.0),
+                 "eps": number(0.0, 0.1), "mode": draw(st.sampled_from(("elem", "channel"))),
+                 "train": "|".join(train)}
+    else:
+        # every default scaled by its own factor; rrelu needs lo <= hi
+        pairs = {key: f"{default * draw(st.floats(0.5, 2.0)):g}"
+                 for key, default in KINDS[kind].defaults.items()}
+        if kind == "rrelu":
+            pairs["lo"], pairs["hi"] = sorted(pairs.values(), key=float)
+    body = ",".join(f"{key}={value}" for key, value in pairs.items())
+    return f"{kind}({body})" if body else kind
+
+
+_PROPERTY_SETTINGS = settings(max_examples=30, deadline=None)
+
+
+@pytest.mark.parametrize("kind", ALL_KINDS)
+@_PROPERTY_SETTINGS
+@given(data=st.data())
+def test_parse_format_round_trip_on_random_coefficients(kind, data):
+    spec = parse_activation(data.draw(_spec_texts(kind)))
+    assert parse_activation(format_activation(spec)) == spec
+
+
+@pytest.mark.parametrize("kind", ALL_KINDS)
+@_PROPERTY_SETTINGS
+@given(data=st.data())
+def test_finite_values_and_gradients_on_finite_inputs(kind, data):
+    rec, c = _coefficients(data.draw(_spec_texts(kind)))
+    x = data.draw(arrays(np.float64, (3, 4), elements=st.floats(-1e6, 1e6)))
+    y, aux = rec.forward(c, x, data.draw(st.booleans()), make_rng(0))
+    dx, grads = rec.backward(c, x, aux, np.ones_like(x))
+    assert np.all(np.isfinite(y)) and np.all(np.isfinite(dx))
+    assert all(np.isfinite(g) for g in grads.values())
+
+
+def _kink_gap(layer, x):
+    """Distance from the listed kinks of the variable they lie on: the slice
+    norm for channel-mode ewend, each element otherwise."""
+    kinks = layer.kinks()
+    if not kinks:
+        return np.inf
+    channel = layer.spec.kind == "ewend" and layer.spec.params["ewend"].mode == "channel"
+    at = np.sqrt(np.sum(x * x, axis=-1)) if channel else x
+    return min(float(np.abs(at - kink).min()) for kink in kinks)
+
+
+@pytest.mark.parametrize("kind", ALL_KINDS)
+@_PROPERTY_SETTINGS
+@given(data=st.data())
+def test_layer_gradients_match_finite_differences(kind, data):
+    layer = ActivationLayer(parse_activation(data.draw(_spec_texts(kind))))
+    rng = make_rng(data.draw(st.integers(0, 2**32 - 1)))
+    x = rng.uniform(-3.0, 3.0, size=(3, 4))
+    assume(_kink_gap(layer, x) > 1e-3)
+    up = rng.standard_normal(x.shape)
+    params = layer.params()
+
+    def f(vec):
+        for param, stored in zip(params, vec):
+            param.value[...] = stored
+        return float(np.sum(up * layer.forward(vec[len(params):].reshape(x.shape), False, None)))
+
+    base = np.concatenate([[float(p.value) for p in params], x.ravel()])
+    f(base)
+    dx = layer.backward(up)
+    analytic = np.concatenate([[float(p.grad) for p in params], dx.ravel()])
+    assert finite_diff_check(f, base, lambda v: analytic @ v, probes=20, rng=rng) < 1e-6
+
+
+_EDGE_CASES = list(ALL_KINDS) + [f"ewend(alpha={a},k={k})" for k in range(1, 9) for a in (0.5, 2)]
+
+
+@pytest.mark.parametrize("text", _EDGE_CASES)
+def test_derivative_continuous_away_from_listed_kinks(text):
+    # a kink missing from `kinks()` shows up here as a jump in dy/dx, not as
+    # a gradient check that fails for some seeds only; the support edges of
+    # wc2, wc4 and ewend with k >= 2 are smooth points and stay in the grid
+    rec, c = _coefficients(text)
+    edges = [1.0] + ([1.0 / c.alpha] if rec.name == "ewend" else [])
+    x = np.concatenate([np.linspace(-8.0, 8.0, 1601), [0.0], edges, np.negative(edges)])
+    for kink in rec.kinks(c):
+        x = x[np.abs(x - kink) > 1e-3]
+    delta = 1e-8
+    left, right = _derivative(rec, c, x - delta), _derivative(rec, c, x + delta)
+    assert np.max(np.abs(left - right)) < 1e-3

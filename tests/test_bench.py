@@ -74,6 +74,10 @@ def test_config_rejections():
         {"optimizer": {"kind": "adam", "beta1": None}},
         {"optimizer": {"kind": "adam", "beta2": [0.999]}},
         {"dataset": [1]},
+        {"dataset": {"nosie_sd": 0.05}},
+        {"dataset": {"factor": 0.5}},
+        {"optimizer": {"kind": "adam", "lrr": 0.5}},
+        {1: 2, "surprise_key": 1},
     ):
         raw = dict(base)
         raw.update(mutate)
@@ -268,11 +272,18 @@ def test_cli_usage_error():
     ("mnist", {"dataset": {"n_train": 2.5}}),
     ("mnist", {"dataset": {"n_test": 0}}),
     ("mnist", {"dataset": {"train_images": 5}}),
+    ("moons", {"dataset": {"noise_sd": -0.2}}),
+    ("circles", {"dataset": {"noise_sd": -0.2}}),
+    ("moons", {"dataset": {"nosie_sd": 0.3}}),
+    ("sine", {"dataset": {"factor": 0.5}}),
+    ("mnist", {"dataset": {"test_fraction": 0.3}}),
+    ("moons", {"optimizer": {"kind": "adam", "lrr": 0.5}}),
 ], ids=["epochs", "seed", "lr", "architecture", "test_fraction-1", "test_fraction-1.5",
         "test_fraction-0", "test_fraction-abc", "n-abc", "n-1.5", "n-true",
         "noise_sd-list", "grid_points-abc", "dataset-list", "moons-test_fraction-0",
         "circles-factor", "mnist-n_train-abc", "mnist-n_train-2.5", "mnist-n_test-0",
-        "mnist-path-int"])
+        "mnist-path-int", "moons-noise_sd-negative", "circles-noise_sd-negative",
+        "moons-misspelt-key", "sine-circles-key", "mnist-toy-key", "optimizer-misspelt-key"])
 def test_cli_run_bad_config_value_exits_2(tmp_path, experiment, override):
     raw = yaml.safe_load(default_config_text(experiment))
     raw.update(epochs=1, activations=["tanh"], output_dir=str(tmp_path / "out"))

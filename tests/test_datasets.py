@@ -86,6 +86,14 @@ def test_circles_invalid_factor():
             make_circles(10, 0.0, factor, make_rng(0))
 
 
+def test_two_class_generators_reject_negative_noise():
+    # as sample_sine does; a negative scale used to be read as no noise
+    for gen in (lambda r: make_moons(10, -0.2, r),
+                lambda r: make_circles(10, -0.2, 0.5, r)):
+        with pytest.raises(DataConfigError, match="noise_sd"):
+            gen(make_rng(0))
+
+
 def test_generators_deterministic():
     for gen in (lambda r: make_moons(200, 0.2, r),
                 lambda r: make_circles(200, 0.1, 0.5, r)):
