@@ -13,9 +13,10 @@ and the enhanced Wendland radial profile is
     g(r) = (1 - a r)_+^k (k a r + 1) + lam * r + eps * exp(-beta * r)
 
 applied multiplicatively: y = x * g(r), where r is either |x| per element or
-the L2 norm of a feature slice.  Compact support of the Wendland component is
-exact: it is identically zero for r >= 1/a.  The strictly positive a and beta
-train as their logarithm, so no optimizer step can push them out of range.
+the L2 norm of a feature slice; the record KINDS["ewend"] is the one way to
+apply it to an input.  Compact support of the Wendland component is exact: it
+is identically zero for r >= 1/a.  The strictly positive a and beta train as
+their logarithm, so no optimizer step can push them out of range.
 
 Derivative convention at non-differentiable points (ReLU family at 0,
 classical Wendland at the support boundary): the right derivative is used,
@@ -31,8 +32,6 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 from scipy.special import erf
-
-from .tensor import ShapeError, tensor
 
 
 class DomainError(ValueError):
@@ -109,9 +108,9 @@ class EnhancedWendlandParams:
 
     alpha is the inverse support radius (the Wendland bump vanishes at
     r = 1/alpha), k the polynomial degree, lam the linear-term slope, beta the
-    exponential decay rate and eps the exponential scale.  By default only
-    alpha is trainable; the other coefficients can be unlocked through the
-    train_* flags.
+    exponential decay rate and eps the exponential scale.  `train` names the
+    trainable coefficients by field, kept in (alpha, lam, beta, eps) order; by
+    default only alpha is trainable.
     """
 
     alpha: float = 1.0
@@ -119,10 +118,7 @@ class EnhancedWendlandParams:
     lam: float = 0.1
     beta: float = 1.0
     eps: float = 0.01
-    train_alpha: bool = True
-    train_lam: bool = False
-    train_beta: bool = False
-    train_eps: bool = False
+    train: tuple[str, ...] = ("alpha",)
     mode: str = MODE_ELEMENTWISE
 
     def __post_init__(self):
@@ -138,9 +134,10 @@ class EnhancedWendlandParams:
             raise ConfigError(f"epsilon must be >= 0, got {self.eps}")
         if self.mode not in (MODE_ELEMENTWISE, MODE_CHANNEL):
             raise ConfigError(f"mode must be {MODE_ELEMENTWISE!r} or {MODE_CHANNEL!r}")
-
-    def trainable_names(self) -> tuple[str, ...]:
-        return tuple(name for name in _COEFFS if getattr(self, f"train_{name}"))
+        unknown = set(self.train) - set(_COEFFS)
+        if unknown:
+            raise ConfigError(f"train names unknown coefficients {sorted(unknown)}")
+        self.train = tuple(name for name in _COEFFS if name in self.train)
 
 
 class _Profile(NamedTuple):
@@ -188,30 +185,6 @@ def _profile_derivatives(p: EnhancedWendlandParams, t: _Profile, names):
     return dg, {name: _PARTIALS[name](p, t, pk1) for name in names}
 
 
-def _enhanced_profile(x: np.ndarray, p: EnhancedWendlandParams) -> _Profile:
-    """The profile at r = |x| per element, or in channel mode at the norm over
-    the last axis."""
-    if p.mode == MODE_ELEMENTWISE:
-        return _profile(np.abs(x), p)
-    return _profile(np.sqrt(np.sum(x * x, axis=-1, keepdims=True)), p)
-
-
-def _enhanced_grads(x, upstream, p: EnhancedWendlandParams, t: _Profile):
-    """(input gradient, gradients of the trainable coefficients) of
-    sum(upstream * x g(r)), given the profile `t` of x."""
-    dg, partials = _profile_derivatives(p, t, p.trainable_names())
-    if p.mode == MODE_ELEMENTWISE:
-        dx = upstream * (t.g + t.r * dg)
-        weight = upstream * x
-    else:
-        weight = np.sum(upstream * x, axis=-1, keepdims=True)
-        # cross term x_i x_j g'(r)/r; at r ~ 0 the term vanishes in the limit
-        safe = t.r >= _R_GUARD
-        ratio = np.where(safe, dg / np.where(safe, t.r, 1.0), 0.0)
-        dx = upstream * t.g + x * (weight * ratio)
-    return dx, {name: float(np.sum(weight * d)) for name, d in partials.items()}
-
-
 def enhanced_radial(r, p: EnhancedWendlandParams):
     """g(r) = (1-ar)_+^k (kar+1) + lam*r + eps*exp(-beta*r), for r >= 0."""
     return _profile(_check_radius(r), p).g
@@ -225,26 +198,6 @@ def enhanced_radial_dr(r, p: EnhancedWendlandParams):
 def enhanced_radial_dparams(r, p: EnhancedWendlandParams) -> dict[str, np.ndarray]:
     """Partials of g(r) with respect to (alpha, lam, beta, eps)."""
     return _profile_derivatives(p, _profile(_check_radius(r), p), _COEFFS)[1]
-
-
-def enhanced_forward(x, p: EnhancedWendlandParams) -> np.ndarray:
-    """y = x * g(r); r = |x| per element, or the last-axis norm in channel mode."""
-    x = tensor(x)
-    return x * _enhanced_profile(x, p).g
-
-
-def enhanced_backward(x, upstream, p: EnhancedWendlandParams):
-    """Gradients of sum(upstream * enhanced_forward(x, p)).
-
-    Returns (input gradient, coefficient gradients).  Coefficients masked as
-    non-trainable receive exactly 0.0.
-    """
-    x = tensor(x)
-    upstream = tensor(upstream)
-    if upstream.shape != x.shape:
-        raise ShapeError(f"upstream shape {upstream.shape} != input shape {x.shape}")
-    dx, trained = _enhanced_grads(x, upstream, p, _enhanced_profile(x, p))
-    return dx, {**dict.fromkeys(_COEFFS, 0.0), **trained}
 
 
 # ---------------------------------------------------------------------------
@@ -476,15 +429,14 @@ class Kind:
                                for name, d in self.partials(x, c).items()}
 
 
-# ewend text keys use "lambda"; the dataclass field for lambda is `lam`
-_EWEND_KEYS = ("alpha", "k", "lambda", "beta", "eps", "mode", "train")
-_TRAIN_TOKENS = {"alpha": "train_alpha", "lambda": "train_lam",
-                 "beta": "train_beta", "eps": "train_eps"}
+# ewend text key (and train token) -> EnhancedWendlandParams field
+_EWEND_FIELDS = {"alpha": "alpha", "k": "k", "lambda": "lam", "beta": "beta",
+                 "eps": "eps", "mode": "mode", "train": "train"}
 
 
 class _Enhanced(Kind):
     """The `ewend` record: its coefficients are one EnhancedWendlandParams,
-    held in the spec as params["ewend"]; the train mask picks the trainable
+    held in the spec as params["ewend"]; its `train` tuple names the trainable
     ones.  The strictly positive alpha and beta are stored as their log."""
 
     _LOG = ("alpha", "beta")
@@ -492,30 +444,29 @@ class _Enhanced(Kind):
     def parse(self, pairs: dict[str, str]) -> dict:
         kwargs: dict = {}
         for key, raw in pairs.items():
-            if key not in _EWEND_KEYS:
+            if key not in _EWEND_FIELDS:
                 raise ConfigError(f"ewend: unknown parameter {key!r}")
-            if key == "mode":
+            name = _EWEND_FIELDS[key]
+            if name == "mode":
                 kwargs["mode"] = raw.lower()
-            elif key == "train":
+            elif name == "train":
                 tokens = [t for t in raw.lower().split("|") if t]
-                for flag in _TRAIN_TOKENS.values():
-                    kwargs[flag] = False
                 for t in tokens:
-                    if t not in _TRAIN_TOKENS:
+                    if _EWEND_FIELDS.get(t) not in _COEFFS:
                         raise ConfigError(f"ewend: unknown train token {t!r}")
-                    kwargs[_TRAIN_TOKENS[t]] = True
-            elif key == "k":
+                kwargs["train"] = tuple(_EWEND_FIELDS[t] for t in tokens)
+            elif name == "k":
                 val = _parse_number(self.name, key, raw)
                 if val != int(val):
                     raise ConfigError(f"ewend: k must be an integer, got {raw!r}")
                 kwargs["k"] = int(val)
             else:
-                kwargs["lam" if key == "lambda" else key] = _parse_number(self.name, key, raw)
+                kwargs[name] = _parse_number(self.name, key, raw)
         return {"ewend": EnhancedWendlandParams(**kwargs)}
 
     def format(self, params) -> str:
         p: EnhancedWendlandParams = params["ewend"]
-        train = "|".join(t for t, f in _TRAIN_TOKENS.items() if getattr(p, f))
+        train = "|".join(t for t, name in _EWEND_FIELDS.items() if name in p.train)
         parts = [f"alpha={p.alpha:g}", f"k={p.k}", f"lambda={p.lam:g}",
                  f"beta={p.beta:g}", f"eps={p.eps:g}", f"mode={p.mode}"]
         if train != "alpha":
@@ -525,7 +476,7 @@ class _Enhanced(Kind):
     def initial(self, params) -> dict[str, float]:
         p = params["ewend"]
         return {name: float(np.log(getattr(p, name))) if name in self._LOG
-                else getattr(p, name) for name in p.trainable_names()}
+                else getattr(p, name) for name in p.train}
 
     def bind(self, params, stored: dict[str, float]):
         # no range check here: the checks guard config text, and g(r) and its
@@ -539,12 +490,28 @@ class _Enhanced(Kind):
         return {"alpha": p.alpha, "lambda": p.lam, "beta": p.beta, "eps": p.eps}
 
     def forward(self, p, x, training, rng):
-        # the profile is what backward needs; the layer caches it as aux
-        t = _enhanced_profile(x, p)
+        # r = |x| per element, or in channel mode the norm over the last axis;
+        # the profile is what backward needs, and the layer caches it as aux
+        if p.mode == MODE_ELEMENTWISE:
+            t = _profile(np.abs(x), p)
+        else:
+            t = _profile(np.sqrt(np.sum(x * x, axis=-1, keepdims=True)), p)
         return x * t.g, t
 
     def backward(self, p, x, t, upstream):
-        dx, grads = _enhanced_grads(x, upstream, p, t)
+        """(input gradient, gradients of the trainable coefficients' stored
+        values) of sum(upstream * x g(r)), given the profile `t` of x."""
+        dg, partials = _profile_derivatives(p, t, p.train)
+        if p.mode == MODE_ELEMENTWISE:
+            dx = upstream * (t.g + t.r * dg)
+            weight = upstream * x
+        else:
+            weight = np.sum(upstream * x, axis=-1, keepdims=True)
+            # cross term x_i x_j g'(r)/r; at r ~ 0 the term vanishes in the limit
+            safe = t.r >= _R_GUARD
+            ratio = np.where(safe, dg / np.where(safe, t.r, 1.0), 0.0)
+            dx = upstream * t.g + x * (weight * ratio)
+        grads = {name: float(np.sum(weight * d)) for name, d in partials.items()}
         for name in self._LOG:
             if name in grads:
                 grads[name] *= getattr(p, name)  # chain through value = exp(stored)

@@ -206,7 +206,7 @@ def _metric_rows(cfg: ExperimentConfig, act_text: str, rep: int,
 
 
 def _train_one(cfg: ExperimentConfig, spec: ActivationSpec, rep: int,
-               data: tuple, loss_kind: str, classification: bool):
+               data: tuple, loss_kind: str):
     """Train one (activation, repetition) job on `data`, the study's
     (x_train, y_train, x_test, y_test)."""
     act_text = format_activation(spec)
@@ -224,15 +224,29 @@ def _train_one(cfg: ExperimentConfig, spec: ActivationSpec, rep: int,
     records = train(
         net, x_train, y_train, loss_kind, optimizer,
         epochs=cfg.epochs, batch_size=cfg.batch_size, rng=train_rng,
-        x_test=x_test, y_test=y_test, classification=classification)
+        x_test=x_test, y_test=y_test)
     return net, records
 
 
 def _run_jobs(cfg: ExperimentConfig, data: tuple, loss_kind: str,
-              classification: bool, keep) -> list[tuple[str, list]]:
+              keep) -> list[tuple[str, list]]:
     """Train every (activation, repetition) job of `cfg` on `data` and write
     metrics.csv.  Returns, per activation, its text encoding and
     `keep(rep, net, records)` of each repetition."""
+    # the architecture must fit the data: one input per feature column, and
+    # one output per target column (mse) or per class up to the largest label
+    x_train, y_train, _, y_test = data
+    first, last = cfg.architecture[0], cfg.architecture[-1]
+    _require(first == x_train.shape[1],
+             f"architecture starts at {first} but the data has "
+             f"{x_train.shape[1]} feature column(s)")
+    if loss_kind == "mse":
+        _require(last == y_train.shape[1],
+                 f"architecture ends at {last} but the data has "
+                 f"{y_train.shape[1]} target column(s)")
+    else:
+        top = int(max(y_train.max(), y_test.max()))
+        _require(last > top, f"architecture ends at {last} but the labels go up to {top}")
     results: list[tuple[str, list]] = []
     mf, mwriter = _open_csv(Path(cfg.output_dir) / "metrics.csv", cfg, METRIC_COLUMNS)
     with mf:
@@ -240,7 +254,7 @@ def _run_jobs(cfg: ExperimentConfig, data: tuple, loss_kind: str,
             act_text = format_activation(spec)
             kept = []
             for rep in range(cfg.repetitions):
-                net, records = _train_one(cfg, spec, rep, data, loss_kind, classification)
+                net, records = _train_one(cfg, spec, rep, data, loss_kind)
                 for row in _metric_rows(cfg, act_text, rep, records):
                     mwriter.writerow(row)
                 kept.append(keep(rep, net, records))
@@ -292,7 +306,7 @@ def run_sine(cfg: ExperimentConfig) -> list[Path]:
         ok = not records or records[-1].status == "ok"
         return (net.forward(grid) if ok else np.full_like(grid, np.nan))[:, 0]
 
-    pred_cols = [(text, kept[0]) for text, kept in _run_jobs(cfg, data, "mse", False, predict)]
+    pred_cols = [(text, kept[0]) for text, kept in _run_jobs(cfg, data, "mse", predict)]
     out = Path(cfg.output_dir)
     pf, pwriter = _open_csv(out / "predictions.csv", cfg,
                             ["x", "sin_x"] + [f"pred_{name}" for name, _ in pred_cols])
@@ -321,7 +335,7 @@ def run_toy_classification(cfg: ExperimentConfig) -> list[Path]:
     standard deviation over repetitions)."""
     _require(cfg.experiment in ("moons", "circles"),
              "config is not a toy classification experiment")
-    results = _run_jobs(cfg, _toy_dataset(cfg), "xent", True,
+    results = _run_jobs(cfg, _toy_dataset(cfg), "xent",
                         lambda rep, net, records: records)
     out = Path(cfg.output_dir)
     sf, swriter = _open_csv(out / "summary.csv", cfg,
@@ -370,7 +384,7 @@ def run_mnist_like(cfg: ExperimentConfig) -> list[Path]:
         images, labels = subsample(images, labels, n, substream(cfg.seed, "subsample", part))
         data += [images.astype(np.float64) / 255.0, labels]
 
-    results = _run_jobs(cfg, tuple(data), "xent", True, lambda rep, net, records: records)
+    results = _run_jobs(cfg, tuple(data), "xent", lambda rep, net, records: records)
     finals = [(act_text, [r.test_accuracy for r in _completed(runs)])
               for act_text, runs in results]
     by_text = {text: float(np.mean(accs)) if accs else None for text, accs in finals}

@@ -36,6 +36,16 @@ class _Parser(argparse.ArgumentParser):
         sys.exit(EXIT_USAGE)
 
 
+def _at_least(least: int):
+    """argparse type: an integer >= `least`; anything else is a usage error."""
+    def integer(text: str) -> int:
+        value = int(text)
+        if value < least:
+            raise argparse.ArgumentTypeError(f"must be >= {least}, got {value}")
+        return value
+    return integer
+
+
 def _build_parser() -> _Parser:
     parser = _Parser(prog="wendnet",
                      description="Wendland activation benchmark harness")
@@ -46,8 +56,8 @@ def _build_parser() -> _Parser:
     run_p.add_argument("config", help="path to a YAML experiment config")
 
     gc_p = sub.add_parser("grad-check", help="gradient-check every activation kind")
-    gc_p.add_argument("--seed", type=int, default=0)
-    gc_p.add_argument("--probes", type=int, default=200)
+    gc_p.add_argument("--seed", type=_at_least(0), default=0)
+    gc_p.add_argument("--probes", type=_at_least(1), default=200)
 
     sub.add_parser("list-activations", help="print activation kinds and parameter schemas")
 

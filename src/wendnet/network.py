@@ -291,12 +291,13 @@ class EpochRecord:
 
 def train(net: Network, x_train, y_train, loss_kind: str, optimizer,
           epochs: int, batch_size: int, rng: np.random.Generator,
-          x_test=None, y_test=None, classification: bool = False) -> list[EpochRecord]:
+          x_test=None, y_test=None) -> list[EpochRecord]:
     """Mini-batch training with a seeded per-epoch shuffle.
 
-    Returns one record per epoch.  On a non-finite loss or gradient the loop
-    stops and the final record carries status="diverged" with the offending
-    epoch number.
+    Returns one record per epoch; with test data, each record carries the
+    test loss, and under "xent" the test accuracy too.  On a non-finite loss
+    or gradient the loop stops and the final record carries status="diverged"
+    with the offending epoch number.
     """
     x_train = tensor(x_train)
     n = x_train.shape[0]
@@ -338,7 +339,7 @@ def train(net: Network, x_train, y_train, loss_kind: str, optimizer,
         if x_test is not None:
             pred = net.forward(tensor(x_test), training=False)
             rec.test_loss, _ = eval_loss(loss_kind, pred, np.asarray(y_test))
-            if classification:
+            if loss_kind == "xent":
                 rec.test_accuracy = float(np.mean(pred.argmax(axis=1) == np.asarray(y_test)))
         rec.seconds = time.monotonic() - t0
         records.append(rec)

@@ -207,6 +207,10 @@ def test_parse_errors_name_the_problem():
         parse_activation("lrelu(slope=abc)")
     with pytest.raises(ConfigError, match="bogus"):
         parse_activation("ewend(bogus=1)")
+    # train tokens are the text names; "lam" is a field name, not a token
+    for token in ("gamma", "lam", "mode"):
+        with pytest.raises(ConfigError, match=token):
+            parse_activation(f"ewend(train=alpha|{token})")
     with pytest.raises(ConfigError):
         parse_activation("wc2(x=1)")
     with pytest.raises(ConfigError):

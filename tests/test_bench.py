@@ -278,12 +278,17 @@ def test_cli_usage_error():
     ("sine", {"dataset": {"factor": 0.5}}),
     ("mnist", {"dataset": {"test_fraction": 0.3}}),
     ("moons", {"optimizer": {"kind": "adam", "lrr": 0.5}}),
+    ("sine", {"architecture": [2, 8, 1]}),
+    ("sine", {"architecture": [1, 8, 2]}),
+    ("moons", {"architecture": [2, 8, 1]}),
+    ("mnist", {"architecture": [784, 16, 5]}),
 ], ids=["epochs", "seed", "lr", "architecture", "test_fraction-1", "test_fraction-1.5",
         "test_fraction-0", "test_fraction-abc", "n-abc", "n-1.5", "n-true",
         "noise_sd-list", "grid_points-abc", "dataset-list", "moons-test_fraction-0",
         "circles-factor", "mnist-n_train-abc", "mnist-n_train-2.5", "mnist-n_test-0",
         "mnist-path-int", "moons-noise_sd-negative", "circles-noise_sd-negative",
-        "moons-misspelt-key", "sine-circles-key", "mnist-toy-key", "optimizer-misspelt-key"])
+        "moons-misspelt-key", "sine-circles-key", "mnist-toy-key", "optimizer-misspelt-key",
+        "sine-input-width", "sine-output-width", "moons-output-width", "mnist-output-width"])
 def test_cli_run_bad_config_value_exits_2(tmp_path, experiment, override):
     raw = yaml.safe_load(default_config_text(experiment))
     raw.update(epochs=1, activations=["tanh"], output_dir=str(tmp_path / "out"))
@@ -370,6 +375,28 @@ def test_cli_grad_check_non_finite_error_fails(monkeypatch):
     with redirect_stdout(out):
         assert main(["grad-check", "--probes", "2"]) == 3
     assert out.getvalue().splitlines()[0].split()[-2:] == ["inf", "FAIL"]
+
+
+@pytest.mark.parametrize("args", [["--probes", "0"], ["--probes", "-3"],
+                                  ["--seed", "-1"], ["--probes", "abc"]])
+def test_cli_grad_check_rejects_bad_counts(args):
+    # a check with no probes would print "ok" for every kind having checked nothing
+    err = io.StringIO()
+    with pytest.raises(SystemExit) as exc, redirect_stderr(err), redirect_stdout(io.StringIO()):
+        main(["grad-check", *args])
+    assert exc.value.code == 1
+    assert args[0] in err.getvalue()
+
+
+def test_toy_classifier_wider_than_its_labels_runs(tmp_path):
+    raw = yaml.safe_load(default_config_text("moons"))
+    raw.update(epochs=1, activations=["tanh"], architecture=[2, 16, 3],
+               output_dir=str(tmp_path / "out"))
+    raw["dataset"]["n"] = 20
+    path = tmp_path / "config.yaml"
+    path.write_text(yaml.safe_dump(raw))
+    with redirect_stdout(io.StringIO()):
+        assert main(["run", str(path)]) == 0
 
 
 def test_cli_grad_check_small():

@@ -1,5 +1,5 @@
 """Enhanced Wendland activation: radial profile, derivatives, forward and
-backward passes, compact support, and coefficient masking."""
+backward passes through its record, compact support, and the train mask."""
 
 import itertools
 import math
@@ -15,20 +15,31 @@ from wendnet.activations import (
     ConfigError,
     DomainError,
     EnhancedWendlandParams,
-    enhanced_backward,
-    enhanced_forward,
     enhanced_radial,
     enhanced_radial_dparams,
     enhanced_radial_dr,
+    format_activation,
+    parse_activation,
 )
 from wendnet.network import ActivationLayer
 from wendnet.tensor import relative_error
 
 DEFAULTS = EnhancedWendlandParams()
+EWEND = KINDS["ewend"]
+_COEFFS = ("alpha", "lam", "beta", "eps")
 
 
-def fd(fun, x, h=1e-6):
-    return (fun(x + h) - fun(x - h)) / (2 * h)
+def _forward(p, x):
+    """y = x g(r) through the ewend record."""
+    return EWEND.forward(p, np.asarray(x, dtype=np.float64), False, None)[0]
+
+
+def _backward(p, x, up):
+    """(input gradient, gradients of the trainable coefficients' stored
+    values) of sum(up * y), through the ewend record."""
+    x = np.asarray(x, dtype=np.float64)
+    _, profile = EWEND.forward(p, x, False, None)
+    return EWEND.backward(p, x, profile, np.asarray(up, dtype=np.float64))
 
 
 # --- radial profile ---------------------------------------------------------
@@ -151,11 +162,11 @@ def test_boundary_first_derivative_continuity():
 def test_forward_zero_input():
     for mode in ("elem", "channel"):
         p = EnhancedWendlandParams(mode=mode)
-        assert np.all(enhanced_forward(np.zeros((3, 4)), p) == 0.0)
+        assert np.all(_forward(p, np.zeros((3, 4))) == 0.0)
 
 
 def test_forward_value_at_one():
-    y = enhanced_forward(np.array([1.0]), DEFAULTS)
+    y = _forward(DEFAULTS, np.array([1.0]))
     assert y[0] == pytest.approx(1.0 * enhanced_radial(1.0, DEFAULTS), abs=1e-15)
 
 
@@ -163,23 +174,23 @@ def test_forward_value_at_one():
 @given(st.floats(min_value=-1e6, max_value=1e6, allow_nan=False))
 def test_forward_odd_symmetry(x):
     xa = np.array([x])
-    assert enhanced_forward(-xa, DEFAULTS) == pytest.approx(-enhanced_forward(xa, DEFAULTS))
+    assert _forward(DEFAULTS, -xa) == pytest.approx(-_forward(DEFAULTS, xa))
 
 
 def test_forward_channel_norm_uses_slice_norm():
     p = EnhancedWendlandParams(mode="channel")
     x = np.array([[3.0, 4.0]])
     g = enhanced_radial(5.0, p)
-    np.testing.assert_allclose(enhanced_forward(x, p), x * g, rtol=0, atol=1e-15)
+    np.testing.assert_allclose(_forward(p, x), x * g, rtol=0, atol=1e-15)
 
 
 def test_forward_finite_for_large_inputs():
     x = np.array([-1e6, -1.0, 0.0, 1.0, 1e6])
     for mode in ("elem", "channel"):
         p = EnhancedWendlandParams(mode=mode)
-        y = enhanced_forward(x, p)
+        y = _forward(p, x)
         assert np.all(np.isfinite(y))
-        dx, grads = enhanced_backward(x, np.ones_like(x), p)
+        dx, grads = _backward(p, x, np.ones_like(x))
         assert np.all(np.isfinite(dx))
         assert all(np.isfinite(v) for v in grads.values())
 
@@ -188,7 +199,7 @@ def test_forward_finite_for_large_inputs():
 
 def test_backward_at_zero_input():
     x = np.zeros(5)
-    dx, _ = enhanced_backward(x, np.ones(5), DEFAULTS)
+    dx, _ = _backward(DEFAULTS, x, np.ones(5))
     np.testing.assert_allclose(dx, np.full(5, 1.0 + DEFAULTS.eps), atol=1e-15)
 
 
@@ -197,13 +208,13 @@ def test_backward_elementwise_matches_finite_differences():
     x = rng.uniform(-3.0, 3.0, size=1000)
     x = x[np.abs(np.abs(x) - 1.0 / DEFAULTS.alpha) > 1e-4]
     up = rng.standard_normal(x.shape)
-    dx, _ = enhanced_backward(x, up, DEFAULTS)
+    dx, _ = _backward(DEFAULTS, x, up)
     h = 1e-6
     for i in rng.choice(len(x), size=100, replace=False):
         xp, xm = x.copy(), x.copy()
         xp[i] += h
         xm[i] -= h
-        numeric = np.sum(up * (enhanced_forward(xp, DEFAULTS) - enhanced_forward(xm, DEFAULTS))) / (2 * h)
+        numeric = np.sum(up * (_forward(DEFAULTS, xp) - _forward(DEFAULTS, xm))) / (2 * h)
         assert relative_error(dx[i], numeric) < 1e-6
 
 
@@ -213,10 +224,10 @@ def test_backward_channel_jacobian_matches_finite_differences():
     for _ in range(20):
         x = rng.standard_normal((3, 4))
         up = rng.standard_normal((3, 4))
-        dx, _ = enhanced_backward(x, up, p)
+        dx, _ = _backward(p, x, up)
         v = rng.standard_normal((3, 4))
         h = 1e-6
-        numeric = np.sum(up * (enhanced_forward(x + h * v, p) - enhanced_forward(x - h * v, p))) / (2 * h)
+        numeric = np.sum(up * (_forward(p, x + h * v) - _forward(p, x - h * v))) / (2 * h)
         assert relative_error(float(np.sum(dx * v)), numeric) < 1e-6
 
 
@@ -224,43 +235,37 @@ def test_backward_channel_r_zero_guard():
     p = EnhancedWendlandParams(mode="channel")
     x = np.zeros((2, 3))
     up = np.ones((2, 3))
-    dx, _ = enhanced_backward(x, up, p)
+    dx, _ = _backward(p, x, up)
     np.testing.assert_allclose(dx, np.full((2, 3), enhanced_radial(0.0, p)), atol=1e-15)
 
 
 def test_backward_param_grads_match_finite_differences():
+    # gradients are taken against the stored values: the log of alpha and beta
     rng = np.random.default_rng(31)
     x = rng.uniform(-2.0, 2.0, size=50)
     up = rng.standard_normal(50)
-    p = EnhancedWendlandParams(train_alpha=True, train_lam=True,
-                               train_beta=True, train_eps=True)
-    _, grads = enhanced_backward(x, up, p)
-    base = dict(alpha=p.alpha, lam=p.lam, beta=p.beta, eps=p.eps)
-    for name in base:
+    params = {"ewend": EnhancedWendlandParams(train=_COEFFS)}
+    stored = EWEND.initial(params)
+    _, grads = _backward(EWEND.bind(params, stored), x, up)
+    assert set(grads) == set(_COEFFS)
+    for name in grads:
         def at(v):
-            d = dict(base)
-            d[name] = v
-            q = EnhancedWendlandParams(k=p.k, **d)
-            return float(np.sum(up * enhanced_forward(x, q)))
+            return float(np.sum(up * _forward(EWEND.bind(params, {**stored, name: v}), x)))
         h = 1e-6
-        numeric = (at(base[name] + h) - at(base[name] - h)) / (2 * h)
+        numeric = (at(stored[name] + h) - at(stored[name] - h)) / (2 * h)
         assert relative_error(grads[name], numeric) < 1e-6, name
 
 
-def test_backward_masked_coefficients_get_zero_gradient():
+def test_backward_returns_only_trainable_coefficients():
     rng = np.random.default_rng(37)
     x = rng.standard_normal(20)
     up = rng.standard_normal(20)
-    _, grads = enhanced_backward(x, up, DEFAULTS)  # only alpha trainable
-    assert grads["lam"] == 0.0
-    assert grads["beta"] == 0.0
-    assert grads["eps"] == 0.0
+    _, grads = _backward(DEFAULTS, x, up)  # only alpha trainable
+    assert set(grads) == {"alpha"}
     assert grads["alpha"] != 0.0
-
-
-def test_backward_shape_mismatch():
-    with pytest.raises(Exception):
-        enhanced_backward(np.zeros(3), np.zeros(4), DEFAULTS)
+    for train in ((), ("lam", "eps"), ("beta",), _COEFFS):
+        _, grads = _backward(EnhancedWendlandParams(train=train), x, up)
+        assert tuple(grads) == train
 
 
 # --- parameter type ---------------------------------------------------------
@@ -268,7 +273,7 @@ def test_backward_shape_mismatch():
 def test_positivity_reparameterization_round_trip():
     rec = KINDS["ewend"]
     for v in (1e-6, 0.25, 1.0, 4.0, 1e6):
-        params = {"ewend": EnhancedWendlandParams(alpha=v, beta=v, train_beta=True)}
+        params = {"ewend": EnhancedWendlandParams(alpha=v, beta=v, train=("alpha", "beta"))}
         stored = rec.initial(params)
         assert stored == pytest.approx({"alpha": math.log(v), "beta": math.log(v)}, abs=1e-14)
         back = rec.bind(params, stored)
@@ -279,10 +284,19 @@ def test_positivity_reparameterization_round_trip():
 @pytest.mark.parametrize("kwargs", [
     {"alpha": 0.0}, {"alpha": -1.0}, {"beta": 0.0}, {"k": 0}, {"k": 9},
     {"k": 2.5}, {"lam": -0.1}, {"eps": -1e-9}, {"mode": "nope"},
+    {"train": ("gamma",)}, {"train": ("lambda",)}, {"train": ("alpha", "k")},
 ])
 def test_invalid_params_rejected(kwargs):
     with pytest.raises(ConfigError):
         EnhancedWendlandParams(**kwargs)
+
+
+def test_train_is_kept_in_coefficient_order():
+    spec = parse_activation("ewend(train=eps|alpha)")
+    assert spec.params["ewend"].train == ("alpha", "eps")
+    assert format_activation(spec) == \
+        "ewend(alpha=1,k=4,lambda=0.1,beta=1,eps=0.01,mode=elem,train=alpha|eps)"
+    assert EnhancedWendlandParams(train=("eps", "lam", "eps")).train == ("lam", "eps")
 
 
 # --- the layer kernel against the separate closed forms -----------------------
@@ -353,7 +367,6 @@ def _straddling_input(rng, edge, mode):
     return rows * radii[:, None]
 
 
-_TRAIN_FLAGS = ("train_alpha", "train_lam", "train_beta", "train_eps")
 _LOG_STORED = ("alpha", "beta")  # trained as their logarithm
 _REPORT_KEYS = {"alpha": "alpha", "lam": "lambda", "beta": "beta", "eps": "eps"}
 
@@ -363,15 +376,15 @@ _REPORT_KEYS = {"alpha": "alpha", "lam": "lambda", "beta": "beta", "eps": "eps"}
 def test_layer_matches_textbook_closed_forms_bit_for_bit(k, mode):
     rng = np.random.default_rng(500 + k)
     for mask in itertools.product((False, True), repeat=4):
-        flags = dict(zip(_TRAIN_FLAGS, mask))
+        train = tuple(name for name, on in zip(_COEFFS, mask) if on)
         spec_p = EnhancedWendlandParams(alpha=rng.uniform(0.3, 3.0), k=k, lam=0.07,
                                         beta=rng.uniform(0.3, 3.0), eps=0.02,
-                                        mode=mode, **flags)
+                                        mode=mode, train=train)
         layer = ActivationLayer(ActivationSpec("ewend", {"ewend": spec_p}))
         # the layer's natural-space values: log-stored ones may move by an ulp
         c = layer.current_coefficients()
         p = EnhancedWendlandParams(alpha=c["alpha"], k=k, lam=c["lambda"], beta=c["beta"],
-                                   eps=c["eps"], mode=mode, **flags)
+                                   eps=c["eps"], mode=mode, train=train)
         x = _straddling_input(rng, 1.0 / p.alpha, mode)
         up = rng.standard_normal(x.shape)
         y_ref, dx_ref, grads_ref = _textbook_layer(x, up, p)
@@ -379,16 +392,13 @@ def test_layer_matches_textbook_closed_forms_bit_for_bit(k, mode):
         np.testing.assert_array_equal(layer.forward(x, training=True, rng=None), y_ref)
         np.testing.assert_array_equal(layer.backward(up), dx_ref)
         trained = {param.name.split(".")[-1]: float(param.grad) for param in layer.params()}
-        assert set(trained) == set(p.trainable_names())
-        for coeff, grad in trained.items():
-            value = c[_REPORT_KEYS[coeff]]
-            expected = grads_ref[coeff]
-            if coeff in _LOG_STORED:
-                expected *= value
-            assert grad == expected, (mask, coeff)
+        expected = {coeff: grads_ref[coeff] * c[_REPORT_KEYS[coeff]]
+                    if coeff in _LOG_STORED else grads_ref[coeff] for coeff in train}
+        assert trained == expected, mask
 
-        y, (dx, grads) = enhanced_forward(x, p), enhanced_backward(x, up, p)
+        # the record on its own, given the layer's natural-space values
+        y, profile = EWEND.forward(p, x, True, None)
+        dx, grads = EWEND.backward(p, x, profile, up)
         np.testing.assert_array_equal(y, y_ref)
         np.testing.assert_array_equal(dx, dx_ref)
-        assert grads == {name: grads_ref[name] if name in p.trainable_names() else 0.0
-                         for name in _REPORT_KEYS}, mask
+        assert grads == expected, mask

@@ -90,14 +90,15 @@ def test_gradient_check_non_finite_is_a_failure():
 def test_alpha_gradient_outside_support_matches_linear_exp_path():
     # when alpha*r > 1 for every element, the Wendland branch contributes
     # nothing: gradients equal those of a profile with the bump removed
-    from wendnet.activations import EnhancedWendlandParams, enhanced_backward
+    from wendnet.activations import KINDS, EnhancedWendlandParams
 
     rng = make_rng(4)
     x = rng.uniform(2.0, 5.0, size=50) * np.sign(rng.standard_normal(50))
     up = rng.standard_normal(50)
-    p_full = EnhancedWendlandParams(alpha=1.0, train_alpha=True, train_lam=True,
-                                    train_beta=True, train_eps=True)
-    dx_full, g_full = enhanced_backward(x, up, p_full)
+    p_full = EnhancedWendlandParams(alpha=1.0, train=("alpha", "lam", "beta", "eps"))
+    rec = KINDS["ewend"]
+    _, profile = rec.forward(p_full, x, True, None)
+    dx_full, g_full = rec.backward(p_full, x, profile, up)
 
     lam, beta, eps = p_full.lam, p_full.beta, p_full.eps
     r = np.abs(x)
@@ -306,7 +307,7 @@ def test_train_determinism():
         x = make_rng(12).standard_normal((40, 2))
         labels = (x[:, 0] > 0).astype(np.int64)
         recs = train(net, x, labels, "xent", opt, epochs=5, batch_size=8,
-                     rng=make_rng(13), x_test=x, y_test=labels, classification=True)
+                     rng=make_rng(13), x_test=x, y_test=labels)
         return [(r.train_loss, r.test_loss, r.test_accuracy, r.activation_params)
                 for r in recs]
     assert one_run() == one_run()
