@@ -348,10 +348,6 @@ class ActivationSpec:
     kind: str
     params: dict = field(default_factory=dict)
 
-    def param_count(self) -> int:
-        """Number of trainable coefficients this activation carries."""
-        return len(KINDS[self.kind].initial(self.params))
-
 
 def _parse_number(kind: str, key: str, raw: str) -> float:
     try:
@@ -374,7 +370,6 @@ class Kind:
     kinks: Callable = lambda c: ()      # c -> the x where dy/dx jumps
     check: Callable | None = None       # raises ConfigError on invalid coefficients
     summary: str = ""                   # list-activations text; derived when empty
-    wendland: bool = False
 
     def describe(self) -> str:
         if self.summary:
@@ -525,15 +520,14 @@ def _ewend_kinks(p):
 
 KINDS: dict[str, Kind] = {rec.name: rec for rec in (
     Kind("wc0", _radial(wendland_c0, wendland_c0_dr), kinks=lambda c: (-1.0, 0.0, 1.0),
-         summary="classical Wendland C0, no parameters", wendland=True),
+         summary="classical Wendland C0, no parameters"),
     Kind("wc2", _radial(wendland_c2, wendland_c2_dr),
-         summary="classical Wendland C2, no parameters", wendland=True),
+         summary="classical Wendland C2, no parameters"),
     Kind("wc4", _radial(wendland_c4, wendland_c4_dr),
-         summary="classical Wendland C4, no parameters", wendland=True),
+         summary="classical Wendland C4, no parameters"),
     _Enhanced("ewend", None, kinks=_ewend_kinks,
               summary="alpha=1 k=4 lambda=0.1 beta=1 eps=0.01 mode=elem|channel "
-                      "train=alpha[|lambda|beta|eps]  (trainable: per train mask)",
-              wendland=True),
+                      "train=alpha[|lambda|beta|eps]  (trainable: per train mask)"),
     Kind("relu", _relu, kinks=_at_zero),
     Kind("relu6", _relu6, kinks=lambda c: (0.0, 6.0)),
     Kind("lrelu", _leaky, {"slope": 0.01}, kinks=_at_zero),
@@ -552,7 +546,6 @@ KINDS: dict[str, Kind] = {rec.name: rec for rec in (
 )}
 
 ALL_KINDS = tuple(KINDS)
-BASELINE_KINDS = tuple(name for name, rec in KINDS.items() if not rec.wendland)
 
 
 _SPEC_RE = re.compile(r"^\s*([A-Za-z][A-Za-z0-9]*)\s*(?:\((.*)\))?\s*$")

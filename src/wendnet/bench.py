@@ -15,7 +15,7 @@ import hashlib
 import json
 import math
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -24,22 +24,27 @@ import yaml
 from . import __version__
 from .activations import ActivationSpec, ConfigError, format_activation, parse_activation
 from .datasets import load_idx, make_circles, make_moons, sample_sine, split, subsample
-from .network import EpochRecord, build_mlp, make_optimizer, train
+from .network import SGD, Adam, EpochRecord, build_mlp, train
 from .tensor import substream
 
 EXPERIMENTS = ("sine", "moons", "circles", "mnist", "fashion")
 
 _CONFIG_KEYS = ("schema_version", "experiment", "seed", "activations", "architecture",
                 "epochs", "batch_size", "repetitions", "optimizer", "output_dir", "dataset")
-_OPTIMIZER_NUMBERS = ("lr", "momentum", "beta1", "beta2")
-_IDX_KEYS = ("train_images", "train_labels", "test_images", "test_labels", "n_train", "n_test")
-# the `dataset` keys each experiment reads
-_DATASET_KEYS = {
-    "sine": ("n", "x_lo", "x_hi", "noise_sd", "test_fraction", "grid_points"),
-    "moons": ("n", "noise_sd", "test_fraction"),
-    "circles": ("n", "noise_sd", "factor", "test_fraction"),
-    "mnist": _IDX_KEYS,
-    "fashion": _IDX_KEYS,
+
+# One table per config section: its keys are the allowed keys, and each
+# default's type is the check on that key's value (see `_scalar`).
+_OPTIMIZER = {"kind": "adam", "lr": 1e-3, "momentum": 0.0, "beta1": 0.9, "beta2": 0.999}
+_TOY = {"n": 1000, "noise_sd": 0.2, "test_fraction": 0.3}
+_IDX = {"train_images": None, "train_labels": None, "test_images": None, "test_labels": None,
+        "n_train": 10000, "n_test": 2000}
+_DATASET = {
+    "sine": {"n": 256, "x_lo": -math.pi, "x_hi": math.pi, "noise_sd": 0.05,
+             "test_fraction": 0.3, "grid_points": 201},
+    "moons": _TOY,
+    "circles": {**_TOY, "noise_sd": 0.1, "factor": 0.5},
+    "mnist": _IDX,
+    "fashion": _IDX,
 }
 
 # Table-1 row order from the activation comparison study; activations not in
@@ -54,6 +59,8 @@ METRIC_COLUMNS = ("experiment", "activation", "repetition", "epoch",
 
 @dataclass
 class ExperimentConfig:
+    """A checked config with every value resolved; `config_from_dict` makes it."""
+
     experiment: str
     seed: int
     activations: list[str]
@@ -63,16 +70,11 @@ class ExperimentConfig:
     repetitions: int
     optimizer: dict
     output_dir: str
-    dataset: dict = field(default_factory=dict)
+    dataset: dict
+    digest: str
 
     def specs(self) -> list[ActivationSpec]:
         return [parse_activation(s) for s in self.activations]
-
-    def digest(self) -> str:
-        # output_dir is where results land, not part of the experiment identity
-        payload = {k: v for k, v in self.__dict__.items() if k != "output_dir"}
-        blob = json.dumps(payload, sort_keys=True, default=str)
-        return hashlib.sha256(blob.encode("utf-8")).hexdigest()[:16]
 
 
 def _require(cond: bool, msg: str):
@@ -89,10 +91,15 @@ def _is_int(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
-def _scalar(section: dict, key: str, default, least: int = 0, where: str = ""):
-    """section[key], or `default` when absent: a non-bool integer >= least
-    when the default is an int, else a finite number as a float."""
+def _scalar(section: dict, key: str, default, where: str = "", least: int = 1):
+    """section[key], or `default` when absent, checked by the default's type:
+    a string for a str default (None: a string that must be given), a
+    non-bool integer >= least for an int, else a finite number as a float."""
     value = section.get(key, default)
+    if default is None or isinstance(default, str):
+        _require(value is not None, f"{where}{key} is required")
+        _require(isinstance(value, str), f"{where}{key} must be a string, got {value!r}")
+        return value
     if isinstance(default, int):
         _require(_is_int(value) and value >= least,
                  f"{where}{key} must be an integer >= {least}, got {value!r}")
@@ -105,11 +112,12 @@ def _scalar(section: dict, key: str, default, least: int = 0, where: str = ""):
     return number
 
 
-def _check_optimizer(opt: dict):
-    _check_keys(opt, ("kind",) + _OPTIMIZER_NUMBERS, "optimizer")
-    _require(opt.get("kind", "adam") in ("adam", "sgd"), "optimizer.kind must be adam or sgd")
-    for key in _OPTIMIZER_NUMBERS:
-        _scalar(opt, key, 0.0, where="optimizer.")  # an absent key takes its finite default
+def _section(raw, name: str, defaults: dict) -> dict:
+    """The `name` mapping of `raw` with each key of `defaults` resolved."""
+    _require(isinstance(raw, dict), f"{name} must be a mapping")
+    _check_keys(raw, defaults, name)
+    return {key: _scalar(raw, key, default, where=f"{name}.")
+            for key, default in defaults.items()}
 
 
 def config_from_dict(raw: dict) -> ExperimentConfig:
@@ -130,24 +138,27 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
     _require(isinstance(arch, list) and len(arch) >= 2
              and all(_is_int(w) and w >= 1 for w in arch),
              "architecture must be a list of >= 2 positive layer widths")
-    optimizer = raw.get("optimizer") or {"kind": "adam", "lr": 1e-3}
-    _require(isinstance(optimizer, dict), "optimizer must be a mapping")
-    _check_optimizer(optimizer)
-    dataset = raw.get("dataset") or {}
-    _require(isinstance(dataset, dict), "dataset must be a mapping")
-    _check_keys(dataset, _DATASET_KEYS[experiment], "dataset")
+    written = {"optimizer": raw.get("optimizer") or {"kind": "adam", "lr": 1e-3},
+               "dataset": raw.get("dataset") or {}}
+    optimizer = _section(written["optimizer"], "optimizer", _OPTIMIZER)
+    _require(optimizer["kind"] in ("adam", "sgd"), "optimizer.kind must be adam or sgd")
+    # Kingma & Ba, Alg. 1: a positive step size and decay rates in [0, 1)
+    _require(optimizer["lr"] > 0, f"optimizer.lr must be > 0, got {optimizer['lr']!r}")
+    for key in ("momentum", "beta1", "beta2"):
+        _require(0 <= optimizer[key] < 1,
+                 f"optimizer.{key} must be in [0, 1), got {optimizer[key]!r}")
+    dataset = _section(written["dataset"], "dataset", _DATASET[experiment])
+    top = dict(experiment=experiment, seed=_scalar(raw, "seed", 0, least=0),
+               activations=[str(a) for a in acts], architecture=list(arch),
+               epochs=_scalar(raw, "epochs", 100), batch_size=_scalar(raw, "batch_size", 32),
+               repetitions=_scalar(raw, "repetitions", 1))
+    # the digest hashes the optimizer and dataset sections as written, so
+    # spelling out a default changes a config's identity and resolving it does not
+    blob = json.dumps({**top, **written}, sort_keys=True, default=str)
     return ExperimentConfig(
-        experiment=experiment,
-        seed=_scalar(raw, "seed", 0),
-        activations=[str(a) for a in acts],
-        architecture=list(arch),
-        epochs=_scalar(raw, "epochs", 100),
-        batch_size=_scalar(raw, "batch_size", 32, 1),
-        repetitions=_scalar(raw, "repetitions", 1, 1),
-        optimizer=dict(optimizer),
+        **top, optimizer=optimizer, dataset=dataset,
         output_dir=str(raw.get("output_dir", "out")),
-        dataset=dict(dataset),
-    )
+        digest=hashlib.sha256(blob.encode("utf-8")).hexdigest()[:16])
 
 
 def load_config(path) -> ExperimentConfig:
@@ -186,7 +197,7 @@ def _open_csv(path: Path, cfg: ExperimentConfig, columns):
     path.parent.mkdir(parents=True, exist_ok=True)
     f = open(path, "w", newline="", encoding="utf-8")
     f.write(f"# wendnet v{__version__}\n")
-    f.write(f"# config_digest={cfg.digest()}\n")
+    f.write(f"# config_digest={cfg.digest}\n")
     f.write(f"# seed={cfg.seed}\n")
     writer = csv.writer(f)
     writer.writerow(columns)
@@ -212,13 +223,11 @@ def _train_one(cfg: ExperimentConfig, spec: ActivationSpec, rep: int,
     act_text = format_activation(spec)
     net_rng = substream(cfg.seed, "net", act_text, rep)
     net = build_mlp(cfg.architecture, spec, net_rng)
-    opt_kind = cfg.optimizer.get("kind", "adam")
-    optimizer = make_optimizer(
-        net, kind=opt_kind,
-        lr=float(cfg.optimizer.get("lr", 1e-3)),
-        momentum=float(cfg.optimizer.get("momentum", 0.0)),
-        beta1=float(cfg.optimizer.get("beta1", 0.9)),
-        beta2=float(cfg.optimizer.get("beta2", 0.999)))
+    opt = cfg.optimizer
+    if opt["kind"] == "sgd":
+        optimizer = SGD(net, opt["lr"], opt["momentum"])
+    else:
+        optimizer = Adam(net, opt["lr"], opt["beta1"], opt["beta2"])
     train_rng = substream(cfg.seed, "train", act_text, rep)
     x_train, y_train, x_test, y_test = data
     records = train(
@@ -279,13 +288,8 @@ def _mean_std(vals):
 # Experiment runners.
 # ---------------------------------------------------------------------------
 
-def _dataset_value(dp: dict, key: str, default, least: int = 0):
-    return _scalar(dp, key, default, least, where="dataset.")
-
-
 def _split(cfg: ExperimentConfig, x: np.ndarray, y: np.ndarray) -> tuple:
-    return split(x, y, _dataset_value(cfg.dataset, "test_fraction", 0.3),
-                 substream(cfg.seed, "split"))
+    return split(x, y, cfg.dataset["test_fraction"], substream(cfg.seed, "split"))
 
 
 def run_sine(cfg: ExperimentConfig) -> list[Path]:
@@ -293,11 +297,9 @@ def run_sine(cfg: ExperimentConfig) -> list[Path]:
     (x, sin x, one column per activation) for external plotting."""
     _require(cfg.experiment == "sine", "config is not a sine experiment")
     dp = cfg.dataset
-    lo = _dataset_value(dp, "x_lo", -np.pi)
-    hi = _dataset_value(dp, "x_hi", np.pi)
-    grid = np.linspace(lo, hi, _dataset_value(dp, "grid_points", 201, 1))[:, None]
-    x, y = sample_sine(_dataset_value(dp, "n", 256, 1), (lo, hi),
-                       _dataset_value(dp, "noise_sd", 0.05), substream(cfg.seed, "data"))
+    lo, hi = dp["x_lo"], dp["x_hi"]
+    grid = np.linspace(lo, hi, dp["grid_points"])[:, None]
+    x, y = sample_sine(dp["n"], (lo, hi), dp["noise_sd"], substream(cfg.seed, "data"))
     data = _split(cfg, x, y)
 
     def predict(rep, net, records):
@@ -321,12 +323,10 @@ def run_sine(cfg: ExperimentConfig) -> list[Path]:
 def _toy_dataset(cfg: ExperimentConfig) -> tuple:
     dp = cfg.dataset
     rng = substream(cfg.seed, "data")
-    n = _dataset_value(dp, "n", 1000, 1)
     if cfg.experiment == "moons":
-        x, y = make_moons(n, _dataset_value(dp, "noise_sd", 0.2), rng)
+        x, y = make_moons(dp["n"], dp["noise_sd"], rng)
     else:
-        x, y = make_circles(n, _dataset_value(dp, "noise_sd", 0.1),
-                            _dataset_value(dp, "factor", 0.5), rng)
+        x, y = make_circles(dp["n"], dp["noise_sd"], dp["factor"], rng)
     return _split(cfg, x, y)
 
 
@@ -373,15 +373,13 @@ def run_mnist_like(cfg: ExperimentConfig) -> list[Path]:
              "config is not an MNIST-like experiment")
     dp = cfg.dataset
     for key in ("train_images", "train_labels", "test_images", "test_labels"):
-        _require(key in dp, f"dataset.{key} path is required")
-        _require(isinstance(dp[key], str) and Path(dp[key]).is_file(),
-                 f"dataset.{key}: no such file {dp[key]!r}")
+        _require(Path(dp[key]).is_file(), f"dataset.{key}: no such file {dp[key]!r}")
 
     data = []
-    for part, default in (("train", 10000), ("test", 2000)):
-        n = _dataset_value(dp, f"n_{part}", default, 1)
+    for part in ("train", "test"):
         images, labels = load_idx(dp[f"{part}_images"], dp[f"{part}_labels"])
-        images, labels = subsample(images, labels, n, substream(cfg.seed, "subsample", part))
+        images, labels = subsample(images, labels, dp[f"n_{part}"],
+                                   substream(cfg.seed, "subsample", part))
         data += [images.astype(np.float64) / 255.0, labels]
 
     results = _run_jobs(cfg, tuple(data), "xent", lambda rep, net, records: records)

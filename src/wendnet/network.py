@@ -265,15 +265,6 @@ class Adam:
         self.net.theta -= np.divide(a, b, out=a)
 
 
-def make_optimizer(net: Network, kind: str = "adam", lr: float = 1e-3,
-                   momentum: float = 0.0, beta1: float = 0.9, beta2: float = 0.999):
-    if kind == "sgd":
-        return SGD(net, lr=lr, momentum=momentum)
-    if kind == "adam":
-        return Adam(net, lr=lr, beta1=beta1, beta2=beta2)
-    raise ValueError(f"unknown optimizer kind {kind!r}")
-
-
 # ---------------------------------------------------------------------------
 # Training loop.
 # ---------------------------------------------------------------------------

@@ -10,7 +10,6 @@ from hypothesis.extra.numpy import arrays
 
 from wendnet.activations import (
     ALL_KINDS,
-    BASELINE_KINDS,
     KINDS,
     ConfigError,
     format_activation,
@@ -169,16 +168,22 @@ def test_trainable_param_grads_match_finite_differences():
 _TRAINABLE_BY_DEFAULT = {"prelu": 1, "sinlu": 2, "frelu": 1, "ewend": 1}
 
 
+def _param_count(text):
+    """Number of trainable coefficients the activation `text` carries."""
+    spec = parse_activation(text)
+    return len(KINDS[spec.kind].initial(spec.params))
+
+
 def test_param_counts():
-    assert parse_activation("relu").param_count() == 0
-    assert parse_activation("prelu").param_count() == 1
-    assert parse_activation("sinlu").param_count() == 2
-    assert parse_activation("frelu").param_count() == 1
-    assert parse_activation("ewend").param_count() == 1  # alpha only by default
-    assert parse_activation("ewend(train=alpha|lambda|beta|eps)").param_count() == 4
-    assert parse_activation("wc2").param_count() == 0
+    assert _param_count("relu") == 0
+    assert _param_count("prelu") == 1
+    assert _param_count("sinlu") == 2
+    assert _param_count("frelu") == 1
+    assert _param_count("ewend") == 1  # alpha only by default
+    assert _param_count("ewend(train=alpha|lambda|beta|eps)") == 4
+    assert _param_count("wc2") == 0
     for kind in ALL_KINDS:
-        assert parse_activation(kind).param_count() == _TRAINABLE_BY_DEFAULT.get(kind, 0), kind
+        assert _param_count(kind) == _TRAINABLE_BY_DEFAULT.get(kind, 0), kind
 
 
 def test_parse_format_round_trip():
@@ -217,9 +222,14 @@ def test_parse_errors_name_the_problem():
         parse_activation("rrelu(lo=0.5,hi=0.1)")
 
 
+_BASELINES = ("relu", "relu6", "lrelu", "prelu", "rrelu", "elu", "celu", "swish",
+              "srelu", "sinlu", "frelu", "sigmoid", "tanh", "gelu")
+
+
 def test_every_kind_is_listed():
-    assert len(BASELINE_KINDS) == 14
-    assert set(ALL_KINDS) == set(BASELINE_KINDS) | {"wc0", "wc2", "wc4", "ewend"}
+    assert len(_BASELINES) == 14
+    assert len(ALL_KINDS) == 18
+    assert set(ALL_KINDS) == set(_BASELINES) | {"wc0", "wc2", "wc4", "ewend"}
 
 
 # --- properties of every kind, through its record ---------------------------

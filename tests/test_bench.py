@@ -10,6 +10,8 @@ import yaml
 
 from wendnet.activations import ConfigError
 from wendnet.bench import (
+    _DATASET,
+    _OPTIMIZER,
     config_from_dict,
     default_config_text,
     load_config,
@@ -78,18 +80,56 @@ def test_config_rejections():
         {"dataset": {"factor": 0.5}},
         {"optimizer": {"kind": "adam", "lrr": 0.5}},
         {1: 2, "surprise_key": 1},
+        {"epochs": 0},
+        {"optimizer": {"kind": "adam", "lr": 0}},
+        {"optimizer": {"kind": "adam", "lr": -0.005}},
+        {"optimizer": {"kind": "adam", "beta1": 1.0}},
+        {"optimizer": {"kind": "adam", "beta2": 1.0}},
+        {"optimizer": {"kind": "sgd", "lr": 0.1, "momentum": -0.1}},
+        {"optimizer": {"kind": "sgd", "lr": 0.1, "momentum": 1.0}},
     ):
         raw = dict(base)
         raw.update(mutate)
         with pytest.raises(ConfigError):
             config_from_dict(raw)
+    raw = yaml.safe_load(default_config_text("mnist"))
+    del raw["dataset"]["train_images"]
+    with pytest.raises(ConfigError, match="train_images"):
+        config_from_dict(raw)
 
 
 def test_config_accepts_exponent_learning_rate():
     # YAML 1.1 reads 1e-3 (no dot) as a string; it has always meant 0.001
     raw = yaml.safe_load(default_config_text("sine").replace("lr: 0.005", "lr: 1e-3"))
     assert raw["optimizer"]["lr"] == "1e-3"
-    assert config_from_dict(raw).optimizer["lr"] == "1e-3"
+    assert config_from_dict(raw).optimizer["lr"] == 1e-3
+
+
+@pytest.mark.parametrize("experiment, digest", [
+    ("sine", "555ede8fc1119043"), ("moons", "e87048fc7e243f9a"),
+    ("circles", "5ee4af3f30e18291"), ("mnist", "d1a513fd0d451b00"),
+    ("fashion", "c6783bc78ea9da12"),
+])
+def test_template_digests_are_pinned(experiment, digest):
+    # the digest heads every output CSV; resolving defaults must not move it
+    assert config_from_dict(yaml.safe_load(default_config_text(experiment))).digest == digest
+
+
+def test_omitted_defaults_train_like_spelled_out_ones(tmp_path):
+    raw = yaml.safe_load(default_config_text("moons"))
+    raw.update(epochs=2, repetitions=1, activations=["relu", "ewend"])
+    spelled = dict(raw, optimizer={**_OPTIMIZER, "lr": 0.005},
+                   dataset={"n": 1000, "noise_sd": 0.2, "test_fraction": 0.3},
+                   output_dir=str(tmp_path / "spelled"))
+    del raw["dataset"]
+    omitted = dict(raw, optimizer={"lr": 0.005}, output_dir=str(tmp_path / "omitted"))
+    cfg = config_from_dict(omitted)
+    assert cfg.dataset == _DATASET["moons"]
+    assert cfg.optimizer == {**_OPTIMIZER, "lr": 0.005}
+    for path_a, path_b in zip(run_toy_classification(config_from_dict(spelled)),
+                              run_toy_classification(cfg)):
+        assert path_a.name == path_b.name
+        assert _strip_timing(_read_csv(path_a)[1]) == _strip_timing(_read_csv(path_b)[1])
 
 
 def test_unknown_activation_error_names_token_and_line(tmp_path):
@@ -121,11 +161,9 @@ def test_sine_predictions_columns(tmp_path):
 
 
 def _strip_timing(rows):
-    try:
-        col = rows[0].index("epoch_wall_seconds")
-    except ValueError:
-        return rows
-    return [r[:col] + r[col + 1:] for r in rows]
+    keep = [i for i, c in enumerate(rows[0])
+            if c not in ("epoch_wall_seconds", "mean_epoch_seconds")]
+    return [[r[i] for i in keep] for r in rows]
 
 
 def test_rerun_is_byte_identical_excluding_timing(tmp_path):
@@ -251,6 +289,9 @@ def test_cli_usage_error():
     assert exc.value.code == 1
 
 
+_ABSENT = object()  # a dataset override that deletes its key
+
+
 @pytest.mark.parametrize("experiment, override", [
     ("sine", {"epochs": "abc"}),
     ("sine", {"seed": -1}),
@@ -282,13 +323,23 @@ def test_cli_usage_error():
     ("sine", {"architecture": [1, 8, 2]}),
     ("moons", {"architecture": [2, 8, 1]}),
     ("mnist", {"architecture": [784, 16, 5]}),
+    ("moons", {"epochs": 0}),
+    ("moons", {"optimizer": {"kind": "adam", "lr": 0}}),
+    ("moons", {"optimizer": {"kind": "adam", "lr": -0.005}}),
+    ("moons", {"optimizer": {"kind": "adam", "lr": 0.005, "beta1": 1.0}}),
+    ("moons", {"optimizer": {"kind": "adam", "lr": 0.005, "beta2": 1.0}}),
+    ("moons", {"optimizer": {"kind": "sgd", "lr": 0.05, "momentum": -0.1}}),
+    ("moons", {"optimizer": {"kind": "sgd", "lr": 0.05, "momentum": 1.0}}),
+    ("mnist", {"dataset": {"train_images": _ABSENT}}),
 ], ids=["epochs", "seed", "lr", "architecture", "test_fraction-1", "test_fraction-1.5",
         "test_fraction-0", "test_fraction-abc", "n-abc", "n-1.5", "n-true",
         "noise_sd-list", "grid_points-abc", "dataset-list", "moons-test_fraction-0",
         "circles-factor", "mnist-n_train-abc", "mnist-n_train-2.5", "mnist-n_test-0",
         "mnist-path-int", "moons-noise_sd-negative", "circles-noise_sd-negative",
         "moons-misspelt-key", "sine-circles-key", "mnist-toy-key", "optimizer-misspelt-key",
-        "sine-input-width", "sine-output-width", "moons-output-width", "mnist-output-width"])
+        "sine-input-width", "sine-output-width", "moons-output-width", "mnist-output-width",
+        "epochs-0", "lr-0", "lr-negative", "beta1-1", "beta2-1", "momentum-negative",
+        "momentum-1", "mnist-no-train_images"])
 def test_cli_run_bad_config_value_exits_2(tmp_path, experiment, override):
     raw = yaml.safe_load(default_config_text(experiment))
     raw.update(epochs=1, activations=["tanh"], output_dir=str(tmp_path / "out"))
@@ -306,6 +357,7 @@ def test_cli_run_bad_config_value_exits_2(tmp_path, experiment, override):
     for key, value in override.items():
         if isinstance(value, dict) and key == "dataset":
             raw["dataset"].update(value)
+            raw["dataset"] = {k: v for k, v in raw["dataset"].items() if v is not _ABSENT}
         else:
             raw[key] = value
     path = tmp_path / "config.yaml"
