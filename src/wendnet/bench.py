@@ -123,7 +123,7 @@ def _section(raw, name: str, defaults: dict) -> dict:
 def config_from_dict(raw: dict) -> ExperimentConfig:
     _require(isinstance(raw, dict), "config root must be a mapping")
     _check_keys(raw, _CONFIG_KEYS, "config")
-    _require(raw.get("schema_version", 1) == 1, "unsupported schema_version")
+    _require(_scalar(raw, "schema_version", 1) == 1, "unsupported schema_version")
     experiment = raw.get("experiment")
     _require(experiment in EXPERIMENTS,
              f"experiment must be one of {EXPERIMENTS}, got {experiment!r}")
@@ -138,8 +138,10 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
     _require(isinstance(arch, list) and len(arch) >= 2
              and all(_is_int(w) and w >= 1 for w in arch),
              "architecture must be a list of >= 2 positive layer widths")
-    written = {"optimizer": raw.get("optimizer") or {"kind": "adam", "lr": 1e-3},
-               "dataset": raw.get("dataset") or {}}
+    # only an absent, null or empty section means the defaults
+    written = {name: stand_in if raw.get(name) in (None, {}) else raw[name]
+               for name, stand_in in (("optimizer", {"kind": "adam", "lr": 1e-3}),
+                                      ("dataset", {}))}
     optimizer = _section(written["optimizer"], "optimizer", _OPTIMIZER)
     _require(optimizer["kind"] in ("adam", "sgd"), "optimizer.kind must be adam or sgd")
     # Kingma & Ba, Alg. 1: a positive step size and decay rates in [0, 1)
@@ -157,7 +159,7 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
     blob = json.dumps({**top, **written}, sort_keys=True, default=str)
     return ExperimentConfig(
         **top, optimizer=optimizer, dataset=dataset,
-        output_dir=str(raw.get("output_dir", "out")),
+        output_dir=_scalar(raw, "output_dir", "out"),
         digest=hashlib.sha256(blob.encode("utf-8")).hexdigest()[:16])
 
 

@@ -131,13 +131,11 @@ class Network:
 
     def forward(self, x: np.ndarray, training: bool = False,
                 rng: np.random.Generator | None = None) -> np.ndarray:
-        out = tensor(x)
         for layer in self.layers:
-            out = layer.forward(out, training, rng)
-        return out
+            x = layer.forward(x, training, rng)
+        return x
 
-    def backward(self, loss_grad: np.ndarray) -> np.ndarray:
-        grad = tensor(loss_grad)
+    def backward(self, grad: np.ndarray) -> np.ndarray:
         for layer in reversed(self.layers):
             grad = layer.backward(grad)
         return grad
@@ -149,16 +147,6 @@ class Network:
                 for coeff, v in layer.current_coefficients().items():
                     out[f"{layer.name}.{coeff}"] = float(v)
         return out
-
-    # flat parameter-vector copies, used by the gradient checker
-    def get_param_vector(self) -> np.ndarray:
-        return self.theta.copy()
-
-    def set_param_vector(self, vec: np.ndarray):
-        self.theta[...] = vec
-
-    def get_grad_vector(self) -> np.ndarray:
-        return self.grad.copy()
 
 
 def build_mlp(widths: list[int], spec: act.ActivationSpec,
@@ -175,12 +163,10 @@ def build_mlp(widths: list[int], spec: act.ActivationSpec,
 
 
 # ---------------------------------------------------------------------------
-# Losses.
+# Losses.  Both take float64 arrays; `train` converts its data once on entry.
 # ---------------------------------------------------------------------------
 
 def mse_loss(pred: np.ndarray, target: np.ndarray):
-    pred = tensor(pred)
-    target = tensor(target)
     if pred.shape != target.shape:
         raise ShapeError(f"mse: shape mismatch {pred.shape} vs {target.shape}")
     diff = pred - target
@@ -191,7 +177,6 @@ def mse_loss(pred: np.ndarray, target: np.ndarray):
 
 def softmax_cross_entropy(logits: np.ndarray, labels: np.ndarray):
     """Mean cross entropy over rows; labels are integer class indices."""
-    logits = tensor(logits)
     labels = np.asarray(labels)
     n, c = logits.shape
     if labels.shape != (n,):
@@ -199,9 +184,10 @@ def softmax_cross_entropy(logits: np.ndarray, labels: np.ndarray):
     if labels.min() < 0 or labels.max() >= c:
         raise ShapeError(f"class index out of range [0, {c})")
     shifted = logits - logits.max(axis=1, keepdims=True)
-    log_z = np.log(np.sum(np.exp(shifted), axis=1))
+    probs = np.exp(shifted)
+    log_z = np.log(np.sum(probs, axis=1))
     value = float(np.mean(log_z - shifted[np.arange(n), labels]))
-    probs = np.exp(shifted) / np.exp(log_z)[:, None]
+    probs /= np.exp(log_z)[:, None]
     probs[np.arange(n), labels] -= 1.0
     return value, probs / n
 
@@ -297,43 +283,42 @@ def train(net: Network, x_train, y_train, loss_kind: str, optimizer,
     if batch_size < 1:
         raise ValueError("batch_size must be >= 1")
     y_train = np.asarray(y_train)
+    if x_test is not None:
+        x_test, y_test = tensor(x_test), np.asarray(y_test)
     records: list[EpochRecord] = []
     for epoch in range(epochs):
         t0 = time.monotonic()
         order = rng.permutation(n)
         total = 0.0
-        diverged = False
+        status = "ok"
         for start in range(0, n, batch_size):
             idx = order[start:start + batch_size]
             xb, yb = x_train[idx], y_train[idx]
             pred = net.forward(xb, training=True, rng=rng)
             value, grad = eval_loss(loss_kind, pred, yb)
             if not np.isfinite(value):
-                diverged = True
+                status = "diverged"
                 break
             net.zero_grad()
             net.backward(grad)
             try:
                 optimizer.step()
             except NumericalError:  # a non-finite gradient; nothing was updated
-                diverged = True
+                status = "diverged"
                 break
             total += value * len(idx)
-        if diverged:
-            records.append(EpochRecord(epoch=epoch, train_loss=float("nan"),
-                                       seconds=time.monotonic() - t0,
-                                       activation_params=net.activation_coefficients(),
-                                       status="diverged"))
-            break
-        rec = EpochRecord(epoch=epoch, train_loss=total / n,
-                          activation_params=net.activation_coefficients())
-        if x_test is not None:
-            pred = net.forward(tensor(x_test), training=False)
-            rec.test_loss, _ = eval_loss(loss_kind, pred, np.asarray(y_test))
+        ok = status == "ok"
+        rec = EpochRecord(epoch=epoch, train_loss=total / n if ok else float("nan"),
+                          activation_params=net.activation_coefficients(), status=status)
+        if ok and x_test is not None:
+            pred = net.forward(x_test, training=False)
+            rec.test_loss, _ = eval_loss(loss_kind, pred, y_test)
             if loss_kind == "xent":
-                rec.test_accuracy = float(np.mean(pred.argmax(axis=1) == np.asarray(y_test)))
+                rec.test_accuracy = float(np.mean(pred.argmax(axis=1) == y_test))
         rec.seconds = time.monotonic() - t0
         records.append(rec)
+        if not ok:
+            break
     return records
 
 
@@ -341,15 +326,14 @@ def train(net: Network, x_train, y_train, loss_kind: str, optimizer,
 # Whole-network gradient checking.
 # ---------------------------------------------------------------------------
 
-def min_kink_gap(net: Network, x: np.ndarray) -> float:
-    """Run a forward pass and report the smallest pre-activation kink gap."""
-    out = tensor(x)
+def min_kink_gap(net: Network) -> float:
+    """The smallest gap between an activation input of the last forward and a kink."""
     gap = float("inf")
     for layer in net.layers:
         if isinstance(layer, ActivationLayer):
+            x = layer._cache[1]
             for kink in layer.kinks():
-                gap = min(gap, float(np.abs(out - kink).min()))
-        out = layer.forward(out, training=False, rng=None)
+                gap = min(gap, float(np.abs(x - kink).min()))
     return gap
 
 
@@ -366,45 +350,39 @@ def gradient_check_network(net: Network, x: np.ndarray,
     differences along random directions; returns the max relative error.
 
     The base point must keep every pre-activation clear of derivative jumps
-    by more than the finite-difference probes reach.
+    by more than the finite-difference probes reach.  Leaves `net.theta` as found.
     """
     x = tensor(x)
+    # one base forward: the shape of c, the kink check and the backward's caches
     c = rng.standard_normal(net.forward(x).shape)
-
-    theta0 = net.get_param_vector()
-    n_theta = theta0.size
+    n_theta = net.theta.size
+    base = np.concatenate([net.theta, x.ravel()])
+    if min_kink_gap(net) < _KINK_MARGIN * central_step(base):
+        raise RuntimeError("base point too close to an activation kink; reseed")
+    net.zero_grad()
+    dx = net.backward(c)
+    analytic = np.concatenate([net.grad, dx.ravel()])
 
     def f(vec: np.ndarray) -> float:
-        net.set_param_vector(vec[:n_theta])
-        out = net.forward(vec[n_theta:].reshape(x.shape), training=False)
-        return float(np.sum(c * out))
-
-    base = np.concatenate([theta0, x.ravel()])
-    if min_kink_gap(net, x) < _KINK_MARGIN * central_step(base):
-        raise RuntimeError("base point too close to an activation kink; reseed")
-
-    # analytic gradient at the base point
-    net.zero_grad()
-    net.forward(x, training=False)
-    dx = net.backward(c)
-    analytic = np.concatenate([net.get_grad_vector(), dx.ravel()])
+        net.theta[...] = vec[:n_theta]
+        return float(np.sum(c * net.forward(vec[n_theta:].reshape(x.shape))))
 
     worst = finite_diff_check(f, base, lambda v: analytic @ v, probes=probes, rng=rng)
-    net.set_param_vector(theta0)
+    net.theta[...] = base[:n_theta]
     return worst
 
 
 def run_gradient_check(spec: act.ActivationSpec, widths=(2, 8, 8, 2),
-                       seed: int = 0, probes: int = 100, batch: int = 4) -> float:
-    """Build a seeded MLP for `spec`, draw an input batch clear of activation
-    kinks, and return the max relative gradient error over `probes`."""
+                       seed: int = 0, probes: int = 100) -> float:
+    """Build a seeded MLP for `spec`, draw a batch of 4 inputs clear of
+    activation kinks, and return the max relative gradient error over `probes`."""
     rng = substream(seed, "grad-check", act.format_activation(spec))
     net = build_mlp(list(widths), spec, rng)
-    theta = net.get_param_vector()
     for _ in range(100):
-        x = rng.standard_normal((batch, widths[0]))
-        step = central_step(np.concatenate([theta, x.ravel()]))
-        if min_kink_gap(net, x) >= _KINK_MARGIN * step:
+        x = rng.standard_normal((4, widths[0]))
+        net.forward(x)
+        step = central_step(np.concatenate([net.theta, x.ravel()]))
+        if min_kink_gap(net) >= _KINK_MARGIN * step:
             break
     else:
         raise RuntimeError("could not find a base point clear of activation kinks")

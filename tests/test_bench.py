@@ -87,6 +87,15 @@ def test_config_rejections():
         {"optimizer": {"kind": "adam", "beta2": 1.0}},
         {"optimizer": {"kind": "sgd", "lr": 0.1, "momentum": -0.1}},
         {"optimizer": {"kind": "sgd", "lr": 0.1, "momentum": 1.0}},
+        {"dataset": 0},
+        {"dataset": []},
+        {"dataset": ""},
+        {"optimizer": []},
+        {"optimizer": False},
+        {"output_dir": None},
+        {"output_dir": 5},
+        {"schema_version": True},
+        {"schema_version": 1.0},
     ):
         raw = dict(base)
         raw.update(mutate)
@@ -113,6 +122,15 @@ def test_config_accepts_exponent_learning_rate():
 def test_template_digests_are_pinned(experiment, digest):
     # the digest heads every output CSV; resolving defaults must not move it
     assert config_from_dict(yaml.safe_load(default_config_text(experiment))).digest == digest
+
+
+def test_null_and_empty_sections_mean_the_defaults():
+    raw = yaml.safe_load(default_config_text("moons"))
+    raw.update(dataset=None, optimizer={})
+    cfg = config_from_dict(raw)
+    assert cfg.dataset == _DATASET["moons"]
+    assert cfg.optimizer == _OPTIMIZER
+    assert cfg.digest == "e6e7efe97349e4bf"
 
 
 def test_omitted_defaults_train_like_spelled_out_ones(tmp_path):
@@ -331,6 +349,15 @@ _ABSENT = object()  # a dataset override that deletes its key
     ("moons", {"optimizer": {"kind": "sgd", "lr": 0.05, "momentum": -0.1}}),
     ("moons", {"optimizer": {"kind": "sgd", "lr": 0.05, "momentum": 1.0}}),
     ("mnist", {"dataset": {"train_images": _ABSENT}}),
+    ("moons", {"dataset": 0}),
+    ("moons", {"dataset": []}),
+    ("moons", {"dataset": ""}),
+    ("moons", {"optimizer": []}),
+    ("moons", {"optimizer": False}),
+    ("moons", {"output_dir": None}),
+    ("moons", {"output_dir": 5}),
+    ("moons", {"schema_version": True}),
+    ("moons", {"schema_version": 1.0}),
 ], ids=["epochs", "seed", "lr", "architecture", "test_fraction-1", "test_fraction-1.5",
         "test_fraction-0", "test_fraction-abc", "n-abc", "n-1.5", "n-true",
         "noise_sd-list", "grid_points-abc", "dataset-list", "moons-test_fraction-0",
@@ -339,7 +366,9 @@ _ABSENT = object()  # a dataset override that deletes its key
         "moons-misspelt-key", "sine-circles-key", "mnist-toy-key", "optimizer-misspelt-key",
         "sine-input-width", "sine-output-width", "moons-output-width", "mnist-output-width",
         "epochs-0", "lr-0", "lr-negative", "beta1-1", "beta2-1", "momentum-negative",
-        "momentum-1", "mnist-no-train_images"])
+        "momentum-1", "mnist-no-train_images", "dataset-0", "dataset-empty-list",
+        "dataset-empty-string", "optimizer-empty-list", "optimizer-false", "output_dir-null",
+        "output_dir-int", "schema_version-true", "schema_version-float"])
 def test_cli_run_bad_config_value_exits_2(tmp_path, experiment, override):
     raw = yaml.safe_load(default_config_text(experiment))
     raw.update(epochs=1, activations=["tanh"], output_dir=str(tmp_path / "out"))

@@ -16,6 +16,7 @@ from wendnet.network import (
     Param,
     build_mlp,
     gradient_check_network,
+    min_kink_gap,
     mse_loss,
     run_gradient_check,
     softmax_cross_entropy,
@@ -76,6 +77,36 @@ def test_gradient_check_clears_kinks_by_the_probe_step():
     err = run_gradient_check(parse_activation("relu"), widths=(2, 8, 8, 2),
                              seed=6016, probes=200)
     assert err < 1e-6
+
+
+def _layer_walking_kink_gap(net, x):
+    """Reference: the kink gap from a forward loop of its own."""
+    gap = float("inf")
+    for layer in net.layers:
+        if isinstance(layer, ActivationLayer):
+            for kink in layer.kinks():
+                gap = min(gap, float(np.abs(x - kink).min()))
+        x = layer.forward(x, training=False, rng=None)
+    return gap
+
+
+@pytest.mark.parametrize("kind", ["relu", "srelu", "wc0", "ewend(k=1)"])
+def test_min_kink_gap_reads_the_last_forward(kind):
+    rng = make_rng(31)
+    net = build_mlp([2, 8, 8, 2], parse_activation(kind), rng)
+    for _ in range(5):
+        x = rng.standard_normal((6, 2))
+        expected = _layer_walking_kink_gap(net, x)
+        net.forward(x)
+        assert min_kink_gap(net) == expected
+
+
+@pytest.mark.parametrize("kind", ["tanh", "relu", "ewend(k=1,train=alpha|lambda|beta|eps)"])
+def test_gradient_check_restores_theta(kind):
+    net = build_mlp([2, 8, 8, 2], parse_activation(kind), make_rng(32))
+    before = net.theta.copy()
+    gradient_check_network(net, make_rng(33).standard_normal((4, 2)), make_rng(34), probes=5)
+    np.testing.assert_array_equal(net.theta, before)
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
@@ -279,12 +310,12 @@ def test_flat_optimizers_match_textbook_bit_for_bit(flat, textbook):
 def test_train_zero_epochs():
     rng = make_rng(7)
     net = build_mlp([1, 4, 1], parse_activation("tanh"), rng)
-    before = net.get_param_vector().copy()
+    before = net.theta.copy()
     records = train(net, np.zeros((4, 1)), np.zeros((4, 1)), "mse",
                     SGD(net, lr=0.1), epochs=0, batch_size=2,
                     rng=make_rng(8))
     assert records == []
-    np.testing.assert_array_equal(net.get_param_vector(), before)
+    np.testing.assert_array_equal(net.theta, before)
 
 
 def test_train_linear_regression_converges():
