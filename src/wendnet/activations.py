@@ -25,7 +25,6 @@ consistently across all kinds.
 
 from __future__ import annotations
 
-import copy
 import re
 from dataclasses import dataclass, field
 from typing import Callable, NamedTuple
@@ -474,11 +473,13 @@ class _Enhanced(Kind):
                 else getattr(p, name) for name in p.train}
 
     def bind(self, params, stored: dict[str, float]):
-        # no range check here: the checks guard config text, and g(r) and its
-        # partials hold for any real lambda and eps an optimizer reaches
-        p = copy.copy(params["ewend"])
-        vars(p).update({name: float(np.exp(v)) if name in self._LOG else v
-                        for name, v in stored.items()})
+        # a fresh instance, filled by one merge, skips __post_init__: its
+        # checks guard config text, and g(r) and its partials hold for any
+        # real lambda and eps an optimizer reaches
+        p = object.__new__(EnhancedWendlandParams)
+        p.__dict__ = {**vars(params["ewend"]),
+                      **{name: float(np.exp(v)) if name in self._LOG else v
+                         for name, v in stored.items()}}
         return p
 
     def report(self, p) -> dict[str, float]:

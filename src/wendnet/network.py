@@ -50,13 +50,15 @@ class Dense:
         self._cache_x = x
         return x @ self.w.value + self.b.value
 
-    def backward(self, upstream: np.ndarray) -> np.ndarray:
+    def backward(self, upstream: np.ndarray, need_dx: bool = True) -> np.ndarray | None:
+        """Write the weight and bias gradients; return the input gradient,
+        or None without computing it when `need_dx` is false."""
         x = self._cache_x
         if x is None:
             raise RuntimeError("backward called before forward")
-        self.w.grad += x.T @ upstream
-        self.b.grad += upstream.sum(axis=0)
-        return upstream @ self.w.value.T
+        np.matmul(x.T, upstream, out=self.w.grad)
+        np.sum(upstream, axis=0, out=self.b.grad)
+        return upstream @ self.w.value.T if need_dx else None
 
 
 class ActivationLayer:
@@ -93,19 +95,22 @@ class ActivationLayer:
         self._cache = (c, x, aux)
         return y
 
-    def backward(self, upstream: np.ndarray) -> np.ndarray:
+    def backward(self, upstream: np.ndarray, need_dx: bool = True) -> np.ndarray | None:
+        """Write the coefficient gradients; return the input gradient, or
+        None when `need_dx` is false."""
         if self._cache is None:
             raise RuntimeError("backward called before forward")
         c, x, aux = self._cache
         dx, grads = self._kind.backward(c, x, aux, upstream)
         for coeff, param in self._params.items():
-            param.grad += grads[coeff]
-        return dx
+            param.grad[...] = grads[coeff]
+        return dx if need_dx else None
 
 
 class Network:
     """Ordered layer list.  Every layer's Param values and gradients are
-    views, in layer order, into the flat float64 vectors theta and grad."""
+    views, in layer order, into the flat float64 vectors theta and grad.
+    A backward writes every entry of grad, so it needs no zeroing first."""
 
     def __init__(self, layers: list):
         self.layers = list(layers)
@@ -117,9 +122,6 @@ class Network:
             self.theta[start:end] = p.value.ravel()
             p.value = self.theta[start:end].reshape(p.value.shape)
             p.grad = self.grad[start:end].reshape(p.value.shape)
-
-    def zero_grad(self):
-        self.grad.fill(0.0)
 
     def check_finite_grad(self):
         """Raise NumericalError naming the first parameter with a non-finite gradient."""
@@ -135,10 +137,15 @@ class Network:
             x = layer.forward(x, training, rng)
         return x
 
-    def backward(self, grad: np.ndarray) -> np.ndarray:
-        for layer in reversed(self.layers):
+    def backward(self, grad: np.ndarray, need_dx: bool = True) -> np.ndarray | None:
+        """Write net.grad for the loss gradient `grad`; return the gradient
+        with respect to the network input, or None when `need_dx` is false,
+        in which case the first layer does not compute it."""
+        if not self.layers:
+            return grad
+        for layer in reversed(self.layers[1:]):
             grad = layer.backward(grad)
-        return grad
+        return self.layers[0].backward(grad, need_dx)
 
     def activation_coefficients(self) -> dict[str, float]:
         out = {}
@@ -220,7 +227,16 @@ class SGD:
 
 
 class Adam:
-    """Adam (Kingma & Ba, arXiv:1412.6980), in place through two scratch vectors."""
+    """Adam (Kingma & Ba, arXiv:1412.6980), in place, one block of the
+    parameter vector at a time.
+
+    A block's moments, gradient and values plus two scratch vectors stay in
+    cache while the update's passes run over them; with whole vectors each
+    pass would stream every array through memory again.  Every element sees
+    the same operations in the same order either way.
+    """
+
+    _BLOCK = 32768  # float64 elements per block: 6 arrays of 256 KiB
 
     def __init__(self, net: Network, lr: float = 1e-3,
                  beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8):
@@ -229,26 +245,35 @@ class Adam:
         self.beta1 = beta1
         self.beta2 = beta2
         self.eps = eps
-        self._m, self._v, self._a, self._b = (np.zeros_like(net.theta) for _ in range(4))
+        n = net.theta.size
+        block = min(n, self._BLOCK)
+        m, v, a, b = np.zeros(n), np.zeros(n), np.zeros(block), np.zeros(block)
+        self._blocks = []  # (g, m, v, theta, a, b) views of each block
+        for start in range(0, n, self._BLOCK):
+            end = min(start + self._BLOCK, n)
+            self._blocks.append((net.grad[start:end], m[start:end], v[start:end],
+                                 net.theta[start:end], a[:end - start], b[:end - start]))
         self.step_count = 0
 
     def step(self):
         self.net.check_finite_grad()
         self.step_count += 1
         t = self.step_count
-        g, m, v, a, b = self.net.grad, self._m, self._v, self._a, self._b
+        beta1, beta2, lr, eps = self.beta1, self.beta2, self.lr, self.eps
+        bias1, bias2 = 1.0 - beta1 ** t, 1.0 - beta2 ** t
         # the operation order of lr * m_hat / (sqrt(v_hat) + eps), so no bit moves
-        m *= self.beta1
-        m += np.multiply(1.0 - self.beta1, g, out=a)
-        v *= self.beta2
-        np.multiply(1.0 - self.beta2, g, out=a)
-        v += np.multiply(a, g, out=a)
-        np.divide(m, 1.0 - self.beta1 ** t, out=a)
-        a *= self.lr
-        np.divide(v, 1.0 - self.beta2 ** t, out=b)
-        np.sqrt(b, out=b)
-        b += self.eps
-        self.net.theta -= np.divide(a, b, out=a)
+        for g, m, v, theta, a, b in self._blocks:
+            m *= beta1
+            m += np.multiply(1.0 - beta1, g, out=a)
+            v *= beta2
+            np.multiply(1.0 - beta2, g, out=a)
+            v += np.multiply(a, g, out=a)
+            np.divide(m, bias1, out=a)
+            a *= lr
+            np.divide(v, bias2, out=b)
+            np.sqrt(b, out=b)
+            b += eps
+            theta -= np.divide(a, b, out=a)
 
 
 # ---------------------------------------------------------------------------
@@ -286,39 +311,41 @@ def train(net: Network, x_train, y_train, loss_kind: str, optimizer,
     if x_test is not None:
         x_test, y_test = tensor(x_test), np.asarray(y_test)
     records: list[EpochRecord] = []
-    for epoch in range(epochs):
-        t0 = time.monotonic()
-        order = rng.permutation(n)
-        total = 0.0
-        status = "ok"
-        for start in range(0, n, batch_size):
-            idx = order[start:start + batch_size]
-            xb, yb = x_train[idx], y_train[idx]
-            pred = net.forward(xb, training=True, rng=rng)
-            value, grad = eval_loss(loss_kind, pred, yb)
-            if not np.isfinite(value):
-                status = "diverged"
+    # a diverging run is reported by its records' status, so the overflow and
+    # NaN on its way there are expected and not warned about
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        for epoch in range(epochs):
+            t0 = time.monotonic()
+            order = rng.permutation(n)
+            total = 0.0
+            status = "ok"
+            for start in range(0, n, batch_size):
+                idx = order[start:start + batch_size]
+                xb, yb = x_train[idx], y_train[idx]
+                pred = net.forward(xb, training=True, rng=rng)
+                value, grad = eval_loss(loss_kind, pred, yb)
+                if not np.isfinite(value):
+                    status = "diverged"
+                    break
+                net.backward(grad, need_dx=False)
+                try:
+                    optimizer.step()
+                except NumericalError:  # a non-finite gradient; nothing was updated
+                    status = "diverged"
+                    break
+                total += value * len(idx)
+            ok = status == "ok"
+            rec = EpochRecord(epoch=epoch, train_loss=total / n if ok else float("nan"),
+                              activation_params=net.activation_coefficients(), status=status)
+            if ok and x_test is not None:
+                pred = net.forward(x_test, training=False)
+                rec.test_loss, _ = eval_loss(loss_kind, pred, y_test)
+                if loss_kind == "xent":
+                    rec.test_accuracy = float(np.mean(pred.argmax(axis=1) == y_test))
+            rec.seconds = time.monotonic() - t0
+            records.append(rec)
+            if not ok:
                 break
-            net.zero_grad()
-            net.backward(grad)
-            try:
-                optimizer.step()
-            except NumericalError:  # a non-finite gradient; nothing was updated
-                status = "diverged"
-                break
-            total += value * len(idx)
-        ok = status == "ok"
-        rec = EpochRecord(epoch=epoch, train_loss=total / n if ok else float("nan"),
-                          activation_params=net.activation_coefficients(), status=status)
-        if ok and x_test is not None:
-            pred = net.forward(x_test, training=False)
-            rec.test_loss, _ = eval_loss(loss_kind, pred, y_test)
-            if loss_kind == "xent":
-                rec.test_accuracy = float(np.mean(pred.argmax(axis=1) == y_test))
-        rec.seconds = time.monotonic() - t0
-        records.append(rec)
-        if not ok:
-            break
     return records
 
 
@@ -359,8 +386,7 @@ def gradient_check_network(net: Network, x: np.ndarray,
     base = np.concatenate([net.theta, x.ravel()])
     if min_kink_gap(net) < _KINK_MARGIN * central_step(base):
         raise RuntimeError("base point too close to an activation kink; reseed")
-    net.zero_grad()
-    dx = net.backward(c)
+    dx = net.backward(c, need_dx=True)
     analytic = np.concatenate([net.grad, dx.ravel()])
 
     def f(vec: np.ndarray) -> float:

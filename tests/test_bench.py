@@ -510,6 +510,27 @@ def test_non_finite_gradient_diverges_only_its_own_job(tmp_path, monkeypatch):
     assert [r[9] for r in relu_rows] == ["ok"] * cfg.epochs
 
 
+def test_cli_diverging_study_is_quiet(tmp_path):
+    # the rows report the divergence; NumPy's overflow warnings on the way
+    # there would only repeat it on stderr
+    import warnings
+
+    raw = yaml.safe_load(default_config_text("moons"))
+    raw.update(epochs=2, optimizer={"kind": "sgd", "lr": 0.9, "momentum": 0.95},
+               output_dir=str(tmp_path / "out"))
+    path = tmp_path / "moons.yaml"
+    path.write_text(yaml.safe_dump(raw))
+    err = io.StringIO()
+    with warnings.catch_warnings(record=True) as caught, redirect_stderr(err), \
+            redirect_stdout(io.StringIO()):
+        warnings.simplefilter("always")
+        assert main(["run", str(path)]) == 0
+    assert [str(w.message) for w in caught] == []
+    assert err.getvalue() == ""
+    _, rows = _read_csv(tmp_path / "out" / "metrics.csv")
+    assert "diverged" in {r[9] for r in rows[1:]}
+
+
 def test_cli_trainable_lambda_and_eps_may_leave_their_config_range(tmp_path):
     # Adam takes eps below 0 within three epochs; the trained value must not
     # be re-checked against the config range, and the next activation runs

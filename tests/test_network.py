@@ -53,10 +53,36 @@ def test_dense_then_relu_hand_computed():
 def test_zero_upstream_gives_zero_gradients():
     rng = make_rng(3)
     net = build_mlp([2, 4, 2], parse_activation("ewend"), rng)
-    net.zero_grad()
+    net.grad[...] = 1.0  # a backward writes every gradient, it adds to none
     net.forward(rng.standard_normal((3, 2)))
     net.backward(np.zeros((3, 2)))
     assert np.all(net.grad == 0.0)
+
+
+@pytest.mark.parametrize("kind", ["relu", "prelu", "sinlu",
+                                  "ewend(train=alpha|lambda|beta|eps)"])
+def test_backward_overwrites_every_gradient(kind):
+    # Dense weights and biases, and every trainable activation coefficient
+    rng = make_rng(35)
+    net = build_mlp([2, 4, 4, 2], parse_activation(kind), rng)
+    net.grad[...] = np.nan
+    net.forward(rng.standard_normal((5, 2)))
+    net.backward(rng.standard_normal((5, 2)))
+    assert np.all(np.isfinite(net.grad))
+
+
+@pytest.mark.parametrize("kind", ["relu", "ewend(train=alpha|lambda|beta|eps)"])
+def test_backward_without_input_gradient(kind):
+    rng = make_rng(36)
+    net = build_mlp([3, 5, 2], parse_activation(kind), rng)
+    net.forward(rng.standard_normal((4, 3)))
+    up = rng.standard_normal((4, 2))
+    dx = net.backward(up, need_dx=True)
+    with_dx = net.grad.copy()
+    net.grad[...] = np.nan
+    assert net.backward(up, need_dx=False) is None
+    assert dx.shape == (4, 3)
+    assert net.grad.tobytes() == with_dx.tobytes()
 
 
 def test_whole_network_gradient_ewend():
@@ -283,6 +309,11 @@ def _reference_net():
     ])
 
 
+def _wide_net():
+    # 91,802 parameters: three of Adam's blocks, the last one partial
+    return build_mlp([2, 300, 300, 2], parse_activation("relu"), make_rng(27))
+
+
 @pytest.mark.parametrize("flat, textbook", [
     (lambda net: SGD(net, lr=0.05, momentum=0.9),
      lambda params: _TextbookSGD(params, lr=0.05, momentum=0.9)),
@@ -290,21 +321,53 @@ def _reference_net():
      lambda params: _TextbookAdam(params, lr=0.01)),
 ], ids=["sgd-momentum", "adam"])
 def test_flat_optimizers_match_textbook_bit_for_bit(flat, textbook):
-    data = make_rng(26)
-    x = data.standard_normal((64, 2))
-    labels = (x[:, 0] * x[:, 1] > 0).astype(np.int64)
-    net_a, net_b = _reference_net(), _reference_net()
-    opt_a = flat(net_a)
-    opt_b = textbook([p for layer in net_b.layers for p in layer.params()])
-    for step in range(20):
-        idx = data.choice(64, size=16, replace=False)
-        for net, opt in ((net_a, opt_a), (net_b, opt_b)):
-            _, grad = softmax_cross_entropy(net.forward(x[idx], training=True), labels[idx])
-            net.zero_grad()
-            net.backward(grad)
-            opt.step()
-        np.testing.assert_array_equal(net_a.theta, net_b.theta, err_msg=f"step {step}")
-    assert not np.array_equal(net_a.theta, _reference_net().theta)  # it did train
+    for make_net in (_reference_net, _wide_net):
+        data = make_rng(26)
+        x = data.standard_normal((64, 2))
+        labels = (x[:, 0] * x[:, 1] > 0).astype(np.int64)
+        net_a, net_b = make_net(), make_net()
+        opt_a = flat(net_a)
+        opt_b = textbook([p for layer in net_b.layers for p in layer.params()])
+        for step in range(20):
+            idx = data.choice(64, size=16, replace=False)
+            for net, opt in ((net_a, opt_a), (net_b, opt_b)):
+                _, grad = softmax_cross_entropy(net.forward(x[idx], training=True), labels[idx])
+                net.backward(grad)
+                opt.step()
+            np.testing.assert_array_equal(net_a.theta, net_b.theta,
+                                          err_msg=f"{make_net.__name__} step {step}")
+        assert not np.array_equal(net_a.theta, make_net().theta)  # it did train
+
+
+def test_wide_net_spans_several_adam_blocks():
+    assert _wide_net().theta.size == 91_802 > 2 * Adam._BLOCK
+
+
+@pytest.mark.parametrize("make_opt", [
+    lambda net: Adam(net, lr=0.01),
+    lambda net: SGD(net, lr=0.05, momentum=0.9),
+    lambda net: SGD(net, lr=0.05),
+], ids=["adam", "sgd-momentum", "sgd"])
+def test_sign_of_a_zero_gradient_never_reaches_theta(make_opt):
+    # a backward may write a -0.0 gradient where adding it to a zeroed one
+    # gives +0.0; the moments start at +0.0, so theta moves the same
+    values = [0.0, 0.0, 0.5, -1.5, 2.0, 0.0]
+    net_a = Network([_OneParam(f"p{i}", v) for i, v in enumerate(values)])
+    net_b = Network([_OneParam(f"p{i}", v) for i, v in enumerate(values)])
+    opt_a, opt_b = make_opt(net_a), make_opt(net_b)
+    data = make_rng(37)
+    for step in range(12):
+        g = data.standard_normal(len(values))
+        zero = data.random(len(values)) < 0.5
+        zero[step % len(values)] = True
+        g[zero] = -0.0
+        net_a.grad[...] = g
+        net_b.grad[...] = 0.0 + g
+        assert np.signbit(net_a.grad[net_a.grad == 0.0]).any()
+        assert not np.signbit(net_b.grad[net_b.grad == 0.0]).any()
+        opt_a.step()
+        opt_b.step()
+        assert net_a.theta.tobytes() == net_b.theta.tobytes(), f"step {step}"
 
 
 def test_train_zero_epochs():
