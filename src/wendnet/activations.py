@@ -25,6 +25,7 @@ consistently across all kinds.
 
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass, field
 from typing import Callable, NamedTuple
@@ -179,7 +180,8 @@ def _profile_derivatives(p: EnhancedWendlandParams, t: _Profile, names):
     """(dg/dr, {name: dg/dname for name in names}) from one pos**(k-1); the one
     implementation of g' and the coefficient partials."""
     pk1 = t.pos ** (p.k - 1)
-    wend = np.where(t.inside, -p.k * (p.k + 1.0) * p.alpha ** 2 * t.r * pk1, 0.0)
+    # a float64 square overflows to inf where a Python float's raises
+    wend = np.where(t.inside, -p.k * (p.k + 1.0) * np.float64(p.alpha) ** 2 * t.r * pk1, 0.0)
     dg = wend + p.lam - p.eps * p.beta * t.tail
     return dg, {name: _PARTIALS[name](p, t, pk1) for name in names}
 
@@ -350,9 +352,12 @@ class ActivationSpec:
 
 def _parse_number(kind: str, key: str, raw: str) -> float:
     try:
-        return float(raw)
+        value = float(raw)
     except ValueError:
         raise ConfigError(f"{kind}: parameter {key}={raw!r} is not a number") from None
+    if not math.isfinite(value):
+        raise ConfigError(f"{kind}: parameter {key}={raw!r} is not a finite number")
+    return value
 
 
 @dataclass(frozen=True)

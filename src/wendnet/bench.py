@@ -73,9 +73,6 @@ class ExperimentConfig:
     dataset: dict
     digest: str
 
-    def specs(self) -> list[ActivationSpec]:
-        return [parse_activation(s) for s in self.activations]
-
 
 def _require(cond: bool, msg: str):
     if not cond:
@@ -165,7 +162,10 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
 
 def load_config(path) -> ExperimentConfig:
     with open(path, "r", encoding="utf-8") as f:
-        text = f.read()
+        try:
+            text = f.read()
+        except UnicodeDecodeError as exc:
+            raise ConfigError(f"{path}: not UTF-8 text: {exc}") from None
     try:
         raw = yaml.safe_load(text)
     except yaml.YAMLError as exc:
@@ -218,11 +218,12 @@ def _metric_rows(cfg: ExperimentConfig, act_text: str, rep: int,
                _fmt(rec.seconds), _params_blob(rec.activation_params), rec.status]
 
 
-def _train_one(cfg: ExperimentConfig, spec: ActivationSpec, rep: int,
-               data: tuple, loss_kind: str):
+def _train_one(cfg: ExperimentConfig, spec: ActivationSpec, act_text: str, rep: int,
+               data: tuple, loss_kind: str, grid: np.ndarray | None = None):
     """Train one (activation, repetition) job on `data`, the study's
-    (x_train, y_train, x_test, y_test)."""
-    act_text = format_activation(spec)
+    (x_train, y_train, x_test, y_test).  Returns its epoch records and the
+    net's first output on `grid` (all NaN after a divergence), or None
+    without a grid."""
     net_rng = substream(cfg.seed, "net", act_text, rep)
     net = build_mlp(cfg.architecture, spec, net_rng)
     opt = cfg.optimizer
@@ -236,14 +237,18 @@ def _train_one(cfg: ExperimentConfig, spec: ActivationSpec, rep: int,
         net, x_train, y_train, loss_kind, optimizer,
         epochs=cfg.epochs, batch_size=cfg.batch_size, rng=train_rng,
         x_test=x_test, y_test=y_test)
-    return net, records
+    if grid is None:
+        return records, None
+    ok = records[-1].status == "ok"
+    return records, (net.forward(grid) if ok else np.full_like(grid, np.nan))[:, 0]
 
 
 def _run_jobs(cfg: ExperimentConfig, data: tuple, loss_kind: str,
-              keep) -> list[tuple[str, list]]:
+              grid: np.ndarray | None = None) -> list[tuple[str, list]]:
     """Train every (activation, repetition) job of `cfg` on `data` and write
-    metrics.csv.  Returns, per activation, its text encoding and
-    `keep(rep, net, records)` of each repetition."""
+    metrics.csv in config order.  Returns, per activation, its text encoding
+    and the `(records, prediction)` of each repetition; only the first
+    repetition predicts on `grid`."""
     # the architecture must fit the data: one input per feature column, and
     # one output per target column (mse) or per class up to the largest label
     x_train, y_train, _, y_test = data
@@ -261,21 +266,21 @@ def _run_jobs(cfg: ExperimentConfig, data: tuple, loss_kind: str,
     results: list[tuple[str, list]] = []
     mf, mwriter = _open_csv(Path(cfg.output_dir) / "metrics.csv", cfg, METRIC_COLUMNS)
     with mf:
-        for spec in cfg.specs():
+        for text in cfg.activations:
+            spec = parse_activation(text)
             act_text = format_activation(spec)
-            kept = []
+            jobs = []
             for rep in range(cfg.repetitions):
-                net, records = _train_one(cfg, spec, rep, data, loss_kind)
-                for row in _metric_rows(cfg, act_text, rep, records):
-                    mwriter.writerow(row)
-                kept.append(keep(rep, net, records))
-            results.append((act_text, kept))
+                jobs.append(_train_one(cfg, spec, act_text, rep, data, loss_kind,
+                                       grid if rep == 0 else None))
+                mwriter.writerows(_metric_rows(cfg, act_text, rep, jobs[-1][0]))
+            results.append((act_text, jobs))
     return results
 
 
-def _completed(runs: list[list[EpochRecord]]) -> list[EpochRecord]:
+def _completed(jobs: list[tuple]) -> list[EpochRecord]:
     """Final records of the repetitions that ended with status ok."""
-    return [records[-1] for records in runs if records and records[-1].status == "ok"]
+    return [records[-1] for records, _ in jobs if records[-1].status == "ok"]
 
 
 def _mean_std(vals):
@@ -303,14 +308,7 @@ def run_sine(cfg: ExperimentConfig) -> list[Path]:
     grid = np.linspace(lo, hi, dp["grid_points"])[:, None]
     x, y = sample_sine(dp["n"], (lo, hi), dp["noise_sd"], substream(cfg.seed, "data"))
     data = _split(cfg, x, y)
-
-    def predict(rep, net, records):
-        if rep != 0:
-            return None
-        ok = not records or records[-1].status == "ok"
-        return (net.forward(grid) if ok else np.full_like(grid, np.nan))[:, 0]
-
-    pred_cols = [(text, kept[0]) for text, kept in _run_jobs(cfg, data, "mse", predict)]
+    pred_cols = [(text, jobs[0][1]) for text, jobs in _run_jobs(cfg, data, "mse", grid)]
     out = Path(cfg.output_dir)
     pf, pwriter = _open_csv(out / "predictions.csv", cfg,
                             ["x", "sin_x"] + [f"pred_{name}" for name, _ in pred_cols])
@@ -337,8 +335,7 @@ def run_toy_classification(cfg: ExperimentConfig) -> list[Path]:
     standard deviation over repetitions)."""
     _require(cfg.experiment in ("moons", "circles"),
              "config is not a toy classification experiment")
-    results = _run_jobs(cfg, _toy_dataset(cfg), "xent",
-                        lambda rep, net, records: records)
+    results = _run_jobs(cfg, _toy_dataset(cfg), "xent")
     out = Path(cfg.output_dir)
     sf, swriter = _open_csv(out / "summary.csv", cfg,
                             ["activation", "completed_repetitions",
@@ -346,9 +343,9 @@ def run_toy_classification(cfg: ExperimentConfig) -> list[Path]:
                              "test_loss_mean", "test_loss_std",
                              "mean_epoch_seconds"])
     with sf:
-        for act_text, runs in results:
-            finals = _completed(runs)
-            secs = [r.seconds for records in runs for r in records]
+        for act_text, jobs in results:
+            finals = _completed(jobs)
+            secs = [r.seconds for records, _ in jobs for r in records]
             am, asd = _mean_std([r.test_accuracy for r in finals])
             lm, lsd = _mean_std([r.test_loss for r in finals])
             swriter.writerow([act_text, len(finals), _fmt(am), _fmt(asd),
@@ -384,9 +381,8 @@ def run_mnist_like(cfg: ExperimentConfig) -> list[Path]:
                                    substream(cfg.seed, "subsample", part))
         data += [images.astype(np.float64) / 255.0, labels]
 
-    results = _run_jobs(cfg, tuple(data), "xent", lambda rep, net, records: records)
-    finals = [(act_text, [r.test_accuracy for r in _completed(runs)])
-              for act_text, runs in results]
+    finals = [(act_text, [r.test_accuracy for r in _completed(jobs)])
+              for act_text, jobs in _run_jobs(cfg, tuple(data), "xent")]
     by_text = {text: float(np.mean(accs)) if accs else None for text, accs in finals}
     out = Path(cfg.output_dir)
     tf, twriter = _open_csv(out / "accuracy_table.csv", cfg,

@@ -178,6 +178,15 @@ def test_sine_predictions_columns(tmp_path):
     assert len(rows) == 1 + cfg.dataset["grid_points"]
 
 
+def test_sine_predictions_come_from_the_first_repetition(tmp_path):
+    # a second repetition adds metrics rows but predicts nothing
+    once = run_sine(_small_sine_cfg(tmp_path / "a", activations=["tanh", "relu"]))
+    twice = run_sine(_small_sine_cfg(tmp_path / "b", activations=["tanh", "relu"],
+                                     repetitions=2))
+    assert _read_csv(once[1])[1] == _read_csv(twice[1])[1]
+    assert len(_read_csv(twice[0])[1]) == 1 + 2 * 2 * 3
+
+
 def _strip_timing(rows):
     keep = [i for i, c in enumerate(rows[0])
             if c not in ("epoch_wall_seconds", "mean_epoch_seconds")]
@@ -358,6 +367,13 @@ _ABSENT = object()  # a dataset override that deletes its key
     ("moons", {"output_dir": 5}),
     ("moons", {"schema_version": True}),
     ("moons", {"schema_version": 1.0}),
+    ("moons", {"activations": ["ewend(alpha=nan)"]}),
+    ("moons", {"activations": ["ewend(alpha=1e309)"]}),
+    ("moons", {"activations": ["ewend(k=inf)"]}),
+    ("moons", {"activations": ["lrelu(slope=inf)"]}),
+    ("moons", {"activations": ["prelu(slope=nan)"]}),
+    ("moons", {"activations": ["srelu(tl=inf)"]}),
+    ("moons", {"activations": ["relu", "ewend(eps=nan)"]}),
 ], ids=["epochs", "seed", "lr", "architecture", "test_fraction-1", "test_fraction-1.5",
         "test_fraction-0", "test_fraction-abc", "n-abc", "n-1.5", "n-true",
         "noise_sd-list", "grid_points-abc", "dataset-list", "moons-test_fraction-0",
@@ -368,7 +384,9 @@ _ABSENT = object()  # a dataset override that deletes its key
         "epochs-0", "lr-0", "lr-negative", "beta1-1", "beta2-1", "momentum-negative",
         "momentum-1", "mnist-no-train_images", "dataset-0", "dataset-empty-list",
         "dataset-empty-string", "optimizer-empty-list", "optimizer-false", "output_dir-null",
-        "output_dir-int", "schema_version-true", "schema_version-float"])
+        "output_dir-int", "schema_version-true", "schema_version-float",
+        "ewend-alpha-nan", "ewend-alpha-1e309", "ewend-k-inf", "lrelu-slope-inf",
+        "prelu-slope-nan", "srelu-tl-inf", "ewend-eps-nan-second"])
 def test_cli_run_bad_config_value_exits_2(tmp_path, experiment, override):
     raw = yaml.safe_load(default_config_text(experiment))
     raw.update(epochs=1, activations=["tanh"], output_dir=str(tmp_path / "out"))
@@ -508,6 +526,10 @@ def test_non_finite_gradient_diverges_only_its_own_job(tmp_path, monkeypatch):
     relu_rows = [r for r in rows[1:] if r[1] == "relu"]
     assert [r[9] for r in tanh_rows] == ["diverged"]
     assert [r[9] for r in relu_rows] == ["ok"] * cfg.epochs
+    _, preds = _read_csv(tmp_path / "out" / "predictions.csv")
+    assert preds[0] == ["x", "sin_x", "pred_tanh", "pred_relu"]
+    assert {r[2] for r in preds[1:]} == {"nan"}
+    assert np.isfinite([float(r[3]) for r in preds[1:]]).all()
 
 
 def test_cli_diverging_study_is_quiet(tmp_path):
@@ -557,6 +579,32 @@ def test_cli_run_config_is_a_directory(tmp_path):
     with redirect_stderr(err):
         assert main(["run", str(tmp_path)]) == 2
     assert len(err.getvalue().splitlines()) == 1
+
+
+def test_cli_run_config_not_utf8(tmp_path):
+    path = tmp_path / "latin.yaml"
+    path.write_bytes(default_config_text("moons").encode() + b"# caf\xff\n")
+    err = io.StringIO()
+    with redirect_stderr(err):
+        assert main(["run", str(path)]) == 2
+    assert len(err.getvalue().splitlines()) == 1
+    assert "latin.yaml" in err.getvalue()
+
+
+def test_cli_huge_alpha_study_runs(tmp_path):
+    # alpha**2 overflows a Python float; the study must still end normally
+    raw = yaml.safe_load(default_config_text("moons"))
+    raw.update(epochs=2, repetitions=1, activations=["ewend(alpha=1e308)", "relu"],
+               output_dir=str(tmp_path / "out"))
+    raw["dataset"]["n"] = 100
+    path = tmp_path / "moons.yaml"
+    path.write_text(yaml.safe_dump(raw))
+    err = io.StringIO()
+    with redirect_stderr(err), redirect_stdout(io.StringIO()):
+        assert main(["run", str(path)]) == 0
+    assert err.getvalue() == ""
+    _, rows = _read_csv(tmp_path / "out" / "metrics.csv")
+    assert [r[9] for r in rows[1:] if r[1] == "relu"] == ["ok", "ok"]
 
 
 def test_cli_run_output_dir_under_a_file(tmp_path):
