@@ -156,8 +156,9 @@ def _profile(r: np.ndarray, p: EnhancedWendlandParams) -> _Profile:
     """The enhanced profile at r >= 0; the one implementation of g."""
     ar = p.alpha * r
     # the cutoff is applied against the representable boundary 1/alpha so the
-    # Wendland component is exactly zero for every r >= 1/alpha
-    inside = r < 1.0 / p.alpha
+    # Wendland component is exactly zero for every r >= 1/alpha; a trained
+    # alpha that underflowed to 0 has the whole line as its support
+    inside = r < (1.0 / p.alpha if p.alpha else math.inf)
     pos = np.where(inside, np.maximum(0.0, 1.0 - ar), 0.0)
     pk = pos ** p.k
     kar1 = p.k * ar + 1.0

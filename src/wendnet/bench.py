@@ -15,7 +15,8 @@ import hashlib
 import json
 import math
 import re
-from dataclasses import dataclass
+from collections.abc import Callable
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -27,8 +28,6 @@ from .datasets import load_idx, make_circles, make_moons, sample_sine, split, su
 from .network import SGD, Adam, EpochRecord, build_mlp, train
 from .tensor import substream
 
-EXPERIMENTS = ("sine", "moons", "circles", "mnist", "fashion")
-
 _CONFIG_KEYS = ("schema_version", "experiment", "seed", "activations", "architecture",
                 "epochs", "batch_size", "repetitions", "optimizer", "output_dir", "dataset")
 
@@ -36,13 +35,19 @@ _CONFIG_KEYS = ("schema_version", "experiment", "seed", "activations", "architec
 # default's type is the check on that key's value (see `_scalar`).
 _OPTIMIZER = {"kind": "adam", "lr": 1e-3, "momentum": 0.0, "beta1": 0.9, "beta2": 0.999}
 _TOY = {"n": 1000, "noise_sd": 0.2, "test_fraction": 0.3}
-_IDX = {"train_images": None, "train_labels": None, "test_images": None, "test_labels": None,
-        "n_train": 10000, "n_test": 2000}
+# the official MNIST-format file names; a starter looks under data/<experiment>/
+_IDX_FILES = {"train_images": "train-images-idx3-ubyte",
+              "train_labels": "train-labels-idx1-ubyte",
+              "test_images": "t10k-images-idx3-ubyte",
+              "test_labels": "t10k-labels-idx1-ubyte"}
+_IDX = {**dict.fromkeys(_IDX_FILES), "n_train": 10000, "n_test": 2000}  # paths required
 _DATASET = {
     "sine": {"n": 256, "x_lo": -math.pi, "x_hi": math.pi, "noise_sd": 0.05,
              "test_fraction": 0.3, "grid_points": 201},
     "moons": _TOY,
-    "circles": {**_TOY, "noise_sd": 0.1, "factor": 0.5},
+    # keys in starter-config order: factor before test_fraction
+    "circles": {"n": _TOY["n"], "noise_sd": 0.1, "factor": 0.5,
+                "test_fraction": _TOY["test_fraction"]},
     "mnist": _IDX,
     "fashion": _IDX,
 }
@@ -103,7 +108,7 @@ def _scalar(section: dict, key: str, default, where: str = "", least: int = 1):
         return value
     try:  # YAML reads exponent forms such as 1e-3 as strings
         number = math.nan if isinstance(value, bool) else float(value)
-    except (TypeError, ValueError):
+    except (TypeError, ValueError, OverflowError):  # OverflowError: an int past 1e308
         number = math.nan
     _require(math.isfinite(number), f"{where}{key} must be a finite number, got {value!r}")
     return number
@@ -137,7 +142,7 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
              "architecture must be a list of >= 2 positive layer widths")
     # only an absent, null or empty section means the defaults
     written = {name: stand_in if raw.get(name) in (None, {}) else raw[name]
-               for name, stand_in in (("optimizer", {"kind": "adam", "lr": 1e-3}),
+               for name, stand_in in (("optimizer", {k: _OPTIMIZER[k] for k in ("kind", "lr")}),
                                       ("dataset", {}))}
     optimizer = _section(written["optimizer"], "optimizer", _OPTIMIZER)
     _require(optimizer["kind"] in ("adam", "sgd"), "optimizer.kind must be adam or sgd")
@@ -302,11 +307,10 @@ def _split(cfg: ExperimentConfig, x: np.ndarray, y: np.ndarray) -> tuple:
 def run_sine(cfg: ExperimentConfig) -> list[Path]:
     """Sine regression study: per-epoch metrics plus a dense prediction grid
     (x, sin x, one column per activation) for external plotting."""
-    _require(cfg.experiment == "sine", "config is not a sine experiment")
     dp = cfg.dataset
     lo, hi = dp["x_lo"], dp["x_hi"]
-    grid = np.linspace(lo, hi, dp["grid_points"])[:, None]
     x, y = sample_sine(dp["n"], (lo, hi), dp["noise_sd"], substream(cfg.seed, "data"))
+    grid = np.linspace(lo, hi, dp["grid_points"])[:, None]
     data = _split(cfg, x, y)
     pred_cols = [(text, jobs[0][1]) for text, jobs in _run_jobs(cfg, data, "mse", grid)]
     out = Path(cfg.output_dir)
@@ -320,22 +324,16 @@ def run_sine(cfg: ExperimentConfig) -> list[Path]:
     return [out / "metrics.csv", out / "predictions.csv"]
 
 
-def _toy_dataset(cfg: ExperimentConfig) -> tuple:
+def run_toy_classification(cfg: ExperimentConfig) -> list[Path]:
+    """Moons/circles study with a per-activation summary (mean and sample
+    standard deviation over repetitions)."""
     dp = cfg.dataset
     rng = substream(cfg.seed, "data")
     if cfg.experiment == "moons":
         x, y = make_moons(dp["n"], dp["noise_sd"], rng)
     else:
         x, y = make_circles(dp["n"], dp["noise_sd"], dp["factor"], rng)
-    return _split(cfg, x, y)
-
-
-def run_toy_classification(cfg: ExperimentConfig) -> list[Path]:
-    """Moons/circles study with a per-activation summary (mean and sample
-    standard deviation over repetitions)."""
-    _require(cfg.experiment in ("moons", "circles"),
-             "config is not a toy classification experiment")
-    results = _run_jobs(cfg, _toy_dataset(cfg), "xent")
+    results = _run_jobs(cfg, _split(cfg, x, y), "xent")
     out = Path(cfg.output_dir)
     sf, swriter = _open_csv(out / "summary.csv", cfg,
                             ["activation", "completed_repetitions",
@@ -368,10 +366,8 @@ def run_mnist_like(cfg: ExperimentConfig) -> list[Path]:
     """Desk-scale activation comparison on MNIST-format IDX files: stratified
     subsets, an MLP instead of the original convolutional nets, and a final
     (activation, accuracy) table in the comparison study's row order."""
-    _require(cfg.experiment in ("mnist", "fashion"),
-             "config is not an MNIST-like experiment")
     dp = cfg.dataset
-    for key in ("train_images", "train_labels", "test_images", "test_labels"):
+    for key in _IDX_FILES:
         _require(Path(dp[key]).is_file(), f"dataset.{key}: no such file {dp[key]!r}")
 
     data = []
@@ -393,134 +389,78 @@ def run_mnist_like(cfg: ExperimentConfig) -> list[Path]:
     return [out / "metrics.csv", out / "accuracy_table.csv"]
 
 
-def run_experiment(cfg: ExperimentConfig) -> list[Path]:
-    if cfg.experiment == "sine":
-        return run_sine(cfg)
-    if cfg.experiment in ("moons", "circles"):
-        return run_toy_classification(cfg)
-    return run_mnist_like(cfg)
-
-
 # ---------------------------------------------------------------------------
-# Default configs.
+# The experiments and their starter configs.
 # ---------------------------------------------------------------------------
 
 _DEFAULT_EWEND = "ewend(alpha=1.0,k=4,lambda=0.1,beta=1.0,eps=0.01,mode=elem)"
 
-_SINE_TEMPLATE = f"""\
-# wendnet experiment config (schema v1): sine-wave regression
-# Three fully connected layers; hidden layers use the activation under test.
-schema_version: 1
-experiment: sine
-seed: 7
-activations:
-  - tanh
-  - {_DEFAULT_EWEND}
-  - relu
-  - sigmoid
-architecture: [1, 64, 64, 1]
-epochs: 300
-batch_size: 32
-repetitions: 1
-optimizer: {{kind: adam, lr: 0.005}}
-output_dir: out/sine
-dataset:
-  n: 256
-  x_lo: -3.141592653589793
-  x_hi: 3.141592653589793
-  noise_sd: 0.05
-  test_fraction: 0.3
-  grid_points: 201
-"""
 
-_MOONS_TEMPLATE = f"""\
-# wendnet experiment config (schema v1): two-moons binary classification
-schema_version: 1
-experiment: moons
-seed: 7
-activations:
-  - relu
-  - tanh
-  - {_DEFAULT_EWEND}
-architecture: [2, 16, 16, 2]
-epochs: 200
-batch_size: 32
-repetitions: 3
-optimizer: {{kind: adam, lr: 0.005}}
-output_dir: out/moons
-dataset:
-  n: 1000
-  noise_sd: 0.2
-  test_fraction: 0.3
-"""
+@dataclass(frozen=True)
+class _Study:
+    """One experiment: its runner and the values its starter config sets
+    itself.  The starter config takes every dataset value from `_DATASET`."""
 
-_CIRCLES_TEMPLATE = f"""\
-# wendnet experiment config (schema v1): concentric-circles classification
-schema_version: 1
-experiment: circles
-seed: 7
-activations:
-  - relu
-  - tanh
-  - {_DEFAULT_EWEND}
-architecture: [2, 16, 16, 2]
-epochs: 200
-batch_size: 32
-repetitions: 3
-optimizer: {{kind: adam, lr: 0.005}}
-output_dir: out/circles
-dataset:
-  n: 1000
-  noise_sd: 0.1
-  factor: 0.5
-  test_fraction: 0.3
-"""
+    run: Callable[[ExperimentConfig], list[Path]]
+    about: tuple[str, ...]        # header comment lines
+    activations: tuple[str, ...]  # `ewend` is written as _DEFAULT_EWEND
+    architecture: tuple[int, ...]
+    epochs: int
+    batch_size: int
+    repetitions: int
+    lr: float
 
-_MNIST_TEMPLATE = f"""\
-# wendnet experiment config (schema v1): desk-scale MNIST activation study.
-# Point the dataset paths at pre-fetched IDX files (see README for sources);
-# no download is attempted.
-schema_version: 1
-experiment: mnist
-seed: 7
-activations:
-  - relu
-  - relu6
-  - lrelu
-  - rrelu
-  - elu
-  - celu
-  - swish
-  - prelu
-  - srelu
-  - {_DEFAULT_EWEND}
-architecture: [784, 256, 10]
-epochs: 5
-batch_size: 64
-repetitions: 1
-optimizer: {{kind: adam, lr: 0.001}}
-output_dir: out/mnist
-dataset:
-  train_images: data/mnist/train-images-idx3-ubyte
-  train_labels: data/mnist/train-labels-idx1-ubyte
-  test_images: data/mnist/t10k-images-idx3-ubyte
-  test_labels: data/mnist/t10k-labels-idx1-ubyte
-  n_train: 10000
-  n_test: 2000
-"""
+
+_MOONS = _Study(run_toy_classification, about=("two-moons binary classification",),
+                activations=("relu", "tanh", "ewend"), architecture=(2, 16, 16, 2),
+                epochs=200, batch_size=32, repetitions=3, lr=0.005)
+_MNIST = _Study(run_mnist_like,
+                about=("desk-scale MNIST activation study.",
+                       "Point the dataset paths at pre-fetched IDX files (see README for sources);",
+                       "no download is attempted."),
+                activations=TABLE_ORDER, architecture=(784, 256, 10),
+                epochs=5, batch_size=64, repetitions=1, lr=0.001)
+_STUDIES = {
+    "sine": _Study(
+        run_sine,
+        about=("sine-wave regression",
+               "Three fully connected layers; hidden layers use the activation under test."),
+        activations=("tanh", "ewend", "relu", "sigmoid"), architecture=(1, 64, 64, 1),
+        epochs=300, batch_size=32, repetitions=1, lr=0.005),
+    "moons": _MOONS,
+    "circles": replace(_MOONS, about=("concentric-circles classification",)),
+    "mnist": _MNIST,
+    "fashion": _MNIST,
+}
+EXPERIMENTS = tuple(_STUDIES)
+
+
+def run_experiment(cfg: ExperimentConfig) -> list[Path]:
+    return _STUDIES[cfg.experiment].run(cfg)
 
 
 def default_config_text(experiment: str) -> str:
-    if experiment == "sine":
-        return _SINE_TEMPLATE
-    if experiment == "moons":
-        return _MOONS_TEMPLATE
-    if experiment == "circles":
-        return _CIRCLES_TEMPLATE
-    if experiment in ("mnist", "fashion"):
-        text = _MNIST_TEMPLATE
-        if experiment == "fashion":
-            text = text.replace("experiment: mnist", "experiment: fashion")
-            text = text.replace("out/mnist", "out/fashion").replace("data/mnist", "data/fashion")
-        return text
-    raise ConfigError(f"unknown experiment {experiment!r}")
+    """The documented starter config of `experiment`, with every dataset
+    default written out."""
+    _require(experiment in EXPERIMENTS, f"unknown experiment {experiment!r}")
+    study = _STUDIES[experiment]
+    first, *rest = study.about
+    lines = [f"# wendnet experiment config (schema v1): {first}",
+             *(f"# {line}" for line in rest),
+             "schema_version: 1",
+             f"experiment: {experiment}",
+             "seed: 7",
+             "activations:",
+             *(f"  - {_DEFAULT_EWEND if kind == 'ewend' else kind}"
+               for kind in study.activations),
+             f"architecture: {list(study.architecture)}",
+             f"epochs: {study.epochs}",
+             f"batch_size: {study.batch_size}",
+             f"repetitions: {study.repetitions}",
+             f"optimizer: {{kind: {_OPTIMIZER['kind']}, lr: {study.lr}}}",
+             f"output_dir: out/{experiment}",
+             "dataset:"]
+    for key, default in _DATASET[experiment].items():
+        value = f"data/{experiment}/{_IDX_FILES[key]}" if default is None else default
+        lines.append(f"  {key}: {value}")
+    return "\n".join(lines) + "\n"

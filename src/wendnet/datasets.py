@@ -48,6 +48,8 @@ def sample_sine(n: int, x_range, noise_sd: float, rng: np.random.Generator):
         raise DataConfigError("n must be >= 1")
     if not lo < hi:
         raise DataConfigError(f"invalid x range [{lo}, {hi}]")
+    if not math.isfinite(hi - lo):
+        raise DataConfigError(f"x range [{lo}, {hi}] is wider than a float can hold")
     if noise_sd < 0:
         raise DataConfigError("noise_sd must be >= 0")
     x = rng.uniform(lo, hi, size=(n, 1))

@@ -1,17 +1,22 @@
 """Benchmark harness: config parsing, CSV output, determinism, and the CLI."""
 
 import csv
+import hashlib
 import io
+import warnings
 from contextlib import redirect_stderr, redirect_stdout
 
 import numpy as np
 import pytest
 import yaml
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from wendnet.activations import ConfigError
 from wendnet.bench import (
     _DATASET,
     _OPTIMIZER,
+    EXPERIMENTS,
     config_from_dict,
     default_config_text,
     load_config,
@@ -47,7 +52,7 @@ def _small_sine_cfg(tmp_path, **overrides):
 
 
 def test_default_configs_parse():
-    for exp in ("sine", "moons", "circles", "mnist", "fashion"):
+    for exp in EXPERIMENTS:
         cfg = config_from_dict(yaml.safe_load(default_config_text(exp)))
         assert cfg.experiment == exp
 
@@ -122,6 +127,32 @@ def test_config_accepts_exponent_learning_rate():
 def test_template_digests_are_pinned(experiment, digest):
     # the digest heads every output CSV; resolving defaults must not move it
     assert config_from_dict(yaml.safe_load(default_config_text(experiment))).digest == digest
+
+
+@pytest.mark.parametrize("experiment, sha256", [
+    ("sine", "a15473cd23dfaa225ae485ff02c643d7ac30b00681fed55dfe09cce54f3f4315"),
+    ("moons", "86d4b157a0f9a967310df89f3448d32418d880bccf4983377c72089fbbed47ca"),
+    ("circles", "07fa87866a864d518e8dc1d1b1aecc7f161ed80794c61c9fb15d919f0bb21c49"),
+    ("mnist", "272a52008a547b516b333a63b3fd9b6a28d98b85f5df993badc71120595eb77b"),
+    ("fashion", "31eb2ae12257e8f71cb7a6a29ec3106fb9530eabf855e5388d0ff820fce0a7cf"),
+])
+def test_starter_config_text_is_pinned(experiment, sha256):
+    # users keep emitted starters, and perfbench's toy-moons study is built
+    # from one: the text must stay byte for byte what it was
+    text = default_config_text(experiment)
+    assert hashlib.sha256(text.encode("utf-8")).hexdigest() == sha256
+
+
+def test_starter_config_writes_every_dataset_default():
+    # in table order; the IDX paths, which have no default, point at data/
+    for experiment in EXPERIMENTS:
+        dataset = yaml.safe_load(default_config_text(experiment))["dataset"]
+        assert list(dataset) == list(_DATASET[experiment])
+        for key, default in _DATASET[experiment].items():
+            if default is None:
+                assert dataset[key].startswith(f"data/{experiment}/")
+            else:
+                assert dataset[key] == default
 
 
 def test_null_and_empty_sections_mean_the_defaults():
@@ -374,6 +405,11 @@ _ABSENT = object()  # a dataset override that deletes its key
     ("moons", {"activations": ["prelu(slope=nan)"]}),
     ("moons", {"activations": ["srelu(tl=inf)"]}),
     ("moons", {"activations": ["relu", "ewend(eps=nan)"]}),
+    ("sine", {"experiment": ["sine"]}),
+    ("sine", {"experiment": {"a": 1}}),
+    ("sine", {"dataset": {"x_lo": -1e308, "x_hi": 1e308}}),
+    ("moons", {"optimizer": {"kind": "adam", "lr": 10 ** 400}}),
+    ("sine", {"dataset": {"x_hi": 10 ** 400}}),
 ], ids=["epochs", "seed", "lr", "architecture", "test_fraction-1", "test_fraction-1.5",
         "test_fraction-0", "test_fraction-abc", "n-abc", "n-1.5", "n-true",
         "noise_sd-list", "grid_points-abc", "dataset-list", "moons-test_fraction-0",
@@ -386,7 +422,9 @@ _ABSENT = object()  # a dataset override that deletes its key
         "dataset-empty-string", "optimizer-empty-list", "optimizer-false", "output_dir-null",
         "output_dir-int", "schema_version-true", "schema_version-float",
         "ewend-alpha-nan", "ewend-alpha-1e309", "ewend-k-inf", "lrelu-slope-inf",
-        "prelu-slope-nan", "srelu-tl-inf", "ewend-eps-nan-second"])
+        "prelu-slope-nan", "srelu-tl-inf", "ewend-eps-nan-second", "experiment-list",
+        "experiment-mapping", "sine-x-range-overflow", "lr-int-past-float",
+        "x_hi-int-past-float"])
 def test_cli_run_bad_config_value_exits_2(tmp_path, experiment, override):
     raw = yaml.safe_load(default_config_text(experiment))
     raw.update(epochs=1, activations=["tanh"], output_dir=str(tmp_path / "out"))
@@ -532,23 +570,25 @@ def test_non_finite_gradient_diverges_only_its_own_job(tmp_path, monkeypatch):
     assert np.isfinite([float(r[3]) for r in preds[1:]]).all()
 
 
+def _quiet_run(path):
+    """(exit code, stderr text, warnings raised) of `wendnet run path`."""
+    err = io.StringIO()
+    with warnings.catch_warnings(record=True) as caught, redirect_stderr(err), \
+            redirect_stdout(io.StringIO()):
+        warnings.simplefilter("always")
+        code = main(["run", str(path)])
+    return code, err.getvalue(), [str(w.message) for w in caught]
+
+
 def test_cli_diverging_study_is_quiet(tmp_path):
     # the rows report the divergence; NumPy's overflow warnings on the way
     # there would only repeat it on stderr
-    import warnings
-
     raw = yaml.safe_load(default_config_text("moons"))
     raw.update(epochs=2, optimizer={"kind": "sgd", "lr": 0.9, "momentum": 0.95},
                output_dir=str(tmp_path / "out"))
     path = tmp_path / "moons.yaml"
     path.write_text(yaml.safe_dump(raw))
-    err = io.StringIO()
-    with warnings.catch_warnings(record=True) as caught, redirect_stderr(err), \
-            redirect_stdout(io.StringIO()):
-        warnings.simplefilter("always")
-        assert main(["run", str(path)]) == 0
-    assert [str(w.message) for w in caught] == []
-    assert err.getvalue() == ""
+    assert _quiet_run(path) == (0, "", [])
     _, rows = _read_csv(tmp_path / "out" / "metrics.csv")
     assert "diverged" in {r[9] for r in rows[1:]}
 
@@ -628,3 +668,86 @@ def test_cli_emit_default_config_under_a_file(tmp_path):
     with redirect_stderr(err), redirect_stdout(io.StringIO()):
         assert main(["emit-default-config", "moons", "-o", str(blocker / "x.yaml")]) == 2
     assert len(err.getvalue().splitlines()) == 1
+
+
+def test_cli_alpha_trained_to_underflow_diverges_only_its_job(tmp_path):
+    # SGD at lr 1e6 takes ewend's log-stored alpha below -745, where exp
+    # gives 0.0; the support edge 1/alpha used to raise ZeroDivisionError
+    # and end the study before the relu and tanh jobs
+    raw = yaml.safe_load(default_config_text("moons"))
+    raw.update(epochs=2, optimizer={"kind": "sgd", "lr": 1e6},
+               activations=["relu", "tanh", "ewend(k=1,train=alpha|lambda|beta|eps)"],
+               output_dir=str(tmp_path / "out"))
+    path = tmp_path / "moons.yaml"
+    path.write_text(yaml.safe_dump(raw))
+    assert _quiet_run(path) == (0, "", [])
+    _, rows = _read_csv(tmp_path / "out" / "metrics.csv")
+    status = {(r[1].split("(")[0], r[2]): r[9] for r in rows[1:]}
+    assert set(status) == {(a, str(rep)) for a in ("relu", "tanh", "ewend") for rep in range(3)}
+    assert {s for (a, _), s in status.items() if a == "ewend"} == {"diverged"}
+    assert {s for (a, _), s in status.items() if a != "ewend"} == {"ok"}
+    alphas = [kv for r in rows[1:] for kv in r[8].split("|") if kv.startswith("act0.alpha")]
+    assert "act0.alpha=0" in alphas
+
+
+def test_cli_sine_range_wider_than_a_float_exits_2_quietly(tmp_path):
+    raw = yaml.safe_load(default_config_text("sine"))
+    raw.update(epochs=1, output_dir=str(tmp_path / "out"))
+    raw["dataset"].update(x_lo=-1e308, x_hi=1e308)
+    path = tmp_path / "sine.yaml"
+    path.write_text(yaml.safe_dump(raw))
+    code, err, caught = _quiet_run(path)
+    assert (code, caught) == (2, [])
+    assert err.splitlines() == [
+        "configuration error: x range [-1e+308, 1e+308] is wider than a float can hold"]
+
+
+# --- a search over mutated starter configs ----------------------------------
+
+_ODD_ACTIVATIONS = ("ewend(", "ewend(alpha=)", "ewend(k=0)", "ewend(k=2.5)", "ewend(alpha=-1)",
+                    "ewend(mode=chan)", "ewend(train=gamma)", "ewend(alpha=1,alpha=2)",
+                    "ewend(alpha=1e-320)", "ewend(beta=1e400)", "rrelu(lower=0.5,upper=0.1)",
+                    "lrelu(slope=)", "relu()", "relu(x=1)", "RELU", " tanh ", "wc2(k=1)", "=",
+                    "ewend(k=4,,)", "srelu(tl=1,ar=nan)", "prelu(slope=0x10)")
+_ODD_VALUES = st.one_of(
+    st.none(), st.booleans(), st.integers(), st.floats(),
+    st.sampled_from([1e308, -1e308, float("inf"), float("-inf"), float("nan"),
+                     10 ** 400, -10 ** 400, 2 ** 63, "1e999", "nan", "-0"]),
+    st.text(max_size=8),
+    st.sampled_from(_ODD_ACTIVATIONS),
+    st.lists(st.one_of(st.integers(-3, 1000), st.sampled_from(_ODD_ACTIVATIONS)), max_size=3),
+    st.dictionaries(st.sampled_from(["kind", "lr", "n", "x_lo", "a", "1"]),
+                    st.one_of(st.integers(), st.floats(), st.text(max_size=4)), max_size=2),
+)
+
+
+def _places(raw: dict) -> list[tuple]:
+    """(container, key) for every value of a config, one level into each
+    section and list."""
+    places = [(raw, key) for key in raw]
+    for value in raw.values():
+        if isinstance(value, dict):
+            places += [(value, key) for key in value]
+        elif isinstance(value, list):
+            places += [(value, i) for i in range(len(value))]
+    return places
+
+
+@pytest.mark.parametrize("experiment", EXPERIMENTS)
+@settings(derandomize=True, database=None, max_examples=150, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(data=st.data())
+def test_mutated_starter_configs_load_or_raise_config_error(experiment, data):
+    # drop keys or swap values of a starter config: loading it may succeed,
+    # and may fail only with a ConfigError, never with another exception
+    raw = yaml.safe_load(default_config_text(experiment))
+    for _ in range(data.draw(st.integers(1, 3), label="mutations")):
+        container, key = data.draw(st.sampled_from(_places(raw)), label="place")
+        if data.draw(st.booleans(), label="drop"):
+            del container[key]
+        else:
+            container[key] = data.draw(_ODD_VALUES, label="value")
+    try:
+        config_from_dict(raw)
+    except ConfigError:
+        pass

@@ -38,6 +38,14 @@ def test_sine_invalid_range():
         sample_sine(10, (-1, 1), -0.1, make_rng(0))
 
 
+def test_sine_range_wider_than_a_float():
+    # hi - lo overflows to inf; the generator could not draw from it
+    with pytest.raises(DataConfigError, match="wider"):
+        sample_sine(10, (-1e308, 1e308), 0.0, make_rng(0))
+    x, _ = sample_sine(10, (-1e307, 1e307), 0.0, make_rng(0))
+    assert np.all(np.abs(x) <= 1e307)
+
+
 @pytest.mark.parametrize("fraction", [1.0, 1.5, 0.99, -0.1, float("nan"), 0.0, 0.01])
 def test_split_must_leave_training_rows(fraction):
     # of 20 rows, 0.99 rounds to 20 test rows and 0.01 to none; both sides

@@ -195,6 +195,20 @@ def test_forward_finite_for_large_inputs():
         assert all(np.isfinite(v) for v in grads.values())
 
 
+def test_alpha_trained_to_underflow_is_a_number():
+    # exp of a stored log below about -745 is 0.0: the support is then the
+    # whole line, and a forward and backward give numbers, not an exception
+    params = {"ewend": EnhancedWendlandParams(train=("alpha",))}
+    p = EWEND.bind(params, {"alpha": -800.0})
+    assert p.alpha == 0.0
+    x = np.array([-1e6, -1.0, 0.0, 1.0, 1e6])
+    y = _forward(p, x)
+    np.testing.assert_array_equal(y, _forward(EnhancedWendlandParams(alpha=5e-324), x))
+    dx, grads = _backward(p, x, np.ones_like(x))
+    assert np.all(np.isfinite(dx))
+    assert grads == {"alpha": 0.0}
+
+
 # --- backward ---------------------------------------------------------------
 
 def test_backward_at_zero_input():
