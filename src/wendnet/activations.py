@@ -53,40 +53,61 @@ def _check_radius(r: np.ndarray) -> np.ndarray:
     return r
 
 
-def wendland_c0(r):
-    """(1-r)_+^2: continuous, kink in the derivative at r=1."""
-    r = _check_radius(r)
+# The closed forms on r >= 0, unchecked: the wc* kinds apply them to
+# r = |x|, which is never negative; the public forms below check r first.
+
+def _wc0(r):
     return np.maximum(0.0, 1.0 - r) ** 2
 
 
-def wendland_c2(r):
-    """(1-r)_+^4 (4r+1): twice continuously differentiable."""
-    r = _check_radius(r)
+def _wc2(r):
     return np.maximum(0.0, 1.0 - r) ** 4 * (4.0 * r + 1.0)
 
 
-def wendland_c4(r):
-    """(1-r)_+^6 (35r^2+18r+3)/3: four times continuously differentiable."""
-    r = _check_radius(r)
+def _wc4(r):
     return np.maximum(0.0, 1.0 - r) ** 6 * (35.0 * r * r + 18.0 * r + 3.0) / 3.0
 
 
-def wendland_c0_dr(r):
-    r = _check_radius(r)
+def _wc0_dr(r):
     return np.where(r < 1.0, -2.0 * (1.0 - r), 0.0)
 
 
-def wendland_c2_dr(r):
-    r = _check_radius(r)
+def _wc2_dr(r):
     return np.where(r < 1.0, -20.0 * r * np.maximum(0.0, 1.0 - r) ** 3, 0.0)
 
 
-def wendland_c4_dr(r):
-    r = _check_radius(r)
+def _wc4_dr(r):
     p = np.maximum(0.0, 1.0 - r)
     # d/dr [p^6 (35r^2+18r+3)/3] = p^5 (-56r^2 - 14r) * ... expanded below
     return np.where(r < 1.0, p ** 5 * (-6.0 * (35.0 * r * r + 18.0 * r + 3.0)
                                        + p * (70.0 * r + 18.0)) / 3.0, 0.0)
+
+
+def wendland_c0(r):
+    """(1-r)_+^2: continuous, kink in the derivative at r=1."""
+    return _wc0(_check_radius(r))
+
+
+def wendland_c2(r):
+    """(1-r)_+^4 (4r+1): twice continuously differentiable."""
+    return _wc2(_check_radius(r))
+
+
+def wendland_c4(r):
+    """(1-r)_+^6 (35r^2+18r+3)/3: four times continuously differentiable."""
+    return _wc4(_check_radius(r))
+
+
+def wendland_c0_dr(r):
+    return _wc0_dr(_check_radius(r))
+
+
+def wendland_c2_dr(r):
+    return _wc2_dr(_check_radius(r))
+
+
+def wendland_c4_dr(r):
+    return _wc4_dr(_check_radius(r))
 
 
 # ---------------------------------------------------------------------------
@@ -231,7 +252,8 @@ def _radial(phi, dphi):
 
 
 def _relu(x, c, training, rng):
-    return np.maximum(0.0, x), np.where(x >= 0, 1.0, 0.0)
+    # dy/dx as the 0/1 mask: a product with it has the bits of one with 1.0/0.0
+    return np.maximum(0.0, x), x >= 0
 
 
 def _relu6(x, c, training, rng):
@@ -425,7 +447,7 @@ class Kind:
         values)."""
         if self.partials is None:
             return upstream * dy, {}
-        return upstream * dy, {name: float(np.sum(upstream * d))
+        return upstream * dy, {name: float(np.add.reduce(upstream * d, axis=None))
                                for name, d in self.partials(x, c).items()}
 
 
@@ -497,7 +519,7 @@ class _Enhanced(Kind):
         if p.mode == MODE_ELEMENTWISE:
             t = _profile(np.abs(x), p)
         else:
-            t = _profile(np.sqrt(np.sum(x * x, axis=-1, keepdims=True)), p)
+            t = _profile(np.sqrt(np.add.reduce(x * x, axis=-1, keepdims=True)), p)
         return x * t.g, t
 
     def backward(self, p, x, t, upstream):
@@ -508,12 +530,13 @@ class _Enhanced(Kind):
             dx = upstream * (t.g + t.r * dg)
             weight = upstream * x
         else:
-            weight = np.sum(upstream * x, axis=-1, keepdims=True)
+            weight = np.add.reduce(upstream * x, axis=-1, keepdims=True)
             # cross term x_i x_j g'(r)/r; at r ~ 0 the term vanishes in the limit
             safe = t.r >= _R_GUARD
             ratio = np.where(safe, dg / np.where(safe, t.r, 1.0), 0.0)
             dx = upstream * t.g + x * (weight * ratio)
-        grads = {name: float(np.sum(weight * d)) for name, d in partials.items()}
+        grads = {name: float(np.add.reduce(weight * d, axis=None))
+                 for name, d in partials.items()}
         for name in self._LOG:
             if name in grads:
                 grads[name] *= getattr(p, name)  # chain through value = exp(stored)
@@ -526,11 +549,11 @@ def _ewend_kinks(p):
 
 
 KINDS: dict[str, Kind] = {rec.name: rec for rec in (
-    Kind("wc0", _radial(wendland_c0, wendland_c0_dr), kinks=lambda c: (-1.0, 0.0, 1.0),
+    Kind("wc0", _radial(_wc0, _wc0_dr), kinks=lambda c: (-1.0, 0.0, 1.0),
          summary="classical Wendland C0, no parameters"),
-    Kind("wc2", _radial(wendland_c2, wendland_c2_dr),
+    Kind("wc2", _radial(_wc2, _wc2_dr),
          summary="classical Wendland C2, no parameters"),
-    Kind("wc4", _radial(wendland_c4, wendland_c4_dr),
+    Kind("wc4", _radial(_wc4, _wc4_dr),
          summary="classical Wendland C4, no parameters"),
     _Enhanced("ewend", None, kinks=_ewend_kinks,
               summary="alpha=1 k=4 lambda=0.1 beta=1 eps=0.01 mode=elem|channel "

@@ -8,6 +8,7 @@ coefficient is stored is up to its activation kind.
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass, field
 
@@ -57,7 +58,7 @@ class Dense:
         if x is None:
             raise RuntimeError("backward called before forward")
         np.matmul(x.T, upstream, out=self.w.grad)
-        np.sum(upstream, axis=0, out=self.b.grad)
+        np.add.reduce(upstream, axis=0, out=self.b.grad)
         return upstream @ self.w.value.T if need_dx else None
 
 
@@ -124,7 +125,14 @@ class Network:
             p.grad = self.grad[start:end].reshape(p.value.shape)
 
     def check_finite_grad(self):
-        """Raise NumericalError naming the first parameter with a non-finite gradient."""
+        """Raise NumericalError naming the first parameter with a non-finite gradient.
+
+        A finite sum proves every entry finite, so only a sum that is not (a
+        non-finite entry, or finite entries that overflow it) pays for the
+        scan.  The overflow warns unless np.errstate ignores it, as in `train`.
+        """
+        if math.isfinite(np.add.reduce(self.grad)):
+            return
         finite = np.isfinite(self.grad)
         if not finite.all():
             first = int(np.argmin(finite))
@@ -170,40 +178,66 @@ def build_mlp(widths: list[int], spec: act.ActivationSpec,
 
 
 # ---------------------------------------------------------------------------
-# Losses.  Both take float64 arrays; `train` converts its data once on entry.
+# Losses.  Each takes float64 arrays and returns (value, gradient wrt pred).
+# The public losses check their targets on every call; `train` checks its
+# targets once on entry and then calls the unchecked kernels through
+# `eval_loss`.
 # ---------------------------------------------------------------------------
 
-def mse_loss(pred: np.ndarray, target: np.ndarray):
-    if pred.shape != target.shape:
-        raise ShapeError(f"mse: shape mismatch {pred.shape} vs {target.shape}")
+def _mse(pred: np.ndarray, target: np.ndarray):
     diff = pred - target
-    value = float(np.mean(diff * diff))
-    grad = 2.0 * diff / diff.size
-    return value, grad
+    value = float(np.add.reduce(diff * diff, axis=None) / diff.size)
+    diff *= 2.0
+    diff /= diff.size
+    return value, diff
+
+
+def _xent(logits: np.ndarray, labels: np.ndarray):
+    n = logits.shape[0]
+    rows = np.arange(n)
+    shifted = logits - np.maximum.reduce(logits, axis=1, keepdims=True)
+    probs = np.exp(shifted)
+    log_z = np.log(np.add.reduce(probs, axis=1))
+    value = float(np.add.reduce(log_z - shifted[rows, labels]) / n)
+    probs /= np.exp(log_z)[:, None]
+    probs[rows, labels] -= 1.0
+    probs /= n
+    return value, probs
+
+
+def _check_targets(kind: str, target: np.ndarray, shape: tuple[int, int]):
+    """Raise ShapeError unless `target` fits predictions of `shape` under
+    loss `kind`: the same shape for "mse", one class index in [0, columns)
+    per row for "xent"."""
+    if kind == "mse":
+        if target.shape != shape:
+            raise ShapeError(f"mse: shape mismatch {shape} vs {target.shape}")
+    elif kind == "xent":
+        n, c = shape
+        if target.shape != (n,):
+            raise ShapeError(f"labels shape {target.shape} incompatible with logits {shape}")
+        if target.min() < 0 or target.max() >= c:
+            raise ShapeError(f"class index out of range [0, {c})")
+
+
+def mse_loss(pred: np.ndarray, target: np.ndarray):
+    _check_targets("mse", target, pred.shape)
+    return _mse(pred, target)
 
 
 def softmax_cross_entropy(logits: np.ndarray, labels: np.ndarray):
     """Mean cross entropy over rows; labels are integer class indices."""
     labels = np.asarray(labels)
-    n, c = logits.shape
-    if labels.shape != (n,):
-        raise ShapeError(f"labels shape {labels.shape} incompatible with logits {logits.shape}")
-    if labels.min() < 0 or labels.max() >= c:
-        raise ShapeError(f"class index out of range [0, {c})")
-    shifted = logits - logits.max(axis=1, keepdims=True)
-    probs = np.exp(shifted)
-    log_z = np.log(np.sum(probs, axis=1))
-    value = float(np.mean(log_z - shifted[np.arange(n), labels]))
-    probs /= np.exp(log_z)[:, None]
-    probs[np.arange(n), labels] -= 1.0
-    return value, probs / n
+    _check_targets("xent", labels, logits.shape)
+    return _xent(logits, labels)
 
 
 def eval_loss(kind: str, pred: np.ndarray, target: np.ndarray):
-    if kind == "mse":
-        return mse_loss(pred, target)
+    """The loss `kind` without target checks: `train` made them on entry."""
     if kind == "xent":
-        return softmax_cross_entropy(pred, target)
+        return _xent(pred, target)
+    if kind == "mse":
+        return _mse(pred, target)
     raise ValueError(f"unknown loss kind {kind!r}")
 
 
@@ -299,7 +333,8 @@ def train(net: Network, x_train, y_train, loss_kind: str, optimizer,
     Returns one record per epoch; with test data, each record carries the
     test loss, and under "xent" the test accuracy too.  On a non-finite loss
     or gradient the loop stops and the final record carries status="diverged"
-    with the offending epoch number.
+    with the offending epoch number.  Train and test targets that do not fit
+    the network's output raise ShapeError before the first update.
     """
     x_train = tensor(x_train)
     n = x_train.shape[0]
@@ -308,8 +343,16 @@ def train(net: Network, x_train, y_train, loss_kind: str, optimizer,
     if batch_size < 1:
         raise ValueError("batch_size must be >= 1")
     y_train = np.asarray(y_train)
+    # checked once here, so the loss kernels need not be; activations keep
+    # the width, so the last Dense layer sets the output's
+    width = x_train.shape[-1]
+    for layer in net.layers:
+        if isinstance(layer, Dense):
+            width = layer.n_out
+    _check_targets(loss_kind, y_train, (n, width))
     if x_test is not None:
         x_test, y_test = tensor(x_test), np.asarray(y_test)
+        _check_targets(loss_kind, y_test, (x_test.shape[0], width))
     records: list[EpochRecord] = []
     # a diverging run is reported by its records' status, so the overflow and
     # NaN on its way there are expected and not warned about
@@ -324,7 +367,7 @@ def train(net: Network, x_train, y_train, loss_kind: str, optimizer,
                 xb, yb = x_train[idx], y_train[idx]
                 pred = net.forward(xb, training=True, rng=rng)
                 value, grad = eval_loss(loss_kind, pred, yb)
-                if not np.isfinite(value):
+                if not math.isfinite(value):
                     status = "diverged"
                     break
                 net.backward(grad, need_dx=False)

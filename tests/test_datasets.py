@@ -3,6 +3,8 @@ stratified subsample."""
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from wendnet.datasets import (
     DataConfigError,
@@ -161,6 +163,44 @@ def test_idx_count_mismatch(tmp_path):
     write_idx_labels(tmp_path / "lbls", np.zeros(2, dtype=np.uint8))
     with pytest.raises(IdxParseError, match="mismatch"):
         load_idx(tmp_path / "imgs", tmp_path / "lbls")
+
+
+_MUTATION = st.one_of(
+    st.tuples(st.just("truncate"), st.integers(0, 40)),
+    st.tuples(st.just("flip"), st.integers(0, 40), st.integers(1, 255)),
+    st.tuples(st.just("extend"), st.binary(min_size=1, max_size=8)),
+)
+
+
+def _mutate(data: bytes, mutations) -> bytes:
+    buf = bytearray(data)
+    for op, *args in mutations:
+        if op == "truncate":
+            del buf[args[0] % (len(buf) + 1):]
+        elif op == "flip" and buf:
+            buf[args[0] % len(buf)] ^= args[1]
+        elif op == "extend":
+            buf += args[0]
+    return bytes(buf)
+
+
+@settings(derandomize=True, database=None, max_examples=300, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(image_edits=st.lists(_MUTATION, max_size=3), label_edits=st.lists(_MUTATION, max_size=3))
+def test_mutated_idx_files_load_or_raise_parse_error(tmp_path, image_edits, label_edits):
+    # truncate, flip or extend the bytes of a small IDX pair: the loader
+    # returns arrays that agree with the headers, or raises IdxParseError
+    write_idx_images(tmp_path / "imgs", np.arange(12, dtype=np.uint8).reshape(3, 2, 2))
+    write_idx_labels(tmp_path / "lbls", np.array([0, 9, 4], dtype=np.uint8))
+    for name, edits in (("imgs", image_edits), ("lbls", label_edits)):
+        path = tmp_path / name
+        path.write_bytes(_mutate(path.read_bytes(), edits))
+    try:
+        pixels, labels = load_idx(tmp_path / "imgs", tmp_path / "lbls")
+    except IdxParseError:
+        return
+    assert pixels.dtype == np.uint8 and labels.dtype == np.int64
+    assert pixels.ndim == 2 and labels.shape == (pixels.shape[0],)
 
 
 # --- subsampling ------------------------------------------------------------

@@ -1,6 +1,7 @@
 """Network forward/backward, losses, optimizers, and the training loop."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -15,6 +16,7 @@ from wendnet.network import (
     NumericalError,
     Param,
     build_mlp,
+    eval_loss,
     gradient_check_network,
     min_kink_gap,
     mse_loss,
@@ -22,7 +24,8 @@ from wendnet.network import (
     softmax_cross_entropy,
     train,
 )
-from wendnet.tensor import make_rng, relative_error
+from wendnet.datasets import make_moons, split
+from wendnet.tensor import ShapeError, make_rng, relative_error
 
 
 def test_empty_network_is_identity():
@@ -212,6 +215,41 @@ def test_cross_entropy_label_out_of_range():
         softmax_cross_entropy(np.zeros((2, 3)), np.array([0, 3]))
 
 
+def _textbook_mse(pred, target):
+    diff = pred - target
+    return float(np.mean(diff * diff)), 2.0 * diff / diff.size
+
+
+def _textbook_xent(logits, labels):
+    n = logits.shape[0]
+    shifted = logits - logits.max(axis=1, keepdims=True)
+    probs = np.exp(shifted)
+    log_z = np.log(np.sum(probs, axis=1))
+    value = float(np.mean(log_z - shifted[np.arange(n), labels]))
+    probs /= np.exp(log_z)[:, None]
+    probs[np.arange(n), labels] -= 1.0
+    return value, probs / n
+
+
+def test_losses_match_textbook_bit_for_bit():
+    # the checked public losses and the unchecked kernels `train` calls
+    # through eval_loss give the bits of the plain np.mean/np.sum forms
+    rng = make_rng(40)
+    for _ in range(300):
+        n, c = int(rng.integers(1, 70)), int(rng.integers(1, 12))
+        scale = 10.0 ** rng.uniform(-3, 3)
+        pred = scale * rng.standard_normal((n, c))
+        target = scale * rng.standard_normal((n, c))
+        labels = rng.integers(0, c, size=n)
+        for kind, public, textbook, y in (("mse", mse_loss, _textbook_mse, target),
+                                          ("xent", softmax_cross_entropy, _textbook_xent, labels)):
+            want_value, want_grad = textbook(pred, y)
+            for value, grad in (public(pred, y), eval_loss(kind, pred, y)):
+                assert np.float64(value).tobytes() == np.float64(want_value).tobytes()
+                assert grad.shape == want_grad.shape
+                assert grad.tobytes() == want_grad.tobytes()
+
+
 class _OneParam:
     """A layer holding a single parameter, so that a Network packs it."""
 
@@ -263,6 +301,34 @@ def test_non_finite_gradient_names_its_parameter():
     net.layers[2].b.grad[1] = np.nan
     with pytest.raises(NumericalError, match=r"parameter act0\.slope$"):
         net.check_finite_grad()
+
+
+def test_finite_gradients_whose_sum_overflows_pass_the_check():
+    net = _wide_net()
+    net.grad[...] = 1e308
+    with np.errstate(over="ignore"):  # as in train
+        assert not math.isfinite(np.add.reduce(net.grad))
+        net.check_finite_grad()
+
+
+@pytest.mark.parametrize("bad", [(np.nan,), (np.inf,), (-np.inf,), (np.inf, -np.inf)],
+                         ids=["nan", "inf", "-inf", "inf-pair"])
+def test_non_finite_gradient_in_any_parameter_is_named(bad):
+    # every parameter of both nets, the wide net's last ones in Adam's last block
+    for make_net in (_reference_net, _wide_net):
+        net = make_net()
+        opt = Adam(net)
+        theta = net.theta.tobytes()
+        for p in [p for layer in net.layers for p in layer.params()]:
+            for at in (0,) if len(bad) > 1 else (0, -1):
+                net.grad[...] = 0.0
+                p.grad.flat[at] = bad[0]
+                if len(bad) > 1:  # the pair sums to nan; its second half ends the vector
+                    net.grad[-1] = bad[1]
+                with np.errstate(invalid="ignore"):
+                    with pytest.raises(NumericalError, match=rf"parameter {re.escape(p.name)}$"):
+                        opt.step()
+        assert net.theta.tobytes() == theta and opt.step_count == 0
 
 
 class _TextbookSGD:
@@ -452,3 +518,82 @@ def test_per_layer_activation_state_is_independent():
     assert len(acts) == 2
     acts[0]._params["slope"].value[...] = 0.9
     assert float(acts[1]._params["slope"].value) == 0.25
+
+
+# --- train checks its targets once; the step is the textbook step ------------
+
+def _two_class_data(seed, n=150, test_fraction=0.3):
+    x, y = make_moons(n, 0.2, make_rng(seed))
+    return split(x, y, test_fraction, make_rng(seed + 1))
+
+
+@pytest.mark.parametrize("where, value", [("train", 2), ("train", -1),
+                                          ("test", 2), ("test", -1)])
+def test_train_rejects_an_out_of_range_label_before_any_update(where, value):
+    x_train, y_train, x_test, y_test = _two_class_data(44)
+    labels = y_train if where == "train" else y_test
+    labels[-1] = value
+    net = build_mlp([2, 8, 2], parse_activation("relu"), make_rng(45))
+    opt = Adam(net, lr=1e-2)
+    theta = net.theta.tobytes()
+    with pytest.raises(ShapeError, match=r"class index out of range \[0, 2\)"):
+        train(net, x_train, y_train, "xent", opt, epochs=2, batch_size=16,
+              rng=make_rng(46), x_test=x_test, y_test=y_test)
+    assert net.theta.tobytes() == theta and opt.step_count == 0
+
+
+@pytest.mark.parametrize("loss_kind, y_shape", [("xent", (20, 1)), ("mse", (20, 2)),
+                                                ("mse", (20,))])
+def test_train_rejects_a_target_shape_before_any_update(loss_kind, y_shape):
+    net = build_mlp([2, 4, 1], parse_activation("tanh"), make_rng(47))
+    opt = SGD(net, lr=0.1)
+    theta = net.theta.tobytes()
+    with pytest.raises(ShapeError):
+        train(net, make_rng(48).standard_normal((20, 2)), np.zeros(y_shape, dtype=np.int64),
+              loss_kind, opt, epochs=1, batch_size=8, rng=make_rng(49))
+    assert net.theta.tobytes() == theta
+
+
+def _textbook_train(net, x, y, loss, optimizer, epochs, batch_size, rng, x_test, y_test):
+    """The training loop with a checked public loss on every batch: the
+    reference for `train`.  Returns each epoch's record fields but seconds."""
+    records = []
+    for epoch in range(epochs):
+        order = rng.permutation(len(x))
+        total = 0.0
+        for start in range(0, len(x), batch_size):
+            idx = order[start:start + batch_size]
+            value, grad = loss(net.forward(x[idx], training=True, rng=rng), y[idx])
+            net.backward(grad)
+            optimizer.step()
+            total += value * len(idx)
+        pred = net.forward(x_test)
+        accuracy = (float(np.mean(pred.argmax(axis=1) == y_test))
+                    if loss is softmax_cross_entropy else None)
+        records.append((epoch, total / len(x), loss(pred, y_test)[0], accuracy,
+                        net.activation_coefficients(), "ok"))
+    return records
+
+
+@pytest.mark.parametrize("act_text, loss_kind", [
+    ("relu", "xent"), ("tanh", "xent"), ("prelu", "xent"), ("rrelu", "xent"),
+    ("ewend", "xent"), ("ewend(mode=channel,train=alpha|lambda|beta|eps)", "xent"),
+    ("tanh", "mse"),
+])
+def test_train_matches_the_textbook_loop_bit_for_bit(act_text, loss_kind):
+    x_train, y_train, x_test, y_test = _two_class_data(50)
+    if loss_kind == "mse":
+        y_train, y_test = np.sin(x_train), np.sin(x_test)
+    loss = softmax_cross_entropy if loss_kind == "xent" else mse_loss
+    spec = parse_activation(act_text)
+    net_a = build_mlp([2, 16, 16, 2], spec, make_rng(51))
+    net_b = build_mlp([2, 16, 16, 2], spec, make_rng(51))
+    records = train(net_a, x_train, y_train, loss_kind, Adam(net_a, lr=5e-3), epochs=3,
+                    batch_size=32, rng=make_rng(52), x_test=x_test, y_test=y_test)
+    want = _textbook_train(net_b, x_train, y_train, loss, Adam(net_b, lr=5e-3), 3, 32,
+                           make_rng(52), x_test, y_test)
+    got = [(r.epoch, r.train_loss, r.test_loss, r.test_accuracy, r.activation_params, r.status)
+           for r in records]
+    assert got == want
+    assert net_a.theta.tobytes() == net_b.theta.tobytes()
+    assert not np.array_equal(net_a.theta, build_mlp([2, 16, 16, 2], spec, make_rng(51)).theta)
