@@ -53,61 +53,53 @@ def _check_radius(r: np.ndarray) -> np.ndarray:
     return r
 
 
-# The closed forms on r >= 0, unchecked: the wc* kinds apply them to
-# r = |x|, which is never negative; the public forms below check r first.
+# The closed forms on r >= 0, unchecked, each as (phi(r), dphi/dr) from one
+# p = (1-r)_+: the wc* kinds apply them to r = |x|, which is never negative;
+# the public forms below check r first.
 
 def _wc0(r):
-    return np.maximum(0.0, 1.0 - r) ** 2
+    p = np.maximum(0.0, 1.0 - r)
+    return p ** 2, np.where(r < 1.0, -2.0 * p, 0.0)
 
 
 def _wc2(r):
-    return np.maximum(0.0, 1.0 - r) ** 4 * (4.0 * r + 1.0)
+    p = np.maximum(0.0, 1.0 - r)
+    return p ** 4 * (4.0 * r + 1.0), np.where(r < 1.0, -20.0 * r * p ** 3, 0.0)
 
 
 def _wc4(r):
-    return np.maximum(0.0, 1.0 - r) ** 6 * (35.0 * r * r + 18.0 * r + 3.0) / 3.0
-
-
-def _wc0_dr(r):
-    return np.where(r < 1.0, -2.0 * (1.0 - r), 0.0)
-
-
-def _wc2_dr(r):
-    return np.where(r < 1.0, -20.0 * r * np.maximum(0.0, 1.0 - r) ** 3, 0.0)
-
-
-def _wc4_dr(r):
     p = np.maximum(0.0, 1.0 - r)
-    # d/dr [p^6 (35r^2+18r+3)/3] = p^5 (-56r^2 - 14r) * ... expanded below
-    return np.where(r < 1.0, p ** 5 * (-6.0 * (35.0 * r * r + 18.0 * r + 3.0)
-                                       + p * (70.0 * r + 18.0)) / 3.0, 0.0)
+    q = 35.0 * r * r + 18.0 * r + 3.0
+    # d/dr [p^6 q/3] = p^5 (-6q + p q') / 3
+    dphi = np.where(r < 1.0, p ** 5 * (-6.0 * q + p * (70.0 * r + 18.0)) / 3.0, 0.0)
+    return p ** 6 * q / 3.0, dphi
 
 
 def wendland_c0(r):
     """(1-r)_+^2: continuous, kink in the derivative at r=1."""
-    return _wc0(_check_radius(r))
+    return _wc0(_check_radius(r))[0]
 
 
 def wendland_c2(r):
     """(1-r)_+^4 (4r+1): twice continuously differentiable."""
-    return _wc2(_check_radius(r))
+    return _wc2(_check_radius(r))[0]
 
 
 def wendland_c4(r):
     """(1-r)_+^6 (35r^2+18r+3)/3: four times continuously differentiable."""
-    return _wc4(_check_radius(r))
+    return _wc4(_check_radius(r))[0]
 
 
 def wendland_c0_dr(r):
-    return _wc0_dr(_check_radius(r))
+    return _wc0(_check_radius(r))[1]
 
 
 def wendland_c2_dr(r):
-    return _wc2_dr(_check_radius(r))
+    return _wc2(_check_radius(r))[1]
 
 
 def wendland_c4_dr(r):
-    return _wc4_dr(_check_radius(r))
+    return _wc4(_check_radius(r))[1]
 
 
 # ---------------------------------------------------------------------------
@@ -242,12 +234,12 @@ _SQRT2 = np.sqrt(2.0)
 _INV_SQRT_2PI = 1.0 / np.sqrt(2.0 * np.pi)
 
 
-def _radial(phi, dphi):
+def _radial(form):
     """Value function of a classical Wendland form applied to r = |x|."""
     def value(x, c, training, rng):
-        r = np.abs(x)
+        phi, dphi = form(np.abs(x))
         # right derivative at x=0: sign taken as +1 there
-        return phi(r), np.where(x >= 0, 1.0, -1.0) * dphi(r)
+        return phi, np.where(x >= 0, 1.0, -1.0) * dphi
     return value
 
 
@@ -549,11 +541,11 @@ def _ewend_kinks(p):
 
 
 KINDS: dict[str, Kind] = {rec.name: rec for rec in (
-    Kind("wc0", _radial(_wc0, _wc0_dr), kinks=lambda c: (-1.0, 0.0, 1.0),
+    Kind("wc0", _radial(_wc0), kinks=lambda c: (-1.0, 0.0, 1.0),
          summary="classical Wendland C0, no parameters"),
-    Kind("wc2", _radial(_wc2, _wc2_dr),
+    Kind("wc2", _radial(_wc2),
          summary="classical Wendland C2, no parameters"),
-    Kind("wc4", _radial(_wc4, _wc4_dr),
+    Kind("wc4", _radial(_wc4),
          summary="classical Wendland C4, no parameters"),
     _Enhanced("ewend", None, kinks=_ewend_kinks,
               summary="alpha=1 k=4 lambda=0.1 beta=1 eps=0.01 mode=elem|channel "
@@ -602,7 +594,9 @@ def parse_activation(text: str) -> ActivationSpec:
 
 
 def format_activation(spec: ActivationSpec) -> str:
-    """Canonical text encoding; parse(format(s)) round-trips."""
+    """Canonical text encoding.  Coefficients are written to 6 significant
+    digits, so specs that differ past the sixth share one text; a config
+    that lists two such specs is rejected when it is loaded."""
     return KINDS[spec.kind].format(spec.params)
 
 

@@ -25,7 +25,7 @@ import yaml
 from . import __version__
 from .activations import ActivationSpec, ConfigError, format_activation, parse_activation
 from .datasets import load_idx, make_circles, make_moons, sample_sine, split, subsample
-from .network import SGD, Adam, EpochRecord, build_mlp, train
+from .network import SGD, Adam, EpochRecord, build_mlp, quiet_errstate, train
 from .tensor import substream
 
 _CONFIG_KEYS = ("schema_version", "experiment", "seed", "activations", "architecture",
@@ -68,7 +68,7 @@ class ExperimentConfig:
 
     experiment: str
     seed: int
-    activations: list[str]
+    activations: dict[str, ActivationSpec]  # canonical text -> spec, in config order
     architecture: list[int]
     epochs: int
     batch_size: int
@@ -131,11 +131,17 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
              f"experiment must be one of {EXPERIMENTS}, got {experiment!r}")
     acts = raw.get("activations")
     _require(isinstance(acts, list) and acts, "activations must be a non-empty list")
+    specs: dict[str, ActivationSpec] = {}  # the text names a job's rows and substreams
     for i, text in enumerate(acts):
         try:
-            parse_activation(str(text))
+            spec = parse_activation(str(text))
         except ConfigError as exc:
             raise ConfigError(f"activations[{i}] = {text!r}: {exc}") from None
+        canonical = format_activation(spec)
+        if canonical in specs:
+            raise ConfigError(f"activations[{i}] = {text!r}: encodes as {canonical!r}, "
+                              f"like activations[{list(specs).index(canonical)}]")
+        specs[canonical] = spec
     arch = raw.get("architecture")
     _require(isinstance(arch, list) and len(arch) >= 2
              and all(_is_int(w) and w >= 1 for w in arch),
@@ -153,14 +159,14 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
                  f"optimizer.{key} must be in [0, 1), got {optimizer[key]!r}")
     dataset = _section(written["dataset"], "dataset", _DATASET[experiment])
     top = dict(experiment=experiment, seed=_scalar(raw, "seed", 0, least=0),
-               activations=[str(a) for a in acts], architecture=list(arch),
-               epochs=_scalar(raw, "epochs", 100), batch_size=_scalar(raw, "batch_size", 32),
+               architecture=list(arch), epochs=_scalar(raw, "epochs", 100),
+               batch_size=_scalar(raw, "batch_size", 32),
                repetitions=_scalar(raw, "repetitions", 1))
-    # the digest hashes the optimizer and dataset sections as written, so
+    # the digest hashes activations, optimizer and dataset as written, so
     # spelling out a default changes a config's identity and resolving it does not
-    blob = json.dumps({**top, **written}, sort_keys=True, default=str)
+    blob = json.dumps({**top, **written, "activations": acts}, sort_keys=True, default=str)
     return ExperimentConfig(
-        **top, optimizer=optimizer, dataset=dataset,
+        **top, activations=specs, optimizer=optimizer, dataset=dataset,
         output_dir=_scalar(raw, "output_dir", "out"),
         digest=hashlib.sha256(blob.encode("utf-8")).hexdigest()[:16])
 
@@ -245,7 +251,8 @@ def _train_one(cfg: ExperimentConfig, spec: ActivationSpec, act_text: str, rep: 
     if grid is None:
         return records, None
     ok = records[-1].status == "ok"
-    return records, (net.forward(grid) if ok else np.full_like(grid, np.nan))[:, 0]
+    with quiet_errstate():  # as in train: a kind's masked-out branch may warn
+        return records, (net.forward(grid) if ok else np.full_like(grid, np.nan))[:, 0]
 
 
 def _run_jobs(cfg: ExperimentConfig, data: tuple, loss_kind: str,
@@ -271,9 +278,7 @@ def _run_jobs(cfg: ExperimentConfig, data: tuple, loss_kind: str,
     results: list[tuple[str, list]] = []
     mf, mwriter = _open_csv(Path(cfg.output_dir) / "metrics.csv", cfg, METRIC_COLUMNS)
     with mf:
-        for text in cfg.activations:
-            spec = parse_activation(text)
-            act_text = format_activation(spec)
+        for act_text, spec in cfg.activations.items():
             jobs = []
             for rep in range(cfg.repetitions):
                 jobs.append(_train_one(cfg, spec, act_text, rep, data, loss_kind,
@@ -352,14 +357,11 @@ def run_toy_classification(cfg: ExperimentConfig) -> list[Path]:
     return [out / "metrics.csv", out / "summary.csv"]
 
 
-def _table_ordered(texts: list[str]) -> list[str]:
-    """Sort activation encodings into the comparison table's row order;
-    kinds outside the table keep their config order at the end."""
+def _table_ordered(specs: dict[str, ActivationSpec]) -> list[str]:
+    """Sort the activation encodings of `specs` into the comparison table's
+    row order; kinds outside the table keep their config order at the end."""
     order = {k: i for i, k in enumerate(TABLE_ORDER)}
-    return [text for _, text in sorted(
-        enumerate(texts),
-        key=lambda pair: (order.get(parse_activation(pair[1]).kind,
-                                    len(TABLE_ORDER)), pair[0]))]
+    return sorted(specs, key=lambda text: order.get(specs[text].kind, len(TABLE_ORDER)))
 
 
 def run_mnist_like(cfg: ExperimentConfig) -> list[Path]:
@@ -384,7 +386,7 @@ def run_mnist_like(cfg: ExperimentConfig) -> list[Path]:
     tf, twriter = _open_csv(out / "accuracy_table.csv", cfg,
                             ["activation", "test_accuracy"])
     with tf:
-        for text in _table_ordered([t for t, _ in finals]):
+        for text in _table_ordered(cfg.activations):
             twriter.writerow([text, _fmt(by_text[text])])
     return [out / "metrics.csv", out / "accuracy_table.csv"]
 

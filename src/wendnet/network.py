@@ -314,6 +314,13 @@ class Adam:
 # Training loop.
 # ---------------------------------------------------------------------------
 
+def quiet_errstate():
+    """The np.errstate of training: a diverging run reports itself in its records'
+    status, and a kind's masked-out branch (celu's at alpha=0) may overflow or
+    divide 0 by 0, so neither warns."""
+    return np.errstate(over="ignore", invalid="ignore", divide="ignore")
+
+
 @dataclass
 class EpochRecord:
     epoch: int
@@ -354,9 +361,7 @@ def train(net: Network, x_train, y_train, loss_kind: str, optimizer,
         x_test, y_test = tensor(x_test), np.asarray(y_test)
         _check_targets(loss_kind, y_test, (x_test.shape[0], width))
     records: list[EpochRecord] = []
-    # a diverging run is reported by its records' status, so the overflow and
-    # NaN on its way there are expected and not warned about
-    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+    with quiet_errstate():
         for epoch in range(epochs):
             t0 = time.monotonic()
             order = rng.permutation(n)
@@ -414,21 +419,20 @@ def min_kink_gap(net: Network) -> float:
 _KINK_MARGIN = 100.0
 
 
-def gradient_check_network(net: Network, x: np.ndarray,
-                           rng: np.random.Generator, probes: int = 100) -> float:
+def gradient_check_network(net: Network, x: np.ndarray, rng: np.random.Generator,
+                           probes: int = 100) -> float | None:
     """Check d(sum(c * net(theta, x))) / d(theta, x) against central finite
-    differences along random directions; returns the max relative error.
-
-    The base point must keep every pre-activation clear of derivative jumps
-    by more than the finite-difference probes reach.  Leaves `net.theta` as found.
-    """
+    differences along random directions; returns the max relative error, or
+    None, drawing nothing from `rng`, when a pre-activation lies within the
+    probes' reach of a derivative jump.  Leaves `net.theta` as found."""
     x = tensor(x)
-    # one base forward: the shape of c, the kink check and the backward's caches
-    c = rng.standard_normal(net.forward(x).shape)
+    out = net.forward(x)  # the one base forward: kink check, c's shape, backward's caches
     n_theta = net.theta.size
     base = np.concatenate([net.theta, x.ravel()])
-    if min_kink_gap(net) < _KINK_MARGIN * central_step(base):
-        raise RuntimeError("base point too close to an activation kink; reseed")
+    step = central_step(base)
+    if min_kink_gap(net) < _KINK_MARGIN * step:
+        return None
+    c = rng.standard_normal(out.shape)
     dx = net.backward(c, need_dx=True)
     analytic = np.concatenate([net.grad, dx.ravel()])
 
@@ -436,23 +440,20 @@ def gradient_check_network(net: Network, x: np.ndarray,
         net.theta[...] = vec[:n_theta]
         return float(np.sum(c * net.forward(vec[n_theta:].reshape(x.shape))))
 
-    worst = finite_diff_check(f, base, lambda v: analytic @ v, probes=probes, rng=rng)
+    worst = finite_diff_check(f, base, lambda v: analytic @ v, probes, step, rng)
     net.theta[...] = base[:n_theta]
     return worst
 
 
 def run_gradient_check(spec: act.ActivationSpec, widths=(2, 8, 8, 2),
                        seed: int = 0, probes: int = 100) -> float:
-    """Build a seeded MLP for `spec`, draw a batch of 4 inputs clear of
-    activation kinks, and return the max relative gradient error over `probes`."""
+    """Build a seeded MLP for `spec` and return the max relative gradient error
+    over `probes` at the first batch of 4 inputs clear of activation kinks."""
     rng = substream(seed, "grad-check", act.format_activation(spec))
     net = build_mlp(list(widths), spec, rng)
     for _ in range(100):
-        x = rng.standard_normal((4, widths[0]))
-        net.forward(x)
-        step = central_step(np.concatenate([net.theta, x.ravel()]))
-        if min_kink_gap(net) >= _KINK_MARGIN * step:
-            break
-    else:
-        raise RuntimeError("could not find a base point clear of activation kinks")
-    return gradient_check_network(net, x, rng, probes=probes)
+        worst = gradient_check_network(net, rng.standard_normal((4, widths[0])), rng,
+                                       probes=probes)
+        if worst is not None:
+            return worst
+    raise RuntimeError("could not find a base point clear of activation kinks")

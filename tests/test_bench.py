@@ -12,7 +12,7 @@ import yaml
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from wendnet.activations import ConfigError
+from wendnet.activations import ConfigError, parse_activation
 from wendnet.bench import (
     _DATASET,
     _OPTIMIZER,
@@ -267,12 +267,32 @@ def test_divergent_activation_does_not_corrupt_others(tmp_path):
 def test_table_order():
     texts = ["swish", "ewend(alpha=1,k=4,lambda=0.1,beta=1,eps=0.01,mode=elem)",
              "gelu", "relu", "srelu"]
-    ordered = _table_ordered(texts)
+    ordered = _table_ordered({text: parse_activation(text) for text in texts})
     assert ordered[0] == "relu"
     assert ordered[1] == "swish"
     assert ordered[2] == "srelu"
     assert ordered[3].startswith("ewend")
     assert ordered[4] == "gelu"  # not a table row, keeps config order at the end
+
+
+def test_activations_with_one_encoding_are_a_config_error():
+    # they would share a label, a pred_ column and the net/train substreams
+    raw = yaml.safe_load(default_config_text("moons"))
+    raw["activations"] = ["relu", "lrelu(slope=0.01)", "tanh", "lrelu(slope=0.0100000001)"]
+    with pytest.raises(ConfigError) as exc:
+        config_from_dict(raw)
+    assert str(exc.value) == ("activations[3] = 'lrelu(slope=0.0100000001)': encodes as "
+                              "'lrelu(slope=0.01)', like activations[1]")
+
+
+def test_config_keeps_each_spec_under_its_canonical_text():
+    raw = yaml.safe_load(default_config_text("moons"))
+    raw["activations"] = [" RELU ", "lrelu(slope=0.02)", "ewend(k=2,mode=channel)"]
+    cfg = config_from_dict(raw)
+    assert list(cfg.activations) == [
+        "relu", "lrelu(slope=0.02)",
+        "ewend(alpha=1,k=2,lambda=0.1,beta=1,eps=0.01,mode=channel)"]
+    assert list(cfg.activations.values()) == [parse_activation(t) for t in raw["activations"]]
 
 
 # --- CLI --------------------------------------------------------------------
@@ -410,6 +430,8 @@ _ABSENT = object()  # a dataset override that deletes its key
     ("sine", {"dataset": {"x_lo": -1e308, "x_hi": 1e308}}),
     ("moons", {"optimizer": {"kind": "adam", "lr": 10 ** 400}}),
     ("sine", {"dataset": {"x_hi": 10 ** 400}}),
+    ("moons", {"activations": ["relu", "relu"]}),
+    ("sine", {"activations": ["lrelu(slope=0.01)", "tanh", "lrelu(slope=0.0100000001)"]}),
 ], ids=["epochs", "seed", "lr", "architecture", "test_fraction-1", "test_fraction-1.5",
         "test_fraction-0", "test_fraction-abc", "n-abc", "n-1.5", "n-true",
         "noise_sd-list", "grid_points-abc", "dataset-list", "moons-test_fraction-0",
@@ -424,7 +446,7 @@ _ABSENT = object()  # a dataset override that deletes its key
         "ewend-alpha-nan", "ewend-alpha-1e309", "ewend-k-inf", "lrelu-slope-inf",
         "prelu-slope-nan", "srelu-tl-inf", "ewend-eps-nan-second", "experiment-list",
         "experiment-mapping", "sine-x-range-overflow", "lr-int-past-float",
-        "x_hi-int-past-float"])
+        "x_hi-int-past-float", "activation-repeated", "activation-same-encoding"])
 def test_cli_run_bad_config_value_exits_2(tmp_path, experiment, override):
     raw = yaml.safe_load(default_config_text(experiment))
     raw.update(epochs=1, activations=["tanh"], output_dir=str(tmp_path / "out"))
@@ -591,6 +613,22 @@ def test_cli_diverging_study_is_quiet(tmp_path):
     assert _quiet_run(path) == (0, "", [])
     _, rows = _read_csv(tmp_path / "out" / "metrics.csv")
     assert "diverged" in {r[9] for r in rows[1:]}
+
+
+@pytest.mark.parametrize("alpha", ["0", "1e-310"])
+def test_cli_sine_celu_with_a_vanishing_alpha_is_quiet(tmp_path, alpha):
+    # celu divides min(x, 0) by alpha: by zero at alpha=0, with an overflow at
+    # 1e-310; np.where keeps finite values, in training and on the grid alike
+    raw = yaml.safe_load(default_config_text("sine"))
+    raw.update(epochs=2, activations=[f"celu(alpha={alpha})"], output_dir=str(tmp_path / "out"))
+    raw["dataset"]["n"] = 40
+    path = tmp_path / "sine.yaml"
+    path.write_text(yaml.safe_dump(raw))
+    assert _quiet_run(path) == (0, "", [])
+    _, rows = _read_csv(tmp_path / "out" / "metrics.csv")
+    assert {r[9] for r in rows[1:]} == {"ok"}
+    _, preds = _read_csv(tmp_path / "out" / "predictions.csv")
+    assert np.isfinite([float(r[2]) for r in preds[1:]]).all()
 
 
 def test_cli_trainable_lambda_and_eps_may_leave_their_config_range(tmp_path):

@@ -108,6 +108,40 @@ def test_gradient_check_clears_kinks_by_the_probe_step():
     assert err < 1e-6
 
 
+def test_gradient_check_makes_one_base_forward_per_candidate(monkeypatch):
+    # seed 6016 draws two candidate base points (see above); each takes one
+    # forward, and each of the 5 probes two more
+    import wendnet.network as network
+
+    calls = {"check": 0, "forward": 0}
+    check, forward = network.gradient_check_network, Network.forward
+
+    def counted_check(*args, **kwargs):
+        calls["check"] += 1
+        return check(*args, **kwargs)
+
+    def counted_forward(self, *args, **kwargs):
+        calls["forward"] += 1
+        return forward(self, *args, **kwargs)
+
+    monkeypatch.setattr(network, "gradient_check_network", counted_check)
+    monkeypatch.setattr(Network, "forward", counted_forward)
+    err = run_gradient_check(parse_activation("relu"), seed=6016, probes=5)
+    assert err < 1e-6
+    assert calls == {"check": 2, "forward": 2 + 2 * 5}
+
+
+def test_gradient_check_near_a_kink_is_none_and_draws_nothing():
+    # zero inputs put every first-layer pre-activation on the relu kink at 0
+    net = build_mlp([2, 8, 8, 2], parse_activation("relu"), make_rng(37))
+    before = net.theta.copy()
+    rng = make_rng(38)
+    state = rng.bit_generator.state
+    assert gradient_check_network(net, np.zeros((4, 2)), rng, probes=5) is None
+    assert rng.bit_generator.state == state
+    np.testing.assert_array_equal(net.theta, before)
+
+
 def _layer_walking_kink_gap(net, x):
     """Reference: the kink gap from a forward loop of its own."""
     gap = float("inf")

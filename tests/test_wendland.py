@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from wendnet.activations import (
+    KINDS,
     DomainError,
     wendland_c0,
     wendland_c0_dr,
@@ -88,3 +89,64 @@ def test_c2_boundary_derivative_continuity():
         left = dphi(1.0 - h)
         right = dphi(1.0 + h)
         assert abs(left - right) < 1e-5
+
+
+# The closed forms as separate value and derivative expressions, kept here as
+# the reference the one-pass forms must match bit for bit.
+def _ref_c0(r):
+    return np.maximum(0.0, 1.0 - r) ** 2
+
+
+def _ref_c2(r):
+    return np.maximum(0.0, 1.0 - r) ** 4 * (4.0 * r + 1.0)
+
+
+def _ref_c4(r):
+    return np.maximum(0.0, 1.0 - r) ** 6 * (35.0 * r * r + 18.0 * r + 3.0) / 3.0
+
+
+def _ref_c0_dr(r):
+    return np.where(r < 1.0, -2.0 * (1.0 - r), 0.0)
+
+
+def _ref_c2_dr(r):
+    return np.where(r < 1.0, -20.0 * r * np.maximum(0.0, 1.0 - r) ** 3, 0.0)
+
+
+def _ref_c4_dr(r):
+    p = np.maximum(0.0, 1.0 - r)
+    return np.where(r < 1.0, p ** 5 * (-6.0 * (35.0 * r * r + 18.0 * r + 3.0)
+                                       + p * (70.0 * r + 18.0)) / 3.0, 0.0)
+
+
+def _edge_radii():
+    one = np.array([1.0])
+    edges = [0.0, -0.0, 1.0, np.nextafter(1.0, 0.0), np.nextafter(1.0, 2.0), 0.5,
+             np.nextafter(0.0, 1.0), 1e-300, 1e300, np.inf, np.nan]
+    rng = np.random.default_rng(12)
+    return np.concatenate([edges, rng.uniform(0.0, 1.5, 20000),
+                           one + rng.uniform(-1e-12, 1e-12, 200), rng.exponential(50.0, 200)])
+
+
+def _same_bits(a, b):
+    a, b = np.asarray(a), np.asarray(b)
+    assert a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize("kind, phi, dphi, ref, ref_dr", [
+    ("wc0", wendland_c0, wendland_c0_dr, _ref_c0, _ref_c0_dr),
+    ("wc2", wendland_c2, wendland_c2_dr, _ref_c2, _ref_c2_dr),
+    ("wc4", wendland_c4, wendland_c4_dr, _ref_c4, _ref_c4_dr),
+])
+def test_one_pass_forms_match_the_separate_closed_forms_bit_for_bit(kind, phi, dphi, ref, ref_dr):
+    r = _edge_radii()
+    x = np.concatenate([r, -r])
+    with np.errstate(invalid="ignore", over="ignore"):  # r * r past 1e154, inf * 0
+        _same_bits(phi(r), ref(r))
+        _same_bits(dphi(r), ref_dr(r))
+        for scalar in (0.0, 0.5, 1.0, 2.0):
+            _same_bits(phi(scalar), ref(np.float64(scalar)))
+            _same_bits(dphi(scalar), ref_dr(np.float64(scalar)))
+        y, dy = KINDS[kind].forward({}, x, False, None)
+        _same_bits(y, ref(np.abs(x)))
+        _same_bits(dy, np.where(x >= 0, 1.0, -1.0) * ref_dr(np.abs(x)))
