@@ -184,14 +184,17 @@ def load_config(path) -> ExperimentConfig:
     try:
         return config_from_dict(raw)
     except ConfigError as exc:
-        # point at the offending line where we can find the token in the file
-        m = re.search(r"= '([^']+)'", str(exc))
-        if m:
-            token = m.group(1)
-            for lineno, line in enumerate(text.splitlines(), start=1):
-                if token in line:
-                    raise ConfigError(f"{path}:{lineno}: {exc}") from None
-        raise ConfigError(f"{path}: {exc}") from None
+        raise ConfigError(f"{_where(path, text, exc)}: {exc}") from None
+
+
+def _where(path, text: str, exc: ConfigError) -> str:
+    """`path`, with the line of the activations entry that `exc` names, if any."""
+    m = re.match(r"activations\[(\d+)\]", str(exc))
+    if m:
+        for key, value in reversed(yaml.compose(text).value):
+            if key.value == "activations":  # the last one, as safe_load keeps
+                return f"{path}:{value.value[int(m.group(1))].start_mark.line + 1}"
+    return str(path)
 
 
 # ---------------------------------------------------------------------------
@@ -207,7 +210,6 @@ def _fmt(value) -> str:
 
 
 def _open_csv(path: Path, cfg: ExperimentConfig, columns):
-    path.parent.mkdir(parents=True, exist_ok=True)
     f = open(path, "w", newline="", encoding="utf-8")
     f.write(f"# wendnet v{__version__}\n")
     f.write(f"# config_digest={cfg.digest}\n")
@@ -257,34 +259,26 @@ def _train_one(cfg: ExperimentConfig, spec: ActivationSpec, act_text: str, rep: 
 
 def _run_jobs(cfg: ExperimentConfig, data: tuple, loss_kind: str,
               grid: np.ndarray | None = None) -> list[tuple[str, list]]:
-    """Train every (activation, repetition) job of `cfg` on `data` and write
-    metrics.csv in config order.  Returns, per activation, its text encoding
-    and the `(records, prediction)` of each repetition; only the first
-    repetition predicts on `grid`."""
-    # the architecture must fit the data: one input per feature column, and
-    # one output per target column (mse) or per class up to the largest label
-    x_train, y_train, _, y_test = data
-    first, last = cfg.architecture[0], cfg.architecture[-1]
-    _require(first == x_train.shape[1],
-             f"architecture starts at {first} but the data has "
-             f"{x_train.shape[1]} feature column(s)")
-    if loss_kind == "mse":
-        _require(last == y_train.shape[1],
-                 f"architecture ends at {last} but the data has "
-                 f"{y_train.shape[1]} target column(s)")
-    else:
-        top = int(max(y_train.max(), y_test.max()))
-        _require(last > top, f"architecture ends at {last} but the labels go up to {top}")
-    results: list[tuple[str, list]] = []
-    mf, mwriter = _open_csv(Path(cfg.output_dir) / "metrics.csv", cfg, METRIC_COLUMNS)
+    """Train every (activation, repetition) job of `cfg` on `data`, then
+    write metrics.csv in config order.  Returns, per activation, its text
+    encoding and the `(records, prediction)` of each repetition; only the
+    first repetition predicts on `grid`.
+
+    The engine decides whether the data fit the architecture: a misfit
+    raises ShapeError in the first job, before any update, so the study
+    writes no metrics.csv.  The output directory is made first, so a path
+    that cannot be one fails before any training."""
+    out = Path(cfg.output_dir)
+    out.mkdir(parents=True, exist_ok=True)
+    results = [(act_text, [_train_one(cfg, spec, act_text, rep, data, loss_kind,
+                                      grid if rep == 0 else None)
+                           for rep in range(cfg.repetitions)])
+               for act_text, spec in cfg.activations.items()]
+    mf, mwriter = _open_csv(out / "metrics.csv", cfg, METRIC_COLUMNS)
     with mf:
-        for act_text, spec in cfg.activations.items():
-            jobs = []
-            for rep in range(cfg.repetitions):
-                jobs.append(_train_one(cfg, spec, act_text, rep, data, loss_kind,
-                                       grid if rep == 0 else None))
-                mwriter.writerows(_metric_rows(cfg, act_text, rep, jobs[-1][0]))
-            results.append((act_text, jobs))
+        for act_text, jobs in results:
+            for rep, (records, _) in enumerate(jobs):
+                mwriter.writerows(_metric_rows(cfg, act_text, rep, records))
     return results
 
 

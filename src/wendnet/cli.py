@@ -20,6 +20,7 @@ from .activations import ALL_KINDS, ConfigError, activation_schema, parse_activa
 from .bench import EXPERIMENTS, default_config_text, load_config, run_experiment
 from .datasets import DataConfigError, IdxParseError
 from .network import NumericalError, run_gradient_check
+from .tensor import ShapeError
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -70,20 +71,9 @@ def _build_parser() -> _Parser:
 
 def _cmd_run(args) -> int:
     try:
-        cfg = load_config(args.config)
-    except OSError as exc:
-        print(f"error: cannot read config file: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except ConfigError as exc:
+        paths = run_experiment(load_config(args.config))
+    except (ConfigError, DataConfigError, IdxParseError, ShapeError, OSError) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    try:
-        paths = run_experiment(cfg)
-    except (ConfigError, DataConfigError, IdxParseError) as exc:
-        print(f"configuration error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except NumericalError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)

@@ -152,14 +152,9 @@ def load_idx(images_path, labels_path) -> tuple[np.ndarray, np.ndarray]:
 
 
 def write_idx_images(path, images: np.ndarray):
-    """Write (n, rows, cols) or (n, rows*cols) uint8 pixels as an IDX image
-    file; used for fixtures and round-trip checks."""
+    """Write (n, rows, cols) uint8 pixels as an IDX image file; used for
+    fixtures and round-trip checks."""
     arr = np.asarray(images, dtype=np.uint8)
-    if arr.ndim == 2:
-        side = int(round(np.sqrt(arr.shape[1])))
-        if side * side != arr.shape[1]:
-            raise DataConfigError("flattened images must be square")
-        arr = arr.reshape(arr.shape[0], side, side)
     with open(path, "wb") as f:
         f.write(struct.pack(">IIII", IDX_IMAGE_MAGIC, arr.shape[0], arr.shape[1], arr.shape[2]))
         f.write(arr.tobytes())

@@ -211,7 +211,7 @@ def _check_targets(kind: str, target: np.ndarray, shape: tuple[int, int]):
     per row for "xent"."""
     if kind == "mse":
         if target.shape != shape:
-            raise ShapeError(f"mse: shape mismatch {shape} vs {target.shape}")
+            raise ShapeError(f"mse: prediction shape {shape} vs target shape {target.shape}")
     elif kind == "xent":
         n, c = shape
         if target.shape != (n,):

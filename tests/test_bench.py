@@ -5,6 +5,7 @@ import hashlib
 import io
 import warnings
 from contextlib import redirect_stderr, redirect_stdout
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ import yaml
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from wendnet import bench
 from wendnet.activations import ConfigError, parse_activation
 from wendnet.bench import (
     _DATASET,
@@ -26,6 +28,7 @@ from wendnet.bench import (
 )
 from wendnet.cli import main
 from wendnet.datasets import write_idx_images, write_idx_labels
+from wendnet.network import Adam
 
 
 def _read_csv(path):
@@ -187,6 +190,20 @@ def test_unknown_activation_error_names_token_and_line(tmp_path):
     path.write_text(text)
     lineno = next(i for i, l in enumerate(text.splitlines(), 1) if "blorp" in l)
     with pytest.raises(ConfigError, match=rf"cfg\.yaml:{lineno}.*blorp"):
+        load_config(path)
+
+
+@pytest.mark.parametrize("activations, line", [
+    ("activations:\n  - relu  # relu again below\n  - tanh\n  - relu\n", 8),
+    ("activations: [relu, tanh,\n  relu]  # relu\n", 6),
+], ids=["block", "flow"])
+def test_activation_error_points_at_the_entry_it_names(tmp_path, activations, line):
+    # 'relu' is also in a comment and in activations[0]; the error is about activations[2]
+    text = ("# relu is the baseline\nschema_version: 1\nexperiment: moons\n# relu\n"
+            + activations + "architecture: [2, 8, 2]\n")
+    path = tmp_path / "cfg.yaml"
+    path.write_text(text)
+    with pytest.raises(ConfigError, match=rf"^.*cfg\.yaml:{line}: activations\[2\] = 'relu'"):
         load_config(path)
 
 
@@ -370,6 +387,41 @@ def test_cli_usage_error():
 _ABSENT = object()  # a dataset override that deletes its key
 
 
+def _cli_config(tmp_path, experiment, override) -> Path:
+    """A one-epoch `tanh` starter for `experiment` with `override` applied,
+    written to tmp_path/config.yaml; its output_dir is tmp_path/out."""
+    raw = yaml.safe_load(default_config_text(experiment))
+    raw.update(epochs=1, activations=["tanh"], output_dir=str(tmp_path / "out"))
+    if experiment == "mnist":
+        labels = np.tile(np.arange(10), 6).astype(np.uint8)
+        for part in ("train", "test"):
+            write_idx_images(tmp_path / f"{part}-images",
+                             np.zeros((len(labels), 28, 28), dtype=np.uint8))
+            write_idx_labels(tmp_path / f"{part}-labels", labels)
+            raw["dataset"][f"{part}_images"] = str(tmp_path / f"{part}-images")
+            raw["dataset"][f"{part}_labels"] = str(tmp_path / f"{part}-labels")
+        raw["dataset"].update(n_train=40, n_test=20)
+    else:
+        raw["dataset"]["n"] = 20
+    for key, value in override.items():
+        if isinstance(value, dict) and key == "dataset":
+            raw["dataset"].update(value)
+            raw["dataset"] = {k: v for k, v in raw["dataset"].items() if v is not _ABSENT}
+        else:
+            raw[key] = value
+    path = tmp_path / "config.yaml"
+    path.write_text(yaml.safe_dump(raw))
+    return path
+
+
+def _run_fails(path) -> str:
+    """The stderr of `wendnet run path`, which must exit 2."""
+    err = io.StringIO()
+    with redirect_stderr(err), redirect_stdout(io.StringIO()):
+        assert main(["run", str(path)]) == 2
+    return err.getvalue()
+
+
 @pytest.mark.parametrize("experiment, override", [
     ("sine", {"epochs": "abc"}),
     ("sine", {"seed": -1}),
@@ -448,31 +500,51 @@ _ABSENT = object()  # a dataset override that deletes its key
         "experiment-mapping", "sine-x-range-overflow", "lr-int-past-float",
         "x_hi-int-past-float", "activation-repeated", "activation-same-encoding"])
 def test_cli_run_bad_config_value_exits_2(tmp_path, experiment, override):
-    raw = yaml.safe_load(default_config_text(experiment))
-    raw.update(epochs=1, activations=["tanh"], output_dir=str(tmp_path / "out"))
-    if experiment == "mnist":
-        labels = np.tile(np.arange(10), 6).astype(np.uint8)
-        for part in ("train", "test"):
-            write_idx_images(tmp_path / f"{part}-images",
-                             np.zeros((len(labels), 28, 28), dtype=np.uint8))
-            write_idx_labels(tmp_path / f"{part}-labels", labels)
-            raw["dataset"][f"{part}_images"] = str(tmp_path / f"{part}-images")
-            raw["dataset"][f"{part}_labels"] = str(tmp_path / f"{part}-labels")
-        raw["dataset"].update(n_train=40, n_test=20)
-    else:
-        raw["dataset"]["n"] = 20
-    for key, value in override.items():
-        if isinstance(value, dict) and key == "dataset":
-            raw["dataset"].update(value)
-            raw["dataset"] = {k: v for k, v in raw["dataset"].items() if v is not _ABSENT}
-        else:
-            raw[key] = value
-    path = tmp_path / "config.yaml"
-    path.write_text(yaml.safe_dump(raw))
-    err = io.StringIO()
-    with redirect_stderr(err), redirect_stdout(io.StringIO()):
-        assert main(["run", str(path)]) == 2
-    assert len(err.getvalue().splitlines()) == 1
+    path = _cli_config(tmp_path, experiment, override)
+    assert len(_run_fails(path).splitlines()) == 1
+
+
+@pytest.mark.parametrize("experiment, architecture", [
+    ("sine", [2, 8, 1]), ("sine", [1, 8, 2]), ("moons", [2, 8, 1]), ("mnist", [784, 16, 5]),
+], ids=["sine-input-width", "sine-output-width", "moons-output-width", "mnist-output-width"])
+def test_cli_misfit_architecture_fails_before_any_step(tmp_path, monkeypatch,
+                                                       experiment, architecture):
+    # the engine's shape checks decide fit: the first job stops before its
+    # first update, and metrics.csv, written once every job has returned, never is
+    steps = []
+    monkeypatch.setattr(Adam, "step", lambda self: steps.append(self))
+    path = _cli_config(tmp_path, experiment, {"architecture": architecture})
+    assert len(_run_fails(path).splitlines()) == 1
+    assert steps == []
+    assert list((tmp_path / "out").iterdir()) == []  # made before the first job
+
+
+@pytest.mark.parametrize("experiment", ["sine", "moons", "mnist"])
+def test_cli_output_dir_under_a_file_fails_before_any_network(tmp_path, monkeypatch,
+                                                              experiment):
+    built = []
+    build_mlp = bench.build_mlp
+    monkeypatch.setattr(bench, "build_mlp", lambda *args: built.append(args) or build_mlp(*args))
+    (tmp_path / "file").write_text("")
+    path = _cli_config(tmp_path, experiment, {"output_dir": str(tmp_path / "file" / "out")})
+    assert len(_run_fails(path).splitlines()) == 1
+    assert built == []
+
+
+def test_metrics_csv_is_written_once_every_job_has_returned(tmp_path, monkeypatch):
+    listings = []
+    train_one = bench._train_one
+
+    def listing_train_one(cfg, *args):
+        listings.append(sorted(p.name for p in Path(cfg.output_dir).iterdir()))
+        return train_one(cfg, *args)
+
+    monkeypatch.setattr(bench, "_train_one", listing_train_one)
+    cfg = _small_sine_cfg(tmp_path, activations=["tanh", "relu"], repetitions=2)
+    _, rows = _read_csv(run_sine(cfg)[0])
+    assert listings == [[]] * 4  # the directory exists, and is empty, in every job
+    assert [(r[1], r[2]) for r in rows[1::cfg.epochs]] == [
+        ("tanh", "0"), ("tanh", "1"), ("relu", "0"), ("relu", "1")]
 
 
 def test_cli_mnist_missing_files(tmp_path):

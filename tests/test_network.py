@@ -588,6 +588,14 @@ def test_train_rejects_a_target_shape_before_any_update(loss_kind, y_shape):
     assert net.theta.tobytes() == theta
 
 
+
+def test_mse_shape_error_names_prediction_and_target():
+    # the message reaches a user as their exit-2 line, so it says which is which
+    with pytest.raises(ShapeError,
+                       match=r"^mse: prediction shape \(3, 2\) vs target shape \(3, 1\)$"):
+        mse_loss(np.zeros((3, 2)), np.zeros((3, 1)))
+
+
 def _textbook_train(net, x, y, loss, optimizer, epochs, batch_size, rng, x_test, y_test):
     """The training loop with a checked public loss on every batch: the
     reference for `train`.  Returns each epoch's record fields but seconds."""
