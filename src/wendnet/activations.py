@@ -31,7 +31,6 @@ from dataclasses import dataclass, field
 from typing import Callable, NamedTuple
 
 import numpy as np
-from scipy.special import erf
 
 
 class DomainError(ValueError):
@@ -76,7 +75,8 @@ def _wc4(r):
 
 
 def wendland_c0(r):
-    """(1-r)_+^2: continuous, kink in the derivative at r=1."""
+    """(1-r)_+^2: continuously differentiable at r=1, where its second
+    derivative jumps; on r = |x|, its derivative jumps at x=0."""
     return _wc0(_check_radius(r))[0]
 
 
@@ -166,12 +166,15 @@ class _Profile(NamedTuple):
 
 
 def _profile(r: np.ndarray, p: EnhancedWendlandParams) -> _Profile:
-    """The enhanced profile at r >= 0; the one implementation of g."""
+    """The enhanced profile at r >= 0; the one implementation of g.  A
+    coefficient is a number, or one per replica as an (R, 1, 1) array against
+    an (R, ...) r."""
     ar = p.alpha * r
     # the cutoff is applied against the representable boundary 1/alpha so the
     # Wendland component is exactly zero for every r >= 1/alpha; a trained
-    # alpha that underflowed to 0 has the whole line as its support
-    inside = r < (1.0 / p.alpha if p.alpha else math.inf)
+    # alpha that underflowed to 0 has the whole line as its support: 1/0 is
+    # inf, silently under training's np.errstate
+    inside = r < 1.0 / p.alpha
     pos = np.where(inside, np.maximum(0.0, 1.0 - ar), 0.0)
     pk = pos ** p.k
     kar1 = p.k * ar + 1.0
@@ -194,8 +197,10 @@ def _profile_derivatives(p: EnhancedWendlandParams, t: _Profile, names):
     """(dg/dr, {name: dg/dname for name in names}) from one pos**(k-1); the one
     implementation of g' and the coefficient partials."""
     pk1 = t.pos ** (p.k - 1)
-    # a float64 square overflows to inf where a Python float's raises
-    wend = np.where(t.inside, -p.k * (p.k + 1.0) * np.float64(p.alpha) ** 2 * t.r * pk1, 0.0)
+    # libm pow, as a float64 scalar's ** computes it (an array's alpha ** 2 is
+    # a multiply, which rounds differently); it overflows to inf where a
+    # Python float's square raises
+    wend = np.where(t.inside, -p.k * (p.k + 1.0) * np.float_power(p.alpha, 2) * t.r * pk1, 0.0)
     dg = wend + p.lam - p.eps * p.beta * t.tail
     return dg, {name: _PARTIALS[name](p, t, pk1) for name in names}
 
@@ -262,7 +267,8 @@ def _rrelu(x, c, training, rng):
     if training:
         if rng is None:
             raise ConfigError("rrelu in training mode requires an rng")
-        s = rng.uniform(lo, hi, size=x.shape)
+        # one slope per element, replica r's from its own generator rng[r]
+        s = np.stack([g.uniform(lo, hi, size=x.shape[1:]) for g in rng])
     else:
         s = 0.5 * (lo + hi)
     return np.where(x >= 0, x, s * x), np.where(x >= 0, 1.0, s)
@@ -318,6 +324,8 @@ def _tanh(x, c, training, rng):
 
 
 def _gelu(x, c, training, rng):
+    from scipy.special import erf  # here, not at start-up: importing scipy takes 0.3 s
+
     phi_cdf = 0.5 * (1.0 + erf(x / _SQRT2))
     pdf = _INV_SQRT_2PI * np.exp(-0.5 * x * x)
     return x * phi_cdf, phi_cdf + x * pdf
@@ -346,6 +354,15 @@ def _check_rrelu(c):
 
 def _at_zero(c):
     return (0.0,)
+
+
+def _per_replica_sum(g, coeff):
+    """The gradient of `coeff` from its elementwise terms `g`: summed over the
+    last two axes, once per replica, for an (R, 1, 1) coefficient stack, and
+    over every axis for a single number."""
+    if np.ndim(coeff):
+        return np.add.reduce(g, axis=(-2, -1), keepdims=True)
+    return np.add.reduce(g, axis=None)
 
 
 # ---------------------------------------------------------------------------
@@ -379,7 +396,11 @@ def _parse_number(kind: str, key: str, raw: str) -> float:
 class Kind:
     """Everything wendnet knows about one activation kind; adding a kind
     means adding one record to `KINDS`.  This base covers the elementwise
-    kinds, whose coefficients are a dict of floats keyed by their text names."""
+    kinds, whose coefficients are a dict keyed by their text names.
+
+    In a stack of R replicas, x is (R, rows, width); a trained coefficient
+    is then an (R, 1, 1) array, one value per replica, and its gradient has
+    that shape too.  Any coefficient may also be a plain number."""
 
     name: str
     value: Callable | None              # (x, c, training, rng) -> (y, dy/dx)
@@ -420,7 +441,7 @@ class Kind:
         layer trains, and what `backward`'s gradients are taken against."""
         return {name: params[name] for name in self.trainable}
 
-    def bind(self, params, stored: dict[str, float]):
+    def bind(self, params, stored: dict):
         """The full coefficient set: `params` with the trainable coefficients
         taken from their stored values."""
         return {**params, **stored}
@@ -430,8 +451,9 @@ class Kind:
         return dict(c)
 
     def forward(self, c, x, training, rng):
-        """(y, what `backward` needs besides c and x): here dy/dx.  RReLU
-        samples one slope per element from `rng` in training mode."""
+        """(y, what `backward` needs besides c and x): here dy/dx.  In
+        training mode RReLU samples one slope per element, replica r's from
+        rng[r]."""
         return self.value(x, c, training, rng)
 
     def backward(self, c, x, dy, upstream):
@@ -439,7 +461,7 @@ class Kind:
         values)."""
         if self.partials is None:
             return upstream * dy, {}
-        return upstream * dy, {name: float(np.add.reduce(upstream * d, axis=None))
+        return upstream * dy, {name: _per_replica_sum(upstream * d, c[name])
                                for name, d in self.partials(x, c).items()}
 
 
@@ -492,13 +514,13 @@ class _Enhanced(Kind):
         return {name: float(np.log(getattr(p, name))) if name in self._LOG
                 else getattr(p, name) for name in p.train}
 
-    def bind(self, params, stored: dict[str, float]):
+    def bind(self, params, stored: dict):
         # a fresh instance, filled by one merge, skips __post_init__: its
         # checks guard config text, and g(r) and its partials hold for any
         # real lambda and eps an optimizer reaches
         p = object.__new__(EnhancedWendlandParams)
         p.__dict__ = {**vars(params["ewend"]),
-                      **{name: float(np.exp(v)) if name in self._LOG else v
+                      **{name: np.exp(v) if name in self._LOG else v
                          for name, v in stored.items()}}
         return p
 
@@ -527,7 +549,7 @@ class _Enhanced(Kind):
             safe = t.r >= _R_GUARD
             ratio = np.where(safe, dg / np.where(safe, t.r, 1.0), 0.0)
             dx = upstream * t.g + x * (weight * ratio)
-        grads = {name: float(np.add.reduce(weight * d, axis=None))
+        grads = {name: _per_replica_sum(weight * d, getattr(p, name))
                  for name, d in partials.items()}
         for name in self._LOG:
             if name in grads:
@@ -541,7 +563,7 @@ def _ewend_kinks(p):
 
 
 KINDS: dict[str, Kind] = {rec.name: rec for rec in (
-    Kind("wc0", _radial(_wc0), kinks=lambda c: (-1.0, 0.0, 1.0),
+    Kind("wc0", _radial(_wc0), kinks=_at_zero,
          summary="classical Wendland C0, no parameters"),
     Kind("wc2", _radial(_wc2),
          summary="classical Wendland C2, no parameters"),
@@ -555,8 +577,9 @@ KINDS: dict[str, Kind] = {rec.name: rec for rec in (
     Kind("lrelu", _leaky, {"slope": 0.01}, kinks=_at_zero),
     Kind("prelu", _leaky, {"slope": 0.25}, ("slope",), _prelu_partials, kinks=_at_zero),
     Kind("rrelu", _rrelu, {"lo": 0.125, "hi": 1.0 / 3.0}, kinks=_at_zero, check=_check_rrelu),
-    Kind("elu", _elu, {"alpha": 1.0}, kinks=_at_zero),
-    Kind("celu", _celu, {"alpha": 1.0}, kinks=_at_zero),
+    # at x = 0 the left derivative of elu is alpha, and celu's is 1
+    Kind("elu", _elu, {"alpha": 1.0}, kinks=lambda c: (0.0,) if c["alpha"] != 1.0 else ()),
+    Kind("celu", _celu, {"alpha": 1.0}),
     Kind("swish", _swish),
     Kind("srelu", _srelu, {"tl": -1.0, "al": 0.1, "tr": 1.0, "ar": 0.1},
          kinks=lambda c: (c["tl"], c["tr"])),

@@ -231,48 +231,55 @@ def _metric_rows(cfg: ExperimentConfig, act_text: str, rep: int,
                _fmt(rec.seconds), _params_blob(rec.activation_params), rec.status]
 
 
-def _train_one(cfg: ExperimentConfig, spec: ActivationSpec, act_text: str, rep: int,
-               data: tuple, loss_kind: str, grid: np.ndarray | None = None):
-    """Train one (activation, repetition) job on `data`, the study's
-    (x_train, y_train, x_test, y_test).  Returns its epoch records and the
-    net's first output on `grid` (all NaN after a divergence), or None
-    without a grid."""
-    net_rng = substream(cfg.seed, "net", act_text, rep)
-    net = build_mlp(cfg.architecture, spec, net_rng)
+def _train_stack(cfg: ExperimentConfig, spec: ActivationSpec, act_text: str,
+                 data: tuple, loss_kind: str, grid: np.ndarray | None = None):
+    """Train every repetition of one activation as one stack on `data`, the
+    study's (x_train, y_train, x_test, y_test); repetition r draws only from
+    its own substreams.  Returns each repetition's epoch records and
+    prediction: the first repetition's net output on `grid` (all NaN after a
+    divergence), or None for the others and without a grid."""
+    reps = range(cfg.repetitions)
+    net = build_mlp(cfg.architecture, spec,
+                    [substream(cfg.seed, "net", act_text, rep) for rep in reps])
     opt = cfg.optimizer
     if opt["kind"] == "sgd":
         optimizer = SGD(net, opt["lr"], opt["momentum"])
     else:
         optimizer = Adam(net, opt["lr"], opt["beta1"], opt["beta2"])
-    train_rng = substream(cfg.seed, "train", act_text, rep)
     x_train, y_train, x_test, y_test = data
     records = train(
         net, x_train, y_train, loss_kind, optimizer,
-        epochs=cfg.epochs, batch_size=cfg.batch_size, rng=train_rng,
+        epochs=cfg.epochs, batch_size=cfg.batch_size,
+        rngs=[substream(cfg.seed, "train", act_text, rep) for rep in reps],
         x_test=x_test, y_test=y_test)
-    if grid is None:
-        return records, None
-    ok = records[-1].status == "ok"
-    with quiet_errstate():  # as in train: a kind's masked-out branch may warn
-        return records, (net.forward(grid) if ok else np.full_like(grid, np.nan))[:, 0]
+    prediction = None
+    if grid is not None:
+        prediction = np.full(len(grid), np.nan)
+        if records[0][-1].status == "ok":  # the first repetition still leads the stack
+            with quiet_errstate():  # as in train: a kind's masked-out branch may warn
+                prediction = net.forward(grid)[:len(grid), 0]
+    return [(recs, prediction if rep == 0 else None) for rep, recs in enumerate(records)]
 
 
-def _run_jobs(cfg: ExperimentConfig, data: tuple, loss_kind: str,
+def _run_jobs(cfg: ExperimentConfig, data: tuple, loss_kind: str, own: str,
               grid: np.ndarray | None = None) -> list[tuple[str, list]]:
-    """Train every (activation, repetition) job of `cfg` on `data`, then
-    write metrics.csv in config order.  Returns, per activation, its text
-    encoding and the `(records, prediction)` of each repetition; only the
-    first repetition predicts on `grid`.
+    """Train every (activation, repetition) job of `cfg` on `data`, one stack
+    of repetitions per activation, then write metrics.csv in config order.
+    Returns, per activation, its text encoding and the `(records,
+    prediction)` of each repetition; only the first repetition predicts on
+    `grid`.
 
     The engine decides whether the data fit the architecture: a misfit
     raises ShapeError in the first job, before any update, so the study
     writes no metrics.csv.  The output directory is made first, so a path
-    that cannot be one fails before any training."""
+    that cannot be one fails before any training, and the study's own files
+    from an earlier run, metrics.csv and the runner's `own` CSV, are removed
+    then, so a study that fails leaves none of them behind."""
     out = Path(cfg.output_dir)
     out.mkdir(parents=True, exist_ok=True)
-    results = [(act_text, [_train_one(cfg, spec, act_text, rep, data, loss_kind,
-                                      grid if rep == 0 else None)
-                           for rep in range(cfg.repetitions)])
+    for name in ("metrics.csv", own):
+        (out / name).unlink(missing_ok=True)
+    results = [(act_text, _train_stack(cfg, spec, act_text, data, loss_kind, grid))
                for act_text, spec in cfg.activations.items()]
     mf, mwriter = _open_csv(out / "metrics.csv", cfg, METRIC_COLUMNS)
     with mf:
@@ -311,16 +318,17 @@ def run_sine(cfg: ExperimentConfig) -> list[Path]:
     x, y = sample_sine(dp["n"], (lo, hi), dp["noise_sd"], substream(cfg.seed, "data"))
     grid = np.linspace(lo, hi, dp["grid_points"])[:, None]
     data = _split(cfg, x, y)
-    pred_cols = [(text, jobs[0][1]) for text, jobs in _run_jobs(cfg, data, "mse", grid)]
+    own = "predictions.csv"
+    pred_cols = [(text, jobs[0][1]) for text, jobs in _run_jobs(cfg, data, "mse", own, grid)]
     out = Path(cfg.output_dir)
-    pf, pwriter = _open_csv(out / "predictions.csv", cfg,
+    pf, pwriter = _open_csv(out / own, cfg,
                             ["x", "sin_x"] + [f"pred_{name}" for name, _ in pred_cols])
     with pf:
         for i in range(grid.shape[0]):
             row = [_fmt(float(grid[i, 0])), _fmt(float(np.sin(grid[i, 0])))]
             row += [_fmt(float(col[i])) for _, col in pred_cols]
             pwriter.writerow(row)
-    return [out / "metrics.csv", out / "predictions.csv"]
+    return [out / "metrics.csv", out / own]
 
 
 def run_toy_classification(cfg: ExperimentConfig) -> list[Path]:
@@ -332,9 +340,10 @@ def run_toy_classification(cfg: ExperimentConfig) -> list[Path]:
         x, y = make_moons(dp["n"], dp["noise_sd"], rng)
     else:
         x, y = make_circles(dp["n"], dp["noise_sd"], dp["factor"], rng)
-    results = _run_jobs(cfg, _split(cfg, x, y), "xent")
+    own = "summary.csv"
+    results = _run_jobs(cfg, _split(cfg, x, y), "xent", own)
     out = Path(cfg.output_dir)
-    sf, swriter = _open_csv(out / "summary.csv", cfg,
+    sf, swriter = _open_csv(out / own, cfg,
                             ["activation", "completed_repetitions",
                              "test_accuracy_mean", "test_accuracy_std",
                              "test_loss_mean", "test_loss_std",
@@ -348,7 +357,7 @@ def run_toy_classification(cfg: ExperimentConfig) -> list[Path]:
             swriter.writerow([act_text, len(finals), _fmt(am), _fmt(asd),
                               _fmt(lm), _fmt(lsd),
                               _fmt(float(np.mean(secs)) if secs else None)])
-    return [out / "metrics.csv", out / "summary.csv"]
+    return [out / "metrics.csv", out / own]
 
 
 def _table_ordered(specs: dict[str, ActivationSpec]) -> list[str]:
@@ -373,16 +382,17 @@ def run_mnist_like(cfg: ExperimentConfig) -> list[Path]:
                                    substream(cfg.seed, "subsample", part))
         data += [images.astype(np.float64) / 255.0, labels]
 
+    own = "accuracy_table.csv"
     finals = [(act_text, [r.test_accuracy for r in _completed(jobs)])
-              for act_text, jobs in _run_jobs(cfg, tuple(data), "xent")]
+              for act_text, jobs in _run_jobs(cfg, tuple(data), "xent", own)]
     by_text = {text: float(np.mean(accs)) if accs else None for text, accs in finals}
     out = Path(cfg.output_dir)
-    tf, twriter = _open_csv(out / "accuracy_table.csv", cfg,
+    tf, twriter = _open_csv(out / own, cfg,
                             ["activation", "test_accuracy"])
     with tf:
         for text in _table_ordered(cfg.activations):
             twriter.writerow([text, _fmt(by_text[text])])
-    return [out / "metrics.csv", out / "accuracy_table.csv"]
+    return [out / "metrics.csv", out / own]
 
 
 # ---------------------------------------------------------------------------

@@ -6,8 +6,8 @@ Subcommands:
   list-activations              print every activation kind and its schema
   emit-default-config <exp>     write a documented starter config
 
-Exit codes: 0 success, 1 usage error, 2 configuration or file error,
-3 numerical failure.
+Exit codes: 0 success, 1 usage error, 2 configuration or file error
+(a network too large to allocate included), 3 numerical failure.
 """
 
 from __future__ import annotations
@@ -74,6 +74,9 @@ def _cmd_run(args) -> int:
         paths = run_experiment(load_config(args.config))
     except (ConfigError, DataConfigError, IdxParseError, ShapeError, OSError) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
+    except MemoryError as exc:  # NumPy's message names the size refused
+        print(f"configuration error: out of memory: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except NumericalError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)

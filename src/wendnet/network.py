@@ -1,9 +1,12 @@
 """Feed-forward networks built from dense and activation layers, with losses,
 optimizers and a deterministic training loop.
 
-Trainable activation coefficients live alongside the dense weights in the
-same parameter store and are updated by the same optimizer step; how each
-coefficient is stored is up to its activation kind.
+A network is a stack of R replicas of one architecture, trained side by
+side: every parameter has a leading replica axis, and each replica computes
+exactly what it would compute alone.  Trainable activation coefficients live
+alongside the dense weights in the same parameter store and are updated by
+the same optimizer step; how each coefficient is stored is up to its
+activation kind.
 """
 
 from __future__ import annotations
@@ -23,7 +26,8 @@ class NumericalError(RuntimeError):
 
 
 class Param:
-    """One trainable array with its gradient; a Network rebinds both to views."""
+    """One trainable array, replica axis first, with its gradient; a Network
+    rebinds both to views."""
 
     def __init__(self, name: str, value: np.ndarray):
         self.name = name
@@ -32,22 +36,27 @@ class Param:
 
 
 class Dense:
-    """Affine layer y = x W + b with Glorot-uniform init."""
+    """Affine layer y = x W + b with Glorot-uniform init: one (n_in, n_out)
+    W and (1, n_out) b per replica, replica r's W drawn from rngs[r]."""
 
-    def __init__(self, n_in: int, n_out: int, rng: np.random.Generator, name: str = "dense"):
+    def __init__(self, n_in: int, n_out: int, rngs, name: str = "dense"):
         limit = np.sqrt(6.0 / (n_in + n_out))
         self.n_in = n_in
         self.n_out = n_out
-        self.w = Param(f"{name}.w", rng.uniform(-limit, limit, size=(n_in, n_out)))
-        self.b = Param(f"{name}.b", np.zeros(n_out))
+        self.w = Param(f"{name}.w", np.stack([g.uniform(-limit, limit, size=(n_in, n_out))
+                                              for g in rngs]))
+        self.b = Param(f"{name}.b", np.zeros((len(rngs), 1, n_out)))
         self._cache_x = None
 
     def params(self) -> list[Param]:
         return [self.w, self.b]
 
     def forward(self, x: np.ndarray, training: bool, rng) -> np.ndarray:
-        if x.ndim != 2 or x.shape[1] != self.n_in:
-            raise ShapeError(f"{self.w.name}: input shape {x.shape} incompatible with n_in={self.n_in}")
+        """(R, rows, n_out) from x of (R, rows, n_in), or from (rows, n_in)
+        rows that every replica takes."""
+        if x.shape[-1] != self.n_in:
+            raise ShapeError(f"{self.w.name}: input shape {x.shape[-2:]} "
+                             f"incompatible with n_in={self.n_in}")
         self._cache_x = x
         return x @ self.w.value + self.b.value
 
@@ -57,20 +66,21 @@ class Dense:
         x = self._cache_x
         if x is None:
             raise RuntimeError("backward called before forward")
-        np.matmul(x.T, upstream, out=self.w.grad)
-        np.add.reduce(upstream, axis=0, out=self.b.grad)
-        return upstream @ self.w.value.T if need_dx else None
+        np.matmul(np.swapaxes(x, -1, -2), upstream, out=self.w.grad)
+        np.add.reduce(upstream, axis=-2, keepdims=True, out=self.b.grad)
+        return upstream @ np.swapaxes(self.w.value, -1, -2) if need_dx else None
 
 
 class ActivationLayer:
     """Applies one ActivationSpec; owns an independent copy of any trainable
-    coefficients for this layer, held as its kind stores them."""
+    coefficients for this layer, one per replica, held as its kind stores
+    them."""
 
-    def __init__(self, spec: act.ActivationSpec, name: str = "act"):
+    def __init__(self, spec: act.ActivationSpec, name: str = "act", replicas: int = 1):
         self.spec = spec
         self.name = name
         self._kind = act.KINDS[spec.kind]
-        self._params = {coeff: Param(f"{name}.{coeff}", np.asarray(stored))
+        self._params = {coeff: Param(f"{name}.{coeff}", np.full((replicas, 1, 1), stored))
                         for coeff, stored in self._kind.initial(spec.params).items()}
         self._cache = None
 
@@ -79,11 +89,12 @@ class ActivationLayer:
 
     def _coefficients(self):
         """The full coefficient set at the current stored values."""
-        return self._kind.bind(self.spec.params, {coeff: float(param.value)
+        return self._kind.bind(self.spec.params, {coeff: param.value
                                                   for coeff, param in self._params.items()})
 
-    def current_coefficients(self) -> dict[str, float]:
-        """Coefficient values in natural space, for metrics reporting."""
+    def current_coefficients(self) -> dict:
+        """Coefficient values in natural space, for metrics reporting: a
+        number, or an (R, 1, 1) array of one value per replica."""
         return self._kind.report(self._coefficients())
 
     def kinks(self) -> tuple[float, ...]:
@@ -109,20 +120,48 @@ class ActivationLayer:
 
 
 class Network:
-    """Ordered layer list.  Every layer's Param values and gradients are
-    views, in layer order, into the flat float64 vectors theta and grad.
-    A backward writes every entry of grad, so it needs no zeroing first."""
+    """Ordered layer list, as a stack of `replicas` replicas: every Param has
+    the replica axis first.  Every layer's Param values and gradients are
+    views into the flat float64 vectors theta and grad, which hold one block
+    per replica, each in layer order.  A backward writes every entry of
+    grad, so it needs no zeroing first."""
 
     def __init__(self, layers: list):
         self.layers = list(layers)
         self._params = [p for layer in self.layers for p in layer.params()]
-        self._offsets = np.cumsum([0] + [p.value.size for p in self._params])
-        self.theta = np.zeros(self._offsets[-1])
+        self.replicas = self._params[0].value.shape[0] if self._params else 1
+        if any(p.value.shape[0] != self.replicas for p in self._params):
+            raise ValueError("every parameter needs the same number of replicas")
+        # offsets within one replica's block
+        self._offsets = np.cumsum([0] + [p.value[0].size for p in self._params])
+        self.theta = np.zeros(self.replicas * self._offsets[-1])
         self.grad = np.zeros_like(self.theta)
+        blocks = self._blocks(self.theta)
         for p, start, end in zip(self._params, self._offsets, self._offsets[1:]):
-            self.theta[start:end] = p.value.ravel()
-            p.value = self.theta[start:end].reshape(p.value.shape)
-            p.grad = self.grad[start:end].reshape(p.value.shape)
+            blocks[:, start:end] = p.value.reshape(self.replicas, -1)
+        self._bind()
+
+    def _blocks(self, vector: np.ndarray) -> np.ndarray:
+        """`vector` (theta, grad or an optimizer's moments) as one row per replica."""
+        return vector.reshape(self.replicas, self._offsets[-1])
+
+    def _bind(self):
+        """Point every Param's value and grad at its columns of theta and grad."""
+        theta, grad = self._blocks(self.theta), self._blocks(self.grad)
+        for p, start, end in zip(self._params, self._offsets, self._offsets[1:]):
+            shape = (self.replicas,) + p.value.shape[1:]
+            p.value = theta[:, start:end].reshape(shape)
+            p.grad = grad[:, start:end].reshape(shape)
+
+    def keep(self, rows, *state: np.ndarray) -> list[np.ndarray]:
+        """Shrink the stack to the replicas at `rows`, in order; return each
+        vector of `state`, laid out like theta, shrunk alike."""
+        def shrink(vector):
+            return self._blocks(vector)[rows].ravel()
+        self.theta, self.grad, *state = [shrink(v) for v in (self.theta, self.grad, *state)]
+        self.replicas = len(rows)
+        self._bind()
+        return state
 
     def check_finite_grad(self):
         """Raise NumericalError naming the first parameter with a non-finite gradient.
@@ -135,45 +174,60 @@ class Network:
             return
         finite = np.isfinite(self.grad)
         if not finite.all():
-            first = int(np.argmin(finite))
+            first = int(np.argmin(finite)) % self._offsets[-1]
             p = self._params[np.searchsorted(self._offsets, first, side="right") - 1]
             raise NumericalError(f"non-finite gradient for parameter {p.name}")
 
+    def nonfinite_replicas(self) -> np.ndarray:
+        """One bool per replica: whether its gradient holds a non-finite entry."""
+        return ~np.isfinite(self._blocks(self.grad)).all(axis=1)
+
     def forward(self, x: np.ndarray, training: bool = False,
-                rng: np.random.Generator | None = None) -> np.ndarray:
+                rng: list[np.random.Generator] | None = None) -> np.ndarray:
+        """The stack's output, replica by replica, as one (R * rows, outputs)
+        array.  In training, x holds the R replicas' batches one after
+        another, and `rng` one generator per replica; otherwise every replica
+        takes all the rows of x."""
+        if training:
+            x = x.reshape(self.replicas, -1, x.shape[-1])
         for layer in self.layers:
             x = layer.forward(x, training, rng)
-        return x
+        return x.reshape(-1, x.shape[-1])
 
     def backward(self, grad: np.ndarray, need_dx: bool = True) -> np.ndarray | None:
-        """Write net.grad for the loss gradient `grad`; return the gradient
-        with respect to the network input, or None when `need_dx` is false,
-        in which case the first layer does not compute it."""
+        """Write net.grad for the loss gradient `grad`, laid out as `forward`
+        returns it; return the gradient with respect to each replica's input
+        rows, laid out alike, or None when `need_dx` is false, in which case
+        the first layer does not compute it."""
         if not self.layers:
             return grad
+        grad = grad.reshape(self.replicas, -1, grad.shape[-1])
         for layer in reversed(self.layers[1:]):
             grad = layer.backward(grad)
-        return self.layers[0].backward(grad, need_dx)
+        dx = self.layers[0].backward(grad, need_dx)
+        return None if dx is None else dx.reshape(-1, dx.shape[-1])
 
-    def activation_coefficients(self) -> dict[str, float]:
-        out = {}
+    def activation_coefficients(self) -> list[dict[str, float]]:
+        """Each replica's activation coefficients in natural space."""
+        out: list[dict[str, float]] = [{} for _ in range(self.replicas)]
         for layer in self.layers:
             if isinstance(layer, ActivationLayer):
                 for coeff, v in layer.current_coefficients().items():
-                    out[f"{layer.name}.{coeff}"] = float(v)
+                    for coeffs, value in zip(out, np.broadcast_to(v, (self.replicas, 1, 1)).flat):
+                        coeffs[f"{layer.name}.{coeff}"] = float(value)
         return out
 
 
-def build_mlp(widths: list[int], spec: act.ActivationSpec,
-              rng: np.random.Generator) -> Network:
-    """Dense layers of the given widths with `spec` after each hidden layer."""
+def build_mlp(widths: list[int], spec: act.ActivationSpec, rngs) -> Network:
+    """A stack of len(rngs) MLPs: Dense layers of the given widths with
+    `spec` after each hidden layer, replica r initialised from rngs[r]."""
     if len(widths) < 2:
         raise ValueError("need at least input and output widths")
     layers: list = []
     for i in range(len(widths) - 1):
-        layers.append(Dense(widths[i], widths[i + 1], rng, name=f"dense{i}"))
+        layers.append(Dense(widths[i], widths[i + 1], rngs, name=f"dense{i}"))
         if i < len(widths) - 2:
-            layers.append(ActivationLayer(spec, name=f"act{i}"))
+            layers.append(ActivationLayer(spec, name=f"act{i}", replicas=len(rngs)))
     return Network(layers)
 
 
@@ -181,26 +235,29 @@ def build_mlp(widths: list[int], spec: act.ActivationSpec,
 # Losses.  Each takes float64 arrays and returns (value, gradient wrt pred).
 # The public losses check their targets on every call; `train` checks its
 # targets once on entry and then calls the unchecked kernels through
-# `eval_loss`.
+# `eval_loss`.  The kernels take a stack of R predictions, (R, rows, outputs),
+# and return one value per replica.
 # ---------------------------------------------------------------------------
 
 def _mse(pred: np.ndarray, target: np.ndarray):
     diff = pred - target
-    value = float(np.add.reduce(diff * diff, axis=None) / diff.size)
+    size = diff.shape[1] * diff.shape[2]
+    value = np.add.reduce(diff * diff, axis=(1, 2)) / size
     diff *= 2.0
-    diff /= diff.size
+    diff /= size
     return value, diff
 
 
 def _xent(logits: np.ndarray, labels: np.ndarray):
-    n = logits.shape[0]
-    rows = np.arange(n)
-    shifted = logits - np.maximum.reduce(logits, axis=1, keepdims=True)
+    """Labels: (R, rows) class indices, or (rows,) for every replica."""
+    replicas, n, _ = logits.shape
+    at = (np.arange(replicas)[:, None], np.arange(n), labels)
+    shifted = logits - np.maximum.reduce(logits, axis=-1, keepdims=True)
     probs = np.exp(shifted)
-    log_z = np.log(np.add.reduce(probs, axis=1))
-    value = float(np.add.reduce(log_z - shifted[rows, labels]) / n)
-    probs /= np.exp(log_z)[:, None]
-    probs[rows, labels] -= 1.0
+    log_z = np.log(np.add.reduce(probs, axis=-1))
+    value = np.add.reduce(log_z - shifted[at], axis=-1) / n
+    probs /= np.exp(log_z)[..., None]
+    probs[at] -= 1.0
     probs /= n
     return value, probs
 
@@ -222,18 +279,21 @@ def _check_targets(kind: str, target: np.ndarray, shape: tuple[int, int]):
 
 def mse_loss(pred: np.ndarray, target: np.ndarray):
     _check_targets("mse", target, pred.shape)
-    return _mse(pred, target)
+    value, grad = _mse(pred[None], target)
+    return float(value[0]), grad[0]
 
 
 def softmax_cross_entropy(logits: np.ndarray, labels: np.ndarray):
     """Mean cross entropy over rows; labels are integer class indices."""
     labels = np.asarray(labels)
     _check_targets("xent", labels, logits.shape)
-    return _xent(logits, labels)
+    value, grad = _xent(logits[None], labels)
+    return float(value[0]), grad[0]
 
 
 def eval_loss(kind: str, pred: np.ndarray, target: np.ndarray):
-    """The loss `kind` without target checks: `train` made them on entry."""
+    """The loss `kind` of a stack of predictions, (R, rows, outputs), one
+    value per replica, without target checks: `train` made them on entry."""
     if kind == "xent":
         return _xent(pred, target)
     if kind == "mse":
@@ -251,6 +311,10 @@ class SGD:
         self.lr = lr
         self.momentum = momentum
         self._velocity = np.zeros_like(net.theta)
+
+    def keep(self, rows):
+        """Shrink the network's stack and the velocity to the replicas at `rows`."""
+        self._velocity, = self.net.keep(rows, self._velocity)
 
     def step(self):
         self.net.check_finite_grad()
@@ -279,15 +343,24 @@ class Adam:
         self.beta1 = beta1
         self.beta2 = beta2
         self.eps = eps
-        n = net.theta.size
+        self._m, self._v = np.zeros_like(net.theta), np.zeros_like(net.theta)
+        self._make_blocks()
+        self.step_count = 0
+
+    def _make_blocks(self):
+        net, n = self.net, self.net.theta.size
         block = min(n, self._BLOCK)
-        m, v, a, b = np.zeros(n), np.zeros(n), np.zeros(block), np.zeros(block)
+        m, v, a, b = self._m, self._v, np.zeros(block), np.zeros(block)
         self._blocks = []  # (g, m, v, theta, a, b) views of each block
         for start in range(0, n, self._BLOCK):
             end = min(start + self._BLOCK, n)
             self._blocks.append((net.grad[start:end], m[start:end], v[start:end],
                                  net.theta[start:end], a[:end - start], b[:end - start]))
-        self.step_count = 0
+
+    def keep(self, rows):
+        """Shrink the network's stack and the moments to the replicas at `rows`."""
+        self._m, self._v = self.net.keep(rows, self._m, self._v)
+        self._make_blocks()
 
     def step(self):
         self.net.check_finite_grad()
@@ -333,15 +406,19 @@ class EpochRecord:
 
 
 def train(net: Network, x_train, y_train, loss_kind: str, optimizer,
-          epochs: int, batch_size: int, rng: np.random.Generator,
-          x_test=None, y_test=None) -> list[EpochRecord]:
-    """Mini-batch training with a seeded per-epoch shuffle.
+          epochs: int, batch_size: int, rngs: list[np.random.Generator],
+          x_test=None, y_test=None) -> list[list[EpochRecord]]:
+    """Mini-batch training of every replica of `net` side by side, replica r
+    drawing its per-epoch shuffle and any random activation slopes from
+    rngs[r].
 
-    Returns one record per epoch; with test data, each record carries the
-    test loss, and under "xent" the test accuracy too.  On a non-finite loss
-    or gradient the loop stops and the final record carries status="diverged"
-    with the offending epoch number.  Train and test targets that do not fit
-    the network's output raise ShapeError before the first update.
+    Returns each replica's epoch records; with test data, each record
+    carries the test loss, and under "xent" the test accuracy too.  The
+    epoch's wall time is the stack's, shared by its replicas.  A replica
+    whose loss or gradient turns non-finite gets a last record with
+    status="diverged" and the offending epoch number, and leaves the stack;
+    the others train on.  Train and test targets that do not fit the
+    network's output raise ShapeError before the first update.
     """
     x_train = tensor(x_train)
     n = x_train.shape[0]
@@ -349,6 +426,8 @@ def train(net: Network, x_train, y_train, loss_kind: str, optimizer,
         raise ValueError("dataset is empty")
     if batch_size < 1:
         raise ValueError("batch_size must be >= 1")
+    if len(rngs) != net.replicas:
+        raise ValueError(f"{len(rngs)} generators for {net.replicas} replicas")
     y_train = np.asarray(y_train)
     # checked once here, so the loss kernels need not be; activations keep
     # the width, so the last Dense layer sets the output's
@@ -360,40 +439,60 @@ def train(net: Network, x_train, y_train, loss_kind: str, optimizer,
     if x_test is not None:
         x_test, y_test = tensor(x_test), np.asarray(y_test)
         _check_targets(loss_kind, y_test, (x_test.shape[0], width))
-    records: list[EpochRecord] = []
+    records: list[list[EpochRecord]] = [[] for _ in rngs]
+    live = list(range(len(rngs)))  # the replica at each place of the stack
     with quiet_errstate():
         for epoch in range(epochs):
             t0 = time.monotonic()
-            order = rng.permutation(n)
-            total = 0.0
-            status = "ok"
+            gens = [rngs[r] for r in live]
+            orders = np.stack([g.permutation(n) for g in gens])
+            totals = np.zeros(len(live))
             for start in range(0, n, batch_size):
-                idx = order[start:start + batch_size]
-                xb, yb = x_train[idx], y_train[idx]
-                pred = net.forward(xb, training=True, rng=rng)
-                value, grad = eval_loss(loss_kind, pred, yb)
-                if not math.isfinite(value):
-                    status = "diverged"
-                    break
+                idx = orders[:, start:start + batch_size]  # one row of indices per replica
+                pred = net.forward(x_train[idx.ravel()], training=True, rng=gens)
+                values, grad = eval_loss(loss_kind, pred.reshape(idx.shape + pred.shape[-1:]),
+                                         y_train[idx])
                 net.backward(grad, need_dx=False)
-                try:
+                finite = math.isfinite(np.add.reduce(values))
+                if finite:
+                    try:
+                        optimizer.step()
+                    except NumericalError:
+                        finite = False
+                if not finite:
+                    # nothing was updated: each replica at fault ends here,
+                    # with the coefficients its last forward used
+                    bad = ~np.isfinite(values) | net.nonfinite_replicas()
+                    coeffs = net.activation_coefficients()
+                    for i in np.flatnonzero(bad):
+                        records[live[i]].append(EpochRecord(
+                            epoch=epoch, train_loss=float("nan"), activation_params=coeffs[i],
+                            status="diverged", seconds=time.monotonic() - t0))
+                    rows = np.flatnonzero(~bad)
+                    optimizer.keep(rows)
+                    live, gens = [live[i] for i in rows], [gens[i] for i in rows]
+                    orders, totals, values = orders[rows], totals[rows], values[rows]
+                    if not live:
+                        break
                     optimizer.step()
-                except NumericalError:  # a non-finite gradient; nothing was updated
-                    status = "diverged"
-                    break
-                total += value * len(idx)
-            ok = status == "ok"
-            rec = EpochRecord(epoch=epoch, train_loss=total / n if ok else float("nan"),
-                              activation_params=net.activation_coefficients(), status=status)
-            if ok and x_test is not None:
-                pred = net.forward(x_test, training=False)
-                rec.test_loss, _ = eval_loss(loss_kind, pred, y_test)
-                if loss_kind == "xent":
-                    rec.test_accuracy = float(np.mean(pred.argmax(axis=1) == y_test))
-            rec.seconds = time.monotonic() - t0
-            records.append(rec)
-            if not ok:
+                totals += values * idx.shape[1]
+            if not live:
                 break
+            recs = [EpochRecord(epoch=epoch, train_loss=float(total / n), activation_params=coeffs)
+                    for total, coeffs in zip(totals, net.activation_coefficients())]
+            if x_test is not None:
+                pred = net.forward(x_test, training=False)
+                pred = pred.reshape(len(live), -1, pred.shape[-1])
+                test_loss, _ = eval_loss(loss_kind, pred, y_test)
+                for rec, loss in zip(recs, test_loss):
+                    rec.test_loss = float(loss)
+                if loss_kind == "xent":
+                    for rec, acc in zip(recs, np.mean(pred.argmax(axis=-1) == y_test, axis=-1)):
+                        rec.test_accuracy = float(acc)
+            seconds = time.monotonic() - t0
+            for r, rec in zip(live, recs):
+                rec.seconds = seconds
+                records[r].append(rec)
     return records
 
 
@@ -450,7 +549,7 @@ def run_gradient_check(spec: act.ActivationSpec, widths=(2, 8, 8, 2),
     """Build a seeded MLP for `spec` and return the max relative gradient error
     over `probes` at the first batch of 4 inputs clear of activation kinks."""
     rng = substream(seed, "grad-check", act.format_activation(spec))
-    net = build_mlp(list(widths), spec, rng)
+    net = build_mlp(list(widths), spec, [rng])
     for _ in range(100):
         worst = gradient_check_network(net, rng.standard_normal((4, widths[0])), rng,
                                        probes=probes)

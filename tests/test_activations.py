@@ -104,7 +104,7 @@ def test_rrelu_training_vs_eval():
     np.testing.assert_allclose(dy_eval, mean_slope, atol=1e-15)
 
     rng = make_rng(8)
-    y_tr, dy_tr = _forward("rrelu", p, x, training=True, rng=rng)
+    y_tr, dy_tr = _forward("rrelu", p, x[None], training=True, rng=[rng])  # one replica
     slopes = -y_tr
     assert np.all((slopes >= p["lo"]) & (slopes <= p["hi"]))
     assert slopes.std() > 0.01
@@ -274,7 +274,8 @@ def test_parse_format_round_trip_on_random_coefficients(kind, data):
 def test_finite_values_and_gradients_on_finite_inputs(kind, data):
     rec, c = _coefficients(data.draw(_spec_texts(kind)))
     x = data.draw(arrays(np.float64, (3, 4), elements=st.floats(-1e6, 1e6)))
-    y, aux = rec.forward(c, x, data.draw(st.booleans()), make_rng(0))
+    # x's first axis runs over 3 replicas, each with its own generator
+    y, aux = rec.forward(c, x, data.draw(st.booleans()), [make_rng(i) for i in range(3)])
     dx, grads = rec.backward(c, x, aux, np.ones_like(x))
     assert np.all(np.isfinite(y)) and np.all(np.isfinite(dx))
     assert all(np.isfinite(g) for g in grads.values())
@@ -307,10 +308,10 @@ def test_layer_gradients_match_finite_differences(kind, data):
             param.value[...] = stored
         return float(np.sum(up * layer.forward(vec[len(params):].reshape(x.shape), False, None)))
 
-    base = np.concatenate([[float(p.value) for p in params], x.ravel()])
+    base = np.concatenate([[p.value.item() for p in params], x.ravel()])
     f(base)
     dx = layer.backward(up)
-    analytic = np.concatenate([[float(p.grad) for p in params], dx.ravel()])
+    analytic = np.concatenate([[p.grad.item() for p in params], dx.ravel()])
     assert finite_diff_check(f, base, lambda v: analytic @ v, probes=20, rng=rng) < 1e-6
 
 
@@ -330,3 +331,15 @@ def test_derivative_continuous_away_from_listed_kinks(text):
     delta = 1e-8
     left, right = _derivative(rec, c, x - delta), _derivative(rec, c, x + delta)
     assert np.max(np.abs(left - right)) < 1e-3
+
+
+@pytest.mark.parametrize("text", _EDGE_CASES + ["elu(alpha=0.5)"])
+def test_derivative_jumps_at_every_listed_kink(text):
+    # the converse of the test above: a listed point where dy/dx is
+    # continuous (as for wc0 at +-1, elu at alpha=1 and celu) would keep
+    # gradient checks away from inputs they could check
+    rec, c = _coefficients(text)
+    kinks = np.asarray(rec.kinks(c), dtype=np.float64)
+    delta = 1e-8
+    left, right = _derivative(rec, c, kinks - delta), _derivative(rec, c, kinks + delta)
+    assert np.all(np.abs(left - right) > 1e-3)

@@ -533,18 +533,95 @@ def test_cli_output_dir_under_a_file_fails_before_any_network(tmp_path, monkeypa
 
 def test_metrics_csv_is_written_once_every_job_has_returned(tmp_path, monkeypatch):
     listings = []
-    train_one = bench._train_one
+    train_stack = bench._train_stack
 
-    def listing_train_one(cfg, *args):
+    def listing_train_stack(cfg, *args):
         listings.append(sorted(p.name for p in Path(cfg.output_dir).iterdir()))
-        return train_one(cfg, *args)
+        return train_stack(cfg, *args)
 
-    monkeypatch.setattr(bench, "_train_one", listing_train_one)
+    monkeypatch.setattr(bench, "_train_stack", listing_train_stack)
     cfg = _small_sine_cfg(tmp_path, activations=["tanh", "relu"], repetitions=2)
     _, rows = _read_csv(run_sine(cfg)[0])
-    assert listings == [[]] * 4  # the directory exists, and is empty, in every job
+    # one stack of both repetitions per activation; the directory exists,
+    # and is empty, in every one
+    assert listings == [[]] * 2
     assert [(r[1], r[2]) for r in rows[1::cfg.epochs]] == [
         ("tanh", "0"), ("tanh", "1"), ("relu", "0"), ("relu", "1")]
+
+
+def test_each_activation_trains_as_one_stack_of_its_repetitions(tmp_path, monkeypatch):
+    # one build_mlp call per activation; a training forward takes the
+    # replicas' batches as one 2-D array of R * batch_size rows, and train()
+    # gets the study's rows untiled
+    from wendnet import network
+
+    built, rows, shapes = [], [], []
+    build_mlp, train, forward = bench.build_mlp, bench.train, network.Network.forward
+    monkeypatch.setattr(bench, "build_mlp",
+                        lambda widths, spec, rngs: built.append(len(rngs)) or build_mlp(widths, spec, rngs))
+    monkeypatch.setattr(bench, "train",
+                        lambda net, x_train, *a, **k: rows.append(len(x_train)) or train(net, x_train, *a, **k))
+
+    def recording_forward(net, x, training=False, rng=None):
+        if training:
+            shapes.append(x.shape)
+        return forward(net, x, training, rng)
+
+    monkeypatch.setattr(network.Network, "forward", recording_forward)
+    raw = yaml.safe_load(default_config_text("moons"))
+    raw.update(epochs=1, output_dir=str(tmp_path / "out"))
+    raw["dataset"]["n"] = 100
+    cfg = config_from_dict(raw)
+    run_toy_classification(cfg)
+    assert built == [3, 3, 3] and rows == [70, 70, 70]
+    # 70 rows at batch 32: two full batches and one of 6, for 3 replicas each
+    assert shapes == [(96, 2), (96, 2), (18, 2)] * 3
+
+
+def test_cli_network_too_large_to_allocate_exits_2(tmp_path):
+    # the first weight matrix alone, 2 x 400e9 float64, is 5.82 TiB: an
+    # allocation the allocator refuses outright, never one it could grant
+    raw = yaml.safe_load(default_config_text("moons"))
+    raw.update(architecture=[2, 400_000_000_000, 2], epochs=1, output_dir=str(tmp_path / "out"))
+    path = tmp_path / "moons.yaml"
+    path.write_text(yaml.safe_dump(raw))
+    err = _run_fails(path)
+    assert len(err.splitlines()) == 1
+    assert err.startswith("configuration error: out of memory: ")
+
+
+def test_failed_study_leaves_no_csv_of_an_earlier_run(tmp_path):
+    # a misfit study exits 2 before its first update; the earlier run's
+    # metrics.csv and summary.csv must not pass for its output
+    raw = yaml.safe_load(default_config_text("moons"))
+    raw.update(epochs=1, output_dir=str(tmp_path / "out"))
+    raw["dataset"]["n"] = 60
+    path = tmp_path / "moons.yaml"
+    path.write_text(yaml.safe_dump(raw))
+    with redirect_stdout(io.StringIO()):
+        assert main(["run", str(path)]) == 0
+    (tmp_path / "out" / "predictions.csv").write_text("another study's\n")
+    (tmp_path / "out" / "notes.txt").write_text("kept\n")
+    raw["architecture"] = [2, 8, 1]
+    path.write_text(yaml.safe_dump(raw))
+    assert len(_run_fails(path).splitlines()) == 1
+    assert sorted(p.name for p in (tmp_path / "out").iterdir()) == ["notes.txt", "predictions.csv"]
+
+
+def test_import_keeps_scipy_off_start_up():
+    # only gelu needs scipy.special.erf, and importing scipy takes about 0.3 s
+    import os
+    import subprocess
+    import sys
+
+    import wendnet
+
+    src = str(Path(wendnet.__file__).resolve().parent.parent)
+    out = subprocess.run([sys.executable, "-c",
+                          "import sys, wendnet.cli; print('scipy.special' in sys.modules)"],
+                         env={**os.environ, "PYTHONPATH": src}, capture_output=True, text=True,
+                         check=True)
+    assert out.stdout == "False\n"
 
 
 def test_cli_mnist_missing_files(tmp_path):

@@ -395,17 +395,18 @@ def test_layer_matches_textbook_closed_forms_bit_for_bit(k, mode):
                                         beta=rng.uniform(0.3, 3.0), eps=0.02,
                                         mode=mode, train=train)
         layer = ActivationLayer(ActivationSpec("ewend", {"ewend": spec_p}))
-        # the layer's natural-space values: log-stored ones may move by an ulp
-        c = layer.current_coefficients()
+        # the layer's natural-space values, of its one replica: log-stored
+        # ones may move by an ulp
+        c = {name: float(np.squeeze(v)) for name, v in layer.current_coefficients().items()}
         p = EnhancedWendlandParams(alpha=c["alpha"], k=k, lam=c["lambda"], beta=c["beta"],
                                    eps=c["eps"], mode=mode, train=train)
         x = _straddling_input(rng, 1.0 / p.alpha, mode)
         up = rng.standard_normal(x.shape)
         y_ref, dx_ref, grads_ref = _textbook_layer(x, up, p)
 
-        np.testing.assert_array_equal(layer.forward(x, training=True, rng=None), y_ref)
-        np.testing.assert_array_equal(layer.backward(up), dx_ref)
-        trained = {param.name.split(".")[-1]: float(param.grad) for param in layer.params()}
+        np.testing.assert_array_equal(layer.forward(x[None], training=True, rng=None), y_ref[None])
+        np.testing.assert_array_equal(layer.backward(up[None]), dx_ref[None])
+        trained = {param.name.split(".")[-1]: param.grad.item() for param in layer.params()}
         expected = {coeff: grads_ref[coeff] * c[_REPORT_KEYS[coeff]]
                     if coeff in _LOG_STORED else grads_ref[coeff] for coeff in train}
         assert trained == expected, mask

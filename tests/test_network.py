@@ -36,7 +36,7 @@ def test_empty_network_is_identity():
 
 def test_single_dense_identity_weights():
     rng = make_rng(1)
-    layer = Dense(3, 3, rng)
+    layer = Dense(3, 3, [rng])
     layer.w.value[...] = np.eye(3)
     layer.b.value[...] = 0.0
     x = rng.standard_normal((4, 3))
@@ -45,7 +45,7 @@ def test_single_dense_identity_weights():
 
 def test_dense_then_relu_hand_computed():
     rng = make_rng(2)
-    dense = Dense(1, 1, rng)
+    dense = Dense(1, 1, [rng])
     dense.w.value[...] = 2.0
     dense.b.value[...] = 1.0
     net = Network([dense, ActivationLayer(parse_activation("relu"))])
@@ -55,7 +55,7 @@ def test_dense_then_relu_hand_computed():
 
 def test_zero_upstream_gives_zero_gradients():
     rng = make_rng(3)
-    net = build_mlp([2, 4, 2], parse_activation("ewend"), rng)
+    net = build_mlp([2, 4, 2], parse_activation("ewend"), [rng])
     net.grad[...] = 1.0  # a backward writes every gradient, it adds to none
     net.forward(rng.standard_normal((3, 2)))
     net.backward(np.zeros((3, 2)))
@@ -67,7 +67,7 @@ def test_zero_upstream_gives_zero_gradients():
 def test_backward_overwrites_every_gradient(kind):
     # Dense weights and biases, and every trainable activation coefficient
     rng = make_rng(35)
-    net = build_mlp([2, 4, 4, 2], parse_activation(kind), rng)
+    net = build_mlp([2, 4, 4, 2], parse_activation(kind), [rng])
     net.grad[...] = np.nan
     net.forward(rng.standard_normal((5, 2)))
     net.backward(rng.standard_normal((5, 2)))
@@ -77,7 +77,7 @@ def test_backward_overwrites_every_gradient(kind):
 @pytest.mark.parametrize("kind", ["relu", "ewend(train=alpha|lambda|beta|eps)"])
 def test_backward_without_input_gradient(kind):
     rng = make_rng(36)
-    net = build_mlp([3, 5, 2], parse_activation(kind), rng)
+    net = build_mlp([3, 5, 2], parse_activation(kind), [rng])
     net.forward(rng.standard_normal((4, 3)))
     up = rng.standard_normal((4, 2))
     dx = net.backward(up, need_dx=True)
@@ -133,7 +133,7 @@ def test_gradient_check_makes_one_base_forward_per_candidate(monkeypatch):
 
 def test_gradient_check_near_a_kink_is_none_and_draws_nothing():
     # zero inputs put every first-layer pre-activation on the relu kink at 0
-    net = build_mlp([2, 8, 8, 2], parse_activation("relu"), make_rng(37))
+    net = build_mlp([2, 8, 8, 2], parse_activation("relu"), [make_rng(37)])
     before = net.theta.copy()
     rng = make_rng(38)
     state = rng.bit_generator.state
@@ -156,7 +156,7 @@ def _layer_walking_kink_gap(net, x):
 @pytest.mark.parametrize("kind", ["relu", "srelu", "wc0", "ewend(k=1)"])
 def test_min_kink_gap_reads_the_last_forward(kind):
     rng = make_rng(31)
-    net = build_mlp([2, 8, 8, 2], parse_activation(kind), rng)
+    net = build_mlp([2, 8, 8, 2], parse_activation(kind), [rng])
     for _ in range(5):
         x = rng.standard_normal((6, 2))
         expected = _layer_walking_kink_gap(net, x)
@@ -166,7 +166,7 @@ def test_min_kink_gap_reads_the_last_forward(kind):
 
 @pytest.mark.parametrize("kind", ["tanh", "relu", "ewend(k=1,train=alpha|lambda|beta|eps)"])
 def test_gradient_check_restores_theta(kind):
-    net = build_mlp([2, 8, 8, 2], parse_activation(kind), make_rng(32))
+    net = build_mlp([2, 8, 8, 2], parse_activation(kind), [make_rng(32)])
     before = net.theta.copy()
     gradient_check_network(net, make_rng(33).standard_normal((4, 2)), make_rng(34), probes=5)
     np.testing.assert_array_equal(net.theta, before)
@@ -174,7 +174,7 @@ def test_gradient_check_restores_theta(kind):
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_gradient_check_non_finite_is_a_failure():
-    net = build_mlp([2, 4, 2], parse_activation("tanh"), make_rng(21))
+    net = build_mlp([2, 4, 2], parse_activation("tanh"), [make_rng(21)])
     net.layers[0].w.value[0, 0] = np.nan
     err = gradient_check_network(net, make_rng(22).standard_normal((3, 2)),
                                  make_rng(23), probes=5)
@@ -278,7 +278,8 @@ def test_losses_match_textbook_bit_for_bit():
         for kind, public, textbook, y in (("mse", mse_loss, _textbook_mse, target),
                                           ("xent", softmax_cross_entropy, _textbook_xent, labels)):
             want_value, want_grad = textbook(pred, y)
-            for value, grad in (public(pred, y), eval_loss(kind, pred, y)):
+            values, grads = eval_loss(kind, pred[None], y)  # a stack of one
+            for value, grad in (public(pred, y), (values[0], grads[0])):
                 assert np.float64(value).tobytes() == np.float64(want_value).tobytes()
                 assert grad.shape == want_grad.shape
                 assert grad.tobytes() == want_grad.tobytes()
@@ -330,9 +331,9 @@ def test_optimizer_rejects_non_finite_gradient():
 
 
 def test_non_finite_gradient_names_its_parameter():
-    net = build_mlp([2, 3, 2], parse_activation("prelu"), make_rng(24))
+    net = build_mlp([2, 3, 2], parse_activation("prelu"), [make_rng(24)])
     net.layers[1]._params["slope"].grad[...] = np.inf
-    net.layers[2].b.grad[1] = np.nan
+    net.layers[2].b.grad[..., 1] = np.nan
     with pytest.raises(NumericalError, match=r"parameter act0\.slope$"):
         net.check_finite_grad()
 
@@ -401,17 +402,17 @@ class _TextbookAdam:
 def _reference_net():
     rng = make_rng(25)
     return Network([
-        Dense(2, 8, rng, name="dense0"),
+        Dense(2, 8, [rng], name="dense0"),
         ActivationLayer(parse_activation("ewend(train=alpha|beta)"), name="act0"),
-        Dense(8, 8, rng, name="dense1"),
+        Dense(8, 8, [rng], name="dense1"),
         ActivationLayer(parse_activation("prelu"), name="act1"),
-        Dense(8, 2, rng, name="dense2"),
+        Dense(8, 2, [rng], name="dense2"),
     ])
 
 
 def _wide_net():
     # 91,802 parameters: three of Adam's blocks, the last one partial
-    return build_mlp([2, 300, 300, 2], parse_activation("relu"), make_rng(27))
+    return build_mlp([2, 300, 300, 2], parse_activation("relu"), [make_rng(27)])
 
 
 @pytest.mark.parametrize("flat, textbook", [
@@ -472,23 +473,23 @@ def test_sign_of_a_zero_gradient_never_reaches_theta(make_opt):
 
 def test_train_zero_epochs():
     rng = make_rng(7)
-    net = build_mlp([1, 4, 1], parse_activation("tanh"), rng)
+    net = build_mlp([1, 4, 1], parse_activation("tanh"), [rng])
     before = net.theta.copy()
     records = train(net, np.zeros((4, 1)), np.zeros((4, 1)), "mse",
                     SGD(net, lr=0.1), epochs=0, batch_size=2,
-                    rng=make_rng(8))
-    assert records == []
+                    rngs=[make_rng(8)])
+    assert records == [[]]
     np.testing.assert_array_equal(net.theta, before)
 
 
 def test_train_linear_regression_converges():
     # y = 2x is a convex quadratic for a 1-1 linear net; SGD finds w=2
-    dense = Dense(1, 1, make_rng(9))
+    dense = Dense(1, 1, [make_rng(9)])
     net = Network([dense])
     x = np.linspace(-1, 1, 32)[:, None]
     y = 2.0 * x
     opt = SGD(net, lr=0.1)
-    train(net, x, y, "mse", opt, epochs=300, batch_size=8, rng=make_rng(10))
+    train(net, x, y, "mse", opt, epochs=300, batch_size=8, rngs=[make_rng(10)])
     assert abs(dense.w.value[0, 0] - 2.0) < 1e-3
     assert abs(dense.b.value[0]) < 1e-3
 
@@ -496,12 +497,12 @@ def test_train_linear_regression_converges():
 def test_train_determinism():
     def one_run():
         rng = make_rng(11)
-        net = build_mlp([2, 8, 2], parse_activation("ewend"), rng)
+        net = build_mlp([2, 8, 2], parse_activation("ewend"), [rng])
         opt = Adam(net, lr=1e-2)
         x = make_rng(12).standard_normal((40, 2))
         labels = (x[:, 0] > 0).astype(np.int64)
-        recs = train(net, x, labels, "xent", opt, epochs=5, batch_size=8,
-                     rng=make_rng(13), x_test=x, y_test=labels)
+        recs, = train(net, x, labels, "xent", opt, epochs=5, batch_size=8,
+                      rngs=[make_rng(13)], x_test=x, y_test=labels)
         return [(r.train_loss, r.test_loss, r.test_accuracy, r.activation_params)
                 for r in recs]
     assert one_run() == one_run()
@@ -509,23 +510,23 @@ def test_train_determinism():
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_train_divergence_reported():
-    net = build_mlp([1, 4, 1], parse_activation("relu"), make_rng(14))
+    net = build_mlp([1, 4, 1], parse_activation("relu"), [make_rng(14)])
     opt = SGD(net, lr=1e12)  # guaranteed blow-up
     x = np.linspace(-1, 1, 16)[:, None]
-    records = train(net, x, 100 * x, "mse", opt, epochs=20, batch_size=4,
-                    rng=make_rng(15))
+    records, = train(net, x, 100 * x, "mse", opt, epochs=20, batch_size=4,
+                     rngs=[make_rng(15)])
     assert records[-1].status == "diverged"
     assert len(records) < 20
 
 
 def test_nontrainable_coefficients_bit_identical_after_training():
     spec = parse_activation("ewend(alpha=1.5,k=4,lambda=0.1,beta=1,eps=0.01)")
-    net = build_mlp([1, 8, 1], spec, make_rng(16))
+    net = build_mlp([1, 8, 1], spec, [make_rng(16)])
     layer = [l for l in net.layers if isinstance(l, ActivationLayer)][0]
     before = layer.current_coefficients()
     x = np.linspace(-2, 2, 64)[:, None]
     train(net, x, np.sin(x), "mse", Adam(net, lr=1e-2),
-          epochs=20, batch_size=16, rng=make_rng(17))
+          epochs=20, batch_size=16, rngs=[make_rng(17)])
     after = layer.current_coefficients()
     assert after["lambda"] == before["lambda"]
     assert after["beta"] == before["beta"]
@@ -535,11 +536,11 @@ def test_nontrainable_coefficients_bit_identical_after_training():
 
 def test_positive_coefficients_survive_optimization():
     spec = parse_activation("ewend(train=alpha|beta)")
-    net = build_mlp([1, 8, 1], spec, make_rng(18))
+    net = build_mlp([1, 8, 1], spec, [make_rng(18)])
     layer = [l for l in net.layers if isinstance(l, ActivationLayer)][0]
     x = np.linspace(-3, 3, 64)[:, None]
     train(net, x, 5 * np.sin(3 * x), "mse", Adam(net, lr=0.5),
-          epochs=50, batch_size=16, rng=make_rng(19))
+          epochs=50, batch_size=16, rngs=[make_rng(19)])
     coeffs = layer.current_coefficients()
     assert coeffs["alpha"] > 0.0
     assert coeffs["beta"] > 0.0
@@ -547,11 +548,11 @@ def test_positive_coefficients_survive_optimization():
 
 def test_per_layer_activation_state_is_independent():
     spec = parse_activation("prelu")
-    net = build_mlp([1, 4, 4, 1], spec, make_rng(20))
+    net = build_mlp([1, 4, 4, 1], spec, [make_rng(20)])
     acts = [l for l in net.layers if isinstance(l, ActivationLayer)]
     assert len(acts) == 2
     acts[0]._params["slope"].value[...] = 0.9
-    assert float(acts[1]._params["slope"].value) == 0.25
+    assert acts[1]._params["slope"].value.item() == 0.25
 
 
 # --- train checks its targets once; the step is the textbook step ------------
@@ -567,24 +568,24 @@ def test_train_rejects_an_out_of_range_label_before_any_update(where, value):
     x_train, y_train, x_test, y_test = _two_class_data(44)
     labels = y_train if where == "train" else y_test
     labels[-1] = value
-    net = build_mlp([2, 8, 2], parse_activation("relu"), make_rng(45))
+    net = build_mlp([2, 8, 2], parse_activation("relu"), [make_rng(45)])
     opt = Adam(net, lr=1e-2)
     theta = net.theta.tobytes()
     with pytest.raises(ShapeError, match=r"class index out of range \[0, 2\)"):
         train(net, x_train, y_train, "xent", opt, epochs=2, batch_size=16,
-              rng=make_rng(46), x_test=x_test, y_test=y_test)
+              rngs=[make_rng(46)], x_test=x_test, y_test=y_test)
     assert net.theta.tobytes() == theta and opt.step_count == 0
 
 
 @pytest.mark.parametrize("loss_kind, y_shape", [("xent", (20, 1)), ("mse", (20, 2)),
                                                 ("mse", (20,))])
 def test_train_rejects_a_target_shape_before_any_update(loss_kind, y_shape):
-    net = build_mlp([2, 4, 1], parse_activation("tanh"), make_rng(47))
+    net = build_mlp([2, 4, 1], parse_activation("tanh"), [make_rng(47)])
     opt = SGD(net, lr=0.1)
     theta = net.theta.tobytes()
     with pytest.raises(ShapeError):
         train(net, make_rng(48).standard_normal((20, 2)), np.zeros(y_shape, dtype=np.int64),
-              loss_kind, opt, epochs=1, batch_size=8, rng=make_rng(49))
+              loss_kind, opt, epochs=1, batch_size=8, rngs=[make_rng(49)])
     assert net.theta.tobytes() == theta
 
 
@@ -605,7 +606,7 @@ def _textbook_train(net, x, y, loss, optimizer, epochs, batch_size, rng, x_test,
         total = 0.0
         for start in range(0, len(x), batch_size):
             idx = order[start:start + batch_size]
-            value, grad = loss(net.forward(x[idx], training=True, rng=rng), y[idx])
+            value, grad = loss(net.forward(x[idx], training=True, rng=[rng]), y[idx])
             net.backward(grad)
             optimizer.step()
             total += value * len(idx)
@@ -613,7 +614,7 @@ def _textbook_train(net, x, y, loss, optimizer, epochs, batch_size, rng, x_test,
         accuracy = (float(np.mean(pred.argmax(axis=1) == y_test))
                     if loss is softmax_cross_entropy else None)
         records.append((epoch, total / len(x), loss(pred, y_test)[0], accuracy,
-                        net.activation_coefficients(), "ok"))
+                        net.activation_coefficients()[0], "ok"))
     return records
 
 
@@ -628,14 +629,63 @@ def test_train_matches_the_textbook_loop_bit_for_bit(act_text, loss_kind):
         y_train, y_test = np.sin(x_train), np.sin(x_test)
     loss = softmax_cross_entropy if loss_kind == "xent" else mse_loss
     spec = parse_activation(act_text)
-    net_a = build_mlp([2, 16, 16, 2], spec, make_rng(51))
-    net_b = build_mlp([2, 16, 16, 2], spec, make_rng(51))
-    records = train(net_a, x_train, y_train, loss_kind, Adam(net_a, lr=5e-3), epochs=3,
-                    batch_size=32, rng=make_rng(52), x_test=x_test, y_test=y_test)
+    net_a = build_mlp([2, 16, 16, 2], spec, [make_rng(51)])
+    net_b = build_mlp([2, 16, 16, 2], spec, [make_rng(51)])
+    records, = train(net_a, x_train, y_train, loss_kind, Adam(net_a, lr=5e-3), epochs=3,
+                     batch_size=32, rngs=[make_rng(52)], x_test=x_test, y_test=y_test)
     want = _textbook_train(net_b, x_train, y_train, loss, Adam(net_b, lr=5e-3), 3, 32,
                            make_rng(52), x_test, y_test)
     got = [(r.epoch, r.train_loss, r.test_loss, r.test_accuracy, r.activation_params, r.status)
            for r in records]
     assert got == want
     assert net_a.theta.tobytes() == net_b.theta.tobytes()
-    assert not np.array_equal(net_a.theta, build_mlp([2, 16, 16, 2], spec, make_rng(51)).theta)
+    assert not np.array_equal(net_a.theta, build_mlp([2, 16, 16, 2], spec, [make_rng(51)]).theta)
+
+
+# --- a stack of replicas trains each replica as it trains alone ---------------
+
+def _train_replicas(spec, seeds, make_opt, epochs):
+    """Train one stack of len(seeds) replicas, replica r from make_rng(seeds[r])
+    and its shuffle from make_rng(seeds[r] + 100); returns each replica's
+    records, without their wall time, and the theta bytes of each replica
+    left in the stack."""
+    x_train, y_train, x_test, y_test = _two_class_data(53)
+    net = build_mlp([2, 16, 16, 2], spec, [make_rng(s) for s in seeds])
+    records = train(net, x_train, y_train, "xent", make_opt(net), epochs=epochs, batch_size=32,
+                    rngs=[make_rng(s + 100) for s in seeds], x_test=x_test, y_test=y_test)
+    fields = [[(r.epoch, r.train_loss, r.test_loss, r.test_accuracy, r.activation_params,
+                r.status) for r in recs] for recs in records]
+    blocks = net.theta.reshape(net.replicas, -1) if net.replicas else []
+    return fields, [block.tobytes() for block in blocks]
+
+
+@pytest.mark.parametrize("make_opt", [lambda net: Adam(net, lr=5e-3),
+                                      lambda net: SGD(net, lr=0.05, momentum=0.9)],
+                         ids=["adam", "sgd"])
+@pytest.mark.parametrize("act_text", [
+    "relu", "rrelu", "prelu", "ewend(train=alpha|lambda|beta|eps)",
+    "ewend(mode=channel,train=alpha|lambda|beta|eps)"])
+def test_stack_trains_each_replica_as_it_trains_alone(act_text, make_opt):
+    spec = parse_activation(act_text)
+    seeds = (54, 55, 56)
+    stacked, thetas = _train_replicas(spec, seeds, make_opt, epochs=3)
+    assert len(set(thetas)) == 3
+    for r, seed in enumerate(seeds):
+        assert _train_replicas(spec, (seed,), make_opt, epochs=3) == ([stacked[r]], [thetas[r]])
+
+
+def test_a_diverging_replica_leaves_the_stack_and_the_others_train_on():
+    # under this SGD, replica 0's gradient turns non-finite in epoch 4 and
+    # replica 1's loss in epoch 5; replica 2 trains all 6 epochs
+    spec = parse_activation("ewend(train=alpha|lambda|beta|eps)")
+    seeds = (60, 61, 64)
+
+    def make_opt(net):
+        return SGD(net, lr=0.3, momentum=0.9)
+
+    stacked, thetas = _train_replicas(spec, seeds, make_opt, epochs=6)
+    assert [recs[-1][0::5] for recs in stacked] == [(4, "diverged"), (5, "diverged"), (5, "ok")]
+    alone = [_train_replicas(spec, (seed,), make_opt, epochs=6) for seed in seeds]
+    # assert_equal takes a NaN train loss as equal to itself
+    np.testing.assert_equal([fields for fields, _ in alone], [[f] for f in stacked])
+    assert thetas == alone[2][1]  # the one replica left in the stack
