@@ -52,26 +52,44 @@ def _check_radius(r: np.ndarray) -> np.ndarray:
     return r
 
 
+def _powers(p, k: int):
+    """(p**(k-1), p**k) for an integer k >= 1, by square-and-multiply: at
+    most five multiplications for k <= 8, where `**` calls libm pow on every
+    element.  p**0 is one everywhere, as pow makes it, so a caller masks
+    what lies outside its support."""
+    n, base, pk1 = k - 1, p, None
+    while n:
+        if n & 1:
+            pk1 = base if pk1 is None else pk1 * base
+        n >>= 1
+        if n:
+            base = base * base
+    if pk1 is None:
+        pk1 = np.ones_like(p)
+    return pk1, pk1 * p
+
+
 # The closed forms on r >= 0, unchecked, each as (phi(r), dphi/dr) from one
-# p = (1-r)_+: the wc* kinds apply them to r = |x|, which is never negative;
-# the public forms below check r first.
+# p = (1-r)_+ and its powers: the wc* kinds apply them to r = |x|, which is
+# never negative; the public forms below check r first.
 
 def _wc0(r):
     p = np.maximum(0.0, 1.0 - r)
-    return p ** 2, np.where(r < 1.0, -2.0 * p, 0.0)
+    return p * p, np.where(r < 1.0, -2.0 * p, 0.0)
 
 
 def _wc2(r):
-    p = np.maximum(0.0, 1.0 - r)
-    return p ** 4 * (4.0 * r + 1.0), np.where(r < 1.0, -20.0 * r * p ** 3, 0.0)
+    p3, p4 = _powers(np.maximum(0.0, 1.0 - r), 4)
+    return p4 * (4.0 * r + 1.0), np.where(r < 1.0, -20.0 * r * p3, 0.0)
 
 
 def _wc4(r):
     p = np.maximum(0.0, 1.0 - r)
+    p5, p6 = _powers(p, 6)
     q = 35.0 * r * r + 18.0 * r + 3.0
     # d/dr [p^6 q/3] = p^5 (-6q + p q') / 3
-    dphi = np.where(r < 1.0, p ** 5 * (-6.0 * q + p * (70.0 * r + 18.0)) / 3.0, 0.0)
-    return p ** 6 * q / 3.0, dphi
+    dphi = np.where(r < 1.0, p5 * (-6.0 * q + p * (70.0 * r + 18.0)) / 3.0, 0.0)
+    return p6 * q / 3.0, dphi
 
 
 def wendland_c0(r):
@@ -158,7 +176,8 @@ class _Profile(NamedTuple):
 
     r: np.ndarray
     inside: np.ndarray  # r < 1/alpha, the support of the Wendland term
-    pos: np.ndarray     # (1 - alpha r)_+, zero outside the support
+    pk1: np.ndarray     # pos**(k-1) of pos = (1 - alpha r)_+, zero outside the
+                        # support but for k = 1, where pos**0 is one everywhere
     pk: np.ndarray      # pos**k
     kar1: np.ndarray    # k alpha r + 1
     tail: np.ndarray    # exp(-beta r)
@@ -176,33 +195,29 @@ def _profile(r: np.ndarray, p: EnhancedWendlandParams) -> _Profile:
     # inf, silently under training's np.errstate
     inside = r < 1.0 / p.alpha
     pos = np.where(inside, np.maximum(0.0, 1.0 - ar), 0.0)
-    pk = pos ** p.k
+    pk1, pk = _powers(pos, p.k)
     kar1 = p.k * ar + 1.0
     tail = np.exp(-p.beta * r)
     g = np.where(inside, pk * kar1, 0.0) + p.lam * r + p.eps * tail
-    return _Profile(r, inside, pos, pk, kar1, tail, g)
+    return _Profile(r, inside, pk1, pk, kar1, tail, g)
 
 
-# partials of g wrt each coefficient, from the profile and pos**(k-1)
+# partials of g wrt each coefficient, from the profile
 _PARTIALS: dict[str, Callable] = {
-    "alpha": lambda p, t, pk1: np.where(
-        t.inside, -p.k * t.r * pk1 * t.kar1 + p.k * t.r * t.pk, 0.0),
-    "lam": lambda p, t, pk1: t.r.copy(),
-    "beta": lambda p, t, pk1: -p.eps * t.r * t.tail,
-    "eps": lambda p, t, pk1: t.tail,
+    "alpha": lambda p, t: np.where(
+        t.inside, -p.k * t.r * t.pk1 * t.kar1 + p.k * t.r * t.pk, 0.0),
+    "lam": lambda p, t: t.r.copy(),
+    "beta": lambda p, t: -p.eps * t.r * t.tail,
+    "eps": lambda p, t: t.tail,
 }
 
 
 def _profile_derivatives(p: EnhancedWendlandParams, t: _Profile, names):
-    """(dg/dr, {name: dg/dname for name in names}) from one pos**(k-1); the one
-    implementation of g' and the coefficient partials."""
-    pk1 = t.pos ** (p.k - 1)
-    # libm pow, as a float64 scalar's ** computes it (an array's alpha ** 2 is
-    # a multiply, which rounds differently); it overflows to inf where a
-    # Python float's square raises
-    wend = np.where(t.inside, -p.k * (p.k + 1.0) * np.float_power(p.alpha, 2) * t.r * pk1, 0.0)
+    """(dg/dr, {name: dg/dname for name in names}) from the profile, with no
+    power taken; the one implementation of g' and the coefficient partials."""
+    wend = np.where(t.inside, -p.k * (p.k + 1.0) * (p.alpha * p.alpha) * t.r * t.pk1, 0.0)
     dg = wend + p.lam - p.eps * p.beta * t.tail
-    return dg, {name: _PARTIALS[name](p, t, pk1) for name in names}
+    return dg, {name: _PARTIALS[name](p, t) for name in names}
 
 
 def enhanced_radial(r, p: EnhancedWendlandParams):

@@ -273,8 +273,13 @@ def _check_targets(kind: str, target: np.ndarray, shape: tuple[int, int]):
         n, c = shape
         if target.shape != (n,):
             raise ShapeError(f"labels shape {target.shape} incompatible with logits {shape}")
-        if target.min() < 0 or target.max() >= c:
-            raise ShapeError(f"class index out of range [0, {c})")
+        lo, hi = target.min(), target.max()
+        if lo < 0:
+            raise ShapeError(f"class index out of range [0, {c}): the network's last width "
+                             f"is {c}, but a label is {lo}: labels must be >= 0")
+        if hi >= c:
+            raise ShapeError(f"class index out of range [0, {c}): the network's last width "
+                             f"is {c}, but the labels run up to {hi}: it must be at least {hi + 1}")
 
 
 def mse_loss(pred: np.ndarray, target: np.ndarray):
@@ -325,10 +330,15 @@ class SGD:
 
 
 class Adam:
-    """Adam (Kingma & Ba, arXiv:1412.6980), in place, one block of the
-    parameter vector at a time.
+    """Adam (Kingma & Ba, arXiv:1412.6980) in the order of operations of
+    their section 2: the bias corrections fold into a step size
+    lr_t = lr * sqrt(1 - beta2^t) / (1 - beta1^t) and an
+    eps_hat = eps * sqrt(1 - beta2^t), both computed once per step, so
+    theta -= lr_t * m / (sqrt(v) + eps_hat) divides once per element.  It is
+    Algorithm 1 up to rounding.
 
-    A block's moments, gradient and values plus two scratch vectors stay in
+    The update runs in place, one block of the parameter vector at a time: a
+    block's moments, gradient and values plus two scratch vectors stay in
     cache while the update's passes run over them; with whole vectors each
     pass would stream every array through memory again.  Every element sees
     the same operations in the same order either way.
@@ -366,21 +376,21 @@ class Adam:
         self.net.check_finite_grad()
         self.step_count += 1
         t = self.step_count
-        beta1, beta2, lr, eps = self.beta1, self.beta2, self.lr, self.eps
-        bias1, bias2 = 1.0 - beta1 ** t, 1.0 - beta2 ** t
-        # the operation order of lr * m_hat / (sqrt(v_hat) + eps), so no bit moves
+        beta1, beta2 = self.beta1, self.beta2
+        root2 = math.sqrt(1.0 - beta2 ** t)
+        lr_t = self.lr * root2 / (1.0 - beta1 ** t)
+        eps_hat = self.eps * root2
         for g, m, v, theta, a, b in self._blocks:
             m *= beta1
             m += np.multiply(1.0 - beta1, g, out=a)
             v *= beta2
             np.multiply(1.0 - beta2, g, out=a)
             v += np.multiply(a, g, out=a)
-            np.divide(m, bias1, out=a)
-            a *= lr
-            np.divide(v, bias2, out=b)
-            np.sqrt(b, out=b)
-            b += eps
-            theta -= np.divide(a, b, out=a)
+            np.sqrt(v, out=b)
+            b += eps_hat
+            np.divide(m, b, out=a)
+            a *= lr_t
+            theta -= a
 
 
 # ---------------------------------------------------------------------------
@@ -417,8 +427,8 @@ def train(net: Network, x_train, y_train, loss_kind: str, optimizer,
     epoch's wall time is the stack's, shared by its replicas.  A replica
     whose loss or gradient turns non-finite gets a last record with
     status="diverged" and the offending epoch number, and leaves the stack;
-    the others train on.  Train and test targets that do not fit the
-    network's output raise ShapeError before the first update.
+    the others train on.  Train and test data that do not fit the network's
+    first or last width raise ShapeError before the first update.
     """
     x_train = tensor(x_train)
     n = x_train.shape[0]
@@ -429,15 +439,20 @@ def train(net: Network, x_train, y_train, loss_kind: str, optimizer,
     if len(rngs) != net.replicas:
         raise ValueError(f"{len(rngs)} generators for {net.replicas} replicas")
     y_train = np.asarray(y_train)
-    # checked once here, so the loss kernels need not be; activations keep
-    # the width, so the last Dense layer sets the output's
-    width = x_train.shape[-1]
-    for layer in net.layers:
-        if isinstance(layer, Dense):
-            width = layer.n_out
-    _check_targets(loss_kind, y_train, (n, width))
     if x_test is not None:
         x_test, y_test = tensor(x_test), np.asarray(y_test)
+    # checked once here, so the loss kernels need not be; activations keep
+    # the width, so the first and last Dense layers set the input's and the
+    # output's
+    dense = [layer for layer in net.layers if isinstance(layer, Dense)]
+    for x in (x_train,) if x_test is None else (x_train, x_test):
+        columns = x.shape[-1]
+        if dense and columns != dense[0].n_in:
+            raise ShapeError(f"the network's first width is {dense[0].n_in}, but the data have "
+                             f"{columns} input column{'s' * (columns != 1)}: it must be {columns}")
+    width = dense[-1].n_out if dense else x_train.shape[-1]
+    _check_targets(loss_kind, y_train, (n, width))
+    if x_test is not None:
         _check_targets(loss_kind, y_test, (x_test.shape[0], width))
     records: list[list[EpochRecord]] = [[] for _ in rngs]
     live = list(range(len(rngs)))  # the replica at each place of the stack

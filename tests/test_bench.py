@@ -504,17 +504,24 @@ def test_cli_run_bad_config_value_exits_2(tmp_path, experiment, override):
     assert len(_run_fails(path).splitlines()) == 1
 
 
-@pytest.mark.parametrize("experiment, architecture", [
-    ("sine", [2, 8, 1]), ("sine", [1, 8, 2]), ("moons", [2, 8, 1]), ("mnist", [784, 16, 5]),
+@pytest.mark.parametrize("experiment, architecture, message", [
+    ("sine", [2, 8, 1], "the network's first width is 2, but the data have 1 input column: "
+                        "it must be 1"),
+    ("sine", [1, 8, 2], "mse: prediction shape"),
+    ("moons", [2, 8, 1], "the network's last width is 1, but the labels run up to 1: "
+                         "it must be at least 2"),
+    ("mnist", [784, 16, 5], "the network's last width is 5, but the labels run up to 9: "
+                            "it must be at least 10"),
 ], ids=["sine-input-width", "sine-output-width", "moons-output-width", "mnist-output-width"])
 def test_cli_misfit_architecture_fails_before_any_step(tmp_path, monkeypatch,
-                                                       experiment, architecture):
+                                                       experiment, architecture, message):
     # the engine's shape checks decide fit: the first job stops before its
     # first update, and metrics.csv, written once every job has returned, never is
     steps = []
     monkeypatch.setattr(Adam, "step", lambda self: steps.append(self))
     path = _cli_config(tmp_path, experiment, {"architecture": architecture})
-    assert len(_run_fails(path).splitlines()) == 1
+    err = _run_fails(path)
+    assert len(err.splitlines()) == 1 and message in err
     assert steps == []
     assert list((tmp_path / "out").iterdir()) == []  # made before the first job
 

@@ -8,6 +8,7 @@ import pytest
 from wendnet.activations import (
     KINDS,
     DomainError,
+    _powers,
     wendland_c0,
     wendland_c0_dr,
     wendland_c2,
@@ -92,17 +93,22 @@ def test_c2_boundary_derivative_continuity():
 
 
 # The closed forms as separate value and derivative expressions, kept here as
-# the reference the one-pass forms must match bit for bit.
+# the reference the one-pass forms must match bit for bit.  Each takes its
+# powers of p = (1-r)_+ by multiplication, in the kernels' square-and-multiply
+# order: p^3 = p (p p), p^4 = p^3 p, p^5 = p ((p p)(p p)), p^6 = p^5 p.
 def _ref_c0(r):
-    return np.maximum(0.0, 1.0 - r) ** 2
+    p = np.maximum(0.0, 1.0 - r)
+    return p * p
 
 
 def _ref_c2(r):
-    return np.maximum(0.0, 1.0 - r) ** 4 * (4.0 * r + 1.0)
+    p = np.maximum(0.0, 1.0 - r)
+    return p * (p * p) * p * (4.0 * r + 1.0)
 
 
 def _ref_c4(r):
-    return np.maximum(0.0, 1.0 - r) ** 6 * (35.0 * r * r + 18.0 * r + 3.0) / 3.0
+    p = np.maximum(0.0, 1.0 - r)
+    return p * ((p * p) * (p * p)) * p * (35.0 * r * r + 18.0 * r + 3.0) / 3.0
 
 
 def _ref_c0_dr(r):
@@ -110,13 +116,14 @@ def _ref_c0_dr(r):
 
 
 def _ref_c2_dr(r):
-    return np.where(r < 1.0, -20.0 * r * np.maximum(0.0, 1.0 - r) ** 3, 0.0)
+    p = np.maximum(0.0, 1.0 - r)
+    return np.where(r < 1.0, -20.0 * r * (p * (p * p)), 0.0)
 
 
 def _ref_c4_dr(r):
     p = np.maximum(0.0, 1.0 - r)
-    return np.where(r < 1.0, p ** 5 * (-6.0 * (35.0 * r * r + 18.0 * r + 3.0)
-                                       + p * (70.0 * r + 18.0)) / 3.0, 0.0)
+    return np.where(r < 1.0, p * ((p * p) * (p * p)) * (-6.0 * (35.0 * r * r + 18.0 * r + 3.0)
+                                                         + p * (70.0 * r + 18.0)) / 3.0, 0.0)
 
 
 def _edge_radii():
@@ -150,3 +157,28 @@ def test_one_pass_forms_match_the_separate_closed_forms_bit_for_bit(kind, phi, d
         y, dy = KINDS[kind].forward({}, x, False, None)
         _same_bits(y, ref(np.abs(x)))
         _same_bits(dy, np.where(x >= 0, 1.0, -1.0) * ref_dr(np.abs(x)))
+
+
+def _ulps(a, b):
+    """Elementwise distance in units in the last place; the zeros of either
+    sign are one point."""
+    def ordered(x):
+        i = x.view(np.int64)
+        return np.where(i < 0, np.int64(-2 ** 63) - i, i)
+    return np.abs(ordered(a) - ordered(b))
+
+
+@pytest.mark.parametrize("k", range(1, 9))
+def test_power_chains_stay_within_n_ulps_of_pow(k):
+    # p**n by multiplication rounds n - 1 times, each time by at most half an
+    # ulp of its product, which compounds to about n - 1 ulps of p**n; libm
+    # pow is itself under one ulp off, so n ulps bound the gap (measured: at
+    # most 4, for n = 7 and 8)
+    r = _edge_radii()
+    with np.errstate(over="ignore"):  # 1e300 ** n is inf on both sides
+        chains = _powers(r, k)
+        for n, chain in zip((k - 1, k), chains):
+            power = np.power(r, n)
+            number = ~np.isnan(power)
+            assert np.array_equal(np.isnan(chain), ~number)
+            assert _ulps(chain[number], power[number]).max() <= n, n
