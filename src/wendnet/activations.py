@@ -18,9 +18,10 @@ apply it to an input.  Compact support of the Wendland component is exact: it
 is identically zero for r >= 1/a.  The strictly positive a and beta train as
 their logarithm, so no optimizer step can push them out of range.
 
-Derivative convention at non-differentiable points (ReLU family at 0,
-classical Wendland at the support boundary): the right derivative is used,
-consistently across all kinds.
+Derivative convention at non-differentiable points (the ReLU family at 0,
+and wc0 at x = 0, where (1-|x|)^2 has slopes +2 and -2; all three classical
+forms are continuously differentiable at the support boundary |x| = 1): the
+right derivative is used, consistently across all kinds.
 """
 
 from __future__ import annotations
@@ -33,24 +34,14 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 
-class DomainError(ValueError):
-    """Input outside an operation's mathematical domain."""
-
-
 class ConfigError(ValueError):
     """Invalid activation specification or parameters."""
 
 
 # ---------------------------------------------------------------------------
-# Classical Wendland family (closed forms only).
+# Classical Wendland family: each closed form on r >= 0 as (phi(r), dphi/dr),
+# from one p = (1-r)_+ and its powers.
 # ---------------------------------------------------------------------------
-
-def _check_radius(r: np.ndarray) -> np.ndarray:
-    r = np.asarray(r, dtype=np.float64)
-    if np.any(r < 0):
-        raise DomainError("Wendland functions are defined for r >= 0")
-    return r
-
 
 def _powers(p, k: int):
     """(p**(k-1), p**k) for an integer k >= 1, by square-and-multiply: at
@@ -69,10 +60,6 @@ def _powers(p, k: int):
     return pk1, pk1 * p
 
 
-# The closed forms on r >= 0, unchecked, each as (phi(r), dphi/dr) from one
-# p = (1-r)_+ and its powers: the wc* kinds apply them to r = |x|, which is
-# never negative; the public forms below check r first.
-
 def _wc0(r):
     p = np.maximum(0.0, 1.0 - r)
     return p * p, np.where(r < 1.0, -2.0 * p, 0.0)
@@ -90,34 +77,6 @@ def _wc4(r):
     # d/dr [p^6 q/3] = p^5 (-6q + p q') / 3
     dphi = np.where(r < 1.0, p5 * (-6.0 * q + p * (70.0 * r + 18.0)) / 3.0, 0.0)
     return p6 * q / 3.0, dphi
-
-
-def wendland_c0(r):
-    """(1-r)_+^2: continuously differentiable at r=1, where its second
-    derivative jumps; on r = |x|, its derivative jumps at x=0."""
-    return _wc0(_check_radius(r))[0]
-
-
-def wendland_c2(r):
-    """(1-r)_+^4 (4r+1): twice continuously differentiable."""
-    return _wc2(_check_radius(r))[0]
-
-
-def wendland_c4(r):
-    """(1-r)_+^6 (35r^2+18r+3)/3: four times continuously differentiable."""
-    return _wc4(_check_radius(r))[0]
-
-
-def wendland_c0_dr(r):
-    return _wc0(_check_radius(r))[1]
-
-
-def wendland_c2_dr(r):
-    return _wc2(_check_radius(r))[1]
-
-
-def wendland_c4_dr(r):
-    return _wc4(_check_radius(r))[1]
 
 
 # ---------------------------------------------------------------------------
@@ -218,21 +177,6 @@ def _profile_derivatives(p: EnhancedWendlandParams, t: _Profile, names):
     wend = np.where(t.inside, -p.k * (p.k + 1.0) * (p.alpha * p.alpha) * t.r * t.pk1, 0.0)
     dg = wend + p.lam - p.eps * p.beta * t.tail
     return dg, {name: _PARTIALS[name](p, t) for name in names}
-
-
-def enhanced_radial(r, p: EnhancedWendlandParams):
-    """g(r) = (1-ar)_+^k (kar+1) + lam*r + eps*exp(-beta*r), for r >= 0."""
-    return _profile(_check_radius(r), p).g
-
-
-def enhanced_radial_dr(r, p: EnhancedWendlandParams):
-    """dg/dr; the Wendland term contributes -k(k+1)a^2 r (1-ar)_+^(k-1)."""
-    return _profile_derivatives(p, _profile(_check_radius(r), p), ())[0]
-
-
-def enhanced_radial_dparams(r, p: EnhancedWendlandParams) -> dict[str, np.ndarray]:
-    """Partials of g(r) with respect to (alpha, lam, beta, eps)."""
-    return _profile_derivatives(p, _profile(_check_radius(r), p), _COEFFS)[1]
 
 
 # ---------------------------------------------------------------------------

@@ -232,11 +232,10 @@ def build_mlp(widths: list[int], spec: act.ActivationSpec, rngs) -> Network:
 
 
 # ---------------------------------------------------------------------------
-# Losses.  Each takes float64 arrays and returns (value, gradient wrt pred).
-# The public losses check their targets on every call; `train` checks its
-# targets once on entry and then calls the unchecked kernels through
-# `eval_loss`.  The kernels take a stack of R predictions, (R, rows, outputs),
-# and return one value per replica.
+# Losses.  `train` checks its targets once on entry, then calls the
+# unchecked kernels through `eval_loss`: each takes a stack of R float64
+# predictions, (R, rows, outputs), and returns (one value per replica,
+# gradient wrt pred).
 # ---------------------------------------------------------------------------
 
 def _mse(pred: np.ndarray, target: np.ndarray):
@@ -268,7 +267,12 @@ def _check_targets(kind: str, target: np.ndarray, shape: tuple[int, int]):
     per row for "xent"."""
     if kind == "mse":
         if target.shape != shape:
-            raise ShapeError(f"mse: prediction shape {shape} vs target shape {target.shape}")
+            message = f"mse: prediction shape {shape} vs target shape {target.shape}"
+            if target.ndim == 2 and target.shape[1] != shape[1]:
+                columns = target.shape[1]
+                message += (f": the network's last width is {shape[1]}, but the targets have "
+                            f"{columns} column{'s' * (columns != 1)}: it must be {columns}")
+            raise ShapeError(message)
     elif kind == "xent":
         n, c = shape
         if target.shape != (n,):
@@ -280,20 +284,6 @@ def _check_targets(kind: str, target: np.ndarray, shape: tuple[int, int]):
         if hi >= c:
             raise ShapeError(f"class index out of range [0, {c}): the network's last width "
                              f"is {c}, but the labels run up to {hi}: it must be at least {hi + 1}")
-
-
-def mse_loss(pred: np.ndarray, target: np.ndarray):
-    _check_targets("mse", target, pred.shape)
-    value, grad = _mse(pred[None], target)
-    return float(value[0]), grad[0]
-
-
-def softmax_cross_entropy(logits: np.ndarray, labels: np.ndarray):
-    """Mean cross entropy over rows; labels are integer class indices."""
-    labels = np.asarray(labels)
-    _check_targets("xent", labels, logits.shape)
-    value, grad = _xent(logits[None], labels)
-    return float(value[0]), grad[0]
 
 
 def eval_loss(kind: str, pred: np.ndarray, target: np.ndarray):

@@ -29,10 +29,6 @@ def tensor(data) -> np.ndarray:
 # keys are independent of call order.
 # ---------------------------------------------------------------------------
 
-def make_rng(seed: int) -> np.random.Generator:
-    return np.random.default_rng(np.random.SeedSequence(int(seed)))
-
-
 def _key_to_int(key) -> int:
     if isinstance(key, int):
         return key
@@ -63,8 +59,8 @@ def relative_error(a: np.ndarray, b: np.ndarray) -> float:
 
 
 def central_step(x: np.ndarray) -> float:
-    """The default finite-difference step at `x`: 1e-6, scaled up by the
-    largest magnitude in `x` when that exceeds 1."""
+    """A finite-difference step for `x`: 1e-6, scaled up by the largest
+    magnitude in `x` when that exceeds 1."""
     return 1e-6 * max(1.0, float(np.max(np.abs(x))) if x.size else 1.0)
 
 
@@ -72,22 +68,19 @@ def finite_diff_check(
     f: Callable[[np.ndarray], np.ndarray],
     x: np.ndarray,
     analytic_jvp: Callable[[np.ndarray], np.ndarray],
-    probes: int = 20,
-    step: float | None = None,
-    rng: np.random.Generator | None = None,
+    probes: int,
+    step: float,
+    rng: np.random.Generator,
 ) -> float:
     """Compare analytic Jacobian-vector products against central differences.
 
-    For `probes` random unit directions v, evaluates
-    (f(x + h v) - f(x - h v)) / 2h against analytic_jvp(v) and returns the
-    worst relative error seen, with relative = |a-b| / max(1, |a|, |b|).
+    For `probes` unit directions v drawn from `rng`, evaluates
+    (f(x + h v) - f(x - h v)) / 2h at h = `step` against analytic_jvp(v)
+    and returns the worst relative error seen, with
+    relative = |a-b| / max(1, |a|, |b|).
     A NaN or Inf on either side makes the result inf.
     """
     x = tensor(x)
-    if rng is None:
-        rng = make_rng(0)
-    if step is None:
-        step = central_step(x)
     worst = 0.0
     for _ in range(probes):
         v = rng.standard_normal(x.shape)

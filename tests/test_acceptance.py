@@ -16,16 +16,17 @@ from pathlib import Path
 import numpy as np
 import pytest
 import yaml
+from numpy.random import default_rng
 
 from wendnet.activations import (
     ALL_KINDS,
     KINDS,
     EnhancedWendlandParams,
-    enhanced_radial,
+    _profile,
+    _wc0,
+    _wc2,
+    _wc4,
     parse_activation,
-    wendland_c0,
-    wendland_c2,
-    wendland_c4,
 )
 from wendnet.bench import (
     config_from_dict,
@@ -36,7 +37,6 @@ from wendnet.bench import (
 )
 from wendnet.datasets import IdxParseError, load_idx, make_circles, write_idx_labels
 from wendnet.network import run_gradient_check
-from wendnet.tensor import make_rng
 
 MNIST_DIR = Path(os.environ.get("WENDNET_MNIST_DIR", "data/mnist"))
 MNIST_FILES = {
@@ -81,8 +81,13 @@ def test_criterion_1_gradient_fidelity():
             (f", failing={bad}" if bad else ""))
 
 
+def _g(r, p):
+    """The enhanced profile g(r) at r >= 0, through its kernel."""
+    return _profile(np.asarray(r, dtype=np.float64), p).g
+
+
 def test_criterion_2_enhanced_structure():
-    rng = make_rng(2024)
+    rng = default_rng(2024)
     ok = True
     detail = ""
     for _ in range(50):
@@ -92,10 +97,10 @@ def test_criterion_2_enhanced_structure():
         bare = EnhancedWendlandParams(alpha=alpha, k=k, lam=0.0, eps=0.0)
         # compact support: the Wendland component is exactly 0 for r >= 1/alpha
         for r in (1.0 / alpha, 1.0 / alpha + 1e-12, 10.0 / alpha):
-            if enhanced_radial(r, bare) != 0.0:
+            if _g(r, bare) != 0.0:
                 ok, detail = False, f"support leak at alpha={alpha}, k={k}, r={r}"
         # value 1 + eps at r = 0
-        if abs(enhanced_radial(0.0, p) - (1.0 + p.eps)) > 1e-15:
+        if abs(_g(0.0, p) - (1.0 + p.eps)) > 1e-15:
             ok, detail = False, f"g(0) != 1+eps at alpha={alpha}, k={k}"
         # odd symmetry of the elementwise forward
         x = rng.uniform(-5.0, 5.0, size=64)
@@ -105,8 +110,8 @@ def test_criterion_2_enhanced_structure():
         # first-derivative continuity at the support boundary
         h = 1e-9
         b = 1.0 / alpha
-        left = (enhanced_radial(b, p) - enhanced_radial(b - h, p)) / h
-        right = (enhanced_radial(b + h, p) - enhanced_radial(b, p)) / h
+        left = (_g(b, p) - _g(b - h, p)) / h
+        right = (_g(b + h, p) - _g(b, p)) / h
         if abs(left - right) > 1e-6:
             ok, detail = False, f"boundary jump {abs(left-right):.2e} at alpha={alpha}, k={k}"
     _report("criterion 2: enhanced Wendland structure over randomized (alpha, k)",
@@ -114,14 +119,15 @@ def test_criterion_2_enhanced_structure():
 
 
 def test_criterion_3_classical_values():
+    # each kernel gives (phi(r), dphi/dr)
     checks = [
-        (wendland_c0(0.5), 0.25),
-        (wendland_c2(0.5), 0.1875),
-        (wendland_c4(0.5), 83.0 / 768.0),  # exact rational, = 0.10807291666...
+        (_wc0(0.5)[0], 0.25),
+        (_wc2(0.5)[0], 0.1875),
+        (_wc4(0.5)[0], 83.0 / 768.0),  # exact rational, = 0.10807291666...
     ]
     ok = all(abs(got - want) <= 1e-12 for got, want in checks)
-    for phi in (wendland_c0, wendland_c2, wendland_c4):
-        ok = ok and phi(0.0) == 1.0 and phi(1.0) == 0.0 and phi(3.0) == 0.0
+    for form in (_wc0, _wc2, _wc4):
+        ok = ok and form(0.0)[0] == 1.0 and form(1.0)[0] == 0.0 and form(3.0)[0] == 0.0
     _report("criterion 3: classical Wendland values at 1e-12", ok)
 
 
@@ -162,7 +168,7 @@ def test_criterion_5_toy_classification(tmp_path):
     moons_ok = all(acc >= 0.95 for acc in summary.values())
 
     # noiseless circles are separable by radius; verify by brute force first
-    x, labels = make_circles(1000, 0.0, 0.5, make_rng(99))
+    x, labels = make_circles(1000, 0.0, 0.5, default_rng(99))
     radii = np.hypot(x[:, 0], x[:, 1])
     assert radii[labels == 0].min() > radii[labels == 1].max()
 

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
+from numpy.random import default_rng
 
 from wendnet.activations import (
     ALL_KINDS,
@@ -16,7 +17,7 @@ from wendnet.activations import (
     parse_activation,
 )
 from wendnet.network import ActivationLayer
-from wendnet.tensor import finite_diff_check, make_rng, relative_error
+from wendnet.tensor import central_step, finite_diff_check, relative_error
 
 
 def _defaults(kind):
@@ -103,7 +104,7 @@ def test_rrelu_training_vs_eval():
     np.testing.assert_allclose(y_eval, -mean_slope, atol=1e-15)
     np.testing.assert_allclose(dy_eval, mean_slope, atol=1e-15)
 
-    rng = make_rng(8)
+    rng = default_rng(8)
     y_tr, dy_tr = _forward("rrelu", p, x[None], training=True, rng=[rng])  # one replica
     slopes = -y_tr
     assert np.all((slopes >= p["lo"]) & (slopes <= p["hi"]))
@@ -135,7 +136,7 @@ def test_finite_everywhere(kind):
 
 @pytest.mark.parametrize("kind", ALL_KINDS)
 def test_derivative_matches_finite_differences(kind):
-    rng = make_rng(9)
+    rng = default_rng(9)
     rec, c = _coefficients(kind)
     x = rng.uniform(-3.0, 3.0, size=1000)
     for kink in rec.kinks(c):
@@ -147,7 +148,7 @@ def test_derivative_matches_finite_differences(kind):
 
 
 def test_trainable_param_grads_match_finite_differences():
-    rng = make_rng(10)
+    rng = default_rng(10)
     x = rng.uniform(-3.0, 3.0, size=200)
     up = rng.standard_normal(200)
     for kind in ("prelu", "sinlu", "frelu"):
@@ -275,7 +276,7 @@ def test_finite_values_and_gradients_on_finite_inputs(kind, data):
     rec, c = _coefficients(data.draw(_spec_texts(kind)))
     x = data.draw(arrays(np.float64, (3, 4), elements=st.floats(-1e6, 1e6)))
     # x's first axis runs over 3 replicas, each with its own generator
-    y, aux = rec.forward(c, x, data.draw(st.booleans()), [make_rng(i) for i in range(3)])
+    y, aux = rec.forward(c, x, data.draw(st.booleans()), [default_rng(i) for i in range(3)])
     dx, grads = rec.backward(c, x, aux, np.ones_like(x))
     assert np.all(np.isfinite(y)) and np.all(np.isfinite(dx))
     assert all(np.isfinite(g) for g in grads.values())
@@ -297,7 +298,7 @@ def _kink_gap(layer, x):
 @given(data=st.data())
 def test_layer_gradients_match_finite_differences(kind, data):
     layer = ActivationLayer(parse_activation(data.draw(_spec_texts(kind))))
-    rng = make_rng(data.draw(st.integers(0, 2**32 - 1)))
+    rng = default_rng(data.draw(st.integers(0, 2**32 - 1)))
     x = rng.uniform(-3.0, 3.0, size=(3, 4))
     assume(_kink_gap(layer, x) > 1e-3)
     up = rng.standard_normal(x.shape)
@@ -312,7 +313,8 @@ def test_layer_gradients_match_finite_differences(kind, data):
     f(base)
     dx = layer.backward(up)
     analytic = np.concatenate([[p.grad.item() for p in params], dx.ravel()])
-    assert finite_diff_check(f, base, lambda v: analytic @ v, probes=20, rng=rng) < 1e-6
+    assert finite_diff_check(f, base, lambda v: analytic @ v, probes=20, step=central_step(base),
+                             rng=rng) < 1e-6
 
 
 _EDGE_CASES = list(ALL_KINDS) + [f"ewend(alpha={a},k={k})" for k in range(1, 9) for a in (0.5, 2)]

@@ -507,7 +507,8 @@ def test_cli_run_bad_config_value_exits_2(tmp_path, experiment, override):
 @pytest.mark.parametrize("experiment, architecture, message", [
     ("sine", [2, 8, 1], "the network's first width is 2, but the data have 1 input column: "
                         "it must be 1"),
-    ("sine", [1, 8, 2], "mse: prediction shape"),
+    ("sine", [1, 8, 2], "mse: prediction shape (14, 2) vs target shape (14, 1): the network's "
+                        "last width is 2, but the targets have 1 column: it must be 1"),
     ("moons", [2, 8, 1], "the network's last width is 1, but the labels run up to 1: "
                          "it must be at least 2"),
     ("mnist", [784, 16, 5], "the network's last width is 5, but the labels run up to 9: "
@@ -646,9 +647,8 @@ def test_mnist_like_pipeline_on_synthetic_idx(tmp_path):
     # class-dependent pixel patterns, easily separable: exercises the whole
     # IDX -> stratified subsample -> MLP -> accuracy table pipeline
     from wendnet.bench import run_mnist_like
-    from wendnet.tensor import make_rng
 
-    rng = make_rng(0)
+    rng = np.random.default_rng(0)
     def synth(n, path_prefix):
         labels = np.tile(np.arange(10), n // 10).astype(np.uint8)
         images = np.zeros((n, 28, 28), dtype=np.uint8)

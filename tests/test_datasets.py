@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
+from numpy.random import default_rng
 
 from wendnet.datasets import (
     DataConfigError,
@@ -18,33 +19,32 @@ from wendnet.datasets import (
     write_idx_images,
     write_idx_labels,
 )
-from wendnet.tensor import make_rng
 
 
 def test_sine_noiseless_on_curve():
-    x, y = sample_sine(500, (-np.pi, np.pi), 0.0, make_rng(0))
+    x, y = sample_sine(500, (-np.pi, np.pi), 0.0, default_rng(0))
     np.testing.assert_allclose(y[:, 0], np.sin(x[:, 0]), atol=0)
 
 
 def test_sine_deterministic():
-    xa, ya = sample_sine(1000, (-1, 1), 0.1, make_rng(42))
-    xb, yb = sample_sine(1000, (-1, 1), 0.1, make_rng(42))
+    xa, ya = sample_sine(1000, (-1, 1), 0.1, default_rng(42))
+    xb, yb = sample_sine(1000, (-1, 1), 0.1, default_rng(42))
     np.testing.assert_array_equal(xa, xb)
     np.testing.assert_array_equal(ya, yb)
 
 
 def test_sine_invalid_range():
     with pytest.raises(DataConfigError):
-        sample_sine(10, (1.0, 1.0), 0.0, make_rng(0))
+        sample_sine(10, (1.0, 1.0), 0.0, default_rng(0))
     with pytest.raises(DataConfigError):
-        sample_sine(10, (-1, 1), -0.1, make_rng(0))
+        sample_sine(10, (-1, 1), -0.1, default_rng(0))
 
 
 def test_sine_range_wider_than_a_float():
     # hi - lo overflows to inf; the generator could not draw from it
     with pytest.raises(DataConfigError, match="wider"):
-        sample_sine(10, (-1e308, 1e308), 0.0, make_rng(0))
-    x, _ = sample_sine(10, (-1e307, 1e307), 0.0, make_rng(0))
+        sample_sine(10, (-1e308, 1e308), 0.0, default_rng(0))
+    x, _ = sample_sine(10, (-1e307, 1e307), 0.0, default_rng(0))
     assert np.all(np.abs(x) <= 1e307)
 
 
@@ -52,14 +52,14 @@ def test_sine_range_wider_than_a_float():
 def test_split_must_leave_training_rows(fraction):
     # of 20 rows, 0.99 rounds to 20 test rows and 0.01 to none; both sides
     # need at least one
-    x, y = sample_sine(20, (-1, 1), 0.0, make_rng(0))
+    x, y = sample_sine(20, (-1, 1), 0.0, default_rng(0))
     with pytest.raises(DataConfigError):
-        split(x, y, fraction, make_rng(1))
+        split(x, y, fraction, default_rng(1))
 
 
 def test_moons_arc_endpoints():
     # noiseless points lie exactly on the two parameterized arcs
-    x, labels = make_moons(1000, 0.0, make_rng(1))
+    x, labels = make_moons(1000, 0.0, default_rng(1))
     upper = x[labels == 0]
     lower = x[labels == 1]
     # upper arc: unit circle, y >= 0
@@ -76,13 +76,13 @@ def test_moons_arc_endpoints():
 
 def test_moons_class_balance():
     for n in (10, 11, 999):
-        _, labels = make_moons(n, 0.1, make_rng(2))
+        _, labels = make_moons(n, 0.1, default_rng(2))
         counts = np.bincount(labels)
         assert abs(int(counts[0]) - int(counts[1])) <= 1
 
 
 def test_circles_noiseless_radii():
-    x, labels = make_circles(800, 0.0, 0.5, make_rng(3))
+    x, labels = make_circles(800, 0.0, 0.5, default_rng(3))
     radii = np.hypot(x[:, 0], x[:, 1])
     np.testing.assert_allclose(radii[labels == 0], 1.0, atol=1e-12)
     np.testing.assert_allclose(radii[labels == 1], 0.5, atol=1e-12)
@@ -93,7 +93,7 @@ def test_circles_noiseless_radii():
 def test_circles_invalid_factor():
     for factor in (0.0, 1.0, -0.5, 2.0):
         with pytest.raises(DataConfigError):
-            make_circles(10, 0.0, factor, make_rng(0))
+            make_circles(10, 0.0, factor, default_rng(0))
 
 
 def test_two_class_generators_reject_negative_noise():
@@ -101,14 +101,14 @@ def test_two_class_generators_reject_negative_noise():
     for gen in (lambda r: make_moons(10, -0.2, r),
                 lambda r: make_circles(10, -0.2, 0.5, r)):
         with pytest.raises(DataConfigError, match="noise_sd"):
-            gen(make_rng(0))
+            gen(default_rng(0))
 
 
 def test_generators_deterministic():
     for gen in (lambda r: make_moons(200, 0.2, r),
                 lambda r: make_circles(200, 0.1, 0.5, r)):
-        xa, la = gen(make_rng(5))
-        xb, lb = gen(make_rng(5))
+        xa, la = gen(default_rng(5))
+        xb, lb = gen(default_rng(5))
         np.testing.assert_array_equal(xa, xb)
         np.testing.assert_array_equal(la, lb)
 
@@ -116,7 +116,7 @@ def test_generators_deterministic():
 # --- IDX format -------------------------------------------------------------
 
 def test_idx_round_trip(tmp_path):
-    rng = make_rng(6)
+    rng = default_rng(6)
     images = rng.integers(0, 256, size=(7, 5, 5), dtype=np.uint8)
     labels = rng.integers(0, 10, size=7, dtype=np.uint8)
     ip = tmp_path / "imgs"
@@ -207,12 +207,12 @@ def test_mutated_idx_files_load_or_raise_parse_error(tmp_path, image_edits, labe
 
 def _toy_labeled(n=100, classes=10):
     labels = np.tile(np.arange(classes), n // classes)
-    return make_rng(7).standard_normal((n, 3)), labels
+    return default_rng(7).standard_normal((n, 3)), labels
 
 
 def test_subsample_full_permutation():
     x, labels = _toy_labeled()
-    sub, sub_labels = subsample(x, labels, 100, make_rng(8))
+    sub, sub_labels = subsample(x, labels, 100, default_rng(8))
     # every row, in row order
     np.testing.assert_array_equal(sub, x)
     np.testing.assert_array_equal(sub_labels, labels)
@@ -220,14 +220,14 @@ def test_subsample_full_permutation():
 
 def test_subsample_stratified_balanced():
     x, labels = _toy_labeled(n=1000, classes=10)
-    _, sub_labels = subsample(x, labels, 100, make_rng(9))
+    _, sub_labels = subsample(x, labels, 100, default_rng(9))
     assert np.all(np.bincount(sub_labels, minlength=10) == 10)
 
 
 def test_subsample_deterministic():
     x, labels = _toy_labeled(n=200)
-    a, la = subsample(x, labels, 50, make_rng(10))
-    b, lb = subsample(x, labels, 50, make_rng(10))
+    a, la = subsample(x, labels, 50, default_rng(10))
+    b, lb = subsample(x, labels, 50, default_rng(10))
     np.testing.assert_array_equal(a, b)
     np.testing.assert_array_equal(la, lb)
 
@@ -235,13 +235,13 @@ def test_subsample_deterministic():
 def test_subsample_insufficient_rows():
     x, labels = _toy_labeled(n=100)
     with pytest.raises(DataConfigError):
-        subsample(x, labels, 110, make_rng(11))
+        subsample(x, labels, 110, default_rng(11))
 
 
 def test_subsample_stratified_keeps_proportions_and_counts():
     labels = np.array([0] * 100 + [1] * 5)
-    x = make_rng(12).standard_normal((105, 2))
-    _, sub_labels = subsample(x, labels, 40, make_rng(13))
+    x = default_rng(12).standard_normal((105, 2))
+    _, sub_labels = subsample(x, labels, 40, default_rng(13))
     # 40 * 100/105 = 38.1 and 40 * 5/105 = 1.9: the spare row goes to class 1
     assert np.bincount(sub_labels).tolist() == [38, 2]
 
@@ -251,7 +251,7 @@ def test_subsample_quota_never_exceeds_its_class():
     labels = np.array([0] * 9 + [1] + [2] * 3)
     x = np.arange(len(labels), dtype=np.float64)[:, None]
     for n in range(1, len(labels) + 1):
-        sub, sub_labels = subsample(x, labels, n, make_rng(n))
+        sub, sub_labels = subsample(x, labels, n, default_rng(n))
         assert len(sub) == n
         assert len(np.unique(sub)) == n  # no row drawn twice
         assert np.all(np.bincount(sub_labels, minlength=3) <= np.bincount(labels))
@@ -293,10 +293,10 @@ def _reference_subsample_idx(labels, n_train, n_test, rng):
 @pytest.mark.parametrize("n, fraction", [(20, 0.3), (256, 0.3), (1000, 0.3),
                                          (7, 0.5), (101, 0.01), (50, 0.98)])
 def test_split_picks_the_reference_rows(n, fraction):
-    x = make_rng(20).standard_normal((n, 2))
+    x = default_rng(20).standard_normal((n, 2))
     y = np.arange(n)
-    train_idx, test_idx = _reference_split_idx(n, fraction, make_rng(21))
-    x_train, y_train, x_test, y_test = split(x, y, fraction, make_rng(21))
+    train_idx, test_idx = _reference_split_idx(n, fraction, default_rng(21))
+    x_train, y_train, x_test, y_test = split(x, y, fraction, default_rng(21))
     np.testing.assert_array_equal(y_train, train_idx)
     np.testing.assert_array_equal(y_test, test_idx)
     np.testing.assert_array_equal(x_train, x[train_idx])
@@ -321,10 +321,10 @@ def test_subsample_picks_the_reference_rows(counts, n):
     # the studies drew with no test partition; with one, the train rows of
     # the earlier subsample are the same
     labels = np.repeat(np.arange(len(counts)), counts)
-    labels = labels[make_rng(22).permutation(len(labels))]
+    labels = labels[default_rng(22).permutation(len(labels))]
     x = np.arange(len(labels), dtype=np.float64)[:, None] * 0.5
-    sub, sub_labels = subsample(x, labels, n, make_rng(23))
+    sub, sub_labels = subsample(x, labels, n, default_rng(23))
     for n_test in (0, (len(labels) - n) // 2):
-        train_idx, _ = _reference_subsample_idx(labels, n, n_test, make_rng(23))
+        train_idx, _ = _reference_subsample_idx(labels, n, n_test, default_rng(23))
         np.testing.assert_array_equal(sub, x[train_idx])
         np.testing.assert_array_equal(sub_labels, labels[train_idx])

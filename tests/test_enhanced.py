@@ -13,11 +13,9 @@ from wendnet.activations import (
     KINDS,
     ActivationSpec,
     ConfigError,
-    DomainError,
     EnhancedWendlandParams,
-    enhanced_radial,
-    enhanced_radial_dparams,
-    enhanced_radial_dr,
+    _profile,
+    _profile_derivatives,
     format_activation,
     parse_activation,
 )
@@ -27,6 +25,16 @@ from wendnet.tensor import relative_error
 DEFAULTS = EnhancedWendlandParams()
 EWEND = KINDS["ewend"]
 _COEFFS = ("alpha", "lam", "beta", "eps")
+
+
+def _g(r, p):
+    """The profile g(r) at r >= 0, through its kernel."""
+    return _profile(np.asarray(r, dtype=np.float64), p).g
+
+
+def _derivatives(r, p):
+    """(dg/dr, {coefficient: dg/dcoefficient}) at r >= 0, through the kernels."""
+    return _profile_derivatives(p, _profile(np.asarray(r, dtype=np.float64), p), _COEFFS)
 
 
 def _forward(p, x):
@@ -46,24 +54,24 @@ def _backward(p, x, up):
 
 def test_radial_at_zero():
     # Wendland part is 1, linear part 0, tail contributes eps
-    assert enhanced_radial(0.0, DEFAULTS) == pytest.approx(1.01, abs=1e-15)
+    assert _g(0.0, DEFAULTS) == pytest.approx(1.01, abs=1e-15)
 
 
 def test_radial_at_one():
     # independent evaluation of each additive term
     expected = 0.0 + 0.1 * 1.0 + 0.01 * math.exp(-1.0)
-    assert enhanced_radial(1.0, DEFAULTS) == pytest.approx(expected, abs=1e-15)
+    assert _g(1.0, DEFAULTS) == pytest.approx(expected, abs=1e-15)
 
 
 def test_radial_at_half():
     wend = 0.5 ** 4 * (4 * 0.5 + 1)
     expected = wend + 0.1 * 0.5 + 0.01 * math.exp(-0.5)
-    assert enhanced_radial(0.5, DEFAULTS) == pytest.approx(expected, abs=1e-15)
+    assert _g(0.5, DEFAULTS) == pytest.approx(expected, abs=1e-15)
 
 
 def test_radial_dr_at_zero():
     # Wendland term carries a factor r, so only lambda - eps*beta survives
-    assert enhanced_radial_dr(0.0, DEFAULTS) == pytest.approx(0.09, abs=1e-15)
+    assert _derivatives(0.0, DEFAULTS)[0] == pytest.approx(0.09, abs=1e-15)
 
 
 def test_radial_dr_at_support_boundary():
@@ -72,7 +80,7 @@ def test_radial_dr_at_support_boundary():
         p = EnhancedWendlandParams(alpha=alpha)
         r = 1.0 / alpha
         expected = p.lam - p.eps * p.beta * math.exp(-p.beta * r)
-        assert enhanced_radial_dr(r, p) == pytest.approx(expected, abs=1e-14)
+        assert _derivatives(r, p)[0] == pytest.approx(expected, abs=1e-14)
 
 
 def test_radial_dr_matches_finite_differences():
@@ -87,22 +95,14 @@ def test_radial_dr_matches_finite_differences():
         if abs(r - 1.0 / p.alpha) < 1e-4:
             continue
         h = 1e-6 * max(1.0, r)
-        numeric = (enhanced_radial(r + h, p) - enhanced_radial(r - h, p)) / (2 * h)
-        assert relative_error(enhanced_radial_dr(r, p), numeric) < 1e-7
-
-
-@pytest.mark.parametrize("fn", [enhanced_radial, enhanced_radial_dr, enhanced_radial_dparams])
-def test_radial_forms_reject_negative_radius(fn):
-    with pytest.raises(DomainError):
-        fn(-1.0, DEFAULTS)
-    with pytest.raises(DomainError):
-        fn(np.array([0.5, -5e-324]), DEFAULTS)
+        numeric = (_g(r + h, p) - _g(r - h, p)) / (2 * h)
+        assert relative_error(_derivatives(r, p)[0], numeric) < 1e-7
 
 
 def test_radial_dparams_trivial():
-    grads = enhanced_radial_dparams(2.0, DEFAULTS)
+    grads = _derivatives(2.0, DEFAULTS)[1]
     assert grads["lam"] == pytest.approx(2.0)
-    grads0 = enhanced_radial_dparams(0.0, DEFAULTS)
+    grads0 = _derivatives(0.0, DEFAULTS)[1]
     assert grads0["alpha"] == 0.0  # both alpha terms carry a factor r
 
 
@@ -117,12 +117,12 @@ def test_radial_dparams_match_finite_differences():
         r = rng.uniform(0.0, 3.0 / p.alpha)
         if r > 0 and abs(p.alpha * r - 1.0) < 1e-4:
             continue
-        grads = enhanced_radial_dparams(r, p)
+        grads = _derivatives(r, p)[1]
         for name in ("alpha", "lam", "beta", "eps"):
             def at(v):
                 d = dict(base)
                 d[name] = v
-                return enhanced_radial(r, EnhancedWendlandParams(**d))
+                return _g(r, EnhancedWendlandParams(**d))
             h = 1e-6 * max(1.0, base[name])
             numeric = (at(base[name] + h) - at(base[name] - h)) / (2 * h)
             assert relative_error(grads[name], numeric) < 1e-7, name
@@ -140,9 +140,9 @@ def test_compact_support_is_exact():
         for r in (1.0 / p.alpha, 1.0 / p.alpha + 1e-12, 10.0 / p.alpha):
             # with the linear and exponential terms removed, only the
             # Wendland component remains and it must vanish identically
-            assert enhanced_radial(r, bare) == 0.0
+            assert _g(r, bare) == 0.0
             # full profile: bit-equal to the linear + exponential terms alone
-            assert enhanced_radial(r, p) == p.lam * r + p.eps * np.exp(-p.beta * r)
+            assert _g(r, p) == p.lam * r + p.eps * np.exp(-p.beta * r)
 
 
 def test_boundary_first_derivative_continuity():
@@ -152,8 +152,8 @@ def test_boundary_first_derivative_continuity():
         p = EnhancedWendlandParams(alpha=rng.uniform(0.25, 4.0),
                                    k=int(rng.choice([2, 3, 4, 6])))
         b = 1.0 / p.alpha
-        left = (enhanced_radial(b, p) - enhanced_radial(b - h, p)) / h
-        right = (enhanced_radial(b + h, p) - enhanced_radial(b, p)) / h
+        left = (_g(b, p) - _g(b - h, p)) / h
+        right = (_g(b + h, p) - _g(b, p)) / h
         assert abs(left - right) < 1e-6
 
 
@@ -167,7 +167,7 @@ def test_forward_zero_input():
 
 def test_forward_value_at_one():
     y = _forward(DEFAULTS, np.array([1.0]))
-    assert y[0] == pytest.approx(1.0 * enhanced_radial(1.0, DEFAULTS), abs=1e-15)
+    assert y[0] == pytest.approx(1.0 * _g(1.0, DEFAULTS), abs=1e-15)
 
 
 @settings(max_examples=200, deadline=None)
@@ -180,7 +180,7 @@ def test_forward_odd_symmetry(x):
 def test_forward_channel_norm_uses_slice_norm():
     p = EnhancedWendlandParams(mode="channel")
     x = np.array([[3.0, 4.0]])
-    g = enhanced_radial(5.0, p)
+    g = _g(5.0, p)
     np.testing.assert_allclose(_forward(p, x), x * g, rtol=0, atol=1e-15)
 
 
@@ -252,7 +252,7 @@ def test_backward_channel_r_zero_guard():
     x = np.zeros((2, 3))
     up = np.ones((2, 3))
     dx, _ = _backward(p, x, up)
-    np.testing.assert_allclose(dx, np.full((2, 3), enhanced_radial(0.0, p)), atol=1e-15)
+    np.testing.assert_allclose(dx, np.full((2, 3), _g(0.0, p)), atol=1e-15)
 
 
 def test_backward_param_grads_match_finite_differences():

@@ -5,6 +5,7 @@ import re
 
 import numpy as np
 import pytest
+from numpy.random import default_rng
 
 from wendnet.activations import parse_activation
 from wendnet.network import (
@@ -15,27 +16,26 @@ from wendnet.network import (
     Network,
     NumericalError,
     Param,
+    _check_targets,
     build_mlp,
     eval_loss,
     gradient_check_network,
     min_kink_gap,
-    mse_loss,
     run_gradient_check,
-    softmax_cross_entropy,
     train,
 )
 from wendnet.datasets import make_moons, split
-from wendnet.tensor import ShapeError, make_rng, relative_error
+from wendnet.tensor import ShapeError, relative_error
 
 
 def test_empty_network_is_identity():
     net = Network([])
-    x = make_rng(0).standard_normal((3, 2))
+    x = default_rng(0).standard_normal((3, 2))
     np.testing.assert_array_equal(net.forward(x), x)
 
 
 def test_single_dense_identity_weights():
-    rng = make_rng(1)
+    rng = default_rng(1)
     layer = Dense(3, 3, [rng])
     layer.w.value[...] = np.eye(3)
     layer.b.value[...] = 0.0
@@ -44,7 +44,7 @@ def test_single_dense_identity_weights():
 
 
 def test_dense_then_relu_hand_computed():
-    rng = make_rng(2)
+    rng = default_rng(2)
     dense = Dense(1, 1, [rng])
     dense.w.value[...] = 2.0
     dense.b.value[...] = 1.0
@@ -54,7 +54,7 @@ def test_dense_then_relu_hand_computed():
 
 
 def test_zero_upstream_gives_zero_gradients():
-    rng = make_rng(3)
+    rng = default_rng(3)
     net = build_mlp([2, 4, 2], parse_activation("ewend"), [rng])
     net.grad[...] = 1.0  # a backward writes every gradient, it adds to none
     net.forward(rng.standard_normal((3, 2)))
@@ -66,7 +66,7 @@ def test_zero_upstream_gives_zero_gradients():
                                   "ewend(train=alpha|lambda|beta|eps)"])
 def test_backward_overwrites_every_gradient(kind):
     # Dense weights and biases, and every trainable activation coefficient
-    rng = make_rng(35)
+    rng = default_rng(35)
     net = build_mlp([2, 4, 4, 2], parse_activation(kind), [rng])
     net.grad[...] = np.nan
     net.forward(rng.standard_normal((5, 2)))
@@ -76,7 +76,7 @@ def test_backward_overwrites_every_gradient(kind):
 
 @pytest.mark.parametrize("kind", ["relu", "ewend(train=alpha|lambda|beta|eps)"])
 def test_backward_without_input_gradient(kind):
-    rng = make_rng(36)
+    rng = default_rng(36)
     net = build_mlp([3, 5, 2], parse_activation(kind), [rng])
     net.forward(rng.standard_normal((4, 3)))
     up = rng.standard_normal((4, 2))
@@ -133,9 +133,9 @@ def test_gradient_check_makes_one_base_forward_per_candidate(monkeypatch):
 
 def test_gradient_check_near_a_kink_is_none_and_draws_nothing():
     # zero inputs put every first-layer pre-activation on the relu kink at 0
-    net = build_mlp([2, 8, 8, 2], parse_activation("relu"), [make_rng(37)])
+    net = build_mlp([2, 8, 8, 2], parse_activation("relu"), [default_rng(37)])
     before = net.theta.copy()
-    rng = make_rng(38)
+    rng = default_rng(38)
     state = rng.bit_generator.state
     assert gradient_check_network(net, np.zeros((4, 2)), rng, probes=5) is None
     assert rng.bit_generator.state == state
@@ -155,7 +155,7 @@ def _layer_walking_kink_gap(net, x):
 
 @pytest.mark.parametrize("kind", ["relu", "srelu", "wc0", "ewend(k=1)"])
 def test_min_kink_gap_reads_the_last_forward(kind):
-    rng = make_rng(31)
+    rng = default_rng(31)
     net = build_mlp([2, 8, 8, 2], parse_activation(kind), [rng])
     for _ in range(5):
         x = rng.standard_normal((6, 2))
@@ -166,18 +166,18 @@ def test_min_kink_gap_reads_the_last_forward(kind):
 
 @pytest.mark.parametrize("kind", ["tanh", "relu", "ewend(k=1,train=alpha|lambda|beta|eps)"])
 def test_gradient_check_restores_theta(kind):
-    net = build_mlp([2, 8, 8, 2], parse_activation(kind), [make_rng(32)])
+    net = build_mlp([2, 8, 8, 2], parse_activation(kind), [default_rng(32)])
     before = net.theta.copy()
-    gradient_check_network(net, make_rng(33).standard_normal((4, 2)), make_rng(34), probes=5)
+    gradient_check_network(net, default_rng(33).standard_normal((4, 2)), default_rng(34), probes=5)
     np.testing.assert_array_equal(net.theta, before)
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_gradient_check_non_finite_is_a_failure():
-    net = build_mlp([2, 4, 2], parse_activation("tanh"), [make_rng(21)])
+    net = build_mlp([2, 4, 2], parse_activation("tanh"), [default_rng(21)])
     net.layers[0].w.value[0, 0] = np.nan
-    err = gradient_check_network(net, make_rng(22).standard_normal((3, 2)),
-                                 make_rng(23), probes=5)
+    err = gradient_check_network(net, default_rng(22).standard_normal((3, 2)),
+                                 default_rng(23), probes=5)
     assert err == float("inf")
 
 
@@ -186,7 +186,7 @@ def test_alpha_gradient_outside_support_matches_linear_exp_path():
     # nothing: gradients equal those of a profile with the bump removed
     from wendnet.activations import KINDS, EnhancedWendlandParams
 
-    rng = make_rng(4)
+    rng = default_rng(4)
     x = rng.uniform(2.0, 5.0, size=50) * np.sign(rng.standard_normal(50))
     up = rng.standard_normal(50)
     p_full = EnhancedWendlandParams(alpha=1.0, train=("alpha", "lam", "beta", "eps"))
@@ -203,50 +203,57 @@ def test_alpha_gradient_outside_support_matches_linear_exp_path():
     assert g_full["lam"] == pytest.approx(float(np.sum(up * x * r)), rel=1e-12)
 
 
+def _loss(kind, pred, target):
+    """(value, gradient wrt pred) of one prediction, on the path `train`
+    takes: the target check once, then the kernel behind eval_loss."""
+    _check_targets(kind, target, pred.shape)
+    values, grads = eval_loss(kind, pred[None], target)  # a stack of one
+    return float(values[0]), grads[0]
+
+
 def test_mse_loss():
     x = np.array([[1.0, 2.0]])
-    value, grad = mse_loss(x, x)
+    value, grad = _loss("mse", x, x)
     assert value == 0.0
     assert np.all(grad == 0.0)
 
 
 def test_mse_gradient_matches_finite_differences():
-    rng = make_rng(5)
+    rng = default_rng(5)
     pred = rng.standard_normal((4, 3))
     target = rng.standard_normal((4, 3))
-    _, grad = mse_loss(pred, target)
+    _, grad = _loss("mse", pred, target)
     h = 1e-7
     for i in range(4):
         for j in range(3):
             p = pred.copy(); p[i, j] += h
             m = pred.copy(); m[i, j] -= h
-            numeric = (mse_loss(p, target)[0] - mse_loss(m, target)[0]) / (2 * h)
+            numeric = (_loss("mse", p, target)[0] - _loss("mse", m, target)[0]) / (2 * h)
             assert relative_error(grad[i, j], numeric) < 1e-7
 
 
 def test_cross_entropy_uniform_logits():
-    value, _ = softmax_cross_entropy(np.array([[0.0, 0.0]]), np.array([0]))
+    value, _ = _loss("xent", np.array([[0.0, 0.0]]), np.array([0]))
     assert value == pytest.approx(math.log(2.0), abs=1e-12)
 
 
 def test_cross_entropy_gradient_matches_finite_differences():
-    rng = make_rng(6)
+    rng = default_rng(6)
     logits = rng.standard_normal((5, 4))
     labels = rng.integers(0, 4, size=5)
-    _, grad = softmax_cross_entropy(logits, labels)
+    _, grad = _loss("xent", logits, labels)
     h = 1e-7
     for i in range(5):
         for j in range(4):
             p = logits.copy(); p[i, j] += h
             m = logits.copy(); m[i, j] -= h
-            numeric = (softmax_cross_entropy(p, labels)[0]
-                       - softmax_cross_entropy(m, labels)[0]) / (2 * h)
+            numeric = (_loss("xent", p, labels)[0] - _loss("xent", m, labels)[0]) / (2 * h)
             assert relative_error(grad[i, j], numeric) < 1e-7
 
 
 def test_cross_entropy_label_out_of_range():
     with pytest.raises(Exception):
-        softmax_cross_entropy(np.zeros((2, 3)), np.array([0, 3]))
+        _loss("xent", np.zeros((2, 3)), np.array([0, 3]))
 
 
 def _textbook_mse(pred, target):
@@ -266,23 +273,23 @@ def _textbook_xent(logits, labels):
 
 
 def test_losses_match_textbook_bit_for_bit():
-    # the checked public losses and the unchecked kernels `train` calls
-    # through eval_loss give the bits of the plain np.mean/np.sum forms
-    rng = make_rng(40)
+    # the kernels `train` calls through eval_loss give the bits of the plain
+    # np.mean/np.sum forms
+    rng = default_rng(40)
     for _ in range(300):
         n, c = int(rng.integers(1, 70)), int(rng.integers(1, 12))
         scale = 10.0 ** rng.uniform(-3, 3)
         pred = scale * rng.standard_normal((n, c))
         target = scale * rng.standard_normal((n, c))
         labels = rng.integers(0, c, size=n)
-        for kind, public, textbook, y in (("mse", mse_loss, _textbook_mse, target),
-                                          ("xent", softmax_cross_entropy, _textbook_xent, labels)):
+        for kind, textbook, y in (("mse", _textbook_mse, target),
+                                  ("xent", _textbook_xent, labels)):
             want_value, want_grad = textbook(pred, y)
             values, grads = eval_loss(kind, pred[None], y)  # a stack of one
-            for value, grad in (public(pred, y), (values[0], grads[0])):
-                assert np.float64(value).tobytes() == np.float64(want_value).tobytes()
-                assert grad.shape == want_grad.shape
-                assert grad.tobytes() == want_grad.tobytes()
+            value, grad = values[0], grads[0]
+            assert np.float64(value).tobytes() == np.float64(want_value).tobytes()
+            assert grad.shape == want_grad.shape
+            assert grad.tobytes() == want_grad.tobytes()
 
 
 class _OneParam:
@@ -331,7 +338,7 @@ def test_optimizer_rejects_non_finite_gradient():
 
 
 def test_non_finite_gradient_names_its_parameter():
-    net = build_mlp([2, 3, 2], parse_activation("prelu"), [make_rng(24)])
+    net = build_mlp([2, 3, 2], parse_activation("prelu"), [default_rng(24)])
     net.layers[1]._params["slope"].grad[...] = np.inf
     net.layers[2].b.grad[..., 1] = np.nan
     with pytest.raises(NumericalError, match=r"parameter act0\.slope$"):
@@ -418,7 +425,7 @@ class _Algorithm1Adam(_TextbookAdam):
 
 
 def _reference_net():
-    rng = make_rng(25)
+    rng = default_rng(25)
     return Network([
         Dense(2, 8, [rng], name="dense0"),
         ActivationLayer(parse_activation("ewend(train=alpha|beta)"), name="act0"),
@@ -430,7 +437,7 @@ def _reference_net():
 
 def _wide_net():
     # 91,802 parameters: three of Adam's blocks, the last one partial
-    return build_mlp([2, 300, 300, 2], parse_activation("relu"), [make_rng(27)])
+    return build_mlp([2, 300, 300, 2], parse_activation("relu"), [default_rng(27)])
 
 
 @pytest.mark.parametrize("flat, textbook", [
@@ -441,7 +448,7 @@ def _wide_net():
 ], ids=["sgd-momentum", "adam"])
 def test_flat_optimizers_match_textbook_bit_for_bit(flat, textbook):
     for make_net in (_reference_net, _wide_net):
-        data = make_rng(26)
+        data = default_rng(26)
         x = data.standard_normal((64, 2))
         labels = (x[:, 0] * x[:, 1] > 0).astype(np.int64)
         net_a, net_b = make_net(), make_net()
@@ -450,7 +457,7 @@ def test_flat_optimizers_match_textbook_bit_for_bit(flat, textbook):
         for step in range(20):
             idx = data.choice(64, size=16, replace=False)
             for net, opt in ((net_a, opt_a), (net_b, opt_b)):
-                _, grad = softmax_cross_entropy(net.forward(x[idx], training=True), labels[idx])
+                _, grad = _textbook_xent(net.forward(x[idx], training=True), labels[idx])
                 net.backward(grad)
                 opt.step()
             np.testing.assert_array_equal(net_a.theta, net_b.theta,
@@ -463,7 +470,7 @@ def test_adam_stays_within_rounding_of_algorithm_1():
     # which moves bits but not the method: after 500 steps at the default
     # lr, every value of the wide net is within 1e-9 relative of Algorithm
     # 1's (3.3e-11 measured)
-    data = make_rng(26)
+    data = default_rng(26)
     x = data.standard_normal((64, 2))
     labels = (x[:, 0] * x[:, 1] > 0).astype(np.int64)
     net_a, net_b = _wide_net(), _wide_net()
@@ -472,7 +479,7 @@ def test_adam_stays_within_rounding_of_algorithm_1():
     for _ in range(500):
         idx = data.choice(64, size=16, replace=False)
         for net, opt in ((net_a, opt_a), (net_b, opt_b)):
-            _, grad = softmax_cross_entropy(net.forward(x[idx], training=True), labels[idx])
+            _, grad = _textbook_xent(net.forward(x[idx], training=True), labels[idx])
             net.backward(grad)
             opt.step()
     assert not np.array_equal(net_a.theta, net_b.theta)  # the bits did move
@@ -495,7 +502,7 @@ def test_sign_of_a_zero_gradient_never_reaches_theta(make_opt):
     net_a = Network([_OneParam(f"p{i}", v) for i, v in enumerate(values)])
     net_b = Network([_OneParam(f"p{i}", v) for i, v in enumerate(values)])
     opt_a, opt_b = make_opt(net_a), make_opt(net_b)
-    data = make_rng(37)
+    data = default_rng(37)
     for step in range(12):
         g = data.standard_normal(len(values))
         zero = data.random(len(values)) < 0.5
@@ -511,37 +518,37 @@ def test_sign_of_a_zero_gradient_never_reaches_theta(make_opt):
 
 
 def test_train_zero_epochs():
-    rng = make_rng(7)
+    rng = default_rng(7)
     net = build_mlp([1, 4, 1], parse_activation("tanh"), [rng])
     before = net.theta.copy()
     records = train(net, np.zeros((4, 1)), np.zeros((4, 1)), "mse",
                     SGD(net, lr=0.1), epochs=0, batch_size=2,
-                    rngs=[make_rng(8)])
+                    rngs=[default_rng(8)])
     assert records == [[]]
     np.testing.assert_array_equal(net.theta, before)
 
 
 def test_train_linear_regression_converges():
     # y = 2x is a convex quadratic for a 1-1 linear net; SGD finds w=2
-    dense = Dense(1, 1, [make_rng(9)])
+    dense = Dense(1, 1, [default_rng(9)])
     net = Network([dense])
     x = np.linspace(-1, 1, 32)[:, None]
     y = 2.0 * x
     opt = SGD(net, lr=0.1)
-    train(net, x, y, "mse", opt, epochs=300, batch_size=8, rngs=[make_rng(10)])
+    train(net, x, y, "mse", opt, epochs=300, batch_size=8, rngs=[default_rng(10)])
     assert abs(dense.w.value[0, 0] - 2.0) < 1e-3
     assert abs(dense.b.value[0]) < 1e-3
 
 
 def test_train_determinism():
     def one_run():
-        rng = make_rng(11)
+        rng = default_rng(11)
         net = build_mlp([2, 8, 2], parse_activation("ewend"), [rng])
         opt = Adam(net, lr=1e-2)
-        x = make_rng(12).standard_normal((40, 2))
+        x = default_rng(12).standard_normal((40, 2))
         labels = (x[:, 0] > 0).astype(np.int64)
         recs, = train(net, x, labels, "xent", opt, epochs=5, batch_size=8,
-                      rngs=[make_rng(13)], x_test=x, y_test=labels)
+                      rngs=[default_rng(13)], x_test=x, y_test=labels)
         return [(r.train_loss, r.test_loss, r.test_accuracy, r.activation_params)
                 for r in recs]
     assert one_run() == one_run()
@@ -549,23 +556,23 @@ def test_train_determinism():
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_train_divergence_reported():
-    net = build_mlp([1, 4, 1], parse_activation("relu"), [make_rng(14)])
+    net = build_mlp([1, 4, 1], parse_activation("relu"), [default_rng(14)])
     opt = SGD(net, lr=1e12)  # guaranteed blow-up
     x = np.linspace(-1, 1, 16)[:, None]
     records, = train(net, x, 100 * x, "mse", opt, epochs=20, batch_size=4,
-                     rngs=[make_rng(15)])
+                     rngs=[default_rng(15)])
     assert records[-1].status == "diverged"
     assert len(records) < 20
 
 
 def test_nontrainable_coefficients_bit_identical_after_training():
     spec = parse_activation("ewend(alpha=1.5,k=4,lambda=0.1,beta=1,eps=0.01)")
-    net = build_mlp([1, 8, 1], spec, [make_rng(16)])
+    net = build_mlp([1, 8, 1], spec, [default_rng(16)])
     layer = [l for l in net.layers if isinstance(l, ActivationLayer)][0]
     before = layer.current_coefficients()
     x = np.linspace(-2, 2, 64)[:, None]
     train(net, x, np.sin(x), "mse", Adam(net, lr=1e-2),
-          epochs=20, batch_size=16, rngs=[make_rng(17)])
+          epochs=20, batch_size=16, rngs=[default_rng(17)])
     after = layer.current_coefficients()
     assert after["lambda"] == before["lambda"]
     assert after["beta"] == before["beta"]
@@ -575,11 +582,11 @@ def test_nontrainable_coefficients_bit_identical_after_training():
 
 def test_positive_coefficients_survive_optimization():
     spec = parse_activation("ewend(train=alpha|beta)")
-    net = build_mlp([1, 8, 1], spec, [make_rng(18)])
+    net = build_mlp([1, 8, 1], spec, [default_rng(18)])
     layer = [l for l in net.layers if isinstance(l, ActivationLayer)][0]
     x = np.linspace(-3, 3, 64)[:, None]
     train(net, x, 5 * np.sin(3 * x), "mse", Adam(net, lr=0.5),
-          epochs=50, batch_size=16, rngs=[make_rng(19)])
+          epochs=50, batch_size=16, rngs=[default_rng(19)])
     coeffs = layer.current_coefficients()
     assert coeffs["alpha"] > 0.0
     assert coeffs["beta"] > 0.0
@@ -587,7 +594,7 @@ def test_positive_coefficients_survive_optimization():
 
 def test_per_layer_activation_state_is_independent():
     spec = parse_activation("prelu")
-    net = build_mlp([1, 4, 4, 1], spec, [make_rng(20)])
+    net = build_mlp([1, 4, 4, 1], spec, [default_rng(20)])
     acts = [l for l in net.layers if isinstance(l, ActivationLayer)]
     assert len(acts) == 2
     acts[0]._params["slope"].value[...] = 0.9
@@ -597,8 +604,8 @@ def test_per_layer_activation_state_is_independent():
 # --- train checks its targets once; the step is the textbook step ------------
 
 def _two_class_data(seed, n=150, test_fraction=0.3):
-    x, y = make_moons(n, 0.2, make_rng(seed))
-    return split(x, y, test_fraction, make_rng(seed + 1))
+    x, y = make_moons(n, 0.2, default_rng(seed))
+    return split(x, y, test_fraction, default_rng(seed + 1))
 
 
 @pytest.mark.parametrize("where, value", [("train", 2), ("train", -1),
@@ -607,7 +614,7 @@ def test_train_rejects_an_out_of_range_label_before_any_update(where, value):
     x_train, y_train, x_test, y_test = _two_class_data(44)
     labels = y_train if where == "train" else y_test
     labels[-1] = value
-    net = build_mlp([2, 8, 2], parse_activation("relu"), [make_rng(45)])
+    net = build_mlp([2, 8, 2], parse_activation("relu"), [default_rng(45)])
     opt = Adam(net, lr=1e-2)
     theta = net.theta.tobytes()
     # the message names the network's last width and what the labels need
@@ -616,7 +623,7 @@ def test_train_rejects_an_out_of_range_label_before_any_update(where, value):
     with pytest.raises(ShapeError, match=r"class index out of range \[0, 2\): the network's "
                                          rf"last width is 2, {need}$"):
         train(net, x_train, y_train, "xent", opt, epochs=2, batch_size=16,
-              rngs=[make_rng(46)], x_test=x_test, y_test=y_test)
+              rngs=[default_rng(46)], x_test=x_test, y_test=y_test)
     assert net.theta.tobytes() == theta and opt.step_count == 0
 
 
@@ -627,39 +634,48 @@ def test_train_rejects_an_input_width_before_any_update(where):
         x_train = np.hstack([x_train, x_train[:, :1]])
     else:
         x_test = np.hstack([x_test, x_test[:, :1]])
-    net = build_mlp([2, 8, 2], parse_activation("relu"), [make_rng(51)])
+    net = build_mlp([2, 8, 2], parse_activation("relu"), [default_rng(51)])
     opt = Adam(net, lr=1e-2)
     theta = net.theta.tobytes()
     with pytest.raises(ShapeError, match=r"^the network's first width is 2, but the data have "
                                          r"3 input columns: it must be 3$"):
         train(net, x_train, y_train, "xent", opt, epochs=2, batch_size=16,
-              rngs=[make_rng(52)], x_test=x_test, y_test=y_test)
+              rngs=[default_rng(52)], x_test=x_test, y_test=y_test)
     assert net.theta.tobytes() == theta and opt.step_count == 0
 
 
 @pytest.mark.parametrize("loss_kind, y_shape", [("xent", (20, 1)), ("mse", (20, 2)),
                                                 ("mse", (20,))])
 def test_train_rejects_a_target_shape_before_any_update(loss_kind, y_shape):
-    net = build_mlp([2, 4, 1], parse_activation("tanh"), [make_rng(47)])
+    net = build_mlp([2, 4, 1], parse_activation("tanh"), [default_rng(47)])
     opt = SGD(net, lr=0.1)
     theta = net.theta.tobytes()
     with pytest.raises(ShapeError):
-        train(net, make_rng(48).standard_normal((20, 2)), np.zeros(y_shape, dtype=np.int64),
-              loss_kind, opt, epochs=1, batch_size=8, rngs=[make_rng(49)])
+        train(net, default_rng(48).standard_normal((20, 2)), np.zeros(y_shape, dtype=np.int64),
+              loss_kind, opt, epochs=1, batch_size=8, rngs=[default_rng(49)])
     assert net.theta.tobytes() == theta
 
 
 
 def test_mse_shape_error_names_prediction_and_target():
-    # the message reaches a user as their exit-2 line, so it says which is which
-    with pytest.raises(ShapeError,
-                       match=r"^mse: prediction shape \(3, 2\) vs target shape \(3, 1\)$"):
-        mse_loss(np.zeros((3, 2)), np.zeros((3, 1)))
+    # the message reaches a user as their exit-2 line, so it says which is
+    # which, and a target of the wrong width names the network's last width
+    net = build_mlp([2, 4, 2], parse_activation("tanh"), [default_rng(50)])
+    opt = SGD(net, lr=0.1)
+    theta = net.theta.tobytes()
+    for y_shape, message in (
+            ((3, 1), r"^mse: prediction shape \(3, 2\) vs target shape \(3, 1\): the network's "
+                     r"last width is 2, but the targets have 1 column: it must be 1$"),
+            ((4, 2), r"^mse: prediction shape \(3, 2\) vs target shape \(4, 2\)$")):
+        with pytest.raises(ShapeError, match=message):
+            train(net, np.zeros((3, 2)), np.zeros(y_shape), "mse", opt, epochs=1,
+                  batch_size=2, rngs=[default_rng(51)])
+        assert net.theta.tobytes() == theta
 
 
 def _textbook_train(net, x, y, loss, optimizer, epochs, batch_size, rng, x_test, y_test):
-    """The training loop with a checked public loss on every batch: the
-    reference for `train`.  Returns each epoch's record fields but seconds."""
+    """The training loop with a textbook loss on every batch: the reference
+    for `train`.  Returns each epoch's record fields but seconds."""
     records = []
     for epoch in range(epochs):
         order = rng.permutation(len(x))
@@ -672,7 +688,7 @@ def _textbook_train(net, x, y, loss, optimizer, epochs, batch_size, rng, x_test,
             total += value * len(idx)
         pred = net.forward(x_test)
         accuracy = (float(np.mean(pred.argmax(axis=1) == y_test))
-                    if loss is softmax_cross_entropy else None)
+                    if loss is _textbook_xent else None)
         records.append((epoch, total / len(x), loss(pred, y_test)[0], accuracy,
                         net.activation_coefficients()[0], "ok"))
     return records
@@ -687,32 +703,32 @@ def test_train_matches_the_textbook_loop_bit_for_bit(act_text, loss_kind):
     x_train, y_train, x_test, y_test = _two_class_data(50)
     if loss_kind == "mse":
         y_train, y_test = np.sin(x_train), np.sin(x_test)
-    loss = softmax_cross_entropy if loss_kind == "xent" else mse_loss
+    loss = _textbook_xent if loss_kind == "xent" else _textbook_mse
     spec = parse_activation(act_text)
-    net_a = build_mlp([2, 16, 16, 2], spec, [make_rng(51)])
-    net_b = build_mlp([2, 16, 16, 2], spec, [make_rng(51)])
+    net_a = build_mlp([2, 16, 16, 2], spec, [default_rng(51)])
+    net_b = build_mlp([2, 16, 16, 2], spec, [default_rng(51)])
     records, = train(net_a, x_train, y_train, loss_kind, Adam(net_a, lr=5e-3), epochs=3,
-                     batch_size=32, rngs=[make_rng(52)], x_test=x_test, y_test=y_test)
+                     batch_size=32, rngs=[default_rng(52)], x_test=x_test, y_test=y_test)
     want = _textbook_train(net_b, x_train, y_train, loss, Adam(net_b, lr=5e-3), 3, 32,
-                           make_rng(52), x_test, y_test)
+                           default_rng(52), x_test, y_test)
     got = [(r.epoch, r.train_loss, r.test_loss, r.test_accuracy, r.activation_params, r.status)
            for r in records]
     assert got == want
     assert net_a.theta.tobytes() == net_b.theta.tobytes()
-    assert not np.array_equal(net_a.theta, build_mlp([2, 16, 16, 2], spec, [make_rng(51)]).theta)
+    assert not np.array_equal(net_a.theta, build_mlp([2, 16, 16, 2], spec, [default_rng(51)]).theta)
 
 
 # --- a stack of replicas trains each replica as it trains alone ---------------
 
 def _train_replicas(spec, seeds, make_opt, epochs):
-    """Train one stack of len(seeds) replicas, replica r from make_rng(seeds[r])
-    and its shuffle from make_rng(seeds[r] + 100); returns each replica's
+    """Train one stack of len(seeds) replicas, replica r from default_rng(seeds[r])
+    and its shuffle from default_rng(seeds[r] + 100); returns each replica's
     records, without their wall time, and the theta bytes of each replica
     left in the stack."""
     x_train, y_train, x_test, y_test = _two_class_data(53)
-    net = build_mlp([2, 16, 16, 2], spec, [make_rng(s) for s in seeds])
+    net = build_mlp([2, 16, 16, 2], spec, [default_rng(s) for s in seeds])
     records = train(net, x_train, y_train, "xent", make_opt(net), epochs=epochs, batch_size=32,
-                    rngs=[make_rng(s + 100) for s in seeds], x_test=x_test, y_test=y_test)
+                    rngs=[default_rng(s + 100) for s in seeds], x_test=x_test, y_test=y_test)
     fields = [[(r.epoch, r.train_loss, r.test_loss, r.test_accuracy, r.activation_params,
                 r.status) for r in recs] for recs in records]
     blocks = net.theta.reshape(net.replicas, -1) if net.replicas else []

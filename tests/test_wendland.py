@@ -5,17 +5,21 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from wendnet.activations import (
-    KINDS,
-    DomainError,
-    _powers,
-    wendland_c0,
-    wendland_c0_dr,
-    wendland_c2,
-    wendland_c2_dr,
-    wendland_c4,
-    wendland_c4_dr,
-)
+from wendnet.activations import KINDS, _powers, _wc0, _wc2, _wc4
+
+# Each kernel gives (phi(r), dphi/dr) on r >= 0.  A test of the value alone
+# is named for its form (wendland_c0), one of the value and the derivative
+# for both (wendland_c0-wendland_c0_dr).
+_NAME = {_wc0: "wendland_c0", _wc2: "wendland_c2", _wc4: "wendland_c4"}
+
+
+def _value_id(v):
+    return _NAME.get(v)
+
+
+def _pair_id(v):
+    return f"{_NAME[v]}-{_NAME[v]}_dr" if v in _NAME else None
+
 
 # Exact rational evaluations at r = 1/2, computed independently with Fraction:
 #   c0: (1/2)^2 = 1/4
@@ -27,58 +31,46 @@ C4_HALF = Fraction(1, 2) ** 6 * (35 * Fraction(1, 4) + 18 * Fraction(1, 2) + 3) 
 assert C4_HALF == Fraction(83, 768)
 
 
-@pytest.mark.parametrize("phi,expected", [
-    (wendland_c0, C0_HALF),
-    (wendland_c2, C2_HALF),
-    (wendland_c4, C4_HALF),
-])
-def test_value_at_half(phi, expected):
-    assert phi(0.5) == pytest.approx(float(expected), abs=1e-12)
+@pytest.mark.parametrize("form,expected", [
+    (_wc0, C0_HALF),
+    (_wc2, C2_HALF),
+    (_wc4, C4_HALF),
+], ids=_value_id)
+def test_value_at_half(form, expected):
+    assert form(0.5)[0] == pytest.approx(float(expected), abs=1e-12)
 
 
-@pytest.mark.parametrize("phi", [wendland_c0, wendland_c2, wendland_c4])
-def test_endpoints(phi):
-    assert phi(0.0) == 1.0
-    assert phi(1.0) == 0.0
-    assert phi(2.0) == 0.0
+@pytest.mark.parametrize("form", [_wc0, _wc2, _wc4], ids=_value_id)
+def test_endpoints(form):
+    assert form(0.0)[0] == 1.0
+    assert form(1.0)[0] == 0.0
+    assert form(2.0)[0] == 0.0
     # exactly zero on the whole tail
-    tail = phi(np.linspace(1.0, 10.0, 50))
+    tail = form(np.linspace(1.0, 10.0, 50))[0]
     assert np.all(tail == 0.0)
 
 
-@pytest.mark.parametrize("phi", [wendland_c0, wendland_c2])
-def test_monotone_nonincreasing_on_support(phi):
+@pytest.mark.parametrize("form", [_wc0, _wc2], ids=_value_id)
+def test_monotone_nonincreasing_on_support(form):
     r = np.linspace(0.0, 1.0, 501)
-    vals = phi(r)
+    vals = form(r)[0]
     assert np.all(vals >= 0.0)
     assert np.all(np.diff(vals) <= 1e-15)
 
 
 def test_c4_nonnegative():
-    vals = wendland_c4(np.linspace(0.0, 2.0, 1001))
+    vals = _wc4(np.linspace(0.0, 2.0, 1001))[0]
     assert np.all(vals >= 0.0)
 
 
-@pytest.mark.parametrize("phi", [wendland_c0, wendland_c2, wendland_c4])
-def test_negative_radius_rejected(phi):
-    with pytest.raises(DomainError):
-        phi(-0.1)
-    with pytest.raises(DomainError):
-        phi(np.array([0.2, -1e-9]))
-
-
-@pytest.mark.parametrize("phi,dphi", [
-    (wendland_c0, wendland_c0_dr),
-    (wendland_c2, wendland_c2_dr),
-    (wendland_c4, wendland_c4_dr),
-])
-def test_derivative_matches_finite_differences(phi, dphi):
+@pytest.mark.parametrize("form", [_wc0, _wc2, _wc4], ids=_pair_id)
+def test_derivative_matches_finite_differences(form):
     rng = np.random.default_rng(5)
     r = rng.uniform(0.01, 2.0, size=200)
     r = r[np.abs(r - 1.0) > 1e-4]  # keep clear of the support boundary
     h = 1e-6
-    numeric = (phi(r + h) - phi(r - h)) / (2 * h)
-    analytic = dphi(r)
+    numeric = (form(r + h)[0] - form(r - h)[0]) / (2 * h)
+    analytic = form(r)[1]
     denom = np.maximum(1.0, np.abs(numeric))
     assert np.max(np.abs(analytic - numeric) / denom) < 1e-7
 
@@ -86,9 +78,9 @@ def test_derivative_matches_finite_differences(phi, dphi):
 def test_c2_boundary_derivative_continuity():
     # first derivative is continuous at r=1 for the C2 and C4 forms
     h = 1e-7
-    for dphi in (wendland_c2_dr, wendland_c4_dr):
-        left = dphi(1.0 - h)
-        right = dphi(1.0 + h)
+    for form in (_wc2, _wc4):
+        left = form(1.0 - h)[1]
+        right = form(1.0 + h)[1]
         assert abs(left - right) < 1e-5
 
 
@@ -140,20 +132,22 @@ def _same_bits(a, b):
     assert a.shape == b.shape and a.tobytes() == b.tobytes()
 
 
-@pytest.mark.parametrize("kind, phi, dphi, ref, ref_dr", [
-    ("wc0", wendland_c0, wendland_c0_dr, _ref_c0, _ref_c0_dr),
-    ("wc2", wendland_c2, wendland_c2_dr, _ref_c2, _ref_c2_dr),
-    ("wc4", wendland_c4, wendland_c4_dr, _ref_c4, _ref_c4_dr),
-])
-def test_one_pass_forms_match_the_separate_closed_forms_bit_for_bit(kind, phi, dphi, ref, ref_dr):
+@pytest.mark.parametrize("kind, form, ref, ref_dr", [
+    ("wc0", _wc0, _ref_c0, _ref_c0_dr),
+    ("wc2", _wc2, _ref_c2, _ref_c2_dr),
+    ("wc4", _wc4, _ref_c4, _ref_c4_dr),
+], ids=_pair_id)
+def test_one_pass_forms_match_the_separate_closed_forms_bit_for_bit(kind, form, ref, ref_dr):
     r = _edge_radii()
     x = np.concatenate([r, -r])
     with np.errstate(invalid="ignore", over="ignore"):  # r * r past 1e154, inf * 0
-        _same_bits(phi(r), ref(r))
-        _same_bits(dphi(r), ref_dr(r))
-        for scalar in (0.0, 0.5, 1.0, 2.0):
-            _same_bits(phi(scalar), ref(np.float64(scalar)))
-            _same_bits(dphi(scalar), ref_dr(np.float64(scalar)))
+        phi, dphi = form(r)
+        _same_bits(phi, ref(r))
+        _same_bits(dphi, ref_dr(r))
+        for scalar in map(np.float64, (0.0, 0.5, 1.0, 2.0)):
+            phi, dphi = form(scalar)
+            _same_bits(phi, ref(scalar))
+            _same_bits(dphi, ref_dr(scalar))
         y, dy = KINDS[kind].forward({}, x, False, None)
         _same_bits(y, ref(np.abs(x)))
         _same_bits(dy, np.where(x >= 0, 1.0, -1.0) * ref_dr(np.abs(x)))
