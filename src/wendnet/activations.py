@@ -311,6 +311,11 @@ def _check_rrelu(c):
         raise ConfigError("rrelu: slope range must satisfy 0 <= lo <= hi")
 
 
+def _check_srelu(c):
+    if not c["tl"] <= c["tr"]:
+        raise ConfigError("srelu: thresholds must satisfy tl <= tr")
+
+
 def _at_zero(c):
     return (0.0,)
 
@@ -541,7 +546,7 @@ KINDS: dict[str, Kind] = {rec.name: rec for rec in (
     Kind("celu", _celu, {"alpha": 1.0}),
     Kind("swish", _swish),
     Kind("srelu", _srelu, {"tl": -1.0, "al": 0.1, "tr": 1.0, "ar": 0.1},
-         kinks=lambda c: (c["tl"], c["tr"])),
+         kinks=lambda c: (c["tl"], c["tr"]), check=_check_srelu),
     Kind("sinlu", _sinlu, {"a": 1.0, "b": 1.0}, ("a", "b"), _sinlu_partials),
     Kind("frelu", _frelu, {"alpha": 1.0}, ("alpha",), _frelu_partials),
     Kind("sigmoid", _sigmoid),

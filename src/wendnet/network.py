@@ -6,7 +6,8 @@ side: every parameter has a leading replica axis, and each replica computes
 exactly what it would compute alone.  Trainable activation coefficients live
 alongside the dense weights in the same parameter store and are updated by
 the same optimizer step; how each coefficient is stored is up to its
-activation kind.
+activation kind.  The optimizers only update: `train` alone decides, before
+each batch's one step, which replicas diverged.
 """
 
 from __future__ import annotations
@@ -19,10 +20,6 @@ import numpy as np
 
 from . import activations as act
 from .tensor import ShapeError, central_step, finite_diff_check, substream, tensor
-
-
-class NumericalError(RuntimeError):
-    """A non-finite value appeared where the contract forbids it."""
 
 
 class Param:
@@ -163,21 +160,6 @@ class Network:
         self._bind()
         return state
 
-    def check_finite_grad(self):
-        """Raise NumericalError naming the first parameter with a non-finite gradient.
-
-        A finite sum proves every entry finite, so only a sum that is not (a
-        non-finite entry, or finite entries that overflow it) pays for the
-        scan.  The overflow warns unless np.errstate ignores it, as in `train`.
-        """
-        if math.isfinite(np.add.reduce(self.grad)):
-            return
-        finite = np.isfinite(self.grad)
-        if not finite.all():
-            first = int(np.argmin(finite)) % self._offsets[-1]
-            p = self._params[np.searchsorted(self._offsets, first, side="right") - 1]
-            raise NumericalError(f"non-finite gradient for parameter {p.name}")
-
     def nonfinite_replicas(self) -> np.ndarray:
         """One bool per replica: whether its gradient holds a non-finite entry."""
         return ~np.isfinite(self._blocks(self.grad)).all(axis=1)
@@ -312,7 +294,6 @@ class SGD:
         self._velocity, = self.net.keep(rows, self._velocity)
 
     def step(self):
-        self.net.check_finite_grad()
         v = self._velocity
         v *= self.momentum
         v += self.net.grad
@@ -363,7 +344,6 @@ class Adam:
         self._make_blocks()
 
     def step(self):
-        self.net.check_finite_grad()
         self.step_count += 1
         t = self.step_count
         beta1, beta2 = self.beta1, self.beta2
@@ -414,11 +394,12 @@ def train(net: Network, x_train, y_train, loss_kind: str, optimizer,
 
     Returns each replica's epoch records; with test data, each record
     carries the test loss, and under "xent" the test accuracy too.  The
-    epoch's wall time is the stack's, shared by its replicas.  A replica
-    whose loss or gradient turns non-finite gets a last record with
-    status="diverged" and the offending epoch number, and leaves the stack;
-    the others train on.  Train and test data that do not fit the network's
-    first or last width raise ShapeError before the first update.
+    epoch's wall time is the stack's, shared by its replicas.  Before each
+    batch's one optimizer step, a replica whose loss or gradient holds a
+    non-finite value gets a last record with status="diverged" and the
+    offending epoch number, and leaves the stack; the others train on.
+    Train and test data that do not fit the network's first or last width
+    raise ShapeError before the first update.
     """
     x_train = tensor(x_train)
     n = x_train.shape[0]
@@ -458,13 +439,11 @@ def train(net: Network, x_train, y_train, loss_kind: str, optimizer,
                 values, grad = eval_loss(loss_kind, pred.reshape(idx.shape + pred.shape[-1:]),
                                          y_train[idx])
                 net.backward(grad, need_dx=False)
-                finite = math.isfinite(np.add.reduce(values))
-                if finite:
-                    try:
-                        optimizer.step()
-                    except NumericalError:
-                        finite = False
-                if not finite:
+                # a finite sum proves every entry finite, so only a sum that
+                # is not (a non-finite entry, or finite entries that overflow
+                # it) pays for the scans
+                if not (math.isfinite(np.add.reduce(values))
+                        and math.isfinite(np.add.reduce(net.grad))):
                     # nothing was updated: each replica at fault ends here,
                     # with the coefficients its last forward used
                     bad = ~np.isfinite(values) | net.nonfinite_replicas()
@@ -479,7 +458,7 @@ def train(net: Network, x_train, y_train, loss_kind: str, optimizer,
                     orders, totals, values = orders[rows], totals[rows], values[rows]
                     if not live:
                         break
-                    optimizer.step()
+                optimizer.step()
                 totals += values * idx.shape[1]
             if not live:
                 break

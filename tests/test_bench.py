@@ -476,6 +476,7 @@ def _run_fails(path) -> str:
     ("moons", {"activations": ["lrelu(slope=inf)"]}),
     ("moons", {"activations": ["prelu(slope=nan)"]}),
     ("moons", {"activations": ["srelu(tl=inf)"]}),
+    ("moons", {"activations": ["srelu(tl=1,tr=-1)"]}),
     ("moons", {"activations": ["relu", "ewend(eps=nan)"]}),
     ("sine", {"experiment": ["sine"]}),
     ("sine", {"experiment": {"a": 1}}),
@@ -496,8 +497,8 @@ def _run_fails(path) -> str:
         "dataset-empty-string", "optimizer-empty-list", "optimizer-false", "output_dir-null",
         "output_dir-int", "schema_version-true", "schema_version-float",
         "ewend-alpha-nan", "ewend-alpha-1e309", "ewend-k-inf", "lrelu-slope-inf",
-        "prelu-slope-nan", "srelu-tl-inf", "ewend-eps-nan-second", "experiment-list",
-        "experiment-mapping", "sine-x-range-overflow", "lr-int-past-float",
+        "prelu-slope-nan", "srelu-tl-inf", "srelu-crossed", "ewend-eps-nan-second",
+        "experiment-list", "experiment-mapping", "sine-x-range-overflow", "lr-int-past-float",
         "x_hi-int-past-float", "activation-repeated", "activation-same-encoding"])
 def test_cli_run_bad_config_value_exits_2(tmp_path, experiment, override):
     path = _cli_config(tmp_path, experiment, override)
@@ -724,7 +725,7 @@ def test_cli_grad_check_small():
 
 def test_non_finite_gradient_diverges_only_its_own_job(tmp_path, monkeypatch):
     # tanh's slope turns NaN while its value and the loss stay finite: the
-    # optimizer refuses the step, that job ends diverged and relu still runs
+    # job leaves its stack before the step, ends diverged, and relu still runs
     import dataclasses
     from wendnet import activations
 

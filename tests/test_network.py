@@ -1,7 +1,6 @@
 """Network forward/backward, losses, optimizers, and the training loop."""
 
 import math
-import re
 
 import numpy as np
 import pytest
@@ -14,7 +13,6 @@ from wendnet.network import (
     Adam,
     Dense,
     Network,
-    NumericalError,
     Param,
     _check_targets,
     build_mlp,
@@ -330,47 +328,52 @@ def test_adam_first_step_magnitude():
         assert p.value[0] < 0
 
 
-def test_optimizer_rejects_non_finite_gradient():
-    net, p = _one_param_net("bad_param", 0.0)
-    p.grad[...] = np.nan
-    with pytest.raises(NumericalError, match="bad_param"):
-        Adam(net).step()
+class _BigGradient:
+    """An identity layer whose one parameter, two entries per replica, gets a
+    gradient of 1e308 in each: finite entries whose sum overflows."""
 
+    def __init__(self, replicas):
+        self.p = Param("big", np.zeros((replicas, 2)))
 
-def test_non_finite_gradient_names_its_parameter():
-    net = build_mlp([2, 3, 2], parse_activation("prelu"), [default_rng(24)])
-    net.layers[1]._params["slope"].grad[...] = np.inf
-    net.layers[2].b.grad[..., 1] = np.nan
-    with pytest.raises(NumericalError, match=r"parameter act0\.slope$"):
-        net.check_finite_grad()
+    def params(self):
+        return [self.p]
+
+    def forward(self, x, training, rng):
+        return x
+
+    def backward(self, upstream, need_dx=True):
+        self.p.grad[...] = 1e308
+        return upstream if need_dx else None
 
 
 def test_finite_gradients_whose_sum_overflows_pass_the_check():
-    net = _wide_net()
-    net.grad[...] = 1e308
-    with np.errstate(over="ignore"):  # as in train
-        assert not math.isfinite(np.add.reduce(net.grad))
-        net.check_finite_grad()
+    # train's sum of the gradient overflows, its scan finds every entry
+    # finite: no replica ends, and the step is the plain one
+    net = Network([_BigGradient(replicas=3)])
+    x = np.zeros((4, 1))
+    records = train(net, x, x, "mse", SGD(net, lr=1.0), epochs=1, batch_size=4,
+                    rngs=[default_rng(r) for r in range(3)])
+    assert [[rec.status for rec in recs] for recs in records] == [["ok"]] * 3
+    plain = Network([_BigGradient(replicas=3)])
+    plain.grad[...] = 1e308
+    SGD(plain, lr=1.0).step()
+    assert net.theta.tobytes() == plain.theta.tobytes() and (net.theta == -1e308).all()
 
 
 @pytest.mark.parametrize("bad", [(np.nan,), (np.inf,), (-np.inf,), (np.inf, -np.inf)],
                          ids=["nan", "inf", "-inf", "inf-pair"])
-def test_non_finite_gradient_in_any_parameter_is_named(bad):
-    # every parameter of both nets, the wide net's last ones in Adam's last block
+def test_non_finite_gradient_in_any_parameter_flags_its_replica(bad):
+    # every parameter of both nets, in a stack of 3, at its first and last entry
     for make_net in (_reference_net, _wide_net):
-        net = make_net()
-        opt = Adam(net)
-        theta = net.theta.tobytes()
+        net = make_net(replicas=3)
         for p in [p for layer in net.layers for p in layer.params()]:
-            for at in (0,) if len(bad) > 1 else (0, -1):
-                net.grad[...] = 0.0
-                p.grad.flat[at] = bad[0]
-                if len(bad) > 1:  # the pair sums to nan; its second half ends the vector
-                    net.grad[-1] = bad[1]
-                with np.errstate(invalid="ignore"):
-                    with pytest.raises(NumericalError, match=rf"parameter {re.escape(p.name)}$"):
-                        opt.step()
-        assert net.theta.tobytes() == theta and opt.step_count == 0
+            for r in range(3):
+                for at in (0,) if len(bad) > 1 else (0, -1):
+                    net.grad[...] = 0.0
+                    p.grad[r].flat[at] = bad[0]
+                    if len(bad) > 1:  # the pair sums to nan; its second half ends the block
+                        net.grad.reshape(3, -1)[r, -1] = bad[1]
+                    np.testing.assert_array_equal(net.nonfinite_replicas(), np.arange(3) == r)
 
 
 class _TextbookSGD:
@@ -424,20 +427,22 @@ class _Algorithm1Adam(_TextbookAdam):
             p.value -= self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
 
 
-def _reference_net():
-    rng = default_rng(25)
+def _reference_net(replicas=1):
+    rngs = [default_rng(25 + r) for r in range(replicas)]
+    ewend, prelu = parse_activation("ewend(train=alpha|beta)"), parse_activation("prelu")
     return Network([
-        Dense(2, 8, [rng], name="dense0"),
-        ActivationLayer(parse_activation("ewend(train=alpha|beta)"), name="act0"),
-        Dense(8, 8, [rng], name="dense1"),
-        ActivationLayer(parse_activation("prelu"), name="act1"),
-        Dense(8, 2, [rng], name="dense2"),
+        Dense(2, 8, rngs, name="dense0"),
+        ActivationLayer(ewend, name="act0", replicas=replicas),
+        Dense(8, 8, rngs, name="dense1"),
+        ActivationLayer(prelu, name="act1", replicas=replicas),
+        Dense(8, 2, rngs, name="dense2"),
     ])
 
 
-def _wide_net():
-    # 91,802 parameters: three of Adam's blocks, the last one partial
-    return build_mlp([2, 300, 300, 2], parse_activation("relu"), [default_rng(27)])
+def _wide_net(replicas=1):
+    # 91,802 parameters per replica: three of Adam's blocks, the last one partial
+    return build_mlp([2, 300, 300, 2], parse_activation("relu"),
+                     [default_rng(27 + r) for r in range(replicas)])
 
 
 @pytest.mark.parametrize("flat, textbook", [
@@ -765,3 +770,20 @@ def test_a_diverging_replica_leaves_the_stack_and_the_others_train_on():
     # assert_equal takes a NaN train loss as equal to itself
     np.testing.assert_equal([fields for fields, _ in alone], [[f] for f in stacked])
     assert thetas == alone[2][1]  # the one replica left in the stack
+
+
+def test_each_batch_steps_once_while_replicas_diverge():
+    # the stack above: the batch that ends a replica drops it before its one step
+    steps = []
+
+    class CountingSGD(SGD):
+        def step(self):
+            steps.append(self.net.replicas)
+            super().step()
+
+    spec = parse_activation("ewend(train=alpha|lambda|beta|eps)")
+    _train_replicas(spec, (60, 61, 64), lambda net: CountingSGD(net, lr=0.3, momentum=0.9),
+                    epochs=6)
+    batches = math.ceil(len(_two_class_data(53)[0]) / 32)
+    assert len(steps) == 6 * batches
+    assert steps[0] == 3 and steps[-1] == 1 and steps == sorted(steps, reverse=True)
