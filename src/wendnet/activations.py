@@ -180,6 +180,88 @@ def _profile_derivatives(p: EnhancedWendlandParams, t: _Profile, names):
 
 
 # ---------------------------------------------------------------------------
+# erf after Cody (Math. Comp. 23, 1969), in his three ranges, with the
+# coefficients of his CALERF: erf(z) = z P(z^2)/Q(z^2) for |z| <= 0.46875;
+# beyond, erfc(|z|) = e^{-z^2} R(|z|), with R = P(|z|)/Q(|z|) up to |z| = 4
+# and R = (1/sqrt(pi) - t P(t)/Q(t)) / |z| in t = 1/z^2 past it.  Each
+# numerator is listed from its highest power down; each denominator is
+# monic, and its leading 1 is left out.  The tables hold the halves, erf/2
+# and R/2, that Phi = 1/2 + erf/2 = erfc(-z)/2 takes: halving a numerator is
+# exact.  The small range is taken in u = -z^2, the exponent exp wants, with
+# the odd powers' coefficients negated: every Horner step then gives Cody's
+# value or its exact negative, so the bits are his.
+# ---------------------------------------------------------------------------
+
+def _halved(p, q):
+    return tuple(0.5 * c for c in p), q
+
+
+def _in_minus(p, q):
+    """p(t)/q(t) as a rational in u = -t, for a q of even degree."""
+    return (tuple(c * (-1) ** (len(p) - 1 - i) for i, c in enumerate(p)),
+            tuple(c * (-1) ** (len(q) - 1 - i) for i, c in enumerate(q)))
+
+
+_ERF_SMALL = _in_minus(*_halved(
+    (1.85777706184603153e-1, 3.16112374387056560e0, 1.13864154151050156e2,
+     3.77485237685302021e2, 3.20937758913846947e3),
+    (2.36012909523441209e1, 2.44024637934444173e2, 1.28261652607737228e3,
+     2.84423683343917062e3)))
+_ERFC_MID = _halved(
+    (2.15311535474403846e-8, 5.64188496988670089e-1, 8.88314979438837594e0,
+     6.61191906371416295e1, 2.98635138197400131e2, 8.81952221241769090e2,
+     1.71204761263407058e3, 2.05107837782607147e3, 1.23033935479799725e3),
+    (1.57449261107098347e1, 1.17693950891312499e2, 5.37181101862009858e2,
+     1.62138957456669019e3, 3.29079923573345963e3, 4.36261909014324716e3,
+     3.43936767414372164e3, 1.23033935480374942e3))
+_ERFC_TAIL = _halved(
+    (1.63153871373020978e-2, 3.05326634961232344e-1, 3.60344899949804439e-1,
+     1.25781726111229246e-1, 1.60837851487422766e-2, 6.58749161529837803e-4),
+    (2.56852019228982242e0, 1.87295284992346725e0, 5.27905102951428412e-1,
+     6.05183413124413191e-2, 2.33520497626869185e-3))
+_ERF_SMALL_Z2 = 0.46875 ** 2  # exact: 225/1024
+_INV_SQRT_PI = 1.0 / math.sqrt(math.pi)
+
+
+def _rational(t, coeffs):
+    """p(t)/q(t) for coeffs = (p, q), by Horner in Cody's order of operations."""
+    p, q = coeffs
+    num = t * p[0]
+    den = t + q[0]
+    for a, b in zip(p[1:-1], q[1:]):
+        num += a
+        num *= t
+        den *= t
+        den += b
+    num += p[-1]
+    num /= den
+    return num
+
+
+def _erf_halves(z, u):
+    """Cody's erf of z, in halves, from u = -z*z: (h, far, zf, r), where h
+    holds erf(z)/2 in the small range, `far` the flat indices of the other
+    z, zf those z, and r there R(|z|)/2, so that erfc(|z|)/2 = e^u r.  A NaN
+    z stays in the small range and gives NaN.  For |z| <= 30 no step
+    overflows or divides by 0; in float64 erf(z) is +-1 from |z| = 6 on,
+    and erfc(|z|)/2 is 0 from |z| = 27.25 on.
+
+    The small range runs on every element, because most gelu inputs lie in
+    it; the two erfc ranges run only where they are needed."""
+    h = _rational(u, _ERF_SMALL)
+    h *= z
+    far = np.flatnonzero(u < -_ERF_SMALL_Z2)
+    zf = np.take(z, far)
+    a = np.abs(zf)
+    r = _rational(a, _ERFC_MID)
+    if np.max(a, initial=0.0) > 4.0:
+        tail = np.flatnonzero(a > 4.0)
+        t = -1.0 / np.take(u, far[tail])
+        r[tail] = (0.5 * _INV_SQRT_PI - t * _rational(t, _ERFC_TAIL)) / a[tail]
+    return h, far, zf, r
+
+
+# ---------------------------------------------------------------------------
 # Elementwise value/derivative pairs and coefficient partials.  Each value
 # function maps (x, coefficients, training, rng) to (y, dy/dx); each partials
 # function maps (x, coefficients) to {coefficient: dy/dcoefficient}.
@@ -192,10 +274,6 @@ def _logistic(x):
     ex = np.exp(x[~pos])
     out[~pos] = ex / (1.0 + ex)
     return out
-
-
-_SQRT2 = np.sqrt(2.0)
-_INV_SQRT_2PI = 1.0 / np.sqrt(2.0 * np.pi)
 
 
 def _radial(form):
@@ -282,12 +360,33 @@ def _tanh(x, c, training, rng):
     return t, 1.0 - t * t
 
 
-def _gelu(x, c, training, rng):
-    from scipy.special import erf  # here, not at start-up: importing scipy takes 0.3 s
+_GELU_CLIP = 40.0  # past |x| = 40, Phi(x) is 0 or 1 and phi(x) is 0 in float64
+_SQRT_HALF = math.sqrt(0.5)
 
-    phi_cdf = 0.5 * (1.0 + erf(x / _SQRT2))
-    pdf = _INV_SQRT_2PI * np.exp(-0.5 * x * x)
-    return x * phi_cdf, phi_cdf + x * pdf
+
+def _gelu(x, c, training, rng):
+    # Phi(x) = 1/2 + erf(z)/2 and x phi(x) = z e^{-z^2}/sqrt(pi) at z = x/sqrt(2),
+    # sharing e^{-z^2} = e^{-x^2/2}; past the small range Phi is erfc(|z|)/2
+    # below 0, which keeps its relative accuracy, and 1 - erfc(|z|)/2 above.
+    # The kernel sees x clipped at +-40, and x Phi(x) takes x clipped below
+    # only, so no product meets inf * 0.  Each step writes in place where it
+    # can: every pass over the array counts.
+    y = np.maximum(x, -_GELU_CLIP)
+    z = np.minimum(y, _GELU_CLIP)
+    u = z * z
+    u *= -0.5
+    z *= _SQRT_HALF
+    cdf, far, zf, r = _erf_halves(z, u)
+    dy = np.exp(u, out=u)
+    r *= np.take(dy, far)
+    np.subtract(1.0, r, out=r, where=zf > 0.0)
+    cdf += 0.5
+    np.put(cdf, far, r)
+    y *= cdf
+    dy *= z
+    dy *= _INV_SQRT_PI
+    dy += cdf
+    return y, dy
 
 
 def _prelu_partials(x, c):

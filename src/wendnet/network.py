@@ -63,9 +63,9 @@ class Dense:
         x = self._cache_x
         if x is None:
             raise RuntimeError("backward called before forward")
-        np.matmul(np.swapaxes(x, -1, -2), upstream, out=self.w.grad)
+        np.matmul(x.swapaxes(-1, -2), upstream, out=self.w.grad)
         np.add.reduce(upstream, axis=-2, keepdims=True, out=self.b.grad)
-        return upstream @ np.swapaxes(self.w.value, -1, -2) if need_dx else None
+        return upstream @ self.w.value.swapaxes(-1, -2) if need_dx else None
 
 
 class ActivationLayer:
@@ -79,6 +79,8 @@ class ActivationLayer:
         self._kind = act.KINDS[spec.kind]
         self._params = {coeff: Param(f"{name}.{coeff}", np.full((replicas, 1, 1), stored))
                         for coeff, stored in self._kind.initial(spec.params).items()}
+        # with nothing to train, the coefficients never change: bind them once
+        self._fixed = None if self._params else self._kind.bind(spec.params, {})
         self._cache = None
 
     def params(self) -> list[Param]:
@@ -86,6 +88,8 @@ class ActivationLayer:
 
     def _coefficients(self):
         """The full coefficient set at the current stored values."""
+        if self._fixed is not None:
+            return self._fixed
         return self._kind.bind(self.spec.params, {coeff: param.value
                                                   for coeff, param in self._params.items()})
 

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 from numpy.random import default_rng
 
+from wendnet import activations as act
 from wendnet.activations import (
     ALL_KINDS,
     KINDS,
@@ -75,10 +76,97 @@ def test_frelu_matches_formula():
 
 def test_gelu_values():
     # f(x) = x * Phi(x) with the exact normal CDF
-    x = np.array([-1.0, 0.0, 1.0])
+    x = np.array([-8.0, -6.0, -3.0, -1.5, -1.0, -0.5, 0.0, 0.5, 1.0, 1.5, 3.0, 6.0, 8.0])
     y, _ = _forward("gelu", {}, x)
     from scipy.stats import norm
     np.testing.assert_allclose(y, x * norm.cdf(x), atol=1e-12)
+
+
+def _erf(z):
+    """erf(z) from the kernel gelu runs, at z clipped to +-28 as gelu clips
+    x to +-40."""
+    z = np.clip(np.asarray(z, dtype=np.float64), -28.0, 28.0)
+    u = -(z * z)
+    h, far, zf, r = act._erf_halves(z, u)
+    erfc = 2.0 * r * np.exp(np.take(u, far))
+    v = 2.0 * h
+    np.put(v, far, np.copysign(1.0 - erfc, zf))
+    return v
+
+
+_ERF_EDGES = np.array([
+    0.0, -0.0, 5e-324, -5e-324, 1e-310, -1e-310, 2.2250738585072014e-308,
+    0.46875, -0.46875, np.nextafter(0.46875, 1.0), np.nextafter(0.46875, 0.0),
+    4.0, -4.0, np.nextafter(4.0, 5.0), 6.0, -6.0, 26.5, -26.5, np.inf, -np.inf])
+
+
+def test_erf_within_5_ulp_of_scipy():
+    from scipy.special import erf, erfc
+
+    z = np.concatenate([np.linspace(-7.0, 7.0, 140001), _ERF_EDGES])
+    ours, ref = _erf(z), erf(z)
+    ulps = np.abs(ours - ref) / np.spacing(np.abs(ref))
+    assert ulps.max() <= 5.0, z[np.argmax(ulps)]
+    # +-0 and the subnormals keep their sign; erf(+-inf) is +-1 exactly
+    np.testing.assert_array_equal(np.signbit(ours), np.signbit(ref))
+    np.testing.assert_array_equal(_erf(_ERF_EDGES[-2:]), [1.0, -1.0])
+    assert np.isnan(_erf(np.array([np.nan]))[0])
+    # past the small range the kernel's erfc, relative, which Phi(x < 0) is:
+    # both sides round e^{-z^2} alike, and each carries a few units of its own
+    z = np.linspace(-26.5, 26.5, 106001)
+    u = -(z * z)
+    _, far, zf, r = act._erf_halves(z, u)
+    ours, ref = 2.0 * r * np.exp(np.take(u, far)), erfc(np.abs(zf))
+    ulps = np.abs(ours - ref) / np.spacing(ref)
+    assert ulps.max() <= 12.0, zf[np.argmax(ulps)]
+
+
+def _normal_cdf_reference(x):
+    """Phi(x) for x <= 0 as erfcx(-x/sqrt(2)) e^{-x^2/2} / 2, with x^2 split
+    exactly into hi + lo (Dekker), so the exponent carries no rounding."""
+    from scipy.special import erfcx
+
+    hi = x * x
+    c = 134217729.0 * x  # 2**27 + 1 splits x into two 26-bit halves
+    xh = c - (c - x)
+    xl = x - xh
+    lo = ((xh * xh - hi) + 2.0 * xh * xl) + xl * xl
+    return 0.5 * erfcx(-x / np.sqrt(2.0)) * np.exp(-0.5 * hi) * (1.0 - 0.5 * lo)
+
+
+def test_normal_cdf_keeps_its_relative_accuracy_down_to_minus_37():
+    # gelu's Phi(x) = y / x.  e^{-x^2/2} from a rounded x^2 carries up to
+    # x^2/2 units of roundoff, so the bound grows with x^2, and the reference
+    # itself is off by up to 8 units near 0; Phi at -37 is 5.7e-301, where
+    # 0.5 * (1 + erf) would have lost every digit below -8
+    x = np.concatenate([np.linspace(-37.0, -0.01, 20000), np.linspace(0.01, 8.0, 2000)])
+    y, _ = _forward("gelu", {}, x)
+    ref = np.where(x <= 0.0, _normal_cdf_reference(np.minimum(x, 0.0)),
+                   1.0 - _normal_cdf_reference(-np.abs(x)))
+    rel = np.abs(y / x - ref) / ref
+    assert np.all(rel <= (x * x + 16.0) * 2.0 ** -53), x[np.argmax(rel / (x * x + 16.0))]
+
+
+def test_gelu_raises_no_floating_point_error_at_the_edges():
+    # grad-check forwards run outside training's np.errstate: no branch may
+    # overflow, divide by 0 or meet inf * 0, even where its result is dropped
+    rec = KINDS["gelu"]
+
+    def forward_backward(x):
+        with np.errstate(over="raise", divide="raise", invalid="raise"):
+            y, dy = rec.forward({}, x, False, None)
+            dx, _ = rec.backward({}, x, dy, np.ones_like(x))
+        return y, dx
+
+    x = np.concatenate([_ERF_EDGES[:-2], np.sqrt(2.0) * _ERF_EDGES[:-2],
+                        [40.0, -40.0, 41.0, -41.0, 1e200, -1e200, 1.7e308, -1.7e308]])
+    y, dx = forward_backward(x)
+    assert np.all(np.isfinite(y)) and np.all(np.isfinite(dx))
+    # the limits at the ends of the line, and NaN in, NaN out
+    y, dx = forward_backward(np.array([np.inf, -np.inf, np.nan]))
+    np.testing.assert_array_equal(y[:2], [np.inf, 0.0])
+    np.testing.assert_array_equal(dx[:2], [1.0, 0.0])
+    assert np.isnan(y[2]) and np.isnan(dx[2])
 
 
 def test_relu6_saturates():

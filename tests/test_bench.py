@@ -617,8 +617,9 @@ def test_failed_study_leaves_no_csv_of_an_earlier_run(tmp_path):
     assert sorted(p.name for p in (tmp_path / "out").iterdir()) == ["notes.txt", "predictions.csv"]
 
 
-def test_import_keeps_scipy_off_start_up():
-    # only gelu needs scipy.special.erf, and importing scipy takes about 0.3 s
+def test_no_wendnet_path_imports_scipy():
+    # gelu's erf is the engine's own: start-up, a gelu forward and backward
+    # and a gelu gradient check, in a fresh process, load no scipy module
     import os
     import subprocess
     import sys
@@ -626,11 +627,23 @@ def test_import_keeps_scipy_off_start_up():
     import wendnet
 
     src = str(Path(wendnet.__file__).resolve().parent.parent)
-    out = subprocess.run([sys.executable, "-c",
-                          "import sys, wendnet.cli; print('scipy.special' in sys.modules)"],
+    code = "\n".join([
+        "import sys",
+        "import numpy as np",
+        "import wendnet.cli",
+        "from wendnet.activations import parse_activation",
+        "from wendnet.network import build_mlp, run_gradient_check",
+        "spec = parse_activation('gelu')",
+        "net = build_mlp([2, 8, 2], spec, [np.random.default_rng(0)])",
+        "out = net.forward(np.linspace(-3.0, 3.0, 8).reshape(4, 2))",
+        "net.backward(np.ones_like(out))",
+        "assert run_gradient_check(spec, probes=5) < 1e-6",
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))",
+    ])
+    out = subprocess.run([sys.executable, "-c", code],
                          env={**os.environ, "PYTHONPATH": src}, capture_output=True, text=True,
                          check=True)
-    assert out.stdout == "False\n"
+    assert out.stdout == "[]\n"
 
 
 def test_cli_mnist_missing_files(tmp_path):
