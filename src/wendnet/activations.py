@@ -134,9 +134,8 @@ class _Profile(NamedTuple):
     """g(r) and the terms its derivatives reuse, each computed once."""
 
     r: np.ndarray
-    inside: np.ndarray  # r < 1/alpha, the support of the Wendland term
-    pk1: np.ndarray     # pos**(k-1) of pos = (1 - alpha r)_+, zero outside the
-                        # support but for k = 1, where pos**0 is one everywhere
+    outside: np.ndarray  # not r < 1/alpha: where the Wendland term is exactly 0
+    pk1: np.ndarray     # pos**(k-1) of pos = (1 - alpha r)_+; read only inside
     pk: np.ndarray      # pos**k
     kar1: np.ndarray    # k alpha r + 1
     tail: np.ndarray    # exp(-beta r)
@@ -146,37 +145,62 @@ class _Profile(NamedTuple):
 def _profile(r: np.ndarray, p: EnhancedWendlandParams) -> _Profile:
     """The enhanced profile at r >= 0; the one implementation of g.  A
     coefficient is a number, or one per replica as an (R, 1, 1) array against
-    an (R, ...) r."""
-    ar = p.alpha * r
+    an (R, ...) r; an r of fewer axes is broadcast against them first.
+
+    Each element gets the closed form's operations in their order, while
+    the sums and products that build on a fresh intermediate are written in
+    place into it: k alpha r + 1 into alpha r, and g into its Wendland term.
+    That term is masked by writing 0 outside the support, never by a
+    product: 0 times an infinite term, such as alpha*r for a huge alpha, is
+    NaN."""
+    if r.ndim < 3:
+        r = np.broadcast_to(r, np.broadcast(r, p.alpha, p.lam, p.beta, p.eps).shape)
     # the cutoff is applied against the representable boundary 1/alpha so the
     # Wendland component is exactly zero for every r >= 1/alpha; a trained
     # alpha that underflowed to 0 has the whole line as its support: 1/0 is
-    # inf, silently under training's np.errstate
-    inside = r < 1.0 / p.alpha
-    pos = np.where(inside, np.maximum(0.0, 1.0 - ar), 0.0)
+    # inf, silently under training's np.errstate.  A NaN r lies outside.
+    outside = ~(r < 1.0 / p.alpha)
+    kar1 = p.alpha * r
+    pos = np.maximum(0.0, 1.0 - kar1)
     pk1, pk = _powers(pos, p.k)
-    kar1 = p.k * ar + 1.0
+    kar1 *= p.k
+    kar1 += 1.0
     tail = np.exp(-p.beta * r)
-    g = np.where(inside, pk * kar1, 0.0) + p.lam * r + p.eps * tail
-    return _Profile(r, inside, pk1, pk, kar1, tail, g)
-
-
-# partials of g wrt each coefficient, from the profile
-_PARTIALS: dict[str, Callable] = {
-    "alpha": lambda p, t: np.where(
-        t.inside, -p.k * t.r * t.pk1 * t.kar1 + p.k * t.r * t.pk, 0.0),
-    "lam": lambda p, t: t.r.copy(),
-    "beta": lambda p, t: -p.eps * t.r * t.tail,
-    "eps": lambda p, t: t.tail,
-}
+    g = np.asarray(pk * kar1)  # an array, which putmask needs, even for a 0-d r
+    np.putmask(g, outside, 0.0)
+    g += p.lam * r
+    g += p.eps * tail
+    return _Profile(r, outside, pk1, pk, kar1, tail, g)
 
 
 def _profile_derivatives(p: EnhancedWendlandParams, t: _Profile, names):
     """(dg/dr, {name: dg/dname for name in names}) from the profile, with no
-    power taken; the one implementation of g' and the coefficient partials."""
-    wend = np.where(t.inside, -p.k * (p.k + 1.0) * (p.alpha * p.alpha) * t.r * t.pk1, 0.0)
-    dg = wend + p.lam - p.eps * p.beta * t.tail
-    return dg, {name: _PARTIALS[name](p, t) for name in names}
+    power taken; the one implementation of g' and the coefficient partials.
+    The partials of lambda and eps are the profile's own r and tail."""
+    dg = np.asarray(-p.k * (p.k + 1.0) * (p.alpha * p.alpha) * t.r)
+    dg *= t.pk1
+    np.putmask(dg, t.outside, 0.0)
+    dg += p.lam
+    dg -= p.eps * p.beta * t.tail
+    partials = {}
+    for name in names:
+        if name == "alpha":
+            # k r pk - (k r pk1) kar1 is the closed form -(k r pk1) kar1 + k r pk
+            # to the bit: negation is exact, and -a + b is b - a
+            kr = p.k * t.r
+            a = kr * t.pk1
+            a *= t.kar1
+            d = np.asarray(kr * t.pk)
+            d -= a
+            np.putmask(d, t.outside, 0.0)
+        elif name == "lam":
+            d = t.r
+        elif name == "beta":
+            d = -p.eps * t.r * t.tail
+        else:
+            d = t.tail
+        partials[name] = d
+    return dg, partials
 
 
 # ---------------------------------------------------------------------------
@@ -596,7 +620,8 @@ class _Enhanced(Kind):
         if p.mode == MODE_ELEMENTWISE:
             t = _profile(np.abs(x), p)
         else:
-            t = _profile(np.sqrt(np.add.reduce(x * x, axis=-1, keepdims=True)), p)
+            r = np.add.reduce(x * x, axis=-1, keepdims=True)
+            t = _profile(np.sqrt(r, out=r), p)
         return x * t.g, t
 
     def backward(self, p, x, t, upstream):
@@ -604,14 +629,18 @@ class _Enhanced(Kind):
         values) of sum(upstream * x g(r)), given the profile `t` of x."""
         dg, partials = _profile_derivatives(p, t, p.train)
         if p.mode == MODE_ELEMENTWISE:
-            dx = upstream * (t.g + t.r * dg)
             weight = upstream * x
+            dx = dg  # upstream (g + r g'), written over g'
+            dx *= t.r
+            dx += t.g
+            dx *= upstream
         else:
             weight = np.add.reduce(upstream * x, axis=-1, keepdims=True)
             # cross term x_i x_j g'(r)/r; at r ~ 0 the term vanishes in the limit
-            safe = t.r >= _R_GUARD
-            ratio = np.where(safe, dg / np.where(safe, t.r, 1.0), 0.0)
-            dx = upstream * t.g + x * (weight * ratio)
+            ratio = np.divide(dg, t.r, out=np.zeros(dg.shape), where=t.r >= _R_GUARD)
+            ratio *= weight
+            dx = upstream * t.g
+            dx += x * ratio
         grads = {name: _per_replica_sum(weight * d, getattr(p, name))
                  for name, d in partials.items()}
         for name in self._LOG:

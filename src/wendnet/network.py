@@ -439,9 +439,9 @@ def train(net: Network, x_train, y_train, loss_kind: str, optimizer,
             totals = np.zeros(len(live))
             for start in range(0, n, batch_size):
                 idx = orders[:, start:start + batch_size]  # one row of indices per replica
-                pred = net.forward(x_train[idx.ravel()], training=True, rng=gens)
+                pred = net.forward(x_train.take(idx.ravel(), axis=0), training=True, rng=gens)
                 values, grad = eval_loss(loss_kind, pred.reshape(idx.shape + pred.shape[-1:]),
-                                         y_train[idx])
+                                         y_train.take(idx, axis=0))
                 net.backward(grad, need_dx=False)
                 # a finite sum proves every entry finite, so only a sum that
                 # is not (a non-finite entry, or finite entries that overflow

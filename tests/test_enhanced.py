@@ -433,3 +433,101 @@ def test_layer_matches_textbook_closed_forms_bit_for_bit(k, mode):
         np.testing.assert_array_equal(y, y_ref)
         np.testing.assert_array_equal(dx, dx_ref)
         assert grads == expected, mask
+
+
+# --- the same closed forms where a masked term is infinite or NaN -------------
+#
+# The Wendland terms are zero outside the support.  A kernel that zeroes them
+# by a product instead of a write gives NaN where the term is infinite: alpha*r
+# overflows for alpha = 1e308, alpha*alpha for alpha = 1e300, and r is inf for
+# an infinite input.  assert_array_equal counts NaN as equal to NaN.
+
+def _extreme_input(rng, edge, mode):
+    """`_straddling_input` with rows of +-inf and NaN added."""
+    x = _straddling_input(rng, edge, mode)
+    if mode == "elem":
+        special = [np.inf, -np.inf, np.nan, 0.0, -0.0, 1e300, -1e300, edge]
+    else:
+        special = [np.inf, -np.inf, np.nan, 0.0, 1.0]
+    rows = np.tile(x[:1], (3, 1))
+    rows[0, :len(special)] = special[:x.shape[1]]
+    rows[1, 0] = np.nan
+    rows[2, -1] = -np.inf
+    return np.concatenate([x, rows])
+
+
+def _natural(layer, replicas):
+    """Each replica's natural-space coefficients, as plain numbers."""
+    values = {name: np.broadcast_to(v, (replicas, 1, 1))
+              for name, v in layer.current_coefficients().items()}
+    return [{name: float(v[i, 0, 0]) for name, v in values.items()} for i in range(replicas)]
+
+
+def _textbook_params(c, base):
+    return EnhancedWendlandParams(alpha=c["alpha"], k=base.k, lam=c["lambda"], beta=c["beta"],
+                                  eps=c["eps"], mode=base.mode, train=base.train)
+
+
+def _expected_grads(grads_ref, c, train):
+    """The textbook's coefficient gradients, chained to the stored values."""
+    return {coeff: grads_ref[coeff] * c[_REPORT_KEYS[coeff]] if coeff in _LOG_STORED
+            else grads_ref[coeff] for coeff in train}
+
+
+def _assert_layer_grads(layer, want, replica=0):
+    for param in layer.params():
+        np.testing.assert_array_equal(param.grad[replica].item(), want[param.name.split(".")[-1]])
+
+
+@pytest.mark.parametrize("mode", ["elem", "channel"])
+@pytest.mark.parametrize("text", ["ewend(alpha=1e300,k=1)", "ewend(alpha=1e308)",
+                                  "ewend(alpha=1e300,k=2,train=alpha|lambda|beta|eps)",
+                                  "ewend(alpha=2,k=5,train=alpha|beta)"])
+def test_layer_matches_textbook_closed_forms_where_terms_are_not_finite(text, mode):
+    rng = np.random.default_rng(77)
+    spec = parse_activation(text.replace(")", f",mode={mode})"))
+    base = spec.params["ewend"]
+    with np.errstate(all="ignore"):
+        # a stack of 3 replicas, each with its own alpha, as a study trains it
+        layer = ActivationLayer(spec, replicas=3)
+        alpha, = (param for param in layer.params() if param.name.endswith(".alpha"))
+        alpha.value[...] = np.log([base.alpha, base.alpha / 7.0, 2.5])[:, None, None]
+        coeffs = _natural(layer, 3)
+        refs = []
+        for c in coeffs:
+            p = _textbook_params(c, base)
+            x = _extreme_input(rng, 1.0 / p.alpha, mode)
+            up = rng.standard_normal(x.shape)
+            refs.append((x, up, *_textbook_layer(x, up, p)))
+        y = layer.forward(np.stack([ref[0] for ref in refs]), training=True, rng=None)
+        dx = layer.backward(np.stack([ref[1] for ref in refs]))
+        for i, (_, _, y_ref, dx_ref, grads_ref) in enumerate(refs):
+            np.testing.assert_array_equal(y[i], y_ref)
+            np.testing.assert_array_equal(dx[i], dx_ref)
+            _assert_layer_grads(layer, _expected_grads(grads_ref, coeffs[i], base.train), i)
+
+        # 2-D rows without the replica axis, against one replica's (1, 1, 1)
+        # coefficients: the output takes that axis
+        layer = ActivationLayer(spec)
+        c = _natural(layer, 1)[0]
+        x, up = refs[0][:2]
+        y_ref, dx_ref, grads_ref = _textbook_layer(x, up, _textbook_params(c, base))
+        np.testing.assert_array_equal(layer.forward(x, training=True, rng=None), y_ref[None])
+        np.testing.assert_array_equal(layer.backward(up), dx_ref[None])
+        _assert_layer_grads(layer, _expected_grads(grads_ref, c, base.train))
+
+        # 0-d inputs through the record, with coefficients that are numbers
+        if mode == "elem":
+            edge = 1.0 / base.alpha
+            for v in (0.0, -0.0, edge, -edge, np.nextafter(edge, 0.0), 0.5 * edge, 3.0,
+                      np.inf, -np.inf, np.nan):
+                x, up = np.asarray(v), np.asarray(-0.75)
+                y_ref, dx_ref, grads_ref = _textbook_layer(x, up, base)
+                y, profile = EWEND.forward(base, x, True, None)
+                dx, grads = EWEND.backward(base, x, profile, up)
+                np.testing.assert_array_equal(y, y_ref)
+                np.testing.assert_array_equal(dx, dx_ref)
+                natural = {"alpha": base.alpha, "lambda": base.lam, "beta": base.beta,
+                           "eps": base.eps}
+                for coeff, want in _expected_grads(grads_ref, natural, base.train).items():
+                    np.testing.assert_array_equal(grads[coeff], want)
