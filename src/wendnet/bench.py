@@ -231,16 +231,35 @@ def _metric_rows(cfg: ExperimentConfig, act_text: str, rep: int,
                _fmt(rec.seconds), _params_blob(rec.activation_params), rec.status]
 
 
-def _train_stack(cfg: ExperimentConfig, spec: ActivationSpec, act_text: str,
-                 data: tuple, loss_kind: str, grid: np.ndarray | None = None):
-    """Train every repetition of one activation as one stack on `data`, the
-    study's (x_train, y_train, x_test, y_test); repetition r draws only from
-    its own substreams.  Returns each repetition's epoch records and
-    prediction: the first repetition's net output on `grid` (all NaN after a
-    divergence), or None for the others and without a grid."""
-    reps = range(cfg.repetitions)
-    net = build_mlp(cfg.architecture, spec,
-                    [substream(cfg.seed, "net", act_text, rep) for rep in reps])
+def _stacks(cfg: ExperimentConfig) -> list[list[str]]:
+    """The activation texts of `cfg`, in config order, packed into stacks
+    while a stack's dense parameters, over all its replicas, fit one Adam
+    block: past that, a larger stack costs memory and saves little."""
+    widths = cfg.architecture
+    per_activation = cfg.repetitions * sum((a + 1) * b for a, b in zip(widths, widths[1:]))
+    stacks: list[list[str]] = []
+    for text in cfg.activations:
+        if stacks and (len(stacks[-1]) + 1) * per_activation <= Adam._BLOCK:
+            stacks[-1].append(text)
+        else:
+            stacks.append([text])
+    return stacks
+
+
+def _train_stack(cfg: ExperimentConfig, texts: list[str], data: tuple, loss_kind: str,
+                 grid: np.ndarray | None = None) -> list[tuple[str, list]]:
+    """Train every repetition of the activations `texts` as one stack on
+    `data`, the study's (x_train, y_train, x_test, y_test), its replicas in
+    order of activation, then repetition; repetition r of an activation
+    draws only from its own substreams.  Returns, per activation, its text
+    and each repetition's (epoch records, prediction): the first
+    repetition's net output on `grid` (all NaN after a divergence), or None
+    for the others and without a grid."""
+    jobs = [(text, rep) for text in texts for rep in range(cfg.repetitions)]
+    specs = [cfg.activations[text] for text, _ in jobs]
+    # one spec when the stack runs one activation, as the layers then do
+    net = build_mlp(cfg.architecture, specs if len(texts) > 1 else specs[0],
+                    [substream(cfg.seed, "net", text, rep) for text, rep in jobs])
     opt = cfg.optimizer
     if opt["kind"] == "sgd":
         optimizer = SGD(net, opt["lr"], opt["momentum"])
@@ -250,27 +269,32 @@ def _train_stack(cfg: ExperimentConfig, spec: ActivationSpec, act_text: str,
     records = train(
         net, x_train, y_train, loss_kind, optimizer,
         epochs=cfg.epochs, batch_size=cfg.batch_size,
-        rngs=[substream(cfg.seed, "train", act_text, rep) for rep in reps],
+        rngs=[substream(cfg.seed, "train", text, rep) for text, rep in jobs],
         x_test=x_test, y_test=y_test)
-    prediction = None
+    n = cfg.repetitions
+    predictions = [None] * len(jobs)
     if grid is not None:
-        prediction = np.full(len(grid), np.nan)
-        if records[0][-1].status == "ok":  # the first repetition still leads the stack
+        ok = [recs[-1].status == "ok" for recs in records]
+        if any(ok):
             with quiet_errstate():  # as in train: a kind's masked-out branch may warn
-                prediction = net.forward(grid)[:len(grid), 0]
-    return [(recs, prediction if rep == 0 else None) for rep, recs in enumerate(records)]
+                grid_out = net.forward(grid).reshape(sum(ok), len(grid), -1)
+        for i in range(0, len(jobs), n):  # each activation's first repetition
+            # at its place among the replicas left in the stack
+            predictions[i] = grid_out[sum(ok[:i]), :, 0] if ok[i] else np.full(len(grid), np.nan)
+    return [(text, list(zip(records[i * n:(i + 1) * n], predictions[i * n:(i + 1) * n])))
+            for i, text in enumerate(texts)]
 
 
 def _run_jobs(cfg: ExperimentConfig, data: tuple, loss_kind: str, own: str,
               grid: np.ndarray | None = None) -> list[tuple[str, list]]:
-    """Train every (activation, repetition) job of `cfg` on `data`, one stack
-    of repetitions per activation, then write metrics.csv in config order.
+    """Train every (activation, repetition) job of `cfg` on `data`, in the
+    stacks `_stacks` packs, then write metrics.csv in config order.
     Returns, per activation, its text encoding and the `(records,
     prediction)` of each repetition; only the first repetition predicts on
     `grid`.
 
     The engine decides whether the data fit the architecture: a misfit
-    raises ShapeError in the first job, before any update, so the study
+    raises ShapeError in the first stack, before any update, so the study
     writes no metrics.csv.  The output directory is made first, so a path
     that cannot be one fails before any training, and the study's own files
     from an earlier run, metrics.csv and the runner's `own` CSV, are removed
@@ -279,8 +303,8 @@ def _run_jobs(cfg: ExperimentConfig, data: tuple, loss_kind: str, own: str,
     out.mkdir(parents=True, exist_ok=True)
     for name in ("metrics.csv", own):
         (out / name).unlink(missing_ok=True)
-    results = [(act_text, _train_stack(cfg, spec, act_text, data, loss_kind, grid))
-               for act_text, spec in cfg.activations.items()]
+    results = [result for texts in _stacks(cfg)
+               for result in _train_stack(cfg, texts, data, loss_kind, grid)]
     mf, mwriter = _open_csv(out / "metrics.csv", cfg, METRIC_COLUMNS)
     with mf:
         for act_text, jobs in results:

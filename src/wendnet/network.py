@@ -12,6 +12,7 @@ each batch's one step, which replicas diverged.
 
 from __future__ import annotations
 
+import itertools
 import math
 import time
 from dataclasses import dataclass, field
@@ -69,55 +70,115 @@ class Dense:
 
 
 class ActivationLayer:
-    """Applies one ActivationSpec; owns an independent copy of any trainable
-    coefficients for this layer, one per replica, held as its kind stores
-    them."""
+    """Applies `spec` to every replica, or spec[r] to replica r of a list;
+    consecutive replicas with equal specs form a group, which runs its
+    kind's kernel once, on its rows.  The layer owns one (R, 1, 1) Param per
+    coefficient name that any group trains, held as its kind stores it; each
+    group binds its own rows, as views, and the other rows hold 0 and get no
+    gradient written, so no optimizer step moves them.  With several
+    groups, `seconds` holds each group's kernel time."""
 
-    def __init__(self, spec: act.ActivationSpec, name: str = "act", replicas: int = 1):
-        self.spec = spec
+    def __init__(self, spec, name: str = "act", replicas: int = 1):
+        self.specs = list(spec) if isinstance(spec, list) else [spec] * replicas
         self.name = name
-        self._kind = act.KINDS[spec.kind]
-        self._params = {coeff: Param(f"{name}.{coeff}", np.full((replicas, 1, 1), stored))
-                        for coeff, stored in self._kind.initial(spec.params).items()}
-        # with nothing to train, the coefficients never change: bind them once
-        self._fixed = None if self._params else self._kind.bind(spec.params, {})
+        self._regroup()
+        self._params: dict[str, Param] = {}
+        for rows, kind, params, _, _ in self._groups:
+            for coeff, stored in kind.initial(params).items():
+                param = Param(f"{name}.{coeff}", np.zeros((len(self.specs), 1, 1)))
+                self._params.setdefault(coeff, param).value[rows] = stored
         self._cache = None
+
+    def _regroup(self):
+        """Split the replicas into runs of equal specs, (rows, kind, params,
+        trained coefficient names, the bound coefficients if none is)."""
+        self._groups, start = [], 0
+        for spec, run in itertools.groupby(self.specs):
+            kind, stop = act.KINDS[spec.kind], start + len(list(run))
+            names = tuple(kind.initial(spec.params))
+            # with nothing to train, the coefficients never change: bind them once
+            fixed = None if names else kind.bind(spec.params, {})
+            self._groups.append((slice(start, stop), kind, spec.params, names, fixed))
+            start = stop
+        self.seconds = [0.0] * len(self._groups)
+
+    def keep(self, rows):
+        """Keep the replicas at `rows`, in order, regrouped; a group keeps
+        the time of its first replica's old group."""
+        seconds = np.repeat(self.seconds, [g[0].stop - g[0].start for g in self._groups])[rows]
+        self.specs = [self.specs[i] for i in rows]
+        self._regroup()
+        self.seconds = [float(seconds[g[0].start]) for g in self._groups]
 
     def params(self) -> list[Param]:
         return list(self._params.values())
 
-    def _coefficients(self):
-        """The full coefficient set at the current stored values."""
-        if self._fixed is not None:
-            return self._fixed
-        return self._kind.bind(self.spec.params, {coeff: param.value
-                                                  for coeff, param in self._params.items()})
+    def _bound(self):
+        """Each group's rows, kind and full coefficient set at the current
+        stored values."""
+        for rows, kind, params, names, fixed in self._groups:
+            if fixed is None:
+                fixed = kind.bind(params, {coeff: self._params[coeff].value[rows]
+                                           for coeff in names})
+            yield rows, kind, fixed
 
-    def current_coefficients(self) -> dict:
-        """Coefficient values in natural space, for metrics reporting: a
-        number, or an (R, 1, 1) array of one value per replica."""
-        return self._kind.report(self._coefficients())
+    def _part(self, a, rows):
+        """A group's rows of `a`, an array or the generator list; all of
+        `a` in a layer of one group."""
+        return a if a is None or len(self._groups) == 1 else a[rows]
+
+    def _run(self, group: int, step, *args):
+        """step(*args), its time added to the group's when there are several."""
+        if len(self._groups) == 1:
+            return step(*args)
+        t0 = time.monotonic()
+        out = step(*args)
+        self.seconds[group] += time.monotonic() - t0
+        return out
+
+    def current_coefficients(self) -> list[dict[str, float]]:
+        """Each replica's coefficient values in natural space, for metrics
+        reporting."""
+        out = []
+        for rows, kind, c in self._bound():
+            n = rows.stop - rows.start
+            values = {coeff: np.broadcast_to(v, (n, 1, 1)).ravel()
+                      for coeff, v in kind.report(c).items()}
+            out += [{coeff: float(v[i]) for coeff, v in values.items()} for i in range(n)]
+        return out
 
     def kinks(self) -> tuple[float, ...]:
-        """Inputs at which the activation's first derivative jumps."""
-        return self._kind.kinks(self._coefficients())
+        """Inputs at which the first derivative of a group's activation jumps."""
+        return tuple(kink for _, kind, c in self._bound() for kink in kind.kinks(c))
 
     def forward(self, x: np.ndarray, training: bool, rng) -> np.ndarray:
-        c = self._coefficients()
-        y, aux = self._kind.forward(c, x, training, rng)
-        self._cache = (c, x, aux)
-        return y
+        if len(self._groups) > 1 and x.ndim < 3:
+            x = np.broadcast_to(x, (len(self.specs),) + x.shape)  # rows every replica takes
+        ys, parts = [], []
+        for i, (rows, kind, c) in enumerate(self._bound()):
+            y, aux = self._run(i, kind.forward, c, self._part(x, rows), training,
+                               self._part(rng, rows))
+            ys.append(y)
+            parts.append((c, aux))
+        self._cache = (x, parts)
+        return ys[0] if len(ys) == 1 else np.concatenate(ys)
 
     def backward(self, upstream: np.ndarray, need_dx: bool = True) -> np.ndarray | None:
         """Write the coefficient gradients; return the input gradient, or
         None when `need_dx` is false."""
         if self._cache is None:
             raise RuntimeError("backward called before forward")
-        c, x, aux = self._cache
-        dx, grads = self._kind.backward(c, x, aux, upstream)
-        for coeff, param in self._params.items():
-            param.grad[...] = grads[coeff]
-        return dx if need_dx else None
+        x, parts = self._cache
+        dxs = []
+        for i, ((rows, kind, *_), (c, aux)) in enumerate(zip(self._groups, parts)):
+            dx, grads = self._run(i, kind.backward, c, self._part(x, rows), aux,
+                                  self._part(upstream, rows))
+            for coeff, grad in grads.items():
+                self._params[coeff].grad[rows] = grad
+            dxs.append(dx)
+        if not need_dx:
+            return None
+        return dxs[0] if len(dxs) == 1 else np.concatenate(dxs)
 
 
 class Network:
@@ -125,7 +186,8 @@ class Network:
     the replica axis first.  Every layer's Param values and gradients are
     views into the flat float64 vectors theta and grad, which hold one block
     per replica, each in layer order.  A backward writes every entry of
-    grad, so it needs no zeroing first."""
+    grad but the coefficient rows an activation group does not train, which
+    hold 0 from the start, so it needs no zeroing first."""
 
     def __init__(self, layers: list):
         self.layers = list(layers)
@@ -162,7 +224,30 @@ class Network:
         self.theta, self.grad, *state = [shrink(v) for v in (self.theta, self.grad, *state)]
         self.replicas = len(rows)
         self._bind()
+        for layer in self._activations():
+            layer.keep(rows)
         return state
+
+    def _activations(self) -> list[ActivationLayer]:
+        return [layer for layer in self.layers if isinstance(layer, ActivationLayer)]
+
+    def replica_seconds(self, elapsed: float) -> np.ndarray:
+        """`elapsed` shared out, one figure per replica: its activation
+        group's kernel time since `clear_seconds`, plus the rest split by the
+        groups' replica counts (the groups `build_mlp` gives every layer).
+        One replica of each group gets a sum of `elapsed`; one group, each."""
+        layers = self._activations()
+        if not layers or len(layers[0].seconds) == 1:
+            return np.full(self.replicas, elapsed)
+        sizes = [rows.stop - rows.start for rows, *_ in layers[0]._groups]
+        own = np.repeat(np.add.reduce([layer.seconds for layer in layers]), sizes)
+        rest = elapsed - sum(sum(layer.seconds) for layer in layers)
+        return own + rest * (np.repeat(sizes, sizes) / self.replicas)
+
+    def clear_seconds(self):
+        """Zero the activation groups' kernel times."""
+        for layer in self._activations():
+            layer.seconds = [0.0] * len(layer.seconds)
 
     def nonfinite_replicas(self) -> np.ndarray:
         """One bool per replica: whether its gradient holds a non-finite entry."""
@@ -196,19 +281,20 @@ class Network:
     def activation_coefficients(self) -> list[dict[str, float]]:
         """Each replica's activation coefficients in natural space."""
         out: list[dict[str, float]] = [{} for _ in range(self.replicas)]
-        for layer in self.layers:
-            if isinstance(layer, ActivationLayer):
-                for coeff, v in layer.current_coefficients().items():
-                    for coeffs, value in zip(out, np.broadcast_to(v, (self.replicas, 1, 1)).flat):
-                        coeffs[f"{layer.name}.{coeff}"] = float(value)
+        for layer in self._activations():
+            for coeffs, own in zip(out, layer.current_coefficients()):
+                coeffs.update((f"{layer.name}.{coeff}", value) for coeff, value in own.items())
         return out
 
 
-def build_mlp(widths: list[int], spec: act.ActivationSpec, rngs) -> Network:
-    """A stack of len(rngs) MLPs: Dense layers of the given widths with
-    `spec` after each hidden layer, replica r initialised from rngs[r]."""
+def build_mlp(widths: list[int], spec, rngs) -> Network:
+    """A stack of len(rngs) MLPs: Dense layers of the given widths with an
+    activation after each hidden layer, `spec` in every replica or spec[r]
+    in replica r of a list, replica r initialised from rngs[r]."""
     if len(widths) < 2:
         raise ValueError("need at least input and output widths")
+    if isinstance(spec, list) and len(spec) != len(rngs):
+        raise ValueError(f"{len(spec)} activation specs for {len(rngs)} replicas")
     layers: list = []
     for i in range(len(widths) - 1):
         layers.append(Dense(widths[i], widths[i + 1], rngs, name=f"dense{i}"))
@@ -397,8 +483,10 @@ def train(net: Network, x_train, y_train, loss_kind: str, optimizer,
     rngs[r].
 
     Returns each replica's epoch records; with test data, each record
-    carries the test loss, and under "xent" the test accuracy too.  The
-    epoch's wall time is the stack's, shared by its replicas.  Before each
+    carries the test loss, and under "xent" the test accuracy too.  Its
+    seconds are the replica's share of the epoch's wall time, as
+    `Network.replica_seconds` gives it: the stack's wall time when the
+    stack runs one activation group.  Before each
     batch's one optimizer step, a replica whose loss or gradient holds a
     non-finite value gets a last record with status="diverged" and the
     offending epoch number, and leaves the stack; the others train on.
@@ -434,6 +522,7 @@ def train(net: Network, x_train, y_train, loss_kind: str, optimizer,
     with quiet_errstate():
         for epoch in range(epochs):
             t0 = time.monotonic()
+            net.clear_seconds()
             gens = [rngs[r] for r in live]
             orders = np.stack([g.permutation(n) for g in gens])
             totals = np.zeros(len(live))
@@ -452,10 +541,11 @@ def train(net: Network, x_train, y_train, loss_kind: str, optimizer,
                     # with the coefficients its last forward used
                     bad = ~np.isfinite(values) | net.nonfinite_replicas()
                     coeffs = net.activation_coefficients()
+                    seconds = net.replica_seconds(time.monotonic() - t0)
                     for i in np.flatnonzero(bad):
                         records[live[i]].append(EpochRecord(
                             epoch=epoch, train_loss=float("nan"), activation_params=coeffs[i],
-                            status="diverged", seconds=time.monotonic() - t0))
+                            status="diverged", seconds=float(seconds[i])))
                     rows = np.flatnonzero(~bad)
                     optimizer.keep(rows)
                     live, gens = [live[i] for i in rows], [gens[i] for i in rows]
@@ -477,9 +567,9 @@ def train(net: Network, x_train, y_train, loss_kind: str, optimizer,
                 if loss_kind == "xent":
                     for rec, acc in zip(recs, np.mean(pred.argmax(axis=-1) == y_test, axis=-1)):
                         rec.test_accuracy = float(acc)
-            seconds = time.monotonic() - t0
-            for r, rec in zip(live, recs):
-                rec.seconds = seconds
+            seconds = net.replica_seconds(time.monotonic() - t0)
+            for r, rec, share in zip(live, recs, seconds):
+                rec.seconds = float(share)
                 records[r].append(rec)
     return records
 
@@ -491,11 +581,11 @@ def train(net: Network, x_train, y_train, loss_kind: str, optimizer,
 def min_kink_gap(net: Network) -> float:
     """The smallest gap between an activation input of the last forward and a kink."""
     gap = float("inf")
-    for layer in net.layers:
-        if isinstance(layer, ActivationLayer):
-            x = layer._cache[1]
-            for kink in layer.kinks():
-                gap = min(gap, float(np.abs(x - kink).min()))
+    for layer in net._activations():
+        x = layer._cache[0]
+        for rows, kind, c in layer._bound():
+            for kink in kind.kinks(c):
+                gap = min(gap, float(np.abs(layer._part(x, rows) - kink).min()))
     return gap
 
 

@@ -376,7 +376,8 @@ def _kink_gap(layer, x):
     kinks = layer.kinks()
     if not kinks:
         return np.inf
-    channel = layer.spec.kind == "ewend" and layer.spec.params["ewend"].mode == "channel"
+    spec, = layer.specs  # a layer of one replica
+    channel = spec.kind == "ewend" and spec.params["ewend"].mode == "channel"
     at = np.sqrt(np.sum(x * x, axis=-1)) if channel else x
     return min(float(np.abs(at - kink).min()) for kink in kinks)
 

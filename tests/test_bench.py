@@ -22,6 +22,7 @@ from wendnet.bench import (
     config_from_dict,
     default_config_text,
     load_config,
+    run_experiment,
     run_sine,
     run_toy_classification,
     _table_ordered,
@@ -541,50 +542,108 @@ def test_cli_output_dir_under_a_file_fails_before_any_network(tmp_path, monkeypa
 
 
 def test_metrics_csv_is_written_once_every_job_has_returned(tmp_path, monkeypatch):
-    listings = []
-    train_stack = bench._train_stack
-
-    def listing_train_stack(cfg, *args):
-        listings.append(sorted(p.name for p in Path(cfg.output_dir).iterdir()))
-        return train_stack(cfg, *args)
-
-    monkeypatch.setattr(bench, "_train_stack", listing_train_stack)
-    cfg = _small_sine_cfg(tmp_path, activations=["tanh", "relu"], repetitions=2)
-    _, rows = _read_csv(run_sine(cfg)[0])
-    # one stack of both repetitions per activation; the directory exists,
-    # and is empty, in every one
-    assert listings == [[]] * 2
-    assert [(r[1], r[2]) for r in rows[1::cfg.epochs]] == [
-        ("tanh", "0"), ("tanh", "1"), ("relu", "0"), ("relu", "1")]
-
-
-def test_each_activation_trains_as_one_stack_of_its_repetitions(tmp_path, monkeypatch):
-    # one build_mlp call per activation; a training forward takes the
-    # replicas' batches as one 2-D array of R * batch_size rows, and train()
-    # gets the study's rows untiled
+    # stock moons is small, so its 3 activations x 3 repetitions train as one
+    # stack: one build_mlp call, with one spec per replica in order of
+    # activation, then repetition, made when the output directory exists and
+    # is empty; a training forward takes the replicas' batches as one 2-D
+    # array of R * batch_size rows, and train() gets the study's rows untiled
     from wendnet import network
 
-    built, rows, shapes = [], [], []
+    listings, built, rows, shapes = [], [], [], []
     build_mlp, train, forward = bench.build_mlp, bench.train, network.Network.forward
-    monkeypatch.setattr(bench, "build_mlp",
-                        lambda widths, spec, rngs: built.append(len(rngs)) or build_mlp(widths, spec, rngs))
-    monkeypatch.setattr(bench, "train",
-                        lambda net, x_train, *a, **k: rows.append(len(x_train)) or train(net, x_train, *a, **k))
+
+    def listing_build_mlp(widths, spec, rngs):
+        listings.append(sorted(p.name for p in Path(cfg.output_dir).iterdir()))
+        built.append(spec)
+        return build_mlp(widths, spec, rngs)
 
     def recording_forward(net, x, training=False, rng=None):
         if training:
             shapes.append(x.shape)
         return forward(net, x, training, rng)
 
+    monkeypatch.setattr(bench, "build_mlp", listing_build_mlp)
+    monkeypatch.setattr(bench, "train",
+                        lambda net, x_train, *a, **k: rows.append(len(x_train)) or train(net, x_train, *a, **k))
     monkeypatch.setattr(network.Network, "forward", recording_forward)
     raw = yaml.safe_load(default_config_text("moons"))
     raw.update(epochs=1, output_dir=str(tmp_path / "out"))
     raw["dataset"]["n"] = 100
     cfg = config_from_dict(raw)
-    run_toy_classification(cfg)
-    assert built == [3, 3, 3] and rows == [70, 70, 70]
-    # 70 rows at batch 32: two full batches and one of 6, for 3 replicas each
-    assert shapes == [(96, 2), (96, 2), (18, 2)] * 3
+    _, metrics = _read_csv(run_toy_classification(cfg)[0])
+    assert listings == [[]] and rows == [70]
+    assert built == [[spec for spec in cfg.activations.values() for _ in range(3)]]
+    # 70 rows at batch 32: two full batches and one of 6, for 9 replicas each
+    assert shapes == [(288, 2), (288, 2), (54, 2)]
+    assert [(r[1], r[2]) for r in metrics[1:]] == [
+        (text, str(rep)) for text in cfg.activations for rep in range(3)]
+
+
+@pytest.mark.parametrize("architecture, stacks", [
+    ([1, 200, 200, 1], [["tanh"], ["relu"], ["sigmoid"]]),  # 40,801 parameters a replica
+    ([127, 128], [["tanh", "relu"], ["sigmoid"]]),          # 16,384: two fill one Adam block
+    ([128, 128], [["tanh"], ["relu"], ["sigmoid"]]),        # 16,512
+])
+def test_stacks_grow_while_their_dense_parameters_fit_one_adam_block(tmp_path, architecture,
+                                                                     stacks):
+    cfg = _small_sine_cfg(tmp_path, architecture=architecture,
+                          activations=["tanh", "relu", "sigmoid"])
+    assert bench._stacks(cfg) == stacks
+
+
+def test_a_large_study_trains_one_stack_per_activation(tmp_path, monkeypatch):
+    # each stack is built with its one spec, as before stacks were shared
+    built = []
+    build_mlp = bench.build_mlp
+    monkeypatch.setattr(bench, "build_mlp", lambda widths, spec, rngs:
+                        built.append((spec, len(rngs))) or build_mlp(widths, spec, rngs))
+    cfg = _small_sine_cfg(tmp_path, architecture=[1, 200, 200, 1], activations=["tanh", "relu"],
+                          repetitions=2, epochs=1)
+    run_sine(cfg)
+    assert built == [(cfg.activations["tanh"], 2), (cfg.activations["relu"], 2)]
+
+
+_MERGED = ["ewend(mode=channel,train=alpha|lambda|beta|eps)",
+           "ewend(k=1,train=alpha|lambda|beta|eps)",
+           "relu", "tanh", "rrelu", "prelu", "sinlu", "gelu"]
+
+
+def _outputs(tmp_path, experiment, activations, name, **overrides):
+    """The study's CSV rows without their timing columns, by file name."""
+    raw = yaml.safe_load(default_config_text(experiment))
+    raw.update(epochs=4, repetitions=2, activations=activations,
+               output_dir=str(tmp_path / name), **overrides)
+    raw["dataset"]["n"] = 100
+    tables = {}
+    for path in run_experiment(config_from_dict(raw)):
+        _, (header, *rows) = _read_csv(path)
+        keep = [i for i, column in enumerate(header)
+                if column not in ("epoch_wall_seconds", "mean_epoch_seconds")]
+        tables[path.name] = [[row[i] for i in keep] for row in [header, *rows]]
+    return tables
+
+
+@pytest.mark.parametrize("experiment, optimizer", [
+    ("moons", {"kind": "sgd", "lr": 1.5, "momentum": 0.9}),
+    ("sine", {"kind": "sgd", "lr": 0.15, "momentum": 0.9}),
+])
+def test_each_activation_of_a_shared_stack_writes_the_rows_it_writes_alone(tmp_path, experiment,
+                                                                           optimizer):
+    # moons trains as one stack, sine as three; under this SGD, replicas of
+    # the first activations diverge, so those after them move up their stack
+    merged = _outputs(tmp_path, experiment, _MERGED, "merged", optimizer=optimizer)
+    metrics = merged["metrics.csv"]
+    assert {row[-1] for row in metrics[1:]} == {"ok", "diverged"}
+    for i, text in enumerate(_MERGED):
+        alone = _outputs(tmp_path, experiment, [text], f"alone{i}", optimizer=optimizer)
+        canonical = alone["metrics.csv"][1][1]
+        assert alone["metrics.csv"][1:] == [row for row in metrics[1:] if row[1] == canonical]
+        if experiment == "sine":  # x, sin x, then one prediction column per activation
+            assert [row[:2] + row[2 + i:3 + i] for row in merged["predictions.csv"]] == (
+                alone["predictions.csv"])
+        else:
+            assert alone["summary.csv"][1:] == [row for row in merged["summary.csv"][1:]
+                                                if row[0] == canonical]
 
 
 def test_cli_network_too_large_to_allocate_exits_2(tmp_path):

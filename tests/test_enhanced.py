@@ -413,7 +413,7 @@ def test_layer_matches_textbook_closed_forms_bit_for_bit(k, mode):
         layer = ActivationLayer(ActivationSpec("ewend", {"ewend": spec_p}))
         # the layer's natural-space values, of its one replica: log-stored
         # ones may move by an ulp
-        c = {name: float(np.squeeze(v)) for name, v in layer.current_coefficients().items()}
+        c, = layer.current_coefficients()
         p = EnhancedWendlandParams(alpha=c["alpha"], k=k, lam=c["lambda"], beta=c["beta"],
                                    eps=c["eps"], mode=mode, train=train)
         x = _straddling_input(rng, 1.0 / p.alpha, mode)
@@ -458,9 +458,9 @@ def _extreme_input(rng, edge, mode):
 
 def _natural(layer, replicas):
     """Each replica's natural-space coefficients, as plain numbers."""
-    values = {name: np.broadcast_to(v, (replicas, 1, 1))
-              for name, v in layer.current_coefficients().items()}
-    return [{name: float(v[i, 0, 0]) for name, v in values.items()} for i in range(replicas)]
+    coeffs = layer.current_coefficients()
+    assert len(coeffs) == replicas
+    return coeffs
 
 
 def _textbook_params(c, base):

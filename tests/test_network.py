@@ -1,12 +1,15 @@
 """Network forward/backward, losses, optimizers, and the training loop."""
 
 import math
+from dataclasses import replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 from numpy.random import default_rng
 
-from wendnet.activations import parse_activation
+from wendnet import network
+from wendnet.activations import KINDS, parse_activation
 from wendnet.network import (
     SGD,
     ActivationLayer,
@@ -574,11 +577,11 @@ def test_nontrainable_coefficients_bit_identical_after_training():
     spec = parse_activation("ewend(alpha=1.5,k=4,lambda=0.1,beta=1,eps=0.01)")
     net = build_mlp([1, 8, 1], spec, [default_rng(16)])
     layer = [l for l in net.layers if isinstance(l, ActivationLayer)][0]
-    before = layer.current_coefficients()
+    before, = layer.current_coefficients()
     x = np.linspace(-2, 2, 64)[:, None]
     train(net, x, np.sin(x), "mse", Adam(net, lr=1e-2),
           epochs=20, batch_size=16, rngs=[default_rng(17)])
-    after = layer.current_coefficients()
+    after, = layer.current_coefficients()
     assert after["lambda"] == before["lambda"]
     assert after["beta"] == before["beta"]
     assert after["eps"] == before["eps"]
@@ -592,7 +595,7 @@ def test_positive_coefficients_survive_optimization():
     x = np.linspace(-3, 3, 64)[:, None]
     train(net, x, 5 * np.sin(3 * x), "mse", Adam(net, lr=0.5),
           epochs=50, batch_size=16, rngs=[default_rng(19)])
-    coeffs = layer.current_coefficients()
+    coeffs, = layer.current_coefficients()
     assert coeffs["alpha"] > 0.0
     assert coeffs["beta"] > 0.0
 
@@ -787,3 +790,104 @@ def test_each_batch_steps_once_while_replicas_diverge():
     batches = math.ceil(len(_two_class_data(53)[0]) / 32)
     assert len(steps) == 6 * batches
     assert steps[0] == 3 and steps[-1] == 1 and steps == sorted(steps, reverse=True)
+
+
+# --- a stack of many kinds trains each replica as its own kind's stack does ----
+
+_MIXED = ["ewend(k=1,train=alpha|lambda|beta|eps)", "ewend(train=alpha|lambda|beta|eps)",
+          "relu", "tanh", "rrelu", "prelu", "sinlu", "frelu",
+          "ewend(mode=channel,train=alpha|lambda|beta|eps)"]
+
+
+def _train_mixed(specs, seeds, make_opt, epochs=6):
+    """Train one stack, replica r with specs[r], from default_rng(seeds[r]) and
+    its shuffle from default_rng(seeds[r] + 100); returns the network, each
+    replica's records without their wall time, and the replicas left."""
+    x_train, y_train, x_test, y_test = _two_class_data(53)
+    net = build_mlp([2, 16, 16, 2], specs if len(specs) > 1 else specs[0],
+                    [default_rng(s) for s in seeds])
+    records = train(net, x_train, y_train, "xent", make_opt(net), epochs=epochs, batch_size=32,
+                    rngs=[default_rng(s + 100) for s in seeds], x_test=x_test, y_test=y_test)
+    fields = [[(r.epoch, r.train_loss, r.test_loss, r.test_accuracy, r.activation_params,
+                r.status) for r in recs] for recs in records]
+    return net, fields, [r for r, recs in enumerate(records) if recs[-1].status == "ok"]
+
+
+@pytest.mark.parametrize("make_opt", [lambda net: Adam(net, lr=400.0),
+                                      lambda net: SGD(net, lr=0.3, momentum=0.9)],
+                         ids=["adam", "sgd"])
+def test_a_stack_of_many_kinds_trains_each_replica_as_it_trains_alone(make_opt):
+    # two replicas per kind; under both optimizers some replicas diverge while
+    # the others train on, so the stack shrinks across its groups
+    specs = [parse_activation(text) for text in _MIXED for _ in range(2)]
+    seeds = [80 + r for r in range(len(specs))]
+    net, stacked, live = _train_mixed(specs, seeds, make_opt)
+    assert 0 < len(live) < len(specs)
+    params = {p.name: p for p in net._params}
+    for r, (spec, seed) in enumerate(zip(specs, seeds)):
+        alone_net, alone, _ = _train_mixed([spec], [seed], make_opt)
+        # assert_equal takes a NaN train loss as equal to itself
+        np.testing.assert_equal(alone, [stacked[r]])
+        if r in live:
+            alone_params = {p.name: p for p in alone_net._params}
+            assert set(alone_params) <= set(params)
+            for name, param in params.items():
+                row = param.value[live.index(r)]
+                if name in alone_params:
+                    assert row.tobytes() == alone_params[name].value[0].tobytes(), (r, name)
+                else:  # a coefficient the replica's kind does not train stays 0
+                    assert not row.any(), (r, name)
+
+
+def test_a_layer_of_several_groups_gives_every_replica_all_rows_of_a_2d_input():
+    specs = [parse_activation(text) for text in ("relu", "relu", "tanh")]
+    layer = ActivationLayer(specs, replicas=3)
+    x = default_rng(90).standard_normal((5, 4))
+    y = layer.forward(x, training=False, rng=None)
+    np.testing.assert_array_equal(y, [np.maximum(0.0, x)] * 2 + [np.tanh(x)])
+
+def test_epoch_seconds_share_out_the_wall_time_by_activation(monkeypatch):
+    # a fake clock that ticks once per reading, and a tanh kernel that takes 8
+    # ticks more, make every figure exact
+    now = [0.0]
+
+    def monotonic():
+        now[0] += 1.0
+        return now[0]
+
+    def slow_tanh(x, c, training, rng):
+        now[0] += 8.0
+        return tanh.value(x, c, training, rng)
+
+    tanh = KINDS["tanh"]
+    monkeypatch.setattr(network, "time", SimpleNamespace(monotonic=monotonic))
+    monkeypatch.setitem(KINDS, "tanh", replace(tanh, value=slow_tanh))
+    walls = []
+    replica_seconds = Network.replica_seconds
+    monkeypatch.setattr(Network, "replica_seconds",
+                        lambda net, elapsed: walls.append(elapsed) or replica_seconds(net, elapsed))
+    x_train, y_train, x_test, y_test = _two_class_data(53)
+
+    def seconds(texts):
+        """Each replica's epoch seconds, two repetitions per activation, and
+        each epoch's wall time."""
+        walls.clear()
+        specs = [parse_activation(text) for text in texts for _ in range(2)]
+        rngs = [default_rng(r) for r in range(len(specs))]
+        net = build_mlp([2, 8, 8, 2], specs if len(texts) > 1 else specs[0], rngs)
+        records = train(net, x_train, y_train, "xent", Adam(net), epochs=3, batch_size=32,
+                        rngs=rngs, x_test=x_test, y_test=y_test)
+        return [[rec.seconds for rec in recs] for recs in records], list(walls)
+
+    # one activation: each row carries its epoch's wall time
+    rows, one = seconds(["tanh"])
+    assert len(one) == 3 and rows == [one, one]
+    # two: each activation's figure is its own kernels' time plus half the
+    # rest, the same for its repetitions; the figures add up to the wall time
+    rows, two = seconds(["relu", "tanh"])
+    assert len(two) == 3 and rows[0] == rows[1] and rows[2] == rows[3]
+    for relu_s, tanh_s, wall in zip(rows[0], rows[2], two):
+        assert relu_s >= 0 and tanh_s >= 0 and relu_s + tanh_s == wall
+        # tanh's 8 extra ticks per forward, in 2 layers, for 4 training
+        # batches and the test forward of each epoch
+        assert tanh_s - relu_s == 8 * 2 * 5
