@@ -591,6 +591,36 @@ def test_stacks_grow_while_their_dense_parameters_fit_one_adam_block(tmp_path, a
     assert bench._stacks(cfg) == stacks
 
 
+def test_each_activation_trains_as_one_stack_of_its_repetitions(tmp_path, monkeypatch):
+    # moons at [2, 200, 200, 2] (41,202 parameters a replica) is past one
+    # Adam block: one build_mlp call per activation, with its one spec; a
+    # training forward takes the replicas' batches as one 2-D array of
+    # R * batch_size rows, and train() gets the study's rows untiled
+    from wendnet import network
+
+    built, rows, shapes = [], [], []
+    build_mlp, train, forward = bench.build_mlp, bench.train, network.Network.forward
+    monkeypatch.setattr(bench, "build_mlp", lambda widths, spec, rngs:
+                        built.append((spec, len(rngs))) or build_mlp(widths, spec, rngs))
+    monkeypatch.setattr(bench, "train",
+                        lambda net, x_train, *a, **k: rows.append(len(x_train)) or train(net, x_train, *a, **k))
+
+    def recording_forward(net, x, training=False, rng=None):
+        if training:
+            shapes.append(x.shape)
+        return forward(net, x, training, rng)
+
+    monkeypatch.setattr(network.Network, "forward", recording_forward)
+    raw = yaml.safe_load(default_config_text("moons"))
+    raw.update(epochs=1, architecture=[2, 200, 200, 2], output_dir=str(tmp_path / "out"))
+    raw["dataset"]["n"] = 100
+    cfg = config_from_dict(raw)
+    run_toy_classification(cfg)
+    assert built == [(spec, 3) for spec in cfg.activations.values()] and rows == [70, 70, 70]
+    # 70 rows at batch 32: two full batches and one of 6, for 3 replicas each
+    assert shapes == [(96, 2), (96, 2), (18, 2)] * 3
+
+
 def test_a_large_study_trains_one_stack_per_activation(tmp_path, monkeypatch):
     # each stack is built with its one spec, as before stacks were shared
     built = []
