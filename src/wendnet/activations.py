@@ -10,13 +10,17 @@ The classical Wendland forms are the three closed-form members
 
 and the enhanced Wendland radial profile is
 
-    g(r) = (1 - a r)_+^k (k a r + 1) + lam * r + eps * exp(-beta * r)
+    g(r) = (1 - a r)_+^k (k a r + 1) + lambda * r + eps * exp(-beta * r)
 
 applied multiplicatively: y = x * g(r), where r is either |x| per element or
 the L2 norm of a feature slice; the record KINDS["ewend"] is the one way to
 apply it to an input.  Compact support of the Wendland component is exact: it
 is identically zero for r >= 1/a.  The strictly positive a and beta train as
 their logarithm, so no optimizer step can push them out of range.
+
+Every kind's coefficients are one dict under their text names, and a value
+takes its default's type: a number, an integer (ewend's k), a word (ewend's
+mode) or a "|"-set of trainable coefficients (ewend's train).
 
 Derivative convention at non-differentiable points (the ReLU family at 0,
 and wc0 at x = 0, where (1-|x|)^2 has slopes +2 and -2; all three classical
@@ -80,54 +84,27 @@ def _wc4(r):
 
 
 # ---------------------------------------------------------------------------
-# Enhanced Wendland parameters and radial profile.
+# Enhanced Wendland radial profile, of the `ewend` coefficients p: alpha is
+# the inverse support radius (the Wendland bump vanishes at r = 1/alpha), k
+# the degree, lambda the linear slope, beta the exponential rate, eps its scale.
 # ---------------------------------------------------------------------------
-
-MODE_ELEMENTWISE = "elem"
-MODE_CHANNEL = "channel"
 
 _R_GUARD = 1e-12  # below this, a channel slice is treated as exactly radial-zero
 
 
-_COEFFS = ("alpha", "lam", "beta", "eps")  # the enhanced profile's coefficients
-
-
-@dataclass
-class EnhancedWendlandParams:
-    """Coefficients of the enhanced Wendland activation.
-
-    alpha is the inverse support radius (the Wendland bump vanishes at
-    r = 1/alpha), k the polynomial degree, lam the linear-term slope, beta the
-    exponential decay rate and eps the exponential scale.  `train` names the
-    trainable coefficients by field, kept in (alpha, lam, beta, eps) order; by
-    default only alpha is trainable.
-    """
-
-    alpha: float = 1.0
-    k: int = 4
-    lam: float = 0.1
-    beta: float = 1.0
-    eps: float = 0.01
-    train: tuple[str, ...] = ("alpha",)
-    mode: str = MODE_ELEMENTWISE
-
-    def __post_init__(self):
-        if self.alpha <= 0:
-            raise ConfigError(f"alpha must be > 0, got {self.alpha}")
-        if self.beta <= 0:
-            raise ConfigError(f"beta must be > 0, got {self.beta}")
-        if not isinstance(self.k, int) or not 1 <= self.k <= 8:
-            raise ConfigError(f"k must be an integer in [1, 8], got {self.k!r}")
-        if self.lam < 0:
-            raise ConfigError(f"lambda must be >= 0, got {self.lam}")
-        if self.eps < 0:
-            raise ConfigError(f"epsilon must be >= 0, got {self.eps}")
-        if self.mode not in (MODE_ELEMENTWISE, MODE_CHANNEL):
-            raise ConfigError(f"mode must be {MODE_ELEMENTWISE!r} or {MODE_CHANNEL!r}")
-        unknown = set(self.train) - set(_COEFFS)
-        if unknown:
-            raise ConfigError(f"train names unknown coefficients {sorted(unknown)}")
-        self.train = tuple(name for name in _COEFFS if name in self.train)
+def _check_ewend(p):
+    if p["alpha"] <= 0:
+        raise ConfigError(f"alpha must be > 0, got {p['alpha']}")
+    if p["beta"] <= 0:
+        raise ConfigError(f"beta must be > 0, got {p['beta']}")
+    if not 1 <= p["k"] <= 8:
+        raise ConfigError(f"k must be an integer in [1, 8], got {p['k']!r}")
+    if p["lambda"] < 0:
+        raise ConfigError(f"lambda must be >= 0, got {p['lambda']}")
+    if p["eps"] < 0:
+        raise ConfigError(f"epsilon must be >= 0, got {p['eps']}")
+    if p["mode"] not in ("elem", "channel"):
+        raise ConfigError("mode must be 'elem' or 'channel'")
 
 
 class _Profile(NamedTuple):
@@ -142,7 +119,7 @@ class _Profile(NamedTuple):
     g: np.ndarray
 
 
-def _profile(r: np.ndarray, p: EnhancedWendlandParams) -> _Profile:
+def _profile(r: np.ndarray, p: dict) -> _Profile:
     """The enhanced profile at r >= 0; the one implementation of g.  A
     coefficient is a number, or one per replica as an (R, 1, 1) array against
     an (R, ...) r; an r of fewer axes is broadcast against them first.
@@ -154,49 +131,50 @@ def _profile(r: np.ndarray, p: EnhancedWendlandParams) -> _Profile:
     product: 0 times an infinite term, such as alpha*r for a huge alpha, is
     NaN."""
     if r.ndim < 3:
-        r = np.broadcast_to(r, np.broadcast(r, p.alpha, p.lam, p.beta, p.eps).shape)
+        r = np.broadcast_to(r, np.broadcast(r, p["alpha"], p["lambda"], p["beta"], p["eps"]).shape)
     # the cutoff is applied against the representable boundary 1/alpha so the
     # Wendland component is exactly zero for every r >= 1/alpha; a trained
     # alpha that underflowed to 0 has the whole line as its support: 1/0 is
     # inf, silently under training's np.errstate.  A NaN r lies outside.
-    outside = ~(r < 1.0 / p.alpha)
-    kar1 = p.alpha * r
+    outside = ~(r < 1.0 / p["alpha"])
+    kar1 = p["alpha"] * r
     pos = np.maximum(0.0, 1.0 - kar1)
-    pk1, pk = _powers(pos, p.k)
-    kar1 *= p.k
+    pk1, pk = _powers(pos, p["k"])
+    kar1 *= p["k"]
     kar1 += 1.0
-    tail = np.exp(-p.beta * r)
+    tail = np.exp(-p["beta"] * r)
     g = np.asarray(pk * kar1)  # an array, which putmask needs, even for a 0-d r
     np.putmask(g, outside, 0.0)
-    g += p.lam * r
-    g += p.eps * tail
+    g += p["lambda"] * r
+    g += p["eps"] * tail
     return _Profile(r, outside, pk1, pk, kar1, tail, g)
 
 
-def _profile_derivatives(p: EnhancedWendlandParams, t: _Profile, names):
+def _profile_derivatives(p: dict, t: _Profile, names):
     """(dg/dr, {name: dg/dname for name in names}) from the profile, with no
     power taken; the one implementation of g' and the coefficient partials.
     The partials of lambda and eps are the profile's own r and tail."""
-    dg = np.asarray(-p.k * (p.k + 1.0) * (p.alpha * p.alpha) * t.r)
+    k, alpha = p["k"], p["alpha"]
+    dg = np.asarray(-k * (k + 1.0) * (alpha * alpha) * t.r)
     dg *= t.pk1
     np.putmask(dg, t.outside, 0.0)
-    dg += p.lam
-    dg -= p.eps * p.beta * t.tail
+    dg += p["lambda"]
+    dg -= p["eps"] * p["beta"] * t.tail
     partials = {}
     for name in names:
         if name == "alpha":
             # k r pk - (k r pk1) kar1 is the closed form -(k r pk1) kar1 + k r pk
             # to the bit: negation is exact, and -a + b is b - a
-            kr = p.k * t.r
+            kr = k * t.r
             a = kr * t.pk1
             a *= t.kar1
             d = np.asarray(kr * t.pk)
             d -= a
             np.putmask(d, t.outside, 0.0)
-        elif name == "lam":
+        elif name == "lambda":
             d = t.r
         elif name == "beta":
-            d = -p.eps * t.r * t.tail
+            d = -p["eps"] * t.r * t.tail
         else:
             d = t.tail
         partials[name] = d
@@ -457,8 +435,10 @@ def _per_replica_sum(g, coeff):
 #
 # Text grammar:  spec  := kind | kind "(" pair ("," pair)* ")"
 #                pair  := key "=" value
-# Values are numbers except ewend's mode (elem|channel) and train, a
-# "|"-separated subset of alpha|lambda|beta|eps.
+# A value takes its default's type: a number; an integer, such as ewend's k,
+# written as an integral number; a word, lower-cased (ewend's mode: elem or
+# channel); or a "|"-set of the kind's trainable coefficients, kept in their
+# order (ewend's train, of alpha|lambda|beta|eps).
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
@@ -479,11 +459,18 @@ def _parse_number(kind: str, key: str, raw: str) -> float:
     return value
 
 
+def _format_value(value) -> str:
+    if isinstance(value, tuple):
+        return "|".join(value)
+    return value if isinstance(value, str) else f"{value:g}"
+
+
 @dataclass(frozen=True)
 class Kind:
     """Everything wendnet knows about one activation kind; adding a kind
-    means adding one record to `KINDS`.  This base covers the elementwise
-    kinds, whose coefficients are a dict keyed by their text names.
+    means adding one record to `KINDS`.  Its coefficients are a dict like
+    `defaults`; its "train" entry, if any, names the trained ones, or else
+    all of `trainable` train.  This base covers the elementwise kinds.
 
     In a stack of R replicas, x is (R, rows, width); a trained coefficient
     is then an (R, 1, 1) array, one value per replica, and its gradient has
@@ -497,6 +484,7 @@ class Kind:
     kinks: Callable = lambda c: ()      # c -> the x where dy/dx jumps
     check: Callable | None = None       # raises ConfigError on invalid coefficients
     summary: str = ""                   # list-activations text; derived when empty
+    log: tuple[str, ...] = ()           # trainable coefficients stored as their log
 
     def describe(self) -> str:
         if self.summary:
@@ -512,30 +500,49 @@ class Kind:
         for key, raw in pairs.items():
             if key not in self.defaults:
                 raise ConfigError(f"{self.name}: unknown parameter {key!r}")
-            params[key] = _parse_number(self.name, key, raw)
+            default = self.defaults[key]
+            if isinstance(default, str):
+                params[key] = raw.lower()
+            elif isinstance(default, tuple):
+                tokens = [t for t in raw.lower().split("|") if t]
+                for t in tokens:
+                    if t not in self.trainable:
+                        raise ConfigError(f"{self.name}: unknown {key} token {t!r}")
+                params[key] = tuple(name for name in self.trainable if name in tokens)
+            else:
+                value = _parse_number(self.name, key, raw)
+                if isinstance(default, int) and value != int(value):
+                    raise ConfigError(f"{self.name}: {key} must be an integer, got {raw!r}")
+                params[key] = type(default)(value)
         if self.check is not None:
             self.check(params)
         return params
 
     def format(self, params) -> str:
-        if not params:
-            return self.name
-        body = ",".join(f"{k}={params[k]:g}" for k in self.defaults)
-        return f"{self.name}({body})"
+        """The canonical text: every coefficient in `defaults` order, but a
+        "|"-set left at its default."""
+        body = ",".join(f"{key}={_format_value(params[key])}"
+                        for key, default in self.defaults.items()
+                        if not isinstance(default, tuple) or params[key] != default)
+        return f"{self.name}({body})" if body else self.name
 
     def initial(self, params) -> dict[str, float]:
-        """The stored values of the trainable coefficients in `params`: what a
+        """The stored values of the trained coefficients in `params`: what a
         layer trains, and what `backward`'s gradients are taken against."""
-        return {name: params[name] for name in self.trainable}
+        return {name: float(np.log(params[name])) if name in self.log else params[name]
+                for name in params.get("train", self.trainable)}
 
     def bind(self, params, stored: dict):
-        """The full coefficient set: `params` with the trainable coefficients
-        taken from their stored values."""
-        return {**params, **stored}
+        """The full coefficient set, unchecked (`check` guards config text):
+        `params` with the trained coefficients taken from their stored values."""
+        return {**params, **{name: np.exp(v) if name in self.log else v
+                             for name, v in stored.items()}}
 
     def report(self, c) -> dict[str, float]:
-        """Coefficient values for the metrics output."""
-        return dict(c)
+        """The values of the number-valued coefficients, in `defaults` order,
+        for the metrics output."""
+        return {key: c[key] for key, default in self.defaults.items()
+                if isinstance(default, float)}
 
     def forward(self, c, x, training, rng):
         """(y, what `backward` needs besides c and x): here dy/dx.  In
@@ -552,72 +559,13 @@ class Kind:
                                for name, d in self.partials(x, c).items()}
 
 
-# ewend text key (and train token) -> EnhancedWendlandParams field
-_EWEND_FIELDS = {"alpha": "alpha", "k": "k", "lambda": "lam", "beta": "beta",
-                 "eps": "eps", "mode": "mode", "train": "train"}
-
-
 class _Enhanced(Kind):
-    """The `ewend` record: its coefficients are one EnhancedWendlandParams,
-    held in the spec as params["ewend"]; its `train` tuple names the trainable
-    ones.  The strictly positive alpha and beta are stored as their log."""
-
-    _LOG = ("alpha", "beta")
-
-    def parse(self, pairs: dict[str, str]) -> dict:
-        kwargs: dict = {}
-        for key, raw in pairs.items():
-            if key not in _EWEND_FIELDS:
-                raise ConfigError(f"ewend: unknown parameter {key!r}")
-            name = _EWEND_FIELDS[key]
-            if name == "mode":
-                kwargs["mode"] = raw.lower()
-            elif name == "train":
-                tokens = [t for t in raw.lower().split("|") if t]
-                for t in tokens:
-                    if _EWEND_FIELDS.get(t) not in _COEFFS:
-                        raise ConfigError(f"ewend: unknown train token {t!r}")
-                kwargs["train"] = tuple(_EWEND_FIELDS[t] for t in tokens)
-            elif name == "k":
-                val = _parse_number(self.name, key, raw)
-                if val != int(val):
-                    raise ConfigError(f"ewend: k must be an integer, got {raw!r}")
-                kwargs["k"] = int(val)
-            else:
-                kwargs[name] = _parse_number(self.name, key, raw)
-        return {"ewend": EnhancedWendlandParams(**kwargs)}
-
-    def format(self, params) -> str:
-        p: EnhancedWendlandParams = params["ewend"]
-        train = "|".join(t for t, name in _EWEND_FIELDS.items() if name in p.train)
-        parts = [f"alpha={p.alpha:g}", f"k={p.k}", f"lambda={p.lam:g}",
-                 f"beta={p.beta:g}", f"eps={p.eps:g}", f"mode={p.mode}"]
-        if train != "alpha":
-            parts.append(f"train={train}")
-        return f"ewend({','.join(parts)})"
-
-    def initial(self, params) -> dict[str, float]:
-        p = params["ewend"]
-        return {name: float(np.log(getattr(p, name))) if name in self._LOG
-                else getattr(p, name) for name in p.train}
-
-    def bind(self, params, stored: dict):
-        # a fresh instance, filled by one merge, skips __post_init__: its
-        # checks guard config text, and g(r) and its partials hold for any
-        # real lambda and eps an optimizer reaches
-        p = object.__new__(EnhancedWendlandParams)
-        p.__dict__ = {**vars(params["ewend"]),
-                      **{name: np.exp(v) if name in self._LOG else v
-                         for name, v in stored.items()}}
-        return p
-
-    def report(self, p) -> dict[str, float]:
-        return {"alpha": p.alpha, "lambda": p.lam, "beta": p.beta, "eps": p.eps}
+    """The `ewend` record: y = x g(r), with p the coefficients of `_profile`."""
 
     def forward(self, p, x, training, rng):
         # r = |x| per element, or in channel mode the norm over the last axis;
         # the profile is what backward needs, and the layer caches it as aux
-        if p.mode == MODE_ELEMENTWISE:
+        if p["mode"] == "elem":
             t = _profile(np.abs(x), p)
         else:
             r = np.add.reduce(x * x, axis=-1, keepdims=True)
@@ -627,8 +575,8 @@ class _Enhanced(Kind):
     def backward(self, p, x, t, upstream):
         """(input gradient, gradients of the trainable coefficients' stored
         values) of sum(upstream * x g(r)), given the profile `t` of x."""
-        dg, partials = _profile_derivatives(p, t, p.train)
-        if p.mode == MODE_ELEMENTWISE:
+        dg, partials = _profile_derivatives(p, t, p["train"])
+        if p["mode"] == "elem":
             weight = upstream * x
             dx = dg  # upstream (g + r g'), written over g'
             dx *= t.r
@@ -641,17 +589,16 @@ class _Enhanced(Kind):
             ratio *= weight
             dx = upstream * t.g
             dx += x * ratio
-        grads = {name: _per_replica_sum(weight * d, getattr(p, name))
-                 for name, d in partials.items()}
-        for name in self._LOG:
+        grads = {name: _per_replica_sum(weight * d, p[name]) for name, d in partials.items()}
+        for name in self.log:
             if name in grads:
-                grads[name] *= getattr(p, name)  # chain through value = exp(stored)
+                grads[name] *= p[name]  # chain through value = exp(stored)
         return dx, grads
 
 
 def _ewend_kinks(p):
     # for k < 2 the derivative of the Wendland term jumps at the support edge
-    return (-1.0 / p.alpha, 1.0 / p.alpha) if p.k < 2 else ()
+    return (-1.0 / p["alpha"], 1.0 / p["alpha"]) if p["k"] < 2 else ()
 
 
 KINDS: dict[str, Kind] = {rec.name: rec for rec in (
@@ -661,9 +608,13 @@ KINDS: dict[str, Kind] = {rec.name: rec for rec in (
          summary="classical Wendland C2, no parameters"),
     Kind("wc4", _radial(_wc4),
          summary="classical Wendland C4, no parameters"),
-    _Enhanced("ewend", None, kinks=_ewend_kinks,
+    _Enhanced("ewend", None,
+              {"alpha": 1.0, "k": 4, "lambda": 0.1, "beta": 1.0, "eps": 0.01,
+               "mode": "elem", "train": ("alpha",)},
+              ("alpha", "lambda", "beta", "eps"), kinks=_ewend_kinks, check=_check_ewend,
               summary="alpha=1 k=4 lambda=0.1 beta=1 eps=0.01 mode=elem|channel "
-                      "train=alpha[|lambda|beta|eps]  (trainable: per train mask)"),
+                      "train=alpha[|lambda|beta|eps]  (trainable: per train mask)",
+              log=("alpha", "beta")),
     Kind("relu", _relu, kinks=_at_zero),
     Kind("relu6", _relu6, kinks=lambda c: (0.0, 6.0)),
     Kind("lrelu", _leaky, {"slope": 0.01}, kinks=_at_zero),

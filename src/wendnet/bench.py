@@ -319,11 +319,20 @@ def _completed(jobs: list[tuple]) -> list[EpochRecord]:
 
 
 def _mean_std(vals):
+    """Mean and sample std of `vals`.  One that overflows though every value
+    is finite is taken on vals / max|vals| and scaled back."""
     if not vals:
         return None, None
-    m = float(np.mean(vals))
-    s = float(np.std(vals, ddof=1)) if len(vals) > 1 else 0.0
-    return m, s
+    v = np.asarray(vals, dtype=np.float64)
+    scale = np.max(np.abs(v))  # finite just when every value is
+    out = []
+    with np.errstate(over="ignore", invalid="ignore"):
+        for stat in (np.mean, lambda a: np.std(a, ddof=1) if len(a) > 1 else 0.0):
+            s = stat(v)
+            if not np.isfinite(s) and np.isfinite(scale):
+                s = scale * stat(v / scale)
+            out.append(float(s))
+    return tuple(out)
 
 
 # ---------------------------------------------------------------------------

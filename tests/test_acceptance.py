@@ -21,7 +21,6 @@ from numpy.random import default_rng
 from wendnet.activations import (
     ALL_KINDS,
     KINDS,
-    EnhancedWendlandParams,
     _profile,
     _wc0,
     _wc2,
@@ -93,14 +92,14 @@ def test_criterion_2_enhanced_structure():
     for _ in range(50):
         alpha = float(rng.uniform(0.25, 4.0))
         k = int(rng.choice([2, 3, 4, 6]))
-        p = EnhancedWendlandParams(alpha=alpha, k=k)
-        bare = EnhancedWendlandParams(alpha=alpha, k=k, lam=0.0, eps=0.0)
+        p = {**KINDS["ewend"].defaults, "alpha": alpha, "k": k}
+        bare = {**p, "lambda": 0.0, "eps": 0.0}
         # compact support: the Wendland component is exactly 0 for r >= 1/alpha
         for r in (1.0 / alpha, 1.0 / alpha + 1e-12, 10.0 / alpha):
             if _g(r, bare) != 0.0:
                 ok, detail = False, f"support leak at alpha={alpha}, k={k}, r={r}"
         # value 1 + eps at r = 0
-        if abs(_g(0.0, p) - (1.0 + p.eps)) > 1e-15:
+        if abs(_g(0.0, p) - (1.0 + p["eps"])) > 1e-15:
             ok, detail = False, f"g(0) != 1+eps at alpha={alpha}, k={k}"
         # odd symmetry of the elementwise forward
         x = rng.uniform(-5.0, 5.0, size=64)

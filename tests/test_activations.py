@@ -301,7 +301,7 @@ def test_parse_errors_name_the_problem():
         parse_activation("lrelu(slope=abc)")
     with pytest.raises(ConfigError, match="bogus"):
         parse_activation("ewend(bogus=1)")
-    # train tokens are the text names; "lam" is a field name, not a token
+    # train tokens are the trainable coefficients' text names
     for token in ("gamma", "lam", "mode"):
         with pytest.raises(ConfigError, match=token):
             parse_activation(f"ewend(train=alpha|{token})")
@@ -377,7 +377,7 @@ def _kink_gap(layer, x):
     if not kinks:
         return np.inf
     spec, = layer.specs  # a layer of one replica
-    channel = spec.kind == "ewend" and spec.params["ewend"].mode == "channel"
+    channel = spec.kind == "ewend" and spec.params["mode"] == "channel"
     at = np.sqrt(np.sum(x * x, axis=-1)) if channel else x
     return min(float(np.abs(at - kink).min()) for kink in kinks)
 
@@ -415,7 +415,7 @@ def test_derivative_continuous_away_from_listed_kinks(text):
     # a gradient check that fails for some seeds only; the support edges of
     # wc2, wc4 and ewend with k >= 2 are smooth points and stay in the grid
     rec, c = _coefficients(text)
-    edges = [1.0] + ([1.0 / c.alpha] if rec.name == "ewend" else [])
+    edges = [1.0] + ([1.0 / c["alpha"]] if rec.name == "ewend" else [])
     x = np.concatenate([np.linspace(-8.0, 8.0, 1601), [0.0], edges, np.negative(edges)])
     for kink in rec.kinks(c):
         x = x[np.abs(x - kink) > 1e-3]

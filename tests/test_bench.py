@@ -874,6 +874,46 @@ def test_cli_diverging_study_is_quiet(tmp_path):
     assert "diverged" in {r[9] for r in rows[1:]}
 
 
+@pytest.mark.parametrize("vals, mean, std", [
+    # NumPy's std squares a deviation of 1.7e269 and gets inf
+    ([0.5, 1.7166917093277759e+269], 1.7166917093277759e+269 / 2,
+     1.7166917093277759e+269 / np.sqrt(2)),
+    # NumPy's mean sums to inf
+    ([1e308, 1e308], 1e308, 0.0),
+])
+def test_mean_std_of_huge_finite_values_is_finite(vals, mean, std):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        m, s = bench._mean_std(vals)
+    assert m == pytest.approx(mean, rel=1e-14)
+    assert s == pytest.approx(std, rel=1e-14)
+
+
+def test_mean_std_is_numpy_where_numpy_is_finite():
+    vals = [0.1, 0.2, 0.7, 1e100]
+    assert bench._mean_std(vals) == (float(np.mean(vals)), float(np.std(vals, ddof=1)))
+    assert bench._mean_std([0.3]) == (0.3, 0.0)
+    assert bench._mean_std([]) == (None, None)
+
+
+def test_cli_study_with_a_huge_finite_test_loss_is_quiet(tmp_path):
+    # in this hot SGD study prelu's final test losses are finite, one of them
+    # near 3.4e269: summary.csv holds their finite std, and stderr stays empty
+    raw = yaml.safe_load(default_config_text("moons"))
+    raw.update(epochs=4, repetitions=2, optimizer={"kind": "sgd", "lr": 1.0, "momentum": 0.9},
+               activations=raw["activations"] + ["prelu", "sinlu", "frelu", "gelu", "elu"],
+               output_dir=str(tmp_path / "out"))
+    raw["dataset"]["n"] = 100
+    assert len(raw["activations"]) == 8
+    path = tmp_path / "moons.yaml"
+    path.write_text(yaml.safe_dump(raw))
+    assert _quiet_run(path) == (0, "", [])
+    _, rows = _read_csv(tmp_path / "out" / "summary.csv")
+    prelu, = (row for row in rows[1:] if row[0] == "prelu(slope=0.25)")
+    loss_mean, loss_std = float(prelu[4]), float(prelu[5])
+    assert 1e269 < loss_mean < loss_std < np.inf
+
+
 @pytest.mark.parametrize("alpha", ["0", "1e-310"])
 def test_cli_sine_celu_with_a_vanishing_alpha_is_quiet(tmp_path, alpha):
     # celu divides min(x, 0) by alpha: by zero at alpha=0, with an overflow at

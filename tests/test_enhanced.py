@@ -13,7 +13,6 @@ from wendnet.activations import (
     KINDS,
     ActivationSpec,
     ConfigError,
-    EnhancedWendlandParams,
     _profile,
     _profile_derivatives,
     format_activation,
@@ -22,9 +21,8 @@ from wendnet.activations import (
 from wendnet.network import ActivationLayer, quiet_errstate
 from wendnet.tensor import relative_error
 
-DEFAULTS = EnhancedWendlandParams()
 EWEND = KINDS["ewend"]
-_COEFFS = ("alpha", "lam", "beta", "eps")
+DEFAULTS = EWEND.defaults
 
 
 def _g(r, p):
@@ -34,7 +32,8 @@ def _g(r, p):
 
 def _derivatives(r, p):
     """(dg/dr, {coefficient: dg/dcoefficient}) at r >= 0, through the kernels."""
-    return _profile_derivatives(p, _profile(np.asarray(r, dtype=np.float64), p), _COEFFS)
+    return _profile_derivatives(p, _profile(np.asarray(r, dtype=np.float64), p),
+                                EWEND.trainable)
 
 
 def _forward(p, x):
@@ -77,22 +76,22 @@ def test_radial_dr_at_zero():
 def test_radial_dr_at_support_boundary():
     # for k >= 2 the Wendland term and its derivative vanish at r = 1/alpha
     for alpha in (0.5, 1.0, 2.0):
-        p = EnhancedWendlandParams(alpha=alpha)
+        p = {**DEFAULTS, "alpha": alpha}
         r = 1.0 / alpha
-        expected = p.lam - p.eps * p.beta * math.exp(-p.beta * r)
+        expected = p["lambda"] - p["eps"] * p["beta"] * math.exp(-p["beta"] * r)
         assert _derivatives(r, p)[0] == pytest.approx(expected, abs=1e-14)
 
 
 def test_radial_dr_matches_finite_differences():
     rng = np.random.default_rng(11)
     for _ in range(200):
-        p = EnhancedWendlandParams(alpha=rng.uniform(0.25, 4.0),
-                                   k=int(rng.integers(2, 7)),
-                                   lam=rng.uniform(0.0, 0.5),
-                                   beta=rng.uniform(0.2, 3.0),
-                                   eps=rng.uniform(0.0, 0.1))
-        r = rng.uniform(0.001, 3.0 / p.alpha)
-        if abs(r - 1.0 / p.alpha) < 1e-4:
+        p = {**DEFAULTS, "alpha": rng.uniform(0.25, 4.0),
+             "k": int(rng.integers(2, 7)),
+             "lambda": rng.uniform(0.0, 0.5),
+             "beta": rng.uniform(0.2, 3.0),
+             "eps": rng.uniform(0.0, 0.1)}
+        r = rng.uniform(0.001, 3.0 / p["alpha"])
+        if abs(r - 1.0 / p["alpha"]) < 1e-4:
             continue
         h = 1e-6 * max(1.0, r)
         numeric = (_g(r + h, p) - _g(r - h, p)) / (2 * h)
@@ -101,7 +100,7 @@ def test_radial_dr_matches_finite_differences():
 
 def test_radial_dparams_trivial():
     grads = _derivatives(2.0, DEFAULTS)[1]
-    assert grads["lam"] == pytest.approx(2.0)
+    assert grads["lambda"] == pytest.approx(2.0)
     grads0 = _derivatives(0.0, DEFAULTS)[1]
     assert grads0["alpha"] == 0.0  # both alpha terms carry a factor r
 
@@ -110,19 +109,18 @@ def test_radial_dparams_match_finite_differences():
     rng = np.random.default_rng(23)
     checked = 0
     while checked < 100:
-        base = dict(alpha=rng.uniform(0.25, 4.0), k=int(rng.integers(1, 7)),
-                    lam=rng.uniform(0.0, 0.5), beta=rng.uniform(0.2, 3.0),
-                    eps=rng.uniform(0.0, 0.1))
-        p = EnhancedWendlandParams(**base)
-        r = rng.uniform(0.0, 3.0 / p.alpha)
-        if r > 0 and abs(p.alpha * r - 1.0) < 1e-4:
+        base = {**DEFAULTS, "alpha": rng.uniform(0.25, 4.0), "k": int(rng.integers(1, 7)),
+                "lambda": rng.uniform(0.0, 0.5), "beta": rng.uniform(0.2, 3.0),
+                "eps": rng.uniform(0.0, 0.1)}
+        r = rng.uniform(0.0, 3.0 / base["alpha"])
+        if r > 0 and abs(base["alpha"] * r - 1.0) < 1e-4:
             continue
-        grads = _derivatives(r, p)[1]
-        for name in ("alpha", "lam", "beta", "eps"):
+        grads = _derivatives(r, base)[1]
+        for name in ("alpha", "lambda", "beta", "eps"):
             def at(v):
                 d = dict(base)
                 d[name] = v
-                return _g(r, EnhancedWendlandParams(**d))
+                return _g(r, d)
             h = 1e-6 * max(1.0, base[name])
             numeric = (at(base[name] + h) - at(base[name] - h)) / (2 * h)
             assert relative_error(grads[name], numeric) < 1e-7, name
@@ -134,24 +132,22 @@ def test_radial_dparams_match_finite_differences():
 def test_compact_support_is_exact():
     rng = np.random.default_rng(3)
     for _ in range(50):
-        p = EnhancedWendlandParams(alpha=rng.uniform(0.25, 4.0),
-                                   k=int(rng.choice([2, 3, 4, 6])))
-        bare = EnhancedWendlandParams(alpha=p.alpha, k=p.k, lam=0.0, eps=0.0)
-        for r in (1.0 / p.alpha, 1.0 / p.alpha + 1e-12, 10.0 / p.alpha):
+        p = {**DEFAULTS, "alpha": rng.uniform(0.25, 4.0), "k": int(rng.choice([2, 3, 4, 6]))}
+        bare = {**p, "lambda": 0.0, "eps": 0.0}
+        for r in (1.0 / p["alpha"], 1.0 / p["alpha"] + 1e-12, 10.0 / p["alpha"]):
             # with the linear and exponential terms removed, only the
             # Wendland component remains and it must vanish identically
             assert _g(r, bare) == 0.0
             # full profile: bit-equal to the linear + exponential terms alone
-            assert _g(r, p) == p.lam * r + p.eps * np.exp(-p.beta * r)
+            assert _g(r, p) == p["lambda"] * r + p["eps"] * np.exp(-p["beta"] * r)
 
 
 def test_boundary_first_derivative_continuity():
     rng = np.random.default_rng(4)
     h = 1e-9  # small enough that one-sided truncation error stays below 1e-6
     for _ in range(50):
-        p = EnhancedWendlandParams(alpha=rng.uniform(0.25, 4.0),
-                                   k=int(rng.choice([2, 3, 4, 6])))
-        b = 1.0 / p.alpha
+        p = {**DEFAULTS, "alpha": rng.uniform(0.25, 4.0), "k": int(rng.choice([2, 3, 4, 6]))}
+        b = 1.0 / p["alpha"]
         left = (_g(b, p) - _g(b - h, p)) / h
         right = (_g(b + h, p) - _g(b, p)) / h
         assert abs(left - right) < 1e-6
@@ -161,7 +157,7 @@ def test_boundary_first_derivative_continuity():
 
 def test_forward_zero_input():
     for mode in ("elem", "channel"):
-        p = EnhancedWendlandParams(mode=mode)
+        p = {**DEFAULTS, "mode": mode}
         assert np.all(_forward(p, np.zeros((3, 4))) == 0.0)
 
 
@@ -178,7 +174,7 @@ def test_forward_odd_symmetry(x):
 
 
 def test_forward_channel_norm_uses_slice_norm():
-    p = EnhancedWendlandParams(mode="channel")
+    p = {**DEFAULTS, "mode": "channel"}
     x = np.array([[3.0, 4.0]])
     g = _g(5.0, p)
     np.testing.assert_allclose(_forward(p, x), x * g, rtol=0, atol=1e-15)
@@ -187,7 +183,7 @@ def test_forward_channel_norm_uses_slice_norm():
 def test_forward_finite_for_large_inputs():
     x = np.array([-1e6, -1.0, 0.0, 1.0, 1e6])
     for mode in ("elem", "channel"):
-        p = EnhancedWendlandParams(mode=mode)
+        p = {**DEFAULTS, "mode": mode}
         y = _forward(p, x)
         assert np.all(np.isfinite(y))
         dx, grads = _backward(p, x, np.ones_like(x))
@@ -199,13 +195,13 @@ def test_alpha_trained_to_underflow_is_a_number():
     # exp of a stored log below about -745 is 0.0: the support is then the
     # whole line, and a forward and backward give numbers, not an exception
     # (under training's errstate, where the support edge 1/0 is inf)
-    params = {"ewend": EnhancedWendlandParams(train=("alpha",))}
+    params = {**DEFAULTS, "train": ("alpha",)}
     with quiet_errstate():
         p = EWEND.bind(params, {"alpha": -800.0})
-        assert p.alpha == 0.0
+        assert p["alpha"] == 0.0
         x = np.array([-1e6, -1.0, 0.0, 1.0, 1e6])
         y = _forward(p, x)
-        np.testing.assert_array_equal(y, _forward(EnhancedWendlandParams(alpha=5e-324), x))
+        np.testing.assert_array_equal(y, _forward({**DEFAULTS, "alpha": 5e-324}, x))
         dx, grads = _backward(p, x, np.ones_like(x))
     assert np.all(np.isfinite(dx))
     assert grads == {"alpha": 0.0}
@@ -216,13 +212,13 @@ def test_alpha_trained_to_underflow_is_a_number():
 def test_backward_at_zero_input():
     x = np.zeros(5)
     dx, _ = _backward(DEFAULTS, x, np.ones(5))
-    np.testing.assert_allclose(dx, np.full(5, 1.0 + DEFAULTS.eps), atol=1e-15)
+    np.testing.assert_allclose(dx, np.full(5, 1.0 + DEFAULTS["eps"]), atol=1e-15)
 
 
 def test_backward_elementwise_matches_finite_differences():
     rng = np.random.default_rng(17)
     x = rng.uniform(-3.0, 3.0, size=1000)
-    x = x[np.abs(np.abs(x) - 1.0 / DEFAULTS.alpha) > 1e-4]
+    x = x[np.abs(np.abs(x) - 1.0 / DEFAULTS["alpha"]) > 1e-4]
     up = rng.standard_normal(x.shape)
     dx, _ = _backward(DEFAULTS, x, up)
     h = 1e-6
@@ -236,7 +232,7 @@ def test_backward_elementwise_matches_finite_differences():
 
 def test_backward_channel_jacobian_matches_finite_differences():
     rng = np.random.default_rng(29)
-    p = EnhancedWendlandParams(mode="channel")
+    p = {**DEFAULTS, "mode": "channel"}
     for _ in range(20):
         x = rng.standard_normal((3, 4))
         up = rng.standard_normal((3, 4))
@@ -248,7 +244,7 @@ def test_backward_channel_jacobian_matches_finite_differences():
 
 
 def test_backward_channel_r_zero_guard():
-    p = EnhancedWendlandParams(mode="channel")
+    p = {**DEFAULTS, "mode": "channel"}
     x = np.zeros((2, 3))
     up = np.ones((2, 3))
     dx, _ = _backward(p, x, up)
@@ -260,10 +256,10 @@ def test_backward_param_grads_match_finite_differences():
     rng = np.random.default_rng(31)
     x = rng.uniform(-2.0, 2.0, size=50)
     up = rng.standard_normal(50)
-    params = {"ewend": EnhancedWendlandParams(train=_COEFFS)}
+    params = {**DEFAULTS, "train": EWEND.trainable}
     stored = EWEND.initial(params)
     _, grads = _backward(EWEND.bind(params, stored), x, up)
-    assert set(grads) == set(_COEFFS)
+    assert set(grads) == set(EWEND.trainable)
     for name in grads:
         def at(v):
             return float(np.sum(up * _forward(EWEND.bind(params, {**stored, name: v}), x)))
@@ -279,8 +275,8 @@ def test_backward_returns_only_trainable_coefficients():
     _, grads = _backward(DEFAULTS, x, up)  # only alpha trainable
     assert set(grads) == {"alpha"}
     assert grads["alpha"] != 0.0
-    for train in ((), ("lam", "eps"), ("beta",), _COEFFS):
-        _, grads = _backward(EnhancedWendlandParams(train=train), x, up)
+    for train in ((), ("lambda", "eps"), ("beta",), EWEND.trainable):
+        _, grads = _backward({**DEFAULTS, "train": train}, x, up)
         assert tuple(grads) == train
 
 
@@ -289,30 +285,82 @@ def test_backward_returns_only_trainable_coefficients():
 def test_positivity_reparameterization_round_trip():
     rec = KINDS["ewend"]
     for v in (1e-6, 0.25, 1.0, 4.0, 1e6):
-        params = {"ewend": EnhancedWendlandParams(alpha=v, beta=v, train=("alpha", "beta"))}
+        params = {**DEFAULTS, "alpha": v, "beta": v, "train": ("alpha", "beta")}
         stored = rec.initial(params)
         assert stored == pytest.approx({"alpha": math.log(v), "beta": math.log(v)}, abs=1e-14)
         back = rec.bind(params, stored)
-        assert abs(back.alpha - v) / v < 1e-12
-        assert abs(back.beta - v) / v < 1e-12
+        assert abs(back["alpha"] - v) / v < 1e-12
+        assert abs(back["beta"] - v) / v < 1e-12
 
 
 @pytest.mark.parametrize("kwargs", [
-    {"alpha": 0.0}, {"alpha": -1.0}, {"beta": 0.0}, {"k": 0}, {"k": 9},
-    {"k": 2.5}, {"lam": -0.1}, {"eps": -1e-9}, {"mode": "nope"},
-    {"train": ("gamma",)}, {"train": ("lambda",)}, {"train": ("alpha", "k")},
+    {"alpha": "0.0"}, {"alpha": "-1.0"}, {"beta": "0.0"}, {"k": "0"}, {"k": "9"},
+    {"k": "2.5"}, {"lambda": "-0.1"}, {"eps": "-1e-9"}, {"mode": "nope"},
+    {"train": "gamma"}, {"train": "lam"}, {"train": "alpha|k"},
 ])
 def test_invalid_params_rejected(kwargs):
     with pytest.raises(ConfigError):
-        EnhancedWendlandParams(**kwargs)
+        EWEND.parse(kwargs)
+
+
+_CANONICAL = "ewend(alpha=1,k=4,lambda=0.1,beta=1,eps=0.01,mode={}{})"
+
+# (text, its canonical encoding): every train subset, the k range, and values
+# the parser normalizes
+_EWEND_TEXTS = [
+    *((f"ewend(train={'|'.join(train)})",
+       _CANONICAL.format("elem", "" if train == ("alpha",) else f",train={'|'.join(train)}"))
+      for n in range(5) for train in itertools.combinations(("alpha", "lambda", "beta", "eps"), n)),
+    *((f"ewend(k={k})", _CANONICAL.replace("k=4", f"k={k}").format("elem", ""))
+      for k in range(1, 9)),
+    ("ewend(train=eps|lambda|eps)", _CANONICAL.format("elem", ",train=lambda|eps")),
+    ("ewend(train=eps|alpha)", _CANONICAL.format("elem", ",train=alpha|eps")),
+    ("ewend(train=alpha|alpha)", _CANONICAL.format("elem", "")),
+    ("ewend(train=ALPHA|Eps)", _CANONICAL.format("elem", ",train=alpha|eps")),
+    ("ewend(train=|)", _CANONICAL.format("elem", ",train=")),
+    ("ewend(mode=CHANNEL)", _CANONICAL.format("channel", "")),
+    ("ewend(k=4.0)", _CANONICAL.format("elem", "")),
+    ("ewend(k=1e0,mode=channel,train=beta)",
+     _CANONICAL.replace("k=4", "k=1").format("channel", ",train=beta")),
+    ("ewend(eps=0,lambda=0,beta=1e-3,alpha=2.5)",
+     "ewend(alpha=2.5,k=4,lambda=0,beta=0.001,eps=0,mode=elem)"),
+]
+
+# (text, the one ConfigError message it gets)
+_BAD_EWEND_TEXTS = [
+    ("ewend(k=2.5)", "ewend: k must be an integer, got '2.5'"),
+    ("ewend(k=0)", "k must be an integer in [1, 8], got 0"),
+    ("ewend(k=9)", "k must be an integer in [1, 8], got 9"),
+    ("ewend(alpha=0)", "alpha must be > 0, got 0.0"),
+    ("ewend(beta=-1)", "beta must be > 0, got -1.0"),
+    ("ewend(lambda=-0.1)", "lambda must be >= 0, got -0.1"),
+    ("ewend(eps=-1e-9)", "epsilon must be >= 0, got -1e-09"),
+    ("ewend(mode=nope)", "mode must be 'elem' or 'channel'"),
+    ("ewend(train=lam)", "ewend: unknown train token 'lam'"),
+    ("ewend(train=mode)", "ewend: unknown train token 'mode'"),
+    ("ewend(gamma=1)", "ewend: unknown parameter 'gamma'"),
+]
+
+
+@pytest.mark.parametrize("text,canonical", _EWEND_TEXTS)
+def test_text_round_trips_to_its_canonical_encoding(text, canonical):
+    assert format_activation(parse_activation(text)) == canonical
+    assert format_activation(parse_activation(canonical)) == canonical
+
+
+@pytest.mark.parametrize("text,message", _BAD_EWEND_TEXTS)
+def test_bad_text_names_the_problem(text, message):
+    with pytest.raises(ConfigError) as err:
+        parse_activation(text)
+    assert str(err.value) == message
 
 
 def test_train_is_kept_in_coefficient_order():
     spec = parse_activation("ewend(train=eps|alpha)")
-    assert spec.params["ewend"].train == ("alpha", "eps")
+    assert spec.params["train"] == ("alpha", "eps")
     assert format_activation(spec) == \
         "ewend(alpha=1,k=4,lambda=0.1,beta=1,eps=0.01,mode=elem,train=alpha|eps)"
-    assert EnhancedWendlandParams(train=("eps", "lam", "eps")).train == ("lam", "eps")
+    assert parse_activation("ewend(train=eps|lambda|eps)").params["train"] == ("lambda", "eps")
 
 
 # --- the layer kernel against the separate closed forms -----------------------
@@ -336,38 +384,40 @@ _POW = (
 
 
 def _textbook_g(r, p):
-    ar = p.alpha * r
+    alpha, k = p["alpha"], p["k"]
+    ar = alpha * r
     pos = np.maximum(0.0, 1.0 - ar)
-    wend = np.where(r < 1.0 / p.alpha, _POW[p.k - 1](pos) * pos * (p.k * ar + 1.0), 0.0)
-    return wend + p.lam * r + p.eps * np.exp(-p.beta * r)
+    wend = np.where(r < 1.0 / alpha, _POW[k - 1](pos) * pos * (k * ar + 1.0), 0.0)
+    return wend + p["lambda"] * r + p["eps"] * np.exp(-p["beta"] * r)
 
 
 def _textbook_dg(r, p):
-    ar = p.alpha * r
-    inside = r < 1.0 / p.alpha
+    alpha, k = p["alpha"], p["k"]
+    ar = alpha * r
+    inside = r < 1.0 / alpha
     pos = np.where(inside, np.maximum(0.0, 1.0 - ar), 0.0)
-    wend = np.where(inside, -p.k * (p.k + 1.0) * (p.alpha * p.alpha) * r * _POW[p.k - 1](pos),
-                    0.0)
-    return wend + p.lam - p.eps * p.beta * np.exp(-p.beta * r)
+    wend = np.where(inside, -k * (k + 1.0) * (alpha * alpha) * r * _POW[k - 1](pos), 0.0)
+    return wend + p["lambda"] - p["eps"] * p["beta"] * np.exp(-p["beta"] * r)
 
 
 def _textbook_dparams(r, p):
-    ar = p.alpha * r
-    inside = r < 1.0 / p.alpha
+    alpha, k = p["alpha"], p["k"]
+    ar = alpha * r
+    inside = r < 1.0 / alpha
     pos = np.where(inside, np.maximum(0.0, 1.0 - ar), 0.0)
-    tail = np.exp(-p.beta * r)
+    tail = np.exp(-p["beta"] * r)
     return {
-        "alpha": np.where(inside, -p.k * r * _POW[p.k - 1](pos) * (p.k * ar + 1.0)
-                          + p.k * r * (_POW[p.k - 1](pos) * pos), 0.0),
-        "lam": r,
-        "beta": -p.eps * r * tail,
+        "alpha": np.where(inside, -k * r * _POW[k - 1](pos) * (k * ar + 1.0)
+                          + k * r * (_POW[k - 1](pos) * pos), 0.0),
+        "lambda": r,
+        "beta": -p["eps"] * r * tail,
         "eps": tail,
     }
 
 
 def _textbook_layer(x, up, p):
     """(y, dx, all four coefficient gradients) of sum(up * x g(r))."""
-    if p.mode == "elem":
+    if p["mode"] == "elem":
         r = np.abs(x)
         g, dg = _textbook_g(r, p), _textbook_dg(r, p)
         dx = up * (g + r * dg)
@@ -398,7 +448,6 @@ def _straddling_input(rng, edge, mode):
 
 
 _LOG_STORED = ("alpha", "beta")  # trained as their logarithm
-_REPORT_KEYS = {"alpha": "alpha", "lam": "lambda", "beta": "beta", "eps": "eps"}
 
 
 @pytest.mark.parametrize("mode", ["elem", "channel"])
@@ -406,24 +455,22 @@ _REPORT_KEYS = {"alpha": "alpha", "lam": "lambda", "beta": "beta", "eps": "eps"}
 def test_layer_matches_textbook_closed_forms_bit_for_bit(k, mode):
     rng = np.random.default_rng(500 + k)
     for mask in itertools.product((False, True), repeat=4):
-        train = tuple(name for name, on in zip(_COEFFS, mask) if on)
-        spec_p = EnhancedWendlandParams(alpha=rng.uniform(0.3, 3.0), k=k, lam=0.07,
-                                        beta=rng.uniform(0.3, 3.0), eps=0.02,
-                                        mode=mode, train=train)
-        layer = ActivationLayer(ActivationSpec("ewend", {"ewend": spec_p}))
+        train = tuple(name for name, on in zip(EWEND.trainable, mask) if on)
+        spec_p = {"alpha": rng.uniform(0.3, 3.0), "k": k, "lambda": 0.07,
+                  "beta": rng.uniform(0.3, 3.0), "eps": 0.02, "mode": mode, "train": train}
+        layer = ActivationLayer(ActivationSpec("ewend", spec_p))
         # the layer's natural-space values, of its one replica: log-stored
         # ones may move by an ulp
         c, = layer.current_coefficients()
-        p = EnhancedWendlandParams(alpha=c["alpha"], k=k, lam=c["lambda"], beta=c["beta"],
-                                   eps=c["eps"], mode=mode, train=train)
-        x = _straddling_input(rng, 1.0 / p.alpha, mode)
+        p = {**spec_p, **c}
+        x = _straddling_input(rng, 1.0 / p["alpha"], mode)
         up = rng.standard_normal(x.shape)
         y_ref, dx_ref, grads_ref = _textbook_layer(x, up, p)
 
         np.testing.assert_array_equal(layer.forward(x[None], training=True, rng=None), y_ref[None])
         np.testing.assert_array_equal(layer.backward(up[None]), dx_ref[None])
         trained = {param.name.split(".")[-1]: param.grad.item() for param in layer.params()}
-        expected = {coeff: grads_ref[coeff] * c[_REPORT_KEYS[coeff]]
+        expected = {coeff: grads_ref[coeff] * c[coeff]
                     if coeff in _LOG_STORED else grads_ref[coeff] for coeff in train}
         assert trained == expected, mask
 
@@ -463,14 +510,9 @@ def _natural(layer, replicas):
     return coeffs
 
 
-def _textbook_params(c, base):
-    return EnhancedWendlandParams(alpha=c["alpha"], k=base.k, lam=c["lambda"], beta=c["beta"],
-                                  eps=c["eps"], mode=base.mode, train=base.train)
-
-
 def _expected_grads(grads_ref, c, train):
     """The textbook's coefficient gradients, chained to the stored values."""
-    return {coeff: grads_ref[coeff] * c[_REPORT_KEYS[coeff]] if coeff in _LOG_STORED
+    return {coeff: grads_ref[coeff] * c[coeff] if coeff in _LOG_STORED
             else grads_ref[coeff] for coeff in train}
 
 
@@ -486,17 +528,17 @@ def _assert_layer_grads(layer, want, replica=0):
 def test_layer_matches_textbook_closed_forms_where_terms_are_not_finite(text, mode):
     rng = np.random.default_rng(77)
     spec = parse_activation(text.replace(")", f",mode={mode})"))
-    base = spec.params["ewend"]
+    base = spec.params
     with np.errstate(all="ignore"):
         # a stack of 3 replicas, each with its own alpha, as a study trains it
         layer = ActivationLayer(spec, replicas=3)
         alpha, = (param for param in layer.params() if param.name.endswith(".alpha"))
-        alpha.value[...] = np.log([base.alpha, base.alpha / 7.0, 2.5])[:, None, None]
+        alpha.value[...] = np.log([base["alpha"], base["alpha"] / 7.0, 2.5])[:, None, None]
         coeffs = _natural(layer, 3)
         refs = []
         for c in coeffs:
-            p = _textbook_params(c, base)
-            x = _extreme_input(rng, 1.0 / p.alpha, mode)
+            p = {**base, **c}
+            x = _extreme_input(rng, 1.0 / p["alpha"], mode)
             up = rng.standard_normal(x.shape)
             refs.append((x, up, *_textbook_layer(x, up, p)))
         y = layer.forward(np.stack([ref[0] for ref in refs]), training=True, rng=None)
@@ -504,21 +546,21 @@ def test_layer_matches_textbook_closed_forms_where_terms_are_not_finite(text, mo
         for i, (_, _, y_ref, dx_ref, grads_ref) in enumerate(refs):
             np.testing.assert_array_equal(y[i], y_ref)
             np.testing.assert_array_equal(dx[i], dx_ref)
-            _assert_layer_grads(layer, _expected_grads(grads_ref, coeffs[i], base.train), i)
+            _assert_layer_grads(layer, _expected_grads(grads_ref, coeffs[i], base["train"]), i)
 
         # 2-D rows without the replica axis, against one replica's (1, 1, 1)
         # coefficients: the output takes that axis
         layer = ActivationLayer(spec)
         c = _natural(layer, 1)[0]
         x, up = refs[0][:2]
-        y_ref, dx_ref, grads_ref = _textbook_layer(x, up, _textbook_params(c, base))
+        y_ref, dx_ref, grads_ref = _textbook_layer(x, up, {**base, **c})
         np.testing.assert_array_equal(layer.forward(x, training=True, rng=None), y_ref[None])
         np.testing.assert_array_equal(layer.backward(up), dx_ref[None])
-        _assert_layer_grads(layer, _expected_grads(grads_ref, c, base.train))
+        _assert_layer_grads(layer, _expected_grads(grads_ref, c, base["train"]))
 
         # 0-d inputs through the record, with coefficients that are numbers
         if mode == "elem":
-            edge = 1.0 / base.alpha
+            edge = 1.0 / base["alpha"]
             for v in (0.0, -0.0, edge, -edge, np.nextafter(edge, 0.0), 0.5 * edge, 3.0,
                       np.inf, -np.inf, np.nan):
                 x, up = np.asarray(v), np.asarray(-0.75)
@@ -527,7 +569,5 @@ def test_layer_matches_textbook_closed_forms_where_terms_are_not_finite(text, mo
                 dx, grads = EWEND.backward(base, x, profile, up)
                 np.testing.assert_array_equal(y, y_ref)
                 np.testing.assert_array_equal(dx, dx_ref)
-                natural = {"alpha": base.alpha, "lambda": base.lam, "beta": base.beta,
-                           "eps": base.eps}
-                for coeff, want in _expected_grads(grads_ref, natural, base.train).items():
+                for coeff, want in _expected_grads(grads_ref, base, base["train"]).items():
                     np.testing.assert_array_equal(grads[coeff], want)

@@ -185,23 +185,23 @@ def test_gradient_check_non_finite_is_a_failure():
 def test_alpha_gradient_outside_support_matches_linear_exp_path():
     # when alpha*r > 1 for every element, the Wendland branch contributes
     # nothing: gradients equal those of a profile with the bump removed
-    from wendnet.activations import KINDS, EnhancedWendlandParams
+    from wendnet.activations import KINDS
 
     rng = default_rng(4)
     x = rng.uniform(2.0, 5.0, size=50) * np.sign(rng.standard_normal(50))
     up = rng.standard_normal(50)
-    p_full = EnhancedWendlandParams(alpha=1.0, train=("alpha", "lam", "beta", "eps"))
     rec = KINDS["ewend"]
+    p_full = {**rec.defaults, "alpha": 1.0, "train": ("alpha", "lambda", "beta", "eps")}
     _, profile = rec.forward(p_full, x, True, None)
     dx_full, g_full = rec.backward(p_full, x, profile, up)
 
-    lam, beta, eps = p_full.lam, p_full.beta, p_full.eps
+    lam, beta, eps = p_full["lambda"], p_full["beta"], p_full["eps"]
     r = np.abs(x)
     g_no_wend = lam * r + eps * np.exp(-beta * r)
     dg_no_wend = lam - eps * beta * np.exp(-beta * r)
     np.testing.assert_allclose(dx_full, up * (g_no_wend + r * dg_no_wend), atol=1e-12)
     assert g_full["alpha"] == 0.0
-    assert g_full["lam"] == pytest.approx(float(np.sum(up * x * r)), rel=1e-12)
+    assert g_full["lambda"] == pytest.approx(float(np.sum(up * x * r)), rel=1e-12)
 
 
 def _loss(kind, pred, target):
