@@ -413,7 +413,7 @@ def run_mnist_like(cfg: ExperimentConfig) -> list[Path]:
         images, labels = load_idx(dp[f"{part}_images"], dp[f"{part}_labels"])
         images, labels = subsample(images, labels, dp[f"n_{part}"],
                                    substream(cfg.seed, "subsample", part))
-        data += [images.astype(np.float64) / 255.0, labels]
+        data += [images, labels]  # stored uint8 pixels: train scales each batch
 
     own = "accuracy_table.csv"
     finals = [(act_text, [r.test_accuracy for r in _completed(jobs)])

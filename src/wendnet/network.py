@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import activations as act
-from .tensor import ShapeError, central_step, finite_diff_check, substream, tensor
+from .tensor import ShapeError, central_step, features, finite_diff_check, substream, tensor
 
 
 class Param:
@@ -492,8 +492,13 @@ def train(net: Network, x_train, y_train, loss_kind: str, optimizer,
     offending epoch number, and leaves the stack; the others train on.
     Train and test data that do not fit the network's first or last width
     raise ShapeError before the first update.
+
+    The rows become float64 by `features` where they enter: the test rows
+    once, here, and the training rows one gathered batch at a time, so
+    stored `uint8` pixels stay one byte each and each batch enters scaled
+    to [0, 1].
     """
-    x_train = tensor(x_train)
+    x_train = np.asarray(x_train)
     n = x_train.shape[0]
     if n == 0:
         raise ValueError("dataset is empty")
@@ -503,7 +508,7 @@ def train(net: Network, x_train, y_train, loss_kind: str, optimizer,
         raise ValueError(f"{len(rngs)} generators for {net.replicas} replicas")
     y_train = np.asarray(y_train)
     if x_test is not None:
-        x_test, y_test = tensor(x_test), np.asarray(y_test)
+        x_test, y_test = features(x_test), np.asarray(y_test)
     # checked once here, so the loss kernels need not be; activations keep
     # the width, so the first and last Dense layers set the input's and the
     # output's
@@ -528,15 +533,17 @@ def train(net: Network, x_train, y_train, loss_kind: str, optimizer,
             totals = np.zeros(len(live))
             for start in range(0, n, batch_size):
                 idx = orders[:, start:start + batch_size]  # one row of indices per replica
-                pred = net.forward(x_train.take(idx.ravel(), axis=0), training=True, rng=gens)
+                pred = net.forward(features(x_train.take(idx.ravel(), axis=0)),
+                                   training=True, rng=gens)
                 values, grad = eval_loss(loss_kind, pred.reshape(idx.shape + pred.shape[-1:]),
                                          y_train.take(idx, axis=0))
                 net.backward(grad, need_dx=False)
-                # a finite sum proves every entry finite, so only a sum that
-                # is not (a non-finite entry, or finite entries that overflow
-                # it) pays for the scans
+                # a finite sum of the losses and a finite sum of the squared
+                # gradient entries prove every entry finite, so only a result
+                # that is not (a non-finite entry, or finite entries that
+                # overflow it) pays for the scans
                 if not (math.isfinite(np.add.reduce(values))
-                        and math.isfinite(np.add.reduce(net.grad))):
+                        and math.isfinite(net.grad @ net.grad)):
                     # nothing was updated: each replica at fault ends here,
                     # with the coefficients its last forward used
                     bad = ~np.isfinite(values) | net.nonfinite_replicas()

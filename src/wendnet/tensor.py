@@ -1,9 +1,11 @@
-"""The float64 array constructor, seeded RNG substreams, and a
-finite-difference gradient checker.
+"""The float64 array constructor and the rule by which data rows enter,
+seeded RNG substreams, and a finite-difference gradient checker.
 
-Everything is backed by C-contiguous float64 numpy arrays.  Accumulation order
-is numpy's row-major order, so results are bit-reproducible on a given
-platform.
+Everything the engine computes with is a C-contiguous float64 numpy array.
+Data become float64 only where they enter: `features` turns stored `uint8`
+pixels into intensities in [0, 1], and anything else goes through `tensor`.
+Accumulation order is numpy's row-major order, so results are
+bit-reproducible on a given platform.
 """
 
 from __future__ import annotations
@@ -21,6 +23,16 @@ class ShapeError(ValueError):
 def tensor(data) -> np.ndarray:
     """Materialize `data` as a C-contiguous float64 array."""
     return np.ascontiguousarray(np.asarray(data, dtype=np.float64))
+
+
+def features(data) -> np.ndarray:
+    """Materialize data rows as a C-contiguous float64 array: a `uint8` array
+    holds stored pixel intensities and enters as `data / 255.0` (NumPy casts
+    each byte to float64 and divides, so the bits are those of casting
+    first); anything else enters through `tensor` unscaled."""
+    if isinstance(data, np.ndarray) and data.dtype == np.uint8:
+        return tensor(data / 255.0)
+    return tensor(data)
 
 
 # ---------------------------------------------------------------------------

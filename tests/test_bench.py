@@ -3,6 +3,7 @@
 import csv
 import hashlib
 import io
+import tracemalloc
 import warnings
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
@@ -782,6 +783,47 @@ def test_mnist_like_pipeline_on_synthetic_idx(tmp_path):
     assert table[2][0].startswith("ewend")
     accs = [float(r[1]) for r in table[1:]]
     assert all(a > 0.9 for a in accs)  # trivially separable patterns
+
+
+def _pixel_study(tmp_path, n_train, n_test):
+    """A one-epoch relu study [784, 4, 10] on seeded synthetic IDX files of
+    exactly n_train/n_test images, ten of each class."""
+    rng = np.random.default_rng(3)
+    raw = yaml.safe_load(default_config_text("mnist"))
+    for part, n in (("train", n_train), ("test", n_test)):
+        write_idx_images(tmp_path / f"{part}-images",
+                         rng.integers(0, 256, size=(n, 28, 28)).astype(np.uint8))
+        write_idx_labels(tmp_path / f"{part}-labels", np.tile(np.arange(10), n // 10))
+        raw["dataset"].update({f"{part}_images": str(tmp_path / f"{part}-images"),
+                               f"{part}_labels": str(tmp_path / f"{part}-labels"),
+                               f"n_{part}": n})
+    raw.update(epochs=1, activations=["relu"], architecture=[784, 4, 10],
+               output_dir=str(tmp_path / "out"))
+    return config_from_dict(raw)
+
+
+def test_mnist_like_study_keeps_its_pixels_as_stored(tmp_path, monkeypatch):
+    cfg = _pixel_study(tmp_path, 4000, 200)
+    seen = []
+    real_train = bench.train
+
+    def spy(net, x_train, *args, **kwargs):
+        seen.append((x_train.dtype, x_train.nbytes, kwargs["x_test"].dtype))
+        return real_train(net, x_train, *args, **kwargs)
+
+    with monkeypatch.context() as m:
+        m.setattr(bench, "train", spy)
+        bench.run_mnist_like(cfg)
+    assert seen == [(np.uint8, 4000 * 784, np.uint8)]
+    # the training pixels as float64 would take 4000 * 784 * 8 bytes, 25 MB;
+    # the study's peak stays below half of that
+    tracemalloc.start()
+    try:
+        bench.run_mnist_like(cfg)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 4000 * 784 * 8 / 2, f"traced peak {peak / 1e6:.1f} MB"
 
 
 def test_cli_grad_check_non_finite_error_fails(monkeypatch):

@@ -363,6 +363,104 @@ def test_finite_gradients_whose_sum_overflows_pass_the_check():
     assert net.theta.tobytes() == plain.theta.tobytes() and (net.theta == -1e308).all()
 
 
+def _train_fields(net, x, labels, optimizer, rngs, epochs=3):
+    records = train(net, x, labels, "xent", optimizer, epochs=epochs, batch_size=8,
+                    rngs=rngs, x_test=x, y_test=labels)
+    return [[(r.epoch, r.train_loss, r.test_loss, r.test_accuracy, r.activation_params,
+              r.status) for r in recs] for recs in records]
+
+
+def test_finite_gradient_entries_whose_squares_overflow_pass_the_check(monkeypatch):
+    # inputs near 1e199 give weight gradients near 1e200: their sum is
+    # finite, the dot of the gradient with itself overflows, so train falls
+    # through to the scan, which finds every entry finite
+    x = 1e199 * default_rng(70).standard_normal((16, 2))
+    labels = (x[:, 0] > 0).astype(np.int64)
+
+    def fields():
+        net = build_mlp([2, 4, 2], parse_activation("relu"), [default_rng(71), default_rng(72)])
+        return _train_fields(net, x, labels, Adam(net), [default_rng(73), default_rng(74)])
+
+    scans = []
+    scan = Network.nonfinite_replicas
+
+    def spy(net):
+        found = scan(net)
+        scans.append((np.abs(net.grad).max(), np.add.reduce(net.grad), net.grad @ net.grad,
+                      found.any()))
+        return found
+
+    with monkeypatch.context() as m:
+        m.setattr(Network, "nonfinite_replicas", spy)
+        checked = fields()
+    assert len(scans) == 3 * 2  # every batch: 3 epochs of 2 batches
+    for biggest, total, squares, found in scans:
+        assert 1e190 < biggest < np.inf and np.isfinite(total)
+        assert squares == np.inf and not found
+    assert [[rec[-1] for rec in recs] for recs in checked] == [["ok"] * 3] * 2
+    assert all(np.isfinite(rec[1]) for recs in checked for rec in recs)
+    # the records of a check that passes here without a scan, as the check by
+    # the plain sum of the gradient did
+    monkeypatch.setattr(network, "math", SimpleNamespace(sqrt=math.sqrt, isfinite=lambda v: True))
+    assert fields() == checked
+
+
+class _NanGradient(_BigGradient):
+    """The identity layer above, whose gradient is NaN in the replica at place
+    1 of a stack of 3, and 0 elsewhere."""
+
+    def backward(self, upstream, need_dx=True):
+        self.p.grad[...] = 0.0
+        if len(self.p.grad) == 3:
+            self.p.grad[1] = np.nan
+        return upstream if need_dx else None
+
+
+def test_a_nan_gradient_ends_only_its_own_replica():
+    net = Network([_NanGradient(replicas=3)])
+    x = np.zeros((4, 1))
+    records = train(net, x, x, "mse", SGD(net, lr=1.0), epochs=2, batch_size=4,
+                    rngs=[default_rng(r) for r in range(3)])
+    assert [[(rec.epoch, rec.status) for rec in recs] for recs in records] == [
+        [(0, "ok"), (1, "ok")], [(0, "diverged")], [(0, "ok"), (1, "ok")]]
+
+
+def test_uint8_rows_train_as_their_float_intensities():
+    # a stack of relu and a trained ewend at width 784: the stored pixels and
+    # the pixels cast and scaled first give the same records and parameters
+    rng = default_rng(75)
+    pixels = rng.integers(0, 256, size=(48, 784)).astype(np.uint8)
+    labels = rng.integers(0, 10, size=48)
+    specs = [parse_activation(text) for text in ("relu", "ewend(train=alpha|lambda)")]
+
+    def run(x):
+        net = build_mlp([784, 8, 10], specs, [default_rng(76), default_rng(77)])
+        fields = _train_fields(net, x, labels, Adam(net, lr=1e-2),
+                               [default_rng(78), default_rng(79)], epochs=2)
+        return fields, net.theta.tobytes()
+
+    stored, scaled = run(pixels), run(pixels.astype(np.float64) / 255.0)
+    assert stored == scaled
+    assert all(rec[-1] == "ok" for recs in stored[0] for rec in recs)
+
+
+@pytest.mark.parametrize("convert", [
+    lambda x: x.tolist(), lambda x: x.astype(np.float32), lambda x: x.astype(np.int64)],
+    ids=["list", "float32", "int64"])
+def test_other_rows_train_unscaled(convert):
+    # whole-number rows up to 255 that a float32 holds exactly: the records
+    # are those of the float64 rows, so none of them entered as pixels
+    rng = default_rng(80)
+    x = rng.integers(0, 256, size=(24, 3)).astype(np.float64)
+    labels = (x[:, 0] > 127).astype(np.int64)
+
+    def run(rows):
+        net = build_mlp([3, 4, 2], parse_activation("tanh"), [default_rng(81)])
+        return _train_fields(net, rows, labels, Adam(net), [default_rng(82)], epochs=2)
+
+    assert run(convert(x)) == run(x)
+
+
 @pytest.mark.parametrize("bad", [(np.nan,), (np.inf,), (-np.inf,), (np.inf, -np.inf)],
                          ids=["nan", "inf", "-inf", "inf-pair"])
 def test_non_finite_gradient_in_any_parameter_flags_its_replica(bad):

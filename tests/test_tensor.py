@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from wendnet.tensor import finite_diff_check, relative_error, substream
+from wendnet.tensor import features, finite_diff_check, relative_error, substream, tensor
 
 
 def test_rng_reproducibility():
@@ -18,6 +18,27 @@ def test_substreams_independent_of_order():
     b2 = substream(7, "net", "tanh").standard_normal(5)
     np.testing.assert_array_equal(b1, b2)
     assert not np.array_equal(a1, b1)
+
+
+def test_uint8_features_enter_as_intensities_bit_for_bit():
+    pixels = np.arange(256, dtype=np.uint8).reshape(16, 16)
+    out = features(pixels)
+    assert out.dtype == np.float64 and out.flags.c_contiguous
+    assert out.tobytes() == (pixels.astype(np.float64) / 255.0).tobytes()
+    assert out[0, 0] == 0.0 and out[-1, -1] == 1.0
+
+
+@pytest.mark.parametrize("data", [
+    [[0, 128, 255], [3, 2, 1]],
+    np.array([[0.5, 255.0], [-1.0, 2.0]], dtype=np.float32),
+    np.array([[0, 255], [256, -7]], dtype=np.int64),
+    np.array([[0.0, 255.0], [1e300, -2.5]])[:, ::-1],
+], ids=["list", "float32", "int64", "float64-view"])
+def test_other_features_enter_through_tensor_unscaled(data):
+    out = features(data)
+    assert out.dtype == np.float64 and out.flags.c_contiguous
+    assert out.tobytes() == tensor(data).tobytes()
+    np.testing.assert_array_equal(out, np.asarray(data, dtype=np.float64))
 
 
 def test_finite_diff_linear_map_is_exact():
