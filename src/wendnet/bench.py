@@ -23,7 +23,7 @@ import numpy as np
 import yaml
 
 from . import __version__
-from .activations import ActivationSpec, ConfigError, format_activation, parse_activation
+from .activations import KINDS, ActivationSpec, ConfigError, format_activation, parse_activation
 from .datasets import load_idx, make_circles, make_moons, sample_sine, split, subsample
 from .network import SGD, Adam, EpochRecord, build_mlp, quiet_errstate, train
 from .tensor import substream
@@ -209,26 +209,29 @@ def _fmt(value) -> str:
     return str(value)
 
 
-def _open_csv(path: Path, cfg: ExperimentConfig, columns):
-    f = open(path, "w", newline="", encoding="utf-8")
-    f.write(f"# wendnet v{__version__}\n")
-    f.write(f"# config_digest={cfg.digest}\n")
-    f.write(f"# seed={cfg.seed}\n")
-    writer = csv.writer(f)
-    writer.writerow(columns)
-    return f, writer
+def _write_csv(path: Path, cfg: ExperimentConfig, columns, rows) -> Path:
+    """Write the version, config digest and seed lines, `columns` and `rows` to `path`."""
+    with open(path, "w", newline="", encoding="utf-8") as f:
+        f.write(f"# wendnet v{__version__}\n")
+        f.write(f"# config_digest={cfg.digest}\n")
+        f.write(f"# seed={cfg.seed}\n")
+        writer = csv.writer(f)
+        writer.writerow(columns)
+        writer.writerows(rows)
+    return path
 
 
 def _params_blob(params: dict[str, float]) -> str:
     return "|".join(f"{k}={v:.17g}" for k, v in sorted(params.items()))
 
 
-def _metric_rows(cfg: ExperimentConfig, act_text: str, rep: int,
-                 records: list[EpochRecord]):
-    for rec in records:
-        yield [cfg.experiment, act_text, rep, rec.epoch,
-               _fmt(rec.train_loss), _fmt(rec.test_loss), _fmt(rec.test_accuracy),
-               _fmt(rec.seconds), _params_blob(rec.activation_params), rec.status]
+def _metric_rows(cfg: ExperimentConfig, results: list[tuple]):
+    for act_text, runs, _ in results:
+        for rep, records in enumerate(runs):
+            for rec in records:
+                yield [cfg.experiment, act_text, rep, rec.epoch,
+                       _fmt(rec.train_loss), _fmt(rec.test_loss), _fmt(rec.test_accuracy),
+                       _fmt(rec.seconds), _params_blob(rec.activation_params), rec.status]
 
 
 def _stacks(cfg: ExperimentConfig) -> list[list[str]]:
@@ -247,14 +250,14 @@ def _stacks(cfg: ExperimentConfig) -> list[list[str]]:
 
 
 def _train_stack(cfg: ExperimentConfig, texts: list[str], data: tuple, loss_kind: str,
-                 grid: np.ndarray | None = None) -> list[tuple[str, list]]:
+                 grid: np.ndarray | None = None) -> list[tuple]:
     """Train every repetition of the activations `texts` as one stack on
     `data`, the study's (x_train, y_train, x_test, y_test), its replicas in
     order of activation, then repetition; repetition r of an activation
-    draws only from its own substreams.  Returns, per activation, its text
-    and each repetition's (epoch records, prediction): the first
+    draws only from its own substreams.  Returns, per activation, its text,
+    each repetition's epoch records, and its prediction: the first
     repetition's net output on `grid` (all NaN after a divergence), or None
-    for the others and without a grid."""
+    without a grid."""
     jobs = [(text, rep) for text in texts for rep in range(cfg.repetitions)]
     specs = [cfg.activations[text] for text, _ in jobs]
     # one spec when the stack runs one activation, as the layers then do
@@ -272,26 +275,24 @@ def _train_stack(cfg: ExperimentConfig, texts: list[str], data: tuple, loss_kind
         rngs=[substream(cfg.seed, "train", text, rep) for text, rep in jobs],
         x_test=x_test, y_test=y_test)
     n = cfg.repetitions
-    predictions = [None] * len(jobs)
+    predictions = [None] * len(texts)
     if grid is not None:
         ok = [recs[-1].status == "ok" for recs in records]
         if any(ok):
             with quiet_errstate():  # as in train: a kind's masked-out branch may warn
                 grid_out = net.forward(grid).reshape(sum(ok), len(grid), -1)
-        for i in range(0, len(jobs), n):  # each activation's first repetition
-            # at its place among the replicas left in the stack
-            predictions[i] = grid_out[sum(ok[:i]), :, 0] if ok[i] else np.full(len(grid), np.nan)
-    return [(text, list(zip(records[i * n:(i + 1) * n], predictions[i * n:(i + 1) * n])))
-            for i, text in enumerate(texts)]
+        # each activation's first repetition, at its place among the replicas left
+        predictions = [grid_out[sum(ok[:i]), :, 0] if ok[i] else np.full(len(grid), np.nan)
+                       for i in range(0, len(jobs), n)]
+    return [(text, records[i * n:(i + 1) * n], predictions[i]) for i, text in enumerate(texts)]
 
 
 def _run_jobs(cfg: ExperimentConfig, data: tuple, loss_kind: str, own: str,
-              grid: np.ndarray | None = None) -> list[tuple[str, list]]:
+              grid: np.ndarray | None = None) -> list[tuple]:
     """Train every (activation, repetition) job of `cfg` on `data`, in the
     stacks `_stacks` packs, then write metrics.csv in config order.
-    Returns, per activation, its text encoding and the `(records,
-    prediction)` of each repetition; only the first repetition predicts on
-    `grid`.
+    Returns, per activation in config order, what `_train_stack` does: its
+    text encoding, each repetition's records and its prediction on `grid`.
 
     The engine decides whether the data fit the architecture: a misfit
     raises ShapeError in the first stack, before any update, so the study
@@ -305,17 +306,13 @@ def _run_jobs(cfg: ExperimentConfig, data: tuple, loss_kind: str, own: str,
         (out / name).unlink(missing_ok=True)
     results = [result for texts in _stacks(cfg)
                for result in _train_stack(cfg, texts, data, loss_kind, grid)]
-    mf, mwriter = _open_csv(out / "metrics.csv", cfg, METRIC_COLUMNS)
-    with mf:
-        for act_text, jobs in results:
-            for rep, (records, _) in enumerate(jobs):
-                mwriter.writerows(_metric_rows(cfg, act_text, rep, records))
+    _write_csv(out / "metrics.csv", cfg, METRIC_COLUMNS, _metric_rows(cfg, results))
     return results
 
 
-def _completed(jobs: list[tuple]) -> list[EpochRecord]:
+def _completed(runs: list[list[EpochRecord]]) -> list[EpochRecord]:
     """Final records of the repetitions that ended with status ok."""
-    return [records[-1] for records, _ in jobs if records[-1].status == "ok"]
+    return [records[-1] for records in runs if records[-1].status == "ok"]
 
 
 def _mean_std(vals):
@@ -352,16 +349,12 @@ def run_sine(cfg: ExperimentConfig) -> list[Path]:
     grid = np.linspace(lo, hi, dp["grid_points"])[:, None]
     data = _split(cfg, x, y)
     own = "predictions.csv"
-    pred_cols = [(text, jobs[0][1]) for text, jobs in _run_jobs(cfg, data, "mse", own, grid)]
+    results = _run_jobs(cfg, data, "mse", own, grid)
+    rows = ([_fmt(float(v)) for v in (x, np.sin(x), *(pred[i] for *_, pred in results))]
+            for i, x in enumerate(grid[:, 0]))
+    columns = ["x", "sin_x"] + [f"pred_{text}" for text, *_ in results]
     out = Path(cfg.output_dir)
-    pf, pwriter = _open_csv(out / own, cfg,
-                            ["x", "sin_x"] + [f"pred_{name}" for name, _ in pred_cols])
-    with pf:
-        for i in range(grid.shape[0]):
-            row = [_fmt(float(grid[i, 0])), _fmt(float(np.sin(grid[i, 0])))]
-            row += [_fmt(float(col[i])) for _, col in pred_cols]
-            pwriter.writerow(row)
-    return [out / "metrics.csv", out / own]
+    return [out / "metrics.csv", _write_csv(out / own, cfg, columns, rows)]
 
 
 def run_toy_classification(cfg: ExperimentConfig) -> list[Path]:
@@ -374,23 +367,21 @@ def run_toy_classification(cfg: ExperimentConfig) -> list[Path]:
     else:
         x, y = make_circles(dp["n"], dp["noise_sd"], dp["factor"], rng)
     own = "summary.csv"
-    results = _run_jobs(cfg, _split(cfg, x, y), "xent", own)
+    rows = []
+    for act_text, runs, _ in _run_jobs(cfg, _split(cfg, x, y), "xent", own):
+        finals = _completed(runs)
+        secs = [r.seconds for records in runs for r in records]
+        am, asd = _mean_std([r.test_accuracy for r in finals])
+        lm, lsd = _mean_std([r.test_loss for r in finals])
+        rows.append([act_text, len(finals), _fmt(am), _fmt(asd), _fmt(lm), _fmt(lsd),
+                     _fmt(float(np.mean(secs)) if secs else None)])
     out = Path(cfg.output_dir)
-    sf, swriter = _open_csv(out / own, cfg,
-                            ["activation", "completed_repetitions",
-                             "test_accuracy_mean", "test_accuracy_std",
-                             "test_loss_mean", "test_loss_std",
-                             "mean_epoch_seconds"])
-    with sf:
-        for act_text, jobs in results:
-            finals = _completed(jobs)
-            secs = [r.seconds for records, _ in jobs for r in records]
-            am, asd = _mean_std([r.test_accuracy for r in finals])
-            lm, lsd = _mean_std([r.test_loss for r in finals])
-            swriter.writerow([act_text, len(finals), _fmt(am), _fmt(asd),
-                              _fmt(lm), _fmt(lsd),
-                              _fmt(float(np.mean(secs)) if secs else None)])
-    return [out / "metrics.csv", out / own]
+    return [out / "metrics.csv",
+            _write_csv(out / own, cfg,
+                       ["activation", "completed_repetitions",
+                        "test_accuracy_mean", "test_accuracy_std",
+                        "test_loss_mean", "test_loss_std",
+                        "mean_epoch_seconds"], rows)]
 
 
 def _table_ordered(specs: dict[str, ActivationSpec]) -> list[str]:
@@ -416,23 +407,20 @@ def run_mnist_like(cfg: ExperimentConfig) -> list[Path]:
         data += [images, labels]  # stored uint8 pixels: train scales each batch
 
     own = "accuracy_table.csv"
-    finals = [(act_text, [r.test_accuracy for r in _completed(jobs)])
-              for act_text, jobs in _run_jobs(cfg, tuple(data), "xent", own)]
-    by_text = {text: float(np.mean(accs)) if accs else None for text, accs in finals}
+    accs = {act_text: [r.test_accuracy for r in _completed(runs)]
+            for act_text, runs, _ in _run_jobs(cfg, tuple(data), "xent", own)}
+    rows = ([text, _fmt(float(np.mean(accs[text])) if accs[text] else None)]
+            for text in _table_ordered(cfg.activations))
     out = Path(cfg.output_dir)
-    tf, twriter = _open_csv(out / own, cfg,
-                            ["activation", "test_accuracy"])
-    with tf:
-        for text in _table_ordered(cfg.activations):
-            twriter.writerow([text, _fmt(by_text[text])])
-    return [out / "metrics.csv", out / own]
+    return [out / "metrics.csv", _write_csv(out / own, cfg, ["activation", "test_accuracy"], rows)]
 
 
 # ---------------------------------------------------------------------------
 # The experiments and their starter configs.
 # ---------------------------------------------------------------------------
 
-_DEFAULT_EWEND = "ewend(alpha=1.0,k=4,lambda=0.1,beta=1.0,eps=0.01,mode=elem)"
+_DEFAULT_EWEND = "ewend({})".format(",".join(  # every default but the "|"-set, as written
+    f"{k}={v}" for k, v in KINDS["ewend"].defaults.items() if not isinstance(v, tuple)))
 
 
 @dataclass(frozen=True)

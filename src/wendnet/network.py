@@ -147,9 +147,13 @@ class ActivationLayer:
             out += [{coeff: float(v[i]) for coeff, v in values.items()} for i in range(n)]
         return out
 
-    def kinks(self) -> tuple[float, ...]:
-        """Inputs at which the first derivative of a group's activation jumps."""
-        return tuple(kink for _, kind, c in self._bound() for kink in kind.kinks(c))
+    def kink_gap(self) -> float:
+        """The smallest gap between an input of the last forward and a point
+        where the first derivative of its group's activation jumps."""
+        x, _ = self._cache
+        gaps = (float(np.abs(self._part(x, rows) - kink).min())
+                for rows, kind, c in self._bound() for kink in kind.kinks(c))
+        return min(gaps, default=math.inf)
 
     def forward(self, x: np.ndarray, training: bool, rng) -> np.ndarray:
         if len(self._groups) > 1 and x.ndim < 3:
@@ -587,13 +591,7 @@ def train(net: Network, x_train, y_train, loss_kind: str, optimizer,
 
 def min_kink_gap(net: Network) -> float:
     """The smallest gap between an activation input of the last forward and a kink."""
-    gap = float("inf")
-    for layer in net._activations():
-        x = layer._cache[0]
-        for rows, kind, c in layer._bound():
-            for kink in kind.kinks(c):
-                gap = min(gap, float(np.abs(layer._part(x, rows) - kink).min()))
-    return gap
+    return min((layer.kink_gap() for layer in net._activations()), default=math.inf)
 
 
 # A base point (theta, x) needs every pre-activation this many probe steps

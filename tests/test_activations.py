@@ -372,11 +372,12 @@ def test_finite_values_and_gradients_on_finite_inputs(kind, data):
 
 def _kink_gap(layer, x):
     """Distance from the listed kinks of the variable they lie on: the slice
-    norm for channel-mode ewend, each element otherwise."""
-    kinks = layer.kinks()
+    norm for channel-mode ewend, each element otherwise.  Its kind lists the
+    kinks at the layer's current coefficients."""
+    spec, = layer.specs  # a layer of one replica
+    kinks = KINDS[spec.kind].kinks({**spec.params, **layer.current_coefficients()[0]})
     if not kinks:
         return np.inf
-    spec, = layer.specs  # a layer of one replica
     channel = spec.kind == "ewend" and spec.params["mode"] == "channel"
     at = np.sqrt(np.sum(x * x, axis=-1)) if channel else x
     return min(float(np.abs(at - kink).min()) for kink in kinks)

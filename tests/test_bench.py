@@ -487,6 +487,8 @@ def _run_fails(path) -> str:
     ("sine", {"dataset": {"x_hi": 10 ** 400}}),
     ("moons", {"activations": ["relu", "relu"]}),
     ("sine", {"activations": ["lrelu(slope=0.01)", "tanh", "lrelu(slope=0.0100000001)"]}),
+    ("moons", {"dataset": {"n": 1}}),
+    ("circles", {"dataset": {"n": 1}}),
 ], ids=["epochs", "seed", "lr", "architecture", "test_fraction-1", "test_fraction-1.5",
         "test_fraction-0", "test_fraction-abc", "n-abc", "n-1.5", "n-true",
         "noise_sd-list", "grid_points-abc", "dataset-list", "moons-test_fraction-0",
@@ -501,7 +503,8 @@ def _run_fails(path) -> str:
         "ewend-alpha-nan", "ewend-alpha-1e309", "ewend-k-inf", "lrelu-slope-inf",
         "prelu-slope-nan", "srelu-tl-inf", "srelu-crossed", "ewend-eps-nan-second",
         "experiment-list", "experiment-mapping", "sine-x-range-overflow", "lr-int-past-float",
-        "x_hi-int-past-float", "activation-repeated", "activation-same-encoding"])
+        "x_hi-int-past-float", "activation-repeated", "activation-same-encoding",
+        "moons-n-1", "circles-n-1"])
 def test_cli_run_bad_config_value_exits_2(tmp_path, experiment, override):
     path = _cli_config(tmp_path, experiment, override)
     assert len(_run_fails(path).splitlines()) == 1
@@ -734,6 +737,41 @@ def test_no_wendnet_path_imports_scipy():
                          env={**os.environ, "PYTHONPATH": src}, capture_output=True, text=True,
                          check=True)
     assert out.stdout == "[]\n"
+
+
+def test_a_study_writes_the_same_rows_at_any_blas_thread_count(tmp_path):
+    # a threaded BLAS may sum a wide matmul in another order; the package
+    # pins one thread before NumPy loads, so `python -m wendnet.cli` writes
+    # the rows of OPENBLAS_NUM_THREADS=1 whatever the caller set
+    import os
+    import subprocess
+    import sys
+
+    import wendnet
+
+    rng = np.random.default_rng(11)
+    raw = yaml.safe_load(default_config_text("mnist"))
+    for part, n in (("train", 600), ("test", 400)):
+        write_idx_images(tmp_path / f"{part}-images", rng.integers(0, 256, size=(n, 28, 28)))
+        write_idx_labels(tmp_path / f"{part}-labels", np.tile(np.arange(10), n // 10))
+        raw["dataset"].update({f"{part}_images": str(tmp_path / f"{part}-images"),
+                               f"{part}_labels": str(tmp_path / f"{part}-labels"),
+                               f"n_{part}": n})
+    raw.update(epochs=2, activations=["relu", "tanh"], architecture=[784, 64, 10])
+    env = {k: v for k, v in os.environ.items()
+           if k not in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")}
+    env["PYTHONPATH"] = str(Path(wendnet.__file__).resolve().parent.parent)
+    rows = []
+    for setting in ({"OPENBLAS_NUM_THREADS": "1"}, {"OPENBLAS_NUM_THREADS": "2"}, {}):
+        out = tmp_path / f"out-{len(rows)}"
+        path = out.with_suffix(".yaml")
+        path.write_text(yaml.safe_dump({**raw, "output_dir": str(out)}))
+        subprocess.run([sys.executable, "-m", "wendnet.cli", "run", str(path)],
+                       env={**env, **setting}, capture_output=True, check=True)
+        _, metrics = _read_csv(out / "metrics.csv")
+        wall = metrics[0].index("epoch_wall_seconds")
+        rows.append([row[:wall] + row[wall + 1:] for row in metrics])
+    assert rows[1] == rows[0] and rows[2] == rows[0]
 
 
 def test_cli_mnist_missing_files(tmp_path):

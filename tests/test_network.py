@@ -144,11 +144,14 @@ def test_gradient_check_near_a_kink_is_none_and_draws_nothing():
 
 
 def _layer_walking_kink_gap(net, x):
-    """Reference: the kink gap from a forward loop of its own."""
+    """Reference: the kink gap from a forward loop of its own, each layer's
+    kinks listed by its kind at the layer's current coefficients."""
     gap = float("inf")
     for layer in net.layers:
         if isinstance(layer, ActivationLayer):
-            for kink in layer.kinks():
+            spec, = layer.specs  # a layer of one replica
+            for kink in KINDS[spec.kind].kinks({**spec.params,
+                                                **layer.current_coefficients()[0]}):
                 gap = min(gap, float(np.abs(x - kink).min()))
         x = layer.forward(x, training=False, rng=None)
     return gap

@@ -136,6 +136,10 @@ def cases(scratch: Path) -> dict:
     found["study-moons-mix"] = lambda: _study(
         "moons", scratch, lambda acts: MIX, epochs=20, repetitions=2,
         optimizer={"kind": "sgd", "lr": 0.3, "momentum": 0.9})
+    # Adam's step so large that some replicas diverge mid-run and leave its moments
+    found["study-moons-mix-adam"] = lambda: _study(
+        "moons", scratch, lambda acts: MIX, epochs=20, repetitions=2,
+        optimizer={"kind": "adam", "lr": 400.0})
     found["study-sine-mix"] = lambda: _study(
         "sine", scratch, lambda acts: acts + MIX[2:], epochs=30, repetitions=3)
     found["study-mnist-synthetic"] = lambda: _mnist_synthetic(scratch)
