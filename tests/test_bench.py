@@ -229,12 +229,16 @@ def test_sine_predictions_columns(tmp_path):
 
 
 def test_sine_predictions_come_from_the_first_repetition(tmp_path):
-    # a second repetition adds metrics rows but predicts nothing
+    # more repetitions add metrics rows but predict nothing, and a larger
+    # stack leaves repetition 0's rows as they are
     once = run_sine(_small_sine_cfg(tmp_path / "a", activations=["tanh", "relu"]))
-    twice = run_sine(_small_sine_cfg(tmp_path / "b", activations=["tanh", "relu"],
-                                     repetitions=2))
-    assert _read_csv(once[1])[1] == _read_csv(twice[1])[1]
-    assert len(_read_csv(twice[0])[1]) == 1 + 2 * 2 * 3
+    thrice = run_sine(_small_sine_cfg(tmp_path / "b", activations=["tanh", "relu"],
+                                      repetitions=3))
+    assert _read_csv(once[1])[1] == _read_csv(thrice[1])[1]
+    header, *rows = _strip_timing(_read_csv(thrice[0])[1])
+    assert len(rows) == 2 * 3 * 3
+    assert [header, *(row for row in rows if row[2] == "0")] == (
+        _strip_timing(_read_csv(once[0])[1]))
 
 
 def _strip_timing(rows):
@@ -306,11 +310,13 @@ def test_activations_with_one_encoding_are_a_config_error():
 
 def test_config_keeps_each_spec_under_its_canonical_text():
     raw = yaml.safe_load(default_config_text("moons"))
-    raw["activations"] = [" RELU ", "lrelu(slope=0.02)", "ewend(k=2,mode=channel)"]
+    raw["activations"] = [" RELU ", "lrelu(slope=0.02)", "ewend(k=2,mode=channel)",
+                          "ewend(train=)"]
     cfg = config_from_dict(raw)
     assert list(cfg.activations) == [
         "relu", "lrelu(slope=0.02)",
-        "ewend(alpha=1,k=2,lambda=0.1,beta=1,eps=0.01,mode=channel)"]
+        "ewend(alpha=1,k=2,lambda=0.1,beta=1,eps=0.01,mode=channel)",
+        "ewend(alpha=1,k=4,lambda=0.1,beta=1,eps=0.01,mode=elem,train=)"]
     assert list(cfg.activations.values()) == [parse_activation(t) for t in raw["activations"]]
 
 
@@ -387,6 +393,9 @@ def test_cli_usage_error():
 
 
 _ABSENT = object()  # a dataset override that deletes its key
+_BAD_EWEND = ("ewend(k=2.5)", "ewend(k=0)", "ewend(k=9)", "ewend(alpha=0)", "ewend(beta=-1)",
+              "ewend(lambda=-0.1)", "ewend(eps=-1e-9)", "ewend(mode=nope)", "ewend(train=lam)",
+              "ewend(train=mode)", "ewend(gamma=1)")
 
 
 def _cli_config(tmp_path, experiment, override) -> Path:
@@ -489,6 +498,7 @@ def _run_fails(path) -> str:
     ("sine", {"activations": ["lrelu(slope=0.01)", "tanh", "lrelu(slope=0.0100000001)"]}),
     ("moons", {"dataset": {"n": 1}}),
     ("circles", {"dataset": {"n": 1}}),
+    *[("moons", {"activations": ["relu", "tanh", text]}) for text in _BAD_EWEND],
 ], ids=["epochs", "seed", "lr", "architecture", "test_fraction-1", "test_fraction-1.5",
         "test_fraction-0", "test_fraction-abc", "n-abc", "n-1.5", "n-true",
         "noise_sd-list", "grid_points-abc", "dataset-list", "moons-test_fraction-0",
@@ -504,7 +514,7 @@ def _run_fails(path) -> str:
         "prelu-slope-nan", "srelu-tl-inf", "srelu-crossed", "ewend-eps-nan-second",
         "experiment-list", "experiment-mapping", "sine-x-range-overflow", "lr-int-past-float",
         "x_hi-int-past-float", "activation-repeated", "activation-same-encoding",
-        "moons-n-1", "circles-n-1"])
+        "moons-n-1", "circles-n-1", *_BAD_EWEND])
 def test_cli_run_bad_config_value_exits_2(tmp_path, experiment, override):
     path = _cli_config(tmp_path, experiment, override)
     assert len(_run_fails(path).splitlines()) == 1
@@ -639,7 +649,7 @@ def test_a_large_study_trains_one_stack_per_activation(tmp_path, monkeypatch):
 
 _MERGED = ["ewend(mode=channel,train=alpha|lambda|beta|eps)",
            "ewend(k=1,train=alpha|lambda|beta|eps)",
-           "relu", "tanh", "rrelu", "prelu", "sinlu", "gelu"]
+           "relu", "tanh", "rrelu", "prelu", "sinlu", "gelu", "ewend(train=)"]
 
 
 def _outputs(tmp_path, experiment, activations, name, **overrides):
@@ -668,6 +678,8 @@ def test_each_activation_of_a_shared_stack_writes_the_rows_it_writes_alone(tmp_p
     merged = _outputs(tmp_path, experiment, _MERGED, "merged", optimizer=optimizer)
     metrics = merged["metrics.csv"]
     assert {row[-1] for row in metrics[1:]} == {"ok", "diverged"}
+    if experiment == "moons":  # one activation finishes 1 of its 2 repetitions
+        assert "1" in {row[1] for row in merged["summary.csv"][1:]}
     for i, text in enumerate(_MERGED):
         alone = _outputs(tmp_path, experiment, [text], f"alone{i}", optimizer=optimizer)
         canonical = alone["metrics.csv"][1][1]
@@ -749,14 +761,8 @@ def test_a_study_writes_the_same_rows_at_any_blas_thread_count(tmp_path):
 
     import wendnet
 
-    rng = np.random.default_rng(11)
     raw = yaml.safe_load(default_config_text("mnist"))
-    for part, n in (("train", 600), ("test", 400)):
-        write_idx_images(tmp_path / f"{part}-images", rng.integers(0, 256, size=(n, 28, 28)))
-        write_idx_labels(tmp_path / f"{part}-labels", np.tile(np.arange(10), n // 10))
-        raw["dataset"].update({f"{part}_images": str(tmp_path / f"{part}-images"),
-                               f"{part}_labels": str(tmp_path / f"{part}-labels"),
-                               f"n_{part}": n})
+    _random_idx_files(tmp_path, raw, 11, train=600, test=400)
     raw.update(epochs=2, activations=["relu", "tanh"], architecture=[784, 64, 10])
     env = {k: v for k, v in os.environ.items()
            if k not in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")}
@@ -772,6 +778,33 @@ def test_a_study_writes_the_same_rows_at_any_blas_thread_count(tmp_path):
         wall = metrics[0].index("epoch_wall_seconds")
         rows.append([row[:wall] + row[wall + 1:] for row in metrics])
     assert rows[1] == rows[0] and rows[2] == rows[0]
+
+
+def test_digest_tool_loads_numpy_under_the_one_thread_pin():
+    # tools/digests.py hashes a 784-wide study in its own process: NumPy
+    # must load after wendnet has pinned BLAS to one thread, whatever the
+    # caller set, or the digest follows the caller's thread count
+    import os
+    import subprocess
+    import sys
+
+    tool = Path(__file__).resolve().parent.parent / "tools" / "digests.py"
+    code = "\n".join([
+        "import importlib.util, os, sys",
+        "seen = []",
+        "class Spy:",
+        "    def find_spec(self, name, path=None, target=None):",
+        "        if name == 'numpy' and not seen:",
+        "            seen.append(os.environ.get('OPENBLAS_NUM_THREADS'))",
+        "sys.meta_path.insert(0, Spy())",
+        f"spec = importlib.util.spec_from_file_location('digests', {str(tool)!r})",
+        "spec.loader.exec_module(importlib.util.module_from_spec(spec))",
+        "print(seen)",
+    ])
+    out = subprocess.run([sys.executable, "-c", code],
+                         env={**os.environ, "OPENBLAS_NUM_THREADS": "2"}, capture_output=True,
+                         text=True, check=True)
+    assert out.stdout == "['1']\n"
 
 
 def test_cli_mnist_missing_files(tmp_path):
@@ -823,18 +856,41 @@ def test_mnist_like_pipeline_on_synthetic_idx(tmp_path):
     assert all(a > 0.9 for a in accs)  # trivially separable patterns
 
 
-def _pixel_study(tmp_path, n_train, n_test):
-    """A one-epoch relu study [784, 4, 10] on seeded synthetic IDX files of
-    exactly n_train/n_test images, ten of each class."""
-    rng = np.random.default_rng(3)
+def test_mnist_starter_runs_on_small_idx_files(tmp_path):
+    # the stock starter's 10 activations at [784, 256, 10], one epoch on
+    # seeded noise: every row ok, one accuracy row per activation in table
+    # order, nothing on stderr
     raw = yaml.safe_load(default_config_text("mnist"))
-    for part, n in (("train", n_train), ("test", n_test)):
-        write_idx_images(tmp_path / f"{part}-images",
-                         rng.integers(0, 256, size=(n, 28, 28)).astype(np.uint8))
+    _random_idx_files(tmp_path, raw, 24, train=300, test=100)
+    raw["dataset"].update(n_train=200, n_test=50)
+    raw.update(epochs=1, output_dir=str(tmp_path / "out"))
+    path = tmp_path / "mnist.yaml"
+    path.write_text(yaml.safe_dump(raw))
+    assert _quiet_run(path) == (0, "", [])
+    _, rows = _read_csv(tmp_path / "out" / "metrics.csv")
+    assert [r[9] for r in rows[1:]] == ["ok"] * 10
+    _, table = _read_csv(tmp_path / "out" / "accuracy_table.csv")
+    assert [parse_activation(r[0]).kind for r in table[1:]] == list(bench.TABLE_ORDER)
+
+
+def _random_idx_files(tmp_path, raw, seed, train, test):
+    """Write `train` and `test` images of seeded random pixels, labelled 0-9
+    in turn, as IDX files in tmp_path, and point the dataset of the mnist
+    config `raw` at all of them."""
+    rng = np.random.default_rng(seed)
+    for part, n in (("train", train), ("test", test)):
+        write_idx_images(tmp_path / f"{part}-images", rng.integers(0, 256, size=(n, 28, 28)))
         write_idx_labels(tmp_path / f"{part}-labels", np.tile(np.arange(10), n // 10))
         raw["dataset"].update({f"{part}_images": str(tmp_path / f"{part}-images"),
                                f"{part}_labels": str(tmp_path / f"{part}-labels"),
                                f"n_{part}": n})
+
+
+def _pixel_study(tmp_path, n_train, n_test):
+    """A one-epoch relu study [784, 4, 10] on seeded synthetic IDX files of
+    exactly n_train/n_test images, ten of each class."""
+    raw = yaml.safe_load(default_config_text("mnist"))
+    _random_idx_files(tmp_path, raw, 3, train=n_train, test=n_test)
     raw.update(epochs=1, activations=["relu"], architecture=[784, 4, 10],
                output_dir=str(tmp_path / "out"))
     return config_from_dict(raw)
@@ -1049,33 +1105,18 @@ def test_cli_run_config_not_utf8(tmp_path):
 
 
 def test_cli_huge_alpha_study_runs(tmp_path):
-    # alpha**2 overflows a Python float; the study must still end normally
+    # alpha**2 overflows a Python float, and outside the support a Wendland
+    # term of alpha*alpha or alpha*r is infinite; beside them channel ewend
+    # trains every coefficient: 4 activations, 3 repetitions, 2 epochs, all ok
     raw = yaml.safe_load(default_config_text("moons"))
-    raw.update(epochs=2, repetitions=1, activations=["ewend(alpha=1e308)", "relu"],
+    raw.update(epochs=2, activations=["ewend(alpha=1e308)", "relu", "ewend(alpha=1e300,k=1)",
+                                      "ewend(mode=channel,train=alpha|lambda|beta|eps)"],
                output_dir=str(tmp_path / "out"))
-    raw["dataset"]["n"] = 100
     path = tmp_path / "moons.yaml"
     path.write_text(yaml.safe_dump(raw))
-    err = io.StringIO()
-    with redirect_stderr(err), redirect_stdout(io.StringIO()):
-        assert main(["run", str(path)]) == 0
-    assert err.getvalue() == ""
+    assert _quiet_run(path) == (0, "", [])
     _, rows = _read_csv(tmp_path / "out" / "metrics.csv")
-    assert [r[9] for r in rows[1:] if r[1] == "relu"] == ["ok", "ok"]
-
-
-def test_cli_run_output_dir_under_a_file(tmp_path):
-    blocker = tmp_path / "file"
-    blocker.write_text("")
-    raw = yaml.safe_load(default_config_text("sine"))
-    raw.update(epochs=1, activations=["tanh"], output_dir=str(blocker / "out"))
-    raw["dataset"]["n"] = 20
-    path = tmp_path / "sine.yaml"
-    path.write_text(yaml.safe_dump(raw))
-    err = io.StringIO()
-    with redirect_stderr(err):
-        assert main(["run", str(path)]) == 2
-    assert len(err.getvalue().splitlines()) == 1
+    assert [r[9] for r in rows[1:]] == ["ok"] * 4 * 3 * 2
 
 
 def test_cli_emit_default_config_under_a_file(tmp_path):

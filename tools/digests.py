@@ -13,19 +13,13 @@ columns, with no separators, files in name order.  Every digest is the first
 16 hex digits.
 
 The bits depend on the platform: NumPy's version and SIMD dispatch, and the
-BLAS build and thread count.  So the manifest records the NumPy version, the
-machine and the BLAS thread count it was taken at, and a check prints them
-when they differ from the running ones.  BLAS runs on one thread unless
-OPENBLAS_NUM_THREADS says otherwise.  Without --record the script prints
-`case: old -> new` for each case that differs and exits 1; it exits 0 when
-every case matches.  The cases take about 20 s.
+BLAS build.  So the manifest records the NumPy version and the machine it
+was taken at, and a check prints them when they differ from the running
+ones.  BLAS runs on one thread whatever OPENBLAS_NUM_THREADS says: the
+script imports wendnet, which pins it, before NumPy.  Without --record the
+script prints `case: old -> new` for each case that differs and exits 1; it
+exits 0 when every case matches.  The cases take about 20 s.
 """
-
-import os
-
-THREADS = os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
-for _var in ("OMP_NUM_THREADS", "MKL_NUM_THREADS"):
-    os.environ.setdefault(_var, THREADS)
 
 import argparse
 import contextlib
@@ -33,16 +27,18 @@ import csv
 import hashlib
 import io
 import json
+import os
 import platform
 import sys
 import tempfile
 from pathlib import Path
 
-import numpy as np
-import yaml
-
 ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "src"))
+
+import wendnet  # noqa: E402,F401  pins BLAS to one thread, so it comes before NumPy
+import numpy as np  # noqa: E402
+import yaml  # noqa: E402
 
 from wendnet import cli  # noqa: E402
 from wendnet.datasets import write_idx_images, write_idx_labels  # noqa: E402
@@ -147,7 +143,7 @@ def cases(scratch: Path) -> dict:
 
 
 def platform_info() -> dict:
-    return {"numpy": np.__version__, "machine": platform.machine(), "blas_threads": THREADS}
+    return {"numpy": np.__version__, "machine": platform.machine()}
 
 
 def main(argv=None) -> int:
