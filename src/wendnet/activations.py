@@ -22,6 +22,10 @@ Every kind's coefficients are one dict under their text names, and a value
 takes its default's type: a number, an integer (ewend's k), a word (ewend's
 mode) or a "|"-set of trainable coefficients (ewend's train).
 
+A record's forward maps an (R, rows, width) stack of R replicas' inputs to
+one of outputs.  Only rrelu draws: one slope per element from a generator
+per replica when the forward is given them, its mean slope when it is not.
+
 Derivative convention at non-differentiable points (the ReLU family at 0,
 and wc0 at x = 0, where (1-|x|)^2 has slopes +2 and -2; all three classical
 forms are continuously differentiable at the support boundary |x| = 1): the
@@ -122,7 +126,7 @@ class _Profile(NamedTuple):
 def _profile(r: np.ndarray, p: dict) -> _Profile:
     """The enhanced profile at r >= 0; the one implementation of g.  A
     coefficient is a number, or one per replica as an (R, 1, 1) array against
-    an (R, ...) r; an r of fewer axes is broadcast against them first.
+    an r of (R, rows, width) or, in channel mode, (R, rows, 1).
 
     Each element gets the closed form's operations in their order, while
     the sums and products that build on a fresh intermediate are written in
@@ -130,8 +134,6 @@ def _profile(r: np.ndarray, p: dict) -> _Profile:
     That term is masked by writing 0 outside the support, never by a
     product: 0 times an infinite term, such as alpha*r for a huge alpha, is
     NaN."""
-    if r.ndim < 3:
-        r = np.broadcast_to(r, np.broadcast(r, p["alpha"], p["lambda"], p["beta"], p["eps"]).shape)
     # the cutoff is applied against the representable boundary 1/alpha so the
     # Wendland component is exactly zero for every r >= 1/alpha; a trained
     # alpha that underflowed to 0 has the whole line as its support: 1/0 is
@@ -155,9 +157,12 @@ def _profile_derivatives(p: dict, t: _Profile, names):
     power taken; the one implementation of g' and the coefficient partials.
     The partials of lambda and eps are the profile's own r and tail."""
     k, alpha = p["k"], p["alpha"]
-    dg = np.asarray(-k * (k + 1.0) * (alpha * alpha) * t.r)
+    scale = -k * (k + 1.0) * (alpha * alpha)
+    dg = np.asarray(scale * t.r)
     dg *= t.pk1
     np.putmask(dg, t.outside, 0.0)
+    if not np.all(np.isfinite(scale)):  # a huge alpha: -inf times r = 0 is NaN
+        np.putmask(dg, t.r == 0.0, 0.0)
     dg += p["lambda"]
     dg -= p["eps"] * p["beta"] * t.tail
     partials = {}
@@ -265,8 +270,8 @@ def _erf_halves(z, u):
 
 # ---------------------------------------------------------------------------
 # Elementwise value/derivative pairs and coefficient partials.  Each value
-# function maps (x, coefficients, training, rng) to (y, dy/dx); each partials
-# function maps (x, coefficients) to {coefficient: dy/dcoefficient}.
+# function maps (x, coefficients) to (y, dy/dx); each partials function maps
+# (x, coefficients) to {coefficient: dy/dcoefficient}.
 # ---------------------------------------------------------------------------
 
 def _logistic(x):
@@ -280,57 +285,45 @@ def _logistic(x):
 
 def _radial(form):
     """Value function of a classical Wendland form applied to r = |x|."""
-    def value(x, c, training, rng):
+    def value(x, c):
         phi, dphi = form(np.abs(x))
         # right derivative at x=0: sign taken as +1 there
         return phi, np.where(x >= 0, 1.0, -1.0) * dphi
     return value
 
 
-def _relu(x, c, training, rng):
+def _relu(x, c):
     # dy/dx as the 0/1 mask: a product with it has the bits of one with 1.0/0.0
     return np.maximum(0.0, x), x >= 0
 
 
-def _relu6(x, c, training, rng):
+def _relu6(x, c):
     return np.clip(x, 0.0, 6.0), np.where((x >= 0) & (x < 6.0), 1.0, 0.0)
 
 
-def _leaky(x, c, training, rng):
+def _leaky(x, c):
     s = c["slope"]
     return np.where(x >= 0, x, s * x), np.where(x >= 0, 1.0, s)
 
 
-def _rrelu(x, c, training, rng):
-    lo, hi = c["lo"], c["hi"]
-    if training:
-        if rng is None:
-            raise ConfigError("rrelu in training mode requires an rng")
-        # one slope per element, replica r's from its own generator rng[r]
-        s = np.stack([g.uniform(lo, hi, size=x.shape[1:]) for g in rng])
-    else:
-        s = 0.5 * (lo + hi)
-    return np.where(x >= 0, x, s * x), np.where(x >= 0, 1.0, s)
-
-
-def _elu(x, c, training, rng):
+def _elu(x, c):
     a = c["alpha"]
     ex = np.exp(np.minimum(x, 0.0))
     return np.where(x >= 0, x, a * (ex - 1.0)), np.where(x >= 0, 1.0, a * ex)
 
 
-def _celu(x, c, training, rng):
+def _celu(x, c):
     a = c["alpha"]
     ex = np.exp(np.minimum(x, 0.0) / a)
     return np.where(x >= 0, x, a * (ex - 1.0)), np.where(x >= 0, 1.0, ex)
 
 
-def _swish(x, c, training, rng):
+def _swish(x, c):
     s = _logistic(x)
     return x * s, s * (1.0 + x * (1.0 - s))
 
 
-def _srelu(x, c, training, rng):
+def _srelu(x, c):
     tl, al, tr, ar = c["tl"], c["al"], c["tr"], c["ar"]
     y = np.where(x < tl, tl + al * (x - tl),
                  np.where(x < tr, x, tr + ar * (x - tr)))
@@ -338,7 +331,7 @@ def _srelu(x, c, training, rng):
     return y, dy
 
 
-def _sinlu(x, c, training, rng):
+def _sinlu(x, c):
     a, b = c["a"], c["b"]
     s = _logistic(x)
     u = x + a * np.sin(b * x)
@@ -346,18 +339,18 @@ def _sinlu(x, c, training, rng):
     return u * s, du * s + u * s * (1.0 - s)
 
 
-def _frelu(x, c, training, rng):
+def _frelu(x, c):
     a = c["alpha"]
     s = _logistic(a * x)
     return x * s, s + x * a * s * (1.0 - s)
 
 
-def _sigmoid(x, c, training, rng):
+def _sigmoid(x, c):
     s = _logistic(x)
     return s, s * (1.0 - s)
 
 
-def _tanh(x, c, training, rng):
+def _tanh(x, c):
     t = np.tanh(x)
     return t, 1.0 - t * t
 
@@ -366,7 +359,7 @@ _GELU_CLIP = 40.0  # past |x| = 40, Phi(x) is 0 or 1 and phi(x) is 0 in float64
 _SQRT_HALF = math.sqrt(0.5)
 
 
-def _gelu(x, c, training, rng):
+def _gelu(x, c):
     # Phi(x) = 1/2 + erf(z)/2 and x phi(x) = z e^{-z^2}/sqrt(pi) at z = x/sqrt(2),
     # sharing e^{-z^2} = e^{-x^2/2}; past the small range Phi is erfc(|z|)/2
     # below 0, which keeps its relative accuracy, and 1 - erfc(|z|)/2 above.
@@ -470,14 +463,15 @@ class Kind:
     """Everything wendnet knows about one activation kind; adding a kind
     means adding one record to `KINDS`.  Its coefficients are a dict like
     `defaults`; its "train" entry, if any, names the trained ones, or else
-    all of `trainable` train.  This base covers the elementwise kinds.
+    all of `trainable` train.  This base covers the elementwise kinds that
+    draw nothing; rrelu and ewend have records of their own.
 
     In a stack of R replicas, x is (R, rows, width); a trained coefficient
     is then an (R, 1, 1) array, one value per replica, and its gradient has
     that shape too.  Any coefficient may also be a plain number."""
 
     name: str
-    value: Callable | None              # (x, c, training, rng) -> (y, dy/dx)
+    value: Callable | None              # (x, c) -> (y, dy/dx)
     defaults: dict = field(default_factory=dict)
     trainable: tuple[str, ...] = ()
     partials: Callable | None = None    # (x, c) -> {trainable coeff: dy/dcoeff}
@@ -544,11 +538,11 @@ class Kind:
         return {key: c[key] for key, default in self.defaults.items()
                 if isinstance(default, float)}
 
-    def forward(self, c, x, training, rng):
-        """(y, what `backward` needs besides c and x): here dy/dx.  In
-        training mode RReLU samples one slope per element, replica r's from
-        rng[r]."""
-        return self.value(x, c, training, rng)
+    def forward(self, c, x, rng):
+        """(y, what `backward` needs besides c and x): here dy/dx.  `rng`
+        holds one generator per replica of x, or is None; only a kind that
+        draws (rrelu) reads it."""
+        return self.value(x, c)
 
     def backward(self, c, x, dy, upstream):
         """(input gradient, gradients of the trainable coefficients' stored
@@ -562,7 +556,7 @@ class Kind:
 class _Enhanced(Kind):
     """The `ewend` record: y = x g(r), with p the coefficients of `_profile`."""
 
-    def forward(self, p, x, training, rng):
+    def forward(self, p, x, rng):
         # r = |x| per element, or in channel mode the norm over the last axis;
         # the profile is what backward needs, and the layer caches it as aux
         if p["mode"] == "elem":
@@ -596,6 +590,19 @@ class _Enhanced(Kind):
         return dx, grads
 
 
+class _RandomSlope(Kind):
+    """The `rrelu` record (Xu et al., arXiv:1505.00853): x for x >= 0 and
+    s x below, with one slope s per element drawn uniformly from [lo, hi],
+    replica r's from rng[r], when the forward is given generators, and the
+    mean slope (lo + hi) / 2 when it is not."""
+
+    def forward(self, c, x, rng):
+        lo, hi = c["lo"], c["hi"]
+        if rng is None:
+            return _leaky(x, {"slope": 0.5 * (lo + hi)})
+        return _leaky(x, {"slope": np.stack([g.uniform(lo, hi, size=x.shape[1:]) for g in rng])})
+
+
 def _ewend_kinks(p):
     # for k < 2 the derivative of the Wendland term jumps at the support edge
     return (-1.0 / p["alpha"], 1.0 / p["alpha"]) if p["k"] < 2 else ()
@@ -619,7 +626,7 @@ KINDS: dict[str, Kind] = {rec.name: rec for rec in (
     Kind("relu6", _relu6, kinks=lambda c: (0.0, 6.0)),
     Kind("lrelu", _leaky, {"slope": 0.01}, kinks=_at_zero),
     Kind("prelu", _leaky, {"slope": 0.25}, ("slope",), _prelu_partials, kinks=_at_zero),
-    Kind("rrelu", _rrelu, {"lo": 0.125, "hi": 1.0 / 3.0}, kinks=_at_zero, check=_check_rrelu),
+    _RandomSlope("rrelu", None, {"lo": 0.125, "hi": 1.0 / 3.0}, kinks=_at_zero, check=_check_rrelu),
     # at x = 0 the left derivative of elu is alpha, and celu's is 1
     Kind("elu", _elu, {"alpha": 1.0}, kinks=lambda c: (0.0,) if c["alpha"] != 1.0 else ()),
     Kind("celu", _celu, {"alpha": 1.0}),

@@ -201,12 +201,8 @@ def _where(path, text: str, exc: ConfigError) -> str:
 # CSV output.
 # ---------------------------------------------------------------------------
 
-def _fmt(value) -> str:
-    if value is None:
-        return ""
-    if isinstance(value, float):
-        return f"{value:.17g}"
-    return str(value)
+def _fmt(value: float | None) -> str:
+    return "" if value is None else f"{value:.17g}"
 
 
 def _write_csv(path: Path, cfg: ExperimentConfig, columns, rows) -> Path:
@@ -280,7 +276,7 @@ def _train_stack(cfg: ExperimentConfig, texts: list[str], data: tuple, loss_kind
         ok = [recs[-1].status == "ok" for recs in records]
         if any(ok):
             with quiet_errstate():  # as in train: a kind's masked-out branch may warn
-                grid_out = net.forward(grid).reshape(sum(ok), len(grid), -1)
+                grid_out = net.forward(grid)
         # each activation's first repetition, at its place among the replicas left
         predictions = [grid_out[sum(ok[:i]), :, 0] if ok[i] else np.full(len(grid), np.nan)
                        for i in range(0, len(jobs), n)]

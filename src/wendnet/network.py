@@ -49,9 +49,9 @@ class Dense:
     def params(self) -> list[Param]:
         return [self.w, self.b]
 
-    def forward(self, x: np.ndarray, training: bool, rng) -> np.ndarray:
+    def forward(self, x: np.ndarray, rng) -> np.ndarray:
         """(R, rows, n_out) from x of (R, rows, n_in), or from (rows, n_in)
-        rows that every replica takes."""
+        rows that every replica takes; a Dense draws nothing from `rng`."""
         if x.shape[-1] != self.n_in:
             raise ShapeError(f"{self.w.name}: input shape {x.shape[-2:]} "
                              f"incompatible with n_in={self.n_in}")
@@ -155,21 +155,20 @@ class ActivationLayer:
                 for rows, kind, c in self._bound() for kink in kind.kinks(c))
         return min(gaps, default=math.inf)
 
-    def forward(self, x: np.ndarray, training: bool, rng) -> np.ndarray:
-        if len(self._groups) > 1 and x.ndim < 3:
-            x = np.broadcast_to(x, (len(self.specs),) + x.shape)  # rows every replica takes
+    def forward(self, x: np.ndarray, rng) -> np.ndarray:
+        """The (R, rows, width) stack of outputs from x of that shape, each
+        group's rows through its kind; `rng`, one generator per replica or
+        None, reaches only a kind that draws."""
         ys, parts = [], []
         for i, (rows, kind, c) in enumerate(self._bound()):
-            y, aux = self._run(i, kind.forward, c, self._part(x, rows), training,
-                               self._part(rng, rows))
+            y, aux = self._run(i, kind.forward, c, self._part(x, rows), self._part(rng, rows))
             ys.append(y)
             parts.append((c, aux))
         self._cache = (x, parts)
         return ys[0] if len(ys) == 1 else np.concatenate(ys)
 
-    def backward(self, upstream: np.ndarray, need_dx: bool = True) -> np.ndarray | None:
-        """Write the coefficient gradients; return the input gradient, or
-        None when `need_dx` is false."""
+    def backward(self, upstream: np.ndarray) -> np.ndarray:
+        """Write the coefficient gradients; return the input gradient."""
         if self._cache is None:
             raise RuntimeError("backward called before forward")
         x, parts = self._cache
@@ -180,14 +179,14 @@ class ActivationLayer:
             for coeff, grad in grads.items():
                 self._params[coeff].grad[rows] = grad
             dxs.append(dx)
-        if not need_dx:
-            return None
         return dxs[0] if len(dxs) == 1 else np.concatenate(dxs)
 
 
 class Network:
     """Ordered layer list, as a stack of `replicas` replicas: every Param has
-    the replica axis first.  Every layer's Param values and gradients are
+    the replica axis first, and past the input every layer takes and returns
+    an (R, rows, width) stack; the first layer, a Dense, also takes 2-D rows
+    that every replica shares.  Every layer's Param values and gradients are
     views into the flat float64 vectors theta and grad, which hold one block
     per replica, each in layer order.  A backward writes every entry of
     grad but the coefficient rows an activation group does not train, which
@@ -196,7 +195,7 @@ class Network:
     def __init__(self, layers: list):
         self.layers = list(layers)
         self._params = [p for layer in self.layers for p in layer.params()]
-        self.replicas = self._params[0].value.shape[0] if self._params else 1
+        self.replicas = self._params[0].value.shape[0]
         if any(p.value.shape[0] != self.replicas for p in self._params):
             raise ValueError("every parameter needs the same number of replicas")
         # offsets within one replica's block
@@ -259,28 +258,25 @@ class Network:
 
     def forward(self, x: np.ndarray, training: bool = False,
                 rng: list[np.random.Generator] | None = None) -> np.ndarray:
-        """The stack's output, replica by replica, as one (R * rows, outputs)
-        array.  In training, x holds the R replicas' batches one after
-        another, and `rng` one generator per replica; otherwise every replica
-        takes all the rows of x."""
+        """The stack's output, (R, rows, outputs), from 2-D rows x.  In
+        training, x holds the R replicas' batches one after another;
+        otherwise every replica takes all the rows of x.  With `rng`, one
+        generator per replica, a kind that draws (rrelu) draws from it;
+        without, it takes its mean."""
         if training:
             x = x.reshape(self.replicas, -1, x.shape[-1])
         for layer in self.layers:
-            x = layer.forward(x, training, rng)
-        return x.reshape(-1, x.shape[-1])
+            x = layer.forward(x, rng)
+        return x
 
     def backward(self, grad: np.ndarray, need_dx: bool = True) -> np.ndarray | None:
-        """Write net.grad for the loss gradient `grad`, laid out as `forward`
-        returns it; return the gradient with respect to each replica's input
-        rows, laid out alike, or None when `need_dx` is false, in which case
-        the first layer does not compute it."""
-        if not self.layers:
-            return grad
-        grad = grad.reshape(self.replicas, -1, grad.shape[-1])
+        """Write net.grad for the loss gradient `grad`, a stack laid out as
+        `forward` returns it; return the stack of gradients with respect to
+        each replica's input rows, or None when `need_dx` is false, in which
+        case the first layer, a Dense, does not compute it."""
         for layer in reversed(self.layers[1:]):
             grad = layer.backward(grad)
-        dx = self.layers[0].backward(grad, need_dx)
-        return None if dx is None else dx.reshape(-1, dx.shape[-1])
+        return self.layers[0].backward(grad, need_dx)
 
     def activation_coefficients(self) -> list[dict[str, float]]:
         """Each replica's activation coefficients in natural space."""
@@ -398,9 +394,9 @@ class Adam:
     """Adam (Kingma & Ba, arXiv:1412.6980) in the order of operations of
     their section 2: the bias corrections fold into a step size
     lr_t = lr * sqrt(1 - beta2^t) / (1 - beta1^t) and an
-    eps_hat = eps * sqrt(1 - beta2^t), both computed once per step, so
-    theta -= lr_t * m / (sqrt(v) + eps_hat) divides once per element.  It is
-    Algorithm 1 up to rounding.
+    eps_hat = eps * sqrt(1 - beta2^t), at their eps = 1e-8, both computed
+    once per step, so theta -= lr_t * m / (sqrt(v) + eps_hat) divides once
+    per element.  It is Algorithm 1 up to rounding.
 
     The update runs in place, one block of the parameter vector at a time: a
     block's moments, gradient and values plus two scratch vectors stay in
@@ -410,14 +406,14 @@ class Adam:
     """
 
     _BLOCK = 32768  # float64 elements per block: 6 arrays of 256 KiB
+    _EPS = 1e-8
 
     def __init__(self, net: Network, lr: float = 1e-3,
-                 beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8):
+                 beta1: float = 0.9, beta2: float = 0.999):
         self.net = net
         self.lr = lr
         self.beta1 = beta1
         self.beta2 = beta2
-        self.eps = eps
         self._m, self._v = np.zeros_like(net.theta), np.zeros_like(net.theta)
         self._make_blocks()
         self.step_count = 0
@@ -443,7 +439,7 @@ class Adam:
         beta1, beta2 = self.beta1, self.beta2
         root2 = math.sqrt(1.0 - beta2 ** t)
         lr_t = self.lr * root2 / (1.0 - beta1 ** t)
-        eps_hat = self.eps * root2
+        eps_hat = self._EPS * root2
         for g, m, v, theta, a, b in self._blocks:
             m *= beta1
             m += np.multiply(1.0 - beta1, g, out=a)
@@ -481,13 +477,13 @@ class EpochRecord:
 
 def train(net: Network, x_train, y_train, loss_kind: str, optimizer,
           epochs: int, batch_size: int, rngs: list[np.random.Generator],
-          x_test=None, y_test=None) -> list[list[EpochRecord]]:
+          x_test, y_test) -> list[list[EpochRecord]]:
     """Mini-batch training of every replica of `net` side by side, replica r
     drawing its per-epoch shuffle and any random activation slopes from
     rngs[r].
 
-    Returns each replica's epoch records; with test data, each record
-    carries the test loss, and under "xent" the test accuracy too.  Its
+    Returns each replica's epoch records; each carries the loss on the
+    test rows, and under "xent" the test accuracy too.  Its
     seconds are the replica's share of the epoch's wall time, as
     `Network.replica_seconds` gives it: the stack's wall time when the
     stack runs one activation group.  Before each
@@ -511,21 +507,19 @@ def train(net: Network, x_train, y_train, loss_kind: str, optimizer,
     if len(rngs) != net.replicas:
         raise ValueError(f"{len(rngs)} generators for {net.replicas} replicas")
     y_train = np.asarray(y_train)
-    if x_test is not None:
-        x_test, y_test = features(x_test), np.asarray(y_test)
+    x_test, y_test = features(x_test), np.asarray(y_test)
     # checked once here, so the loss kernels need not be; activations keep
     # the width, so the first and last Dense layers set the input's and the
     # output's
     dense = [layer for layer in net.layers if isinstance(layer, Dense)]
-    for x in (x_train,) if x_test is None else (x_train, x_test):
+    for x in (x_train, x_test):
         columns = x.shape[-1]
         if dense and columns != dense[0].n_in:
             raise ShapeError(f"the network's first width is {dense[0].n_in}, but the data have "
                              f"{columns} input column{'s' * (columns != 1)}: it must be {columns}")
     width = dense[-1].n_out if dense else x_train.shape[-1]
     _check_targets(loss_kind, y_train, (n, width))
-    if x_test is not None:
-        _check_targets(loss_kind, y_test, (x_test.shape[0], width))
+    _check_targets(loss_kind, y_test, (x_test.shape[0], width))
     records: list[list[EpochRecord]] = [[] for _ in rngs]
     live = list(range(len(rngs)))  # the replica at each place of the stack
     with quiet_errstate():
@@ -539,8 +533,7 @@ def train(net: Network, x_train, y_train, loss_kind: str, optimizer,
                 idx = orders[:, start:start + batch_size]  # one row of indices per replica
                 pred = net.forward(features(x_train.take(idx.ravel(), axis=0)),
                                    training=True, rng=gens)
-                values, grad = eval_loss(loss_kind, pred.reshape(idx.shape + pred.shape[-1:]),
-                                         y_train.take(idx, axis=0))
+                values, grad = eval_loss(loss_kind, pred, y_train.take(idx, axis=0))
                 net.backward(grad, need_dx=False)
                 # a finite sum of the losses and a finite sum of the squared
                 # gradient entries prove every entry finite, so only a result
@@ -569,15 +562,13 @@ def train(net: Network, x_train, y_train, loss_kind: str, optimizer,
                 break
             recs = [EpochRecord(epoch=epoch, train_loss=float(total / n), activation_params=coeffs)
                     for total, coeffs in zip(totals, net.activation_coefficients())]
-            if x_test is not None:
-                pred = net.forward(x_test, training=False)
-                pred = pred.reshape(len(live), -1, pred.shape[-1])
-                test_loss, _ = eval_loss(loss_kind, pred, y_test)
-                for rec, loss in zip(recs, test_loss):
-                    rec.test_loss = float(loss)
-                if loss_kind == "xent":
-                    for rec, acc in zip(recs, np.mean(pred.argmax(axis=-1) == y_test, axis=-1)):
-                        rec.test_accuracy = float(acc)
+            pred = net.forward(x_test)
+            test_loss, _ = eval_loss(loss_kind, pred, y_test)
+            for rec, loss in zip(recs, test_loss):
+                rec.test_loss = float(loss)
+            if loss_kind == "xent":
+                for rec, acc in zip(recs, np.mean(pred.argmax(axis=-1) == y_test, axis=-1)):
+                    rec.test_accuracy = float(acc)
             seconds = net.replica_seconds(time.monotonic() - t0)
             for r, rec, share in zip(live, recs, seconds):
                 rec.seconds = float(share)
@@ -615,7 +606,7 @@ def gradient_check_network(net: Network, x: np.ndarray, rng: np.random.Generator
     if min_kink_gap(net) < _KINK_MARGIN * step:
         return None
     c = rng.standard_normal(out.shape)
-    dx = net.backward(c, need_dx=True)
+    dx = net.backward(c)
     analytic = np.concatenate([net.grad, dx.ravel()])
 
     def f(vec: np.ndarray) -> float:

@@ -103,8 +103,8 @@ def test_criterion_2_enhanced_structure():
             ok, detail = False, f"g(0) != 1+eps at alpha={alpha}, k={k}"
         # odd symmetry of the elementwise forward
         x = rng.uniform(-5.0, 5.0, size=64)
-        y, _ = KINDS["ewend"].forward(p, x, False, None)
-        if not np.array_equal(KINDS["ewend"].forward(p, -x, False, None)[0], -y):
+        y, _ = KINDS["ewend"].forward(p, x, None)
+        if not np.array_equal(KINDS["ewend"].forward(p, -x, None)[0], -y):
             ok, detail = False, f"odd symmetry broken at alpha={alpha}, k={k}"
         # first-derivative continuity at the support boundary
         h = 1e-9

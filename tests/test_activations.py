@@ -26,10 +26,10 @@ def _defaults(kind):
     return spec.params
 
 
-def _forward(kind, c, x, training=False, rng=None):
+def _forward(kind, c, x, rng=None):
     """(y, aux) of `kind` at coefficients `c`; aux is dy/dx for every kind
     but ewend."""
-    return KINDS[kind].forward(c, np.asarray(x, dtype=np.float64), training, rng)
+    return KINDS[kind].forward(c, np.asarray(x, dtype=np.float64), rng)
 
 
 def _coefficients(text):
@@ -41,7 +41,7 @@ def _coefficients(text):
 
 def _derivative(rec, c, x):
     """dy/dx of an elementwise activation, through the record's backward."""
-    _, aux = rec.forward(c, x, False, None)
+    _, aux = rec.forward(c, x, None)
     return rec.backward(c, x, aux, np.ones_like(x))[0]
 
 
@@ -154,7 +154,7 @@ def test_gelu_raises_no_floating_point_error_at_the_edges():
 
     def forward_backward(x):
         with np.errstate(over="raise", divide="raise", invalid="raise"):
-            y, dy = rec.forward({}, x, False, None)
+            y, dy = rec.forward({}, x, None)
             dx, _ = rec.backward({}, x, dy, np.ones_like(x))
         return y, dx
 
@@ -187,22 +187,33 @@ def test_srelu_piecewise():
 def test_rrelu_training_vs_eval():
     x = np.full(1000, -1.0)
     p = _defaults("rrelu")
-    y_eval, dy_eval = _forward("rrelu", p, x, training=False)
+    y_eval, dy_eval = _forward("rrelu", p, x)  # no generators: the mean slope
     mean_slope = 0.5 * (p["lo"] + p["hi"])
     np.testing.assert_allclose(y_eval, -mean_slope, atol=1e-15)
     np.testing.assert_allclose(dy_eval, mean_slope, atol=1e-15)
 
     rng = default_rng(8)
-    y_tr, dy_tr = _forward("rrelu", p, x[None], training=True, rng=[rng])  # one replica
+    y_tr, dy_tr = _forward("rrelu", p, x[None], rng=[rng])  # one replica
     slopes = -y_tr
     assert np.all((slopes >= p["lo"]) & (slopes <= p["hi"]))
     assert slopes.std() > 0.01
     np.testing.assert_allclose(dy_tr, slopes, atol=1e-15)  # consistent pair
 
 
-def test_rrelu_training_requires_rng():
-    with pytest.raises(ConfigError):
-        _forward("rrelu", _defaults("rrelu"), np.zeros(2), training=True)
+def test_each_rrelu_replica_of_a_stack_draws_the_slopes_it_draws_alone():
+    # a layer of three groups: each rrelu replica draws from its own
+    # generator, whatever its neighbours draw
+    texts = ["rrelu", "rrelu", "tanh", "rrelu(lo=0.2,hi=0.4)"]
+    x = default_rng(9).standard_normal((len(texts), 6, 5))
+    up = default_rng(10).standard_normal(x.shape)
+    layer = ActivationLayer([parse_activation(text) for text in texts])
+    y = layer.forward(x, [default_rng(20 + r) for r in range(len(texts))])
+    dx = layer.backward(up)
+    for r, text in enumerate(texts):
+        alone = ActivationLayer(parse_activation(text))
+        assert alone.forward(x[r:r + 1], [default_rng(20 + r)]).tobytes() == y[r].tobytes()
+        assert alone.backward(up[r:r + 1]).tobytes() == dx[r].tobytes()
+    assert not np.array_equal(y[0], y[1])  # two generators, two draws of slopes
 
 
 def test_unknown_kind_rejected():
@@ -216,7 +227,7 @@ def test_unknown_kind_rejected():
 def test_finite_everywhere(kind):
     x = np.array([-1e6, -100.0, -1.0, 0.0, 1.0, 100.0, 1e6])
     rec, c = _coefficients(kind)
-    y, aux = rec.forward(c, x, False, None)
+    y, aux = rec.forward(c, x, None)
     dx, grads = rec.backward(c, x, aux, np.ones_like(x))
     assert np.all(np.isfinite(y)) and np.all(np.isfinite(dx))
     assert all(np.isfinite(g) for g in grads.values())
@@ -230,8 +241,8 @@ def test_derivative_matches_finite_differences(kind):
     for kink in rec.kinks(c):
         x = x[np.abs(x - kink) > 1e-4]
     h = 1e-6
-    yp, _ = rec.forward(c, x + h, False, None)
-    ym, _ = rec.forward(c, x - h, False, None)
+    yp, _ = rec.forward(c, x + h, None)
+    ym, _ = rec.forward(c, x - h, None)
     assert relative_error(_derivative(rec, c, x), (yp - ym) / (2 * h)) < 1e-6
 
 
@@ -363,8 +374,9 @@ def test_parse_format_round_trip_on_random_coefficients(kind, data):
 def test_finite_values_and_gradients_on_finite_inputs(kind, data):
     rec, c = _coefficients(data.draw(_spec_texts(kind)))
     x = data.draw(arrays(np.float64, (3, 4), elements=st.floats(-1e6, 1e6)))
-    # x's first axis runs over 3 replicas, each with its own generator
-    y, aux = rec.forward(c, x, data.draw(st.booleans()), [default_rng(i) for i in range(3)])
+    # x's first axis runs over 3 replicas, each with its own generator or none
+    gens = [default_rng(i) for i in range(3)] if data.draw(st.booleans()) else None
+    y, aux = rec.forward(c, x, gens)
     dx, grads = rec.backward(c, x, aux, np.ones_like(x))
     assert np.all(np.isfinite(y)) and np.all(np.isfinite(dx))
     assert all(np.isfinite(g) for g in grads.values())
@@ -389,7 +401,7 @@ def _kink_gap(layer, x):
 def test_layer_gradients_match_finite_differences(kind, data):
     layer = ActivationLayer(parse_activation(data.draw(_spec_texts(kind))))
     rng = default_rng(data.draw(st.integers(0, 2**32 - 1)))
-    x = rng.uniform(-3.0, 3.0, size=(3, 4))
+    x = rng.uniform(-3.0, 3.0, size=(1, 3, 4))  # a stack of one replica
     assume(_kink_gap(layer, x) > 1e-3)
     up = rng.standard_normal(x.shape)
     params = layer.params()
@@ -397,7 +409,7 @@ def test_layer_gradients_match_finite_differences(kind, data):
     def f(vec):
         for param, stored in zip(params, vec):
             param.value[...] = stored
-        return float(np.sum(up * layer.forward(vec[len(params):].reshape(x.shape), False, None)))
+        return float(np.sum(up * layer.forward(vec[len(params):].reshape(x.shape), None)))
 
     base = np.concatenate([[p.value.item() for p in params], x.ravel()])
     f(base)

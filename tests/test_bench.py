@@ -807,6 +807,43 @@ def test_digest_tool_loads_numpy_under_the_one_thread_pin():
     assert out.stdout == "['1']\n"
 
 
+def test_perfbench_probe_counts_the_rows_and_probes_of_its_hooks(tmp_path):
+    # perfbench times the program from outside, by hooks on
+    # Network.forward(..., training=True) with a 2-D x of R * batch rows,
+    # build_mlp(widths, spec, rngs), train(x_train, ..., x_test=...), each
+    # optimizer's step and run_gradient_check(spec, probes=...): a change to
+    # one of them fails here rather than skewing its speed_vs_numpy
+    import importlib.util
+
+    path = Path(__file__).resolve().parent.parent / "perfbench" / "probe.py"
+    spec = importlib.util.spec_from_file_location("perfbench_probe", path)
+    probe = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(probe)
+
+    def probed(hooks, argv):
+        hooks.install()
+        try:
+            with redirect_stdout(io.StringIO()):
+                assert main(argv) == 0
+        finally:
+            hooks.uninstall()
+        return hooks
+
+    raw = yaml.safe_load(default_config_text("moons"))
+    raw.update(epochs=1, output_dir=str(tmp_path / "out"))
+    raw["dataset"]["n"] = 100
+    config = tmp_path / "moons.yaml"
+    config.write_text(yaml.safe_dump(raw))
+    study = probed(probe.Probe(gradcheck=False, expected_rows=(70, 30)), ["run", str(config)])
+    # one stack of 3 activations x 3 repetitions; 70 training rows at batch
+    # 32 are 3 steps, of 9 * 32, 9 * 32 and 9 * 6 rows
+    assert (study.items, len(study.op_ms), study.row_errors) == (630, 3, [])
+    assert list(study.op_jobs) == [0, 0, 0]
+    checks = probed(probe.Probe(gradcheck=True), ["grad-check", "--probes", "5"])
+    assert (checks.items, len(checks.op_ms)) == (18 * 5, 18)
+    assert list(checks.op_jobs) == list(range(18))
+
+
 def test_cli_mnist_missing_files(tmp_path):
     path = tmp_path / "mnist.yaml"
     raw = yaml.safe_load(default_config_text("mnist"))
@@ -969,8 +1006,8 @@ def test_non_finite_gradient_diverges_only_its_own_job(tmp_path, monkeypatch):
 
     tanh = activations.KINDS["tanh"]
 
-    def nan_slope(x, c, training, rng):
-        y, dy = tanh.value(x, c, training, rng)
+    def nan_slope(x, c):
+        y, dy = tanh.value(x, c)
         return y, np.full_like(dy, np.nan)
 
     monkeypatch.setitem(activations.KINDS, "tanh",

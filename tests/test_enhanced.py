@@ -38,14 +38,14 @@ def _derivatives(r, p):
 
 def _forward(p, x):
     """y = x g(r) through the ewend record."""
-    return EWEND.forward(p, np.asarray(x, dtype=np.float64), False, None)[0]
+    return EWEND.forward(p, np.asarray(x, dtype=np.float64), None)[0]
 
 
 def _backward(p, x, up):
     """(input gradient, gradients of the trainable coefficients' stored
     values) of sum(up * y), through the ewend record."""
     x = np.asarray(x, dtype=np.float64)
-    _, profile = EWEND.forward(p, x, False, None)
+    _, profile = EWEND.forward(p, x, None)
     return EWEND.backward(p, x, profile, np.asarray(up, dtype=np.float64))
 
 
@@ -213,6 +213,23 @@ def test_backward_at_zero_input():
     x = np.zeros(5)
     dx, _ = _backward(DEFAULTS, x, np.ones(5))
     np.testing.assert_allclose(dx, np.full(5, 1.0 + DEFAULTS["eps"]), atol=1e-15)
+
+
+@pytest.mark.parametrize("text", ["ewend(alpha=3.1e153,train=)", "ewend(alpha=3.1e153)",
+                                  "ewend(alpha=1e300,k=1,train=)", "ewend(alpha=1e300,k=8)"])
+def test_backward_at_zero_input_when_alpha_squared_overflows(text):
+    # -k (k + 1) alpha^2 is -inf here, and times r = 0 it would be NaN; the
+    # term it scales is a multiple of r, so at x = 0 the input gradient is
+    # g(0) = 1 + eps as at any alpha: for an alpha written in the text and
+    # for one trained, bound from its stored log as a (1, 1, 1) array
+    layer = ActivationLayer(parse_activation(text))
+    x = np.array([[[0.0, -0.0, 0.5, -3.0]]])
+    with quiet_errstate():
+        y = layer.forward(x, None)
+        dx = layer.backward(np.ones_like(x))
+    assert y.shape == dx.shape == x.shape
+    np.testing.assert_array_equal(dx[..., :2], 1.0 + DEFAULTS["eps"])
+    assert np.all(np.isfinite(dx))
 
 
 def test_backward_elementwise_matches_finite_differences():
@@ -396,7 +413,9 @@ def _textbook_dg(r, p):
     ar = alpha * r
     inside = r < 1.0 / alpha
     pos = np.where(inside, np.maximum(0.0, 1.0 - ar), 0.0)
-    wend = np.where(inside, -k * (k + 1.0) * (alpha * alpha) * r * _POW[k - 1](pos), 0.0)
+    # the term is a multiple of r: exactly 0 at r = 0, also where alpha^2 overflows
+    wend = np.where(inside & (r != 0.0),
+                    -k * (k + 1.0) * (alpha * alpha) * r * _POW[k - 1](pos), 0.0)
     return wend + p["lambda"] - p["eps"] * p["beta"] * np.exp(-p["beta"] * r)
 
 
@@ -467,7 +486,7 @@ def test_layer_matches_textbook_closed_forms_bit_for_bit(k, mode):
         up = rng.standard_normal(x.shape)
         y_ref, dx_ref, grads_ref = _textbook_layer(x, up, p)
 
-        np.testing.assert_array_equal(layer.forward(x[None], training=True, rng=None), y_ref[None])
+        np.testing.assert_array_equal(layer.forward(x[None], None), y_ref[None])
         np.testing.assert_array_equal(layer.backward(up[None]), dx_ref[None])
         trained = {param.name.split(".")[-1]: param.grad.item() for param in layer.params()}
         expected = {coeff: grads_ref[coeff] * c[coeff]
@@ -475,7 +494,7 @@ def test_layer_matches_textbook_closed_forms_bit_for_bit(k, mode):
         assert trained == expected, mask
 
         # the record on its own, given the layer's natural-space values
-        y, profile = EWEND.forward(p, x, True, None)
+        y, profile = EWEND.forward(p, x, None)
         dx, grads = EWEND.backward(p, x, profile, up)
         np.testing.assert_array_equal(y, y_ref)
         np.testing.assert_array_equal(dx, dx_ref)
@@ -541,21 +560,20 @@ def test_layer_matches_textbook_closed_forms_where_terms_are_not_finite(text, mo
             x = _extreme_input(rng, 1.0 / p["alpha"], mode)
             up = rng.standard_normal(x.shape)
             refs.append((x, up, *_textbook_layer(x, up, p)))
-        y = layer.forward(np.stack([ref[0] for ref in refs]), training=True, rng=None)
+        y = layer.forward(np.stack([ref[0] for ref in refs]), None)
         dx = layer.backward(np.stack([ref[1] for ref in refs]))
         for i, (_, _, y_ref, dx_ref, grads_ref) in enumerate(refs):
             np.testing.assert_array_equal(y[i], y_ref)
             np.testing.assert_array_equal(dx[i], dx_ref)
             _assert_layer_grads(layer, _expected_grads(grads_ref, coeffs[i], base["train"]), i)
 
-        # 2-D rows without the replica axis, against one replica's (1, 1, 1)
-        # coefficients: the output takes that axis
+        # a stack of one replica, against its (1, 1, 1) coefficients
         layer = ActivationLayer(spec)
         c = _natural(layer, 1)[0]
         x, up = refs[0][:2]
         y_ref, dx_ref, grads_ref = _textbook_layer(x, up, {**base, **c})
-        np.testing.assert_array_equal(layer.forward(x, training=True, rng=None), y_ref[None])
-        np.testing.assert_array_equal(layer.backward(up), dx_ref[None])
+        np.testing.assert_array_equal(layer.forward(x[None], None), y_ref[None])
+        np.testing.assert_array_equal(layer.backward(up[None]), dx_ref[None])
         _assert_layer_grads(layer, _expected_grads(grads_ref, c, base["train"]))
 
         # 0-d inputs through the record, with coefficients that are numbers
@@ -565,7 +583,7 @@ def test_layer_matches_textbook_closed_forms_where_terms_are_not_finite(text, mo
                       np.inf, -np.inf, np.nan):
                 x, up = np.asarray(v), np.asarray(-0.75)
                 y_ref, dx_ref, grads_ref = _textbook_layer(x, up, base)
-                y, profile = EWEND.forward(base, x, True, None)
+                y, profile = EWEND.forward(base, x, None)
                 dx, grads = EWEND.backward(base, x, profile, up)
                 np.testing.assert_array_equal(y, y_ref)
                 np.testing.assert_array_equal(dx, dx_ref)

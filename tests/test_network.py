@@ -29,19 +29,13 @@ from wendnet.datasets import make_moons, split
 from wendnet.tensor import ShapeError, relative_error
 
 
-def test_empty_network_is_identity():
-    net = Network([])
-    x = default_rng(0).standard_normal((3, 2))
-    np.testing.assert_array_equal(net.forward(x), x)
-
-
 def test_single_dense_identity_weights():
     rng = default_rng(1)
     layer = Dense(3, 3, [rng])
     layer.w.value[...] = np.eye(3)
     layer.b.value[...] = 0.0
     x = rng.standard_normal((4, 3))
-    np.testing.assert_array_equal(Network([layer]).forward(x), x)
+    np.testing.assert_array_equal(Network([layer]).forward(x), x[None])  # a stack of one
 
 
 def test_dense_then_relu_hand_computed():
@@ -51,7 +45,7 @@ def test_dense_then_relu_hand_computed():
     dense.b.value[...] = 1.0
     net = Network([dense, ActivationLayer(parse_activation("relu"))])
     out = net.forward(np.array([[-1.0], [3.0]]))
-    np.testing.assert_array_equal(out, [[0.0], [7.0]])
+    np.testing.assert_array_equal(out, [[[0.0], [7.0]]])
 
 
 def test_zero_upstream_gives_zero_gradients():
@@ -59,7 +53,7 @@ def test_zero_upstream_gives_zero_gradients():
     net = build_mlp([2, 4, 2], parse_activation("ewend"), [rng])
     net.grad[...] = 1.0  # a backward writes every gradient, it adds to none
     net.forward(rng.standard_normal((3, 2)))
-    net.backward(np.zeros((3, 2)))
+    net.backward(np.zeros((1, 3, 2)))
     assert np.all(net.grad == 0.0)
 
 
@@ -71,7 +65,7 @@ def test_backward_overwrites_every_gradient(kind):
     net = build_mlp([2, 4, 4, 2], parse_activation(kind), [rng])
     net.grad[...] = np.nan
     net.forward(rng.standard_normal((5, 2)))
-    net.backward(rng.standard_normal((5, 2)))
+    net.backward(rng.standard_normal((1, 5, 2)))
     assert np.all(np.isfinite(net.grad))
 
 
@@ -80,12 +74,12 @@ def test_backward_without_input_gradient(kind):
     rng = default_rng(36)
     net = build_mlp([3, 5, 2], parse_activation(kind), [rng])
     net.forward(rng.standard_normal((4, 3)))
-    up = rng.standard_normal((4, 2))
+    up = rng.standard_normal((1, 4, 2))
     dx = net.backward(up, need_dx=True)
     with_dx = net.grad.copy()
     net.grad[...] = np.nan
     assert net.backward(up, need_dx=False) is None
-    assert dx.shape == (4, 3)
+    assert dx.shape == (1, 4, 3)
     assert net.grad.tobytes() == with_dx.tobytes()
 
 
@@ -153,7 +147,7 @@ def _layer_walking_kink_gap(net, x):
             for kink in KINDS[spec.kind].kinks({**spec.params,
                                                 **layer.current_coefficients()[0]}):
                 gap = min(gap, float(np.abs(x - kink).min()))
-        x = layer.forward(x, training=False, rng=None)
+        x = layer.forward(x, None)
     return gap
 
 
@@ -195,7 +189,7 @@ def test_alpha_gradient_outside_support_matches_linear_exp_path():
     up = rng.standard_normal(50)
     rec = KINDS["ewend"]
     p_full = {**rec.defaults, "alpha": 1.0, "train": ("alpha", "lambda", "beta", "eps")}
-    _, profile = rec.forward(p_full, x, True, None)
+    _, profile = rec.forward(p_full, x, None)
     dx_full, g_full = rec.backward(p_full, x, profile, up)
 
     lam, beta, eps = p_full["lambda"], p_full["beta"], p_full["eps"]
@@ -344,8 +338,9 @@ class _BigGradient:
     def params(self):
         return [self.p]
 
-    def forward(self, x, training, rng):
-        return x
+    def forward(self, x, rng):
+        # a first layer, as a Dense: every replica takes all the rows of 2-D x
+        return np.broadcast_to(x, self.p.value.shape[:1] + x.shape[-2:])
 
     def backward(self, upstream, need_dx=True):
         self.p.grad[...] = 1e308
@@ -358,7 +353,8 @@ def test_finite_gradients_whose_sum_overflows_pass_the_check():
     net = Network([_BigGradient(replicas=3)])
     x = np.zeros((4, 1))
     records = train(net, x, x, "mse", SGD(net, lr=1.0), epochs=1, batch_size=4,
-                    rngs=[default_rng(r) for r in range(3)])
+                    rngs=[default_rng(r) for r in range(3)], x_test=np.ones((2, 1)),
+                    y_test=np.ones((2, 1)))
     assert [[rec.status for rec in recs] for recs in records] == [["ok"]] * 3
     plain = Network([_BigGradient(replicas=3)])
     plain.grad[...] = 1e308
@@ -423,7 +419,8 @@ def test_a_nan_gradient_ends_only_its_own_replica():
     net = Network([_NanGradient(replicas=3)])
     x = np.zeros((4, 1))
     records = train(net, x, x, "mse", SGD(net, lr=1.0), epochs=2, batch_size=4,
-                    rngs=[default_rng(r) for r in range(3)])
+                    rngs=[default_rng(r) for r in range(3)], x_test=np.ones((2, 1)),
+                    y_test=np.ones((2, 1)))
     assert [[(rec.epoch, rec.status) for rec in recs] for recs in records] == [
         [(0, "ok"), (1, "ok")], [(0, "diverged")], [(0, "ok"), (1, "ok")]]
 
@@ -566,8 +563,8 @@ def test_flat_optimizers_match_textbook_bit_for_bit(flat, textbook):
         for step in range(20):
             idx = data.choice(64, size=16, replace=False)
             for net, opt in ((net_a, opt_a), (net_b, opt_b)):
-                _, grad = _textbook_xent(net.forward(x[idx], training=True), labels[idx])
-                net.backward(grad)
+                _, grad = _textbook_xent(net.forward(x[idx], training=True)[0], labels[idx])
+                net.backward(grad[None])
                 opt.step()
             np.testing.assert_array_equal(net_a.theta, net_b.theta,
                                           err_msg=f"{make_net.__name__} step {step}")
@@ -588,8 +585,8 @@ def test_adam_stays_within_rounding_of_algorithm_1():
     for _ in range(500):
         idx = data.choice(64, size=16, replace=False)
         for net, opt in ((net_a, opt_a), (net_b, opt_b)):
-            _, grad = _textbook_xent(net.forward(x[idx], training=True), labels[idx])
-            net.backward(grad)
+            _, grad = _textbook_xent(net.forward(x[idx], training=True)[0], labels[idx])
+            net.backward(grad[None])
             opt.step()
     assert not np.array_equal(net_a.theta, net_b.theta)  # the bits did move
     np.testing.assert_allclose(net_a.theta, net_b.theta, rtol=1e-9, atol=0)
@@ -632,7 +629,7 @@ def test_train_zero_epochs():
     before = net.theta.copy()
     records = train(net, np.zeros((4, 1)), np.zeros((4, 1)), "mse",
                     SGD(net, lr=0.1), epochs=0, batch_size=2,
-                    rngs=[default_rng(8)])
+                    rngs=[default_rng(8)], x_test=np.ones((2, 1)), y_test=np.ones((2, 1)))
     assert records == [[]]
     np.testing.assert_array_equal(net.theta, before)
 
@@ -644,7 +641,9 @@ def test_train_linear_regression_converges():
     x = np.linspace(-1, 1, 32)[:, None]
     y = 2.0 * x
     opt = SGD(net, lr=0.1)
-    train(net, x, y, "mse", opt, epochs=300, batch_size=8, rngs=[default_rng(10)])
+    x_test = np.linspace(-0.9, 0.9, 7)[:, None]
+    train(net, x, y, "mse", opt, epochs=300, batch_size=8, rngs=[default_rng(10)],
+          x_test=x_test, y_test=2.0 * x_test)
     assert abs(dense.w.value[0, 0] - 2.0) < 1e-3
     assert abs(dense.b.value[0]) < 1e-3
 
@@ -668,8 +667,9 @@ def test_train_divergence_reported():
     net = build_mlp([1, 4, 1], parse_activation("relu"), [default_rng(14)])
     opt = SGD(net, lr=1e12)  # guaranteed blow-up
     x = np.linspace(-1, 1, 16)[:, None]
+    x_test = np.linspace(-0.9, 0.9, 5)[:, None]
     records, = train(net, x, 100 * x, "mse", opt, epochs=20, batch_size=4,
-                     rngs=[default_rng(15)])
+                     rngs=[default_rng(15)], x_test=x_test, y_test=100 * x_test)
     assert records[-1].status == "diverged"
     assert len(records) < 20
 
@@ -680,8 +680,9 @@ def test_nontrainable_coefficients_bit_identical_after_training():
     layer = [l for l in net.layers if isinstance(l, ActivationLayer)][0]
     before, = layer.current_coefficients()
     x = np.linspace(-2, 2, 64)[:, None]
+    x_test = np.linspace(-1.9, 1.9, 9)[:, None]
     train(net, x, np.sin(x), "mse", Adam(net, lr=1e-2),
-          epochs=20, batch_size=16, rngs=[default_rng(17)])
+          epochs=20, batch_size=16, rngs=[default_rng(17)], x_test=x_test, y_test=np.sin(x_test))
     after, = layer.current_coefficients()
     assert after["lambda"] == before["lambda"]
     assert after["beta"] == before["beta"]
@@ -694,8 +695,9 @@ def test_positive_coefficients_survive_optimization():
     net = build_mlp([1, 8, 1], spec, [default_rng(18)])
     layer = [l for l in net.layers if isinstance(l, ActivationLayer)][0]
     x = np.linspace(-3, 3, 64)[:, None]
-    train(net, x, 5 * np.sin(3 * x), "mse", Adam(net, lr=0.5),
-          epochs=50, batch_size=16, rngs=[default_rng(19)])
+    x_test = np.linspace(-2.9, 2.9, 9)[:, None]
+    train(net, x, 5 * np.sin(3 * x), "mse", Adam(net, lr=0.5), epochs=50, batch_size=16,
+          rngs=[default_rng(19)], x_test=x_test, y_test=5 * np.sin(3 * x_test))
     coeffs, = layer.current_coefficients()
     assert coeffs["alpha"] > 0.0
     assert coeffs["beta"] > 0.0
@@ -761,7 +763,8 @@ def test_train_rejects_a_target_shape_before_any_update(loss_kind, y_shape):
     theta = net.theta.tobytes()
     with pytest.raises(ShapeError):
         train(net, default_rng(48).standard_normal((20, 2)), np.zeros(y_shape, dtype=np.int64),
-              loss_kind, opt, epochs=1, batch_size=8, rngs=[default_rng(49)])
+              loss_kind, opt, epochs=1, batch_size=8, rngs=[default_rng(49)],
+              x_test=np.zeros((5, 2)), y_test=np.zeros((5,) if loss_kind == "xent" else (5, 1)))
     assert net.theta.tobytes() == theta
 
 
@@ -778,7 +781,8 @@ def test_mse_shape_error_names_prediction_and_target():
             ((4, 2), r"^mse: prediction shape \(3, 2\) vs target shape \(4, 2\)$")):
         with pytest.raises(ShapeError, match=message):
             train(net, np.zeros((3, 2)), np.zeros(y_shape), "mse", opt, epochs=1,
-                  batch_size=2, rngs=[default_rng(51)])
+                  batch_size=2, rngs=[default_rng(51)], x_test=np.ones((2, 2)),
+                  y_test=np.ones((2, 2)))
         assert net.theta.tobytes() == theta
 
 
@@ -791,11 +795,11 @@ def _textbook_train(net, x, y, loss, optimizer, epochs, batch_size, rng, x_test,
         total = 0.0
         for start in range(0, len(x), batch_size):
             idx = order[start:start + batch_size]
-            value, grad = loss(net.forward(x[idx], training=True, rng=[rng]), y[idx])
-            net.backward(grad)
+            value, grad = loss(net.forward(x[idx], training=True, rng=[rng])[0], y[idx])
+            net.backward(grad[None])
             optimizer.step()
             total += value * len(idx)
-        pred = net.forward(x_test)
+        pred = net.forward(x_test)[0]
         accuracy = (float(np.mean(pred.argmax(axis=1) == y_test))
                     if loss is _textbook_xent else None)
         records.append((epoch, total / len(x), loss(pred, y_test)[0], accuracy,
@@ -857,6 +861,18 @@ def test_stack_trains_each_replica_as_it_trains_alone(act_text, make_opt):
     assert len(set(thetas)) == 3
     for r, seed in enumerate(seeds):
         assert _train_replicas(spec, (seed,), make_opt, epochs=3) == ([stacked[r]], [thetas[r]])
+
+
+@pytest.mark.parametrize("text", list(KINDS) + ["ewend(mode=channel,train=alpha|lambda|beta|eps)"])
+def test_a_forward_without_generators_gives_the_eval_rows_in_either_layout(text):
+    # the training layout (each replica's batch, one after another) and the
+    # eval layout (2-D rows that every replica takes) give the same stack
+    # when no generators are given: rrelu then takes its mean slope
+    net = build_mlp([3, 6, 6, 2], parse_activation(text), [default_rng(90 + r) for r in range(3)])
+    x = default_rng(93).standard_normal((5, 3))
+    rows = net.forward(x)
+    assert rows.shape == (3, 5, 2) and not np.array_equal(rows[0], rows[1])
+    assert net.forward(np.tile(x, (3, 1)), training=True).tobytes() == rows.tobytes()
 
 
 def test_a_diverging_replica_leaves_the_stack_and_the_others_train_on():
@@ -940,13 +956,6 @@ def test_a_stack_of_many_kinds_trains_each_replica_as_it_trains_alone(make_opt):
                     assert not row.any(), (r, name)
 
 
-def test_a_layer_of_several_groups_gives_every_replica_all_rows_of_a_2d_input():
-    specs = [parse_activation(text) for text in ("relu", "relu", "tanh")]
-    layer = ActivationLayer(specs, replicas=3)
-    x = default_rng(90).standard_normal((5, 4))
-    y = layer.forward(x, training=False, rng=None)
-    np.testing.assert_array_equal(y, [np.maximum(0.0, x)] * 2 + [np.tanh(x)])
-
 def test_epoch_seconds_share_out_the_wall_time_by_activation(monkeypatch):
     # a fake clock that ticks once per reading, and a tanh kernel that takes 8
     # ticks more, make every figure exact
@@ -956,9 +965,9 @@ def test_epoch_seconds_share_out_the_wall_time_by_activation(monkeypatch):
         now[0] += 1.0
         return now[0]
 
-    def slow_tanh(x, c, training, rng):
+    def slow_tanh(x, c):
         now[0] += 8.0
-        return tanh.value(x, c, training, rng)
+        return tanh.value(x, c)
 
     tanh = KINDS["tanh"]
     monkeypatch.setattr(network, "time", SimpleNamespace(monotonic=monotonic))
