@@ -98,17 +98,17 @@ _R_GUARD = 1e-12  # below this, a channel slice is treated as exactly radial-zer
 
 def _check_ewend(p):
     if p["alpha"] <= 0:
-        raise ConfigError(f"alpha must be > 0, got {p['alpha']}")
+        raise ConfigError(f"ewend: alpha must be > 0, got {p['alpha']}")
     if p["beta"] <= 0:
-        raise ConfigError(f"beta must be > 0, got {p['beta']}")
+        raise ConfigError(f"ewend: beta must be > 0, got {p['beta']}")
     if not 1 <= p["k"] <= 8:
-        raise ConfigError(f"k must be an integer in [1, 8], got {p['k']!r}")
+        raise ConfigError(f"ewend: k must be an integer in [1, 8], got {p['k']!r}")
     if p["lambda"] < 0:
-        raise ConfigError(f"lambda must be >= 0, got {p['lambda']}")
+        raise ConfigError(f"ewend: lambda must be >= 0, got {p['lambda']}")
     if p["eps"] < 0:
-        raise ConfigError(f"epsilon must be >= 0, got {p['eps']}")
+        raise ConfigError(f"ewend: eps must be >= 0, got {p['eps']}")
     if p["mode"] not in ("elem", "channel"):
-        raise ConfigError("mode must be 'elem' or 'channel'")
+        raise ConfigError(f"ewend: mode must be 'elem' or 'channel', got {p['mode']!r}")
 
 
 class _Profile(NamedTuple):
@@ -662,7 +662,10 @@ def parse_activation(text: str) -> ActivationSpec:
             if "=" not in chunk:
                 raise ConfigError(f"{kind}: expected key=value, got {chunk.strip()!r}")
             key, _, val = chunk.partition("=")
-            pairs[key.strip().lower()] = val.strip()
+            key = key.strip().lower()
+            if key in pairs:
+                raise ConfigError(f"{kind}: parameter {key!r} is given more than once")
+            pairs[key] = val.strip()
     return ActivationSpec(kind, KINDS[kind].parse(pairs))
 
 

@@ -256,7 +256,7 @@ def _train_stack(cfg: ExperimentConfig, texts: list[str], data: tuple, loss_kind
     without a grid."""
     jobs = [(text, rep) for text in texts for rep in range(cfg.repetitions)]
     specs = [cfg.activations[text] for text, _ in jobs]
-    # one spec when the stack runs one activation, as the layers then do
+    # one spec when the stack runs one activation: perfbench's job label reads its kind
     net = build_mlp(cfg.architecture, specs if len(texts) > 1 else specs[0],
                     [substream(cfg.seed, "net", text, rep) for text, rep in jobs])
     opt = cfg.optimizer

@@ -70,16 +70,16 @@ class Dense:
 
 
 class ActivationLayer:
-    """Applies `spec` to every replica, or spec[r] to replica r of a list;
-    consecutive replicas with equal specs form a group, which runs its
-    kind's kernel once, on its rows.  The layer owns one (R, 1, 1) Param per
-    coefficient name that any group trains, held as its kind stores it; each
-    group binds its own rows, as views, and the other rows hold 0 and get no
-    gradient written, so no optimizer step moves them.  With several
-    groups, `seconds` holds each group's kernel time."""
+    """Applies specs[r] to replica r; consecutive replicas with equal specs
+    form a group, which runs its kind's kernel once, on its rows, timed into
+    `seconds`, and `sizes` holds each group's replica count.  The layer owns
+    one (R, 1, 1) Param per coefficient name that any group trains, held as
+    its kind stores it; each group binds its own rows, as views, and the
+    other rows hold 0 and get no gradient written, so no optimizer step
+    moves them."""
 
-    def __init__(self, spec, name: str = "act", replicas: int = 1):
-        self.specs = list(spec) if isinstance(spec, list) else [spec] * replicas
+    def __init__(self, specs: list, name: str = "act"):
+        self.specs = list(specs)
         self.name = name
         self._regroup()
         self._params: dict[str, Param] = {}
@@ -92,20 +92,21 @@ class ActivationLayer:
     def _regroup(self):
         """Split the replicas into runs of equal specs, (rows, kind, params,
         trained coefficient names, the bound coefficients if none is)."""
-        self._groups, start = [], 0
+        self._groups, self.sizes, start = [], [], 0
         for spec, run in itertools.groupby(self.specs):
             kind, stop = act.KINDS[spec.kind], start + len(list(run))
             names = tuple(kind.initial(spec.params))
             # with nothing to train, the coefficients never change: bind them once
             fixed = None if names else kind.bind(spec.params, {})
             self._groups.append((slice(start, stop), kind, spec.params, names, fixed))
+            self.sizes.append(stop - start)
             start = stop
         self.seconds = [0.0] * len(self._groups)
 
     def keep(self, rows):
         """Keep the replicas at `rows`, in order, regrouped; a group keeps
         the time of its first replica's old group."""
-        seconds = np.repeat(self.seconds, [g[0].stop - g[0].start for g in self._groups])[rows]
+        seconds = np.repeat(self.seconds, self.sizes)[rows]
         self.specs = [self.specs[i] for i in rows]
         self._regroup()
         self.seconds = [float(seconds[g[0].start]) for g in self._groups]
@@ -122,20 +123,6 @@ class ActivationLayer:
                                            for coeff in names})
             yield rows, kind, fixed
 
-    def _part(self, a, rows):
-        """A group's rows of `a`, an array or the generator list; all of
-        `a` in a layer of one group."""
-        return a if a is None or len(self._groups) == 1 else a[rows]
-
-    def _run(self, group: int, step, *args):
-        """step(*args), its time added to the group's when there are several."""
-        if len(self._groups) == 1:
-            return step(*args)
-        t0 = time.monotonic()
-        out = step(*args)
-        self.seconds[group] += time.monotonic() - t0
-        return out
-
     def current_coefficients(self) -> list[dict[str, float]]:
         """Each replica's coefficient values in natural space, for metrics
         reporting."""
@@ -151,7 +138,7 @@ class ActivationLayer:
         """The smallest gap between an input of the last forward and a point
         where the first derivative of its group's activation jumps."""
         x, _ = self._cache
-        gaps = (float(np.abs(self._part(x, rows) - kink).min())
+        gaps = (float(np.abs(x[rows] - kink).min())
                 for rows, kind, c in self._bound() for kink in kind.kinks(c))
         return min(gaps, default=math.inf)
 
@@ -161,7 +148,9 @@ class ActivationLayer:
         None, reaches only a kind that draws."""
         ys, parts = [], []
         for i, (rows, kind, c) in enumerate(self._bound()):
-            y, aux = self._run(i, kind.forward, c, self._part(x, rows), self._part(rng, rows))
+            t0 = time.monotonic()
+            y, aux = kind.forward(c, x[rows], None if rng is None else rng[rows])
+            self.seconds[i] += time.monotonic() - t0
             ys.append(y)
             parts.append((c, aux))
         self._cache = (x, parts)
@@ -174,8 +163,9 @@ class ActivationLayer:
         x, parts = self._cache
         dxs = []
         for i, ((rows, kind, *_), (c, aux)) in enumerate(zip(self._groups, parts)):
-            dx, grads = self._run(i, kind.backward, c, self._part(x, rows), aux,
-                                  self._part(upstream, rows))
+            t0 = time.monotonic()
+            dx, grads = kind.backward(c, x[rows], aux, upstream[rows])
+            self.seconds[i] += time.monotonic() - t0
             for coeff, grad in grads.items():
                 self._params[coeff].grad[rows] = grad
             dxs.append(dx)
@@ -237,15 +227,13 @@ class Network:
     def replica_seconds(self, elapsed: float) -> np.ndarray:
         """`elapsed` shared out, one figure per replica: its activation
         group's kernel time since `clear_seconds`, plus the rest split by the
-        groups' replica counts (the groups `build_mlp` gives every layer).
-        One replica of each group gets a sum of `elapsed`; one group, each."""
+        groups' replica counts (the groups `build_mlp` gives every layer), so
+        one replica of each group gets a sum of `elapsed`."""
         layers = self._activations()
-        if not layers or len(layers[0].seconds) == 1:
-            return np.full(self.replicas, elapsed)
-        sizes = [rows.stop - rows.start for rows, *_ in layers[0]._groups]
-        own = np.repeat(np.add.reduce([layer.seconds for layer in layers]), sizes)
-        rest = elapsed - sum(sum(layer.seconds) for layer in layers)
-        return own + rest * (np.repeat(sizes, sizes) / self.replicas)
+        sizes = layers[0].sizes if layers else [self.replicas]
+        own = sum((np.array(layer.seconds) for layer in layers), np.zeros(len(sizes)))
+        share = np.repeat(sizes, sizes) / self.replicas
+        return np.repeat(own, sizes) + (elapsed - own.sum()) * share
 
     def clear_seconds(self):
         """Zero the activation groups' kernel times."""
@@ -293,13 +281,14 @@ def build_mlp(widths: list[int], spec, rngs) -> Network:
     in replica r of a list, replica r initialised from rngs[r]."""
     if len(widths) < 2:
         raise ValueError("need at least input and output widths")
-    if isinstance(spec, list) and len(spec) != len(rngs):
-        raise ValueError(f"{len(spec)} activation specs for {len(rngs)} replicas")
+    specs = spec if isinstance(spec, list) else [spec] * len(rngs)
+    if len(specs) != len(rngs):
+        raise ValueError(f"{len(specs)} activation specs for {len(rngs)} replicas")
     layers: list = []
     for i in range(len(widths) - 1):
         layers.append(Dense(widths[i], widths[i + 1], rngs, name=f"dense{i}"))
         if i < len(widths) - 2:
-            layers.append(ActivationLayer(spec, name=f"act{i}", replicas=len(rngs)))
+            layers.append(ActivationLayer(specs, name=f"act{i}"))
     return Network(layers)
 
 

@@ -210,7 +210,7 @@ def test_each_rrelu_replica_of_a_stack_draws_the_slopes_it_draws_alone():
     y = layer.forward(x, [default_rng(20 + r) for r in range(len(texts))])
     dx = layer.backward(up)
     for r, text in enumerate(texts):
-        alone = ActivationLayer(parse_activation(text))
+        alone = ActivationLayer([parse_activation(text)])
         assert alone.forward(x[r:r + 1], [default_rng(20 + r)]).tobytes() == y[r].tobytes()
         assert alone.backward(up[r:r + 1]).tobytes() == dx[r].tobytes()
     assert not np.array_equal(y[0], y[1])  # two generators, two draws of slopes
@@ -320,6 +320,12 @@ def test_parse_errors_name_the_problem():
         parse_activation("wc2(x=1)")
     with pytest.raises(ConfigError):
         parse_activation("rrelu(lo=0.5,hi=0.1)")
+    # a key given twice, in any case, is an error, not a silent last value
+    for text, message in (("lrelu(slope=1,slope=2)", "lrelu: parameter 'slope'"),
+                          ("ewend(alpha=2,ALPHA=3)", "ewend: parameter 'alpha'")):
+        with pytest.raises(ConfigError) as err:
+            parse_activation(text)
+        assert str(err.value) == f"{message} is given more than once"
 
 
 _BASELINES = ("relu", "relu6", "lrelu", "prelu", "rrelu", "elu", "celu", "swish",
@@ -399,7 +405,7 @@ def _kink_gap(layer, x):
 @_PROPERTY_SETTINGS
 @given(data=st.data())
 def test_layer_gradients_match_finite_differences(kind, data):
-    layer = ActivationLayer(parse_activation(data.draw(_spec_texts(kind))))
+    layer = ActivationLayer([parse_activation(data.draw(_spec_texts(kind)))])
     rng = default_rng(data.draw(st.integers(0, 2**32 - 1)))
     x = rng.uniform(-3.0, 3.0, size=(1, 3, 4))  # a stack of one replica
     assume(_kink_gap(layer, x) > 1e-3)

@@ -498,6 +498,8 @@ def _run_fails(path) -> str:
     ("sine", {"activations": ["lrelu(slope=0.01)", "tanh", "lrelu(slope=0.0100000001)"]}),
     ("moons", {"dataset": {"n": 1}}),
     ("circles", {"dataset": {"n": 1}}),
+    ("moons", {"activations": ["relu", "lrelu(slope=1,slope=2)"]}),
+    ("moons", {"activations": ["ewend(alpha=2,ALPHA=3)"]}),
     *[("moons", {"activations": ["relu", "tanh", text]}) for text in _BAD_EWEND],
 ], ids=["epochs", "seed", "lr", "architecture", "test_fraction-1", "test_fraction-1.5",
         "test_fraction-0", "test_fraction-abc", "n-abc", "n-1.5", "n-true",
@@ -514,7 +516,8 @@ def _run_fails(path) -> str:
         "prelu-slope-nan", "srelu-tl-inf", "srelu-crossed", "ewend-eps-nan-second",
         "experiment-list", "experiment-mapping", "sine-x-range-overflow", "lr-int-past-float",
         "x_hi-int-past-float", "activation-repeated", "activation-same-encoding",
-        "moons-n-1", "circles-n-1", *_BAD_EWEND])
+        "moons-n-1", "circles-n-1", "lrelu-slope-repeated", "ewend-alpha-repeated-case",
+        *_BAD_EWEND])
 def test_cli_run_bad_config_value_exits_2(tmp_path, experiment, override):
     path = _cli_config(tmp_path, experiment, override)
     assert len(_run_fails(path).splitlines()) == 1

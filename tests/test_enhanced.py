@@ -222,7 +222,7 @@ def test_backward_at_zero_input_when_alpha_squared_overflows(text):
     # term it scales is a multiple of r, so at x = 0 the input gradient is
     # g(0) = 1 + eps as at any alpha: for an alpha written in the text and
     # for one trained, bound from its stored log as a (1, 1, 1) array
-    layer = ActivationLayer(parse_activation(text))
+    layer = ActivationLayer([parse_activation(text)])
     x = np.array([[[0.0, -0.0, 0.5, -3.0]]])
     with quiet_errstate():
         y = layer.forward(x, None)
@@ -346,13 +346,13 @@ _EWEND_TEXTS = [
 # (text, the one ConfigError message it gets)
 _BAD_EWEND_TEXTS = [
     ("ewend(k=2.5)", "ewend: k must be an integer, got '2.5'"),
-    ("ewend(k=0)", "k must be an integer in [1, 8], got 0"),
-    ("ewend(k=9)", "k must be an integer in [1, 8], got 9"),
-    ("ewend(alpha=0)", "alpha must be > 0, got 0.0"),
-    ("ewend(beta=-1)", "beta must be > 0, got -1.0"),
-    ("ewend(lambda=-0.1)", "lambda must be >= 0, got -0.1"),
-    ("ewend(eps=-1e-9)", "epsilon must be >= 0, got -1e-09"),
-    ("ewend(mode=nope)", "mode must be 'elem' or 'channel'"),
+    ("ewend(k=0)", "ewend: k must be an integer in [1, 8], got 0"),
+    ("ewend(k=9)", "ewend: k must be an integer in [1, 8], got 9"),
+    ("ewend(alpha=0)", "ewend: alpha must be > 0, got 0.0"),
+    ("ewend(beta=-1)", "ewend: beta must be > 0, got -1.0"),
+    ("ewend(lambda=-0.1)", "ewend: lambda must be >= 0, got -0.1"),
+    ("ewend(eps=-1e-9)", "ewend: eps must be >= 0, got -1e-09"),
+    ("ewend(mode=nope)", "ewend: mode must be 'elem' or 'channel', got 'nope'"),
     ("ewend(train=lam)", "ewend: unknown train token 'lam'"),
     ("ewend(train=mode)", "ewend: unknown train token 'mode'"),
     ("ewend(gamma=1)", "ewend: unknown parameter 'gamma'"),
@@ -477,7 +477,7 @@ def test_layer_matches_textbook_closed_forms_bit_for_bit(k, mode):
         train = tuple(name for name, on in zip(EWEND.trainable, mask) if on)
         spec_p = {"alpha": rng.uniform(0.3, 3.0), "k": k, "lambda": 0.07,
                   "beta": rng.uniform(0.3, 3.0), "eps": 0.02, "mode": mode, "train": train}
-        layer = ActivationLayer(ActivationSpec("ewend", spec_p))
+        layer = ActivationLayer([ActivationSpec("ewend", spec_p)])
         # the layer's natural-space values, of its one replica: log-stored
         # ones may move by an ulp
         c, = layer.current_coefficients()
@@ -550,7 +550,7 @@ def test_layer_matches_textbook_closed_forms_where_terms_are_not_finite(text, mo
     base = spec.params
     with np.errstate(all="ignore"):
         # a stack of 3 replicas, each with its own alpha, as a study trains it
-        layer = ActivationLayer(spec, replicas=3)
+        layer = ActivationLayer([spec] * 3)
         alpha, = (param for param in layer.params() if param.name.endswith(".alpha"))
         alpha.value[...] = np.log([base["alpha"], base["alpha"] / 7.0, 2.5])[:, None, None]
         coeffs = _natural(layer, 3)
@@ -568,7 +568,7 @@ def test_layer_matches_textbook_closed_forms_where_terms_are_not_finite(text, mo
             _assert_layer_grads(layer, _expected_grads(grads_ref, coeffs[i], base["train"]), i)
 
         # a stack of one replica, against its (1, 1, 1) coefficients
-        layer = ActivationLayer(spec)
+        layer = ActivationLayer([spec])
         c = _natural(layer, 1)[0]
         x, up = refs[0][:2]
         y_ref, dx_ref, grads_ref = _textbook_layer(x, up, {**base, **c})

@@ -43,7 +43,7 @@ def test_dense_then_relu_hand_computed():
     dense = Dense(1, 1, [rng])
     dense.w.value[...] = 2.0
     dense.b.value[...] = 1.0
-    net = Network([dense, ActivationLayer(parse_activation("relu"))])
+    net = Network([dense, ActivationLayer([parse_activation("relu")])])
     out = net.forward(np.array([[-1.0], [3.0]]))
     np.testing.assert_array_equal(out, [[[0.0], [7.0]]])
 
@@ -533,9 +533,9 @@ def _reference_net(replicas=1):
     ewend, prelu = parse_activation("ewend(train=alpha|beta)"), parse_activation("prelu")
     return Network([
         Dense(2, 8, rngs, name="dense0"),
-        ActivationLayer(ewend, name="act0", replicas=replicas),
+        ActivationLayer([ewend] * replicas, name="act0"),
         Dense(8, 8, rngs, name="dense1"),
-        ActivationLayer(prelu, name="act1", replicas=replicas),
+        ActivationLayer([prelu] * replicas, name="act1"),
         Dense(8, 2, rngs, name="dense2"),
     ])
 
@@ -969,35 +969,64 @@ def test_epoch_seconds_share_out_the_wall_time_by_activation(monkeypatch):
         now[0] += 8.0
         return tanh.value(x, c)
 
-    tanh = KINDS["tanh"]
+    sigmoid_calls = []
+
+    def nan_sigmoid(x, c):
+        # the slope turns NaN in the third training batch of the first epoch
+        sigmoid_calls.append(None)
+        y, dy = sigmoid.value(x, c)
+        return y, np.full_like(dy, np.nan) if len(sigmoid_calls) >= 5 else dy
+
+    tanh, sigmoid = KINDS["tanh"], KINDS["sigmoid"]
     monkeypatch.setattr(network, "time", SimpleNamespace(monotonic=monotonic))
     monkeypatch.setitem(KINDS, "tanh", replace(tanh, value=slow_tanh))
-    walls = []
+    monkeypatch.setitem(KINDS, "sigmoid", replace(sigmoid, value=nan_sigmoid))
+    calls = []  # (elapsed, figures) of each replica_seconds call
     replica_seconds = Network.replica_seconds
-    monkeypatch.setattr(Network, "replica_seconds",
-                        lambda net, elapsed: walls.append(elapsed) or replica_seconds(net, elapsed))
+    monkeypatch.setattr(Network, "replica_seconds", lambda net, elapsed: calls.append(
+        (elapsed, replica_seconds(net, elapsed))) or calls[-1][1])
+    kept = []  # each activation layer's group seconds before and after a keep
+    keep = ActivationLayer.keep
+    monkeypatch.setattr(ActivationLayer, "keep", lambda layer, rows: kept.append(
+        (list(layer.seconds), keep(layer, rows) or list(layer.seconds))))
     x_train, y_train, x_test, y_test = _two_class_data(53)
 
     def seconds(texts):
-        """Each replica's epoch seconds, two repetitions per activation, and
-        each epoch's wall time."""
-        walls.clear()
+        """Each replica's epoch seconds, two repetitions per activation, each
+        epoch's wall time and the trained network."""
+        calls.clear()
         specs = [parse_activation(text) for text in texts for _ in range(2)]
         rngs = [default_rng(r) for r in range(len(specs))]
         net = build_mlp([2, 8, 8, 2], specs if len(texts) > 1 else specs[0], rngs)
         records = train(net, x_train, y_train, "xent", Adam(net), epochs=3, batch_size=32,
                         rngs=rngs, x_test=x_test, y_test=y_test)
-        return [[rec.seconds for rec in recs] for recs in records], list(walls)
+        return [[rec.seconds for rec in recs] for recs in records], [c[0] for c in calls], net
 
-    # one activation: each row carries its epoch's wall time
-    rows, one = seconds(["tanh"])
+    # one activation: each row carries its epoch's wall time, and each layer
+    # timed its kernels, 9 ticks a forward and 1 a backward in the last epoch
+    rows, one, net = seconds(["tanh"])
     assert len(one) == 3 and rows == [one, one]
+    assert [layer.seconds for layer in net._activations()] == [[9.0 * 5 + 4]] * 2
     # two: each activation's figure is its own kernels' time plus half the
     # rest, the same for its repetitions; the figures add up to the wall time
-    rows, two = seconds(["relu", "tanh"])
+    rows, two, _ = seconds(["relu", "tanh"])
     assert len(two) == 3 and rows[0] == rows[1] and rows[2] == rows[3]
     for relu_s, tanh_s, wall in zip(rows[0], rows[2], two):
         assert relu_s >= 0 and tanh_s >= 0 and relu_s + tanh_s == wall
         # tanh's 8 extra ticks per forward, in 2 layers, for 4 training
         # batches and the test forward of each epoch
         assert tanh_s - relu_s == 8 * 2 * 5
+    # three, the middle one diverging mid-epoch: its rows take their share
+    # of the epoch up to that batch, and the two groups left keep their
+    # kernel time across the keep, so tanh still leads relu by the whole
+    # epoch's 80 ticks and one replica per group adds up to the wall time
+    assert kept == []
+    rows, three, _ = seconds(["relu", "sigmoid", "tanh"])
+    assert [len(row) for row in rows] == [3, 3, 1, 1, 3, 3]
+    assert len(kept) == 2 and all(after == [before[0], before[2]] for before, after in kept)
+    assert all(before[2] > before[0] > 0 for before, _ in kept)
+    (diverged, shares), walls = calls[0], three[1:]
+    assert shares[0] + shares[2] + shares[4] == diverged < walls[0]
+    assert rows[2] == rows[3] == [shares[2]]
+    for relu_s, tanh_s, wall in zip(rows[0], rows[4], walls):
+        assert relu_s + tanh_s == wall and tanh_s - relu_s == 8 * 2 * 5
