@@ -31,26 +31,15 @@ from .tensor import substream
 _CONFIG_KEYS = ("schema_version", "experiment", "seed", "activations", "architecture",
                 "epochs", "batch_size", "repetitions", "optimizer", "output_dir", "dataset")
 
-# One table per config section: its keys are the allowed keys, and each
-# default's type is the check on that key's value (see `_scalar`).
+# One table per config section, the dataset's in each `_Study`: its keys are
+# the allowed keys, and each default's type is the check on that key's value
+# (see `_scalar`).
 _OPTIMIZER = {"kind": "adam", "lr": 1e-3, "momentum": 0.0, "beta1": 0.9, "beta2": 0.999}
-_TOY = {"n": 1000, "noise_sd": 0.2, "test_fraction": 0.3}
 # the official MNIST-format file names; a starter looks under data/<experiment>/
 _IDX_FILES = {"train_images": "train-images-idx3-ubyte",
               "train_labels": "train-labels-idx1-ubyte",
               "test_images": "t10k-images-idx3-ubyte",
               "test_labels": "t10k-labels-idx1-ubyte"}
-_IDX = {**dict.fromkeys(_IDX_FILES), "n_train": 10000, "n_test": 2000}  # paths required
-_DATASET = {
-    "sine": {"n": 256, "x_lo": -math.pi, "x_hi": math.pi, "noise_sd": 0.05,
-             "test_fraction": 0.3, "grid_points": 201},
-    "moons": _TOY,
-    # keys in starter-config order: factor before test_fraction
-    "circles": {"n": _TOY["n"], "noise_sd": 0.1, "factor": 0.5,
-                "test_fraction": _TOY["test_fraction"]},
-    "mnist": _IDX,
-    "fashion": _IDX,
-}
 
 # Table-1 row order from the activation comparison study; activations not in
 # this list keep their config order after these.
@@ -157,7 +146,7 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
     for key in ("momentum", "beta1", "beta2"):
         _require(0 <= optimizer[key] < 1,
                  f"optimizer.{key} must be in [0, 1), got {optimizer[key]!r}")
-    dataset = _section(written["dataset"], "dataset", _DATASET[experiment])
+    dataset = _section(written["dataset"], "dataset", _STUDIES[experiment].dataset)
     top = dict(experiment=experiment, seed=_scalar(raw, "seed", 0, least=0),
                architecture=list(arch), epochs=_scalar(raw, "epochs", 100),
                batch_size=_scalar(raw, "batch_size", 32),
@@ -171,6 +160,31 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
         digest=hashlib.sha256(blob.encode("utf-8")).hexdigest()[:16])
 
 
+class _Loader(yaml.SafeLoader):
+    """safe_load's loader, but a mapping that repeats a key is an error, not
+    its last value (a `<<` merge key is no key of its own), and so is a value
+    that its explicit tag cannot read, such as `!!int abc`."""
+
+    def construct_object(self, node, deep=False):
+        try:
+            return super().construct_object(node, deep)
+        except (ValueError, LookupError, AttributeError):  # PyYAML's scalar readers raise these
+            raise yaml.constructor.ConstructorError(
+                None, None, f"cannot read {node.value!r} as {node.tag}", node.start_mark) from None
+
+    def construct_mapping(self, node, deep=False):
+        lines = {}
+        for key_node, _ in node.value:
+            if isinstance(key_node, yaml.ScalarNode) and key_node.tag != "tag:yaml.org,2002:merge":
+                key = self.construct_object(key_node)
+                if key in lines:
+                    raise yaml.constructor.ConstructorError(
+                        None, None, f"repeated key {key!r} (first on line {lines[key]})",
+                        key_node.start_mark)
+                lines[key] = key_node.start_mark.line + 1
+        return super().construct_mapping(node, deep)
+
+
 def load_config(path) -> ExperimentConfig:
     with open(path, "r", encoding="utf-8") as f:
         try:
@@ -178,9 +192,13 @@ def load_config(path) -> ExperimentConfig:
         except UnicodeDecodeError as exc:
             raise ConfigError(f"{path}: not UTF-8 text: {exc}") from None
     try:
-        raw = yaml.safe_load(text)
-    except yaml.YAMLError as exc:
-        raise ConfigError(f"{path}: not valid YAML: {exc}") from None
+        raw = yaml.load(text, Loader=_Loader)
+    except yaml.MarkedYAMLError as exc:
+        mark = exc.problem_mark or exc.context_mark
+        problem = ", ".join(part for part in (exc.context, exc.problem) if part)
+        raise ConfigError(f"{path}:{mark.line + 1}: not valid YAML: {problem}") from None
+    except yaml.YAMLError as exc:  # a ReaderError has no mark
+        raise ConfigError(f"{path}: not valid YAML: {str(exc).splitlines()[0]}") from None
     try:
         return config_from_dict(raw)
     except ConfigError as exc:
@@ -191,8 +209,8 @@ def _where(path, text: str, exc: ConfigError) -> str:
     """`path`, with the line of the activations entry that `exc` names, if any."""
     m = re.match(r"activations\[(\d+)\]", str(exc))
     if m:
-        for key, value in reversed(yaml.compose(text).value):
-            if key.value == "activations":  # the last one, as safe_load keeps
+        for key, value in yaml.compose(text).value:
+            if key.value == "activations":
                 return f"{path}:{value.value[int(m.group(1))].start_mark.line + 1}"
     return str(path)
 
@@ -205,7 +223,7 @@ def _fmt(value: float | None) -> str:
     return "" if value is None else f"{value:.17g}"
 
 
-def _write_csv(path: Path, cfg: ExperimentConfig, columns, rows) -> Path:
+def _write_csv(path: Path, cfg: ExperimentConfig, columns, rows):
     """Write the version, config digest and seed lines, `columns` and `rows` to `path`."""
     with open(path, "w", newline="", encoding="utf-8") as f:
         f.write(f"# wendnet v{__version__}\n")
@@ -214,7 +232,6 @@ def _write_csv(path: Path, cfg: ExperimentConfig, columns, rows) -> Path:
         writer = csv.writer(f)
         writer.writerow(columns)
         writer.writerows(rows)
-    return path
 
 
 def _params_blob(params: dict[str, float]) -> str:
@@ -246,7 +263,7 @@ def _stacks(cfg: ExperimentConfig) -> list[list[str]]:
 
 
 def _train_stack(cfg: ExperimentConfig, texts: list[str], data: tuple, loss_kind: str,
-                 grid: np.ndarray | None = None) -> list[tuple]:
+                 grid: np.ndarray | None) -> list[tuple]:
     """Train every repetition of the activations `texts` as one stack on
     `data`, the study's (x_train, y_train, x_test, y_test), its replicas in
     order of activation, then repetition; repetition r of an activation
@@ -283,29 +300,6 @@ def _train_stack(cfg: ExperimentConfig, texts: list[str], data: tuple, loss_kind
     return [(text, records[i * n:(i + 1) * n], predictions[i]) for i, text in enumerate(texts)]
 
 
-def _run_jobs(cfg: ExperimentConfig, data: tuple, loss_kind: str, own: str,
-              grid: np.ndarray | None = None) -> list[tuple]:
-    """Train every (activation, repetition) job of `cfg` on `data`, in the
-    stacks `_stacks` packs, then write metrics.csv in config order.
-    Returns, per activation in config order, what `_train_stack` does: its
-    text encoding, each repetition's records and its prediction on `grid`.
-
-    The engine decides whether the data fit the architecture: a misfit
-    raises ShapeError in the first stack, before any update, so the study
-    writes no metrics.csv.  The output directory is made first, so a path
-    that cannot be one fails before any training, and the study's own files
-    from an earlier run, metrics.csv and the runner's `own` CSV, are removed
-    then, so a study that fails leaves none of them behind."""
-    out = Path(cfg.output_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    for name in ("metrics.csv", own):
-        (out / name).unlink(missing_ok=True)
-    results = [result for texts in _stacks(cfg)
-               for result in _train_stack(cfg, texts, data, loss_kind, grid)]
-    _write_csv(out / "metrics.csv", cfg, METRIC_COLUMNS, _metric_rows(cfg, results))
-    return results
-
-
 def _completed(runs: list[list[EpochRecord]]) -> list[EpochRecord]:
     """Final records of the repetitions that ended with status ok."""
     return [records[-1] for records in runs if records[-1].status == "ok"]
@@ -329,55 +323,51 @@ def _mean_std(vals):
 
 
 # ---------------------------------------------------------------------------
-# Experiment runners.
+# The studies' steps: each makes its data, or its own table from the results.
 # ---------------------------------------------------------------------------
 
-def _split(cfg: ExperimentConfig, x: np.ndarray, y: np.ndarray) -> tuple:
-    return split(x, y, cfg.dataset["test_fraction"], substream(cfg.seed, "split"))
+def _split(cfg: ExperimentConfig, xy: tuple) -> tuple:
+    return split(*xy, cfg.dataset["test_fraction"], substream(cfg.seed, "split"))
 
 
-def run_sine(cfg: ExperimentConfig) -> list[Path]:
-    """Sine regression study: per-epoch metrics plus a dense prediction grid
-    (x, sin x, one column per activation) for external plotting."""
+def _sine_data(cfg: ExperimentConfig) -> tuple:
+    """Noisy sine samples, split, and the dense prediction grid."""
     dp = cfg.dataset
     lo, hi = dp["x_lo"], dp["x_hi"]
-    x, y = sample_sine(dp["n"], (lo, hi), dp["noise_sd"], substream(cfg.seed, "data"))
-    grid = np.linspace(lo, hi, dp["grid_points"])[:, None]
-    data = _split(cfg, x, y)
-    own = "predictions.csv"
-    results = _run_jobs(cfg, data, "mse", own, grid)
+    xy = sample_sine(dp["n"], (lo, hi), dp["noise_sd"], substream(cfg.seed, "data"))
+    return _split(cfg, xy), np.linspace(lo, hi, dp["grid_points"])[:, None]
+
+
+def _sine_table(cfg: ExperimentConfig, results: list[tuple], grid: np.ndarray) -> tuple:
+    """x, sin x and one prediction column per activation, for external plotting."""
     rows = ([_fmt(float(v)) for v in (x, np.sin(x), *(pred[i] for *_, pred in results))]
             for i, x in enumerate(grid[:, 0]))
-    columns = ["x", "sin_x"] + [f"pred_{text}" for text, *_ in results]
-    out = Path(cfg.output_dir)
-    return [out / "metrics.csv", _write_csv(out / own, cfg, columns, rows)]
+    return ["x", "sin_x"] + [f"pred_{text}" for text, *_ in results], rows
 
 
-def run_toy_classification(cfg: ExperimentConfig) -> list[Path]:
-    """Moons/circles study with a per-activation summary (mean and sample
-    standard deviation over repetitions)."""
+def _moons_data(cfg: ExperimentConfig) -> tuple:
     dp = cfg.dataset
-    rng = substream(cfg.seed, "data")
-    if cfg.experiment == "moons":
-        x, y = make_moons(dp["n"], dp["noise_sd"], rng)
-    else:
-        x, y = make_circles(dp["n"], dp["noise_sd"], dp["factor"], rng)
-    own = "summary.csv"
+    return _split(cfg, make_moons(dp["n"], dp["noise_sd"], substream(cfg.seed, "data"))), None
+
+
+def _circles_data(cfg: ExperimentConfig) -> tuple:
+    dp = cfg.dataset
+    xy = make_circles(dp["n"], dp["noise_sd"], dp["factor"], substream(cfg.seed, "data"))
+    return _split(cfg, xy), None
+
+
+def _summary_table(cfg: ExperimentConfig, results: list[tuple], grid: None) -> tuple:
+    """Per activation, the mean and sample std over its completed repetitions."""
     rows = []
-    for act_text, runs, _ in _run_jobs(cfg, _split(cfg, x, y), "xent", own):
+    for act_text, runs, _ in results:
         finals = _completed(runs)
         secs = [r.seconds for records in runs for r in records]
         am, asd = _mean_std([r.test_accuracy for r in finals])
         lm, lsd = _mean_std([r.test_loss for r in finals])
         rows.append([act_text, len(finals), _fmt(am), _fmt(asd), _fmt(lm), _fmt(lsd),
                      _fmt(float(np.mean(secs)) if secs else None)])
-    out = Path(cfg.output_dir)
-    return [out / "metrics.csv",
-            _write_csv(out / own, cfg,
-                       ["activation", "completed_repetitions",
-                        "test_accuracy_mean", "test_accuracy_std",
-                        "test_loss_mean", "test_loss_std",
-                        "mean_epoch_seconds"], rows)]
+    return ["activation", "completed_repetitions", "test_accuracy_mean", "test_accuracy_std",
+            "test_loss_mean", "test_loss_std", "mean_epoch_seconds"], rows
 
 
 def _table_ordered(specs: dict[str, ActivationSpec]) -> list[str]:
@@ -387,28 +377,25 @@ def _table_ordered(specs: dict[str, ActivationSpec]) -> list[str]:
     return sorted(specs, key=lambda text: order.get(specs[text].kind, len(TABLE_ORDER)))
 
 
-def run_mnist_like(cfg: ExperimentConfig) -> list[Path]:
-    """Desk-scale activation comparison on MNIST-format IDX files: stratified
-    subsets, an MLP instead of the original convolutional nets, and a final
-    (activation, accuracy) table in the comparison study's row order."""
+def _idx_data(cfg: ExperimentConfig) -> tuple:
+    """Stratified subsets of the IDX files, as stored uint8 pixels: train scales each batch."""
     dp = cfg.dataset
     for key in _IDX_FILES:
         _require(Path(dp[key]).is_file(), f"dataset.{key}: no such file {dp[key]!r}")
-
     data = []
     for part in ("train", "test"):
         images, labels = load_idx(dp[f"{part}_images"], dp[f"{part}_labels"])
-        images, labels = subsample(images, labels, dp[f"n_{part}"],
-                                   substream(cfg.seed, "subsample", part))
-        data += [images, labels]  # stored uint8 pixels: train scales each batch
+        data += subsample(images, labels, dp[f"n_{part}"], substream(cfg.seed, "subsample", part))
+    return tuple(data), None
 
-    own = "accuracy_table.csv"
+
+def _accuracy_table(cfg: ExperimentConfig, results: list[tuple], grid: None) -> tuple:
+    """Each activation's mean final accuracy, in the comparison study's row order."""
     accs = {act_text: [r.test_accuracy for r in _completed(runs)]
-            for act_text, runs, _ in _run_jobs(cfg, tuple(data), "xent", own)}
+            for act_text, runs, _ in results}
     rows = ([text, _fmt(float(np.mean(accs[text])) if accs[text] else None)]
             for text in _table_ordered(cfg.activations))
-    out = Path(cfg.output_dir)
-    return [out / "metrics.csv", _write_csv(out / own, cfg, ["activation", "test_accuracy"], rows)]
+    return ["activation", "test_accuracy"], rows
 
 
 # ---------------------------------------------------------------------------
@@ -421,10 +408,16 @@ _DEFAULT_EWEND = "ewend({})".format(",".join(  # every default but the "|"-set, 
 
 @dataclass(frozen=True)
 class _Study:
-    """One experiment: its runner and the values its starter config sets
-    itself.  The starter config takes every dataset value from `_DATASET`."""
+    """One experiment: its dataset table, the steps `run_experiment` takes
+    for it, and the values its starter config sets itself."""
 
-    run: Callable[[ExperimentConfig], list[Path]]
+    dataset: dict  # the dataset section's keys and defaults, in starter order
+    # cfg -> ((x_train, y_train, x_test, y_test), the sine grid or None)
+    data: Callable[[ExperimentConfig], tuple]
+    loss: str
+    own: str  # the study's own CSV, beside metrics.csv
+    # (cfg, one result per activation, grid) -> (columns, rows) of the own CSV
+    table: Callable[[ExperimentConfig, list[tuple], np.ndarray | None], tuple]
     about: tuple[str, ...]        # header comment lines
     activations: tuple[str, ...]  # `ewend` is written as _DEFAULT_EWEND
     architecture: tuple[int, ...]
@@ -434,10 +427,13 @@ class _Study:
     lr: float
 
 
-_MOONS = _Study(run_toy_classification, about=("two-moons binary classification",),
+_MOONS = _Study({"n": 1000, "noise_sd": 0.2, "test_fraction": 0.3},
+                _moons_data, "xent", "summary.csv", _summary_table,
+                about=("two-moons binary classification",),
                 activations=("relu", "tanh", "ewend"), architecture=(2, 16, 16, 2),
                 epochs=200, batch_size=32, repetitions=3, lr=0.005)
-_MNIST = _Study(run_mnist_like,
+_MNIST = _Study({**dict.fromkeys(_IDX_FILES), "n_train": 10000, "n_test": 2000},  # paths required
+                _idx_data, "xent", "accuracy_table.csv", _accuracy_table,
                 about=("desk-scale MNIST activation study.",
                        "Point the dataset paths at pre-fetched IDX files (see README for sources);",
                        "no download is attempted."),
@@ -445,13 +441,18 @@ _MNIST = _Study(run_mnist_like,
                 epochs=5, batch_size=64, repetitions=1, lr=0.001)
 _STUDIES = {
     "sine": _Study(
-        run_sine,
+        {"n": 256, "x_lo": -math.pi, "x_hi": math.pi, "noise_sd": 0.05,
+         "test_fraction": 0.3, "grid_points": 201},
+        _sine_data, "mse", "predictions.csv", _sine_table,
         about=("sine-wave regression",
                "Three fully connected layers; hidden layers use the activation under test."),
         activations=("tanh", "ewend", "relu", "sigmoid"), architecture=(1, 64, 64, 1),
         epochs=300, batch_size=32, repetitions=1, lr=0.005),
     "moons": _MOONS,
-    "circles": replace(_MOONS, about=("concentric-circles classification",)),
+    # keys in starter-config order: factor before test_fraction
+    "circles": replace(_MOONS, dataset={"n": 1000, "noise_sd": 0.1, "factor": 0.5,
+                                        "test_fraction": 0.3},
+                       data=_circles_data, about=("concentric-circles classification",)),
     "mnist": _MNIST,
     "fashion": _MNIST,
 }
@@ -459,7 +460,24 @@ EXPERIMENTS = tuple(_STUDIES)
 
 
 def run_experiment(cfg: ExperimentConfig) -> list[Path]:
-    return _STUDIES[cfg.experiment].run(cfg)
+    """Run the study of `cfg` in this order: make its data; make the output
+    directory and remove metrics.csv and the study's own CSV of an earlier
+    run; train every stack of `_stacks(cfg)` (data that do not fit the
+    architecture raise ShapeError in the first, before any update); write
+    metrics.csv, in config order, then the own CSV.  Returns both paths.
+    So a study that fails while making its data touches no file."""
+    study = _STUDIES[cfg.experiment]
+    data, grid = study.data(cfg)
+    out = Path(cfg.output_dir)
+    out.mkdir(parents=True, exist_ok=True)
+    paths = [out / "metrics.csv", out / study.own]
+    for path in paths:
+        path.unlink(missing_ok=True)
+    results = [result for texts in _stacks(cfg)
+               for result in _train_stack(cfg, texts, data, study.loss, grid)]
+    _write_csv(paths[0], cfg, METRIC_COLUMNS, _metric_rows(cfg, results))
+    _write_csv(paths[1], cfg, *study.table(cfg, results, grid))
+    return paths
 
 
 def default_config_text(experiment: str) -> str:
@@ -483,7 +501,7 @@ def default_config_text(experiment: str) -> str:
              f"optimizer: {{kind: {_OPTIMIZER['kind']}, lr: {study.lr}}}",
              f"output_dir: out/{experiment}",
              "dataset:"]
-    for key, default in _DATASET[experiment].items():
+    for key, default in study.dataset.items():
         value = f"data/{experiment}/{_IDX_FILES[key]}" if default is None else default
         lines.append(f"  {key}: {value}")
     return "\n".join(lines) + "\n"

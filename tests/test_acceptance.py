@@ -27,13 +27,7 @@ from wendnet.activations import (
     _wc4,
     parse_activation,
 )
-from wendnet.bench import (
-    config_from_dict,
-    default_config_text,
-    run_mnist_like,
-    run_sine,
-    run_toy_classification,
-)
+from wendnet.bench import config_from_dict, default_config_text, run_experiment
 from wendnet.datasets import IdxParseError, load_idx, make_circles, write_idx_labels
 from wendnet.network import run_gradient_check
 
@@ -134,7 +128,7 @@ def test_criterion_4_sine_experiment(tmp_path):
     t0 = time.monotonic()
     cfg = config_from_dict(yaml.safe_load(default_config_text("sine")))
     cfg.output_dir = str(tmp_path / "sine")
-    run_sine(cfg)
+    run_experiment(cfg)
     rows = _read_rows(Path(cfg.output_dir) / "metrics.csv")
     header, body = rows[0], rows[1:]
     i_act, i_loss, i_status = (header.index(c) for c in
@@ -161,7 +155,7 @@ def test_criterion_5_toy_classification(tmp_path):
     raw["repetitions"] = 1
     raw["output_dir"] = str(tmp_path / "moons")
     cfg = config_from_dict(raw)
-    run_toy_classification(cfg)
+    run_experiment(cfg)
     summary = {r[0]: float(r[2]) for r in
                _read_rows(Path(cfg.output_dir) / "summary.csv")[1:]}
     moons_ok = all(acc >= 0.95 for acc in summary.values())
@@ -178,7 +172,7 @@ def test_criterion_5_toy_classification(tmp_path):
                           "ewend(alpha=1.0,k=4,lambda=0.1,beta=1.0,eps=0.01,mode=elem)"]
     raw["output_dir"] = str(tmp_path / "circles")
     cfg = config_from_dict(raw)
-    run_toy_classification(cfg)
+    run_experiment(cfg)
     csummary = {r[0]: float(r[2]) for r in
                 _read_rows(Path(cfg.output_dir) / "summary.csv")[1:]}
     circles_ok = all(acc == 1.0 for acc in csummary.values())
@@ -196,7 +190,7 @@ def test_criterion_6_mnist_like(tmp_path):
     raw["dataset"].update({k: str(v) for k, v in paths.items()})
     raw["output_dir"] = str(tmp_path / "mnist")
     cfg = config_from_dict(raw)
-    run_mnist_like(cfg)
+    run_experiment(cfg)
     table = {r[0]: r[1] for r in
              _read_rows(Path(cfg.output_dir) / "accuracy_table.csv")[1:]}
     elapsed = time.monotonic() - t0
@@ -219,7 +213,7 @@ def test_criterion_7_determinism(tmp_path):
         raw["architecture"] = [1, 16, 16, 1]
         raw["output_dir"] = str(out)
         cfg = config_from_dict(raw)
-        return run_sine(cfg)
+        return run_experiment(cfg)
 
     def normalized(path):
         with open(path) as f:

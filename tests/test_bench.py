@@ -17,15 +17,13 @@ from hypothesis import strategies as st
 from wendnet import bench
 from wendnet.activations import ConfigError, parse_activation
 from wendnet.bench import (
-    _DATASET,
     _OPTIMIZER,
+    _STUDIES,
     EXPERIMENTS,
     config_from_dict,
     default_config_text,
     load_config,
     run_experiment,
-    run_sine,
-    run_toy_classification,
     _table_ordered,
 )
 from wendnet.cli import main
@@ -152,8 +150,8 @@ def test_starter_config_writes_every_dataset_default():
     # in table order; the IDX paths, which have no default, point at data/
     for experiment in EXPERIMENTS:
         dataset = yaml.safe_load(default_config_text(experiment))["dataset"]
-        assert list(dataset) == list(_DATASET[experiment])
-        for key, default in _DATASET[experiment].items():
+        assert list(dataset) == list(_STUDIES[experiment].dataset)
+        for key, default in _STUDIES[experiment].dataset.items():
             if default is None:
                 assert dataset[key].startswith(f"data/{experiment}/")
             else:
@@ -164,7 +162,7 @@ def test_null_and_empty_sections_mean_the_defaults():
     raw = yaml.safe_load(default_config_text("moons"))
     raw.update(dataset=None, optimizer={})
     cfg = config_from_dict(raw)
-    assert cfg.dataset == _DATASET["moons"]
+    assert cfg.dataset == _STUDIES["moons"].dataset
     assert cfg.optimizer == _OPTIMIZER
     assert cfg.digest == "e6e7efe97349e4bf"
 
@@ -178,10 +176,10 @@ def test_omitted_defaults_train_like_spelled_out_ones(tmp_path):
     del raw["dataset"]
     omitted = dict(raw, optimizer={"lr": 0.005}, output_dir=str(tmp_path / "omitted"))
     cfg = config_from_dict(omitted)
-    assert cfg.dataset == _DATASET["moons"]
+    assert cfg.dataset == _STUDIES["moons"].dataset
     assert cfg.optimizer == {**_OPTIMIZER, "lr": 0.005}
-    for path_a, path_b in zip(run_toy_classification(config_from_dict(spelled)),
-                              run_toy_classification(cfg)):
+    for path_a, path_b in zip(run_experiment(config_from_dict(spelled)),
+                              run_experiment(cfg)):
         assert path_a.name == path_b.name
         assert _strip_timing(_read_csv(path_a)[1]) == _strip_timing(_read_csv(path_b)[1])
 
@@ -211,7 +209,7 @@ def test_activation_error_points_at_the_entry_it_names(tmp_path, activations, li
 
 def test_sine_metrics_row_count(tmp_path):
     cfg = _small_sine_cfg(tmp_path)
-    paths = run_sine(cfg)
+    paths = run_experiment(cfg)
     comments, rows = _read_csv(paths[0])
     assert rows[0][0] == "experiment"
     assert len(rows) == 1 + cfg.epochs  # header plus one row per epoch
@@ -222,7 +220,7 @@ def test_sine_metrics_row_count(tmp_path):
 
 def test_sine_predictions_columns(tmp_path):
     cfg = _small_sine_cfg(tmp_path, activations=["tanh", "relu"])
-    paths = run_sine(cfg)
+    paths = run_experiment(cfg)
     _, rows = _read_csv(paths[1])
     assert rows[0] == ["x", "sin_x", "pred_tanh", "pred_relu"]
     assert len(rows) == 1 + cfg.dataset["grid_points"]
@@ -231,9 +229,9 @@ def test_sine_predictions_columns(tmp_path):
 def test_sine_predictions_come_from_the_first_repetition(tmp_path):
     # more repetitions add metrics rows but predict nothing, and a larger
     # stack leaves repetition 0's rows as they are
-    once = run_sine(_small_sine_cfg(tmp_path / "a", activations=["tanh", "relu"]))
-    thrice = run_sine(_small_sine_cfg(tmp_path / "b", activations=["tanh", "relu"],
-                                      repetitions=3))
+    once = run_experiment(_small_sine_cfg(tmp_path / "a", activations=["tanh", "relu"]))
+    thrice = run_experiment(_small_sine_cfg(tmp_path / "b", activations=["tanh", "relu"],
+                                            repetitions=3))
     assert _read_csv(once[1])[1] == _read_csv(thrice[1])[1]
     header, *rows = _strip_timing(_read_csv(thrice[0])[1])
     assert len(rows) == 2 * 3 * 3
@@ -250,8 +248,8 @@ def _strip_timing(rows):
 def test_rerun_is_byte_identical_excluding_timing(tmp_path):
     cfg_a = _small_sine_cfg(tmp_path / "a")
     cfg_b = _small_sine_cfg(tmp_path / "b")
-    pa = run_sine(cfg_a)
-    pb = run_sine(cfg_b)
+    pa = run_experiment(cfg_a)
+    pb = run_experiment(cfg_b)
     for fa, fb in zip(pa, pb):
         ca, ra = _read_csv(fa)
         cb, rb = _read_csv(fb)
@@ -267,7 +265,7 @@ def test_toy_summary_row_count(tmp_path):
     raw["activations"] = ["relu", "tanh"]
     raw["output_dir"] = str(tmp_path / "out")
     cfg = config_from_dict(raw)
-    paths = run_toy_classification(cfg)
+    paths = run_experiment(cfg)
     _, rows = _read_csv(paths[1])
     assert len(rows) == 1 + 2  # header + one summary row per activation
     _, mrows = _read_csv(paths[0])
@@ -279,7 +277,7 @@ def test_divergent_activation_does_not_corrupt_others(tmp_path):
     cfg = _small_sine_cfg(tmp_path, activations=["tanh", "relu"],
                           optimizer={"kind": "sgd", "lr": 1e12})
     # both runs diverge under an absurd lr but every activation still appears
-    paths = run_sine(cfg)
+    paths = run_experiment(cfg)
     _, rows = _read_csv(paths[0])
     acts = {r[1] for r in rows[1:]}
     assert acts == {"tanh", "relu"}
@@ -587,7 +585,7 @@ def test_metrics_csv_is_written_once_every_job_has_returned(tmp_path, monkeypatc
     raw.update(epochs=1, output_dir=str(tmp_path / "out"))
     raw["dataset"]["n"] = 100
     cfg = config_from_dict(raw)
-    _, metrics = _read_csv(run_toy_classification(cfg)[0])
+    _, metrics = _read_csv(run_experiment(cfg)[0])
     assert listings == [[]] and rows == [70]
     assert built == [[spec for spec in cfg.activations.values() for _ in range(3)]]
     # 70 rows at batch 32: two full batches and one of 6, for 9 replicas each
@@ -632,7 +630,7 @@ def test_each_activation_trains_as_one_stack_of_its_repetitions(tmp_path, monkey
     raw.update(epochs=1, architecture=[2, 200, 200, 2], output_dir=str(tmp_path / "out"))
     raw["dataset"]["n"] = 100
     cfg = config_from_dict(raw)
-    run_toy_classification(cfg)
+    run_experiment(cfg)
     assert built == [(spec, 3) for spec in cfg.activations.values()] and rows == [70, 70, 70]
     # 70 rows at batch 32: two full batches and one of 6, for 3 replicas each
     assert shapes == [(96, 2), (96, 2), (18, 2)] * 3
@@ -646,7 +644,7 @@ def test_a_large_study_trains_one_stack_per_activation(tmp_path, monkeypatch):
                         built.append((spec, len(rngs))) or build_mlp(widths, spec, rngs))
     cfg = _small_sine_cfg(tmp_path, architecture=[1, 200, 200, 1], activations=["tanh", "relu"],
                           repetitions=2, epochs=1)
-    run_sine(cfg)
+    run_experiment(cfg)
     assert built == [(cfg.activations["tanh"], 2), (cfg.activations["relu"], 2)]
 
 
@@ -861,8 +859,6 @@ def test_cli_mnist_missing_files(tmp_path):
 def test_mnist_like_pipeline_on_synthetic_idx(tmp_path):
     # class-dependent pixel patterns, easily separable: exercises the whole
     # IDX -> stratified subsample -> MLP -> accuracy table pipeline
-    from wendnet.bench import run_mnist_like
-
     rng = np.random.default_rng(0)
     def synth(n, path_prefix):
         labels = np.tile(np.arange(10), n // 10).astype(np.uint8)
@@ -887,7 +883,7 @@ def test_mnist_like_pipeline_on_synthetic_idx(tmp_path):
     })
     raw["output_dir"] = str(tmp_path / "out")
     cfg = config_from_dict(raw)
-    paths = run_mnist_like(cfg)
+    paths = run_experiment(cfg)
     _, table = _read_csv(paths[1])
     assert table[0] == ["activation", "test_accuracy"]
     assert table[1][0] == "relu"  # table order puts relu before ewend
@@ -947,13 +943,13 @@ def test_mnist_like_study_keeps_its_pixels_as_stored(tmp_path, monkeypatch):
 
     with monkeypatch.context() as m:
         m.setattr(bench, "train", spy)
-        bench.run_mnist_like(cfg)
+        bench.run_experiment(cfg)
     assert seen == [(np.uint8, 4000 * 784, np.uint8)]
     # the training pixels as float64 would take 4000 * 784 * 8 bytes, 25 MB;
     # the study's peak stays below half of that
     tracemalloc.start()
     try:
-        bench.run_mnist_like(cfg)
+        bench.run_experiment(cfg)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -1016,7 +1012,7 @@ def test_non_finite_gradient_diverges_only_its_own_job(tmp_path, monkeypatch):
     monkeypatch.setitem(activations.KINDS, "tanh",
                         dataclasses.replace(tanh, value=nan_slope))
     cfg = _small_sine_cfg(tmp_path, activations=["tanh", "relu"])
-    _, rows = _read_csv(run_sine(cfg)[0])
+    _, rows = _read_csv(run_experiment(cfg)[0])
     tanh_rows = [r for r in rows[1:] if r[1] == "tanh"]
     relu_rows = [r for r in rows[1:] if r[1] == "relu"]
     assert [r[9] for r in tanh_rows] == ["diverged"]
@@ -1142,6 +1138,55 @@ def test_cli_run_config_not_utf8(tmp_path):
         assert main(["run", str(path)]) == 2
     assert len(err.getvalue().splitlines()) == 1
     assert "latin.yaml" in err.getvalue()
+
+
+@pytest.mark.parametrize("edit", [
+    lambda text: text + "epochs: 2\n",
+    lambda text: text.split("dataset:")[0] + "dataset: {n: 5, n: 6}\n",
+    lambda text: text + "activations: [relu]\n",
+    lambda text: text + "extra: [relu\n",
+    lambda text: text + "---\nepochs: 2\n",
+    lambda text: text + "# \x01\n",
+    lambda text: text.replace("seed: 7", "seed: !!int abc"),
+    lambda text: text.replace("seed: 7", "seed: !!timestamp abc"),
+    lambda text: text.replace("seed: 7", "seed: !!bool abc"),
+    lambda text: text.replace("seed: 7", 'seed: !!float ""'),
+], ids=["repeated-epochs", "repeated-nested-key", "second-activations", "unclosed-list",
+        "two-documents", "control-byte", "bad-int-tag", "bad-timestamp-tag", "bad-bool-tag",
+        "empty-float-tag"])
+def test_cli_run_config_not_valid_yaml(tmp_path, edit):
+    # safe_load alone keeps the last of a repeated key without a word, and a
+    # tagged value its reader cannot take raises past the CLI's handlers
+    text = default_config_text("moons").replace("epochs: 200", "epochs: 1").replace(
+        "output_dir: out/moons", f"output_dir: {tmp_path / 'out'}")
+    path = tmp_path / "bad.yaml"
+    path.write_text(edit(text), encoding="utf-8")
+    err = _run_fails(path)
+    assert len(err.splitlines()) == 1
+    assert str(path) in err and "not valid YAML" in err
+    assert not (tmp_path / "out" / "metrics.csv").exists()
+
+
+@pytest.mark.parametrize("experiment, dataset", [
+    ("sine", {"x_lo": 1, "x_hi": 0}),
+    ("moons", {"n": 1}),
+    ("mnist", {"train_images": "no/such/train-images-idx3-ubyte"}),
+], ids=["sine-reversed-range", "moons-one-point", "mnist-missing-file"])
+def test_a_study_that_fails_making_its_data_touches_no_file(tmp_path, experiment, dataset):
+    # the data come first: no output directory is made, and an earlier
+    # run's CSVs stay as they were
+    def fails():
+        return _run_fails(_cli_config(tmp_path, experiment, {"dataset": dataset})).splitlines()
+
+    out = tmp_path / "out"
+    assert len(fails()) == 1
+    assert not out.exists()
+    with redirect_stdout(io.StringIO()):
+        assert main(["run", str(_cli_config(tmp_path, experiment, {}))]) == 0
+    before = {path.name: path.read_bytes() for path in out.iterdir()}
+    assert len(before) == 2 and "metrics.csv" in before
+    assert len(fails()) == 1
+    assert {path.name: path.read_bytes() for path in out.iterdir()} == before
 
 
 def test_cli_huge_alpha_study_runs(tmp_path):

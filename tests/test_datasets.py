@@ -150,7 +150,7 @@ def test_idx_bad_magic(tmp_path):
 
 def test_idx_truncated(tmp_path):
     write_idx_images(tmp_path / "imgs", np.zeros((3, 4, 4), dtype=np.uint8))
-    data = open(tmp_path / "imgs", "rb").read()
+    data = (tmp_path / "imgs").read_bytes()
     with open(tmp_path / "trunc", "wb") as f:
         f.write(data[:-10])
     write_idx_labels(tmp_path / "lbls", np.zeros(3, dtype=np.uint8))
