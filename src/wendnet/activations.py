@@ -41,9 +41,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-
-class ConfigError(ValueError):
-    """Invalid activation specification or parameters."""
+from .tensor import ConfigError
 
 
 # ---------------------------------------------------------------------------

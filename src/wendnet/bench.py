@@ -31,10 +31,11 @@ from .tensor import substream
 _CONFIG_KEYS = ("schema_version", "experiment", "seed", "activations", "architecture",
                 "epochs", "batch_size", "repetitions", "optimizer", "output_dir", "dataset")
 
-# One table per config section, the dataset's in each `_Study`: its keys are
-# the allowed keys, and each default's type is the check on that key's value
-# (see `_scalar`).
-_OPTIMIZER = {"kind": "adam", "lr": 1e-3, "momentum": 0.0, "beta1": 0.9, "beta2": 0.999}
+# One table per config section: the dataset's in each `_Study`, the optimizer's
+# per kind, beside the class it builds.  Its keys are the allowed keys, and each
+# default's type is the check on that key's value (see `_scalar`).
+_OPTIMIZERS = {"adam": (Adam, {"lr": 1e-3, "beta1": 0.9, "beta2": 0.999}),
+               "sgd": (SGD, {"lr": 1e-3, "momentum": 0.0})}
 # the official MNIST-format file names; a starter looks under data/<experiment>/
 _IDX_FILES = {"train_images": "train-images-idx3-ubyte",
               "train_labels": "train-labels-idx1-ubyte",
@@ -137,14 +138,18 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
              "architecture must be a list of >= 2 positive layer widths")
     # only an absent, null or empty section means the defaults
     written = {name: stand_in if raw.get(name) in (None, {}) else raw[name]
-               for name, stand_in in (("optimizer", {k: _OPTIMIZER[k] for k in ("kind", "lr")}),
+               for name, stand_in in (("optimizer", {"kind": "adam", "lr": 1e-3}),
                                       ("dataset", {}))}
-    optimizer = _section(written["optimizer"], "optimizer", _OPTIMIZER)
-    _require(optimizer["kind"] in ("adam", "sgd"), "optimizer.kind must be adam or sgd")
+    section = written["optimizer"]
+    _require(isinstance(section, dict), "optimizer must be a mapping")
+    kind = _scalar(section, "kind", "adam", where="optimizer.")
+    _require(kind in _OPTIMIZERS, "optimizer.kind must be adam or sgd")
+    keys = _OPTIMIZERS[kind][1]  # a key of the other kind is unknown
+    optimizer = _section(section, "optimizer", {"kind": kind, **keys})
     # Kingma & Ba, Alg. 1: a positive step size and decay rates in [0, 1)
     _require(optimizer["lr"] > 0, f"optimizer.lr must be > 0, got {optimizer['lr']!r}")
-    for key in ("momentum", "beta1", "beta2"):
-        _require(0 <= optimizer[key] < 1,
+    for key in keys:  # lr first, then the kind's decay rates
+        _require(key == "lr" or 0 <= optimizer[key] < 1,
                  f"optimizer.{key} must be in [0, 1), got {optimizer[key]!r}")
     dataset = _section(written["dataset"], "dataset", _STUDIES[experiment].dataset)
     top = dict(experiment=experiment, seed=_scalar(raw, "seed", 0, least=0),
@@ -276,11 +281,8 @@ def _train_stack(cfg: ExperimentConfig, texts: list[str], data: tuple, loss_kind
     # one spec when the stack runs one activation: perfbench's job label reads its kind
     net = build_mlp(cfg.architecture, specs if len(texts) > 1 else specs[0],
                     [substream(cfg.seed, "net", text, rep) for text, rep in jobs])
-    opt = cfg.optimizer
-    if opt["kind"] == "sgd":
-        optimizer = SGD(net, opt["lr"], opt["momentum"])
-    else:
-        optimizer = Adam(net, opt["lr"], opt["beta1"], opt["beta2"])
+    values = dict(cfg.optimizer)
+    optimizer = _OPTIMIZERS[values.pop("kind")][0](net, **values)
     x_train, y_train, x_test, y_test = data
     records = train(
         net, x_train, y_train, loss_kind, optimizer,
@@ -463,7 +465,7 @@ def run_experiment(cfg: ExperimentConfig) -> list[Path]:
     """Run the study of `cfg` in this order: make its data; make the output
     directory and remove metrics.csv and the study's own CSV of an earlier
     run; train every stack of `_stacks(cfg)` (data that do not fit the
-    architecture raise ShapeError in the first, before any update); write
+    architecture raise ConfigError in the first, before any update); write
     metrics.csv, in config order, then the own CSV.  Returns both paths.
     So a study that fails while making its data touches no file."""
     study = _STUDIES[cfg.experiment]
@@ -498,7 +500,7 @@ def default_config_text(experiment: str) -> str:
              f"epochs: {study.epochs}",
              f"batch_size: {study.batch_size}",
              f"repetitions: {study.repetitions}",
-             f"optimizer: {{kind: {_OPTIMIZER['kind']}, lr: {study.lr}}}",
+             f"optimizer: {{kind: adam, lr: {study.lr}}}",
              f"output_dir: out/{experiment}",
              "dataset:"]
     for key, default in study.dataset.items():

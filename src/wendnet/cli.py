@@ -19,9 +19,7 @@ import sys
 from . import __version__
 from .activations import ALL_KINDS, ConfigError, activation_schema, parse_activation
 from .bench import EXPERIMENTS, default_config_text, load_config, run_experiment
-from .datasets import DataConfigError, IdxParseError
 from .network import run_gradient_check
-from .tensor import ShapeError
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -73,7 +71,7 @@ def _build_parser() -> _Parser:
 def _cmd_run(args) -> int:
     try:
         paths = run_experiment(load_config(args.config))
-    except (ConfigError, DataConfigError, IdxParseError, ShapeError, OSError) as exc:
+    except (ConfigError, OSError) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except MemoryError as exc:  # NumPy's message names the size refused

@@ -14,13 +14,7 @@ import struct
 
 import numpy as np
 
-
-class DataConfigError(ValueError):
-    """Invalid generator parameters."""
-
-
-class IdxParseError(ValueError):
-    """An IDX file failed to parse; the message carries the byte offset."""
+from .tensor import ConfigError
 
 
 def split(x: np.ndarray, y: np.ndarray, test_fraction: float,
@@ -30,11 +24,11 @@ def split(x: np.ndarray, y: np.ndarray, test_fraction: float,
     least one row."""
     n = len(x)
     if not 0 < test_fraction < 1:
-        raise DataConfigError(f"test_fraction must be in (0, 1), got {test_fraction}")
+        raise ConfigError(f"test_fraction must be in (0, 1), got {test_fraction}")
     n_test = int(round(n * test_fraction))
     if not 0 < n_test < n:
-        raise DataConfigError(f"test_fraction {test_fraction} of {n} rows leaves "
-                              f"{n - n_test} training and {n_test} test rows")
+        raise ConfigError(f"test_fraction {test_fraction} of {n} rows leaves "
+                          f"{n - n_test} training and {n_test} test rows")
     order = rng.permutation(n)
     test_idx = np.sort(order[:n_test])
     train_idx = np.sort(order[n_test:])
@@ -45,13 +39,13 @@ def sample_sine(n: int, x_range, noise_sd: float, rng: np.random.Generator):
     """(x, y): x uniform on [lo, hi], y = sin(x) + Gaussian(0, noise_sd)."""
     lo, hi = x_range
     if n < 1:
-        raise DataConfigError("n must be >= 1")
+        raise ConfigError("n must be >= 1")
     if not lo < hi:
-        raise DataConfigError(f"invalid x range [{lo}, {hi}]")
+        raise ConfigError(f"invalid x range [{lo}, {hi}]")
     if not math.isfinite(hi - lo):
-        raise DataConfigError(f"x range [{lo}, {hi}] is wider than a float can hold")
+        raise ConfigError(f"x range [{lo}, {hi}] is wider than a float can hold")
     if noise_sd < 0:
-        raise DataConfigError("noise_sd must be >= 0")
+        raise ConfigError("noise_sd must be >= 0")
     x = rng.uniform(lo, hi, size=(n, 1))
     y = np.sin(x)
     if noise_sd > 0:
@@ -63,7 +57,7 @@ def _two_classes(x0, x1, noise_sd: float, rng):
     """(x, labels): class-0 points `x0` stacked over class-1 points `x1`,
     plus Gaussian noise of scale noise_sd on every coordinate."""
     if noise_sd < 0:
-        raise DataConfigError("noise_sd must be >= 0")
+        raise ConfigError("noise_sd must be >= 0")
     x = np.vstack([x0, x1])
     labels = np.concatenate([np.zeros(len(x0), dtype=np.int64),
                              np.ones(len(x1), dtype=np.int64)])
@@ -79,7 +73,7 @@ def make_moons(n: int, noise_sd: float, rng: np.random.Generator):
     [0, pi]; Gaussian noise of scale noise_sd on both coordinates.
     """
     if n < 2:
-        raise DataConfigError("n must be >= 2")
+        raise ConfigError("n must be >= 2")
     n0 = (n + 1) // 2
     n1 = n - n0
     t0 = rng.uniform(0.0, np.pi, size=n0)
@@ -94,9 +88,9 @@ def make_circles(n: int, noise_sd: float, factor: float, rng: np.random.Generato
     (class 1), as (x, labels); angles uniform, Gaussian noise on both
     coordinates."""
     if n < 2:
-        raise DataConfigError("n must be >= 2")
+        raise ConfigError("n must be >= 2")
     if not 0.0 < factor < 1.0:
-        raise DataConfigError(f"factor must be in (0, 1), got {factor}")
+        raise ConfigError(f"factor must be in (0, 1), got {factor}")
     n0 = (n + 1) // 2
     n1 = n - n0
     a0 = rng.uniform(0.0, 2.0 * np.pi, size=n0)
@@ -117,7 +111,7 @@ IDX_LABEL_MAGIC = 0x00000801
 
 def _read_u32(buf: bytes, offset: int, path: str) -> int:
     if offset + 4 > len(buf):
-        raise IdxParseError(f"{path}: truncated at byte {offset}, expected 4-byte field")
+        raise ConfigError(f"{path}: truncated at byte {offset}, expected 4-byte field")
     return struct.unpack_from(">I", buf, offset)[0]
 
 
@@ -128,12 +122,12 @@ def _read_idx(path, magic: int, dims: int) -> tuple[bytes, list[int]]:
         buf = f.read()
     found = _read_u32(buf, 0, str(path))
     if found != magic:
-        raise IdxParseError(
+        raise ConfigError(
             f"{path}: bad magic 0x{found:08x} at byte 0, expected 0x{magic:08x}")
     shape = [_read_u32(buf, 4 + 4 * i, str(path)) for i in range(dims)]
     expected = 4 + 4 * dims + math.prod(shape)
     if len(buf) != expected:
-        raise IdxParseError(
+        raise ConfigError(
             f"{path}: size {len(buf)} bytes, expected {expected} "
             f"(truncated after byte {min(len(buf), expected)})")
     return buf, shape
@@ -147,7 +141,7 @@ def load_idx(images_path, labels_path) -> tuple[np.ndarray, np.ndarray]:
     buf, _ = _read_idx(labels_path, IDX_LABEL_MAGIC, 1)
     labels = np.frombuffer(buf, dtype=np.uint8, offset=8).astype(np.int64)
     if count != len(labels):
-        raise IdxParseError(f"item count mismatch: {count} images vs {len(labels)} labels")
+        raise ConfigError(f"item count mismatch: {count} images vs {len(labels)} labels")
     return images, labels
 
 
@@ -184,7 +178,7 @@ def subsample(x: np.ndarray, labels: np.ndarray, n: int, rng: np.random.Generato
     permutation of its rows, so the total is exact.
     """
     if n > len(labels):
-        raise DataConfigError(f"requested {n} rows but the data have {len(labels)}")
+        raise ConfigError(f"requested {n} rows but the data have {len(labels)}")
     classes, counts = np.unique(labels, return_counts=True)
     # no quota exceeds its class: with n <= N rows, a class of c rows gets
     # floor(n c / N), plus one only where n c / N has a fractional part, so

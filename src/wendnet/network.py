@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import activations as act
-from .tensor import ShapeError, central_step, features, finite_diff_check, substream, tensor
+from .tensor import ConfigError, central_step, features, finite_diff_check, substream, tensor
 
 
 class Param:
@@ -52,9 +52,6 @@ class Dense:
     def forward(self, x: np.ndarray, rng) -> np.ndarray:
         """(R, rows, n_out) from x of (R, rows, n_in), or from (rows, n_in)
         rows that every replica takes; a Dense draws nothing from `rng`."""
-        if x.shape[-1] != self.n_in:
-            raise ShapeError(f"{self.w.name}: input shape {x.shape[-2:]} "
-                             f"incompatible with n_in={self.n_in}")
         self._cache_x = x
         return x @ self.w.value + self.b.value
 
@@ -323,7 +320,7 @@ def _xent(logits: np.ndarray, labels: np.ndarray):
 
 
 def _check_targets(kind: str, target: np.ndarray, shape: tuple[int, int]):
-    """Raise ShapeError unless `target` fits predictions of `shape` under
+    """Raise ConfigError unless `target` fits predictions of `shape` under
     loss `kind`: the same shape for "mse", one class index in [0, columns)
     per row for "xent"."""
     if kind == "mse":
@@ -333,18 +330,19 @@ def _check_targets(kind: str, target: np.ndarray, shape: tuple[int, int]):
                 columns = target.shape[1]
                 message += (f": the network's last width is {shape[1]}, but the targets have "
                             f"{columns} column{'s' * (columns != 1)}: it must be {columns}")
-            raise ShapeError(message)
+            raise ConfigError(message)
     elif kind == "xent":
         n, c = shape
         if target.shape != (n,):
-            raise ShapeError(f"labels shape {target.shape} incompatible with logits {shape}")
+            raise ConfigError(f"labels shape {target.shape} incompatible with logits {shape}")
         lo, hi = target.min(), target.max()
         if lo < 0:
-            raise ShapeError(f"class index out of range [0, {c}): the network's last width "
-                             f"is {c}, but a label is {lo}: labels must be >= 0")
+            raise ConfigError(f"class index out of range [0, {c}): the network's last width "
+                              f"is {c}, but a label is {lo}: labels must be >= 0")
         if hi >= c:
-            raise ShapeError(f"class index out of range [0, {c}): the network's last width "
-                             f"is {c}, but the labels run up to {hi}: it must be at least {hi + 1}")
+            raise ConfigError(f"class index out of range [0, {c}): the network's last width "
+                              f"is {c}, but the labels run up to {hi}: "
+                              f"it must be at least {hi + 1}")
 
 
 def eval_loss(kind: str, pred: np.ndarray, target: np.ndarray):
@@ -480,7 +478,7 @@ def train(net: Network, x_train, y_train, loss_kind: str, optimizer,
     non-finite value gets a last record with status="diverged" and the
     offending epoch number, and leaves the stack; the others train on.
     Train and test data that do not fit the network's first or last width
-    raise ShapeError before the first update.
+    raise ConfigError before the first update.
 
     The rows become float64 by `features` where they enter: the test rows
     once, here, and the training rows one gathered batch at a time, so
@@ -504,8 +502,8 @@ def train(net: Network, x_train, y_train, loss_kind: str, optimizer,
     for x in (x_train, x_test):
         columns = x.shape[-1]
         if dense and columns != dense[0].n_in:
-            raise ShapeError(f"the network's first width is {dense[0].n_in}, but the data have "
-                             f"{columns} input column{'s' * (columns != 1)}: it must be {columns}")
+            raise ConfigError(f"the network's first width is {dense[0].n_in}, but the data have "
+                              f"{columns} input column{'s' * (columns != 1)}: it must be {columns}")
     width = dense[-1].n_out if dense else x_train.shape[-1]
     _check_targets(loss_kind, y_train, (n, width))
     _check_targets(loss_kind, y_test, (x_test.shape[0], width))

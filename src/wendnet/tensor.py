@@ -1,5 +1,6 @@
 """The float64 array constructor and the rule by which data rows enter,
-seeded RNG substreams, and a finite-difference gradient checker.
+seeded RNG substreams, a finite-difference gradient checker, and
+`ConfigError`, the package's one exception class: bad input of every kind.
 
 Everything the engine computes with is a C-contiguous float64 numpy array.
 Data become float64 only where they enter: `features` turns stored `uint8`
@@ -16,8 +17,9 @@ from typing import Callable
 import numpy as np
 
 
-class ShapeError(ValueError):
-    """Tensor shapes do not satisfy an operation's contract."""
+class ConfigError(ValueError):
+    """Bad input: a config, a dataset parameter, an IDX file, or data that
+    do not fit the architecture; `wendnet run` exits 2 on it."""
 
 
 def tensor(data) -> np.ndarray:

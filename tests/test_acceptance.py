@@ -28,8 +28,9 @@ from wendnet.activations import (
     parse_activation,
 )
 from wendnet.bench import config_from_dict, default_config_text, run_experiment
-from wendnet.datasets import IdxParseError, load_idx, make_circles, write_idx_labels
+from wendnet.datasets import load_idx, make_circles, write_idx_labels
 from wendnet.network import run_gradient_check
+from wendnet.tensor import ConfigError
 
 MNIST_DIR = Path(os.environ.get("WENDNET_MNIST_DIR", "data/mnist"))
 MNIST_FILES = {
@@ -239,7 +240,7 @@ def test_criterion_8_idx_corrupted_magic(tmp_path):
     try:
         load_idx(bad, tmp_path / "labels")
         ok, detail = False, "corrupted magic accepted"
-    except IdxParseError as exc:
+    except ConfigError as exc:
         ok = "0x00000803" in str(exc)
         detail = str(exc)
     _report("criterion 8a: corrupted-magic IDX fixture rejected", ok, detail)

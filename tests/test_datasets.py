@@ -8,8 +8,6 @@ from hypothesis import strategies as st
 from numpy.random import default_rng
 
 from wendnet.datasets import (
-    DataConfigError,
-    IdxParseError,
     load_idx,
     make_circles,
     make_moons,
@@ -19,6 +17,7 @@ from wendnet.datasets import (
     write_idx_images,
     write_idx_labels,
 )
+from wendnet.tensor import ConfigError
 
 
 def test_sine_noiseless_on_curve():
@@ -34,15 +33,15 @@ def test_sine_deterministic():
 
 
 def test_sine_invalid_range():
-    with pytest.raises(DataConfigError):
+    with pytest.raises(ConfigError):
         sample_sine(10, (1.0, 1.0), 0.0, default_rng(0))
-    with pytest.raises(DataConfigError):
+    with pytest.raises(ConfigError):
         sample_sine(10, (-1, 1), -0.1, default_rng(0))
 
 
 def test_sine_range_wider_than_a_float():
     # hi - lo overflows to inf; the generator could not draw from it
-    with pytest.raises(DataConfigError, match="wider"):
+    with pytest.raises(ConfigError, match="wider"):
         sample_sine(10, (-1e308, 1e308), 0.0, default_rng(0))
     x, _ = sample_sine(10, (-1e307, 1e307), 0.0, default_rng(0))
     assert np.all(np.abs(x) <= 1e307)
@@ -53,7 +52,7 @@ def test_split_must_leave_training_rows(fraction):
     # of 20 rows, 0.99 rounds to 20 test rows and 0.01 to none; both sides
     # need at least one
     x, y = sample_sine(20, (-1, 1), 0.0, default_rng(0))
-    with pytest.raises(DataConfigError):
+    with pytest.raises(ConfigError):
         split(x, y, fraction, default_rng(1))
 
 
@@ -92,7 +91,7 @@ def test_circles_noiseless_radii():
 
 def test_circles_invalid_factor():
     for factor in (0.0, 1.0, -0.5, 2.0):
-        with pytest.raises(DataConfigError):
+        with pytest.raises(ConfigError):
             make_circles(10, 0.0, factor, default_rng(0))
 
 
@@ -100,7 +99,7 @@ def test_two_class_generators_reject_negative_noise():
     # as sample_sine does; a negative scale used to be read as no noise
     for gen in (lambda r: make_moons(10, -0.2, r),
                 lambda r: make_circles(10, -0.2, 0.5, r)):
-        with pytest.raises(DataConfigError, match="noise_sd"):
+        with pytest.raises(ConfigError, match="noise_sd"):
             gen(default_rng(0))
 
 
@@ -144,7 +143,7 @@ def test_idx_bad_magic(tmp_path):
         f.write(struct.pack(">IIII", 0x00000802, 1, 2, 2))
         f.write(bytes(4))
     write_idx_labels(tmp_path / "lbls", np.zeros(1, dtype=np.uint8))
-    with pytest.raises(IdxParseError, match="0x00000803"):
+    with pytest.raises(ConfigError, match="0x00000803"):
         load_idx(path, tmp_path / "lbls")
 
 
@@ -154,14 +153,14 @@ def test_idx_truncated(tmp_path):
     with open(tmp_path / "trunc", "wb") as f:
         f.write(data[:-10])
     write_idx_labels(tmp_path / "lbls", np.zeros(3, dtype=np.uint8))
-    with pytest.raises(IdxParseError, match="truncated|expected"):
+    with pytest.raises(ConfigError, match="truncated|expected"):
         load_idx(tmp_path / "trunc", tmp_path / "lbls")
 
 
 def test_idx_count_mismatch(tmp_path):
     write_idx_images(tmp_path / "imgs", np.zeros((3, 4, 4), dtype=np.uint8))
     write_idx_labels(tmp_path / "lbls", np.zeros(2, dtype=np.uint8))
-    with pytest.raises(IdxParseError, match="mismatch"):
+    with pytest.raises(ConfigError, match="mismatch"):
         load_idx(tmp_path / "imgs", tmp_path / "lbls")
 
 
@@ -189,7 +188,7 @@ def _mutate(data: bytes, mutations) -> bytes:
 @given(image_edits=st.lists(_MUTATION, max_size=3), label_edits=st.lists(_MUTATION, max_size=3))
 def test_mutated_idx_files_load_or_raise_parse_error(tmp_path, image_edits, label_edits):
     # truncate, flip or extend the bytes of a small IDX pair: the loader
-    # returns arrays that agree with the headers, or raises IdxParseError
+    # returns arrays that agree with the headers, or raises ConfigError
     write_idx_images(tmp_path / "imgs", np.arange(12, dtype=np.uint8).reshape(3, 2, 2))
     write_idx_labels(tmp_path / "lbls", np.array([0, 9, 4], dtype=np.uint8))
     for name, edits in (("imgs", image_edits), ("lbls", label_edits)):
@@ -197,7 +196,7 @@ def test_mutated_idx_files_load_or_raise_parse_error(tmp_path, image_edits, labe
         path.write_bytes(_mutate(path.read_bytes(), edits))
     try:
         pixels, labels = load_idx(tmp_path / "imgs", tmp_path / "lbls")
-    except IdxParseError:
+    except ConfigError:
         return
     assert pixels.dtype == np.uint8 and labels.dtype == np.int64
     assert pixels.ndim == 2 and labels.shape == (pixels.shape[0],)
@@ -234,7 +233,7 @@ def test_subsample_deterministic():
 
 def test_subsample_insufficient_rows():
     x, labels = _toy_labeled(n=100)
-    with pytest.raises(DataConfigError):
+    with pytest.raises(ConfigError):
         subsample(x, labels, 110, default_rng(11))
 
 

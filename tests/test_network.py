@@ -26,7 +26,7 @@ from wendnet.network import (
     train,
 )
 from wendnet.datasets import make_moons, split
-from wendnet.tensor import ShapeError, relative_error
+from wendnet.tensor import ConfigError, relative_error
 
 
 def test_single_dense_identity_weights():
@@ -731,7 +731,7 @@ def test_train_rejects_an_out_of_range_label_before_any_update(where, value):
     # the message names the network's last width and what the labels need
     need = ("but the labels run up to 2: it must be at least 3" if value == 2
             else "but a label is -1: labels must be >= 0")
-    with pytest.raises(ShapeError, match=r"class index out of range \[0, 2\): the network's "
+    with pytest.raises(ConfigError, match=r"class index out of range \[0, 2\): the network's "
                                          rf"last width is 2, {need}$"):
         train(net, x_train, y_train, "xent", opt, epochs=2, batch_size=16,
               rngs=[default_rng(46)], x_test=x_test, y_test=y_test)
@@ -748,7 +748,7 @@ def test_train_rejects_an_input_width_before_any_update(where):
     net = build_mlp([2, 8, 2], parse_activation("relu"), [default_rng(51)])
     opt = Adam(net, lr=1e-2)
     theta = net.theta.tobytes()
-    with pytest.raises(ShapeError, match=r"^the network's first width is 2, but the data have "
+    with pytest.raises(ConfigError, match=r"^the network's first width is 2, but the data have "
                                          r"3 input columns: it must be 3$"):
         train(net, x_train, y_train, "xent", opt, epochs=2, batch_size=16,
               rngs=[default_rng(52)], x_test=x_test, y_test=y_test)
@@ -761,7 +761,7 @@ def test_train_rejects_a_target_shape_before_any_update(loss_kind, y_shape):
     net = build_mlp([2, 4, 1], parse_activation("tanh"), [default_rng(47)])
     opt = SGD(net, lr=0.1)
     theta = net.theta.tobytes()
-    with pytest.raises(ShapeError):
+    with pytest.raises(ConfigError):
         train(net, default_rng(48).standard_normal((20, 2)), np.zeros(y_shape, dtype=np.int64),
               loss_kind, opt, epochs=1, batch_size=8, rngs=[default_rng(49)],
               x_test=np.zeros((5, 2)), y_test=np.zeros((5,) if loss_kind == "xent" else (5, 1)))
@@ -779,7 +779,7 @@ def test_mse_shape_error_names_prediction_and_target():
             ((3, 1), r"^mse: prediction shape \(3, 2\) vs target shape \(3, 1\): the network's "
                      r"last width is 2, but the targets have 1 column: it must be 1$"),
             ((4, 2), r"^mse: prediction shape \(3, 2\) vs target shape \(4, 2\)$")):
-        with pytest.raises(ShapeError, match=message):
+        with pytest.raises(ConfigError, match=message):
             train(net, np.zeros((3, 2)), np.zeros(y_shape), "mse", opt, epochs=1,
                   batch_size=2, rngs=[default_rng(51)], x_test=np.ones((2, 2)),
                   y_test=np.ones((2, 2)))
