@@ -22,6 +22,10 @@ import numpy as np
 from . import activations as act
 from .tensor import ConfigError, central_step, features, finite_diff_check, substream, tensor
 
+# float64 elements per kernel call of a forward that keeps nothing: a block
+# of ewend's profile, about 9 live arrays, fits in 1.2 MB
+_EVAL_BLOCK = 16384
+
 
 class Param:
     """One trainable array, replica axis first, with its gradient; a Network
@@ -49,11 +53,14 @@ class Dense:
     def params(self) -> list[Param]:
         return [self.w, self.b]
 
-    def forward(self, x: np.ndarray, rng) -> np.ndarray:
+    def forward(self, x: np.ndarray, rng, keep: bool) -> np.ndarray:
         """(R, rows, n_out) from x of (R, rows, n_in), or from (rows, n_in)
-        rows that every replica takes; a Dense draws nothing from `rng`."""
-        self._cache_x = x
-        return x @ self.w.value + self.b.value
+        rows that every replica takes, keeping x for the backward only when
+        `keep` is true; a Dense draws nothing from `rng`."""
+        self._cache_x = x if keep else None
+        z = x @ self.w.value
+        z += self.b.value
+        return z
 
     def backward(self, upstream: np.ndarray, need_dx: bool = True) -> np.ndarray | None:
         """Write the weight and bias gradients; return the input gradient,
@@ -68,12 +75,13 @@ class Dense:
 
 class ActivationLayer:
     """Applies specs[r] to replica r; consecutive replicas with equal specs
-    form a group, which runs its kind's kernel once, on its rows, timed into
-    `seconds`, and `sizes` holds each group's replica count.  The layer owns
-    one (R, 1, 1) Param per coefficient name that any group trains, held as
-    its kind stores it; each group binds its own rows, as views, and the
-    other rows hold 0 and get no gradient written, so no optimizer step
-    moves them."""
+    form a group, which runs its kind's kernel on its rows, once in a
+    forward that keeps its cache and block by block in one that does not,
+    each call timed into `seconds`, and `sizes` holds each group's replica
+    count.  The layer owns one (R, 1, 1) Param per coefficient name that any
+    group trains, held as its kind stores it; each group binds its own rows,
+    as views, and the other rows hold 0 and get no gradient written, so no
+    optimizer step moves them."""
 
     def __init__(self, specs: list, name: str = "act"):
         self.specs = list(specs)
@@ -132,26 +140,50 @@ class ActivationLayer:
         return out
 
     def kink_gap(self) -> float:
-        """The smallest gap between an input of the last forward and a point
-        where the first derivative of its group's activation jumps."""
+        """The smallest gap between an input of the last forward, one that
+        kept its cache, and a point where the first derivative of its
+        group's activation jumps."""
+        if self._cache is None:
+            raise RuntimeError("backward called before forward")
         x, _ = self._cache
         gaps = (float(np.abs(x[rows] - kink).min())
                 for rows, kind, c in self._bound() for kink in kind.kinks(c))
         return min(gaps, default=math.inf)
 
-    def forward(self, x: np.ndarray, rng) -> np.ndarray:
+    def forward(self, x: np.ndarray, rng, keep: bool) -> np.ndarray:
         """The (R, rows, width) stack of outputs from x of that shape, each
         group's rows through its kind; `rng`, one generator per replica or
-        None, reaches only a kind that draws."""
-        ys, parts = [], []
+        None, reaches only a kind that draws.  With `keep`, each group's
+        kernel runs once, on all its rows, and the layer caches what
+        `backward` and `kink_gap` need; without, it runs on blocks of rows
+        of at most `_EVAL_BLOCK` elements (one row if a row holds more), and
+        each block's aux is dropped at once, so the forward allocates little
+        beyond its output and caches nothing."""
+        self._cache = None  # the last forward's, dropped before this one allocates
+        n, width = x.shape[1], x.shape[2]
+        out, parts = None, []
         for i, (rows, kind, c) in enumerate(self._bound()):
-            t0 = time.monotonic()
-            y, aux = kind.forward(c, x[rows], None if rng is None else rng[rows])
-            self.seconds[i] += time.monotonic() - t0
-            ys.append(y)
-            parts.append((c, aux))
-        self._cache = (x, parts)
-        return ys[0] if len(ys) == 1 else np.concatenate(ys)
+            gens = None if rng is None else rng[rows]
+            # a row too large for a block makes a block of its own, and no
+            # rows still make one call, so the output keeps its shape
+            step = max(1, n if keep else _EVAL_BLOCK // (self.sizes[i] * width))
+            for start in range(0, max(n, 1), step):
+                at = (rows, slice(start, start + step))
+                t0 = time.monotonic()
+                y, aux = kind.forward(c, x[at], gens)
+                self.seconds[i] += time.monotonic() - t0
+                if keep:
+                    parts.append((c, aux))
+                if len(self._groups) == 1 and step >= n:
+                    out = y  # the one call's output is the layer's
+                else:
+                    if out is None:
+                        out = np.empty_like(x)
+                    out[at] = y
+                del y, aux  # a lean forward holds one block's arrays at a time
+        if keep:
+            self._cache = (x, parts)
+        return out
 
     def backward(self, upstream: np.ndarray) -> np.ndarray:
         """Write the coefficient gradients; return the input gradient."""
@@ -242,16 +274,20 @@ class Network:
         return ~np.isfinite(self._blocks(self.grad)).all(axis=1)
 
     def forward(self, x: np.ndarray, training: bool = False,
-                rng: list[np.random.Generator] | None = None) -> np.ndarray:
+                rng: list[np.random.Generator] | None = None,
+                keep: bool = False) -> np.ndarray:
         """The stack's output, (R, rows, outputs), from 2-D rows x.  In
         training, x holds the R replicas' batches one after another;
         otherwise every replica takes all the rows of x.  With `rng`, one
         generator per replica, a kind that draws (rrelu) draws from it;
-        without, it takes its mean."""
+        without, it takes its mean.  A training forward, or one with `keep`,
+        keeps the caches that `backward` and `min_kink_gap` read; any other
+        keeps none and runs its activation kernels on blocks of rows, so an
+        eval forward allocates little beyond its layers' outputs."""
         if training:
             x = x.reshape(self.replicas, -1, x.shape[-1])
         for layer in self.layers:
-            x = layer.forward(x, rng)
+            x = layer.forward(x, rng, keep or training)
         return x
 
     def backward(self, grad: np.ndarray, need_dx: bool = True) -> np.ndarray | None:
@@ -470,7 +506,10 @@ def train(net: Network, x_train, y_train, loss_kind: str, optimizer,
     rngs[r].
 
     Returns each replica's epoch records; each carries the loss on the
-    test rows, and under "xent" the test accuracy too.  Its
+    test rows, and under "xent" the test accuracy too, from one forward
+    per epoch that keeps nothing and, beyond its layers' outputs,
+    allocates one block of rows at a time: the training forwards alone
+    keep caches.  Its
     seconds are the replica's share of the epoch's wall time, as
     `Network.replica_seconds` gives it: the stack's wall time when the
     stack runs one activation group.  Before each
@@ -586,7 +625,8 @@ def gradient_check_network(net: Network, x: np.ndarray, rng: np.random.Generator
     None, drawing nothing from `rng`, when a pre-activation lies within the
     probes' reach of a derivative jump.  Leaves `net.theta` as found."""
     x = tensor(x)
-    out = net.forward(x)  # the one base forward: kink check, c's shape, backward's caches
+    # the one base forward, which keeps its caches: kink check, c's shape, backward
+    out = net.forward(x, keep=True)
     n_theta = net.theta.size
     base = np.concatenate([net.theta, x.ravel()])
     step = central_step(base)

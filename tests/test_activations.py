@@ -207,11 +207,11 @@ def test_each_rrelu_replica_of_a_stack_draws_the_slopes_it_draws_alone():
     x = default_rng(9).standard_normal((len(texts), 6, 5))
     up = default_rng(10).standard_normal(x.shape)
     layer = ActivationLayer([parse_activation(text) for text in texts])
-    y = layer.forward(x, [default_rng(20 + r) for r in range(len(texts))])
+    y = layer.forward(x, [default_rng(20 + r) for r in range(len(texts))], True)
     dx = layer.backward(up)
     for r, text in enumerate(texts):
         alone = ActivationLayer([parse_activation(text)])
-        assert alone.forward(x[r:r + 1], [default_rng(20 + r)]).tobytes() == y[r].tobytes()
+        assert alone.forward(x[r:r + 1], [default_rng(20 + r)], True).tobytes() == y[r].tobytes()
         assert alone.backward(up[r:r + 1]).tobytes() == dx[r].tobytes()
     assert not np.array_equal(y[0], y[1])  # two generators, two draws of slopes
 
@@ -415,7 +415,7 @@ def test_layer_gradients_match_finite_differences(kind, data):
     def f(vec):
         for param, stored in zip(params, vec):
             param.value[...] = stored
-        return float(np.sum(up * layer.forward(vec[len(params):].reshape(x.shape), None)))
+        return float(np.sum(up * layer.forward(vec[len(params):].reshape(x.shape), None, True)))
 
     base = np.concatenate([[p.value.item() for p in params], x.ravel()])
     f(base)

@@ -225,7 +225,7 @@ def test_backward_at_zero_input_when_alpha_squared_overflows(text):
     layer = ActivationLayer([parse_activation(text)])
     x = np.array([[[0.0, -0.0, 0.5, -3.0]]])
     with quiet_errstate():
-        y = layer.forward(x, None)
+        y = layer.forward(x, None, True)
         dx = layer.backward(np.ones_like(x))
     assert y.shape == dx.shape == x.shape
     np.testing.assert_array_equal(dx[..., :2], 1.0 + DEFAULTS["eps"])
@@ -486,7 +486,7 @@ def test_layer_matches_textbook_closed_forms_bit_for_bit(k, mode):
         up = rng.standard_normal(x.shape)
         y_ref, dx_ref, grads_ref = _textbook_layer(x, up, p)
 
-        np.testing.assert_array_equal(layer.forward(x[None], None), y_ref[None])
+        np.testing.assert_array_equal(layer.forward(x[None], None, True), y_ref[None])
         np.testing.assert_array_equal(layer.backward(up[None]), dx_ref[None])
         trained = {param.name.split(".")[-1]: param.grad.item() for param in layer.params()}
         expected = {coeff: grads_ref[coeff] * c[coeff]
@@ -560,7 +560,7 @@ def test_layer_matches_textbook_closed_forms_where_terms_are_not_finite(text, mo
             x = _extreme_input(rng, 1.0 / p["alpha"], mode)
             up = rng.standard_normal(x.shape)
             refs.append((x, up, *_textbook_layer(x, up, p)))
-        y = layer.forward(np.stack([ref[0] for ref in refs]), None)
+        y = layer.forward(np.stack([ref[0] for ref in refs]), None, True)
         dx = layer.backward(np.stack([ref[1] for ref in refs]))
         for i, (_, _, y_ref, dx_ref, grads_ref) in enumerate(refs):
             np.testing.assert_array_equal(y[i], y_ref)
@@ -572,7 +572,7 @@ def test_layer_matches_textbook_closed_forms_where_terms_are_not_finite(text, mo
         c = _natural(layer, 1)[0]
         x, up = refs[0][:2]
         y_ref, dx_ref, grads_ref = _textbook_layer(x, up, {**base, **c})
-        np.testing.assert_array_equal(layer.forward(x[None], None), y_ref[None])
+        np.testing.assert_array_equal(layer.forward(x[None], None, True), y_ref[None])
         np.testing.assert_array_equal(layer.backward(up[None]), dx_ref[None])
         _assert_layer_grads(layer, _expected_grads(grads_ref, c, base["train"]))
 

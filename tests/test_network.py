@@ -1,6 +1,7 @@
 """Network forward/backward, losses, optimizers, and the training loop."""
 
 import math
+import tracemalloc
 from dataclasses import replace
 from types import SimpleNamespace
 
@@ -52,7 +53,7 @@ def test_zero_upstream_gives_zero_gradients():
     rng = default_rng(3)
     net = build_mlp([2, 4, 2], parse_activation("ewend"), [rng])
     net.grad[...] = 1.0  # a backward writes every gradient, it adds to none
-    net.forward(rng.standard_normal((3, 2)))
+    net.forward(rng.standard_normal((3, 2)), keep=True)
     net.backward(np.zeros((1, 3, 2)))
     assert np.all(net.grad == 0.0)
 
@@ -64,7 +65,7 @@ def test_backward_overwrites_every_gradient(kind):
     rng = default_rng(35)
     net = build_mlp([2, 4, 4, 2], parse_activation(kind), [rng])
     net.grad[...] = np.nan
-    net.forward(rng.standard_normal((5, 2)))
+    net.forward(rng.standard_normal((5, 2)), keep=True)
     net.backward(rng.standard_normal((1, 5, 2)))
     assert np.all(np.isfinite(net.grad))
 
@@ -73,7 +74,7 @@ def test_backward_overwrites_every_gradient(kind):
 def test_backward_without_input_gradient(kind):
     rng = default_rng(36)
     net = build_mlp([3, 5, 2], parse_activation(kind), [rng])
-    net.forward(rng.standard_normal((4, 3)))
+    net.forward(rng.standard_normal((4, 3)), keep=True)
     up = rng.standard_normal((1, 4, 2))
     dx = net.backward(up, need_dx=True)
     with_dx = net.grad.copy()
@@ -147,7 +148,7 @@ def _layer_walking_kink_gap(net, x):
             for kink in KINDS[spec.kind].kinks({**spec.params,
                                                 **layer.current_coefficients()[0]}):
                 gap = min(gap, float(np.abs(x - kink).min()))
-        x = layer.forward(x, None)
+        x = layer.forward(x, None, False)
     return gap
 
 
@@ -158,7 +159,7 @@ def test_min_kink_gap_reads_the_last_forward(kind):
     for _ in range(5):
         x = rng.standard_normal((6, 2))
         expected = _layer_walking_kink_gap(net, x)
-        net.forward(x)
+        net.forward(x, keep=True)
         assert min_kink_gap(net) == expected
 
 
@@ -338,7 +339,7 @@ class _BigGradient:
     def params(self):
         return [self.p]
 
-    def forward(self, x, rng):
+    def forward(self, x, rng, keep):
         # a first layer, as a Dense: every replica takes all the rows of 2-D x
         return np.broadcast_to(x, self.p.value.shape[:1] + x.shape[-2:])
 
@@ -1030,3 +1031,109 @@ def test_epoch_seconds_share_out_the_wall_time_by_activation(monkeypatch):
     assert rows[2] == rows[3] == [shares[2]]
     for relu_s, tanh_s, wall in zip(rows[0], rows[4], walls):
         assert relu_s + tanh_s == wall and tanh_s - relu_s == 8 * 2 * 5
+
+
+# a lean forward (outside training, without keep) runs each activation group
+# in blocks of rows; these texts cover every kind, ewend's channel mode, its
+# k < 2 branch and all its trained coefficients, and celu's masked branch
+_BLOCKED_TEXTS = list(KINDS) + ["ewend(mode=channel)", "ewend(k=1)",
+                                "ewend(train=alpha|lambda|beta|eps)", "celu(alpha=0)"]
+
+
+def _lean_and_kept(layer, x, seed):
+    """The layer's output from a lean forward and from a caching one, each
+    given fresh generators of `seed` (only rrelu draws from them), with
+    every trained coefficient moved off its initial value per replica."""
+    rng = default_rng(seed)
+    for param in layer.params():
+        param.value[...] += rng.uniform(-0.1, 0.1, size=param.value.shape)
+
+    def gens():
+        return [default_rng([seed, r]) for r in range(x.shape[0])]
+
+    with network.quiet_errstate():
+        lean = layer.forward(x, gens(), False)
+        assert layer._cache is None
+        assert all(s > 0.0 for s in layer.seconds)  # every block's kernel call timed
+        with pytest.raises(RuntimeError, match="backward called before forward"):
+            layer.backward(np.ones_like(x))
+        with pytest.raises(RuntimeError, match="backward called before forward"):
+            layer.kink_gap()
+        kept = layer.forward(x, gens(), True)
+    return lean, kept
+
+
+def _blocked_input(rng, shape):
+    """Inputs within +-3, but in the rows from a third to a half of the way
+    through within +-12: only the blocks there reach past |x| = 4 sqrt(2),
+    where gelu's erfc takes its tail branch."""
+    x = rng.uniform(-3.0, 3.0, size=shape)
+    x[:, shape[1] // 3:shape[1] // 2] *= 4.0
+    return x
+
+
+# the last two hold more than a block in one row of a group: each row is a
+# block, and the one row of (70, 1, 256) is the whole layer's one call
+@pytest.mark.parametrize("shape", [(2, 1000, 40), (3, 7, 5), (1, 3000, 300),
+                                   (1, 3, 20000), (70, 1, 256)])
+@pytest.mark.parametrize("text", _BLOCKED_TEXTS)
+def test_a_lean_forward_writes_the_bytes_of_a_caching_one(text, shape):
+    layer = ActivationLayer([parse_activation(text)] * shape[0])
+    x = _blocked_input(default_rng(71), shape)
+    lean, kept = _lean_and_kept(layer, x, 72)
+    assert lean.tobytes() == kept.tobytes()
+    layer.backward(np.ones_like(x))  # the caching forward's cache serves
+
+
+def test_a_lean_forward_of_several_groups_writes_the_bytes_of_a_caching_one():
+    texts = ["relu", "relu", "gelu", "ewend(mode=channel)", "ewend(mode=channel)",
+             "prelu", "rrelu", "ewend(train=alpha|beta)"]
+    layer = ActivationLayer([parse_activation(text) for text in texts])
+    # rows of 40: 409 rows to a block in a group of one replica, 204 in a
+    # group of two, so each group runs 3 or 5 blocks
+    x = _blocked_input(default_rng(73), (len(texts), 1000, 40))
+    lean, kept = _lean_and_kept(layer, x, 74)
+    assert len(layer.seconds) == 6
+    assert lean.tobytes() == kept.tobytes()
+
+
+def test_a_network_forward_keeps_caches_only_in_training_or_when_asked():
+    net = build_mlp([3, 6, 6, 2], parse_activation("ewend(k=1)"), [default_rng(75)])
+    x = default_rng(76).standard_normal((5, 3))
+    for kw in ({"keep": True}, {"training": True}):
+        kept = net.forward(x, **kw)
+        assert all(layer._cache_x is not None for layer in net.layers if isinstance(layer, Dense))
+        assert all(layer._cache is not None for layer in net._activations())
+        assert min_kink_gap(net) > 0.0
+        lean = net.forward(x)
+        assert lean.tobytes() == kept.tobytes()
+        assert all(layer._cache_x is None for layer in net.layers if isinstance(layer, Dense))
+        assert all(layer._cache is None for layer in net._activations())
+        with pytest.raises(RuntimeError, match="backward called before forward"):
+            net.backward(np.ones_like(lean))
+        with pytest.raises(RuntimeError, match="backward called before forward"):
+            min_kink_gap(net)
+    for keep in (True, False):  # no rows in, no rows out
+        assert net.forward(x[:0], keep=keep).shape == (1, 0, 2)
+
+
+def test_an_eval_forward_allocates_little_beyond_its_output():
+    # an MNIST-shape ewend network over 2000 test rows: the caching forward
+    # holds every array of ewend's profile at full size, about 37 MB; a lean
+    # one holds the two (2000, 256) outputs of the first Dense and of the
+    # activation layer, and one block's arrays besides
+    net = build_mlp([784, 256, 10], parse_activation("ewend"), [default_rng(77)])
+    x = default_rng(78).random((2000, 784))
+    bound = 3 * x.shape[0] * 256 * 8
+
+    def peak(**kw):
+        net.forward(x[:1], training=True)  # a small cache before each
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            net.forward(x, **kw)
+            return tracemalloc.get_traced_memory()[1] - start
+        finally:
+            tracemalloc.stop()
+
+    assert peak() <= bound < peak(keep=True)
