@@ -24,7 +24,7 @@ import yaml
 
 from . import __version__
 from .activations import KINDS, ActivationSpec, ConfigError, format_activation, parse_activation
-from .datasets import load_idx, make_circles, make_moons, sample_sine, split, subsample
+from .datasets import load_idx, make_circles, make_moons, sample_sine, split
 from .network import SGD, Adam, EpochRecord, build_mlp, quiet_errstate, train
 from .tensor import substream
 
@@ -386,8 +386,8 @@ def _idx_data(cfg: ExperimentConfig) -> tuple:
         _require(Path(dp[key]).is_file(), f"dataset.{key}: no such file {dp[key]!r}")
     data = []
     for part in ("train", "test"):
-        images, labels = load_idx(dp[f"{part}_images"], dp[f"{part}_labels"])
-        data += subsample(images, labels, dp[f"n_{part}"], substream(cfg.seed, "subsample", part))
+        data += load_idx(dp[f"{part}_images"], dp[f"{part}_labels"], dp[f"n_{part}"],
+                         substream(cfg.seed, "subsample", part))
     return tuple(data), None
 
 

@@ -1,6 +1,7 @@
 """Synthetic toy datasets (sine wave, two moons, concentric circles), a
-bit-exact loader for the MNIST/Fashion-MNIST IDX binary format, and the
-seeded train/test split and stratified subsample.
+bit-exact loader for the MNIST/Fashion-MNIST IDX binary format that reads
+only the rows of a seeded stratified subsample, and the seeded train/test
+split.
 
 Everything returns plain arrays: features first, then targets or class
 labels.  All generators are seeded and exactly reproducible; with
@@ -10,6 +11,7 @@ noise_sd=0 the points lie exactly on the stated manifolds.
 from __future__ import annotations
 
 import math
+import os
 import struct
 
 import numpy as np
@@ -107,58 +109,97 @@ def make_circles(n: int, noise_sd: float, factor: float, rng: np.random.Generato
 
 IDX_IMAGE_MAGIC = 0x00000803
 IDX_LABEL_MAGIC = 0x00000801
+_CHUNK_BYTES = 1 << 20  # most image bytes `load_idx` reads at once
 
 
-def _read_u32(buf: bytes, offset: int, path: str) -> int:
+def _read_u32(buf: bytes, offset: int, path) -> int:
     if offset + 4 > len(buf):
         raise ConfigError(f"{path}: truncated at byte {offset}, expected 4-byte field")
     return struct.unpack_from(">I", buf, offset)[0]
 
 
-def _read_idx(path, magic: int, dims: int) -> tuple[bytes, list[int]]:
-    """Bytes and dimension sizes (item count first) of an IDX file whose
-    magic and size check out; its data start at byte 4 + 4 * dims."""
-    with open(path, "rb") as f:
-        buf = f.read()
-    found = _read_u32(buf, 0, str(path))
+def _idx_shape(f, path, magic: int, dims: int) -> list[int]:
+    """Dimension sizes (item count first) of the open IDX file `f` whose
+    magic and size check out, read from its header alone; `f` is left at
+    its first data byte, 4 + 4 * dims."""
+    head = f.read(4 + 4 * dims)
+    found = _read_u32(head, 0, path)
     if found != magic:
         raise ConfigError(
             f"{path}: bad magic 0x{found:08x} at byte 0, expected 0x{magic:08x}")
-    shape = [_read_u32(buf, 4 + 4 * i, str(path)) for i in range(dims)]
+    shape = [_read_u32(head, 4 + 4 * i, path) for i in range(dims)]
     expected = 4 + 4 * dims + math.prod(shape)
-    if len(buf) != expected:
+    size = os.fstat(f.fileno()).st_size
+    if size != expected:
         raise ConfigError(
-            f"{path}: size {len(buf)} bytes, expected {expected} "
-            f"(truncated after byte {min(len(buf), expected)})")
-    return buf, shape
+            f"{path}: size {size} bytes, expected {expected} "
+            f"(truncated after byte {min(size, expected)})")
+    return shape
 
 
-def load_idx(images_path, labels_path) -> tuple[np.ndarray, np.ndarray]:
-    """An IDX image/label pair as stored: (uint8 pixels, one row-major
-    flattened image per row; int64 labels)."""
-    buf, (count, rows, cols) = _read_idx(images_path, IDX_IMAGE_MAGIC, 3)
-    images = np.frombuffer(buf, dtype=np.uint8, offset=16).reshape(count, rows * cols)
-    buf, _ = _read_idx(labels_path, IDX_LABEL_MAGIC, 1)
-    labels = np.frombuffer(buf, dtype=np.uint8, offset=8).astype(np.int64)
-    if count != len(labels):
-        raise ConfigError(f"item count mismatch: {count} images vs {len(labels)} labels")
-    return images, labels
+def _read_into(f, out: np.ndarray, path) -> np.ndarray:
+    """Fill `out` with the next bytes of `f`; a short read is an error."""
+    start = f.tell()
+    got = f.readinto(out)
+    if got != out.nbytes:
+        raise ConfigError(f"{path}: read {got} of {out.nbytes} bytes at byte {start}")
+    return out
+
+
+def _read_rows(f, path, keep: np.ndarray, count: int, width: int) -> np.ndarray:
+    """Rows `keep` (sorted, distinct) of the `count` rows of `width` bytes
+    that start at byte 16 of the open image file `f`.  Each read covers the
+    kept rows among the next `_CHUNK_BYTES` of rows (one row, if a row is
+    longer) from the first row not yet read."""
+    out = np.empty((len(keep), width), dtype=np.uint8)
+    per_chunk = max(1, _CHUNK_BYTES // max(width, 1))
+    chunk = np.empty((min(per_chunk, count), width), dtype=np.uint8)
+    j = 0
+    while j < len(keep):
+        first = int(keep[j])
+        end = int(np.searchsorted(keep, first + per_chunk))
+        block = chunk[:int(keep[end - 1]) - first + 1]
+        f.seek(16 + first * width)
+        _read_into(f, block, path)
+        out[j:end] = block[keep[j:end] - first]
+        j = end
+    return out
+
+
+def load_idx(images_path, labels_path, n: int, rng: np.random.Generator):
+    """`n` rows of an IDX image/label pair, drawn by `subsample` from the
+    labels, in file order: (uint8 pixels, one row-major flattened image per
+    row; int64 labels).  Of the image file only the header and the kept
+    rows are read; `n` equal to the file's count gives every row."""
+    with open(images_path, "rb") as f:
+        count, rows, cols = _idx_shape(f, images_path, IDX_IMAGE_MAGIC, 3)
+        with open(labels_path, "rb") as g:
+            (n_labels,) = _idx_shape(g, labels_path, IDX_LABEL_MAGIC, 1)
+            labels = _read_into(g, np.empty(n_labels, dtype=np.uint8), labels_path)
+        if count != n_labels:
+            raise ConfigError(f"item count mismatch: {count} images in {images_path}, "
+                              f"{n_labels} labels in {labels_path}")
+        if n > count:
+            raise ConfigError(f"requested {n} rows but {images_path} has {count}")
+        keep = subsample(labels, n, rng)
+        pixels = _read_rows(f, images_path, keep, count, rows * cols)
+    return pixels, labels[keep].astype(np.int64)
 
 
 def write_idx_images(path, images: np.ndarray):
     """Write (n, rows, cols) uint8 pixels as an IDX image file; used for
     fixtures and round-trip checks."""
-    arr = np.asarray(images, dtype=np.uint8)
+    arr = np.ascontiguousarray(images, dtype=np.uint8)
     with open(path, "wb") as f:
         f.write(struct.pack(">IIII", IDX_IMAGE_MAGIC, arr.shape[0], arr.shape[1], arr.shape[2]))
-        f.write(arr.tobytes())
+        f.write(arr.data)
 
 
 def write_idx_labels(path, labels: np.ndarray):
-    arr = np.asarray(labels, dtype=np.uint8)
+    arr = np.ascontiguousarray(labels, dtype=np.uint8)
     with open(path, "wb") as f:
         f.write(struct.pack(">II", IDX_LABEL_MAGIC, arr.shape[0]))
-        f.write(arr.tobytes())
+        f.write(arr.data)
 
 
 def _proportional(counts: np.ndarray, n: int) -> np.ndarray:
@@ -171,8 +212,8 @@ def _proportional(counts: np.ndarray, n: int) -> np.ndarray:
     return quotas
 
 
-def subsample(x: np.ndarray, labels: np.ndarray, n: int, rng: np.random.Generator):
-    """Seeded `n` rows of (x, labels) in class proportion, in row order.
+def subsample(labels: np.ndarray, n: int, rng: np.random.Generator) -> np.ndarray:
+    """Sorted indices of `n` seeded rows in class proportion.
 
     Each class gives its largest-remainder share of `n`, drawn by one
     permutation of its rows, so the total is exact.
@@ -187,5 +228,4 @@ def subsample(x: np.ndarray, labels: np.ndarray, n: int, rng: np.random.Generato
     for cls, take in zip(classes, _proportional(counts, n)):
         cls_idx = np.flatnonzero(labels == cls)
         parts.append(cls_idx[rng.permutation(len(cls_idx))][:take])
-    keep = np.sort(np.concatenate(parts))
-    return x[keep], labels[keep]
+    return np.sort(np.concatenate(parts))

@@ -238,7 +238,7 @@ def test_criterion_8_idx_corrupted_magic(tmp_path):
         f.write(bytes(4))
     write_idx_labels(tmp_path / "labels", np.zeros(1, dtype=np.uint8))
     try:
-        load_idx(bad, tmp_path / "labels")
+        load_idx(bad, tmp_path / "labels", 1, default_rng(0))
         ok, detail = False, "corrupted magic accepted"
     except ConfigError as exc:
         ok = "0x00000803" in str(exc)
@@ -250,8 +250,11 @@ def test_criterion_8_official_mnist_parses():
     paths = _mnist_paths()
     assert paths["train_images"].stat().st_size == 47040016
     assert paths["train_labels"].stat().st_size == 60008
-    train_images, train_labels = load_idx(paths["train_images"], paths["train_labels"])
-    test_images, test_labels = load_idx(paths["test_images"], paths["test_labels"])
+    # n equal to each file's count keeps every row, in file order
+    train_images, train_labels = load_idx(paths["train_images"], paths["train_labels"],
+                                          60000, default_rng(0))
+    test_images, test_labels = load_idx(paths["test_images"], paths["test_labels"],
+                                        10000, default_rng(0))
     ok = (train_images.shape == (60000, 784) and len(train_labels) == 60000
           and test_images.shape == (10000, 784) and len(test_labels) == 10000)
     _report("criterion 8b: official MNIST parses to 60000/10000 x 784", ok)

@@ -828,19 +828,19 @@ def test_cli_mnist_missing_files(tmp_path):
 
 @pytest.mark.parametrize("edit, override, message", [
     ("magic", {}, "{images}: bad magic 0x00000802 at byte 0, expected 0x00000803"),
-    ("short-labels", {}, "item count mismatch: 60 images vs 50 labels"),
-    ("n_train", {"dataset": {"n_train": 100}}, "requested 100 rows but the data have 60"),
+    ("short-labels", {}, "item count mismatch: 60 images in {images}, 50 labels in {labels}"),
+    ("n_train", {"dataset": {"n_train": 100}}, "requested 100 rows but {images} has 60"),
 ])
 def test_cli_bad_idx_data_exits_2_before_any_output(tmp_path, edit, override, message):
     # the 60-row IDX pairs of _cli_config, with a corrupt image magic, a
     # label file 10 entries short, or more training rows asked for than it holds
     path = _cli_config(tmp_path, "mnist", override)
-    images = tmp_path / "train-images"
+    images, labels = tmp_path / "train-images", tmp_path / "train-labels"
     if edit == "magic":
         images.write_bytes(b"\x00\x00\x08\x02" + images.read_bytes()[4:])
     elif edit == "short-labels":
-        write_idx_labels(tmp_path / "train-labels", np.tile(np.arange(10), 5))
-    message = f"configuration error: {message.format(images=images)}"
+        write_idx_labels(labels, np.tile(np.arange(10), 5))
+    message = f"configuration error: {message.format(images=images, labels=labels)}"
     assert _run_fails(path).splitlines() == [message]
     assert not (tmp_path / "out").exists()
 

@@ -1,12 +1,16 @@
 """Dataset generators, the IDX loader, the train/test split and the
 stratified subsample."""
 
+import struct
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 from numpy.random import default_rng
 
+from wendnet import datasets
 from wendnet.datasets import (
     load_idx,
     make_circles,
@@ -122,7 +126,7 @@ def test_idx_round_trip(tmp_path):
     lp = tmp_path / "lbls"
     write_idx_images(ip, images)
     write_idx_labels(lp, labels)
-    pixels, loaded = load_idx(ip, lp)
+    pixels, loaded = load_idx(ip, lp, 7, default_rng(0))
     assert pixels.dtype == np.uint8 and loaded.dtype == np.int64
     np.testing.assert_array_equal(pixels, images.reshape(7, 25))
     np.testing.assert_array_equal(loaded, labels.astype(np.int64))
@@ -131,20 +135,19 @@ def test_idx_round_trip(tmp_path):
 def test_idx_all_zero_images(tmp_path):
     write_idx_images(tmp_path / "imgs", np.zeros((2, 4, 4), dtype=np.uint8))
     write_idx_labels(tmp_path / "lbls", np.zeros(2, dtype=np.uint8))
-    pixels, _ = load_idx(tmp_path / "imgs", tmp_path / "lbls")
+    pixels, _ = load_idx(tmp_path / "imgs", tmp_path / "lbls", 2, default_rng(0))
     assert pixels.shape == (2, 16)
     assert np.all(pixels == 0)
 
 
 def test_idx_bad_magic(tmp_path):
-    import struct
     path = tmp_path / "bad"
     with open(path, "wb") as f:
         f.write(struct.pack(">IIII", 0x00000802, 1, 2, 2))
         f.write(bytes(4))
     write_idx_labels(tmp_path / "lbls", np.zeros(1, dtype=np.uint8))
     with pytest.raises(ConfigError, match="0x00000803"):
-        load_idx(path, tmp_path / "lbls")
+        load_idx(path, tmp_path / "lbls", 1, default_rng(0))
 
 
 def test_idx_truncated(tmp_path):
@@ -154,14 +157,32 @@ def test_idx_truncated(tmp_path):
         f.write(data[:-10])
     write_idx_labels(tmp_path / "lbls", np.zeros(3, dtype=np.uint8))
     with pytest.raises(ConfigError, match="truncated|expected"):
-        load_idx(tmp_path / "trunc", tmp_path / "lbls")
+        load_idx(tmp_path / "trunc", tmp_path / "lbls", 3, default_rng(0))
+
+
+def test_idx_shrunk_after_its_size_check(tmp_path, monkeypatch):
+    # the image file loses 10 bytes between its size check and the row
+    # read: the short read is an error, not rows of uninitialised pixels
+    # (30,000 bytes of pixels, more than the reader's buffer holds)
+    write_idx_images(tmp_path / "imgs", np.ones((3, 100, 100), dtype=np.uint8))
+    write_idx_labels(tmp_path / "lbls", np.zeros(3, dtype=np.uint8))
+    draw = datasets.subsample
+
+    def shrink_then_draw(labels, n, rng):
+        path = tmp_path / "imgs"
+        path.write_bytes(path.read_bytes()[:-10])
+        return draw(labels, n, rng)
+
+    monkeypatch.setattr(datasets, "subsample", shrink_then_draw)
+    with pytest.raises(ConfigError, match="read 29990 of 30000 bytes at byte 16"):
+        load_idx(tmp_path / "imgs", tmp_path / "lbls", 3, default_rng(0))
 
 
 def test_idx_count_mismatch(tmp_path):
     write_idx_images(tmp_path / "imgs", np.zeros((3, 4, 4), dtype=np.uint8))
     write_idx_labels(tmp_path / "lbls", np.zeros(2, dtype=np.uint8))
     with pytest.raises(ConfigError, match="mismatch"):
-        load_idx(tmp_path / "imgs", tmp_path / "lbls")
+        load_idx(tmp_path / "imgs", tmp_path / "lbls", 2, default_rng(0))
 
 
 _MUTATION = st.one_of(
@@ -183,23 +204,76 @@ def _mutate(data: bytes, mutations) -> bytes:
     return bytes(buf)
 
 
+def _decode_idx(images: bytes, labels: bytes, n: int, rng):
+    """The rows `subsample` keeps of a whole-file decode of an IDX pair."""
+    count, rows, cols = struct.unpack_from(">III", images, 4)
+    pixels = np.frombuffer(images, dtype=np.uint8)[16:].reshape(count, rows * cols)
+    labels = np.frombuffer(labels, dtype=np.uint8)[8:].astype(np.int64)
+    keep = subsample(labels, n, rng)
+    return pixels[keep], labels[keep]
+
+
 @settings(derandomize=True, database=None, max_examples=300, deadline=None,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
-@given(image_edits=st.lists(_MUTATION, max_size=3), label_edits=st.lists(_MUTATION, max_size=3))
-def test_mutated_idx_files_load_or_raise_parse_error(tmp_path, image_edits, label_edits):
+@given(image_edits=st.lists(_MUTATION, max_size=3), label_edits=st.lists(_MUTATION, max_size=3),
+       n=st.integers(1, 4))
+def test_mutated_idx_files_load_or_raise_parse_error(tmp_path, image_edits, label_edits, n):
     # truncate, flip or extend the bytes of a small IDX pair: the loader
-    # returns arrays that agree with the headers, or raises ConfigError
+    # returns the rows a whole-file decode of the mutated bytes keeps, or
+    # raises ConfigError
     write_idx_images(tmp_path / "imgs", np.arange(12, dtype=np.uint8).reshape(3, 2, 2))
     write_idx_labels(tmp_path / "lbls", np.array([0, 9, 4], dtype=np.uint8))
     for name, edits in (("imgs", image_edits), ("lbls", label_edits)):
         path = tmp_path / name
         path.write_bytes(_mutate(path.read_bytes(), edits))
     try:
-        pixels, labels = load_idx(tmp_path / "imgs", tmp_path / "lbls")
+        pixels, labels = load_idx(tmp_path / "imgs", tmp_path / "lbls", n, default_rng(n))
     except ConfigError:
         return
     assert pixels.dtype == np.uint8 and labels.dtype == np.int64
-    assert pixels.ndim == 2 and labels.shape == (pixels.shape[0],)
+    assert pixels.ndim == 2 and labels.shape == (pixels.shape[0],) == (n,)
+    want_pixels, want_labels = _decode_idx((tmp_path / "imgs").read_bytes(),
+                                           (tmp_path / "lbls").read_bytes(), n, default_rng(n))
+    np.testing.assert_array_equal(pixels, want_pixels)
+    np.testing.assert_array_equal(labels, want_labels)
+
+
+@pytest.fixture(scope="module")
+def idx_12000(tmp_path_factory):
+    """A 12,000-image 28x28 IDX pair of seeded pixels and labels, 9.4 MB of
+    pixels, which `load_idx` reads in 9 chunks."""
+    rng = default_rng(30)
+    root = tmp_path_factory.mktemp("idx")
+    write_idx_images(root / "imgs", rng.integers(0, 256, size=(12000, 28, 28)))
+    write_idx_labels(root / "lbls", rng.integers(0, 10, size=12000))
+    return root / "imgs", root / "lbls"
+
+
+@pytest.mark.parametrize("n", [1, 1337, 1338, 2000, 12000])
+def test_load_idx_keeps_the_rows_of_a_whole_file_decode(idx_12000, n):
+    images, labels = idx_12000
+    pixels, loaded = load_idx(images, labels, n, default_rng(31))
+    assert pixels.dtype == np.uint8 and loaded.dtype == np.int64
+    want_pixels, want_labels = _decode_idx(images.read_bytes(), labels.read_bytes(), n,
+                                           default_rng(31))
+    np.testing.assert_array_equal(pixels, want_pixels)
+    np.testing.assert_array_equal(loaded, want_labels)
+    if n == 12000:  # every row, in file order
+        np.testing.assert_array_equal(
+            pixels, np.frombuffer(images.read_bytes(), np.uint8)[16:].reshape(12000, 784))
+
+
+def test_load_idx_holds_its_output_and_one_chunk(idx_12000):
+    # 2000 of the 12,000 rows: the output, one 1 MiB read chunk and the
+    # labels, not the 9.4 MB image file
+    tracemalloc.start()
+    try:
+        pixels, _ = load_idx(*idx_12000, 2000, default_rng(32))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    bound = pixels.nbytes + (1 << 20) + (1 << 19)
+    assert peak <= bound, f"traced peak {peak / 2**20:.2f} MiB, bound {bound / 2**20:.2f} MiB"
 
 
 # --- subsampling ------------------------------------------------------------
@@ -211,38 +285,37 @@ def _toy_labeled(n=100, classes=10):
 
 def test_subsample_full_permutation():
     x, labels = _toy_labeled()
-    sub, sub_labels = subsample(x, labels, 100, default_rng(8))
+    keep = subsample(labels, 100, default_rng(8))
     # every row, in row order
-    np.testing.assert_array_equal(sub, x)
-    np.testing.assert_array_equal(sub_labels, labels)
+    np.testing.assert_array_equal(x[keep], x)
+    np.testing.assert_array_equal(labels[keep], labels)
 
 
 def test_subsample_stratified_balanced():
-    x, labels = _toy_labeled(n=1000, classes=10)
-    _, sub_labels = subsample(x, labels, 100, default_rng(9))
-    assert np.all(np.bincount(sub_labels, minlength=10) == 10)
+    _, labels = _toy_labeled(n=1000, classes=10)
+    keep = subsample(labels, 100, default_rng(9))
+    assert np.all(np.bincount(labels[keep], minlength=10) == 10)
 
 
 def test_subsample_deterministic():
     x, labels = _toy_labeled(n=200)
-    a, la = subsample(x, labels, 50, default_rng(10))
-    b, lb = subsample(x, labels, 50, default_rng(10))
-    np.testing.assert_array_equal(a, b)
-    np.testing.assert_array_equal(la, lb)
+    a = subsample(labels, 50, default_rng(10))
+    b = subsample(labels, 50, default_rng(10))
+    np.testing.assert_array_equal(x[a], x[b])
+    np.testing.assert_array_equal(labels[a], labels[b])
 
 
 def test_subsample_insufficient_rows():
-    x, labels = _toy_labeled(n=100)
+    _, labels = _toy_labeled(n=100)
     with pytest.raises(ConfigError):
-        subsample(x, labels, 110, default_rng(11))
+        subsample(labels, 110, default_rng(11))
 
 
 def test_subsample_stratified_keeps_proportions_and_counts():
     labels = np.array([0] * 100 + [1] * 5)
-    x = default_rng(12).standard_normal((105, 2))
-    _, sub_labels = subsample(x, labels, 40, default_rng(13))
+    keep = subsample(labels, 40, default_rng(13))
     # 40 * 100/105 = 38.1 and 40 * 5/105 = 1.9: the spare row goes to class 1
-    assert np.bincount(sub_labels).tolist() == [38, 2]
+    assert np.bincount(labels[keep]).tolist() == [38, 2]
 
 
 def test_subsample_quota_never_exceeds_its_class():
@@ -250,10 +323,10 @@ def test_subsample_quota_never_exceeds_its_class():
     labels = np.array([0] * 9 + [1] + [2] * 3)
     x = np.arange(len(labels), dtype=np.float64)[:, None]
     for n in range(1, len(labels) + 1):
-        sub, sub_labels = subsample(x, labels, n, default_rng(n))
-        assert len(sub) == n
-        assert len(np.unique(sub)) == n  # no row drawn twice
-        assert np.all(np.bincount(sub_labels, minlength=3) <= np.bincount(labels))
+        keep = subsample(labels, n, default_rng(n))
+        assert len(x[keep]) == n
+        assert len(np.unique(x[keep])) == n  # no row drawn twice
+        assert np.all(np.bincount(labels[keep], minlength=3) <= np.bincount(labels))
 
 
 # --- the rows match the earlier Dataset-based split and subsample ------------
@@ -322,7 +395,8 @@ def test_subsample_picks_the_reference_rows(counts, n):
     labels = np.repeat(np.arange(len(counts)), counts)
     labels = labels[default_rng(22).permutation(len(labels))]
     x = np.arange(len(labels), dtype=np.float64)[:, None] * 0.5
-    sub, sub_labels = subsample(x, labels, n, default_rng(23))
+    keep = subsample(labels, n, default_rng(23))
+    sub, sub_labels = x[keep], labels[keep]
     for n_test in (0, (len(labels) - n) // 2):
         train_idx, _ = _reference_subsample_idx(labels, n, n_test, default_rng(23))
         np.testing.assert_array_equal(sub, x[train_idx])
