@@ -12,8 +12,12 @@ each batch's one step, which replicas diverged.
 
 from __future__ import annotations
 
+import contextvars
 import itertools
 import math
+import os
+import queue
+import threading
 import time
 from dataclasses import dataclass, field
 
@@ -25,6 +29,104 @@ from .tensor import ConfigError, central_step, features, finite_diff_check, subs
 # float64 elements per kernel call of a forward that keeps nothing: a block
 # of ewend's profile, about 9 live arrays, fits in 1.2 MB
 _EVAL_BLOCK = 16384
+
+# Work above _SPLIT runs as two fixed halves, the second on the worker
+# thread: a Dense product of more than _SPLIT multiply-adds per BLAS call,
+# or an optimizer update of more than _SPLIT / _UPDATE_COST elements (more
+# than one of Adam's blocks).  A half then takes ~100 µs on one x86 core,
+# against ~20 µs for handing it to the worker and back, and each half's
+# product, at least a third of the whole (`_cut`), stays above 1e6
+# multiply-adds, the size at or below which OpenBLAS's SkylakeX dgemm
+# switches to small-matrix kernels that sum in another order.
+_SPLIT = 1 << 22
+_UPDATE_COST = 128  # multiply-adds that take about as long as one element's Adam update
+# two halves meet at a multiple of _ALIGN rows or elements, so the second
+# starts on a whole BLAS row tile and a whole cache line
+_ALIGN = 16
+
+
+class _Worker:
+    """One daemon thread that runs the second half of split work.
+
+    NumPy and a single-threaded BLAS release the GIL in the halves' array
+    work, so the two halves run at once on two cores.  Each half runs in the
+    caller's contextvars context, so the caller's np.errstate holds in both.
+    The worker runs only private functions of this module: perfbench's
+    tracer wraps the public ones and keeps one span stack."""
+
+    def __init__(self):
+        self._tasks = queue.SimpleQueue()
+        threading.Thread(target=self._serve, name="wendnet-half", daemon=True).start()
+
+    def _serve(self):
+        while True:
+            context, fn, args, done = self._tasks.get()
+            error = None
+            try:
+                context.run(fn, *args)
+            except BaseException as exc:  # raised again in the caller
+                error = exc
+            # the views in args, and the error's traceback, would keep the
+            # caller's arrays alive until the next task
+            del context, fn, args
+            done.put(error)
+            del error
+
+    def both(self, fn, first: tuple, second: tuple):
+        """fn(*second) on the worker and fn(*first) here; return once both
+        are done, raising the caller's error or else the worker's."""
+        done = queue.SimpleQueue()  # one per call: a stale answer cannot reach the next
+        self._tasks.put((contextvars.copy_context(), fn, second, done))
+        try:
+            fn(*first)
+        finally:
+            error = done.get()  # the worker writes into the caller's arrays until here
+        if error is not None:
+            raise error
+
+
+_worker: _Worker | None = None  # started by the first split
+
+
+def _forget_worker():
+    global _worker
+    _worker = None  # a forked child has no threads but the one that forked
+
+
+os.register_at_fork(after_in_child=_forget_worker)
+
+
+def _both(fn, first: tuple, second: tuple):
+    global _worker
+    if _worker is None:
+        _worker = _Worker()
+    _worker.both(fn, first, second)
+
+
+def _cut(n: int) -> int:
+    """Where the halves of n rows or elements meet: n/2 to the nearest
+    multiple of _ALIGN, so each half holds at least a third; 0, for one
+    whole part, when n is less than 2 * _ALIGN."""
+    return (n + _ALIGN) // (2 * _ALIGN) * _ALIGN if n >= 2 * _ALIGN else 0
+
+
+def _product(a: np.ndarray, b: np.ndarray, out: np.ndarray, bias=None):
+    np.matmul(a, b, out=out)
+    if bias is not None:
+        out += bias
+
+
+def _product_halves(a: np.ndarray, b: np.ndarray, out: np.ndarray, bias=None) -> np.ndarray:
+    """out = a @ b (+ bias) as two halves of the rows of a and out, or
+    whole when a has too few rows to halve; every element gets the
+    operations of one whole call."""
+    cut = _cut(a.shape[-2])
+    if cut == 0:
+        _product(a, b, out, bias)
+    else:
+        _both(_product, (a[..., :cut, :], b, out[..., :cut, :], bias),
+              (a[..., cut:, :], b, out[..., cut:, :], bias))
+    return out
 
 
 class Param:
@@ -39,7 +141,13 @@ class Param:
 
 class Dense:
     """Affine layer y = x W + b with Glorot-uniform init: one (n_in, n_out)
-    W and (1, n_out) b per replica, replica r's W drawn from rngs[r]."""
+    W and (1, n_out) b per replica, replica r's W drawn from rngs[r].
+
+    A product of more than `_SPLIT` multiply-adds per replica runs as two
+    fixed halves, one on the worker thread: the forward and the input
+    gradient by rows, the weight gradient by input rows.  Each element
+    gets the operations of one whole BLAS call, so the bits are those of
+    the whole product; smaller products run whole, as one call here."""
 
     def __init__(self, n_in: int, n_out: int, rngs, name: str = "dense"):
         limit = np.sqrt(6.0 / (n_in + n_out))
@@ -58,9 +166,13 @@ class Dense:
         rows that every replica takes, keeping x for the backward only when
         `keep` is true; a Dense draws nothing from `rng`."""
         self._cache_x = x if keep else None
-        z = x @ self.w.value
-        z += self.b.value
-        return z
+        rows = x.shape[-2]
+        if rows * self.n_in * self.n_out <= _SPLIT:
+            z = x @ self.w.value
+            z += self.b.value
+            return z
+        z = np.empty((self.w.value.shape[0], rows, self.n_out))
+        return _product_halves(x, self.w.value, z, self.b.value)
 
     def backward(self, upstream: np.ndarray, need_dx: bool = True) -> np.ndarray | None:
         """Write the weight and bias gradients; return the input gradient,
@@ -68,9 +180,16 @@ class Dense:
         x = self._cache_x
         if x is None:
             raise RuntimeError("backward called before forward")
-        np.matmul(x.swapaxes(-1, -2), upstream, out=self.w.grad)
+        if upstream.shape[-2] * self.n_in * self.n_out <= _SPLIT:
+            np.matmul(x.swapaxes(-1, -2), upstream, out=self.w.grad)
+            np.add.reduce(upstream, axis=-2, keepdims=True, out=self.b.grad)
+            return upstream @ self.w.value.swapaxes(-1, -2) if need_dx else None
+        _product_halves(x.swapaxes(-1, -2), upstream, self.w.grad)
         np.add.reduce(upstream, axis=-2, keepdims=True, out=self.b.grad)
-        return upstream @ self.w.value.swapaxes(-1, -2) if need_dx else None
+        if not need_dx:
+            return None
+        return _product_halves(upstream, self.w.value.swapaxes(-1, -2),
+                               np.empty(upstream.shape[:-1] + (self.n_in,)))
 
 
 class ActivationLayer:
@@ -395,22 +514,73 @@ def eval_loss(kind: str, pred: np.ndarray, target: np.ndarray):
 # Optimizers.
 # ---------------------------------------------------------------------------
 
+def _update_parts(vectors: list[np.ndarray]) -> list[list[tuple]]:
+    """An optimizer's update layout over `vectors`, all of one size n: one
+    part, or two fixed halves when the update is worth splitting.  A part
+    is a list of blocks of at most `Adam._BLOCK` elements, each block a
+    tuple of views, one per vector, then one of the part's own scratch
+    vector; so two halves hold as much scratch as one whole part."""
+    n = vectors[0].size
+    bounds = [0, n]
+    if n * _UPDATE_COST > _SPLIT:
+        bounds.insert(1, _cut(n))
+    parts = []
+    for lo, hi in zip(bounds, bounds[1:]):
+        scratch = np.zeros(min(hi - lo, Adam._BLOCK))
+        parts.append([(*(vec[start:end] for vec in vectors), scratch[:end - start])
+                      for start in range(lo, hi, Adam._BLOCK)
+                      for end in [min(start + Adam._BLOCK, hi)]])
+    return parts
+
+
+def _run_parts(update, parts: list[list[tuple]], *args):
+    """update(part, *args) for each part: in the caller for one, on the
+    worker and the caller at once for two halves."""
+    if len(parts) == 1:
+        update(parts[0], *args)
+    else:
+        _both(update, (parts[0], *args), (parts[1], *args))
+
+
+def _sgd_update(blocks: list[tuple], lr: float, momentum: float):
+    for g, v, theta, a in blocks:
+        v *= momentum
+        v += g
+        theta -= np.multiply(lr, v, out=a)
+
+
+def _adam_update(blocks: list[tuple], beta1: float, beta2: float, lr_t: float, eps_hat: float):
+    for g, m, v, theta, a in blocks:
+        m *= beta1
+        m += np.multiply(1.0 - beta1, g, out=a)
+        v *= beta2
+        np.multiply(1.0 - beta2, g, out=a)
+        v += np.multiply(a, g, out=a)
+        np.sqrt(v, out=a)
+        a += eps_hat
+        np.divide(m, a, out=a)
+        a *= lr_t
+        theta -= a
+
+
 class SGD:
+    """SGD with momentum: v = momentum * v + g, theta -= lr * v, in place,
+    through the blocks and halves of Adam's update."""
+
     def __init__(self, net: Network, lr: float, momentum: float = 0.0):
         self.net = net
         self.lr = lr
         self.momentum = momentum
         self._velocity = np.zeros_like(net.theta)
+        self._parts = _update_parts([net.grad, self._velocity, net.theta])
 
     def keep(self, rows):
         """Shrink the network's stack and the velocity to the replicas at `rows`."""
         self._velocity, = self.net.keep(rows, self._velocity)
+        self._parts = _update_parts([self.net.grad, self._velocity, self.net.theta])
 
     def step(self):
-        v = self._velocity
-        v *= self.momentum
-        v += self.net.grad
-        self.net.theta -= self.lr * v
+        _run_parts(_sgd_update, self._parts, self.lr, self.momentum)
 
 
 class Adam:
@@ -422,13 +592,15 @@ class Adam:
     per element.  It is Algorithm 1 up to rounding.
 
     The update runs in place, one block of the parameter vector at a time: a
-    block's moments, gradient and values plus two scratch vectors stay in
+    block's moments, gradient and values plus one scratch vector stay in
     cache while the update's passes run over them; with whole vectors each
-    pass would stream every array through memory again.  Every element sees
-    the same operations in the same order either way.
+    pass would stream every array through memory again.  An update of more
+    than one block runs as two fixed halves, one on the worker thread, each
+    with its own scratch vector.  Every element sees the same operations in
+    the same order either way.
     """
 
-    _BLOCK = 32768  # float64 elements per block: 6 arrays of 256 KiB
+    _BLOCK = 32768  # float64 elements per block: 5 arrays of 256 KiB
     _EPS = 1e-8
 
     def __init__(self, net: Network, lr: float = 1e-3,
@@ -438,23 +610,13 @@ class Adam:
         self.beta1 = beta1
         self.beta2 = beta2
         self._m, self._v = np.zeros_like(net.theta), np.zeros_like(net.theta)
-        self._make_blocks()
+        self._parts = _update_parts([net.grad, self._m, self._v, net.theta])
         self.step_count = 0
-
-    def _make_blocks(self):
-        net, n = self.net, self.net.theta.size
-        block = min(n, self._BLOCK)
-        m, v, a, b = self._m, self._v, np.zeros(block), np.zeros(block)
-        self._blocks = []  # (g, m, v, theta, a, b) views of each block
-        for start in range(0, n, self._BLOCK):
-            end = min(start + self._BLOCK, n)
-            self._blocks.append((net.grad[start:end], m[start:end], v[start:end],
-                                 net.theta[start:end], a[:end - start], b[:end - start]))
 
     def keep(self, rows):
         """Shrink the network's stack and the moments to the replicas at `rows`."""
         self._m, self._v = self.net.keep(rows, self._m, self._v)
-        self._make_blocks()
+        self._parts = _update_parts([self.net.grad, self._m, self._v, self.net.theta])
 
     def step(self):
         self.step_count += 1
@@ -462,18 +624,7 @@ class Adam:
         beta1, beta2 = self.beta1, self.beta2
         root2 = math.sqrt(1.0 - beta2 ** t)
         lr_t = self.lr * root2 / (1.0 - beta1 ** t)
-        eps_hat = self._EPS * root2
-        for g, m, v, theta, a, b in self._blocks:
-            m *= beta1
-            m += np.multiply(1.0 - beta1, g, out=a)
-            v *= beta2
-            np.multiply(1.0 - beta2, g, out=a)
-            v += np.multiply(a, g, out=a)
-            np.sqrt(v, out=b)
-            b += eps_hat
-            np.divide(m, b, out=a)
-            a *= lr_t
-            theta -= a
+        _run_parts(_adam_update, self._parts, beta1, beta2, lr_t, self._EPS * root2)
 
 
 # ---------------------------------------------------------------------------

@@ -722,6 +722,39 @@ def test_no_wendnet_path_imports_scipy():
     assert out.stdout == "[]\n"
 
 
+def test_a_stock_moons_study_starts_no_worker_thread(tmp_path):
+    # every product and update of the stock toy study is too small to split,
+    # so the study runs on the caller's thread alone; a fresh process, as an
+    # earlier split in this one would have started the worker
+    import os
+    import subprocess
+    import sys
+
+    import wendnet
+
+    src = str(Path(wendnet.__file__).resolve().parent.parent)
+    code = "\n".join([
+        "import threading",
+        "import numpy as np",
+        "import yaml",
+        "from wendnet.bench import config_from_dict, default_config_text, run_experiment",
+        "from wendnet.network import Dense",
+        "def threads():",
+        "    print(sorted(t.name for t in threading.enumerate() if t.name.startswith('wendnet')))",
+        "raw = yaml.safe_load(default_config_text('moons'))",
+        f"raw.update(epochs=2, output_dir={str(tmp_path / 'out')!r})",
+        "raw['activations'].append('ewend(mode=channel)')",
+        "run_experiment(config_from_dict(raw))",
+        "threads()",
+        "Dense(784, 256, [np.random.default_rng(0)]).forward(np.ones((64, 784)), None, False)",
+        "threads()",  # the check sees a worker where one runs
+    ])
+    out = subprocess.run([sys.executable, "-c", code],
+                         env={**os.environ, "PYTHONPATH": src}, capture_output=True, text=True,
+                         check=True)
+    assert out.stdout == "[]\n['wendnet-half']\n"
+
+
 def test_a_study_writes_the_same_rows_at_any_blas_thread_count(tmp_path):
     # a threaded BLAS may sum a wide matmul in another order; the package
     # pins one thread before NumPy loads, so `python -m wendnet.cli` writes

@@ -2,6 +2,7 @@
 
 import math
 import tracemalloc
+import weakref
 from dataclasses import replace
 from types import SimpleNamespace
 
@@ -1137,3 +1138,226 @@ def test_an_eval_forward_allocates_little_beyond_its_output():
             tracemalloc.stop()
 
     assert peak() <= bound < peak(keep=True)
+
+
+# ---------------------------------------------------------------------------
+# Two fixed halves: large products and optimizer updates split between the
+# caller and the worker thread, with the bits of the whole path.
+# ---------------------------------------------------------------------------
+
+@pytest.fixture
+def halves(monkeypatch):
+    """Counts the split calls; `whole()` forces the whole path from then on."""
+    calls = []
+    both = network._both
+
+    def counted(fn, first, second):
+        calls.append(fn.__name__)
+        both(fn, first, second)
+
+    monkeypatch.setattr(network, "_both", counted)
+    return SimpleNamespace(calls=calls,
+                           whole=lambda: monkeypatch.setattr(network, "_SPLIT", math.inf))
+
+
+def test_halves_meet_on_a_tile_and_hold_a_third_each():
+    for n in range(4000):
+        cut = network._cut(n)
+        if n < 32:
+            assert cut == 0
+        else:
+            assert cut % 16 == 0 and 3 * min(cut, n - cut) >= n, n
+
+
+def _dense_bytes(n_in, n_out, replicas, x, upstream):
+    """The forward's output and, after a backward from `upstream`, the
+    weight, bias and input gradients, as bytes."""
+    layer = Dense(n_in, n_out, [default_rng(80 + r) for r in range(replicas)])
+    layer.b.value[...] = default_rng(79).standard_normal(layer.b.value.shape)
+    z = layer.forward(x, None, True)
+    dx = layer.backward(upstream)
+    assert layer.backward(upstream, need_dx=False) is None
+    return [a.tobytes() for a in (z, layer.w.grad, layer.b.grad, dx)]
+
+
+@pytest.mark.parametrize("n_in, n_out", [(784, 256), (256, 10)])
+@pytest.mark.parametrize("rows", [33, 65, 1999, 2000])
+@pytest.mark.parametrize("replicas, shared", [(1, True), (3, True), (1, False), (3, False)])
+def test_split_dense_products_write_the_bytes_of_whole_ones(halves, n_in, n_out, rows,
+                                                            replicas, shared):
+    # shared 2-D rows are an eval forward's; a stack is a training batch's.
+    # [256, 10] halves at 1999 and 2000 rows stay above the 1e6
+    # multiply-adds under which OpenBLAS sums in another order
+    data = default_rng(81)
+    x = data.random((rows, n_in) if shared else (replicas, rows, n_in))
+    upstream = data.standard_normal((replicas, rows, n_out))
+    split = _dense_bytes(n_in, n_out, replicas, x, upstream)
+    # the forward, both gradients, then the weight gradient alone
+    big = rows * n_in * n_out > network._SPLIT
+    assert halves.calls == ["_product"] * (4 if big else 0)
+    assert big or n_out == 10 and rows < 1999  # every product but [256, 10]'s smaller ones
+    halves.whole()
+    assert split == _dense_bytes(n_in, n_out, replicas, x, upstream)
+    assert len(halves.calls) == (4 if big else 0)
+
+
+@pytest.mark.parametrize("make_opt, update", [
+    (lambda net: Adam(net, lr=0.01), "_adam_update"),
+    (lambda net: SGD(net, lr=0.05, momentum=0.9), "_sgd_update"),
+    (lambda net: SGD(net, lr=0.05), "_sgd_update"),
+], ids=["adam", "sgd-momentum", "sgd"])
+def test_split_training_steps_write_the_bytes_of_whole_ones(halves, make_opt, update):
+    data = default_rng(82)
+    x = data.random((2 * 64, 784))
+    labels = data.integers(0, 10, size=(2, 64))
+
+    def thetas():
+        net = build_mlp([784, 256, 10], parse_activation("ewend"),
+                        [default_rng(83), default_rng(84)])
+        opt = make_opt(net)
+        out = []
+        for _ in range(5):
+            _, grad = eval_loss("xent", net.forward(x, training=True), labels)
+            net.backward(grad, need_dx=False)
+            opt.step()
+            out.append(net.theta.tobytes())
+        return out
+
+    split = thetas()
+    # per step: the first Dense's forward and weight gradient, and the update
+    assert halves.calls == ["_product", "_product", update] * 5
+    halves.whole()
+    assert thetas() == split
+    assert len(halves.calls) == 15
+
+
+def test_a_small_update_runs_whole(halves):
+    # the stock toy stacks fit one of Adam's blocks and never split
+    net = _reference_net(replicas=3)
+    net.grad[...] = 1.0
+    for opt in (Adam(net), SGD(net, lr=0.1, momentum=0.5)):
+        opt.step()
+    assert net.theta.size <= Adam._BLOCK and halves.calls == []
+
+
+def test_a_split_adam_step_keeps_training_errstate_and_non_finite_bytes(halves):
+    # g * g overflows, and inf and nan gradients reach both halves: under
+    # training's errstate neither half warns (a warning raises here), and
+    # each half writes the serial step's inf and nan bytes
+    def stepped():
+        net = _wide_net(replicas=2)
+        opt = Adam(net, lr=0.01)
+        g = np.full(net.grad.size, 1e200)
+        g[::3] = -1e200
+        g[7::1000], g[11::997] = np.inf, np.nan
+        for _ in range(2):
+            net.grad[...] = g
+            with network.quiet_errstate():
+                opt.step()
+        return [a.tobytes() for a in (net.theta, opt._m, opt._v)]
+
+    split = stepped()
+    assert halves.calls == ["_adam_update"] * 2
+    halves.whole()
+    assert stepped() == split
+    theta = np.frombuffer(split[0])
+    assert np.isnan(theta).any() and np.isinf(np.frombuffer(split[2])).any()
+
+
+def test_an_error_in_the_worker_half_reaches_the_caller():
+    out = np.zeros(2)
+
+    def fill(i, fail):
+        if fail:
+            raise ValueError(f"half {i} failed")
+        out[i] = i + 1
+
+    with pytest.raises(ValueError, match="half 1 failed"):
+        network._both(fill, (0, False), (1, True))
+    assert out.tolist() == [1.0, 0.0]
+    with pytest.raises(ValueError, match="half 0 failed"):
+        network._both(fill, (0, True), (1, False))
+    assert out.tolist() == [1.0, 2.0]  # the caller waited for the worker's half
+    out[:] = 0.0
+    network._both(fill, (0, False), (1, False))  # the worker serves on
+    assert out.tolist() == [1.0, 2.0]
+
+
+def test_the_worker_keeps_no_array_alive_after_a_split(halves):
+    # the worker's half holds views of the caller's arrays; once the call
+    # returns it must drop them, or a test-row batch would stay alive
+    # beside the next one
+    layer = Dense(784, 256, [default_rng(85)])
+    x = np.ones((64, 784))
+    alive = weakref.ref(x)
+    z = weakref.ref(layer.forward(x, None, False))
+    del x
+    assert halves.calls == ["_product"]
+    assert alive() is None and z() is None
+
+
+def test_split_calls_from_several_threads_each_wait_for_their_own_half():
+    # callers share the one worker; each call must return only once its
+    # own second half is written, whoever else is waiting
+    import sys
+    import threading
+
+    failures = []
+
+    def caller(k):
+        out = np.zeros(2)
+        for i in range(300):
+            network._both(np.copyto, (out[:1], float(i)), (out[1:], float(i)))
+            if out[1] != i:
+                failures.append((k, i, out[1]))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=caller, args=(k,)) for k in range(4)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert failures == []
+
+
+def test_the_worker_runs_no_public_wendnet_function(halves, monkeypatch):
+    # perfbench's tracer wraps every public function and method of the
+    # wendnet modules, as below, and keeps one span stack for the process:
+    # a wrapped call on the worker would interleave with the caller's
+    import importlib
+    import threading
+    import types
+
+    on_worker = []
+
+    def wrap(name, fn):
+        def watched(*args, **kwargs):
+            if threading.current_thread().name.startswith("wendnet"):
+                on_worker.append(name)
+            return fn(*args, **kwargs)
+        return watched
+
+    for name in ("tensor", "activations", "network", "datasets", "bench"):
+        mod = importlib.import_module(f"wendnet.{name}")
+        for attr, obj in list(vars(mod).items()):
+            if attr.startswith("_") or getattr(obj, "__module__", None) != mod.__name__:
+                continue
+            if isinstance(obj, types.FunctionType):
+                monkeypatch.setattr(mod, attr, wrap(attr, obj))
+            elif isinstance(obj, type):
+                for meth, fn in list(vars(obj).items()):
+                    if not meth.startswith("_") and isinstance(fn, types.FunctionType):
+                        monkeypatch.setattr(obj, meth, wrap(f"{attr}.{meth}", fn))
+    data = default_rng(86)
+    x, labels = data.random((128, 784)), data.integers(0, 10, size=128)
+    for make_opt in (lambda net: network.Adam(net), lambda net: network.SGD(net, 0.1, 0.9)):
+        net = network.build_mlp([784, 256, 10], parse_activation("ewend"), [default_rng(87)])
+        network.train(net, x, labels, "xent", make_opt(net), epochs=1, batch_size=64,
+                      rngs=[default_rng(88)], x_test=x, y_test=labels)
+    assert {"_product", "_adam_update", "_sgd_update"} <= set(halves.calls)
+    assert on_worker == []

@@ -15,10 +15,13 @@ columns, with no separators, files in name order.  Every digest is the first
 The bits depend on the platform: NumPy's version and SIMD dispatch, and the
 BLAS build.  So the manifest records the NumPy version and the machine it
 was taken at, and a check prints them when they differ from the running
-ones.  BLAS runs on one thread whatever OPENBLAS_NUM_THREADS says: the
-script imports wendnet, which pins it, before NumPy.  Without --record the
-script prints `case: old -> new` for each case that differs and exits 1; it
-exits 0 when every case matches.  The cases take about 20 s.
+ones.  BLAS runs one thread per call whatever OPENBLAS_NUM_THREADS says:
+the script imports wendnet, which pins it, before NumPy.  The engine's own
+two halves of a large product or optimizer update are fixed, whatever the
+core count, so they do not make the digests depend on the host.  Without
+--record the script prints `case: old -> new` for each case that differs
+and exits 1; it exits 0 when every case matches.  The cases take about
+20 s.
 """
 
 import argparse
