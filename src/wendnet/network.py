@@ -32,75 +32,69 @@ _EVAL_BLOCK = 16384
 
 # Work above _SPLIT runs as two fixed halves, the second on the worker
 # thread: a Dense product of more than _SPLIT multiply-adds per BLAS call,
-# or an optimizer update of more than _SPLIT / _UPDATE_COST elements (more
-# than one of Adam's blocks).  A half then takes ~100 µs on one x86 core,
-# against ~20 µs for handing it to the worker and back, and each half's
-# product, at least a third of the whole (`_cut`), stays above 1e6
-# multiply-adds, the size at or below which OpenBLAS's SkylakeX dgemm
-# switches to small-matrix kernels that sum in another order.
+# or an optimizer update of more than one block (`_Optimizer._BLOCK`
+# elements).  A half then takes ~100 µs on one x86 core, against ~20 µs for
+# handing it to the worker and back, and each half's product, at least a
+# third of the whole (`_cut`), stays above 1e6 multiply-adds, the size at
+# or below which OpenBLAS's SkylakeX dgemm switches to small-matrix kernels
+# that sum in another order.
 _SPLIT = 1 << 22
-_UPDATE_COST = 128  # multiply-adds that take about as long as one element's Adam update
 # two halves meet at a multiple of _ALIGN rows or elements, so the second
 # starts on a whole BLAS row tile and a whole cache line
 _ALIGN = 16
 
-
-class _Worker:
-    """One daemon thread that runs the second half of split work.
-
-    NumPy and a single-threaded BLAS release the GIL in the halves' array
-    work, so the two halves run at once on two cores.  Each half runs in the
-    caller's contextvars context, so the caller's np.errstate holds in both.
-    The worker runs only private functions of this module: perfbench's
-    tracer wraps the public ones and keeps one span stack."""
-
-    def __init__(self):
-        self._tasks = queue.SimpleQueue()
-        threading.Thread(target=self._serve, name="wendnet-half", daemon=True).start()
-
-    def _serve(self):
-        while True:
-            context, fn, args, done = self._tasks.get()
-            error = None
-            try:
-                context.run(fn, *args)
-            except BaseException as exc:  # raised again in the caller
-                error = exc
-            # the views in args, and the error's traceback, would keep the
-            # caller's arrays alive until the next task
-            del context, fn, args
-            done.put(error)
-            del error
-
-    def both(self, fn, first: tuple, second: tuple):
-        """fn(*second) on the worker and fn(*first) here; return once both
-        are done, raising the caller's error or else the worker's."""
-        done = queue.SimpleQueue()  # one per call: a stale answer cannot reach the next
-        self._tasks.put((contextvars.copy_context(), fn, second, done))
-        try:
-            fn(*first)
-        finally:
-            error = done.get()  # the worker writes into the caller's arrays until here
-        if error is not None:
-            raise error
-
-
-_worker: _Worker | None = None  # started by the first split
+_tasks: queue.SimpleQueue | None = None  # the worker's, made by the first split
 
 
 def _forget_worker():
-    global _worker
-    _worker = None  # a forked child has no threads but the one that forked
+    global _tasks
+    _tasks = None  # a forked child has no threads but the one that forked
 
 
 os.register_at_fork(after_in_child=_forget_worker)
 
 
-def _both(fn, first: tuple, second: tuple):
-    global _worker
-    if _worker is None:
-        _worker = _Worker()
-    _worker.both(fn, first, second)
+def _serve(tasks: queue.SimpleQueue):
+    while True:
+        context, fn, part, done = tasks.get()
+        error = None
+        try:
+            context.run(fn, *part)
+        except BaseException as exc:  # raised again in the caller
+            error = exc
+        # the views in part, and the error's traceback, would keep the
+        # caller's arrays alive until the next task
+        del context, fn, part
+        done.put(error)
+        del error
+
+
+def _run(fn, parts: list[tuple]):
+    """fn(*part) for each of one or two parts: one part runs here; of two,
+    the first runs here and the second at once on the worker, one lazily
+    started daemon thread, and the call returns once both are done,
+    raising the caller's error or else the worker's.
+
+    NumPy and a single-threaded BLAS release the GIL in the halves' array
+    work, so two halves run on two cores.  The worker's half runs in the
+    caller's contextvars context, so the caller's np.errstate holds in
+    both.  The worker runs only private functions of this module:
+    perfbench's tracer wraps the public ones and keeps one span stack."""
+    if len(parts) == 1:
+        fn(*parts[0])
+        return
+    global _tasks
+    if _tasks is None:  # two threads' first splits may each start one: both serve
+        _tasks = queue.SimpleQueue()
+        threading.Thread(target=_serve, args=(_tasks,), name="wendnet-half", daemon=True).start()
+    done = queue.SimpleQueue()  # one per call: a stale answer cannot reach the next
+    _tasks.put((contextvars.copy_context(), fn, parts[1], done))
+    try:
+        fn(*parts[0])
+    finally:
+        error = done.get()  # the worker writes into the caller's arrays until here
+    if error is not None:
+        raise error
 
 
 def _cut(n: int) -> int:
@@ -110,22 +104,29 @@ def _cut(n: int) -> int:
     return (n + _ALIGN) // (2 * _ALIGN) * _ALIGN if n >= 2 * _ALIGN else 0
 
 
-def _product(a: np.ndarray, b: np.ndarray, out: np.ndarray, bias=None):
+def _product(a: np.ndarray, b: np.ndarray, out: np.ndarray, bias):
     np.matmul(a, b, out=out)
     if bias is not None:
         out += bias
 
 
-def _product_halves(a: np.ndarray, b: np.ndarray, out: np.ndarray, bias=None) -> np.ndarray:
-    """out = a @ b (+ bias) as two halves of the rows of a and out, or
-    whole when a has too few rows to halve; every element gets the
-    operations of one whole call."""
-    cut = _cut(a.shape[-2])
+def _matmul(a: np.ndarray, b: np.ndarray, bias=None, out=None) -> np.ndarray:
+    """a @ b (+ bias), into `out` if given.  A product of more than `_SPLIT`
+    multiply-adds per replica runs as two halves of the rows of a and of
+    the output, the second on the worker, when a has rows to halve; every
+    element gets the operations of one whole BLAS call, so the bits are
+    those of the whole product.  Any other runs whole, as one call here."""
+    rows = a.shape[-2]
+    cut = _cut(rows) if rows * a.shape[-1] * b.shape[-1] > _SPLIT else 0
     if cut == 0:
-        _product(a, b, out, bias)
-    else:
-        _both(_product, (a[..., :cut, :], b, out[..., :cut, :], bias),
-              (a[..., cut:, :], b, out[..., cut:, :], bias))
+        z = a @ b if out is None else np.matmul(a, b, out=out)
+        if bias is not None:
+            z += bias
+        return z
+    if out is None:
+        out = np.empty(np.broadcast_shapes(a.shape[:-2], b.shape[:-2]) + (rows, b.shape[-1]))
+    _run(_product, [(a[..., :cut, :], b, out[..., :cut, :], bias),
+                    (a[..., cut:, :], b, out[..., cut:, :], bias)])
     return out
 
 
@@ -143,11 +144,9 @@ class Dense:
     """Affine layer y = x W + b with Glorot-uniform init: one (n_in, n_out)
     W and (1, n_out) b per replica, replica r's W drawn from rngs[r].
 
-    A product of more than `_SPLIT` multiply-adds per replica runs as two
-    fixed halves, one on the worker thread: the forward and the input
-    gradient by rows, the weight gradient by input rows.  Each element
-    gets the operations of one whole BLAS call, so the bits are those of
-    the whole product; smaller products run whole, as one call here."""
+    Each product goes through `_matmul`, so a large one runs as two fixed
+    halves, one on the worker thread: the forward and the input gradient
+    by rows, the weight gradient by input rows."""
 
     def __init__(self, n_in: int, n_out: int, rngs, name: str = "dense"):
         limit = np.sqrt(6.0 / (n_in + n_out))
@@ -166,13 +165,7 @@ class Dense:
         rows that every replica takes, keeping x for the backward only when
         `keep` is true; a Dense draws nothing from `rng`."""
         self._cache_x = x if keep else None
-        rows = x.shape[-2]
-        if rows * self.n_in * self.n_out <= _SPLIT:
-            z = x @ self.w.value
-            z += self.b.value
-            return z
-        z = np.empty((self.w.value.shape[0], rows, self.n_out))
-        return _product_halves(x, self.w.value, z, self.b.value)
+        return _matmul(x, self.w.value, self.b.value)
 
     def backward(self, upstream: np.ndarray, need_dx: bool = True) -> np.ndarray | None:
         """Write the weight and bias gradients; return the input gradient,
@@ -180,16 +173,9 @@ class Dense:
         x = self._cache_x
         if x is None:
             raise RuntimeError("backward called before forward")
-        if upstream.shape[-2] * self.n_in * self.n_out <= _SPLIT:
-            np.matmul(x.swapaxes(-1, -2), upstream, out=self.w.grad)
-            np.add.reduce(upstream, axis=-2, keepdims=True, out=self.b.grad)
-            return upstream @ self.w.value.swapaxes(-1, -2) if need_dx else None
-        _product_halves(x.swapaxes(-1, -2), upstream, self.w.grad)
+        _matmul(x.swapaxes(-1, -2), upstream, out=self.w.grad)
         np.add.reduce(upstream, axis=-2, keepdims=True, out=self.b.grad)
-        if not need_dx:
-            return None
-        return _product_halves(upstream, self.w.value.swapaxes(-1, -2),
-                               np.empty(upstream.shape[:-1] + (self.n_in,)))
+        return _matmul(upstream, self.w.value.swapaxes(-1, -2)) if need_dx else None
 
 
 class ActivationLayer:
@@ -346,7 +332,7 @@ class Network:
         self._bind()
 
     def _blocks(self, vector: np.ndarray) -> np.ndarray:
-        """`vector` (theta, grad or an optimizer's moments) as one row per replica."""
+        """`vector` (theta, grad or an optimizer's state) as one row per replica."""
         return vector.reshape(self.replicas, self._offsets[-1])
 
     def _bind(self):
@@ -516,30 +502,20 @@ def eval_loss(kind: str, pred: np.ndarray, target: np.ndarray):
 
 def _update_parts(vectors: list[np.ndarray]) -> list[list[tuple]]:
     """An optimizer's update layout over `vectors`, all of one size n: one
-    part, or two fixed halves when the update is worth splitting.  A part
-    is a list of blocks of at most `Adam._BLOCK` elements, each block a
+    part, or, when n is more than one block, two fixed halves.  A part is
+    a list of blocks of at most `_Optimizer._BLOCK` elements, each block a
     tuple of views, one per vector, then one of the part's own scratch
     vector; so two halves hold as much scratch as one whole part."""
-    n = vectors[0].size
-    bounds = [0, n]
-    if n * _UPDATE_COST > _SPLIT:
-        bounds.insert(1, _cut(n))
+    n, block = vectors[0].size, _Optimizer._BLOCK
+    cut = _cut(n) if n > block else 0
+    bounds = [0, cut, n] if cut else [0, n]
     parts = []
     for lo, hi in zip(bounds, bounds[1:]):
-        scratch = np.zeros(min(hi - lo, Adam._BLOCK))
+        scratch = np.zeros(min(hi - lo, block))
         parts.append([(*(vec[start:end] for vec in vectors), scratch[:end - start])
-                      for start in range(lo, hi, Adam._BLOCK)
-                      for end in [min(start + Adam._BLOCK, hi)]])
+                      for start in range(lo, hi, block)
+                      for end in [min(start + block, hi)]])
     return parts
-
-
-def _run_parts(update, parts: list[list[tuple]], *args):
-    """update(part, *args) for each part: in the caller for one, on the
-    worker and the caller at once for two halves."""
-    if len(parts) == 1:
-        update(parts[0], *args)
-    else:
-        _both(update, (parts[0], *args), (parts[1], *args))
 
 
 def _sgd_update(blocks: list[tuple], lr: float, momentum: float):
@@ -563,60 +539,62 @@ def _adam_update(blocks: list[tuple], beta1: float, beta2: float, lr_t: float, e
         theta -= a
 
 
-class SGD:
-    """SGD with momentum: v = momentum * v + g, theta -= lr * v, in place,
-    through the blocks and halves of Adam's update."""
+class _Optimizer:
+    """What SGD and Adam share: the network, `states` vectors laid out like
+    theta (SGD's velocity; Adam's first and second moments), and the
+    update's parts over the gradient, the states and theta.
 
-    def __init__(self, net: Network, lr: float, momentum: float = 0.0):
+    An update runs in place, one block of those vectors at a time: a
+    block's vectors plus one scratch vector stay in cache while the
+    update's passes run over them; with whole vectors each pass would
+    stream every array through memory again.  An update of more than one
+    block runs as two fixed halves, one on the worker thread, each with its
+    own scratch vector.  Every element sees the same operations in the
+    same order either way.  A subclass holds its coefficients and its own
+    `step`, which runs its update over `_parts` through `_run`."""
+
+    _BLOCK = 32768  # float64 elements per block: 5 arrays of 256 KiB
+
+    def __init__(self, net: Network, states: int):
         self.net = net
-        self.lr = lr
-        self.momentum = momentum
-        self._velocity = np.zeros_like(net.theta)
-        self._parts = _update_parts([net.grad, self._velocity, net.theta])
+        self._state = [np.zeros_like(net.theta) for _ in range(states)]
+        self._parts = _update_parts([net.grad, *self._state, net.theta])
 
     def keep(self, rows):
-        """Shrink the network's stack and the velocity to the replicas at `rows`."""
-        self._velocity, = self.net.keep(rows, self._velocity)
-        self._parts = _update_parts([self.net.grad, self._velocity, self.net.theta])
+        """Shrink the network's stack and the state vectors to the replicas at `rows`."""
+        self._state = self.net.keep(rows, *self._state)
+        self._parts = _update_parts([self.net.grad, *self._state, self.net.theta])
+
+
+class SGD(_Optimizer):
+    """SGD with momentum: v = momentum * v + g, theta -= lr * v, in place."""
+
+    def __init__(self, net: Network, lr: float, momentum: float = 0.0):
+        super().__init__(net, states=1)
+        self.lr = lr
+        self.momentum = momentum
 
     def step(self):
-        _run_parts(_sgd_update, self._parts, self.lr, self.momentum)
+        _run(_sgd_update, [(part, self.lr, self.momentum) for part in self._parts])
 
 
-class Adam:
+class Adam(_Optimizer):
     """Adam (Kingma & Ba, arXiv:1412.6980) in the order of operations of
     their section 2: the bias corrections fold into a step size
     lr_t = lr * sqrt(1 - beta2^t) / (1 - beta1^t) and an
     eps_hat = eps * sqrt(1 - beta2^t), at their eps = 1e-8, both computed
     once per step, so theta -= lr_t * m / (sqrt(v) + eps_hat) divides once
-    per element.  It is Algorithm 1 up to rounding.
+    per element.  It is Algorithm 1 up to rounding."""
 
-    The update runs in place, one block of the parameter vector at a time: a
-    block's moments, gradient and values plus one scratch vector stay in
-    cache while the update's passes run over them; with whole vectors each
-    pass would stream every array through memory again.  An update of more
-    than one block runs as two fixed halves, one on the worker thread, each
-    with its own scratch vector.  Every element sees the same operations in
-    the same order either way.
-    """
-
-    _BLOCK = 32768  # float64 elements per block: 5 arrays of 256 KiB
     _EPS = 1e-8
 
     def __init__(self, net: Network, lr: float = 1e-3,
                  beta1: float = 0.9, beta2: float = 0.999):
-        self.net = net
+        super().__init__(net, states=2)
         self.lr = lr
         self.beta1 = beta1
         self.beta2 = beta2
-        self._m, self._v = np.zeros_like(net.theta), np.zeros_like(net.theta)
-        self._parts = _update_parts([net.grad, self._m, self._v, net.theta])
         self.step_count = 0
-
-    def keep(self, rows):
-        """Shrink the network's stack and the moments to the replicas at `rows`."""
-        self._m, self._v = self.net.keep(rows, self._m, self._v)
-        self._parts = _update_parts([self.net.grad, self._m, self._v, self.net.theta])
 
     def step(self):
         self.step_count += 1
@@ -624,7 +602,8 @@ class Adam:
         beta1, beta2 = self.beta1, self.beta2
         root2 = math.sqrt(1.0 - beta2 ** t)
         lr_t = self.lr * root2 / (1.0 - beta1 ** t)
-        _run_parts(_adam_update, self._parts, beta1, beta2, lr_t, self._EPS * root2)
+        eps_hat = self._EPS * root2
+        _run(_adam_update, [(part, beta1, beta2, lr_t, eps_hat) for part in self._parts])
 
 
 # ---------------------------------------------------------------------------

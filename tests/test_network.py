@@ -1147,17 +1147,19 @@ def test_an_eval_forward_allocates_little_beyond_its_output():
 
 @pytest.fixture
 def halves(monkeypatch):
-    """Counts the split calls; `whole()` forces the whole path from then on."""
+    """Counts the split calls, those of two parts; `whole()` forces the
+    whole path from then on."""
     calls = []
-    both = network._both
+    run = network._run
 
-    def counted(fn, first, second):
-        calls.append(fn.__name__)
-        both(fn, first, second)
+    def counted(fn, parts):
+        if len(parts) == 2:
+            calls.append(fn.__name__)
+        run(fn, parts)
 
-    monkeypatch.setattr(network, "_both", counted)
+    monkeypatch.setattr(network, "_run", counted)
     return SimpleNamespace(calls=calls,
-                           whole=lambda: monkeypatch.setattr(network, "_SPLIT", math.inf))
+                           whole=lambda: monkeypatch.setattr(network, "_cut", lambda n: 0))
 
 
 def test_halves_meet_on_a_tile_and_hold_a_third_each():
@@ -1254,7 +1256,7 @@ def test_a_split_adam_step_keeps_training_errstate_and_non_finite_bytes(halves):
             net.grad[...] = g
             with network.quiet_errstate():
                 opt.step()
-        return [a.tobytes() for a in (net.theta, opt._m, opt._v)]
+        return [a.tobytes() for a in (net.theta, *opt._state)]
 
     split = stepped()
     assert halves.calls == ["_adam_update"] * 2
@@ -1273,14 +1275,16 @@ def test_an_error_in_the_worker_half_reaches_the_caller():
         out[i] = i + 1
 
     with pytest.raises(ValueError, match="half 1 failed"):
-        network._both(fill, (0, False), (1, True))
+        network._run(fill, [(0, False), (1, True)])
     assert out.tolist() == [1.0, 0.0]
     with pytest.raises(ValueError, match="half 0 failed"):
-        network._both(fill, (0, True), (1, False))
+        network._run(fill, [(0, True), (1, False)])
     assert out.tolist() == [1.0, 2.0]  # the caller waited for the worker's half
     out[:] = 0.0
-    network._both(fill, (0, False), (1, False))  # the worker serves on
+    network._run(fill, [(0, False), (1, False)])  # the worker serves on
     assert out.tolist() == [1.0, 2.0]
+    with pytest.raises(ValueError, match="half 0 failed"):
+        network._run(fill, [(0, True)])  # one part runs in the caller
 
 
 def test_the_worker_keeps_no_array_alive_after_a_split(halves):
@@ -1307,7 +1311,7 @@ def test_split_calls_from_several_threads_each_wait_for_their_own_half():
     def caller(k):
         out = np.zeros(2)
         for i in range(300):
-            network._both(np.copyto, (out[:1], float(i)), (out[1:], float(i)))
+            network._run(np.copyto, [(out[:1], float(i)), (out[1:], float(i))])
             if out[1] != i:
                 failures.append((k, i, out[1]))
 
@@ -1323,6 +1327,37 @@ def test_split_calls_from_several_threads_each_wait_for_their_own_half():
         sys.setswitchinterval(interval)
     assert not any(t.is_alive() for t in threads)
     assert failures == []
+
+
+def test_a_forked_child_starts_its_own_worker():
+    # a forked child inherits the parent's task queue but not its worker
+    # thread: without the fork hook its first split would wait forever.  The
+    # child's alarm ends it (-14) rather than leave a hung process behind
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    import wendnet
+
+    src = str(Path(wendnet.__file__).resolve().parent.parent)
+    code = "\n".join([
+        "import os, signal, threading",
+        "import numpy as np",
+        "from wendnet import network",
+        "data = np.random.default_rng(0)",
+        "a, b = data.random((64, 784)), data.random((784, 256))",
+        "first = network._matmul(a, b).tobytes()",
+        "assert 'wendnet-half' in [t.name for t in threading.enumerate()]",
+        "pid = os.fork()",
+        "if pid == 0:",
+        "    signal.alarm(20)",
+        "    os._exit(0 if network._matmul(a, b).tobytes() == first else 1)",
+        "print(os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]))",
+    ])
+    out = subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": src},
+                         capture_output=True, text=True, check=True, timeout=60)
+    assert out.stdout == "0\n"
 
 
 def test_the_worker_runs_no_public_wendnet_function(halves, monkeypatch):
