@@ -550,6 +550,11 @@ class Kind:
         return upstream * dy, {name: _per_replica_sum(upstream * d, c[name])
                                for name, d in self.partials(x, c).items()}
 
+    def kink_gap(self, c, x, aux) -> float:
+        """The smallest gap between an element of x, whose forward gave
+        `aux`, and a kink."""
+        return min((float(np.abs(x - kink).min()) for kink in self.kinks(c)), default=math.inf)
+
 
 class _Enhanced(Kind):
     """The `ewend` record: y = x g(r), with p the coefficients of `_profile`."""
@@ -586,6 +591,11 @@ class _Enhanced(Kind):
             if name in grads:
                 grads[name] *= p[name]  # chain through value = exp(stored)
         return dx, grads
+
+    def kink_gap(self, p, x, t):
+        # the kinks lie on r, |x| or the slice norm, so the profile's r
+        # measures the gap in either mode
+        return float(np.abs(t.r - 1.0 / p["alpha"]).min()) if p["k"] < 2 else math.inf
 
 
 class _RandomSlope(Kind):

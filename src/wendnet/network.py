@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import activations as act
-from .tensor import ConfigError, central_step, features, finite_diff_check, substream, tensor
+from .tensor import ConfigError, features, relative_error, substream
 
 # float64 elements per kernel call of a forward that keeps nothing: a block
 # of ewend's profile, about 9 live arrays, fits in 1.2 MB
@@ -247,13 +247,12 @@ class ActivationLayer:
     def kink_gap(self) -> float:
         """The smallest gap between an input of the last forward, one that
         kept its cache, and a point where the first derivative of its
-        group's activation jumps."""
+        group's activation jumps, as its kind measures it."""
         if self._cache is None:
             raise RuntimeError("backward called before forward")
-        x, _ = self._cache
-        gaps = (float(np.abs(x[rows] - kink).min())
-                for rows, kind, c in self._bound() for kink in kind.kinks(c))
-        return min(gaps, default=math.inf)
+        x, parts = self._cache
+        return min((kind.kink_gap(c, x[rows], aux)
+                    for (rows, kind, *_), (c, aux) in zip(self._groups, parts)), default=math.inf)
 
     def forward(self, x: np.ndarray, rng, keep: bool) -> np.ndarray:
         """The (R, rows, width) stack of outputs from x of that shape, each
@@ -379,20 +378,19 @@ class Network:
         return ~np.isfinite(self._blocks(self.grad)).all(axis=1)
 
     def forward(self, x: np.ndarray, training: bool = False,
-                rng: list[np.random.Generator] | None = None,
-                keep: bool = False) -> np.ndarray:
+                rng: list[np.random.Generator] | None = None) -> np.ndarray:
         """The stack's output, (R, rows, outputs), from 2-D rows x.  In
         training, x holds the R replicas' batches one after another;
         otherwise every replica takes all the rows of x.  With `rng`, one
         generator per replica, a kind that draws (rrelu) draws from it;
-        without, it takes its mean.  A training forward, or one with `keep`,
-        keeps the caches that `backward` and `min_kink_gap` read; any other
-        keeps none and runs its activation kernels on blocks of rows, so an
-        eval forward allocates little beyond its layers' outputs."""
+        without, it takes its mean.  A training forward keeps the caches
+        that `backward` and the layers' `kink_gap` read; any other keeps
+        none and runs its activation kernels on blocks of rows, so an eval
+        forward allocates little beyond its layers' outputs."""
         if training:
             x = x.reshape(self.replicas, -1, x.shape[-1])
         for layer in self.layers:
-            x = layer.forward(x, rng, keep or training)
+            x = layer.forward(x, rng, training)
         return x
 
     def backward(self, grad: np.ndarray, need_dx: bool = True) -> np.ndarray | None:
@@ -736,54 +734,51 @@ def train(net: Network, x_train, y_train, loss_kind: str, optimizer,
 # Whole-network gradient checking.
 # ---------------------------------------------------------------------------
 
-def min_kink_gap(net: Network) -> float:
-    """The smallest gap between an activation input of the last forward and a kink."""
-    return min((layer.kink_gap() for layer in net._activations()), default=math.inf)
-
-
 # A base point (theta, x) needs every pre-activation this many probe steps
-# from a kink: a +-step probe of finite_diff_check moves a pre-activation by
-# at most the step times the norm of its gradient wrt (theta, x), and on the
-# checker's small networks that norm stays below about 6.
+# from a kink: a +-step probe moves a pre-activation by at most the step
+# times the norm of its gradient wrt (theta, x), and on the checker's small
+# networks that norm stays below about 6.
 _KINK_MARGIN = 100.0
-
-
-def gradient_check_network(net: Network, x: np.ndarray, rng: np.random.Generator,
-                           probes: int = 100) -> float | None:
-    """Check d(sum(c * net(theta, x))) / d(theta, x) against central finite
-    differences along random directions; returns the max relative error, or
-    None, drawing nothing from `rng`, when a pre-activation lies within the
-    probes' reach of a derivative jump.  Leaves `net.theta` as found."""
-    x = tensor(x)
-    # the one base forward, which keeps its caches: kink check, c's shape, backward
-    out = net.forward(x, keep=True)
-    n_theta = net.theta.size
-    base = np.concatenate([net.theta, x.ravel()])
-    step = central_step(base)
-    if min_kink_gap(net) < _KINK_MARGIN * step:
-        return None
-    c = rng.standard_normal(out.shape)
-    dx = net.backward(c)
-    analytic = np.concatenate([net.grad, dx.ravel()])
-
-    def f(vec: np.ndarray) -> float:
-        net.theta[...] = vec[:n_theta]
-        return float(np.sum(c * net.forward(vec[n_theta:].reshape(x.shape))))
-
-    worst = finite_diff_check(f, base, lambda v: analytic @ v, probes, step, rng)
-    net.theta[...] = base[:n_theta]
-    return worst
 
 
 def run_gradient_check(spec: act.ActivationSpec, widths=(2, 8, 8, 2),
                        seed: int = 0, probes: int = 100) -> float:
-    """Build a seeded MLP for `spec` and return the max relative gradient error
-    over `probes` at the first batch of 4 inputs clear of activation kinks."""
+    """Check d(sum(c * net(theta, x))) / d(theta, x) of a seeded MLP for
+    `spec` against central differences along `probes` random directions,
+    at the first of up to 100 batches x of 4 inputs clear of activation
+    kinks; a rejected batch draws nothing more.  Returns the max
+    `relative_error`, or inf on any non-finite value."""
     rng = substream(seed, "grad-check", act.format_activation(spec))
     net = build_mlp(list(widths), spec, [rng])
+    n_theta = net.theta.size
     for _ in range(100):
-        worst = gradient_check_network(net, rng.standard_normal((4, widths[0])), rng,
-                                       probes=probes)
-        if worst is not None:
-            return worst
-    raise RuntimeError("could not find a base point clear of activation kinks")
+        x = rng.standard_normal((4, widths[0]))
+        # a training forward, so it keeps the caches the kink gaps and backward read
+        out = net.forward(x, training=True)
+        base = np.concatenate([net.theta, x.ravel()])
+        step = 1e-6 * max(1.0, float(np.abs(base).max()))
+        gap = min((layer.kink_gap() for layer in net._activations()), default=math.inf)
+        if not gap < _KINK_MARGIN * step:  # a NaN gap passes, to fail in the probes
+            break
+    else:
+        raise RuntimeError("could not find a base point clear of activation kinks")
+    c = rng.standard_normal(out.shape)
+    dx = net.backward(c)
+    analytic = np.concatenate([net.grad, dx.ravel()])
+
+    def f(point: np.ndarray) -> float:
+        net.theta[...] = point[:n_theta]
+        return float(np.sum(c * net.forward(point[n_theta:].reshape(x.shape))))
+
+    worst = 0.0
+    for _ in range(probes):
+        v = rng.standard_normal(base.shape)
+        v /= np.sqrt(np.sum(v * v))
+        numeric = (f(base + step * v) - f(base - step * v)) / (2.0 * step)
+        err = relative_error(analytic @ v, numeric)
+        # a non-finite value on either side gives a NaN error, which max()
+        # would silently drop
+        if not math.isfinite(err):
+            return math.inf
+        worst = max(worst, err)
+    return worst

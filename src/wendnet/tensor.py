@@ -1,6 +1,7 @@
 """The float64 array constructor and the rule by which data rows enter,
-seeded RNG substreams, a finite-difference gradient checker, and
-`ConfigError`, the package's one exception class: bad input of every kind.
+seeded RNG substreams, the relative error by which gradients are checked,
+and `ConfigError`, the package's one exception class: bad input of every
+kind.
 
 Everything the engine computes with is a C-contiguous float64 numpy array.
 Data become float64 only where they enter: `features` turns stored `uint8`
@@ -12,7 +13,6 @@ bit-reproducible on a given platform.
 from __future__ import annotations
 
 import hashlib
-from typing import Callable
 
 import numpy as np
 
@@ -61,7 +61,7 @@ def substream(seed: int, *keys) -> np.random.Generator:
 
 
 # ---------------------------------------------------------------------------
-# Finite-difference gradient checking.
+# Gradient checking.
 # ---------------------------------------------------------------------------
 
 def relative_error(a: np.ndarray, b: np.ndarray) -> float:
@@ -70,46 +70,3 @@ def relative_error(a: np.ndarray, b: np.ndarray) -> float:
     b = np.asarray(b, dtype=np.float64)
     denom = np.maximum(1.0, np.maximum(np.abs(a), np.abs(b)))
     return float(np.max(np.abs(a - b) / denom)) if a.size else 0.0
-
-
-def central_step(x: np.ndarray) -> float:
-    """A finite-difference step for `x`: 1e-6, scaled up by the largest
-    magnitude in `x` when that exceeds 1."""
-    return 1e-6 * max(1.0, float(np.max(np.abs(x))) if x.size else 1.0)
-
-
-def finite_diff_check(
-    f: Callable[[np.ndarray], np.ndarray],
-    x: np.ndarray,
-    analytic_jvp: Callable[[np.ndarray], np.ndarray],
-    probes: int,
-    step: float,
-    rng: np.random.Generator,
-) -> float:
-    """Compare analytic Jacobian-vector products against central differences.
-
-    For `probes` unit directions v drawn from `rng`, evaluates
-    (f(x + h v) - f(x - h v)) / 2h at h = `step` against analytic_jvp(v)
-    and returns the worst relative error seen, with
-    relative = |a-b| / max(1, |a|, |b|).
-    A NaN or Inf on either side makes the result inf.
-    """
-    x = tensor(x)
-    worst = 0.0
-    for _ in range(probes):
-        v = rng.standard_normal(x.shape)
-        norm = np.sqrt(np.sum(v * v))
-        if norm == 0.0:
-            continue
-        v /= norm
-        fp = np.asarray(f(x + step * v), dtype=np.float64)
-        fm = np.asarray(f(x - step * v), dtype=np.float64)
-        numeric = (fp - fm) / (2.0 * step)
-        analytic = np.asarray(analytic_jvp(v), dtype=np.float64)
-        err = relative_error(analytic, numeric)
-        # a non-finite value on either side gives a NaN error, which max()
-        # would silently drop
-        if not np.isfinite(err):
-            return float("inf")
-        worst = max(worst, err)
-    return worst

@@ -711,7 +711,7 @@ def test_no_wendnet_path_imports_scipy():
         "from wendnet.network import build_mlp, run_gradient_check",
         "spec = parse_activation('gelu')",
         "net = build_mlp([2, 8, 2], spec, [np.random.default_rng(0)])",
-        "out = net.forward(np.linspace(-3.0, 3.0, 8).reshape(4, 2), keep=True)",
+        "out = net.forward(np.linspace(-3.0, 3.0, 8).reshape(4, 2), training=True)",
         "net.backward(np.ones_like(out))",
         "assert run_gradient_check(spec, probes=5) < 1e-6",
         "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))",

@@ -22,13 +22,11 @@ from wendnet.network import (
     _check_targets,
     build_mlp,
     eval_loss,
-    gradient_check_network,
-    min_kink_gap,
     run_gradient_check,
     train,
 )
 from wendnet.datasets import make_moons, split
-from wendnet.tensor import ConfigError, relative_error
+from wendnet.tensor import ConfigError, relative_error, substream
 
 
 def test_single_dense_identity_weights():
@@ -54,7 +52,7 @@ def test_zero_upstream_gives_zero_gradients():
     rng = default_rng(3)
     net = build_mlp([2, 4, 2], parse_activation("ewend"), [rng])
     net.grad[...] = 1.0  # a backward writes every gradient, it adds to none
-    net.forward(rng.standard_normal((3, 2)), keep=True)
+    net.forward(rng.standard_normal((3, 2)), training=True)
     net.backward(np.zeros((1, 3, 2)))
     assert np.all(net.grad == 0.0)
 
@@ -66,7 +64,7 @@ def test_backward_overwrites_every_gradient(kind):
     rng = default_rng(35)
     net = build_mlp([2, 4, 4, 2], parse_activation(kind), [rng])
     net.grad[...] = np.nan
-    net.forward(rng.standard_normal((5, 2)), keep=True)
+    net.forward(rng.standard_normal((5, 2)), training=True)
     net.backward(rng.standard_normal((1, 5, 2)))
     assert np.all(np.isfinite(net.grad))
 
@@ -75,7 +73,7 @@ def test_backward_overwrites_every_gradient(kind):
 def test_backward_without_input_gradient(kind):
     rng = default_rng(36)
     net = build_mlp([3, 5, 2], parse_activation(kind), [rng])
-    net.forward(rng.standard_normal((4, 3)), keep=True)
+    net.forward(rng.standard_normal((4, 3)), training=True)
     up = rng.standard_normal((1, 4, 2))
     dx = net.backward(up, need_dx=True)
     with_dx = net.grad.copy()
@@ -107,78 +105,81 @@ def test_gradient_check_clears_kinks_by_the_probe_step():
 
 def test_gradient_check_makes_one_base_forward_per_candidate(monkeypatch):
     # seed 6016 draws two candidate base points (see above); each takes one
-    # forward, and each of the 5 probes two more
-    import wendnet.network as network
+    # training forward, and each of the 5 probes two lean ones.  The
+    # candidates are the substream's first two batches after the weights,
+    # so the rejected one drew nothing more
+    spec = parse_activation("relu")
+    bases, forward = [], Network.forward
 
-    calls = {"check": 0, "forward": 0}
-    check, forward = network.gradient_check_network, Network.forward
+    def counted_forward(self, x, training=False, rng=None):
+        bases.append(x.copy() if training else None)
+        return forward(self, x, training, rng)
 
-    def counted_check(*args, **kwargs):
-        calls["check"] += 1
-        return check(*args, **kwargs)
-
-    def counted_forward(self, *args, **kwargs):
-        calls["forward"] += 1
-        return forward(self, *args, **kwargs)
-
-    monkeypatch.setattr(network, "gradient_check_network", counted_check)
     monkeypatch.setattr(Network, "forward", counted_forward)
-    err = run_gradient_check(parse_activation("relu"), seed=6016, probes=5)
+    err = run_gradient_check(spec, seed=6016, probes=5)
     assert err < 1e-6
-    assert calls == {"check": 2, "forward": 2 + 2 * 5}
+    assert len(bases) == 2 + 2 * 5
+    rng = substream(6016, "grad-check", "relu")
+    build_mlp([2, 8, 8, 2], spec, [rng])
+    first, second = rng.standard_normal((4, 2)), rng.standard_normal((4, 2))
+    np.testing.assert_array_equal(bases[0], first)
+    np.testing.assert_array_equal(bases[1], second)
+    assert all(x is None for x in bases[2:])
 
 
-def test_gradient_check_near_a_kink_is_none_and_draws_nothing():
-    # zero inputs put every first-layer pre-activation on the relu kink at 0
-    net = build_mlp([2, 8, 8, 2], parse_activation("relu"), [default_rng(37)])
-    before = net.theta.copy()
-    rng = default_rng(38)
-    state = rng.bit_generator.state
-    assert gradient_check_network(net, np.zeros((4, 2)), rng, probes=5) is None
-    assert rng.bit_generator.state == state
-    np.testing.assert_array_equal(net.theta, before)
+def _kink_gap(net):
+    return min(layer.kink_gap() for layer in net._activations())
 
 
 def _layer_walking_kink_gap(net, x):
     """Reference: the kink gap from a forward loop of its own, each layer's
-    kinks listed by its kind at the layer's current coefficients."""
+    kinks listed by its kind at the layer's current coefficients and lying
+    on the slice norm for channel-mode ewend, on each element otherwise."""
     gap = float("inf")
     for layer in net.layers:
         if isinstance(layer, ActivationLayer):
             spec, = layer.specs  # a layer of one replica
+            channel = spec.kind == "ewend" and spec.params["mode"] == "channel"
+            at = np.sqrt(np.sum(x * x, axis=-1)) if channel else x
             for kink in KINDS[spec.kind].kinks({**spec.params,
                                                 **layer.current_coefficients()[0]}):
-                gap = min(gap, float(np.abs(x - kink).min()))
+                gap = min(gap, float(np.abs(at - kink).min()))
         x = layer.forward(x, None, False)
     return gap
 
 
-@pytest.mark.parametrize("kind", ["relu", "srelu", "wc0", "ewend(k=1)"])
+@pytest.mark.parametrize("kind", ["relu", "srelu", "wc0", "ewend(k=1)",
+                                  "ewend(mode=channel,k=1)"])
 def test_min_kink_gap_reads_the_last_forward(kind):
     rng = default_rng(31)
     net = build_mlp([2, 8, 8, 2], parse_activation(kind), [rng])
     for _ in range(5):
         x = rng.standard_normal((6, 2))
         expected = _layer_walking_kink_gap(net, x)
-        net.forward(x, keep=True)
-        assert min_kink_gap(net) == expected
+        net.forward(x, training=True)
+        assert _kink_gap(net) == expected
 
 
-@pytest.mark.parametrize("kind", ["tanh", "relu", "ewend(k=1,train=alpha|lambda|beta|eps)"])
-def test_gradient_check_restores_theta(kind):
-    net = build_mlp([2, 8, 8, 2], parse_activation(kind), [default_rng(32)])
-    before = net.theta.copy()
-    gradient_check_network(net, default_rng(33).standard_normal((4, 2)), default_rng(34), probes=5)
-    np.testing.assert_array_equal(net.theta, before)
+def test_gradient_check_flags_a_wrong_derivative(monkeypatch):
+    tanh = KINDS["tanh"]
+
+    def wrong(x, c):
+        y, dy = tanh.value(x, c)
+        return y, 1.1 * dy
+
+    monkeypatch.setitem(KINDS, "tanh", replace(tanh, value=wrong))
+    assert run_gradient_check(parse_activation("tanh"), probes=5) > 1e-3
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
-def test_gradient_check_non_finite_is_a_failure():
-    net = build_mlp([2, 4, 2], parse_activation("tanh"), [default_rng(21)])
-    net.layers[0].w.value[0, 0] = np.nan
-    err = gradient_check_network(net, default_rng(22).standard_normal((3, 2)),
-                                 default_rng(23), probes=5)
-    assert err == float("inf")
+def test_gradient_check_non_finite_is_a_failure(monkeypatch):
+    def with_a_nan_weight(*args):
+        net = build_mlp(*args)
+        net.layers[0].w.value[0, 0, 0] = np.nan
+        return net
+
+    monkeypatch.setattr(network, "build_mlp", with_a_nan_weight)
+    assert run_gradient_check(parse_activation("tanh"), probes=5) == math.inf
 
 
 def test_alpha_gradient_outside_support_matches_linear_exp_path():
@@ -1101,21 +1102,20 @@ def test_a_lean_forward_of_several_groups_writes_the_bytes_of_a_caching_one():
 def test_a_network_forward_keeps_caches_only_in_training_or_when_asked():
     net = build_mlp([3, 6, 6, 2], parse_activation("ewend(k=1)"), [default_rng(75)])
     x = default_rng(76).standard_normal((5, 3))
-    for kw in ({"keep": True}, {"training": True}):
-        kept = net.forward(x, **kw)
-        assert all(layer._cache_x is not None for layer in net.layers if isinstance(layer, Dense))
-        assert all(layer._cache is not None for layer in net._activations())
-        assert min_kink_gap(net) > 0.0
-        lean = net.forward(x)
-        assert lean.tobytes() == kept.tobytes()
-        assert all(layer._cache_x is None for layer in net.layers if isinstance(layer, Dense))
-        assert all(layer._cache is None for layer in net._activations())
-        with pytest.raises(RuntimeError, match="backward called before forward"):
-            net.backward(np.ones_like(lean))
-        with pytest.raises(RuntimeError, match="backward called before forward"):
-            min_kink_gap(net)
-    for keep in (True, False):  # no rows in, no rows out
-        assert net.forward(x[:0], keep=keep).shape == (1, 0, 2)
+    kept = net.forward(x, training=True)
+    assert all(layer._cache_x is not None for layer in net.layers if isinstance(layer, Dense))
+    assert all(layer._cache is not None for layer in net._activations())
+    assert _kink_gap(net) > 0.0
+    lean = net.forward(x)
+    assert lean.tobytes() == kept.tobytes()
+    assert all(layer._cache_x is None for layer in net.layers if isinstance(layer, Dense))
+    assert all(layer._cache is None for layer in net._activations())
+    with pytest.raises(RuntimeError, match="backward called before forward"):
+        net.backward(np.ones_like(lean))
+    with pytest.raises(RuntimeError, match="backward called before forward"):
+        _kink_gap(net)
+    for training in (True, False):  # no rows in, no rows out
+        assert net.forward(x[:0], training=training).shape == (1, 0, 2)
 
 
 def test_an_eval_forward_allocates_little_beyond_its_output():
@@ -1137,7 +1137,7 @@ def test_an_eval_forward_allocates_little_beyond_its_output():
         finally:
             tracemalloc.stop()
 
-    assert peak() <= bound < peak(keep=True)
+    assert peak() <= bound < peak(training=True)
 
 
 # ---------------------------------------------------------------------------
