@@ -182,6 +182,30 @@ def test_gradient_check_non_finite_is_a_failure(monkeypatch):
     assert run_gradient_check(parse_activation("tanh"), probes=5) == math.inf
 
 
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_gradient_check_nan_on_one_side_is_a_failure(monkeypatch):
+    # a NaN on only the analytic or only the numeric side must not read as a
+    # perfect match
+    tanh = KINDS["tanh"]
+
+    def nan_derivative(x, c):
+        y, dy = tanh.value(x, c)
+        return y, np.full_like(dy, np.nan)
+
+    with monkeypatch.context() as m:
+        m.setitem(KINDS, "tanh", replace(tanh, value=nan_derivative))
+        assert run_gradient_check(parse_activation("tanh"), probes=5) == math.inf
+
+    forward = Network.forward
+
+    def nan_probes(self, x, training=False, rng=None):
+        out = forward(self, x, training, rng)
+        return out if training else np.full_like(out, np.nan)
+
+    monkeypatch.setattr(Network, "forward", nan_probes)
+    assert run_gradient_check(parse_activation("tanh"), probes=5) == math.inf
+
+
 def test_alpha_gradient_outside_support_matches_linear_exp_path():
     # when alpha*r > 1 for every element, the Wendland branch contributes
     # nothing: gradients equal those of a profile with the bump removed
