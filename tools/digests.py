@@ -96,14 +96,16 @@ def _study(experiment: str, scratch: Path, activations=None, **overrides) -> str
     return csv_digest(out)
 
 
-def _mnist_synthetic(scratch: Path) -> str:
-    """A 784-wide study on seeded MNIST-format files: one noisy class pattern
-    per label.  The config names the files relative to `scratch`, the
-    working directory of the run, so its digest does not depend on where
-    `scratch` is."""
+def _mnist_synthetic(scratch: Path, files=(1200, 500), rows=(1000, 400),
+                     architecture=(784, 64, 10)) -> str:
+    """A 784-wide study of relu, gelu and the starter's ewend, 2 epochs of
+    `rows` train and test rows, on seeded MNIST-format files of `files`
+    train and test images: one noisy class pattern per label.  The config
+    names the files relative to `scratch`, the working directory of the
+    run, so its digest does not depend on where `scratch` is."""
     rng = np.random.default_rng(2024)
     prototypes = rng.integers(0, 256, size=(10, 28, 28))
-    for part, n in (("train", 1200), ("test", 500)):
+    for part, n in zip(("train", "test"), files):
         labels = rng.integers(0, 10, size=n)
         noise = rng.integers(0, 64, size=(n, 28, 28))
         write_idx_images(scratch / f"{part}-images", (prototypes[labels] * 3 + noise) // 4)
@@ -114,8 +116,8 @@ def _mnist_synthetic(scratch: Path) -> str:
     os.chdir(scratch)
     try:
         return _study("mnist", scratch, lambda acts: ["relu", "gelu", acts[-1]],
-                      architecture=[784, 64, 10], epochs=2,
-                      dataset={**dataset, "n_train": 1000, "n_test": 400})
+                      architecture=list(architecture), epochs=2,
+                      dataset={**dataset, "n_train": rows[0], "n_test": rows[1]})
     finally:
         os.chdir(here)
 
@@ -142,6 +144,11 @@ def cases(scratch: Path) -> dict:
     found["study-sine-mix"] = lambda: _study(
         "sine", scratch, lambda acts: acts + MIX[2:], epochs=30, repetitions=3)
     found["study-mnist-synthetic"] = lambda: _mnist_synthetic(scratch)
+    # perfbench's mnist-shape study: its second product, 400 x 256 x 10 at
+    # the test rows, sits just above BLAS's small-matrix bound, so any cut
+    # of an eval layer into row blocks that lands under it shows here
+    found["study-mnist-bench-shape"] = lambda: _mnist_synthetic(
+        scratch, files=(2400, 500), rows=(2000, 400), architecture=(784, 256, 10))
     return found
 
 
