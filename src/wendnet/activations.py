@@ -159,7 +159,7 @@ def _profile_derivatives(p: dict, t: _Profile, names):
     dg = np.asarray(scale * t.r)
     dg *= t.pk1
     np.putmask(dg, t.outside, 0.0)
-    if not np.all(np.isfinite(scale)):  # a huge alpha: -inf times r = 0 is NaN
+    if not np.isfinite(scale).all():  # a huge alpha: -inf times r = 0 is NaN
         np.putmask(dg, t.r == 0.0, 0.0)
     dg += p["lambda"]
     dg -= p["eps"] * p["beta"] * t.tail

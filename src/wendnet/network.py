@@ -30,18 +30,25 @@ from .tensor import ConfigError, features, relative_error, substream
 # of ewend's profile, about 9 live arrays, fits in 1.2 MB
 _EVAL_BLOCK = 16384
 
+# multiply-adds of a product at or below which OpenBLAS's SkylakeX dgemm
+# switches to small-matrix kernels that sum in another order: a product cut
+# into row parts keeps the bits of the whole only if each part is larger
+_SMALL = 10**6
 # Work above _SPLIT runs as two fixed halves, the second on the worker
 # thread: a Dense product of more than _SPLIT multiply-adds per BLAS call,
 # or an optimizer update of more than one block (`_Optimizer._BLOCK`
 # elements).  A half then takes ~100 µs on one x86 core, against ~20 µs for
 # handing it to the worker and back, and each half's product, at least a
-# third of the whole (`_cut`), stays above 1e6 multiply-adds, the size at
-# or below which OpenBLAS's SkylakeX dgemm switches to small-matrix kernels
-# that sum in another order.
+# third of the whole (`_cut`), stays above _SMALL.
 _SPLIT = 1 << 22
-# two halves meet at a multiple of _ALIGN rows or elements, so the second
-# starts on a whole BLAS row tile and a whole cache line
+# two halves, or two row blocks of stored rows, meet at a multiple of
+# _ALIGN rows or elements, so the second starts on a whole BLAS row tile
+# and a whole cache line
 _ALIGN = 16
+# float64 bytes of stored rows that an eval forward's first Dense takes
+# per block (`_row_blocks`); each block re-packs the weights, so a block
+# stays large
+_ROW_BLOCK_BYTES = 1 << 20
 
 _tasks: queue.SimpleQueue | None = None  # the worker's, made by the first split
 
@@ -104,6 +111,22 @@ def _cut(n: int) -> int:
     return (n + _ALIGN) // (2 * _ALIGN) * _ALIGN if n >= 2 * _ALIGN else 0
 
 
+def _row_blocks(rows: int, n_in: int, n_out: int) -> list[tuple[int, int]]:
+    """The (start, stop) blocks in which an eval forward's first Dense takes
+    `rows` stored rows: about `_ROW_BLOCK_BYTES` of float64 input each,
+    starting at multiples of `_ALIGN`, and each a product of more than
+    `_SMALL` multiply-adds, a short tail joining the block before it; so
+    every block's product has the bits of the whole one's.  One block when
+    the rows fit one, the whole product under `_SMALL` included; none
+    without rows."""
+    least = (_SMALL // (n_in * n_out) + _ALIGN) // _ALIGN * _ALIGN
+    step = max(_ROW_BLOCK_BYTES // (8 * n_in) // _ALIGN * _ALIGN, least)
+    starts = list(range(0, rows, step))
+    if len(starts) > 1 and (rows - starts[-1]) * n_in * n_out <= _SMALL:
+        starts.pop()
+    return list(zip(starts, starts[1:] + [rows]))
+
+
 def _product(a: np.ndarray, b: np.ndarray, out: np.ndarray, bias):
     np.matmul(a, b, out=out)
     if bias is not None:
@@ -163,9 +186,20 @@ class Dense:
     def forward(self, x: np.ndarray, rng, keep: bool) -> np.ndarray:
         """(R, rows, n_out) from x of (R, rows, n_in), or from (rows, n_in)
         rows that every replica takes, keeping x for the backward only when
-        `keep` is true; a Dense draws nothing from `rng`."""
+        `keep` is true; a Dense draws nothing from `rng`.
+
+        Rows that every replica takes in a forward that keeps nothing (an
+        eval forward's first layer) may be stored rows, `uint8` pixels
+        among them: they enter through `features` one `_row_blocks` block
+        at a time, each block's product written into the one output, so no
+        more than one block of them is ever float64."""
         self._cache_x = x if keep else None
-        return _matmul(x, self.w.value, self.b.value)
+        if keep or x.ndim == 3:
+            return _matmul(x, self.w.value, self.b.value)
+        out = np.empty((len(self.w.value), len(x), self.n_out))
+        for start, stop in _row_blocks(len(x), self.n_in, self.n_out):
+            _matmul(features(x[start:stop]), self.w.value, self.b.value, out=out[:, start:stop])
+        return out
 
     def backward(self, upstream: np.ndarray, need_dx: bool = True) -> np.ndarray | None:
         """Write the weight and bias gradients; return the input gradient,
@@ -381,12 +415,15 @@ class Network:
                 rng: list[np.random.Generator] | None = None) -> np.ndarray:
         """The stack's output, (R, rows, outputs), from 2-D rows x.  In
         training, x holds the R replicas' batches one after another;
-        otherwise every replica takes all the rows of x.  With `rng`, one
-        generator per replica, a kind that draws (rrelu) draws from it;
-        without, it takes its mean.  A training forward keeps the caches
-        that `backward` and the layers' `kink_gap` read; any other keeps
-        none and runs its activation kernels on blocks of rows, so an eval
-        forward allocates little beyond its layers' outputs."""
+        otherwise every replica takes all the rows of x, which may be
+        stored rows, `uint8` pixels among them.  With `rng`, one generator
+        per replica, a kind that draws (rrelu) draws from it; without, it
+        takes its mean.  A training forward keeps the caches that
+        `backward` and the layers' `kink_gap` read; any other keeps none,
+        so it allocates little beyond its layers' outputs: its first Dense
+        takes the rows in blocks, each made float64 by `features` as it
+        enters (the one product cut into row blocks, see `_row_blocks`),
+        and its activation kernels run on blocks of rows."""
         if training:
             x = x.reshape(self.replicas, -1, x.shape[-1])
         for layer in self.layers:
@@ -647,10 +684,11 @@ def train(net: Network, x_train, y_train, loss_kind: str, optimizer,
     Train and test data that do not fit the network's first or last width
     raise ConfigError before the first update.
 
-    The rows become float64 by `features` where they enter: the test rows
-    once, here, and the training rows one gathered batch at a time, so
-    stored `uint8` pixels stay one byte each and each batch enters scaled
-    to [0, 1].
+    The rows become float64 by `features` where they enter, so stored
+    `uint8` pixels stay one byte each and enter scaled to [0, 1]: a
+    training batch as it is gathered, and the test rows, passed to the
+    eval forward as they are stored, one block at a time as its first
+    Dense takes them.
     """
     x_train = np.asarray(x_train)
     n = x_train.shape[0]
@@ -661,7 +699,7 @@ def train(net: Network, x_train, y_train, loss_kind: str, optimizer,
     if len(rngs) != net.replicas:
         raise ValueError(f"{len(rngs)} generators for {net.replicas} replicas")
     y_train = np.asarray(y_train)
-    x_test, y_test = features(x_test), np.asarray(y_test)
+    x_test, y_test = np.asarray(x_test), np.asarray(y_test)
     # checked once here, so the loss kernels need not be; activations keep
     # the width, so the first and last Dense layers set the input's and the
     # output's

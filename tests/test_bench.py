@@ -978,6 +978,19 @@ def test_mnist_like_study_keeps_its_pixels_as_stored(tmp_path, monkeypatch):
     assert peak < 4000 * 784 * 8 / 2, f"traced peak {peak / 1e6:.1f} MB"
 
 
+def test_mnist_like_study_never_holds_its_test_rows_as_float64(tmp_path):
+    # the test pixels as float64 would take 4000 * 784 * 8 bytes, 25 MB;
+    # each epoch's eval forward makes one block of them float64 at a time
+    cfg = _pixel_study(tmp_path, 200, 4000)
+    tracemalloc.start()
+    try:
+        bench.run_experiment(cfg)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 4000 * 784 * 8 / 2, f"traced peak {peak / 1e6:.1f} MB"
+
+
 def test_cli_grad_check_non_finite_error_fails(monkeypatch):
     # an inf error (what the checker returns for NaN) reports FAIL, exit 3
     import wendnet.cli

@@ -26,7 +26,7 @@ from wendnet.network import (
     train,
 )
 from wendnet.datasets import make_moons, split
-from wendnet.tensor import ConfigError, relative_error, substream
+from wendnet.tensor import ConfigError, features, relative_error, substream
 
 
 def test_single_dense_identity_weights():
@@ -1162,6 +1162,76 @@ def test_an_eval_forward_allocates_little_beyond_its_output():
             tracemalloc.stop()
 
     assert peak() <= bound < peak(training=True)
+
+
+# ---------------------------------------------------------------------------
+# Stored rows in row blocks: an eval forward's first Dense makes one block
+# of its rows float64 at a time, with the bits of one whole product.
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("n_in, n_out", [(784, 256), (784, 10), (256, 10), (2, 16), (100, 100),
+                                         (20000, 64), (3000, 1)])
+def test_row_blocks_are_aligned_large_and_cover_every_row(n_in, n_out):
+    for rows in list(range(0, 700)) + [2000, 10000, 70000]:
+        blocks = network._row_blocks(rows, n_in, n_out)
+        edges = [0] + [stop for _, stop in blocks]
+        assert blocks == list(zip(edges, edges[1:])) and edges[-1] == rows
+        assert all(start % network._ALIGN == 0 for start in edges[:-1])
+        if rows * n_in * n_out <= network._SMALL:
+            assert len(blocks) <= 1
+        if len(blocks) < 2:
+            continue
+        # each block clear of the small-matrix kernels, the tail included
+        assert all((stop - start) * n_in * n_out > network._SMALL for start, stop in blocks)
+        # all but the last alike: the most aligned rows within 1 MiB of
+        # float64, or the fewest above the bound when those are more
+        size = blocks[0][1]
+        assert all(stop - start == size for start, stop in blocks[:-1])
+        assert (size + network._ALIGN) * n_in * 8 > network._ROW_BLOCK_BYTES
+        assert (size * n_in * 8 <= network._ROW_BLOCK_BYTES
+                or (size - network._ALIGN) * n_in * n_out <= network._SMALL)
+
+
+@pytest.mark.parametrize("widths, rows, blocks", [
+    ((784, 256), 400, [(0, 160), (160, 320), (320, 400)]),
+    # a 1-row tail joins the block before it
+    ((784, 256), 321, [(0, 160), (160, 321)]),
+    # a 160-row split would leave an 80-row tail of 627k multiply-adds
+    ((784, 10), 400, [(0, 160), (160, 400)]),
+    ((784, 256), 0, []),
+    ((2, 16), 5000, [(0, 5000)]),  # a toy stack's rows are one block
+], ids=["mnist-shape", "one-row-tail", "small-tail", "no-rows", "toy"])
+def test_an_eval_forward_over_stored_rows_writes_the_bytes_of_one_whole_call(
+        monkeypatch, widths, rows, blocks):
+    n_in, n_out = widths
+    assert network._row_blocks(rows, n_in, n_out) == blocks
+    layer = Dense(n_in, n_out, [default_rng(86), default_rng(87)])
+    layer.b.value[...] = default_rng(88).standard_normal(layer.b.value.shape)
+    pixels = default_rng(89).integers(0, 256, size=(rows, n_in)).astype(np.uint8)
+    taken = []
+    real = network.features
+    monkeypatch.setattr(network, "features", lambda x: taken.append(len(x)) or real(x))
+    blocked = layer.forward(pixels, None, False)
+    assert taken == [stop - start for start, stop in blocks]
+    assert layer._cache_x is None
+    whole = layer.forward(features(pixels), None, True)  # one _matmul over every row
+    assert blocked.shape == whole.shape == (2, rows, n_out)
+    assert blocked.tobytes() == whole.tobytes()
+
+
+@pytest.mark.parametrize("text", ["relu", "gelu", "ewend"])
+def test_an_eval_forward_over_stored_pixels_gives_the_bits_of_their_features(monkeypatch, text):
+    # perfbench's mnist-shape test set: 400 rows of [784, 256, 10], in three
+    # blocks; the second product, 400 x 256 x 10, is just above the
+    # small-matrix bound, and stays whole
+    net = build_mlp([784, 256, 10], parse_activation(text), [default_rng(90), default_rng(91)])
+    pixels = default_rng(92).integers(0, 256, size=(400, 784)).astype(np.uint8)
+    with network.quiet_errstate():
+        blocked = net.forward(pixels)
+        monkeypatch.setattr(network, "_row_blocks", lambda rows, n_in, n_out: [(0, rows)])
+        whole = net.forward(features(pixels))
+    assert blocked.shape == (2, 400, 10)
+    assert blocked.tobytes() == whole.tobytes()
 
 
 # ---------------------------------------------------------------------------
