@@ -1228,6 +1228,7 @@ def test_an_eval_forward_over_stored_pixels_gives_the_bits_of_their_features(mon
     pixels = default_rng(92).integers(0, 256, size=(400, 784)).astype(np.uint8)
     with network.quiet_errstate():
         blocked = net.forward(pixels)
+        assert net.forward(pixels[:0]).shape == (2, 0, 10)  # no rows in, no rows out
         monkeypatch.setattr(network, "_row_blocks", lambda rows, n_in, n_out: [(0, rows)])
         whole = net.forward(features(pixels))
     assert blocked.shape == (2, 400, 10)
